@@ -16,9 +16,10 @@ Quantifies the memory-engine fast path on two axes:
   The *virtual* update time is asserted identical in both modes: the
   fast path changes how fast the host sweeps memory, never what the
   simulation measures.
-* **Scaling curve** — worker count vs sweep throughput and rolling
-  ``run_update`` wall time on scaled-up httpd prefork trees (8 ..
-  1000 server processes), the v2 scheduler's headline workload.
+* **Scaling curve** — worker count vs sweep throughput, rolling
+  ``run_update`` wall time and memory (simulated mapped/resident bytes,
+  host ``ru_maxrss``) on scaled-up httpd prefork trees (8 .. 1000
+  server processes), the v2 scheduler's headline workload.
 
 Wired into the CLI as ``python -m repro bench scanperf [--json]``; the
 JSON lands in ``BENCH_scanperf.json`` and is uploaded as a CI artifact so
@@ -27,6 +28,7 @@ the perf trajectory is tracked PR over PR.
 
 from __future__ import annotations
 
+import resource
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -282,6 +284,9 @@ def run_scaling_curve(
         config = MCRConfig(
             update_mode="rolling", rolling_batch=max(1, workers // 4)
         )
+        spaces = [p.space for p in process.tree()]
+        mapped = sum(space.mapped_bytes() for space in spaces)
+        resident = sum(space.resident_bytes() for space in spaces)
         start = time.perf_counter()
         result = ctl.live_update(factory(2), config=config)
         update_s = time.perf_counter() - start
@@ -301,6 +306,10 @@ def run_scaling_curve(
                 "rolling_batches": result.rolling_batches,
                 "warm_responses": workload.latency.count,
                 "committed": result.committed,
+                "mapped_mb": mapped / 1e6,
+                "resident_mb": resident / 1e6,
+                # Process high-water mark: monotonic across points.
+                "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             }
         )
     return rows
@@ -406,6 +415,9 @@ def render(results: Dict[str, object]) -> str:
                 f"{point['update_wall_ms']:.0f}",
                 f"{point['virtual_total_ms']:.1f}",
                 str(point["rolling_batches"]),
+                f"{point['mapped_mb']:.0f}",
+                f"{point['resident_mb']:.1f}",
+                f"{point['maxrss_mb']:.0f}",
                 fmt_cell(point["committed"]),
             ]
             for point in curve
@@ -422,13 +434,18 @@ def render(results: Dict[str, object]) -> str:
                     "update_wall_ms",
                     "virt_ms",
                     "batches",
+                    "mapped_MB",
+                    "resident_MB",
+                    "maxrss_MiB",
                     "ok",
                 ],
                 curve_rows,
                 note=(
                     "workers = server_processes override; update = one rolling "
                     "run_update with batch = workers/4 under a keep-alive "
-                    "AB workload (100 ms reconnect stall)"
+                    "AB workload (100 ms reconnect stall); mapped/resident = "
+                    "old tree at update time; maxrss = host process high-water "
+                    "after the point (monotonic)"
                 ),
             )
         )

@@ -218,7 +218,7 @@ def graft_process(process: Any, record: Dict[str, Any], image: CheckpointImage) 
     """Overlay one process's mutable state from the image (post-validation)."""
     for entry in record["mappings"]:
         mapping = process.space.mapping_at(entry["base"])
-        mapping.data[:] = image.sections[entry["section"]]
+        mapping.load(0, image.sections[entry["section"]])
         # Chunk headers and tag mirrors ride along in the mapping bytes.
     _graft_heap(process.heap, record["heap"])
     fdtable = process.fdtable

@@ -150,9 +150,9 @@ class WarmStandby:
         for page in delta.meta["pages"]:
             process = processes[page["pid"]]
             mapping = process.space.mapping_at(page["mapping_base"])
-            start = page["address"] - mapping.base
-            mapping.data[start:start + page["length"]] = (
-                blob[page["offset"]:page["offset"] + page["length"]]
+            mapping.load(
+                page["address"] - mapping.base,
+                blob[page["offset"]:page["offset"] + page["length"]],
             )
         for pid_text, record in delta.meta["records"].items():
             process = processes[int(pid_text)]

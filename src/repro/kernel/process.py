@@ -244,10 +244,12 @@ class Process:
     def descendants(self) -> List["Process"]:
         """All live descendant processes, depth-first."""
         result: List["Process"] = []
-        for child in self.children:
-            if not child.exited:
-                result.append(child)
-            result.extend(child.descendants())
+        stack = self.children[::-1]
+        while stack:
+            process = stack.pop()
+            if not process.exited:
+                result.append(process)
+            stack.extend(reversed(process.children))
         return result
 
     def tree(self) -> List["Process"]:

@@ -215,6 +215,7 @@ class ReplayEngine:
     def finish(self, new_root: Process) -> None:
         """Verify omissions and garbage-collect the unclaimed stash."""
         pids = [p.pid for p in new_root.tree()]
+        live_pids = set(pids)
         omissions = [
             rec
             for pid in pids
@@ -228,7 +229,7 @@ class ReplayEngine:
             )
             or (
                 rec.created_pid is not None
-                and rec.created_pid not in pids
+                and rec.created_pid not in live_pids
             )
         ]
         if omissions:
@@ -243,9 +244,11 @@ class ReplayEngine:
             self._raise_or_resolve(context, conflict)
         # GC: drop every stash descriptor everywhere in the new tree.
         # Claimed objects live on at their original numbers (with their own
-        # reference); unclaimed ones are released entirely.
+        # reference); unclaimed ones are released entirely.  (Walked again:
+        # a conflict handler above may have respawned a process.)
+        tree = new_root.tree()
         for stash_fd in self.stash.all_stash_fds():
-            for process in new_root.tree():
+            for process in tree:
                 obj = process.fdtable.try_get(stash_fd)
                 if obj is None:
                     continue

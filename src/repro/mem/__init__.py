@@ -3,9 +3,10 @@
 This package stands in for the process-memory machinery MCR uses on Linux:
 
 * ``pages`` / ``address_space`` — 64-bit virtual address spaces backed by
-  real bytearrays, with page-granular **soft-dirty** tracking (the
-  ``/proc/<pid>/clear_refs`` + ``pagemap`` mechanism the paper borrows from
-  CRIU for dirty-object detection).
+  demand-zero host ``mmap``s (a page costs memory, and is copied by
+  ``fork``, only once written), with page-granular **soft-dirty** tracking
+  (the ``/proc/<pid>/clear_refs`` + ``pagemap`` mechanism the paper borrows
+  from CRIU for dirty-object detection).
 * ``ptmalloc`` — a glibc-style heap allocator with in-band chunk metadata,
   startup-time chunk flagging, deferred frees (global separability), and
   ``malloc_at`` (global reallocation of immutable heap objects).

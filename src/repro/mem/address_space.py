@@ -1,11 +1,11 @@
 """Simulated 64-bit virtual address spaces.
 
 An ``AddressSpace`` holds disjoint ``Mapping``s (data segment, heap, stacks,
-anonymous mmaps, "shared libraries"), each backed by a real ``bytearray``.
-Pointers stored by simulated programs are genuine 8-byte little-endian
-words inside those bytearrays, which is what makes MCR's precise tracing,
-conservative likely-pointer scanning, and relocation *real* operations here
-rather than mock-ups.
+anonymous mmaps, "shared libraries"), each backed by a private anonymous
+host ``mmap``.  Pointers stored by simulated programs are genuine 8-byte
+little-endian words inside those stores, which is what makes MCR's precise
+tracing, conservative likely-pointer scanning, and relocation *real*
+operations here rather than mock-ups.
 
 Layout conventions (documented, not load-bearing):
 
@@ -14,14 +14,19 @@ Layout conventions (documented, not load-bearing):
 * ``0x0000_7000_0000`` — anonymous mmap region (grows up)
 * ``0x0000_7f00_0000`` — shared-library images
 
-fork() clones an address space with copy-on-write *semantics* (we deep-copy
-eagerly; the sharing optimisation is irrelevant to MCR's behaviour, and the
-paper's RSS overhead figures are reproduced from logical footprint).
+Mappings are demand-paged.  The host OS backs a store with demand-zero
+pages, so a page nobody wrote costs no memory — reading it (a fingerprint
+CRC, an image section) maps the shared zero page — and fork() stays eager
+but copies only the pages in ``tracker.ever_written``.  That rests on one
+invariant: **a page not in ``ever_written`` is all zero**.  The only writers
+of a store are therefore ``write_bytes``/``write_word`` (tracked) and
+``Mapping.load`` (checkpoint grafts); ``view()`` windows are read-only.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
+import mmap as _mmap
 import struct as _struct
 from typing import Dict, Iterator, List, Optional
 
@@ -46,7 +51,11 @@ class Mapping:
         self.size = _round_up_pages(size)
         self.name = name
         self.kind = kind  # "data" | "heap" | "stack" | "mmap" | "lib"
-        self.data = bytearray(self.size)
+        # Demand-zero store.  Private, not shared: a shared anonymous map
+        # is shmem, where even a *read* of an untouched page allocates it.
+        self.data = _mmap.mmap(
+            -1, self.size, flags=_mmap.MAP_PRIVATE | _mmap.MAP_ANONYMOUS
+        )
         self.tracker = PageTracker(base, self.size)
 
     @property
@@ -57,14 +66,31 @@ class Mapping:
         return self.base <= address < self.end
 
     def clone(self) -> "Mapping":
-        twin = Mapping.__new__(Mapping)
-        twin.base = self.base
-        twin.size = self.size
-        twin.name = self.name
-        twin.kind = self.kind
-        twin.data = bytearray(self.data)
+        """fork(): a fresh store holding copies of the resident pages only."""
+        twin = Mapping(self.base, self.size, self.name, self.kind)
         twin.tracker = self.tracker.clone()
+        with memoryview(self.data) as source:
+            for start, stop in self.tracker.resident_runs():
+                twin.data[start:stop] = source[start:stop]
         return twin
+
+    def load(self, offset: int, payload: bytes) -> None:
+        """Overlay checkpoint bytes at ``offset`` (restore / delta graft).
+
+        Marks resident exactly the pages that receive non-zero bytes or
+        were resident already; the rest are zero on both sides and stay
+        untouched.  A graft is not a program write: soft-dirty bits,
+        write sequencing and fault counts do not move.
+        """
+        resident = self.tracker.ever_written
+        end = offset + len(payload)
+        for page in range(offset // PAGE_SIZE, (end + PAGE_SIZE - 1) // PAGE_SIZE):
+            start = max(page * PAGE_SIZE, offset)
+            stop = min((page + 1) * PAGE_SIZE, end)
+            chunk = payload[start - offset : stop - offset]
+            if page in resident or chunk.count(0) != len(chunk):
+                self.data[start:stop] = chunk
+                resident.add(page)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Mapping {self.name} [0x{self.base:x}, 0x{self.end:x}) {self.kind}>"
@@ -193,7 +219,7 @@ class AddressSpace:
     def read_bytes(self, address: int, size: int) -> bytes:
         mapping = self._locate(address, size, "read")
         offset = address - mapping.base
-        return bytes(mapping.data[offset : offset + size])
+        return mapping.data[offset : offset + size]
 
     def view(self, address: int, size: int) -> memoryview:
         """A zero-copy read window over ``[address, address+size)``.
@@ -204,7 +230,7 @@ class AddressSpace:
         """
         mapping = self._locate(address, size, "view")
         offset = address - mapping.base
-        return memoryview(mapping.data)[offset : offset + size]
+        return memoryview(mapping.data)[offset : offset + size].toreadonly()
 
     def write_bytes(self, address: int, data: bytes) -> None:
         mapping = self._locate(address, len(data), "write")
@@ -254,7 +280,7 @@ class AddressSpace:
         return sum(m.size for m in self._mappings)
 
     def clone(self) -> "AddressSpace":
-        """fork(): duplicate all mappings (eager copy, COW-equivalent)."""
+        """fork(): duplicate all mappings (eager copy of the resident pages)."""
         twin = AddressSpace()
         twin._mmap_cursor = self._mmap_cursor
         twin._lib_cursor = self._lib_cursor

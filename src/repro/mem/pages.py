@@ -17,7 +17,7 @@ kernel default where soft-dirty bits start set for new mappings).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, Set, Tuple
 
 PAGE_SIZE = 4096
 
@@ -74,6 +74,15 @@ class PageTracker:
         twin.write_seq = self.write_seq
         twin._page_seq = dict(self._page_seq)
         return twin
+
+    def resident_runs(self) -> Iterator[Tuple[int, int]]:
+        """Coalesce ``ever_written`` into ascending ``[start, stop)`` byte offsets."""
+        pages = sorted(self.ever_written)
+        first = 0
+        for i in range(1, len(pages) + 1):
+            if i == len(pages) or pages[i] != pages[i - 1] + 1:
+                yield pages[first] * PAGE_SIZE, (pages[i - 1] + 1) * PAGE_SIZE
+                first = i
 
     def note_write(self, address: int, size: int) -> int:
         """Record a write of ``size`` bytes at ``address``.
