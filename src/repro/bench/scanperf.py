@@ -1,25 +1,23 @@
-"""Fast-path scanning performance (this repo's experiment, not a paper table).
+"""Conservative-scan performance (this repo's experiment, not a paper table).
 
-Quantifies the memory-engine fast path on two axes:
+Three views of the one scan engine:
 
 * **Microbenchmark** — conservative-scan throughput (words/sec) over a
-  booted server's data + heap mappings, three engines deep: the
-  reference per-word scanner, the PR 2 bulk kernel (bounds prefilter +
-  interval index), and the v2 vectorized backend
-  (``repro.mem.scan_backend`` — numpy when installed, the stdlib
-  fallback otherwise).  Asserts all three produce *identical*
-  likely-pointer lists and ``words_scanned`` counts (the Table 2/3
-  invariance guarantee), and reports how many resolve calls the
-  prefilter avoided.
-* **End-to-end** — host wall time of one full ``run_update`` per server,
-  fast path on vs off (``MCRConfig.fast_scan``/``incremental_scan``).
-  The *virtual* update time is asserted identical in both modes: the
-  fast path changes how fast the host sweeps memory, never what the
-  simulation measures.
+  booted server's data + heap mappings: the per-word reference scanner
+  over the cascade resolver against the scanner tracing runs
+  (``conservative.scan_range`` through the scan index — numpy when
+  importable, stdlib otherwise).  Asserts both produce *identical*
+  likely-pointer lists and ``words_scanned`` counts, and reports the
+  resolve traffic of each.
+* **Per-server update** — one full ``run_update`` per server: host wall
+  time next to the simulated results (virtual update time, words
+  scanned, likely pointers, scan-cache hits), which are checked against
+  ``UPDATE_SPEC`` — how fast the host sweeps memory may change, what the
+  simulation measures may not.
 * **Scaling curve** — worker count vs sweep throughput, rolling
   ``run_update`` wall time and memory (simulated mapped/resident bytes,
   host ``ru_maxrss``) on scaled-up httpd prefork trees (8 .. 1000
-  server processes), the v2 scheduler's headline workload.
+  server processes).
 
 Wired into the CLI as ``python -m repro bench scanperf [--json]``; the
 JSON lands in ``BENCH_scanperf.json`` and is uploaded as a CI artifact so
@@ -38,8 +36,7 @@ from repro.bench.reporting import fmt_cell, render_table
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.tracing import conservative
-from repro.mcr.tracing.graph import AddressResolver
-from repro.mem import scan_backend
+from repro.mcr.tracing.graph import AddressResolver, snapshot_index
 from repro.replay.rng import RngStream
 from repro.types.descriptors import WORD_SIZE
 
@@ -47,6 +44,13 @@ from repro.types.descriptors import WORD_SIZE
 # so CI stays fast while the committed artifact covers the full range.
 SCALING_WORKER_COUNTS = (8, 64, 256, 1000)
 SMOKE_WORKER_COUNTS = (8, 64)
+
+# The simulated results of one whole-tree update per server:
+# (virtual_total_ms, words_scanned, likely_pointers).
+UPDATE_SPEC = {
+    "httpd": (45.659934, 38969, 182),
+    "vsftpd": (39.661214, 15879, 0),
+}
 
 
 def _scan_targets(process) -> List[Tuple[int, int]]:
@@ -94,47 +98,29 @@ def _seed_pointer_field(process, size: int = 256 * 1024) -> None:
 
 
 def run_scan_micro(server: str = "httpd", repeats: int = 3) -> Dict[str, object]:
-    """Bulk vs reference scanner over one booted server's memory image."""
+    """Reference vs current scanner over one booted server's memory image."""
     world = boot_server(server)
     SERVER_BENCHES[server]["workload"]().run(world.kernel)
     process = world.root
     _seed_pointer_field(process)
     targets = _scan_targets(process)
-    resolver = AddressResolver(process)
+    resolve = AddressResolver(process).resolve
+    index = snapshot_index(process)
 
     def sweep_ref() -> Tuple[List, int]:
         found: List = []
         words = 0
         for base, size in targets:
-            got, scanned = conservative.scan_range_ref(
-                process.space, base, size, resolver.resolve_for_scan
-            )
+            got, scanned = conservative.scan_range_ref(process.space, base, size, resolve)
             found.extend(got)
             words += scanned
         return found, words
 
-    def sweep_fast() -> Tuple[List, int]:
+    def sweep() -> Tuple[List, int]:
         found: List = []
         words = 0
-        bounds = resolver.scan_bounds()
         for base, size in targets:
-            got, scanned = conservative.scan_range(
-                process.space, base, size, resolver.resolve_for_scan, bounds=bounds
-            )
-            found.extend(got)
-            words += scanned
-        return found, words
-
-    def sweep_vector() -> Tuple[List, int]:
-        found: List = []
-        words = 0
-        bounds = resolver.scan_bounds()
-        index = resolver.scan_index()
-        for base, size in targets:
-            got, scanned = conservative.scan_range(
-                process.space, base, size, resolver.resolve_for_scan,
-                bounds=bounds, index=index,
-            )
+            got, scanned = conservative.scan_range(process.space, base, size, index)
             found.extend(got)
             words += scanned
         return found, words
@@ -143,46 +129,25 @@ def run_scan_micro(server: str = "httpd", repeats: int = 3) -> Dict[str, object]
     with obs.collecting(world.kernel.clock) as collector:
         ref_found, ref_words = sweep_ref()
     calls_ref = collector.counters.snapshot().get("scan.resolve_calls", 0)
-    resolver.build_index()
     with obs.collecting(world.kernel.clock) as collector:
-        fast_found, fast_words = sweep_fast()
-    calls_fast = collector.counters.snapshot().get("scan.resolve_calls", 0)
-    with obs.collecting(world.kernel.clock) as collector:
-        vector_found, vector_words = sweep_vector()
-    calls_vector = collector.counters.snapshot().get("scan.resolve_calls", 0)
-    identical = (
-        _pointers_key(ref_found) == _pointers_key(fast_found)
-        and _pointers_key(ref_found) == _pointers_key(vector_found)
-        and ref_words == fast_words == vector_words
-        and calls_fast == calls_vector
-    )
+        found, words = sweep()
+    calls = collector.counters.snapshot().get("scan.resolve_calls", 0)
+    identical = _pointers_key(ref_found) == _pointers_key(found) and ref_words == words
     # Then timing (no collector installed: the publish hook is a no-op).
-    ref_s = min(
-        _timed(sweep_ref) for _ in range(repeats)
-    )
-    fast_s = min(
-        _timed(sweep_fast) for _ in range(repeats)
-    )
-    vector_s = min(
-        _timed(sweep_vector) for _ in range(repeats)
-    )
-    resolver.drop_index()
+    ref_s = min(_timed(sweep_ref) for _ in range(repeats))
+    scan_s = min(_timed(sweep) for _ in range(repeats))
     return {
         "server": server,
-        "backend": scan_backend.ACTIVE.name,
+        "backend": index.name,
         "ranges": len(targets),
         "words": ref_words,
         "likely_pointers": len(ref_found),
         "identical": identical,
         "ref_words_per_sec": ref_words / ref_s if ref_s else 0.0,
-        "fast_words_per_sec": fast_words / fast_s if fast_s else 0.0,
-        "vector_words_per_sec": vector_words / vector_s if vector_s else 0.0,
-        "speedup": ref_s / fast_s if fast_s else 0.0,
-        "vector_speedup": ref_s / vector_s if vector_s else 0.0,
+        "words_per_sec": words / scan_s if scan_s else 0.0,
+        "speedup": ref_s / scan_s if scan_s else 0.0,
         "resolve_calls_ref": calls_ref,
-        "resolve_calls_fast": calls_fast,
-        "resolve_calls_vector": calls_vector,
-        "resolve_calls_avoided": calls_ref - calls_fast,
+        "resolve_calls": calls,
     }
 
 
@@ -192,35 +157,35 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _measure_update(name: str, fast: bool) -> Dict[str, object]:
-    """One full live update with the fast path on or off (host wall time)."""
+def _measure_update(name: str) -> Dict[str, object]:
+    """One full live update: host wall time beside the simulated results."""
     spec = SERVER_BENCHES[name]
     world = boot_server(name)
     spec["workload"]().run(world.kernel)
     ctl = McrCtl(world.kernel, world.session)
-    config = MCRConfig(fast_scan=fast, incremental_scan=fast)
     with obs.collecting(world.kernel.clock) as collector:
         start = time.perf_counter()
-        result = ctl.live_update(spec["make_program"](2), config=config)
+        result = ctl.live_update(spec["make_program"](2), config=MCRConfig())
         wall_s = time.perf_counter() - start
     if not result.committed:
         raise RuntimeError(f"{name}: update failed: {result.error}")
-    counters = collector.counters.snapshot()
-    return {
+    row = {
         "wall_ms": wall_s * 1000.0,
         "virtual_total_ms": result.total_ms(),
-        "scan_words": counters.get("scan.words", 0),
-        "resolve_calls": counters.get("scan.resolve_calls", 0),
-        "cache_hits": counters.get("scan.cache_hits", 0),
-        "words_from_cache": counters.get("scan.words_from_cache", 0),
+        "words_scanned": sum(
+            s.words_scanned for s in result.transfer_report.per_process
+        ),
         "likely_pointers": sum(
             len(r.likely_pointers)
             for r in result.transfer_report.trace_results.values()
         ),
-        "words_scanned_accounted": sum(
-            s.words_scanned for s in result.transfer_report.per_process
-        ),
+        "cache_hits": collector.counters.snapshot().get("scan.cache_hits", 0),
     }
+    if name in UPDATE_SPEC:
+        row["matches_spec"] = UPDATE_SPEC[name] == (
+            row["virtual_total_ms"], row["words_scanned"], row["likely_pointers"]
+        )
+    return row
 
 
 def run_scaling_curve(
@@ -254,24 +219,19 @@ def run_scaling_curve(
         processes = len(process.tree())
         _seed_pointer_field(process)
         targets = _scan_targets(process)
-        resolver = AddressResolver(process)
-        resolver.build_index()
-        bounds = resolver.scan_bounds()
-        index = resolver.scan_index()
+        index = snapshot_index(process)
 
         def sweep() -> int:
             words = 0
             for base, size in targets:
                 _got, scanned = conservative.scan_range(
-                    process.space, base, size, resolver.resolve_for_scan,
-                    bounds=bounds, index=index,
+                    process.space, base, size, index
                 )
                 words += scanned
             return words
 
         words = sweep()
         sweep_s = min(_timed(sweep) for _ in range(2))
-        resolver.drop_index()
         workload = ApacheBench(
             80, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
         )
@@ -322,32 +282,7 @@ def run_scanperf(
     worker_counts: Sequence[int] = SCALING_WORKER_COUNTS,
 ) -> Dict[str, object]:
     results: Dict[str, object] = {"microbench": run_scan_micro(micro_server, repeats)}
-    per_server: Dict[str, Dict[str, object]] = {}
-    for name in servers:
-        slow = _measure_update(name, fast=False)
-        fast = _measure_update(name, fast=True)
-        per_server[name] = {
-            "slow_wall_ms": slow["wall_ms"],
-            "fast_wall_ms": fast["wall_ms"],
-            "wall_speedup": slow["wall_ms"] / fast["wall_ms"] if fast["wall_ms"] else 0.0,
-            # The fast path must not perturb the simulation: virtual
-            # update time and every scan statistic are mode-invariant.
-            "virtual_total_ms_slow": slow["virtual_total_ms"],
-            "virtual_total_ms_fast": fast["virtual_total_ms"],
-            "virtual_identical": slow["virtual_total_ms"] == fast["virtual_total_ms"],
-            "accounting_identical": (
-                slow["words_scanned_accounted"] == fast["words_scanned_accounted"]
-                and slow["likely_pointers"] == fast["likely_pointers"]
-            ),
-            "words_scanned": fast["words_scanned_accounted"],
-            "likely_pointers": fast["likely_pointers"],
-            "resolve_calls_slow": slow["resolve_calls"],
-            "resolve_calls_fast": fast["resolve_calls"],
-            "resolve_calls_avoided": slow["resolve_calls"] - fast["resolve_calls"],
-            "cache_hits": fast["cache_hits"],
-            "words_from_cache": fast["words_from_cache"],
-        }
-    results["servers"] = per_server
+    results["servers"] = {name: _measure_update(name) for name in servers}
     results["scaling_curve"] = run_scaling_curve(worker_counts)
     return results
 
@@ -355,52 +290,37 @@ def run_scanperf(
 def render(results: Dict[str, object]) -> str:
     micro = results["microbench"]
     lines = [
-        "Scan fast-path microbenchmark "
+        "Scan microbenchmark "
         f"({micro['server']}: {micro['words']} words, "
         f"{micro['likely_pointers']} likely pointers, "
         f"identical={micro['identical']}, backend={micro['backend']})",
-        f"  reference  : {micro['ref_words_per_sec']:,.0f} words/sec "
+        f"  reference : {micro['ref_words_per_sec']:,.0f} words/sec "
         f"({micro['resolve_calls_ref']} resolve calls)",
-        f"  fast path  : {micro['fast_words_per_sec']:,.0f} words/sec "
-        f"({micro['resolve_calls_fast']} resolve calls, "
-        f"{micro['resolve_calls_avoided']} avoided)",
-        f"  vectorized : {micro['vector_words_per_sec']:,.0f} words/sec "
-        f"({micro['resolve_calls_vector']} resolve calls)",
-        f"  speedup    : {micro['speedup']:.1f}x bulk, "
-        f"{micro['vector_speedup']:.1f}x vectorized",
+        f"  current   : {micro['words_per_sec']:,.0f} words/sec "
+        f"({micro['resolve_calls']} resolve calls)",
+        f"  speedup   : {micro['speedup']:.1f}x",
         "",
     ]
-    rows = []
-    for name, row in results["servers"].items():
-        rows.append(
-            [
-                name,
-                f"{row['slow_wall_ms']:.1f}",
-                f"{row['fast_wall_ms']:.1f}",
-                f"{row['wall_speedup']:.2f}",
-                fmt_cell(row["virtual_identical"]),
-                fmt_cell(row["accounting_identical"]),
-                fmt_cell(row["cache_hits"]),
-                fmt_cell(row["resolve_calls_avoided"]),
-            ]
-        )
+    rows = [
+        [
+            name,
+            f"{row['wall_ms']:.1f}",
+            f"{row['virtual_total_ms']:.6f}",
+            fmt_cell(row["words_scanned"]),
+            fmt_cell(row["likely_pointers"]),
+            fmt_cell(row["cache_hits"]),
+            fmt_cell(row.get("matches_spec")),
+        ]
+        for name, row in results["servers"].items()
+    ]
     lines.append(
         render_table(
-            "run_update wall time, fast path off vs on",
-            [
-                "server",
-                "slow_ms",
-                "fast_ms",
-                "speedup",
-                "virt_eq",
-                "acct_eq",
-                "cache_hits",
-                "resolves_avoided",
-            ],
+            "run_update per server",
+            ["server", "wall_ms", "virt_ms", "words", "likely", "cache_hits", "spec"],
             rows,
             note=(
-                "wall = host time of ctl.live_update; virt_eq/acct_eq assert the "
-                "fast path changes no simulated measurement"
+                "wall = host time of ctl.live_update; spec = virt_ms/words/likely "
+                "equal UPDATE_SPEC (the simulated results never move)"
             ),
         )
     )

@@ -318,7 +318,7 @@ def _dump_restore_blackbox(
             last_applied_delta_seq=0,
             error=repr(error),
         )
-        path = getattr(config, "blackbox_path", None)
+        path = config.blackbox_path if config is not None else None
         if path:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(blackbox, handle, indent=2, sort_keys=True)

@@ -236,7 +236,7 @@ class WarmStandby:
             last_applied_delta_seq=self.applied_seq,
             problems=problems[:16],
         )
-        path = getattr(self.config, "blackbox_path", None)
+        path = self.config.blackbox_path if self.config is not None else None
         if path:
             try:
                 with open(path, "w", encoding="utf-8") as handle:

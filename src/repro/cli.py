@@ -375,7 +375,7 @@ def cmd_metrics(args) -> int:
         kernel.run(
             until=lambda: all(c.exited for c in clients), max_steps=5_000_000
         )
-    budget_ns = getattr(session.config, "downtime_budget_ns", 1_000_000_000)
+    budget_ns = session.config.downtime_budget_ns
     perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
     result.client = perceived
     summary = perceived.to_dict()

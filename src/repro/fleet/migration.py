@@ -320,7 +320,7 @@ class MigrationDrill:
                 self.target.applied_seq if self.target is not None else None
             ),
         )
-        path = getattr(self.config, "blackbox_path", None)
+        path = self.config.blackbox_path
         if path:
             try:
                 with open(path, "w", encoding="utf-8") as handle:

@@ -27,8 +27,6 @@ class MCRConfig:
         transfer_shared_libs: bool = False,      # paper default: don't
         conservative_interior_pointers: bool = True,
         interior_only_nonupdatable: bool = False,
-        fast_scan: bool = True,                  # bulk kernels + interval index
-        incremental_scan: bool = True,           # dirty-page scan memoization
         faults=None,                             # FaultPlan (None = nothing armed)
         verify_rollback: bool = True,            # fingerprint-check rolled-back trees
         downtime_budget_ns: int = 1_000_000_000, # client-perceived SLO budget (1 s)
@@ -58,14 +56,6 @@ class MCRConfig:
         # the target (immutable) but leaves it type-transformable, since a
         # base pointer survives any same-address layout change.
         self.interior_only_nonupdatable = interior_only_nonupdatable
-        # Perf knobs (host wall time only; virtual-time accounting and
-        # every traced-pointer statistic are identical either way).
-        # ``fast_scan``: bulk word decoding + interval-indexed resolution
-        # with a min/max prefilter.  ``incremental_scan``: reuse scan
-        # results across trace sweeps when no overlapping page was
-        # written since (soft-dirty-style write sequencing).
-        self.fast_scan = fast_scan
-        self.incremental_scan = incremental_scan
         # Fault injection (``repro.mcr.faults``): a ``FaultPlan`` armed at
         # named pipeline sites, or None.  With None every injection point
         # is a single attribute read, so the production path is untouched.

@@ -262,7 +262,7 @@ class LiveUpdateController:
     # -- public API -------------------------------------------------------------
 
     def run_update(self) -> UpdateResult:
-        if getattr(self.config, "update_mode", "whole-tree") == "rolling":
+        if self.config.update_mode == "rolling":
             return self._run_update_rolling()
         return self._run_update_whole_tree()
 
@@ -301,11 +301,11 @@ class LiveUpdateController:
         # before the barrier converges — usable only if no old thread ran
         # in between, hence the steps_executed stamp.  The checkpoint
         # capture, taken once the tree is quiesced, is authoritative.
-        verify = bool(getattr(self.config, "verify_rollback", True))
+        verify = bool(self.config.verify_rollback)
         entry_fp: Optional[TreeFingerprint] = None
         checkpoint_fp: Optional[TreeFingerprint] = None
         entry_steps = self.kernel.steps_executed
-        if verify and getattr(self.config, "faults", None) is not None:
+        if verify and self.config.faults is not None:
             # Only an injected fault can fail before any old thread runs;
             # a real pre-quiescence failure executes kernel steps and
             # invalidates this baseline anyway, so skip the capture when
@@ -442,10 +442,10 @@ class LiveUpdateController:
     def _rolling_attempt(self, result: UpdateResult, clock) -> UpdateResult:
         recorder = obs.recorder_for(clock)
         new_root: Optional[Process] = None
-        verify = bool(getattr(self.config, "verify_rollback", True))
+        verify = bool(self.config.verify_rollback)
         entry_fp: Optional[TreeFingerprint] = None
         entry_steps = self.kernel.steps_executed
-        if verify and getattr(self.config, "faults", None) is not None:
+        if verify and self.config.faults is not None:
             entry_fp = TreeFingerprint.capture(self.kernel, self.old_root)
         worker_batches = self._worker_batches()
         assigned = {p for batch in worker_batches for p in batch}
@@ -501,11 +501,7 @@ class LiveUpdateController:
                 self._converge_volatile(new_root)
             # 5. The rolling hand-off loop.
             with recorder.span("rolling-transfer") as rolling_span:
-                shared_cache = (
-                    SharedScanCache()
-                    if getattr(self.config, "incremental_scan", True)
-                    else None
-                )
+                shared_cache = SharedScanCache()
                 merged = TransferReport()
                 pending = list(worker_batches[1:])
                 remainder_pending = bool(worker_batches)
@@ -672,7 +668,7 @@ class LiveUpdateController:
             workers = list(enumerate_workers(self.old_root))
         else:
             workers = list(self.old_root.tree()[1:])
-        size = max(1, int(getattr(self.config, "rolling_batch", 1)))
+        size = max(1, int(self.config.rolling_batch))
         return [workers[i : i + size] for i in range(0, len(workers), size)]
 
     def _verify_rollback_rolling(
@@ -717,8 +713,8 @@ class LiveUpdateController:
 
     def _quiesce_with_retry(self, result: UpdateResult) -> None:
         """Wait for the barrier; on timeout, back off and retry (bounded)."""
-        max_retries = getattr(self.config, "quiescence_max_retries", 0)
-        backoff_ns = getattr(self.config, "quiescence_backoff_ns", 0)
+        max_retries = self.config.quiescence_max_retries
+        backoff_ns = self.config.quiescence_backoff_ns
         while True:
             try:
                 self.old_session.quiescence.wait(self.old_root, config=self.config)
@@ -815,7 +811,7 @@ class LiveUpdateController:
         active_trace = replay_trace.ACTIVE
         if active_trace is not None:
             result.blackbox["trace"] = active_trace.reference()
-        path = getattr(self.config, "blackbox_path", None)
+        path = self.config.blackbox_path
         if path:
             try:
                 with open(path, "w", encoding="utf-8") as handle:

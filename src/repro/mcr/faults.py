@@ -368,7 +368,7 @@ def fire(config: Any, site: str) -> None:
     The injection points call this helper so that a config without a
     plan — the production default — costs one attribute read.
     """
-    plan = getattr(config, "faults", None)
+    plan = config.faults if config is not None else None
     if plan is not None:
         plan.fire(site)
 

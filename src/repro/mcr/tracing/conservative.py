@@ -10,52 +10,36 @@ memory" (§6).  Two refinements from the paper are implemented:
 * interior pointers are accepted and recorded as such (the offset into the
   target is preserved at fixup time).
 
-The scanner never *writes*; it only reports candidate words.  Resolution
-of a word to a live object is delegated to the caller's ``resolve``
-callable so the same scanner serves heap chunks, region blocks, statics,
-and library areas.
+The scanner never *writes*; it only reports candidate words.  Which words
+resolve to a live object is decided by the caller's scan index
+(``repro.mem.scan_backend.PreparedScanIndex``), so the same scanner serves
+heap chunks, region blocks, statics, and library areas.
 
-Three implementations coexist:
-
-* ``scan_range`` with a prepared ``index`` — the **v2 vectorized path**:
-  the whole window is classified at once by a ``repro.mem.scan_backend``
-  backend (numpy when installed, a pure-stdlib fallback otherwise);
-  Python-level work happens only for the surviving likely pointers.
-* ``scan_range``/``scan_words`` without an index — the **bulk fast
-  path** (PR 2): one mapping lookup per range (a zero-copy
-  ``AddressSpace.view``), all words decoded in a single
-  ``memoryview.cast('Q')`` pass, and an optional ``bounds`` min/max
-  prefilter that rejects words that cannot resolve without any
-  Python-level lookup.  Falls back to the reference scanner whenever the
-  range is not backed by one mapping, so fault semantics are unchanged.
-* ``scan_range_ref``/``scan_words_ref`` — the **reference per-word
-  implementation** (the original hot path).  Kept as the fallback, as the
-  legacy mode behind ``MCRConfig.fast_scan``, and as the oracle for the
-  equivalence property tests and the ``bench scanperf`` experiment.
-
-Both report identical ``LikelyPointer`` lists and ``words_scanned``
-counts by construction, so every Table 2/3 ratio is invariant under the
-fast path.
+``scan_range`` and ``scan_words`` are the scanners tracing runs: each
+hands its words to ``index.classify`` as one window.  ``scan_range_ref``
+and ``scan_words_ref`` read and resolve one word at a time through a
+``resolve`` callable.  ``scan_range_ref`` serves the one input the window
+scanner cannot — a range not backed by a single mapping, where the words
+before the fault must still be scanned — and both are the oracles the
+equivalence tests and ``bench scanperf`` compare against: identical
+``LikelyPointer`` lists and ``words_scanned`` counts.
 """
 
 from __future__ import annotations
 
 import struct as _struct
-import sys as _sys
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import MemoryFault
 from repro.mem.address_space import AddressSpace
+from repro.mem.scan_backend import PreparedScanIndex
 from repro.types.descriptors import WORD_SIZE
 
-# ``memoryview.cast("Q")`` decodes in *native* byte order; the simulated
-# machine is little-endian.  On big-endian hosts fall back to explicit
-# little-endian struct decoding.
-_NATIVE_LITTLE_ENDIAN = _sys.byteorder == "little"
-
-ResolveFn = Callable[[int], Optional[Tuple[int, int, Optional[int]]]]
-Bounds = Optional[Tuple[int, int]]
+# ``(target_base, target_size, target_align, ...)`` for an address inside a
+# live object (``target_align`` of ``None`` means no tag — accept any
+# alignment), else ``None``.  ``PreparedScanIndex.lookup`` is one.
+ResolveFn = Callable[[int], Optional[Tuple]]
 
 
 class LikelyPointer:
@@ -74,13 +58,6 @@ class LikelyPointer:
         return f"<LikelyPointer @0x{self.slot_address:x} -> 0x{self.value:x} ({kind})>"
 
 
-def _decode_words(window: memoryview) -> List[int]:
-    """All little-endian 64-bit words in ``window`` (len must be 8-aligned)."""
-    if _NATIVE_LITTLE_ENDIAN:
-        return window.cast("Q").tolist()
-    return [w for (w,) in _struct.iter_unpack("<Q", window)]  # pragma: no cover
-
-
 def _publish(words: int, calls: int, from_ref: bool) -> None:
     """Feed scan volume counters to the active collector (one incr per range)."""
     collector = obs.ACTIVE
@@ -95,71 +72,17 @@ def _publish(words: int, calls: int, from_ref: bool) -> None:
         counters.incr("scan.ranges_bulk", 1)
 
 
-def classify_candidates(
-    pairs: Iterable[Tuple[int, int]],
-    resolve: ResolveFn,
-    lo: int,
-    hi: int,
-) -> Tuple[List[LikelyPointer], int]:
-    """Shared likely-pointer classifier (the one bounds prefilter).
-
-    One loop serves every scalar scan kernel — the bulk range sweep, the
-    pointer-sized-integer word scan, and (conceptually) the vectorized
-    backends, which reimplement exactly this predicate as array
-    operations.  ``pairs`` yields ``(slot_address, value)``; a word is a
-    candidate iff ``lo <= value < hi`` (callers without bounds pass
-    ``(1, 2**64)``, which reproduces the historical nonzero check), and a
-    candidate survives iff ``resolve`` places it inside a live object and
-    the target's tag alignment (when tagged) accepts it.
-
-    Returns the surviving pointers and the candidate count — the number
-    of ``resolve`` calls made, which feeds ``scan.resolve_calls``.
-    """
-    found: List[LikelyPointer] = []
-    append = found.append
-    calls = 0
-    for slot, value in pairs:
-        if value < lo or value >= hi:
-            continue
-        calls += 1
-        resolved = resolve(value)
-        if resolved is None:
-            continue
-        target_base, _target_size, target_align = resolved
-        if target_align is not None and (value - target_base) % target_align != 0:
-            # Tag-assisted rejection of illegal (unaligned) candidates.
-            continue
-        append(LikelyPointer(slot, value, target_base, value != target_base))
-    return found, calls
-
-
 def scan_range(
     space: AddressSpace,
     start: int,
     size: int,
-    resolve: ResolveFn,
-    bounds: Bounds = None,
-    index=None,
+    index: PreparedScanIndex,
 ) -> Tuple[List[LikelyPointer], int]:
-    """Scan ``[start, start+size)`` for likely pointers (bulk fast path).
-
-    ``resolve(value)`` returns ``(target_base, target_size, target_align)``
-    when ``value`` falls inside a live object (``target_align`` of ``None``
-    means no tag — accept any alignment), else ``None``.
-
-    ``bounds`` is an optional ``(lo, hi)`` pair such that ``resolve`` is
-    guaranteed to return ``None`` for any value outside ``lo <= v < hi``
-    (the caller's interval index knows the min/max resolvable address);
-    words outside the window skip resolution entirely.
-
-    ``index`` is an optional ``repro.mem.scan_backend.PreparedScanIndex``
-    snapshot of the same interval index: when given, the whole window is
-    classified by the vectorized backend and ``resolve`` is bypassed
-    entirely (the prepared arrays *are* the resolver).  Output and
-    accounting are byte-identical either way.
+    """Scan ``[start, start+size)`` for likely pointers.
 
     Returns the likely pointers found and the number of words scanned
-    (cost-model input) — both byte-identical to ``scan_range_ref``.
+    (cost-model input) — both byte-identical to ``scan_range_ref`` over
+    ``index.lookup``.
     """
     # Words must themselves be aligned in memory.
     first = (start + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
@@ -172,24 +95,13 @@ def scan_range(
     except MemoryFault:
         # The range is not backed by a single mapping (crosses a boundary
         # or touches unmapped memory): the reference scanner reproduces
-        # the original per-word fault semantics exactly.
-        return scan_range_ref(space, start, size, resolve)
-    if index is not None:
-        positions, values, targets, calls = index.classify(window)
-        found = [
-            LikelyPointer(first + position * WORD_SIZE, value, target, value != target)
-            for position, value, target in zip(positions, values, targets)
-        ]
-        _publish(count, calls, from_ref=False)
-        return found, count
-    words = _decode_words(window)
-    lo, hi = bounds if bounds is not None else (1, 1 << 64)
-    found, calls = classify_candidates(
-        ((first + position * WORD_SIZE, value) for position, value in enumerate(words)),
-        resolve,
-        lo,
-        hi,
-    )
+        # the per-word fault semantics exactly.
+        return scan_range_ref(space, start, size, index.lookup)
+    positions, values, targets, calls = index.classify(window)
+    found = [
+        LikelyPointer(first + position * WORD_SIZE, value, target, value != target)
+        for position, value, target in zip(positions, values, targets)
+    ]
     _publish(count, calls, from_ref=False)
     return found, count
 
@@ -217,8 +129,9 @@ def scan_range_ref(
         resolved = resolve(value)
         if resolved is None:
             continue
-        target_base, _target_size, target_align = resolved
+        target_base, target_align = resolved[0], resolved[2]
         if target_align is not None and (value - target_base) % target_align != 0:
+            # Tag-assisted rejection of illegal (unaligned) candidates.
             continue
         found.append(
             LikelyPointer(cursor - WORD_SIZE, value, target_base, value != target_base)
@@ -231,32 +144,26 @@ def scan_words(
     space: AddressSpace,
     offsets: Iterable[int],
     base: int,
-    resolve: ResolveFn,
-    bounds: Bounds = None,
+    index: PreparedScanIndex,
 ) -> Tuple[List[LikelyPointer], int]:
     """Scan specific word offsets (the pointer-sized-integer policy).
 
-    Bulk variant: the containing mapping is looked up once and words are
-    decoded in place with ``struct.unpack_from``; slots outside it fall
-    back to ``read_word`` so fault semantics match the reference scanner.
-    Classification is the shared ``classify_candidates`` predicate (the
-    zero-word skip folds into the bounds window: zero never resolves).
+    The slots are read one by one (they need not be contiguous, and a
+    bad one faults exactly as in ``scan_words_ref``), then classified
+    together as one packed window.
     """
-    mapping = space.mapping_at(base)
-    data = mapping.data if mapping is not None else None
-    unpack_from = _struct.unpack_from
-    pairs: List[Tuple[int, int]] = []
-    for offset in offsets:
-        slot = base + offset
-        if data is not None and mapping.base <= slot and slot + WORD_SIZE <= mapping.end:
-            value = unpack_from("<Q", data, slot - mapping.base)[0]
-        else:
-            value = space.read_word(slot)
-        pairs.append((slot, value))
-    lo, hi = bounds if bounds is not None else (1, 1 << 64)
-    found, calls = classify_candidates(pairs, resolve, max(lo, 1), hi)
-    _publish(len(pairs), calls, from_ref=False)
-    return found, len(pairs)
+    slots = [base + offset for offset in offsets]
+    read_word = space.read_word
+    window = memoryview(
+        _struct.pack(f"<{len(slots)}Q", *[read_word(slot) for slot in slots])
+    )
+    positions, values, targets, calls = index.classify(window)
+    found = [
+        LikelyPointer(slots[position], value, target, value != target)
+        for position, value, target in zip(positions, values, targets)
+    ]
+    _publish(len(slots), calls, from_ref=False)
+    return found, len(slots)
 
 
 def scan_words_ref(
@@ -265,7 +172,7 @@ def scan_words_ref(
     base: int,
     resolve: ResolveFn,
 ) -> Tuple[List[LikelyPointer], int]:
-    """Reference per-word offset scanner (the original implementation)."""
+    """Reference per-word offset scanner."""
     found: List[LikelyPointer] = []
     words_scanned = 0
     calls = 0
@@ -279,7 +186,7 @@ def scan_words_ref(
         resolved = resolve(value)
         if resolved is None:
             continue
-        target_base, _target_size, target_align = resolved
+        target_base, target_align = resolved[0], resolved[2]
         if target_align is not None and (value - target_base) % target_align != 0:
             continue
         found.append(LikelyPointer(slot, value, target_base, value != target_base))

@@ -124,181 +124,137 @@ class PointerSlot:
         self.interior = interior
 
 
-class _IntervalIndex:
-    """Flattened, priority-merged interval map over one process's objects.
+def _level_segments(
+    items: List[Tuple[int, int, Tuple]]
+) -> List[Tuple[int, int, Tuple]]:
+    """One cascade level as disjoint segments, sorted by start.
+
+    ``items`` must be sorted by start.  Each interval's effective
+    coverage ends at the next interval's start (predecessor-only
+    lookup semantics): an address past that point finds the *next*
+    interval as its predecessor, which may not contain it.
+    """
+    items = sorted(items, key=lambda item: item[0])
+    segments: List[Tuple[int, int, Tuple]] = []
+    for i, (start, end, payload) in enumerate(items):
+        if i + 1 < len(items):
+            end = min(end, items[i + 1][0])
+        if end > start:
+            segments.append((start, end, payload))
+    return segments
+
+
+def _merge(
+    levels: List[List[Tuple[int, int, Tuple]]]
+) -> Tuple[List[int], List[int], List[Tuple]]:
+    """Flatten priority-ordered levels into non-overlapping segments."""
+    boundaries = sorted(
+        {edge for segments in levels for s, e, _ in segments for edge in (s, e)}
+    )
+    level_starts = [[s for s, _, _ in segments] for segments in levels]
+    starts: List[int] = []
+    ends: List[int] = []
+    payloads: List[Tuple] = []
+    for j in range(len(boundaries) - 1):
+        lo, hi = boundaries[j], boundaries[j + 1]
+        chosen: Optional[Tuple] = None
+        for level, segments in enumerate(levels):
+            k = bisect.bisect_right(level_starts[level], lo) - 1
+            if k >= 0 and segments[k][1] > lo:
+                chosen = segments[k][2]
+                break
+        if chosen is None:
+            continue
+        if starts and ends[-1] == lo and payloads[-1] is chosen:
+            ends[-1] = hi  # coalesce adjacent same-payload segments
+        else:
+            starts.append(lo)
+            ends.append(hi)
+            payloads.append(chosen)
+    return starts, ends, payloads
+
+
+def live_segments(process: Process) -> Tuple[List[int], List[int], List[Tuple]]:
+    """One process's live objects as a flat, priority-merged interval map.
 
     Address resolution is a five-level cascade (tags, heap chunks,
     reserved superobject spans, static symbols, library images), each
-    level a predecessor-by-base containment lookup.  During a trace the
-    process is quiesced and none of those levels mutate, so the cascade
-    can be snapshotted into one sorted list of non-overlapping segments,
-    each carrying its pre-computed resolution payload: resolution becomes
-    a single ``bisect`` instead of up to five cascaded lookups per word.
-
-    ``bounds`` (min/max resolvable address) feeds the scanner's prefilter:
-    the overwhelming majority of scanned words are non-pointer data far
-    outside the live-object address range and are rejected with two
-    integer comparisons, never reaching Python-level lookup at all.
+    level a predecessor-by-base containment lookup — ``AddressResolver``
+    below spells it out.  During a trace the process is quiesced and none
+    of those levels mutate, so the cascade is snapshotted into sorted,
+    non-overlapping segments, each carrying its resolution payload
+    ``(base, size, align_or_None, tag_or_None)``: resolution becomes a
+    single ``bisect``, and the overwhelming majority of scanned words —
+    non-pointer data far outside the first and last segment — are
+    rejected with two integer comparisons.
 
     The per-level segment construction reproduces the cascade's
     predecessor-only semantics exactly (including the nesting quirk where
     an outer tag does not cover addresses past an inner tag's end), so
-    indexed and cascaded resolution return identical results — asserted
-    by the equivalence tests and the scanperf benchmark.
+    index lookups and the cascade return identical results — asserted by
+    the equivalence tests and the scanperf benchmark.
     """
-
-    __slots__ = ("_starts", "_ends", "_payloads", "_prepared")
-
-    def __init__(self, process: Process) -> None:
-        levels: List[List[Tuple[int, int, Tuple]]] = []
-        # Level 1: data-type tags (may nest inside container blocks).
-        tag_items = [
-            (t.address, t.end, (t.address, t.type.size, t.type.align, t))
-            for t in process.tags.tags()
-        ]
-        levels.append(self._level_segments(tag_items))
-        # Level 2: live heap chunks (user areas; disjoint).
-        chunk_items = [
-            (c.user_base, c.user_end, (c.user_base, c.user_size, None, None))
-            for c in process.heap.chunks()
-        ]
-        levels.append(self._level_segments(chunk_items))
-        # Level 3: reserved superobject spans (disjoint by construction).
-        reserved_items = [
-            (base, base + size, (base, size, None, None))
-            for base, size in sorted(process.heap.reserved_ranges().items())
-        ]
-        levels.append(self._level_segments(reserved_items))
-        # Level 4: static symbols (disjoint: the loader packs them).
-        symbols = getattr(process, "symbols", None)
-        if symbols is not None:
-            symbol_items = sorted(
-                (
-                    (s.address, s.end, (s.address, s.type.size, s.type.align, None))
-                    for s in symbols
-                ),
-                key=lambda item: item[0],
-            )
-            levels.append(self._level_segments(symbol_items))
-        # Level 5: library images, at image granularity (disjoint).
-        lib_items = [
-            (m.base, m.end, (m.base, m.size, None, None))
-            for m in process.space.mappings(kind="lib")
-        ]
-        levels.append(self._level_segments(lib_items))
-        self._starts, self._ends, self._payloads = self._merge(levels)
-        self._prepared: Optional[scan_backend.PreparedScanIndex] = None
-
-    @staticmethod
-    def _level_segments(
-        items: List[Tuple[int, int, Tuple]]
-    ) -> List[Tuple[int, int, Tuple]]:
-        """One cascade level as disjoint segments, sorted by start.
-
-        ``items`` must be sorted by start.  Each interval's effective
-        coverage ends at the next interval's start (predecessor-only
-        lookup semantics): an address past that point finds the *next*
-        interval as its predecessor, which may not contain it.
-        """
-        items = sorted(items, key=lambda item: item[0])
-        segments: List[Tuple[int, int, Tuple]] = []
-        for i, (start, end, payload) in enumerate(items):
-            if i + 1 < len(items):
-                end = min(end, items[i + 1][0])
-            if end > start:
-                segments.append((start, end, payload))
-        return segments
-
-    @staticmethod
-    def _merge(
-        levels: List[List[Tuple[int, int, Tuple]]]
-    ) -> Tuple[List[int], List[int], List[Tuple]]:
-        """Flatten priority-ordered levels into non-overlapping segments."""
-        boundaries = sorted(
-            {edge for segments in levels for s, e, _ in segments for edge in (s, e)}
+    levels: List[List[Tuple[int, int, Tuple]]] = []
+    # Level 1: data-type tags (may nest inside container blocks).
+    tag_items = [
+        (t.address, t.end, (t.address, t.type.size, t.type.align, t))
+        for t in process.tags.tags()
+    ]
+    levels.append(_level_segments(tag_items))
+    # Level 2: live heap chunks (user areas; disjoint).
+    chunk_items = [
+        (c.user_base, c.user_end, (c.user_base, c.user_size, None, None))
+        for c in process.heap.chunks()
+    ]
+    levels.append(_level_segments(chunk_items))
+    # Level 3: reserved superobject spans (disjoint by construction).
+    reserved_items = [
+        (base, base + size, (base, size, None, None))
+        for base, size in sorted(process.heap.reserved_ranges().items())
+    ]
+    levels.append(_level_segments(reserved_items))
+    # Level 4: static symbols (disjoint: the loader packs them).
+    symbols = getattr(process, "symbols", None)
+    if symbols is not None:
+        symbol_items = sorted(
+            (
+                (s.address, s.end, (s.address, s.type.size, s.type.align, None))
+                for s in symbols
+            ),
+            key=lambda item: item[0],
         )
-        level_starts = [[s for s, _, _ in segments] for segments in levels]
-        starts: List[int] = []
-        ends: List[int] = []
-        payloads: List[Tuple] = []
-        for j in range(len(boundaries) - 1):
-            lo, hi = boundaries[j], boundaries[j + 1]
-            chosen: Optional[Tuple] = None
-            for level, segments in enumerate(levels):
-                k = bisect.bisect_right(level_starts[level], lo) - 1
-                if k >= 0 and segments[k][1] > lo:
-                    chosen = segments[k][2]
-                    break
-            if chosen is None:
-                continue
-            if starts and ends[-1] == lo and payloads[-1] is chosen:
-                ends[-1] = hi  # coalesce adjacent same-payload segments
-            else:
-                starts.append(lo)
-                ends.append(hi)
-                payloads.append(chosen)
-        return starts, ends, payloads
+        levels.append(_level_segments(symbol_items))
+    # Level 5: library images, at image granularity (disjoint).
+    lib_items = [
+        (m.base, m.end, (m.base, m.size, None, None))
+        for m in process.space.mappings(kind="lib")
+    ]
+    levels.append(_level_segments(lib_items))
+    return _merge(levels)
 
-    def lookup(self, address: int) -> Optional[Tuple[int, int, Optional[int], Optional[DataTag]]]:
-        i = bisect.bisect_right(self._starts, address) - 1
-        if i >= 0 and address < self._ends[i]:
-            return self._payloads[i]
-        return None
 
-    def bounds(self) -> Tuple[int, int]:
-        """(lo, hi): nothing outside ``lo <= address < hi`` resolves."""
-        if not self._starts:
-            return (0, 0)
-        return self._starts[0], self._ends[-1]
+def snapshot_index(process: Process) -> scan_backend.PreparedScanIndex:
+    """The scan index of a quiesced process.
 
-    def prepared(self) -> scan_backend.PreparedScanIndex:
-        """The segment arrays snapshotted for the active vectorized backend.
-
-        Built lazily (once per index — i.e. once per traced process per
-        update) and cached: the index is immutable for its lifetime.
-        """
-        if self._prepared is None:
-            self._prepared = scan_backend.prepare(
-                self._starts, self._ends, self._payloads
-            )
-        return self._prepared
+    Valid only while tags/heap/symbols/mappings do not change —
+    ``GraphBuilder`` builds one per ``build()``.
+    """
+    return scan_backend.ACTIVE(*live_segments(process))
 
 
 class AddressResolver:
-    """Resolve an address to the live object containing it."""
+    """The resolution cascade itself, one address at a time.
+
+    This is the definition ``live_segments`` flattens and the oracle its
+    tests and ``bench scanperf`` compare against; tracing resolves
+    through the index.
+    """
 
     def __init__(self, process: Process) -> None:
         self.process = process
-        self._index: Optional[_IntervalIndex] = None
-
-    def build_index(self) -> None:
-        """Snapshot live objects into an interval index (quiesced process).
-
-        Valid only while tags/heap/symbols/mappings do not change — the
-        GraphBuilder scopes it to one ``build()`` and drops it after.
-        """
-        self._index = _IntervalIndex(self.process)
-
-    def drop_index(self) -> None:
-        self._index = None
-
-    def scan_bounds(self) -> Optional[Tuple[int, int]]:
-        """The scanner prefilter window, when an index is active."""
-        if self._index is None:
-            return None
-        return self._index.bounds()
-
-    def scan_index(self) -> Optional[scan_backend.PreparedScanIndex]:
-        """The vectorized-backend snapshot, when an index is active."""
-        if self._index is None:
-            return None
-        return self._index.prepared()
 
     def resolve(self, address: int) -> Optional[Tuple[int, int, Optional[int], Optional[DataTag]]]:
         """Return ``(base, size, align_or_None, tag_or_None)`` or ``None``."""
-        index = self._index
-        if index is not None:
-            return index.lookup(address)
         process = self.process
         tag = process.tags.find_containing(address)
         if tag is not None:
@@ -323,17 +279,6 @@ class AddressResolver:
             # Untagged library state: resolve at image granularity.
             return mapping.base, mapping.size, None, None
         return None
-
-    def resolve_for_scan(self, address: int) -> Optional[Tuple[int, int, Optional[int]]]:
-        index = self._index
-        if index is not None:
-            resolved = index.lookup(address)
-        else:
-            resolved = self.resolve(address)
-        if resolved is None:
-            return None
-        base, size, align, _tag = resolved
-        return base, size, align
 
 
 class TraceResult:
@@ -403,15 +348,10 @@ class GraphBuilder:
         self.annotations = annotations or getattr(
             getattr(process, "program", None), "annotations", None
         )
-        self.resolver = AddressResolver(process)
         self.result = TraceResult(process)
         self._worklist: deque = deque()
-        self._fast_scan = getattr(self.config, "fast_scan", True)
-        self._scan_cache = (
-            cache_for(process)
-            if getattr(self.config, "incremental_scan", True)
-            else None
-        )
+        self._index: Optional[scan_backend.PreparedScanIndex] = None  # set by build()
+        self._scan_cache = cache_for(process)
         # Cross-worker memoization (rolling updates only): forked workers
         # share startup-time pages, so identical ranges are scanned once.
         self._shared_cache = shared_cache
@@ -419,77 +359,45 @@ class GraphBuilder:
     # -- public API ---------------------------------------------------------------
 
     def build(self) -> TraceResult:
-        # The process is quiesced for the duration of a trace, so the
-        # resolver can snapshot live objects into an interval index; the
-        # scan cache revalidates against writes/allocations since the
-        # previous sweep (dirty-page-incremental tracing).
-        if self._fast_scan:
-            self.resolver.build_index()
-        if self._scan_cache is not None:
-            self._scan_cache.begin_round()
+        # The process is quiesced for the duration of a trace, so its live
+        # objects can be snapshotted into the scan index; the scan cache
+        # revalidates against writes/allocations since the previous sweep
+        # (dirty-page-incremental tracing).
+        self._index = snapshot_index(self.process)
+        self._scan_cache.begin_round()
         if self._shared_cache is not None:
             self._shared_cache.begin_process(self.process)
-        try:
-            self._add_static_roots()
-            self._add_stack_roots()
-            while self._worklist:
-                record = self._worklist.popleft()
-                if record.visited:
-                    continue
-                record.visited = True
-                self._visit(record)
-        finally:
-            self.resolver.drop_index()
+        self._add_static_roots()
+        self._add_stack_roots()
+        while self._worklist:
+            record = self._worklist.popleft()
+            if record.visited:
+                continue
+            record.visited = True
+            self._visit(record)
         return self.result
 
-    # -- scan kernels -------------------------------------------------------------
+    # -- scan kernel --------------------------------------------------------------
 
     def _scan_range(self, start: int, size: int):
-        """One conservative range scan: cached -> bulk -> reference."""
+        """One conservative range scan: own cache -> shared cache -> scan."""
         cache = self._scan_cache
-        if cache is not None:
-            hit = cache.lookup(start, size)
-            if hit is not None:
-                return hit
+        hit = cache.lookup(start, size)
+        if hit is not None:
+            return hit
         shared = self._shared_cache
         if shared is not None:
             hit = shared.lookup(self.process, start, size)
             if hit is not None:
-                found, scanned = hit
-                if cache is not None:
-                    cache.store(start, size, found, scanned)
+                cache.store(start, size, *hit)
                 return hit
-        if self._fast_scan:
-            found, scanned = conservative.scan_range(
-                self.process.space,
-                start,
-                size,
-                self.resolver.resolve_for_scan,
-                bounds=self.resolver.scan_bounds(),
-                index=self.resolver.scan_index(),
-            )
-        else:
-            found, scanned = conservative.scan_range_ref(
-                self.process.space, start, size, self.resolver.resolve_for_scan
-            )
-        if cache is not None:
-            cache.store(start, size, found, scanned)
+        found, scanned = conservative.scan_range(
+            self.process.space, start, size, self._index
+        )
+        cache.store(start, size, found, scanned)
         if shared is not None:
             shared.store(self.process, start, size, found, scanned)
         return found, scanned
-
-    def _scan_words(self, offsets, base: int):
-        if self._fast_scan:
-            return conservative.scan_words(
-                self.process.space,
-                offsets,
-                base,
-                self.resolver.resolve_for_scan,
-                bounds=self.resolver.scan_bounds(),
-            )
-        return conservative.scan_words_ref(
-            self.process.space, offsets, base, self.resolver.resolve_for_scan
-        )
 
     # -- roots -----------------------------------------------------------------------
 
@@ -519,7 +427,7 @@ class GraphBuilder:
     # -- interning ----------------------------------------------------------------------
 
     def _intern(self, address: int) -> Optional[ObjectRecord]:
-        resolved = self.resolver.resolve(address)
+        resolved = self._index.lookup(address)
         if resolved is None:
             return None
         base, size, _align, tag = resolved
@@ -571,7 +479,7 @@ class GraphBuilder:
         mask = self.annotations.encoded_pointers[record.name]
         value = space.read_word(record.base) & ~mask
         if value:
-            resolved = self.resolver.resolve(value)
+            resolved = self._index.lookup(value)
             if resolved is not None:
                 target_base = resolved[0]
                 if self._intern(target_base) is not None:
@@ -593,7 +501,7 @@ class GraphBuilder:
             value = space.read_word(slot)
             if value == 0:
                 continue
-            resolved = self.resolver.resolve(value)
+            resolved = self._index.lookup(value)
             if resolved is None:
                 self.result.dangling_precise += 1
                 continue
@@ -609,7 +517,9 @@ class GraphBuilder:
         if self.config.scan_opaque_int64:
             slots = precise.int_word_slots(record.type)
             if slots:
-                found, scanned = self._scan_words(iter(slots), record.base)
+                found, scanned = conservative.scan_words(
+                    self.process.space, slots, record.base, self._index
+                )
                 self.result.words_scanned += scanned
                 self._absorb_likely(record, found)
 

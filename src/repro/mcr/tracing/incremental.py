@@ -19,6 +19,11 @@ tracking); the analogue here is a per-process **scan cache**:
   never depends on the cache; it is a pure memoization with a
   conservative validity test.
 
+Both caches here are part of the scan engine, not options: every
+``GraphBuilder`` consults its process's ``ScanCache`` (``cache_for``),
+and a rolling update threads one ``SharedScanCache`` through its
+per-worker builders.
+
 The sequencing lives beside, not inside, the soft-dirty bits: the
 update-time dirty filter owns ``clear()``/``_dirty`` and must not be
 perturbed by scan bookkeeping (see ``PageTracker.write_seq``).
@@ -32,9 +37,11 @@ which is what ``bench scanperf`` measures.
 from __future__ import annotations
 
 import weakref
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.errors import MemoryFault
 from repro.mcr.tracing.conservative import LikelyPointer
 
 
@@ -72,6 +79,16 @@ def resolution_fingerprint(process) -> Tuple:
         tuple((m.base, m.size) for m in space.mappings(kind="lib")),
         sum(1 for _ in space.mappings()),
     )
+
+
+def _note_hit(cache, words_scanned: int, hit_counter: str, words_counter: str) -> None:
+    """Hit accounting for either cache (their validity rules differ)."""
+    cache.hits += 1
+    cache.words_skipped += words_scanned
+    collector = obs.ACTIVE
+    if collector is not None:
+        collector.counters.incr(hit_counter)
+        collector.counters.incr(words_counter, words_scanned)
 
 
 class ScanCache:
@@ -119,12 +136,7 @@ class ScanCache:
             del self._entries[(start, size)]
             self.misses += 1
             return None
-        self.hits += 1
-        self.words_skipped += entry.words_scanned
-        collector = obs.ACTIVE
-        if collector is not None:
-            collector.counters.incr("scan.cache_hits")
-            collector.counters.incr("scan.words_from_cache", entry.words_scanned)
+        _note_hit(self, entry.words_scanned, "scan.cache_hits", "scan.words_from_cache")
         return entry.found, entry.words_scanned
 
     def store(self, start: int, size: int, found: List[LikelyPointer], words_scanned: int) -> None:
@@ -170,17 +182,15 @@ class SharedScanCache:
         self._fingerprints[process] = resolution_fingerprint(process)
 
     def _key(self, process, start: int, size: int) -> Optional[Tuple]:
-        import zlib
-
         try:
             data = process.space.view(start, size)
-        except Exception:
+        except MemoryFault:
             return None
         fingerprint = self._fingerprints.get(process)
         if fingerprint is None:
             fingerprint = resolution_fingerprint(process)
             self._fingerprints[process] = fingerprint
-        return (start, size, zlib.crc32(bytes(data)), fingerprint)
+        return (start, size, zlib.crc32(data), fingerprint)
 
     def lookup(self, process, start: int, size: int) -> Optional[Tuple[List[LikelyPointer], int]]:
         key = self._key(process, start, size)
@@ -190,14 +200,8 @@ class SharedScanCache:
         if entry is None:
             self.misses += 1
             return None
-        found, words_scanned = entry
-        self.hits += 1
-        self.words_skipped += words_scanned
-        collector = obs.ACTIVE
-        if collector is not None:
-            collector.counters.incr("scan.shared_hits")
-            collector.counters.incr("scan.words_from_shared", words_scanned)
-        return found, words_scanned
+        _note_hit(self, entry[1], "scan.shared_hits", "scan.words_from_shared")
+        return entry
 
     def store(self, process, start: int, size: int, found: List[LikelyPointer], words_scanned: int) -> None:
         key = self._key(process, start, size)

@@ -1,36 +1,36 @@
-"""Vectorized likely-pointer scan backends (the v2 scan engine seam).
+"""The likely-pointer scan index: one classifier, two array backends.
 
-The PR 2 bulk scanner decodes a whole mapping in one ``memoryview.cast``
-pass but still runs a Python-level loop per word: bounds check, interval
-lookup, tag-alignment check.  This module moves that classification into
-a backend that processes the *entire window at once*:
+A :class:`PreparedScanIndex` is a snapshot of a process's resolvable
+address ranges as sorted, disjoint segments, each carrying its resolution
+payload ``(object base, size, tag alignment or None, ...)``.  It answers
+the two questions tracing asks:
 
-* **numpy** — ``frombuffer`` the window as little-endian ``uint64``,
-  reject out-of-bounds words with one vectorized mask, bucket the
-  survivors against the interval index with ``searchsorted``, and apply
-  containment + tag-alignment rejection as array operations.  Python only
-  touches the (rare) final survivors.
-* **stdlib** — a pure-Python fallback with no third-party dependency:
-  ``memoryview.cast('Q')`` decode plus a tight ``bisect``-driven loop over
-  the same prepared arrays.  Selected automatically when numpy is not
-  installed (numpy is the optional ``fast`` extra, see ``pyproject.toml``).
+* ``lookup(address)`` — the payload of the segment containing one
+  address (a single ``bisect``), for the precise walk;
+* ``classify(window)`` — every aligned 64-bit word of a memory window
+  that is a likely pointer, for the conservative scanner.  The whole
+  window is processed at once and Python only touches the survivors.
 
-The backend is chosen once at import time; ``REPRO_SCAN_BACKEND=stdlib``
-(or ``numpy``) overrides the choice, which is how CI exercises the
-fallback on hosts that do have numpy.
+``classify`` has two implementations of the same predicate, chosen once
+at import from what the interpreter can import and nothing else:
 
-Both backends classify against a :class:`PreparedScanIndex` — a snapshot
-of the interval index's sorted segment arrays — and are equivalence-
-tested against the reference per-word scanner: identical likely-pointer
-lists, identical ``words_scanned``, and a candidate count identical to
-the PR 2 bounds-prefilter loop so ``scan.resolve_calls`` accounting is
-byte-for-byte unchanged.
+* :class:`NumpyScanIndex` — ``frombuffer`` the window as little-endian
+  ``uint64``, reject out-of-bounds words with one mask, bucket the rest
+  against the segments with ``searchsorted``, and apply containment and
+  tag-alignment rejection as array operations;
+* :class:`StdlibScanIndex` — ``memoryview.cast('Q')`` plus a tight
+  ``bisect`` loop, for installs without numpy (the optional ``fast``
+  extra, see ``pyproject.toml``).
+
+Both are equivalence-tested against the per-word reference scanner
+(``repro.mcr.tracing.conservative.scan_range_ref``) — identical likely
+pointers, identical ``words_scanned`` — and against each other, down to
+the candidate count.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
-import os as _os
 import struct as _struct
 import sys as _sys
 from typing import List, Optional, Sequence, Tuple
@@ -44,25 +44,34 @@ except ImportError:  # pragma: no cover - exercised on bare installs
 
 
 class PreparedScanIndex:
-    """Backend-ready snapshot of one interval index's segment arrays.
+    """Sorted, disjoint resolvable segments plus their payloads.
 
-    ``starts``/``ends`` are the sorted, disjoint resolvable segments;
-    ``bases``/``aligns`` carry each segment's payload (object base, tag
-    alignment with ``None`` mapped to 1 = accept any alignment).  The
-    numpy backend stores them as ``uint64`` arrays, the stdlib backend as
-    plain lists — ``classify`` is the only consumer either way.
+    ``lo``/``hi`` bound everything that resolves: a word outside
+    ``lo <= v < hi`` is rejected without a segment lookup, and the words
+    inside are the *candidates* ``classify`` counts (``lo`` is never 0
+    for a non-empty index, so a zero word is never a candidate).
     """
 
-    __slots__ = ("backend", "lo", "hi", "starts", "ends", "bases", "aligns")
+    __slots__ = ("starts", "ends", "payloads", "lo", "hi", "bases", "aligns")
 
-    def __init__(self, backend, lo, hi, starts, ends, bases, aligns) -> None:
-        self.backend = backend
-        self.lo = lo
-        self.hi = hi
+    def __init__(
+        self, starts: Sequence[int], ends: Sequence[int], payloads: Sequence[Tuple]
+    ) -> None:
         self.starts = starts
         self.ends = ends
-        self.bases = bases
-        self.aligns = aligns
+        self.payloads = payloads
+        self.lo = starts[0] if starts else 0
+        self.hi = ends[-1] if ends else 0
+        # Per-segment object base and tag alignment (None -> 1: accept any).
+        self.bases = [p[0] for p in payloads]
+        self.aligns = [p[2] or 1 for p in payloads]
+
+    def lookup(self, address: int) -> Optional[Tuple]:
+        """The payload of the segment containing ``address``, or None."""
+        i = _bisect.bisect_right(self.starts, address) - 1
+        if i >= 0 and address < self.ends[i]:
+            return self.payloads[i]
+        return None
 
     def classify(self, window: memoryview) -> Tuple[List[int], List[int], List[int], int]:
         """Classify every aligned word in ``window``.
@@ -70,37 +79,26 @@ class PreparedScanIndex:
         Returns ``(positions, values, target_bases, candidates)`` where
         the first three are parallel lists describing the surviving
         likely pointers (word index within the window, raw value, object
-        base) and ``candidates`` counts the words inside the bounds
-        window — exactly the words the scalar bounded loop would have
-        handed to ``resolve``, so resolve-call accounting is unchanged.
+        base) and ``candidates`` counts the words inside ``[lo, hi)`` —
+        what feeds ``scan.resolve_calls``.
         """
-        return self.backend.classify(window, self)
+        raise NotImplementedError
 
 
-class _StdlibBackend:
+class StdlibScanIndex(PreparedScanIndex):
     """Pure-stdlib classification: one bisect per in-bounds candidate."""
 
+    __slots__ = ()
     name = "stdlib"
 
-    @staticmethod
-    def prepare(starts: Sequence[int], ends: Sequence[int], payloads: Sequence[Tuple]) -> PreparedScanIndex:
-        lo = starts[0] if starts else 0
-        hi = ends[-1] if ends else 0
-        bases = [p[0] for p in payloads]
-        aligns = [p[2] if p[2] else 1 for p in payloads]
-        return PreparedScanIndex(
-            _StdlibBackend, lo, hi, list(starts), list(ends), bases, aligns
-        )
-
-    @staticmethod
-    def classify(window: memoryview, index: PreparedScanIndex):
+    def classify(self, window: memoryview):
         if _NATIVE_LITTLE_ENDIAN:
             words = window.cast("Q")
         else:  # pragma: no cover - big-endian hosts
             words = [w for (w,) in _struct.iter_unpack("<Q", window)]
-        lo, hi = index.lo, index.hi
-        starts, ends = index.starts, index.ends
-        bases, aligns = index.bases, index.aligns
+        lo, hi = self.lo, self.hi
+        starts, ends = self.starts, self.ends
+        bases, aligns = self.bases, self.aligns
         bisect_right = _bisect.bisect_right
         positions: List[int] = []
         values: List[int] = []
@@ -122,29 +120,22 @@ class _StdlibBackend:
         return positions, values, targets, candidates
 
 
-class _NumpyBackend:
+class NumpyScanIndex(PreparedScanIndex):
     """numpy classification: the whole window as one array pipeline."""
 
+    __slots__ = ("_starts", "_ends", "_bases", "_aligns")
     name = "numpy"
 
-    @staticmethod
-    def prepare(starts: Sequence[int], ends: Sequence[int], payloads: Sequence[Tuple]) -> PreparedScanIndex:
-        lo = starts[0] if starts else 0
-        hi = ends[-1] if ends else 0
-        return PreparedScanIndex(
-            _NumpyBackend,
-            lo,
-            hi,
-            _np.asarray(starts, dtype=_np.uint64),
-            _np.asarray(ends, dtype=_np.uint64),
-            _np.asarray([p[0] for p in payloads], dtype=_np.uint64),
-            _np.asarray([p[2] if p[2] else 1 for p in payloads], dtype=_np.uint64),
-        )
+    def __init__(self, starts, ends, payloads) -> None:
+        super().__init__(starts, ends, payloads)
+        self._starts = _np.asarray(self.starts, dtype=_np.uint64)
+        self._ends = _np.asarray(self.ends, dtype=_np.uint64)
+        self._bases = _np.asarray(self.bases, dtype=_np.uint64)
+        self._aligns = _np.asarray(self.aligns, dtype=_np.uint64)
 
-    @staticmethod
-    def classify(window: memoryview, index: PreparedScanIndex):
+    def classify(self, window: memoryview):
         words = _np.frombuffer(window, dtype="<u8")
-        in_bounds = (words >= index.lo) & (words < index.hi)
+        in_bounds = (words >= self.lo) & (words < self.hi)
         candidates = int(_np.count_nonzero(in_bounds))
         if not candidates:
             return [], [], [], 0
@@ -152,16 +143,16 @@ class _NumpyBackend:
         values = words[positions]
         # Predecessor-by-start segment lookup, vectorized: identical to
         # ``bisect_right(starts, v) - 1`` plus the containment check.
-        segment = _np.searchsorted(index.starts, values, side="right") - 1
-        contained = values < index.ends[segment]
+        segment = _np.searchsorted(self._starts, values, side="right") - 1
+        contained = values < self._ends[segment]
         positions = positions[contained]
         if not positions.size:
             return [], [], [], candidates
         values = values[contained]
         segment = segment[contained]
-        bases = index.bases[segment]
+        bases = self._bases[segment]
         # Tag-assisted rejection: align of 1 (untagged) accepts everything.
-        aligned = (values - bases) % index.aligns[segment] == 0
+        aligned = (values - bases) % self._aligns[segment] == 0
         return (
             positions[aligned].tolist(),
             values[aligned].tolist(),
@@ -170,47 +161,5 @@ class _NumpyBackend:
         )
 
 
-_BACKENDS = {"stdlib": _StdlibBackend}
-if _np is not None:
-    _BACKENDS["numpy"] = _NumpyBackend
-
-
-def available_backends() -> Tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: Optional[str] = None):
-    """The named backend class, or the active default when ``name`` is None."""
-    if name is None:
-        return ACTIVE
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scan backend {name!r} (available: {', '.join(available_backends())})"
-        ) from None
-
-
-def _select_default():
-    forced = _os.environ.get("REPRO_SCAN_BACKEND")
-    if forced:
-        if forced not in _BACKENDS:
-            raise RuntimeError(
-                f"REPRO_SCAN_BACKEND={forced!r} not available "
-                f"(available: {', '.join(available_backends())})"
-            )
-        return _BACKENDS[forced]
-    return _BACKENDS.get("numpy", _StdlibBackend)
-
-
-ACTIVE = _select_default()
-
-
-def prepare(
-    starts: Sequence[int],
-    ends: Sequence[int],
-    payloads: Sequence[Tuple],
-    backend: Optional[str] = None,
-) -> PreparedScanIndex:
-    """Snapshot interval-index arrays for the chosen (or active) backend."""
-    return get_backend(backend).prepare(starts, ends, payloads)
+# The index class tracing builds: numpy when importable, stdlib otherwise.
+ACTIVE = NumpyScanIndex if _np is not None else StdlibScanIndex

@@ -94,7 +94,7 @@ class MCRSession:
     @property
     def faults(self):
         """The session's armed ``FaultPlan`` (None = nothing armed)."""
-        return getattr(self.config, "faults", None)
+        return self.config.faults
 
     # -- process attachment ------------------------------------------------------
 

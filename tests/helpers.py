@@ -6,6 +6,7 @@ from typing import Dict, List, Optional
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import sim_function
+from repro.mem import scan_backend
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
@@ -52,3 +53,20 @@ def boot_test_program(
     else:
         kernel.run(max_steps=1_000)
     return kernel, session, process
+
+
+# Every scan index class this interpreter can run: the equivalence suites
+# address both by class, whichever one ``scan_backend.ACTIVE`` is.
+INDEX_CLASSES = [scan_backend.StdlibScanIndex]
+if scan_backend.ACTIVE is scan_backend.NumpyScanIndex:
+    INDEX_CLASSES.append(scan_backend.NumpyScanIndex)
+
+
+def scan_index_of(objects, cls=None):
+    """A scan index over synthetic ``(base, size, align-or-None)`` objects
+    (sorted, disjoint)."""
+    return (cls or scan_backend.ACTIVE)(
+        [base for base, _, _ in objects],
+        [base + size for base, size, _ in objects],
+        objects,
+    )

@@ -355,14 +355,14 @@ def test_cli_replay_cross_process(tmp_path):
 _RANDOM_IMPORT_ALLOWLIST = {Path("repro") / "replay" / "rng.py"}
 
 
-def _random_imports(tree: ast.AST):
+def _imports_of(tree: ast.AST, module: str):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] == "random":
+                if alias.name.split(".")[0] == module:
                     yield node.lineno
         elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "random":
+            if node.module and node.module.split(".")[0] == module:
                 yield node.lineno
 
 
@@ -373,11 +373,40 @@ def test_lint_no_adhoc_random_outside_the_choke_point():
         if relative in _RANDOM_IMPORT_ALLOWLIST:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        offenders.extend(f"{relative}:{line}" for line in _random_imports(tree))
+        offenders.extend(f"{relative}:{line}" for line in _imports_of(tree, "random"))
     assert not offenders, (
         "ad-hoc `import random` outside repro.replay.rng breaks "
         f"record/replay; route draws through RngStream: {offenders}"
     )
+
+
+# -- the one-scan-engine lint ---------------------------------------------------
+
+# Names of the removed scan-path selectors: the engine has no options.
+_REMOVED_SCAN_KNOBS = ("fast_scan", "incremental_scan", "REPRO_SCAN_BACKEND")
+
+
+def test_lint_scan_engine_has_no_selectors():
+    sources = {
+        path.relative_to(SRC_ROOT): path.read_text()
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+    }
+    offenders = [
+        f"{relative}: {knob}"
+        for relative, text in sources.items()
+        for knob in _REMOVED_SCAN_KNOBS
+        if knob in text
+    ]
+    assert not offenders, f"scan-path selectors are back: {offenders}"
+    # The classifier is chosen by what imports, never by the environment.
+    backend = SRC_ROOT / "repro" / "mem" / "scan_backend.py"
+    tree = ast.parse(backend.read_text(), filename=str(backend))
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not list(_imports_of(tree, "os")) and not names & {"environ", "getenv"}
 
 
 def test_divergence_renders_its_context():

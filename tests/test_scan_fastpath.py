@@ -1,31 +1,40 @@
-"""Equivalence tests for the memory-engine fast path.
+"""Equivalence tests for the scan engine against its oracles.
 
-The bulk scanning kernels, the interval-indexed resolver, and the
-incremental scan cache are pure host-side optimizations: each must be
-observationally identical to its reference implementation (identical
-``LikelyPointer`` lists, identical ``words_scanned``, identical resolve
-results).  These tests pin that equivalence down with randomized memory
-images and direct checks of the cache-validity rules.
+The window scanners (``scan_range``/``scan_words`` through a scan index),
+the index's scalar ``lookup``, and the incremental scan cache must each be
+observationally identical to the per-word reference scanners over the
+cascade resolver (identical ``LikelyPointer`` lists, identical
+``words_scanned``, identical resolve results).  These tests pin that
+equivalence down with randomized memory images and direct checks of the
+cache-validity rules.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MemoryFault
 from repro.mcr.config import MCRConfig
+from repro.mcr.tracing import conservative, graph
 from repro.mcr.tracing.conservative import (
     scan_range,
     scan_range_ref,
     scan_words,
     scan_words_ref,
 )
-from repro.mcr.tracing.graph import AddressResolver, GraphBuilder
-from repro.mcr.tracing.incremental import ScanCache, resolution_fingerprint
+from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
+from repro.mcr.tracing.incremental import ScanCache, cache_for, resolution_fingerprint
+from repro.mem import scan_backend
 from repro.mem.address_space import AddressSpace
 from repro.runtime.program import GlobalVar
 from repro.types.descriptors import INT32, INT64, PointerType, StructType
 
-from tests.helpers import boot_test_program, make_test_program
+from tests.helpers import (
+    INDEX_CLASSES,
+    boot_test_program,
+    make_test_program,
+    scan_index_of,
+)
 
 NODE = StructType("node", [("value", INT32), ("next", PointerType(None, name="node*"))])
 
@@ -42,7 +51,7 @@ def _key(pointers):
     return [(p.slot_address, p.value, p.target_base, p.interior) for p in pointers]
 
 
-# -- randomized bulk-vs-reference equivalence ---------------------------------
+# -- randomized window-vs-reference equivalence --------------------------------
 
 # Objects the synthetic resolver knows: (base, size, align-or-None).
 # Aligns of 1/4/8/16 exercise the tag-alignment rejection both ways.
@@ -52,7 +61,9 @@ _OBJECTS = [
     (TARGETS + 0x200, 24, 4),
     (TARGETS + 0x300, 128, 16),
 ]
-_BOUNDS = (min(b for b, _, _ in _OBJECTS), max(b + s for b, s, _ in _OBJECTS))
+
+# The same objects as a scan index, one per classifier class.
+_INDEXES = [scan_index_of(_OBJECTS, cls) for cls in INDEX_CLASSES]
 
 
 def _resolve(value):
@@ -87,10 +98,9 @@ class TestBulkEquivalence:
         start = REGION + start_offset  # may be word-unaligned
         size = len(words) * 8 - start_offset + tail
         ref = scan_range_ref(space, start, size, _resolve)
-        bulk = scan_range(space, start, size, _resolve)
-        bulk_bounded = scan_range(space, start, size, _resolve, bounds=_BOUNDS)
-        assert _key(bulk[0]) == _key(ref[0]) and bulk[1] == ref[1]
-        assert _key(bulk_bounded[0]) == _key(ref[0]) and bulk_bounded[1] == ref[1]
+        for index in _INDEXES:
+            got = scan_range(space, start, size, index)
+            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
 
     @given(
         words=st.lists(_WORD, min_size=1, max_size=64),
@@ -103,14 +113,13 @@ class TestBulkEquivalence:
         for index, word in enumerate(words):
             space.write_word(REGION + index * 8, word)
         ref = scan_words_ref(space, offsets, REGION, _resolve)
-        bulk = scan_words(space, offsets, REGION, _resolve)
-        bulk_bounded = scan_words(space, offsets, REGION, _resolve, bounds=_BOUNDS)
-        assert _key(bulk[0]) == _key(ref[0]) and bulk[1] == ref[1]
-        assert _key(bulk_bounded[0]) == _key(ref[0]) and bulk_bounded[1] == ref[1]
+        for index in _INDEXES:
+            got = scan_words(space, offsets, REGION, index)
+            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
 
     def test_cross_mapping_scan_falls_back(self):
         # Two adjacent mappings: no single view covers the range, so the
-        # bulk path must delegate to the reference scanner and still
+        # window scanner must delegate to the reference scanner and still
         # produce its exact result.
         space = AddressSpace()
         space.map(4096, address=REGION)
@@ -118,12 +127,25 @@ class TestBulkEquivalence:
         space.write_word(REGION + 4096 - 8, TARGETS + 8)
         space.write_word(REGION + 4096, TARGETS + 0x108)
         ref = scan_range_ref(space, REGION + 4064, 64, _resolve)
-        bulk = scan_range(space, REGION + 4064, 64, _resolve)
-        assert _key(bulk[0]) == _key(ref[0]) and bulk[1] == ref[1]
-        assert len(bulk[0]) == 2
+        for index in _INDEXES:
+            got = scan_range(space, REGION + 4064, 64, index)
+            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
+            assert len(got[0]) == 2
+
+    def test_unmapped_tail_faults_like_reference(self):
+        # A range running off the end of mapped memory: both scanners
+        # scan the mapped words, then take the same fault.
+        space = AddressSpace()
+        space.map(4096, address=REGION)
+        with pytest.raises(MemoryFault) as ref_fault:
+            scan_range_ref(space, REGION + 4064, 64, _resolve)
+        for index in _INDEXES:
+            with pytest.raises(MemoryFault) as fault:
+                scan_range(space, REGION + 4064, 64, index)
+            assert fault.value.address == ref_fault.value.address
 
 
-# -- interval index vs resolution cascade -------------------------------------
+# -- index lookup vs resolution cascade ---------------------------------------
 
 
 class TestIntervalIndex:
@@ -144,12 +166,8 @@ class TestIntervalIndex:
             probes.append(mapping.end - 8)
             probes.append(mapping.end)  # guard gap
         cascade = [resolver.resolve(address) for address in probes]
-        resolver.build_index()
-        try:
-            indexed = [resolver.resolve(address) for address in probes]
-        finally:
-            resolver.drop_index()
-        assert indexed == cascade
+        index = snapshot_index(proc)
+        assert [index.lookup(address) for address in probes] == cascade
         assert any(r is not None for r in cascade)  # sweep hit live objects
 
     def test_nested_tag_gap_semantics_preserved(self):
@@ -165,29 +183,22 @@ class TestIntervalIndex:
         resolver = AddressResolver(proc)
         probes = [raw, raw + 4, raw + 8, raw + 11, raw + 13, raw + 24, raw + 63]
         cascade = [resolver.resolve(address) for address in probes]
-        resolver.build_index()
-        try:
-            indexed = [resolver.resolve(address) for address in probes]
-        finally:
-            resolver.drop_index()
-        assert indexed == cascade
+        index = snapshot_index(proc)
+        assert [index.lookup(address) for address in probes] == cascade
         # Past the inner tag's end the tags level misses and the heap
         # chunk answers: base pointer resolution, no tag.
-        base, _size, _align, tag = resolver.resolve(raw + 13)
+        base, _size, _align, tag = index.lookup(raw + 13)
         assert base == raw and tag is None
 
     def test_scan_bounds_cover_all_resolvables(self):
         kernel, session, proc = _booted_world([], types={"node": NODE})
         proc.crt.malloc(48)
         resolver = AddressResolver(proc)
-        resolver.build_index()
-        try:
-            lo, hi = resolver.scan_bounds()
-            for probe in range(proc.heap.base, proc.heap.base + 4096, 8):
-                if resolver.resolve(probe) is not None:
-                    assert lo <= probe < hi
-        finally:
-            resolver.drop_index()
+        index = snapshot_index(proc)
+        assert index.lo >= 1  # a zero word is never a candidate
+        for probe in range(proc.heap.base, proc.heap.base + 4096, 8):
+            if resolver.resolve(probe) is not None:
+                assert index.lo <= probe < index.hi
 
 
 # -- the incremental scan cache ------------------------------------------------
@@ -207,7 +218,7 @@ class TestScanCache:
         cache.begin_round()
         start, size = proc.heap.base, 512
         assert cache.lookup(start, size) is None
-        found, words = scan_range_ref(proc.space, start, size, resolver.resolve_for_scan)
+        found, words = scan_range_ref(proc.space, start, size, resolver.resolve)
         cache.store(start, size, found, words)
         hit = cache.lookup(start, size)
         assert hit is not None
@@ -266,9 +277,13 @@ class TestScanCache:
 
 
 class TestGraphBuilderModes:
-    def test_fast_and_slow_traces_identical(self):
+    def test_fast_and_slow_traces_identical(self, monkeypatch):
         kernel, session, proc = _booted_world(
-            [GlobalVar("head", PointerType(NODE, name="node*"))], types={"node": NODE}
+            [
+                GlobalVar("head", PointerType(NODE, name="node*")),
+                GlobalVar("blob", PointerType(None, name="void*")),
+            ],
+            types={"node": NODE},
         )
         crt = proc.crt
         thread = proc.threads[1]
@@ -277,16 +292,53 @@ class TestGraphBuilderModes:
         crt.set(n1, NODE, "next", n2)
         crt.gset("head", n1)
         raw = crt.malloc(64)
-        proc.space.write_word(raw + 8, n2)  # conservative interior edge
+        crt.gset("blob", raw)  # reachable, untagged: scanned conservatively
+        proc.space.write_word(raw + 8, n2)  # conservative edge
 
-        slow = GraphBuilder(
-            proc, config=MCRConfig(fast_scan=False, incremental_scan=False)
-        ).build()
-        fast = GraphBuilder(proc).build()
-        repeat = GraphBuilder(proc).build()  # second sweep: cache hits
+        # The oracle: the same walk with both scanners swapped for the
+        # per-word reference over the cascade resolver.
+        resolve = AddressResolver(proc).resolve
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                conservative, "scan_range",
+                lambda space, start, size, index: scan_range_ref(space, start, size, resolve),
+            )
+            patched.setattr(
+                conservative, "scan_words",
+                lambda space, offsets, base, index: scan_words_ref(space, offsets, base, resolve),
+            )
+            # ... and a throwaway cache, so its results never feed the engine.
+            patched.setattr(graph, "cache_for", ScanCache)
+            oracle = GraphBuilder(proc).build()
+        cache = cache_for(proc)
+        first = GraphBuilder(proc).build()
+        hits, misses = cache.hits, cache.misses
+        repeat = GraphBuilder(proc).build()  # second sweep: all cache hits
+        assert cache.hits > hits and cache.misses == misses
 
-        for trace in (fast, repeat):
-            assert set(trace.objects) == set(slow.objects)
-            assert trace.words_scanned == slow.words_scanned
-            assert _key(trace.likely_pointers) == _key(slow.likely_pointers)
-            assert len(trace.precise_pointers) == len(slow.precise_pointers)
+        for trace in (first, repeat):
+            assert set(trace.objects) == set(oracle.objects)
+            assert trace.words_scanned == oracle.words_scanned
+            assert _key(trace.likely_pointers) == _key(oracle.likely_pointers)
+            assert len(trace.precise_pointers) == len(oracle.precise_pointers)
+        assert (raw + 8, n2, n2, False) in _key(first.likely_pointers)
+
+
+# -- no selectors, and the bench that compares engine and oracle ----------------
+
+
+def test_scan_path_knobs_are_gone():
+    for knob in ("fast_scan", "incremental_scan"):
+        with pytest.raises(TypeError):
+            MCRConfig(**{knob: False})
+
+
+def test_scanperf_micro_engine_matches_reference():
+    from repro.bench.scanperf import run_scan_micro
+
+    micro = run_scan_micro("httpd", repeats=1)
+    assert micro["identical"] is True
+    assert micro["backend"] == scan_backend.ACTIVE.name
+    assert micro["words"] > 0 and micro["likely_pointers"] > 0
+    # The index bounds reject words the reference still has to resolve.
+    assert micro["likely_pointers"] <= micro["resolve_calls"] <= micro["resolve_calls_ref"]

@@ -1,12 +1,12 @@
-"""Property tests for the v2 scan/transfer engine.
+"""Property tests for the scan index classifiers and the span writer.
 
-Two equivalences are load-bearing for the vectorized engine:
+Two equivalences are load-bearing:
 
-* every **scan backend** (numpy when installed, the stdlib fallback
-  always) must classify windows identically to the reference per-word
-  scanner — same likely pointers, same ``words_scanned``, and the same
-  in-bounds candidate count, so ``scan.resolve_calls`` accounting is
-  byte-for-byte unchanged; and
+* every **scan index class** (numpy when installed, stdlib always) must
+  classify windows identically to the reference per-word scanner — same
+  likely pointers, same ``words_scanned``, and the same in-bounds
+  candidate count, so ``scan.resolve_calls`` accounting is byte-for-byte
+  unchanged; and
 * the **span-coalescing transfer writer** must leave destination memory
   byte-for-byte identical to the per-word write path, with identical
   dirty-page accounting.
@@ -21,19 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mcr.tracing.conservative import scan_range, scan_range_ref
-from repro.mcr.tracing.graph import AddressResolver
+from repro.mcr.tracing.graph import AddressResolver, live_segments
 from repro.mcr.tracing.spans import SpanWriter
 from repro.mem import scan_backend
 from repro.mem.address_space import AddressSpace
 from repro.types.descriptors import INT32, INT64, StructType
 
-from tests.helpers import boot_test_program, make_test_program
+from tests.helpers import INDEX_CLASSES, boot_test_program, make_test_program
 
 REGION = 0x40000   # scanned area
 TARGETS = 0x80000  # synthetic object segments
 
-BACKENDS = scan_backend.available_backends()
-HAS_NUMPY = "numpy" in BACKENDS
+HAS_NUMPY = scan_backend.ACTIVE is scan_backend.NumpyScanIndex
 
 
 def _key(pointers):
@@ -104,9 +103,8 @@ class TestBackendEquivalence:
         )
         lo, hi = starts[0], ends[-1]
         expected = _classify_ref(words, starts, ends, payloads, lo, hi)
-        for name in BACKENDS:
-            prepared = scan_backend.prepare(starts, ends, payloads, backend=name)
-            assert prepared.classify(window) == expected, name
+        for cls in INDEX_CLASSES:
+            assert cls(starts, ends, payloads).classify(window) == expected, cls.name
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
     @given(
@@ -119,21 +117,26 @@ class TestBackendEquivalence:
         window = memoryview(
             b"".join(value.to_bytes(8, "little") for value in words)
         )
-        a = scan_backend.prepare(starts, ends, payloads, backend="stdlib")
-        b = scan_backend.prepare(starts, ends, payloads, backend="numpy")
+        a = scan_backend.StdlibScanIndex(starts, ends, payloads)
+        b = scan_backend.NumpyScanIndex(starts, ends, payloads)
         assert a.classify(window) == b.classify(window)
 
     def test_empty_index_classifies_nothing(self):
         window = memoryview((TARGETS).to_bytes(8, "little") * 4)
-        for name in BACKENDS:
-            prepared = scan_backend.prepare([], [], [], backend=name)
-            assert prepared.classify(window) == ([], [], [], 0)
+        for cls in INDEX_CLASSES:
+            empty = cls([], [], [])
+            assert empty.classify(window) == ([], [], [], 0)
+            assert empty.lookup(TARGETS) is None
 
     def test_backend_selection(self):
-        assert scan_backend.get_backend("stdlib") is scan_backend._StdlibBackend
-        assert scan_backend.get_backend(None) is scan_backend.ACTIVE
-        with pytest.raises(ValueError):
-            scan_backend.get_backend("no-such-backend")
+        # Chosen from what the interpreter can import, nothing else.
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            assert scan_backend.ACTIVE is scan_backend.StdlibScanIndex
+        else:
+            assert scan_backend.ACTIVE is scan_backend.NumpyScanIndex
+        assert scan_backend.ACTIVE.name in ("numpy", "stdlib")
 
 
 # -- indexed scan_range vs reference on a real resolver ------------------------
@@ -145,10 +148,10 @@ _WORD = st.one_of(
 
 
 class TestIndexedScanEquivalence:
-    """``scan_range(index=...)`` against the per-word reference, driven by
-    a real resolver over a booted world — including nested tag regions
-    (the index must reproduce the cascade's gap quirk, not "fix" it) and
-    the guard gap past each mapping's end."""
+    """``scan_range`` through each index class against the per-word
+    reference over the cascade resolver of a booted world — including
+    nested tag regions (the index must reproduce the cascade's gap quirk,
+    not "fix" it) and the guard gap past each mapping's end."""
 
     def _world_with_tags(self):
         program = make_test_program([])
@@ -172,22 +175,14 @@ class TestIndexedScanEquivalence:
         words = [raw + off for off in offsets] + list(noise)
         for index, word in enumerate(words):
             space.write_word(REGION + index * 8, word % 2**64)
-        resolver = AddressResolver(proc)
-        resolver.build_index()
-        try:
-            bounds = resolver.scan_bounds()
-            prepared = resolver.scan_index()
-            ref = scan_range_ref(
-                space, REGION, len(words) * 8, resolver.resolve_for_scan
-            )
-            fast = scan_range(
-                space, REGION, len(words) * 8, resolver.resolve_for_scan,
-                bounds=bounds, index=prepared,
-            )
-        finally:
-            resolver.drop_index()
-        assert _key(fast[0]) == _key(ref[0])
-        assert fast[1] == ref[1]
+        ref = scan_range_ref(
+            space, REGION, len(words) * 8, AddressResolver(proc).resolve
+        )
+        segments = live_segments(proc)
+        for cls in INDEX_CLASSES:
+            got = scan_range(space, REGION, len(words) * 8, cls(*segments))
+            assert _key(got[0]) == _key(ref[0])
+            assert got[1] == ref[1]
 
 
 # -- span-coalesced transfer writes vs per-word writes -------------------------

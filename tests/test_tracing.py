@@ -8,7 +8,7 @@ from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.tracing.conservative import scan_range
 from repro.mcr.tracing.dirty import DirtyFilter
-from repro.mcr.tracing.graph import AddressResolver, GraphBuilder
+from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
 from repro.mcr.tracing.invariants import (
     apply_invariants,
     immutable_heap_spans,
@@ -29,7 +29,7 @@ from repro.types.descriptors import (
     UnionType,
 )
 
-from tests.helpers import boot_test_program, make_test_program
+from tests.helpers import boot_test_program, make_test_program, scan_index_of
 
 NODE = StructType("node", [("value", INT32), ("next", PointerType(None, name="node*"))])
 
@@ -66,13 +66,7 @@ class TestConservativeScan:
         space.map(4096, address=0x40000)
         space.map(4096, address=0x50000)
         space.write_word(0x40000, 0x50010)
-
-        def resolve(value):
-            if 0x50000 <= value < 0x51000:
-                return (0x50000, 4096, None)
-            return None
-
-        found, scanned = scan_range(space, 0x40000, 64, resolve)
+        found, scanned = scan_range(space, 0x40000, 64, scan_index_of([(0x50000, 4096, None)]))
         assert len(found) == 1
         assert found[0].target_base == 0x50000
         assert found[0].interior  # 0x50010 != base
@@ -81,22 +75,19 @@ class TestConservativeScan:
     def test_rejects_unresolvable_values(self, space):
         space.map(4096, address=0x40000)
         space.write_word(0x40000, 0x12345678AB)
-        found, _ = scan_range(space, 0x40000, 64, lambda v: None)
+        found, _ = scan_range(space, 0x40000, 64, scan_index_of([]))
         assert found == []
 
     def test_tag_alignment_rejection(self, space):
         space.map(4096, address=0x40000)
         space.write_word(0x40000, 0x50004)  # unaligned wrt an 8-aligned tag
-
-        def resolve(value):
-            return (0x50000, 64, 8)  # target align 8
-
-        found, _ = scan_range(space, 0x40000, 16, resolve)
+        found, _ = scan_range(space, 0x40000, 16, scan_index_of([(0x50000, 64, 8)]))
         assert found == []
 
     def test_zero_words_skipped(self, space):
         space.map(4096, address=0x40000)
-        found, scanned = scan_range(space, 0x40000, 64, lambda v: (0, 64, None))
+        everything = scan_index_of([(1, 2**63, None)])  # any nonzero word resolves
+        found, scanned = scan_range(space, 0x40000, 64, everything)
         assert found == [] and scanned == 8
 
 
@@ -231,34 +222,38 @@ class TestGraphBuilder:
         assert target in trace.objects
 
 
+def _resolve(proc, address):
+    """What tracing resolves ``address`` to: the scan index's answer,
+    checked against the cascade it flattens."""
+    resolved = snapshot_index(proc).lookup(address)
+    assert resolved == AddressResolver(proc).resolve(address)
+    return resolved
+
+
 class TestResolver:
     def test_resolution_precedence_tag_over_chunk(self):
         kernel, session, proc = _booted_world([], types={"node": NODE})
         crt = proc.crt
         thread = proc.threads[1]
         addr = crt.malloc_typed(thread, NODE)
-        resolver = AddressResolver(proc)
-        base, size, align, tag = resolver.resolve(addr + 4)
+        base, size, align, tag = _resolve(proc, addr + 4)
         assert base == addr and tag is not None
 
     def test_untagged_chunk_resolution(self):
         kernel, session, proc = _booted_world([])
         raw = proc.crt.malloc(48)
-        resolver = AddressResolver(proc)
-        base, size, align, tag = resolver.resolve(raw + 10)
+        base, size, align, tag = _resolve(proc, raw + 10)
         assert base == raw and size == 48 and tag is None
 
     def test_unmapped_address_unresolved(self):
         kernel, session, proc = _booted_world([])
-        resolver = AddressResolver(proc)
-        assert resolver.resolve(0xDEAD0000) is None
+        assert _resolve(proc, 0xDEAD0000) is None
 
     def test_reserved_span_resolution(self):
         kernel, session, proc = _booted_world([])
         base = proc.heap.base + 2048
         proc.heap.reserve_range(base, 1024)
-        resolver = AddressResolver(proc)
-        resolved = resolver.resolve(base + 100)
+        resolved = _resolve(proc, base + 100)
         assert resolved is not None and resolved[0] == base
 
 
