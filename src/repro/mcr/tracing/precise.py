@@ -9,58 +9,29 @@ Given a type descriptor, classify every byte of the object into:
   run-time policy also treats as opaque words ("pointers as integers",
   paper §6/§7).
 
-The classification is purely structural; policy (whether int64s are
-scanned) is applied by the caller from ``MCRConfig``.
+The classification is purely structural — it is the descriptor's compiled
+``pointer_map()``, derived once per type, and these are the three reads of
+it; policy (whether int64s are scanned) is applied by the caller from
+``MCRConfig``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
-from repro.types.descriptors import (
-    ArrayType,
-    IntType,
-    PointerType,
-    StructType,
-    TypeDesc,
-    UnionType,
-    OpaqueType,
-    WORD_SIZE,
-)
+from repro.types.descriptors import PointerType, TypeDesc
 
 
 def pointer_slots(type_: TypeDesc) -> List[Tuple[int, PointerType]]:
     """Typed pointer offsets within a value of ``type_``."""
-    return list(type_.pointer_offsets())
+    return list(type_.pointer_map()[0])
 
 
 def opaque_ranges(type_: TypeDesc) -> List[Tuple[int, int]]:
     """(offset, size) ranges precise tracing cannot interpret."""
-    if type_.is_opaque():
-        return [(0, type_.size)]
-    if isinstance(type_, (StructType, ArrayType)):
-        return list(type_.opaque_ranges())
-    return []
-
-
-def _int_word_offsets(type_: TypeDesc, base: int = 0) -> Iterator[int]:
-    if isinstance(type_, IntType) and type_.size == WORD_SIZE:
-        yield base
-        return
-    if isinstance(type_, StructType):
-        for field in type_.fields:
-            yield from _int_word_offsets(field.type, base + field.offset)
-        return
-    if isinstance(type_, ArrayType) and not type_.is_opaque():
-        for index in range(type_.count):
-            yield from _int_word_offsets(type_.element, base + index * type_.element.size)
+    return list(type_.pointer_map()[1])
 
 
 def int_word_slots(type_: TypeDesc) -> List[int]:
     """Offsets of pointer-sized integers (policy-dependent opaque words)."""
-    return list(_int_word_offsets(type_))
-
-
-def is_fully_precise(type_: TypeDesc) -> bool:
-    """True when the type exposes no opaque bytes at all."""
-    return not opaque_ranges(type_) and not isinstance(type_, (UnionType, OpaqueType))
+    return list(type_.pointer_map()[2])

@@ -1,25 +1,42 @@
 """Type descriptors for simulated C data.
 
 Every descriptor knows its ``size`` and ``align`` in the simulated 64-bit
-machine and can enumerate ``pointer_offsets()`` — the byte offsets within a
-value of this type at which a pointer word lives *according to the type
-information*.  Precise tracing follows exactly those offsets; everything a
-type cannot vouch for (unions, opaque buffers, integers that might hide
-pointers) is handled by the conservative scanner instead.
+machine and carries a ``pointer_map()`` — the byte offsets within a value of
+this type at which a pointer word lives *according to the type information*,
+plus what the type cannot vouch for (unions, opaque buffers, integers that
+might hide pointers).  Precise tracing follows exactly the pointer offsets;
+the rest is handled by the conservative scanner instead.
 
-Descriptors are immutable once constructed and compared structurally via
-``signature()``: two versions of a program have "the same" type when the
-signatures match, which is how mutable tracing decides whether a type
-transformation is needed.
+The map stands in for the data-type tags the paper's static pass emits at
+compile time: derived once per descriptor object, on first use, from its
+members' maps, and cached on the instance — tracing pays per traced
+object, never per type walk.
+
+Descriptors are immutable once constructed (the cached map depends on it)
+and compared structurally via ``signature()``: two versions of a program
+have "the same" type when the signatures match, which is how mutable tracing
+decides whether a type transformation is needed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.types import layout
 
 WORD_SIZE = 8  # 64-bit simulated machine
+
+# ``(pointer_slots, opaque_ranges, int_word_slots)``: typed pointer slots as
+# ``(offset, pointer_type)``, ranges precise tracing cannot interpret as
+# ``(offset, size)``, and the offsets of pointer-sized integers (opaque
+# words under the default "pointers as integers" policy, paper §6/§7).
+PointerMap = Tuple[
+    Tuple[Tuple[int, "PointerType"], ...],
+    Tuple[Tuple[int, int], ...],
+    Tuple[int, ...],
+]
+
+_EMPTY_MAP: PointerMap = ((), (), ())
 
 
 class TypeDesc:
@@ -31,10 +48,22 @@ class TypeDesc:
         self.name = name
         self.size = size
         self.align = align
+        self._pointer_map: Optional[PointerMap] = None
 
-    def pointer_offsets(self) -> Iterator[Tuple[int, "TypeDesc"]]:
+    def pointer_map(self) -> PointerMap:
+        """This type's compiled pointer map (derived on first use)."""
+        compiled = self._pointer_map
+        if compiled is None:
+            compiled = self._pointer_map = compile_pointer_map(self)
+        return compiled
+
+    def pointer_offsets(self) -> Iterator[Tuple[int, "PointerType"]]:
         """Yield ``(offset, pointer_type)`` for every typed pointer slot."""
-        return iter(())
+        return iter(self.pointer_map()[0])
+
+    def opaque_ranges(self) -> Iterator[Tuple[int, int]]:
+        """Yield ``(offset, size)`` for bytes needing conservative scan."""
+        return iter(self.pointer_map()[1])
 
     def is_opaque(self) -> bool:
         """True when precise tracing cannot interpret this type's bytes."""
@@ -92,9 +121,6 @@ class PointerType(TypeDesc):
         target_name = target.name if target is not None else "void"
         super().__init__(name or f"{target_name}*", WORD_SIZE, WORD_SIZE)
 
-    def pointer_offsets(self) -> Iterator[Tuple[int, "PointerType"]]:
-        yield 0, self
-
     def signature(self) -> str:
         # Pointer signatures deliberately use only the *name* of the target
         # (not its full structure): pointer graphs are cyclic, and a pointer
@@ -137,43 +163,29 @@ class StructType(TypeDesc):
     def __init__(self, name: str, fields: Sequence[Tuple[str, TypeDesc]]) -> None:
         pairs = [(t.size, t.align) for _, t in fields]
         offsets, size, align = layout.struct_layout(pairs)
-        self.fields: List[Field] = [
+        self.fields: Tuple[Field, ...] = tuple(
             Field(fname, ftype, offset)
             for (fname, ftype), offset in zip(fields, offsets)
-        ]
+        )
+        # First declaration wins on a duplicate name, as a C compiler's
+        # member lookup would report it.
+        self._by_name: Dict[str, Field] = {f.name: f for f in reversed(self.fields)}
         super().__init__(name, size, align)
 
     def field(self, name: str) -> Field:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"struct {self.name} has no field {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"struct {self.name} has no field {name!r}") from None
 
     def has_field(self, name: str) -> bool:
-        return any(f.name == name for f in self.fields)
-
-    def pointer_offsets(self) -> Iterator[Tuple[int, PointerType]]:
-        for f in self.fields:
-            for inner_offset, ptr_type in f.type.pointer_offsets():
-                yield f.offset + inner_offset, ptr_type
+        return name in self._by_name
 
     def is_opaque(self) -> bool:
         # A struct is traceable as long as each member is either traceable
         # or a plain scalar; embedded unions/opaque members make only those
         # *regions* opaque, handled field-by-field by the tracer.
         return False
-
-    def opaque_ranges(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(offset, size)`` for members needing conservative scan."""
-        for f in self.fields:
-            if f.type.is_opaque():
-                yield f.offset, f.type.size
-            elif isinstance(f.type, StructType):
-                for off, size in f.type.opaque_ranges():
-                    yield f.offset + off, size
-            elif isinstance(f.type, ArrayType):
-                for off, size in f.type.opaque_ranges():
-                    yield f.offset + off, size
 
     def signature(self) -> str:
         inner = ",".join(f"{f.name}:{f.type.signature()}" for f in self.fields)
@@ -188,7 +200,7 @@ class UnionType(TypeDesc):
     def __init__(self, name: str, fields: Sequence[Tuple[str, TypeDesc]]) -> None:
         pairs = [(t.size, t.align) for _, t in fields]
         size, align = layout.union_layout(pairs)
-        self.fields = [Field(fname, ftype, 0) for fname, ftype in fields]
+        self.fields = tuple(Field(fname, ftype, 0) for fname, ftype in fields)
         super().__init__(name, size, align)
 
     def is_opaque(self) -> bool:
@@ -211,26 +223,10 @@ class ArrayType(TypeDesc):
         self.count = count
         super().__init__(f"{element.name}[{count}]", element.size * count, element.align)
 
-    def pointer_offsets(self) -> Iterator[Tuple[int, PointerType]]:
-        for index in range(self.count):
-            base = index * self.element.size
-            for inner_offset, ptr_type in self.element.pointer_offsets():
-                yield base + inner_offset, ptr_type
-
     def is_opaque(self) -> bool:
         # char arrays are the canonical opaque buffer of the paper's
         # default policy (Listing 1's ``char b[8]``).
         return isinstance(self.element, CharType) or self.element.is_opaque()
-
-    def opaque_ranges(self) -> Iterator[Tuple[int, int]]:
-        if self.is_opaque():
-            yield 0, self.size
-            return
-        if isinstance(self.element, (StructType, ArrayType)):
-            for index in range(self.count):
-                base = index * self.element.size
-                for off, size in self.element.opaque_ranges():
-                    yield base + off, size
 
     def signature(self) -> str:
         return f"a:{self.count}x{self.element.signature()}"
@@ -253,6 +249,37 @@ class OpaqueType(TypeDesc):
 
     def signature(self) -> str:
         return f"o:{self.size}"
+
+
+def compile_pointer_map(type_: TypeDesc) -> PointerMap:
+    """Classify every byte of ``type_`` in one walk over its members.
+
+    Composes from the members' own cached maps: a struct shifts each
+    field's map by the field offset; an array tiles its element's map
+    ``count`` times, or is empty outright when the element's map is.
+    Call ``type_.pointer_map()`` instead: it caches the result.
+    """
+    if type_.is_opaque():
+        return (), ((0, type_.size),), ()
+    if isinstance(type_, PointerType):
+        return ((0, type_),), (), ()
+    if isinstance(type_, IntType):
+        return ((), (), (0,)) if type_.size == WORD_SIZE else _EMPTY_MAP
+    if isinstance(type_, StructType):
+        members = [(f.offset, f.type.pointer_map()) for f in type_.fields]
+    elif isinstance(type_, ArrayType):
+        inner = type_.element.pointer_map()
+        if not any(inner):
+            return _EMPTY_MAP
+        stride = type_.element.size
+        members = [(index * stride, inner) for index in range(type_.count)]
+    else:
+        return _EMPTY_MAP
+    return (
+        tuple((base + off, ptr) for base, m in members for off, ptr in m[0]),
+        tuple((base + off, size) for base, m in members for off, size in m[1]),
+        tuple(base + off for base, m in members for off in m[2]),
+    )
 
 
 # Shared singleton scalars --------------------------------------------------

@@ -15,10 +15,16 @@ from repro.mem.tags import TagStore
 from repro.types.descriptors import (
     ArrayType,
     CHAR,
+    CharType,
+    FuncType,
     INT32,
     INT64,
+    IntType,
+    OpaqueType,
     PointerType,
     StructType,
+    UnionType,
+    WORD_SIZE,
 )
 
 # -- strategy helpers ---------------------------------------------------------
@@ -88,6 +94,128 @@ class TestTransformProperties:
 
         codec.write_value(space, 0x30000, struct, default_value(struct))
         assert codec.read_value(space, 0x30000, struct) == default_value(struct)
+
+
+# -- compiled pointer maps ----------------------------------------------------
+#
+# Descriptors are drawn as *recipes* (plain nested tuples) so that one draw
+# can be built twice into separate descriptor objects.  Every member has at
+# least one byte: the oracle below classifies bytes, and a zero-size member
+# owns none.
+
+_leaf_recipes = st.one_of(
+    st.tuples(st.just("int"), st.sampled_from([1, 2, 4, 8]), st.booleans()),
+    st.just(("char",)),
+    st.tuples(st.just("pointer"), st.booleans()),
+    st.just(("func",)),
+    st.tuples(st.just("opaque"), st.integers(1, 40)),
+)
+_array_counts = st.one_of(st.integers(1, 6), st.integers(1, 4000))
+# The oracle visits every byte in Python, and nested arrays multiply.
+_MAX_TYPE_BYTES = 1 << 15
+
+
+def build_type(recipe):
+    kind = recipe[0]
+    if kind == "int":
+        return IntType(recipe[1], signed=recipe[2])
+    if kind == "char":
+        return CharType()
+    if kind == "pointer":
+        return PointerType(INT32 if recipe[1] else None)
+    if kind == "func":
+        return FuncType()
+    if kind == "opaque":
+        return OpaqueType(recipe[1])
+    if kind == "array":
+        return ArrayType(build_type(recipe[1]), recipe[2])
+    members = [(f"m{i}", build_type(r)) for i, r in enumerate(recipe[1])]
+    return StructType("s", members) if kind == "struct" else UnionType("u", members)
+
+
+_type_recipes = st.recursive(
+    _leaf_recipes,
+    lambda inner: st.one_of(
+        st.tuples(st.just("struct"), st.lists(inner, min_size=1, max_size=5)),
+        st.tuples(st.just("union"), st.lists(inner, min_size=1, max_size=3)),
+        st.tuples(st.just("array"), inner, _array_counts),
+    ),
+    max_leaves=12,
+).filter(lambda recipe: build_type(recipe).size <= _MAX_TYPE_BYTES)
+
+
+def _oracle_opaque(type_):
+    if isinstance(type_, (UnionType, OpaqueType)):
+        return True
+    return isinstance(type_, ArrayType) and (
+        isinstance(type_.element, CharType) or _oracle_opaque(type_.element)
+    )
+
+
+def _oracle_leaf(type_, offset):
+    """``(start, leaf)`` of the scalar or outermost opaque region owning the
+    byte at ``offset``, or ``None`` for struct padding."""
+    if _oracle_opaque(type_):
+        return 0, type_
+    if isinstance(type_, ArrayType):
+        stride = type_.element.size
+        hit = _oracle_leaf(type_.element, offset % stride)
+        return hit and (offset - offset % stride + hit[0], hit[1])
+    if isinstance(type_, StructType):
+        for field in type_.fields:
+            if field.offset <= offset < field.offset + field.type.size:
+                hit = _oracle_leaf(field.type, offset - field.offset)
+                return hit and (field.offset + hit[0], hit[1])
+        return None
+    return 0, type_
+
+
+def oracle_pointer_map(type_):
+    """The map by brute force: ask, byte by byte, which leaf owns it."""
+    leaves = {}
+    for offset in range(type_.size):
+        hit = _oracle_leaf(type_, offset)
+        if hit is not None:
+            leaves[hit[0]] = hit[1]
+    pointers, opaque, int_words = [], [], []
+    for start, leaf in sorted(leaves.items()):
+        if _oracle_opaque(leaf):
+            opaque.append((start, leaf.size))
+        elif isinstance(leaf, PointerType):
+            pointers.append((start, leaf))
+        elif isinstance(leaf, IntType) and leaf.size == WORD_SIZE:
+            int_words.append(start)
+    return tuple(pointers), tuple(opaque), tuple(int_words)
+
+
+class TestPointerMapProperties:
+    @given(_type_recipes)
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+    def test_compiled_map_equals_bytewise_oracle(self, recipe):
+        type_ = build_type(recipe)
+        assert type_.pointer_map() == oracle_pointer_map(type_)
+
+    @given(_type_recipes)
+    @settings(max_examples=120)
+    def test_components_disjoint_and_in_bounds(self, recipe):
+        type_ = build_type(recipe)
+        pointers, opaque, int_words = type_.pointer_map()
+        spans = sorted(
+            [(off, off + WORD_SIZE) for off, _ in pointers]
+            + [(off, off + size) for off, size in opaque]
+            + [(off, off + WORD_SIZE) for off in int_words]
+        )
+        assert all(0 <= start < end <= type_.size for start, end in spans)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+    @given(_type_recipes)
+    @settings(max_examples=60)
+    def test_equal_descriptors_compile_equal_maps(self, recipe):
+        first, second = build_type(recipe), build_type(recipe)
+        assert first is not second and first == second
+        assert first.pointer_map() == second.pointer_map()
+        # ... and the map is cached on each instance, not recomputed.
+        assert first.pointer_map() is first.pointer_map()
 
 
 class TestCoalesceProperties:

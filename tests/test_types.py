@@ -71,6 +71,21 @@ class TestDescriptors:
         with pytest.raises(KeyError):
             s.field("zzz")
 
+    def test_has_field(self):
+        s = StructType("s", [("a", INT32), ("p", VOID_PTR)])
+        assert s.has_field("p") and not s.has_field("zzz")
+
+    def test_fields_are_immutable(self):
+        # The compiled pointer map is cached per descriptor, so the member
+        # list it was compiled from must not change afterwards.
+        s = StructType("s", [("a", INT32)])
+        u = UnionType("u", [("a", INT64), ("p", VOID_PTR)])
+        for desc in (s, u):
+            with pytest.raises(AttributeError):
+                desc.fields.append(desc.fields[0])
+            with pytest.raises(TypeError):
+                desc.fields[0] = desc.fields[0]
+
     def test_pointer_offsets_struct(self):
         s = StructType("s", [("a", INT32), ("p", VOID_PTR), ("q", PointerType(INT32))])
         offsets = [off for off, _ in s.pointer_offsets()]
@@ -97,6 +112,18 @@ class TestDescriptors:
         s = StructType("s", [("a", INT32), ("buf", ArrayType(CHAR, 16)), ("p", VOID_PTR)])
         ranges = list(s.opaque_ranges())
         assert ranges == [(4, 16)]
+
+    def test_pointer_map_components(self):
+        inner = StructType("in", [("n", INT64), ("u", UnionType("u", [("p", VOID_PTR)]))])
+        s = StructType("s", [("c", CHAR), ("arr", ArrayType(inner, 2)), ("p", VOID_PTR)])
+        pointers, opaque, int_words = s.pointer_map()
+        assert [off for off, _ in pointers] == [40]
+        assert opaque == ((16, 8), (32, 8))
+        assert int_words == (8, 24)
+
+    def test_pointerless_array_is_not_tiled(self):
+        # Far too many elements to enumerate: empty because the element is.
+        assert ArrayType(INT32, 1 << 40).pointer_map() == ((), (), ())
 
     def test_signature_detects_field_addition(self):
         v1 = StructType("l_t", [("value", INT32), ("next", VOID_PTR)])
