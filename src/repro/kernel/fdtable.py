@@ -16,7 +16,7 @@ Implements the behaviours mutable reinitialization leans on (paper §5):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BadFileDescriptor
 
@@ -97,6 +97,11 @@ class FDTable:
             return self._entries.pop(fd)
         except KeyError:
             raise BadFileDescriptor(fd) from None
+
+    def close_open(self, fds: Iterable[int]) -> List[Any]:
+        """Close those of ``fds`` that are open; the objects they held."""
+        pop = self._entries.pop
+        return [obj for obj in [pop(fd, None) for fd in fds] if obj is not None]
 
     def dup(self, fd: int) -> int:
         obj = self.get(fd)

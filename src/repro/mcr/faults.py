@@ -26,7 +26,6 @@ before.  This module provides the two halves of *proving* that:
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -381,9 +380,9 @@ class TreeFingerprint:
 
     Three surfaces per process, plus the world's listener table:
 
-    * memory — one CRC32 per mapping, computed over the zero-copy
-      ``AddressSpace.view`` window (the fast-scan read path), so a single
-      flipped byte anywhere in the tree's image changes the fingerprint;
+    * memory — one CRC32 per mapping (``Mapping.crc32``: every mapped
+      byte counts, only resident pages are read), so a single flipped
+      byte anywhere in the tree's image changes the fingerprint;
     * descriptors — ``(fd, kind, refcount, closed)`` per fd-table entry:
       catches leaked references, dropped descriptors, and sockets closed
       under the old version's feet;
@@ -421,15 +420,9 @@ class TreeFingerprint:
         processes: Dict[Tuple[int, str], Tuple] = {}
         subset = processes_subset if processes_subset is not None else root.tree()
         for process in subset:
-            space = process.space
             mem = tuple(
-                (
-                    m.name,
-                    m.base,
-                    m.size,
-                    zlib.crc32(space.view(m.base, m.size)),
-                )
-                for m in sorted(space.mappings(), key=lambda m: m.base)
+                (m.name, m.base, m.size, m.crc32())
+                for m in sorted(process.space.mappings(), key=lambda m: m.base)
             )
             fds = tuple(
                 (

@@ -245,14 +245,13 @@ class ReplayEngine:
         # GC: drop every stash descriptor everywhere in the new tree.
         # Claimed objects live on at their original numbers (with their own
         # reference); unclaimed ones are released entirely.  (Walked again:
-        # a conflict handler above may have respawned a process.)
-        tree = new_root.tree()
-        for stash_fd in self.stash.all_stash_fds():
-            for process in tree:
-                obj = process.fdtable.try_get(stash_fd)
-                if obj is None:
-                    continue
-                process.fdtable.close(stash_fd)
+        # a conflict handler above may have respawned a process.)  One
+        # pass per process: ``release`` only decrements a refcount, so the
+        # order across processes is immaterial, and every forked worker
+        # inherits every stash fd, so there is no smaller holder set to visit.
+        stash_fds = self.stash.all_stash_fds()
+        for process in new_root.tree():
+            for obj in process.fdtable.close_open(stash_fds):
                 release = getattr(obj, "release", None)
                 if release is not None:
                     release()

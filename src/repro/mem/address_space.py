@@ -15,12 +15,13 @@ Layout conventions (documented, not load-bearing):
 * ``0x0000_7f00_0000`` — shared-library images
 
 Mappings are demand-paged.  The host OS backs a store with demand-zero
-pages, so a page nobody wrote costs no memory — reading it (a fingerprint
-CRC, an image section) maps the shared zero page — and fork() stays eager
-but copies only the pages in ``tracker.ever_written``.  That rests on one
-invariant: **a page not in ``ever_written`` is all zero**.  The only writers
-of a store are therefore ``write_bytes``/``write_word`` (tracked) and
-``Mapping.load`` (checkpoint grafts); ``view()`` windows are read-only.
+pages, so a page nobody wrote costs no memory — reading it (an image
+section, a scan window) maps the shared zero page — fork() stays eager but
+copies only the pages in ``tracker.ever_written``, and ``Mapping.crc32``
+reads only those.  That rests on one invariant: **a page not in
+``ever_written`` is all zero**.  The only writers of a store are therefore
+``write_bytes``/``write_word`` (tracked) and ``Mapping.load`` (checkpoint
+grafts); ``view()`` windows are read-only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import bisect as _bisect
 import mmap as _mmap
 import struct as _struct
+import zlib as _zlib
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import MemoryFault
@@ -41,6 +44,43 @@ LIB_BASE = 0x0000_7F00_0000
 
 def _round_up_pages(size: int) -> int:
     return ((size + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
+
+
+# CRC-32 is linear over GF(2): feeding ``n`` zero bytes multiplies the
+# (inverted) register by x^(8n) modulo the polynomial, so a run of zeros
+# folds in without being read.  Polynomials are bit-reflected as in zlib:
+# bit 31 is x^0 and 0xEDB88320 is the modulus.
+_CRC_POLY = 0xEDB88320
+
+
+def _gf2_mul(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC-32 polynomial."""
+    product = 0
+    while a:
+        if a & 0x80000000:
+            product ^= b
+        a = (a << 1) & 0xFFFFFFFF
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+@lru_cache(maxsize=4096)  # forked workers share their gap lengths
+def _x8n_mod_poly(n: int) -> int:
+    """x^(8n) modulo the CRC-32 polynomial, by square-and-multiply."""
+    power, square = 0x80000000, 0x00800000  # x^0, x^8
+    while n:
+        if n & 1:
+            power = _gf2_mul(square, power)
+        square = _gf2_mul(square, square)
+        n >>= 1
+    return power
+
+
+def _crc32_zeros(crc: int, n: int) -> int:
+    """``zlib.crc32(bytes(n), crc)`` without materializing the zeros."""
+    if not n:
+        return crc
+    return _gf2_mul(_x8n_mod_poly(n), crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
 class Mapping:
@@ -73,6 +113,15 @@ class Mapping:
             for start, stop in self.tracker.resident_runs():
                 twin.data[start:stop] = source[start:stop]
         return twin
+
+    def crc32(self) -> int:
+        """``zlib.crc32`` of the whole store, reading only resident pages."""
+        crc = cursor = 0
+        with memoryview(self.data) as data:
+            for start, stop in self.tracker.resident_runs():
+                crc = _zlib.crc32(data[start:stop], _crc32_zeros(crc, start - cursor))
+                cursor = stop
+        return _crc32_zeros(crc, self.size - cursor)
 
     def load(self, offset: int, payload: bytes) -> None:
         """Overlay checkpoint bytes at ``offset`` (restore / delta graft).

@@ -90,22 +90,29 @@ class PageTracker:
         Returns the number of write-protect faults this write took (pages
         that transitioned clean -> dirty), for cost accounting.
         """
-        first_touch = (address - self.base) // PAGE_SIZE
-        last_touch = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
-        self.ever_written.update(range(first_touch, last_touch + 1))
-        self.write_seq += 1
-        seq = self.write_seq
+        first = (address - self.base) // PAGE_SIZE
+        last = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
+        self.write_seq = seq = self.write_seq + 1
+        if first == last:  # the common case: a word or a small object
+            self.ever_written.add(first)
+            self._page_seq[first] = seq
+            if not self._cleared_once or first in self._dirty:
+                return 0
+            self._dirty.add(first)
+            self.fault_count += 1
+            return 1
+        pages = range(first, last + 1)
+        self.ever_written.update(pages)
         page_seq = self._page_seq
-        for page in range(first_touch, last_touch + 1):
+        for page in pages:
             page_seq[page] = seq
         if not self._cleared_once:
             return 0
-        first = (address - self.base) // PAGE_SIZE
-        last = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
+        dirty = self._dirty
         faults = 0
-        for page in range(first, last + 1):
-            if page not in self._dirty:
-                self._dirty.add(page)
+        for page in pages:
+            if page not in dirty:
+                dirty.add(page)
                 faults += 1
         self.fault_count += faults
         return faults

@@ -29,7 +29,6 @@ from repro.mem.ptmalloc import PtMallocHeap
 # heap chunk is a custom-allocator block rather than a direct malloc object.
 SITE_REGION_BLOCK = 0x7E6001
 SITE_SLAB_BLOCK = 0x7E6002
-SITE_POOL_BLOCK = 0x7E6003
 
 
 def _align_up(value: int, alignment: int = 16) -> int:
@@ -77,6 +76,10 @@ class RegionAllocator:
         self._heap = heap
         self._block_size = block_size
         self._regions: List[Region] = []
+        # First fit, resumed: a block's free space only shrinks until
+        # ``destroy``, so a block that refused ``size`` once refuses it
+        # forever.  Per size, the first index not yet known to refuse.
+        self._first_fit: Dict[int, int] = {}
         self.alloc_count = 0
         self.bytes_allocated = 0
 
@@ -109,21 +112,21 @@ class RegionAllocator:
         if size > self._block_size - BLOCK_HEADER_SIZE - 16:
             # Oversized allocations get a dedicated block (nginx "large");
             # the block carries the chain header plus alignment slack.
-            region = self._append_block(size + BLOCK_HEADER_SIZE + 16)
-            address = region.bump(size)
-            self.alloc_count += 1
-            self.bytes_allocated += size
-            return address
-        for region in self._regions:
-            address = region.bump(size)
-            if address is not None:
-                self.alloc_count += 1
-                self.bytes_allocated += size
-                return address
-        region = self._append_block(self._block_size)
-        address = region.bump(size)
-        if address is None:  # pragma: no cover - block_size >= size by now
-            raise AllocatorError("fresh region cannot satisfy request")
+            address = self._append_block(size + BLOCK_HEADER_SIZE + 16).bump(size)
+        else:
+            regions = self._regions
+            for index in range(self._first_fit.get(size, 0), len(regions)):
+                region = regions[index]
+                address = (region.cursor + 15) & -16  # Region.bump, inlined
+                if address + size <= region.base + region.size:
+                    region.cursor = address + size
+                    break
+            else:
+                index = len(regions)
+                address = self._append_block(self._block_size).bump(size)
+                if address is None:  # pragma: no cover - block_size >= size by now
+                    raise AllocatorError("fresh region cannot satisfy request")
+            self._first_fit[size] = index
         self.alloc_count += 1
         self.bytes_allocated += size
         return address
@@ -133,6 +136,7 @@ class RegionAllocator:
         for region in self._regions:
             self._heap.free(region.base)
         self._regions.clear()
+        self._first_fit.clear()
 
     def blocks(self) -> Iterator[Region]:
         return iter(self._regions)
@@ -202,7 +206,7 @@ class NestedPool:
         name: str = "pool",
     ) -> None:
         self._heap = heap
-        self._region = _PoolRegionAllocator(heap, block_size)
+        self._region = RegionAllocator(heap, block_size)
         self.parent = parent
         self.name = name
         self.children: List["NestedPool"] = []
@@ -279,14 +283,3 @@ class NestedPool:
         return self._region.block_count() + sum(
             child.total_block_count() for child in self.children
         )
-
-
-class _PoolRegionAllocator(RegionAllocator):
-    """Region allocator whose backing blocks are tagged as pool blocks."""
-
-    def alloc(self, size: int) -> int:
-        address = super().alloc(size)
-        return address
-
-    def _new_block_site(self) -> int:  # pragma: no cover - documentation hook
-        return SITE_POOL_BLOCK
