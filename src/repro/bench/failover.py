@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
+from repro.bench.reporting import fmt_cell, render_table, trial_percentiles
 from repro.fleet.failover import FailoverDrill
 from repro.mcr.config import MCRConfig
-from repro.mcr.faults import FaultPlan
 
 SERVERS: Tuple[str, ...] = ("simple", "memcache", "httpd")
 SMOKE_SERVERS: Tuple[str, ...] = ("simple", "memcache")
@@ -41,31 +41,11 @@ SMOKE_CADENCES_MS: Tuple[int, ...] = (50,)
 TRIALS = 3
 SMOKE_TRIALS = 2
 
-# Checkpoint-side faults leave the primary serving; standby-side faults
-# force the failover to absorb them.
-PRIMARY_FAULT_SITES: Tuple[str, ...] = (
-    "checkpoint.capture",
-    "checkpoint.write",
-    "checkpoint.delta",
+# What a fault-drill row reports of its ``run_drill_cell`` cell.
+DRILL_ROW_KEYS: Tuple[str, ...] = (
+    "server", "site", "crash", "fired", "promoted", "cold_restored",
+    "primary_survived", "standby_stale", "requests_lost", "converged",
 )
-STANDBY_FAULT_SITES: Tuple[str, ...] = (
-    "stream.send",
-    "stream.apply",
-    "restore.image",
-    "standby.promote",
-)
-
-
-def _drill_config(
-    cadence_ms: int,
-    plan: Optional[FaultPlan] = None,
-    blackbox_path: Optional[str] = None,
-) -> MCRConfig:
-    return MCRConfig(
-        faults=plan,
-        checkpoint_interval_ns=cadence_ms * 1_000_000,
-        blackbox_path=blackbox_path,
-    )
 
 
 def _sweep_row(server: str, cadence_ms: int, trials: int) -> Dict[str, Any]:
@@ -79,11 +59,10 @@ def _sweep_row(server: str, cadence_ms: int, trials: int) -> Dict[str, Any]:
     for trial in range(trials):
         drill = FailoverDrill(
             server,
-            config=_drill_config(cadence_ms),
+            config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
             crash_window=3 + trial,  # vary where in the stream the crash lands
         )
-        result = drill.run()
-        data = result.to_dict()
+        data = drill.run().to_dict()
         if data["rto_ms"] is not None:
             rto_ms.append(data["rto_ms"])
         if data["perceived"] is not None:
@@ -94,53 +73,18 @@ def _sweep_row(server: str, cadence_ms: int, trials: int) -> Dict[str, Any]:
         delta_bytes += data["delta_bytes"]
         deltas += data["deltas_sent"]
         slo_ok = slo_ok and data["error"] is None and data["served_after"]
-    rto_ms.sort()
-    blackout_ms.sort()
+    rto_p50, rto_p99 = trial_percentiles(rto_ms)
     return {
         "server": server,
         "cadence_ms": cadence_ms,
         "trials": trials,
         "image_kb": image_kb,
         "delta_kb_avg": round(delta_bytes / max(deltas, 1) / 1024, 2),
-        "rto_p50_ms": rto_ms[len(rto_ms) // 2] if rto_ms else None,
-        "rto_p99_ms": rto_ms[-1] if rto_ms else None,
-        "blackout_p99_ms": blackout_ms[-1] if blackout_ms else None,
+        "rto_p50_ms": rto_p50,
+        "rto_p99_ms": rto_p99,
+        "blackout_p99_ms": trial_percentiles(blackout_ms)[1],
         "requests_lost": lost,
         "slo_ok": slo_ok,
-    }
-
-
-def _fault_row(
-    server: str,
-    label: str,
-    sites: Tuple[str, ...],
-    crash: bool,
-    blackbox_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    plan = FaultPlan()
-    for site in sites:
-        plan.at(site)
-    drill = FailoverDrill(
-        server, config=_drill_config(25, plan, blackbox_path), crash=crash
-    )
-    data = drill.run().to_dict()
-    recovered = data["promoted"] or data["cold_restored"]
-    converged = (
-        data["error"] is None
-        and data["served_after"]
-        and (recovered != data["primary_survived"])  # the XOR property
-    )
-    return {
-        "server": server,
-        "site": label,
-        "crash": crash,
-        "fired": bool(data["fired_sites"]) or bool(plan.injected),
-        "promoted": data["promoted"],
-        "cold_restored": data["cold_restored"],
-        "primary_survived": data["primary_survived"],
-        "standby_stale": data["standby_stale"],
-        "requests_lost": data["requests_lost"],
-        "converged": converged,
     }
 
 
@@ -155,26 +99,14 @@ def run_failover(
         for server in servers
         for cadence_ms in cadences
     ]
-    fault_server = servers[0]
-    drills = [
-        _fault_row(fault_server, site, (site,), crash=False,
-                   blackbox_path=blackbox_path)
-        for site in PRIMARY_FAULT_SITES
-    ]
-    drills += [
-        _fault_row(fault_server, site, (site,), crash=True,
-                   blackbox_path=blackbox_path)
-        for site in STANDBY_FAULT_SITES
-    ]
-    drills.append(
-        _fault_row(
-            fault_server,
-            "checkpoint.write+standby.promote",
-            ("checkpoint.write", "standby.promote"),
-            crash=True,
-            blackbox_path=blackbox_path,
-        )
-    )
+    # One drill per checkpoint-plane site (checkpoint-side faults leave the
+    # primary serving, the rest are absorbed by a crash failover) plus the
+    # torn-image + failed-promotion double fault.
+    grid = DRILL_GRIDS["failover"]
+    drills = []
+    for site in (*grid.sites, grid.double):
+        cell = run_drill_cell("failover", servers[0], site, blackbox_path)
+        drills.append({key: cell.get(key) for key in DRILL_ROW_KEYS})
     budget_ms = MCRConfig().downtime_budget_ns / 1e6
     summary = {
         "downtime_budget_ms": budget_ms,

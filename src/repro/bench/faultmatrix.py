@@ -35,9 +35,11 @@ every cell's ``survived`` and ``old_version_intact`` booleans.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.reporting import fmt_cell, render_table
+from repro.fleet.failover import FailoverDrill
+from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import (
     CHECKPOINT_SITES,
@@ -47,7 +49,6 @@ from repro.mcr.faults import (
 )
 from repro.replay.scenario import default_spec, run_scenario
 from repro.replay.trace import TraceLog
-from repro.workloads.linebench import LineBench  # noqa: F401  (re-export)
 
 FULL_SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
 SMOKE_SERVERS = ("simple", "vsftpd", "memcache")
@@ -56,23 +57,25 @@ SMOKE_SERVERS = ("simple", "vsftpd", "memcache")
 ROLLING_FULL_SERVERS = ("httpd", "nginx")
 ROLLING_SMOKE_SERVERS = ("httpd",)
 
-def _arm(site: str) -> FaultPlan:
+def arm(site: Optional[str]) -> FaultPlan:
+    """The plan a cell label arms: ``"a+b"`` is a double fault, None is clean."""
     plan = FaultPlan()
-    if site == "quiescence.wait":
-        # Outlast the controller's bounded retries or the cell commits.
-        plan.at(site, times=MCRConfig().quiescence_max_retries + 1)
-    elif site == "rollback":
-        # The double fault: a transfer fault forces the rollback, which
-        # then faults itself.
-        plan.at("transfer.memory").at(site)
-    else:
-        plan.at(site)
+    for name in site.split("+") if site else ():
+        if name == "quiescence.wait":
+            # Outlast the controller's bounded retries or the cell commits.
+            plan.at(name, times=MCRConfig().quiescence_max_retries + 1)
+        elif name == "rollback":
+            # The double fault: a transfer fault forces the rollback, which
+            # then faults itself.
+            plan.at("transfer.memory").at(name)
+        else:
+            plan.at(name)
     return plan
 
 
 def cell_spec(server: str, site: str, mode: str = "whole-tree") -> Dict[str, object]:
     """The re-executable scenario spec of one matrix cell."""
-    return default_spec(server, mode=mode, faults=_arm(site).to_spec())
+    return default_spec(server, mode=mode, faults=arm(site).to_spec())
 
 
 def run_cell(
@@ -173,162 +176,99 @@ _PRIMARY_CONTINUE_SITES = (
     "checkpoint.delta",
 )
 
+class DrillGrid(NamedTuple):
+    """One drill kind's fault grid and what its cells report."""
 
-def run_failover_cell(
+    clean_label: str            # the unarmed cell's "site"
+    sites: Tuple[str, ...]      # one single-fault cell each
+    double: str                 # the double-fault cell
+    fields: Tuple[str, ...]     # result fields a cell reports verbatim
+
+
+DRILL_GRIDS = {
+    "failover": DrillGrid(
+        "clean-crash",
+        tuple(CHECKPOINT_SITES),
+        "checkpoint.write+standby.promote",
+        ("promoted", "cold_restored", "standby_stale", "stale_lag", "rto_ms"),
+    ),
+    "migration": DrillGrid(
+        "clean-migrate",
+        tuple(MIGRATION_SITES),
+        "migrate.precopy+migrate.cutover",
+        ("migrated", "aborted", "precopy_rounds", "precopy_failures",
+         "reseeds", "brownout_ms"),
+    ),
+}
+_SHARED_CELL_FIELDS = (
+    "fired_sites", "primary_survived", "requests_lost", "served_after", "error",
+)
+
+
+def run_drill_cell(
+    kind: str,
     server: str,
     site: Optional[str],
     blackbox_path: Optional[str] = None,
 ) -> Dict[str, object]:
-    """One failover drill: arm ``site`` (None = clean crash), never raise.
+    """One failover or migration drill: arm ``site`` (None = clean), never raise.
 
     The convergence contract mirrors the update grid's survive/intact
-    pair: every cell must end with the standby recovered XOR the primary
-    continuing cleanly, zero unhandled exceptions either way.
+    pair (``DrillResult.converged``): every cell ends with exactly one
+    of {the peer took over, the primary kept serving} — the standby
+    recovered XOR the primary continued cleanly; migrated XOR the
+    primary kept serving (a pre-copy fault costs a round, a stop-and-copy
+    or cutover fault aborts) — and zero unhandled exceptions either way.
     """
-    from repro.fleet.failover import FailoverDrill
-
-    sites = () if site is None else tuple(site.split("+"))
-    crash = site is None or any(s not in _PRIMARY_CONTINUE_SITES for s in sites)
-    plan = None
-    if sites:
-        plan = FaultPlan()
-        for armed in sites:
-            plan.at(armed)
-    config = MCRConfig(
-        faults=plan,
-        checkpoint_interval_ns=25_000_000,
-        blackbox_path=blackbox_path,
-    )
+    grid = DRILL_GRIDS[kind]
+    plan = arm(site)
+    armed = site.split("+") if site else []
     cell: Dict[str, object] = {
         "server": server,
-        "site": site or "clean-crash",
-        "crash": crash,
-        "armed": list(sites),
+        "site": site or grid.clean_label,
+        "armed": armed,
         "raised": False,
     }
-    try:
-        data = FailoverDrill(server, config=config, crash=crash).run().to_dict()
-    except BaseException as error:  # the drill's contract says never
-        cell["raised"] = True
-        cell["error"] = repr(error)
-        cell["converged"] = False
-        return cell
-    recovered = bool(data["promoted"] or data["cold_restored"])
-    cell.update(
-        fired=bool(plan.injected) if plan is not None else False,
-        fired_sites=data["fired_sites"],
-        promoted=data["promoted"],
-        cold_restored=data["cold_restored"],
-        primary_survived=data["primary_survived"],
-        recovered_on_standby=recovered,
-        standby_stale=data["standby_stale"],
-        stale_lag=data["stale_lag"],
-        requests_lost=data["requests_lost"],
-        rto_ms=data["rto_ms"],
-        served_after=data["served_after"],
-        error=data["error"],
-        blackbox=data["blackbox"] is not None,
-        # Exactly one recovery story per cell, and it served afterwards.
-        converged=(
-            data["error"] is None
-            and data["served_after"]
-            and recovered != data["primary_survived"]
-        ),
-    )
-    return cell
-
-
-def run_failover_cells(
-    server: str,
-    blackbox_path: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The failover grid: clean crash + every checkpoint site + double fault."""
-    cells = [run_failover_cell(server, None, blackbox_path=blackbox_path)]
-    for site in CHECKPOINT_SITES:
-        cells.append(run_failover_cell(server, site, blackbox_path=blackbox_path))
-    cells.append(
-        run_failover_cell(
-            server, "checkpoint.write+standby.promote", blackbox_path=blackbox_path
+    if kind == "failover":
+        crash = cell["crash"] = not armed or any(
+            s not in _PRIMARY_CONTINUE_SITES for s in armed
         )
-    )
-    return cells
-
-
-def run_migration_cell(
-    server: str,
-    site: Optional[str],
-    blackbox_path: Optional[str] = None,
-) -> Dict[str, object]:
-    """One planned-migration drill: arm ``site`` (None = clean), never raise.
-
-    The convergence contract: every cell ends with the tree **migrated
-    XOR the primary kept serving** — a pre-copy fault costs a round (the
-    migration still completes), a stop-and-copy or cutover fault aborts
-    back to the primary — and zero unhandled exceptions either way.
-    """
-    from repro.fleet.migration import MigrationDrill
-
-    sites = () if site is None else tuple(site.split("+"))
-    plan = None
-    if sites:
-        plan = FaultPlan()
-        for armed in sites:
-            plan.at(armed)
-    config = MCRConfig(faults=plan, blackbox_path=blackbox_path)
-    cell: Dict[str, object] = {
-        "server": server,
-        "site": site or "clean-migrate",
-        "armed": list(sites),
-        "raised": False,
-    }
+        config = MCRConfig(
+            faults=plan,
+            checkpoint_interval_ns=25_000_000,
+            blackbox_path=blackbox_path,
+        )
+        drill = FailoverDrill(server, config=config, crash=crash)
+    else:
+        config = MCRConfig(faults=plan, blackbox_path=blackbox_path)
+        drill = MigrationDrill(server, config=config)
     try:
-        data = MigrationDrill(server, config=config).run().to_dict()
+        result = drill.run()
     except BaseException as error:  # the drill's contract says never
-        cell["raised"] = True
-        cell["error"] = repr(error)
-        cell["converged"] = False
+        cell.update(raised=True, error=repr(error), converged=False)
         return cell
-    cell.update(
-        fired=bool(plan.injected) if plan is not None else False,
-        fired_sites=data["fired_sites"],
-        migrated=data["migrated"],
-        aborted=data["aborted"],
-        primary_survived=data["primary_survived"],
-        precopy_rounds=data["precopy_rounds"],
-        precopy_failures=data["precopy_failures"],
-        reseeds=data["reseeds"],
-        brownout_ms=data["brownout_ms"],
-        requests_lost=data["requests_lost"],
-        served_after=data["served_after"],
+    data = result.to_dict()
+    cell.update({key: data[key] for key in _SHARED_CELL_FIELDS + grid.fields})
+    cell.update(fired=bool(plan.injected), converged=result.converged)
+    if kind == "failover":
+        cell["recovered_on_standby"] = result.recovered
+        cell["blackbox"] = result.blackbox is not None
+    else:
         # An aborted cutover stamps the flight recorder with the site
         # that killed it — the post-mortem the cell must match.
-        blackbox_site=(data["blackbox"] or {}).get("failure_site"),
-        error=data["error"],
-        # Exactly one end state per cell, and it served afterwards.
-        converged=(
-            data["error"] is None
-            and data["served_after"]
-            and data["migrated"] != data["primary_survived"]
-        ),
-    )
+        cell["blackbox_site"] = (result.blackbox or {}).get("failure_site")
     return cell
 
 
-def run_migration_cells(
-    server: str,
-    blackbox_path: Optional[str] = None,
+def run_drill_cells(
+    kind: str, server: str, blackbox_path: Optional[str] = None
 ) -> List[Dict[str, object]]:
-    """The migration grid: clean migration + every migration-plane site
-    + the pre-copy/cutover double fault."""
-    cells = [run_migration_cell(server, None, blackbox_path=blackbox_path)]
-    for site in MIGRATION_SITES:
-        cells.append(run_migration_cell(server, site, blackbox_path=blackbox_path))
-    cells.append(
-        run_migration_cell(
-            server, "migrate.precopy+migrate.cutover", blackbox_path=blackbox_path
-        )
-    )
-    return cells
+    """One drill grid: the clean run + every plane site + the double fault."""
+    grid = DRILL_GRIDS[kind]
+    return [
+        run_drill_cell(kind, server, site, blackbox_path=blackbox_path)
+        for site in (None, *grid.sites, grid.double)
+    ]
 
 
 def run_faultmatrix(
@@ -381,7 +321,9 @@ def run_faultmatrix(
         if blackbox_path
         else None
     )
-    failover_cells = run_failover_cells(names[0], blackbox_path=failover_blackbox)
+    failover_cells = run_drill_cells(
+        "failover", names[0], blackbox_path=failover_blackbox
+    )
     # The migration grid: a planned-migration drill per migration-plane
     # site (clean + each site + the double fault), each required to end
     # migrated XOR primary-kept-serving, never both dead.
@@ -390,8 +332,8 @@ def run_faultmatrix(
         if blackbox_path
         else None
     )
-    migration_cells = run_migration_cells(
-        names[0], blackbox_path=migration_blackbox
+    migration_cells = run_drill_cells(
+        "migration", names[0], blackbox_path=migration_blackbox
     )
     # Every rolled-back cell must have produced a black box whose last
     # injected fault matches the site the cell armed and fired.
@@ -475,37 +417,8 @@ def render(results: Dict[str, object]) -> str:
             cell.get("requests_lost"),
             fmt_cell(cell.get("converged")),
         ]
-        for cell in results.get("failover_cells", [])
+        for cell in results["failover_cells"]
     ]
-    parts = [
-        render_table(
-            "Fault matrix: injected failure sites x servers",
-            ["server", "mode", "site", "fired", "outcome", "verified", "survived", "intact"],
-            rows,
-            note=(
-                "outcome commit! = fault fired past the point of no return and "
-                "was contained (roll-forward); verified = old-tree fingerprint "
-                "matched its checkpoint after rollback"
-            ),
-        ),
-        summary,
-    ]
-    if failover_rows:
-        parts.extend(
-            [
-                "",
-                render_table(
-                    "Failover drills: checkpoint-plane sites x crash recovery",
-                    ["server", "site", "crash", "fired", "recovery", "stale",
-                     "lost", "converged"],
-                    failover_rows,
-                    note=(
-                        f"failover_all_converged="
-                        f"{fmt_cell(results.get('failover_all_converged'))}"
-                    ),
-                ),
-            ]
-        )
     migration_rows = [
         [
             cell["server"],
@@ -523,22 +436,41 @@ def render(results: Dict[str, object]) -> str:
             cell.get("requests_lost"),
             fmt_cell(cell.get("converged")),
         ]
-        for cell in results.get("migration_cells", [])
+        for cell in results["migration_cells"]
     ]
-    if migration_rows:
-        parts.extend(
-            [
-                "",
-                render_table(
-                    "Migration drills: planned-migration sites x cutover",
-                    ["server", "site", "fired", "end state", "rounds",
-                     "round_fails", "lost", "converged"],
-                    migration_rows,
-                    note=(
-                        f"migration_all_converged="
-                        f"{fmt_cell(results.get('migration_all_converged'))}"
-                    ),
-                ),
-            ]
-        )
+    parts = [
+        render_table(
+            "Fault matrix: injected failure sites x servers",
+            ["server", "mode", "site", "fired", "outcome", "verified", "survived", "intact"],
+            rows,
+            note=(
+                "outcome commit! = fault fired past the point of no return and "
+                "was contained (roll-forward); verified = old-tree fingerprint "
+                "matched its checkpoint after rollback"
+            ),
+        ),
+        summary,
+        "",
+        render_table(
+            "Failover drills: checkpoint-plane sites x crash recovery",
+            ["server", "site", "crash", "fired", "recovery", "stale", "lost",
+             "converged"],
+            failover_rows,
+            note=(
+                "failover_all_converged="
+                f"{fmt_cell(results['failover_all_converged'])}"
+            ),
+        ),
+        "",
+        render_table(
+            "Migration drills: planned-migration sites x cutover",
+            ["server", "site", "fired", "end state", "rounds", "round_fails",
+             "lost", "converged"],
+            migration_rows,
+            note=(
+                "migration_all_converged="
+                f"{fmt_cell(results['migration_all_converged'])}"
+            ),
+        ),
+    ]
     return "\n".join(parts)

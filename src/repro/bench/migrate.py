@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.faultmatrix import run_drill_cell
+from repro.bench.reporting import fmt_cell, render_table, trial_percentiles
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
@@ -58,10 +59,6 @@ SMOKE_TRIALS = 1
 COMPARABLE_FACTOR = 3.0
 
 
-def _drill_config(blackbox_path: Optional[str] = None) -> MCRConfig:
-    return MCRConfig(blackbox_path=blackbox_path)
-
-
 def _sweep_row(
     server: str, cadence_ms: int, threshold: int, trials: int
 ) -> Dict[str, Any]:
@@ -78,7 +75,6 @@ def _sweep_row(
     for _trial in range(trials):
         drill = MigrationDrill(
             server,
-            config=_drill_config(),
             precopy_interval_ns=cadence_ms * 1_000_000,
             convergence_bytes=threshold,
         )
@@ -97,7 +93,7 @@ def _sweep_row(
         precopy_kb += data["precopy_kb_total"]
         stopcopy_bytes = max(stopcopy_bytes, data["stopcopy_bytes"] or 0)
         image_kb = max(image_kb, data["image_kb"])
-    brownout_ms.sort()
+    brownout_p50, brownout_p99 = trial_percentiles(brownout_ms)
     return {
         "server": server,
         "cadence_ms": cadence_ms,
@@ -110,8 +106,8 @@ def _sweep_row(
         "image_kb": image_kb,
         "precopy_kb_avg": round(precopy_kb / trials, 1),
         "stopcopy_kb": round(stopcopy_bytes / 1024, 2),
-        "brownout_p50_ms": brownout_ms[len(brownout_ms) // 2] if brownout_ms else None,
-        "brownout_p99_ms": brownout_ms[-1] if brownout_ms else None,
+        "brownout_p50_ms": brownout_p50,
+        "brownout_p99_ms": brownout_p99,
         "requests_lost": lost,
         "slo_ok": slo_ok,
     }
@@ -121,7 +117,6 @@ def _head_to_head(server: str, cadence_ms: int) -> Dict[str, Any]:
     """Planned brownout vs crash RTO under the same cadence and stream."""
     migrate = MigrationDrill(
         server,
-        config=_drill_config(),
         precopy_interval_ns=cadence_ms * 1_000_000,
     ).run().to_dict()
     failover = FailoverDrill(
@@ -148,12 +143,6 @@ def _head_to_head(server: str, cadence_ms: int) -> Dict[str, Any]:
     }
 
 
-def _fault_row(server: str, site: str, blackbox_path: Optional[str]) -> Dict[str, Any]:
-    from repro.bench.faultmatrix import run_migration_cell
-
-    return run_migration_cell(server, site, blackbox_path=blackbox_path)
-
-
 def run_migrate(
     smoke: bool = False, blackbox_path: Optional[str] = None
 ) -> Dict[str, Any]:
@@ -168,9 +157,8 @@ def run_migrate(
         for threshold in thresholds
     ]
     head_to_head = [_head_to_head(server, cadences[0]) for server in servers]
-    fault_server = servers[0]
     drills = [
-        _fault_row(fault_server, site, blackbox_path)
+        run_drill_cell("migration", servers[0], site, blackbox_path)
         for site in MIGRATION_SITES
     ]
     budget_ms = MCRConfig().downtime_budget_ns / 1e6

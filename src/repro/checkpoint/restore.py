@@ -24,7 +24,6 @@ what makes it a *warm standby*: deltas can be grafted indefinitely, and
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from repro import obs
@@ -288,42 +287,28 @@ def restore_image(
                     graft_process(live[record["pid"]], record, image)
                 _graft_world(node, image)
             except BaseException as error:
-                _dump_restore_blackbox(node, image, error, config)
+                try:
+                    # Post-mortem stamped with the image identity; it must
+                    # never mask the error that is about to propagate.
+                    node.collector.blackbox(
+                        "restore.failed",
+                        config.blackbox_path if config is not None else None,
+                        failure_site=getattr(error, "fault_site", None)
+                        or "restore.image",
+                        fingerprint=image.fingerprint.summary(),
+                        image_version=image.image_id,
+                        image_format=image.meta.get("format"),
+                        last_applied_delta_seq=0,
+                        error=repr(error),
+                    )
+                except Exception:  # pragma: no cover - never make it worse
+                    pass
                 protocol.release()
                 node.teardown()
                 raise
     obs.incr("checkpoint.restores")
     obs.emit("checkpoint.restored", image_id=image.image_id)
     return node
-
-
-def _dump_restore_blackbox(
-    node: Node,
-    image: CheckpointImage,
-    error: BaseException,
-    config: Optional[MCRConfig],
-) -> None:
-    """Post-mortem for a failed restore, stamped with the image identity.
-
-    Best-effort by construction: the dump must never mask the
-    ``ImageError`` that is about to propagate.
-    """
-    try:
-        blackbox = node.collector.recorder.dump(
-            "restore.failed",
-            failure_site=getattr(error, "fault_site", None) or "restore.image",
-            fingerprint=image.fingerprint.summary(),
-            image_version=image.image_id,
-            image_format=image.meta.get("format"),
-            last_applied_delta_seq=0,
-            error=repr(error),
-        )
-        path = config.blackbox_path if config is not None else None
-        if path:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(blackbox, handle, indent=2, sort_keys=True)
-    except Exception:  # pragma: no cover - never make the failure worse
-        pass
 
 
 def resume_node(node: Node) -> Node:

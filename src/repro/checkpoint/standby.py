@@ -20,7 +20,6 @@ last-applied delta sequence.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro import obs
@@ -210,8 +209,14 @@ class WarmStandby:
                         + "; ".join(problems[:4])
                     )
             except BaseException as error:
-                self._dump_blackbox(
-                    "standby.promote_failed", problems or [repr(error)]
+                self.last_blackbox, _path = self.node.collector.blackbox(
+                    "standby.promote_failed",
+                    self.config.blackbox_path if self.config is not None else None,
+                    failure_site="standby.promote",
+                    fingerprint=self.expected_fingerprint.summary(),
+                    image_version=self.image_id,
+                    last_applied_delta_seq=self.applied_seq,
+                    problems=(problems or [repr(error)])[:16],
                 )
                 raise
         self.node.kernel.clock.advance(PROMOTE_BASE_NS)
@@ -225,21 +230,3 @@ class WarmStandby:
             stale=self.stale,
         )
         return self.node
-
-    def _dump_blackbox(self, reason: str, problems: List[str]) -> None:
-        collector = self.node.collector
-        self.last_blackbox = collector.recorder.dump(
-            reason,
-            failure_site="standby.promote",
-            fingerprint=self.expected_fingerprint.summary(),
-            image_version=self.image_id,
-            last_applied_delta_seq=self.applied_seq,
-            problems=problems[:16],
-        )
-        path = self.config.blackbox_path if self.config is not None else None
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(self.last_blackbox, handle, indent=2, sort_keys=True)
-            except OSError:  # the dump must never make a failover worse
-                pass

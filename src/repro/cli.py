@@ -37,6 +37,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys as _host_sys
 from typing import List, Optional
 
@@ -44,8 +45,6 @@ SERVERS = ("simple", "httpd", "nginx", "vsftpd", "opensshd", "memcache")
 
 
 def _server_module(name: str):
-    import importlib
-
     if name not in SERVERS:
         raise SystemExit(f"unknown server {name!r}; choose from {', '.join(SERVERS)}")
     return importlib.import_module(f"repro.servers.{name}")
@@ -128,28 +127,18 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _bench_table1():
-    from repro.bench.table1 import render, run_table1
+def _plain_bench(module: str, run: str):
+    """A bench with no reduced subset and no seed: run, then render."""
 
-    results = run_table1()
-    return results, render(results)
+    def bench(smoke: bool = False, seed: int = 0):
+        bench_module = importlib.import_module(f"repro.bench.{module}")
+        results = getattr(bench_module, run)()
+        return results, bench_module.render(results)
 
-
-def _bench_table2():
-    from repro.bench.table2 import render, run_table2
-
-    results = run_table2()
-    return results, render(results)
+    return bench
 
 
-def _bench_table3():
-    from repro.bench.table3 import render, run_table3
-
-    results = run_table3()
-    return results, render(results)
-
-
-def _bench_figure3():
+def _bench_figure3(smoke: bool = False, seed: int = 0):
     from repro.bench.figure3 import render, run_figure3
 
     results = run_figure3(connection_counts=(0, 5, 10, 20))
@@ -157,21 +146,7 @@ def _bench_figure3():
     return payload, render(results)
 
 
-def _bench_spec():
-    from repro.bench.spec2006 import render, run_spec
-
-    results = run_spec()
-    return results, render(results)
-
-
-def _bench_memusage():
-    from repro.bench.memusage import render, run_memusage
-
-    results = run_memusage()
-    return results, render(results)
-
-
-def _bench_updatetime(smoke: bool = False):
+def _bench_updatetime(smoke: bool = False, seed: int = 0):
     from repro.bench.updatetime import SCALE_WORKERS, render, run_updatetime
 
     # The smoke subset must include nginx: CI asserts the rolling-vs-
@@ -185,14 +160,14 @@ def _bench_updatetime(smoke: bool = False):
     return results, render(results)
 
 
-def _bench_ablations():
+def _bench_ablations(smoke: bool = False, seed: int = 0):
     from repro.bench.ablations import render_all, run_all
 
     results = run_all()
     return results, render_all(results)
 
 
-def _bench_scanperf(smoke: bool = False):
+def _bench_scanperf(smoke: bool = False, seed: int = 0):
     from repro.bench.scanperf import (
         SCALING_WORKER_COUNTS,
         SMOKE_WORKER_COUNTS,
@@ -208,14 +183,14 @@ def _bench_scanperf(smoke: bool = False):
     return results, render(results)
 
 
-def _bench_fleetroll(smoke: bool = False):
+def _bench_fleetroll(smoke: bool = False, seed: int = 0):
     from repro.bench.fleetroll import render, run_fleetroll
 
     results = run_fleetroll(smoke=smoke)
     return results, render(results)
 
 
-def _bench_failover(smoke: bool = False):
+def _bench_failover(smoke: bool = False, seed: int = 0):
     from repro.bench.failover import render, run_failover
 
     # Fault-drill post-mortems derive from the bench's own artifact
@@ -227,7 +202,7 @@ def _bench_failover(smoke: bool = False):
     return results, render(results)
 
 
-def _bench_migrate(smoke: bool = False):
+def _bench_migrate(smoke: bool = False, seed: int = 0):
     from repro.bench.migrate import render, run_migrate
 
     results = run_migrate(
@@ -243,7 +218,7 @@ def _bench_fuzz(smoke: bool = False, seed: int = 0):
     return results, render(results)
 
 
-def _bench_faultmatrix(smoke: bool = False):
+def _bench_faultmatrix(smoke: bool = False, seed: int = 0):
     from repro.bench.faultmatrix import render, run_faultmatrix
 
     # Each failed cell overwrites the blackbox (and its paired replay
@@ -258,14 +233,16 @@ def _bench_faultmatrix(smoke: bool = False):
     return results, render(results)
 
 
-# Experiment name -> callable returning (json-serializable results, text).
+# Experiment name -> callable(smoke, seed) returning (json-serializable
+# results, text).  Every experiment takes both; those without a reduced
+# subset or randomized draws ignore them.
 BENCH_EXPERIMENTS = {
-    "table1": _bench_table1,
-    "table2": _bench_table2,
-    "table3": _bench_table3,
+    "table1": _plain_bench("table1", "run_table1"),
+    "table2": _plain_bench("table2", "run_table2"),
+    "table3": _plain_bench("table3", "run_table3"),
     "figure3": _bench_figure3,
-    "spec": _bench_spec,
-    "memusage": _bench_memusage,
+    "spec": _plain_bench("spec2006", "run_spec"),
+    "memusage": _plain_bench("memusage", "run_memusage"),
     "updatetime": _bench_updatetime,
     "ablations": _bench_ablations,
     "scanperf": _bench_scanperf,
@@ -281,20 +258,9 @@ def cmd_bench(args) -> int:
     names = list(BENCH_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     exit_code = 0
     for name in names:
-        if name == "fuzz":
-            results, text = BENCH_EXPERIMENTS[name](
-                smoke=getattr(args, "smoke", False),
-                seed=getattr(args, "seed", 0),
-            )
-            if not results["all_ok"]:
-                exit_code = 1
-        elif name in ("faultmatrix", "updatetime", "fleetroll", "scanperf",
-                      "failover", "migrate"):
-            results, text = BENCH_EXPERIMENTS[name](
-                smoke=getattr(args, "smoke", False)
-            )
-        else:
-            results, text = BENCH_EXPERIMENTS[name]()
+        results, text = BENCH_EXPERIMENTS[name](smoke=args.smoke, seed=args.seed)
+        if name == "fuzz" and not results["all_ok"]:
+            exit_code = 1
         print(text, end="\n\n")
         if args.json:
             from repro.bench.reporting import write_bench_json
@@ -444,16 +410,14 @@ def cmd_status(args) -> int:
 def cmd_checkpoint(args) -> int:
     """Boot a server, mutate it with traffic, write a durable image."""
     from repro.checkpoint import checkpoint_node, write_image
+    from repro.fleet.drill import SETTLE_NS
     from repro.fleet.node import Node
 
     node = Node.boot(args.server)
     if args.serve:
         node.serve(args.serve)
         node.drain()
-        # Let workers process client EOFs and release connection fds:
-        # restore validation refuses an image holding fds a fresh boot
-        # cannot reproduce.
-        node.settle(2_000_000)
+        node.settle(SETTLE_NS)  # workers release served-connection fds
     image = checkpoint_node(node)
     size = write_image(image, args.out)
     digest = image.fingerprint.summary()

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.checkpoint import (
     DeltaBaseline,
-    StandbyChannel,
     WarmStandby,
     capture_delta,
     checkpoint_node,
@@ -41,77 +40,55 @@ from repro.checkpoint import (
     resume_node,
     write_image,
 )
-from repro.fleet.lb import LoadBalancer
-from repro.fleet.node import Node
+from repro.fleet.drill import PEER_ID, Drill, DrillResult, sync_clock
 from repro.mcr.config import MCRConfig
-from repro.servers.common import ClientLatencyLog, ClientPerceived
+from repro.servers.common import ClientLatencyLog
 
 # Failure-detection delay: the lease/heartbeat timeout before the fleet
 # declares the primary dead and starts promotion (virtual ns).
 DETECT_NS = 5_000_000
 
-PRIMARY_ID = 0
-STANDBY_ID = 1
 COLD_ID = 2
 
-# Post-drain settle before cutting the seed image (see _run).
-_SETTLE_NS = 2_000_000
 
-
-class FailoverResult:
-    """Everything one drill measured, JSON-ready via ``to_dict``."""
+class FailoverResult(DrillResult):
+    """Everything one crash drill measured, JSON-ready via ``to_dict``."""
 
     def __init__(self, server: str) -> None:
-        self.server = server
+        super().__init__(server)
         self.crashed = False
         self.promoted = False
         self.cold_restored = False
-        self.primary_survived = False
-        self.served_after = False
-        self.requests_sent = 0
-        self.requests_completed = 0
-        self.requests_lost = 0
-        self.reissued = 0
         self.rto_ns: Optional[int] = None
-        self.image_bytes = 0
         self.delta_bytes = 0
         self.deltas_sent = 0
         self.checkpoint_failures = 0
         self.standby_stale = False
         self.stale_lag = 0          # source seq - applied seq at promotion
-        self.fired_sites: List[str] = []
-        self.perceived: Optional[Dict[str, Any]] = None
-        self.blackbox: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+
+    @property
+    def recovered(self) -> bool:
+        return self.promoted or self.cold_restored
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "server": self.server,
+            **super().to_dict(),
             "crashed": self.crashed,
             "promoted": self.promoted,
             "cold_restored": self.cold_restored,
-            "primary_survived": self.primary_survived,
-            "served_after": self.served_after,
-            "requests_sent": self.requests_sent,
-            "requests_completed": self.requests_completed,
-            "requests_lost": self.requests_lost,
-            "reissued": self.reissued,
             "rto_ms": None if self.rto_ns is None else self.rto_ns / 1e6,
-            "image_kb": self.image_bytes // 1024,
             "delta_bytes": self.delta_bytes,
             "deltas_sent": self.deltas_sent,
             "checkpoint_failures": self.checkpoint_failures,
             "standby_stale": self.standby_stale,
             "stale_lag": self.stale_lag,
-            "fired_sites": list(self.fired_sites),
-            "perceived": self.perceived,
-            "blackbox": self.blackbox,
-            "error": self.error,
         }
 
 
-class FailoverDrill:
+class FailoverDrill(Drill):
     """One primary/standby pair driven through windows, cadence, and a crash."""
+
+    RESULT = FailoverResult
 
     def __init__(
         self,
@@ -125,32 +102,23 @@ class FailoverDrill:
         detect_ns: int = DETECT_NS,
         checkpoint_path: Optional[str] = None,
     ) -> None:
-        self.server = server
-        self.config = config or MCRConfig()
-        self.windows = windows
-        self.window_ns = window_ns
-        self.requests_per_window = requests_per_window
+        super().__init__(server, config, windows, window_ns, requests_per_window)
         self.crash = crash
         self.crash_window = (
             crash_window if crash_window is not None else max(1, windows // 2)
         )
         self.detect_ns = detect_ns
         self.checkpoint_path = checkpoint_path or self.config.checkpoint_path
-        self._owns_path = False
-        # Drill state.
-        self.primary: Optional[Node] = None
-        self.standby: Optional[WarmStandby] = None
-        self.channel = StandbyChannel()
-        self.baseline: Optional[DeltaBaseline] = None
         self.last_image = None
         self.durable_ok = False
         self.source_seq = 0
+        self.crash_ns: Optional[int] = None
+
+    @property
+    def standby(self) -> Optional[WarmStandby]:
+        return self.peer
 
     # -- checkpoint plumbing (fault-tolerant: failures never stop serving) -----
-
-    def _fired(self, result: FailoverResult, error: Exception) -> None:
-        site = getattr(error, "fault_site", None)
-        result.fired_sites.append(site or type(error).__name__)
 
     def _cut_full(self, result: FailoverResult) -> bool:
         """Cut + durably write a full image, (re)seed baseline and standby."""
@@ -182,12 +150,16 @@ class FailoverDrill:
             return
         for _attempt in (1, 2):  # a failed restore is retried once
             try:
-                self.standby = WarmStandby.from_image(
-                    self.last_image, node_id=STANDBY_ID, config=self.config
+                self.peer = WarmStandby.from_image(
+                    self.last_image, node_id=PEER_ID, config=self.config
                 )
                 return
             except Exception as error:
                 self._fired(result, error)
+
+    def _seed_peer(self, result: FailoverResult) -> None:
+        self._cut_full(result)
+        self._boot_standby(result)
 
     def _cadence_tick(self, result: FailoverResult) -> None:
         """Cut the next delta and stream it (or repair whatever failed)."""
@@ -196,7 +168,7 @@ class FailoverDrill:
             return
         if not self.durable_ok and self.checkpoint_path:
             self._write_durable(result)  # retry a torn image write
-        if self.standby is None:
+        if self.peer is None:
             self._boot_standby(result)
         try:
             delta = capture_delta(self.primary, self.baseline, self.config)
@@ -206,52 +178,46 @@ class FailoverDrill:
             return
         if delta is None:
             # Tree shape changed: resync standby from a fresh full image.
-            if self._cut_full(result) and self.standby is not None:
-                self.standby.resync(self.last_image)
+            if self._cut_full(result) and self.peer is not None:
+                self.peer.resync(self.last_image)
             return
         self.source_seq = delta.seq
         result.deltas_sent += 1
         result.delta_bytes += delta.total_bytes()
         try:
-            self.channel.send(delta, self.config)
+            self._ship(delta)
         except Exception as error:
-            self._fired(result, error)
-            return  # dropped on the floor -> the standby will see a gap
-        if self.standby is not None:
-            for blob in self.channel.drain():
-                self.standby.apply(blob)
+            self._fired(result, error)  # dropped -> the standby will see a gap
 
     # -- the crash + failover --------------------------------------------------
 
-    def _failover(self, result: FailoverResult) -> Optional[Node]:
-        """Kill the primary, promote (or cold-restore); returns the new server."""
+    def _failover(self, result: FailoverResult) -> None:
+        """Kill the primary, then promote the standby or cold-restore."""
         primary = self.primary
-        crash_ns = primary.now_ns
+        self.crash_ns = primary.now_ns
         result.crashed = True
         pending = primary.pending()
         with primary.scope():
             primary.kernel.crash_tree(primary.root)
-        obs.emit("failover.crash", severity="warn", at_ns=crash_ns)
-        serving: Optional[Node] = None
-        if self.standby is not None:
-            self._sync_clock(self.standby.node, crash_ns + self.detect_ns)
-            result.standby_stale = self.standby.stale
-            result.stale_lag = self.source_seq - self.standby.applied_seq
+        obs.emit("failover.crash", severity="warn", at_ns=self.crash_ns)
+        self.serving = None
+        if self.peer is not None:
+            sync_clock(self.peer.node, self.crash_ns + self.detect_ns)
+            result.standby_stale = self.peer.stale
+            result.stale_lag = self.source_seq - self.peer.applied_seq
             try:
-                serving = self.standby.promote()
+                self.serving = self.peer.promote()
                 result.promoted = True
             except Exception as error:
                 self._fired(result, error)
-                result.blackbox = self.standby.last_blackbox
-        if serving is None:
-            serving = self._cold_restore(result, crash_ns)
-        if serving is None:
-            return None
-        result.reissued = pending
-        serving.serve(pending)
-        return serving
+                result.blackbox = self.peer.last_blackbox
+        if self.serving is None:
+            self._cold_restore(result)
+        if self.serving is not None:
+            result.reissued = pending
+            self.serving.serve(pending)
 
-    def _cold_restore(self, result: FailoverResult, crash_ns: int) -> Optional[Node]:
+    def _cold_restore(self, result: FailoverResult) -> None:
         """Last resort: restore from the last good durable (or in-memory) image."""
         image = None
         if self.durable_ok and self.checkpoint_path:
@@ -263,141 +229,56 @@ class FailoverDrill:
             image = self.last_image
         if image is None:
             result.error = "no image to restore from"
-            return None
+            return
         try:
             node = restore_image(image, node_id=COLD_ID, config=self.config)
         except Exception as error:
             self._fired(result, error)
             result.error = f"cold restore failed: {error}"
-            return None
+            return
+        self.serving = node
         # Cold restore pays the full image read + graft, not a warm promote.
-        self._sync_clock(node, crash_ns + self.detect_ns)
+        sync_clock(node, self.crash_ns + self.detect_ns)
         node.kernel.clock.advance(image.total_bytes())  # ~1 ns/byte rehydrate
         resume_node(node)
         result.cold_restored = True
         obs.emit("failover.cold_restore", image_id=image.image_id)
-        return node
-
-    @staticmethod
-    def _sync_clock(node: Node, to_ns: int) -> None:
-        """Lockstep a quiesced node's clock with the fleet deadline."""
-        delta = to_ns - node.now_ns
-        if delta > 0:
-            node.kernel.clock.advance(delta)
 
     # -- the drill -------------------------------------------------------------
 
     def run(self) -> FailoverResult:
-        result = FailoverResult(self.server)
-        if self.checkpoint_path is None:
-            handle = tempfile.NamedTemporaryFile(
-                prefix="mcr-image-", suffix=".img", delete=False
-            )
-            handle.close()
-            self.checkpoint_path = handle.name
-            self._owns_path = True
-        try:
-            self._run(result)
-        except Exception as error:  # pragma: no cover - the never-raise backstop
-            result.error = f"drill error: {error!r}"
-        finally:
-            if self._owns_path:
-                try:
-                    os.unlink(self.checkpoint_path)
-                except OSError:
-                    pass
-        return result
+        if self.checkpoint_path is not None:
+            return super().run()
+        # No durable path given: the image lives (and dies) with the drill.
+        with tempfile.TemporaryDirectory(prefix="mcr-image-") as scratch:
+            self.checkpoint_path = os.path.join(scratch, "primary.img")
+            return super().run()
 
-    def _run(self, result: FailoverResult) -> None:
-        self.primary = Node.boot(
-            self.server, node_id=PRIMARY_ID, config=self.config
-        )
-        lb = LoadBalancer([PRIMARY_ID, STANDBY_ID])
-        lb.mark_updating(STANDBY_ID)  # warm, but out of rotation
-        # Warm up, then seed the image/baseline/standby.  Settle the
-        # kernel after the drain: a worker that has not yet processed a
-        # client's EOF still holds the accepted-connection fd, and the
-        # restore validation (rightly) refuses an image with connection
-        # fds a fresh boot cannot have — this is what used to wedge the
-        # httpd rows of the full cadence sweep into cold-restore loops.
-        self.primary.serve(self.requests_per_window)
-        self.primary.drain()
-        self.primary.settle(_SETTLE_NS)
-        self._cut_full(result)
-        self._boot_standby(result)
-        serving = self.primary
-        crash_ns: Optional[int] = None
-        start_ns = serving.now_ns
-        last_cp_ns = start_ns
-        interval = self.config.checkpoint_interval_ns
-        for window in range(self.windows):
-            deadline = start_ns + (window + 1) * self.window_ns
-            serving.serve(self.requests_per_window)
-            if self.crash and window == self.crash_window and not result.crashed:
-                serving.advance_to(deadline - self.window_ns // 2)
-                crash_ns = serving.now_ns
-                serving = self._failover(result)
-                if serving is None:
-                    break
-                lb.mark_updating(PRIMARY_ID)
-                lb.mark_healthy(serving.node_id)
-            serving.advance_to(deadline)
-            if serving is self.primary and self.standby is not None:
-                self._sync_clock(self.standby.node, deadline)
-            if serving is self.primary and deadline - last_cp_ns >= interval:
+    def _window(self, result: FailoverResult, window: int, deadline: int) -> None:
+        if self.crash and window == self.crash_window and not result.crashed:
+            self.serving.advance_to(deadline - self.window_ns // 2)
+            self._failover(result)
+            if self.serving is None:
+                return
+        self.serving.advance_to(deadline)
+        if self.serving is self.primary:
+            if self.peer is not None:
+                sync_clock(self.peer.node, deadline)
+            if self._round_due(deadline):
                 self._cadence_tick(result)
-                last_cp_ns = deadline
-        if serving is not None:
-            serving.drain()
-            result.served_after = bool(serving.served_version() or serving.completed)
-            result.primary_survived = serving is self.primary
-            self._measure(result, serving, crash_ns, start_ns)
-        self._teardown(serving)
 
-    def _measure(
-        self,
-        result: FailoverResult,
-        serving: Node,
-        crash_ns: Optional[int],
-        start_ns: int,
-    ) -> None:
-        nodes = [self.primary]
-        if serving is not self.primary:
-            nodes.append(serving)
-        result.requests_sent = sum(n.requests_sent for n in nodes) - result.reissued
-        result.requests_completed = sum(n.completed for n in nodes)
-        result.requests_lost = sum(n.lost for n in nodes)
-        if result.crashed and self.primary is not None:
-            # In-flight clients frozen with the crashed kernel: their
-            # re-issues completed (or were lost) on the standby; anything
-            # still pending there after the final drain is lost for good.
-            result.requests_lost += serving.pending() if serving else 0
-        merged = ClientLatencyLog()
-        for node in nodes:
-            merged.samples.extend(node.latency.samples)
-        merged.samples.sort()
-        end_ns = serving.now_ns
-        result.perceived = ClientPerceived.measure(
-            merged,
-            self.config.downtime_budget_ns,
-            window=(start_ns, end_ns),
-        ).to_dict()
-        if crash_ns is not None and serving is not self.primary:
-            after = [r for _s, r in serving.latency.samples if r >= crash_ns]
-            if after:
-                result.rto_ns = min(after) - crash_ns
-
-    def _teardown(self, serving: Optional[Node]) -> None:
-        for node in (
-            self.primary,
-            self.standby.node if self.standby is not None else None,
-            serving,
-        ):
-            if node is not None:
-                try:
-                    node.teardown()
-                except Exception:  # a dead kernel may refuse; best effort
-                    pass
+    def _headline(self, result: FailoverResult, merged: ClientLatencyLog) -> None:
+        """RTO: crash to the first request completed by the new server."""
+        if not result.crashed:
+            return
+        serving = self.serving
+        # In-flight clients frozen with the crashed kernel: their
+        # re-issues completed (or were lost) on the standby; anything
+        # still pending there after the final drain is lost for good.
+        result.requests_lost += serving.pending()
+        after = [r for _s, r in serving.latency.samples if r >= self.crash_ns]
+        if after:
+            result.rto_ns = min(after) - self.crash_ns
 
 
 def run_failover_drill(

@@ -24,7 +24,6 @@
 
 from __future__ import annotations
 
-import json
 import sys as _host_sys
 from contextlib import nullcontext
 from typing import Any, Callable, List, Optional, Tuple
@@ -55,6 +54,11 @@ from repro.replay import trace as replay_trace
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession, PHASE_NORMAL
 from repro.runtime.program import Program, load_program
+
+
+# One rollback-verification baseline: (scope or None for the whole tree,
+# its fingerprint at the quiesce point, refcounts included?).
+_Checkpoint = Tuple[Optional[List[Process]], TreeFingerprint, bool]
 
 
 class RestoreContext:
@@ -255,6 +259,8 @@ class LiveUpdateController:
         self._past_point_of_no_return = False
         self._rolled_back = False
         self._rollback_failures: List[str] = []
+        # Rollback-verification baselines, one per quiesce point.
+        self._checkpoints: List[_Checkpoint] = []
         # The global-inheritance socketpair, kept so rollback can drain
         # in-flight fd messages if the handoff dies mid-stream.
         self._boot_channel: Optional[Tuple[Any, Any]] = None
@@ -262,9 +268,24 @@ class LiveUpdateController:
     # -- public API -------------------------------------------------------------
 
     def run_update(self) -> UpdateResult:
+        """One update transaction: commit XOR verified rollback.
+
+        ``config.update_mode`` picks the hand-off.  Whole-tree quiesces
+        everything, restores every runtime descriptor, then transfers the
+        tree in one step while clients wait.  Rolling (CRIU pre-dump
+        style) runs the heavy global phases — offline analysis, restart,
+        control migration, volatile-state convergence — with only the
+        first worker batch quiesced, then hands workers off one batch at
+        a time (``_hand_off_rolling``).  The two differ in exactly three
+        steps — the initial quiescence scope, where runtime fds are
+        restored, and the hand-off phase; the transaction envelope, fault
+        sites, black box and fingerprint verification are one body.
+        """
+        result = UpdateResult()
         if self.config.update_mode == "rolling":
-            return self._run_update_rolling()
-        return self._run_update_whole_tree()
+            result.mode = "rolling"
+        with self._obs_scope(self.kernel.clock):
+            return self._attempt(result)
 
     def _obs_scope(self, clock):
         """The collector activation this update runs under.
@@ -287,23 +308,17 @@ class LiveUpdateController:
             return nullcontext(collector)
         return obs.scoped(collector)
 
-    def _run_update_whole_tree(self) -> UpdateResult:
-        result = UpdateResult()
-        clock = self.kernel.clock
-        with self._obs_scope(clock):
-            return self._whole_tree_attempt(result, clock)
-
-    def _whole_tree_attempt(self, result: UpdateResult, clock) -> UpdateResult:
-        recorder = obs.recorder_for(clock)
+    def _attempt(self, result: UpdateResult) -> UpdateResult:
+        recorder = obs.recorder_for(self.kernel.clock)
+        rolling = result.mode == "rolling"
         new_root: Optional[Process] = None
         # Rollback verification baselines (host-side only; never touch the
         # virtual clock).  The entry capture covers failures that strike
         # before the barrier converges — usable only if no old thread ran
         # in between, hence the steps_executed stamp.  The checkpoint
-        # capture, taken once the tree is quiesced, is authoritative.
+        # captures, taken once a scope is quiesced, are authoritative.
         verify = bool(self.config.verify_rollback)
         entry_fp: Optional[TreeFingerprint] = None
-        checkpoint_fp: Optional[TreeFingerprint] = None
         entry_steps = self.kernel.steps_executed
         if verify and self.config.faults is not None:
             # Only an injected fault can fail before any old thread runs;
@@ -311,19 +326,28 @@ class LiveUpdateController:
             # invalidates this baseline anyway, so skip the capture when
             # nothing is armed.
             entry_fp = TreeFingerprint.capture(self.kernel, self.old_root)
+        # What quiesces first: everything (None), or the first worker batch
+        # — with no enumerable workers the whole tree is one degenerate batch.
+        worker_batches = self._worker_batches() if rolling else []
+        first_scope: Optional[List[Process]] = None
+        if rolling:
+            first_scope = (
+                worker_batches[0] if worker_batches else list(self.old_root.tree())
+            )
         root = recorder.begin(
             "update",
             program=self.new_program.name,
             to_version=self.new_program.version,
+            **({"mode": "rolling"} if rolling else {}),
         )
         try:
-            # 1. Checkpoint: quiesce the old version (bounded retries with
-            # exponential backoff before declaring QuiescenceTimeout).
+            # 1. Checkpoint: quiesce the old version — all of it, or only
+            # the first worker batch (bounded retries with exponential
+            # backoff before declaring QuiescenceTimeout).
             with recorder.span("quiescence"):
-                self.old_session.quiescence.request()
+                self.old_session.quiescence.request(scope=first_scope)
                 self._quiesce_with_retry(result)
-            if verify:
-                checkpoint_fp = TreeFingerprint.capture(self.kernel, self.old_root)
+            self._checkpoint(first_scope, with_refcounts=True)
             # 2. Offline analysis -> immutable set + realloc plan.
             with recorder.span("offline-analysis"):
                 fire(self.config, "offline.analysis")
@@ -338,27 +362,27 @@ class LiveUpdateController:
             # 4. Volatile state + post-startup descriptor restore.  The
             # handlers only *create* counterpart processes/threads; their
             # descriptors are restored before any of them runs, then the
-            # whole new tree is driven back to the barrier.
+            # whole new tree is driven back to the barrier.  Rolling does
+            # NOT restore runtime descriptors here: each batch's live
+            # connections are installed at its own quiesce point.
             with recorder.span("restore"):
                 self._run_post_startup_handlers(new_root)
-                self._restore_runtime_fds(new_root)
+                if not rolling:
+                    self._restore_runtime_fds(new_root)
                 self._converge_volatile(new_root)
-            # 5. Remap: mutable tracing state transfer.
-            with recorder.span("transfer") as transfer_span:
-                transfer = StateTransfer(
-                    self.old_root,
-                    new_root,
-                    self.new_program,
-                    self.config,
-                    self.cost,
-                    use_dirty_filter=self.use_dirty_filter,
+            # 5. Remap: mutable tracing state transfer — batch by batch, or
+            # the whole quiesced tree at once while clients wait it out.
+            if rolling:
+                self._hand_off_rolling(
+                    result, recorder, new_root, first_scope, worker_batches
                 )
-                report = transfer.run()
-                result.transfer_report = report
-                transfer_span.attrs["objects_transferred"] = sum(
-                    s.objects_transferred for s in report.per_process
-                )
-                clock.advance(report.total_ns)  # clients wait out the transfer
+            else:
+                with recorder.span("transfer") as transfer_span:
+                    report = result.transfer_report = self._transfer(new_root)
+                    transfer_span.attrs["objects_transferred"] = sum(
+                        s.objects_transferred for s in report.per_process
+                    )
+                    self.kernel.clock.advance(report.total_ns)
             # 6. Commit: prepare (still abortable), then the critical
             # section.  Destroying the old tree is the point of no return.
             with recorder.span("commit"):
@@ -397,9 +421,7 @@ class LiveUpdateController:
                 result.rolled_back = True
                 result.rollback_failed = bool(self._rollback_failures)
                 if verify:
-                    self._verify_rollback(
-                        result, checkpoint_fp, entry_fp, entry_steps
-                    )
+                    self._verify_rollback(result, entry_fp, entry_steps)
                 recorder.end(root, status="rolled_back")
         finally:
             # Never leave the shared recorder with a dangling open root —
@@ -414,146 +436,98 @@ class LiveUpdateController:
         self._emit_finished(result)
         return result
 
-    def _run_update_rolling(self) -> UpdateResult:
-        """Rolling per-worker live update (CRIU pre-dump style).
+    def _checkpoint(
+        self, scope: Optional[List[Process]], with_refcounts: bool
+    ) -> None:
+        """Fingerprint a just-quiesced scope (None = the whole tree).
 
-        The heavy global phases — offline analysis, restart, control
-        migration, volatile-state convergence — run while only the first
-        worker batch is quiesced: every other worker keeps serving.  The
-        hand-off loop then quiesces, fd-restores, traces and transfers
-        one batch at a time (master and stragglers in a final remainder
-        batch), pipelining the slow quiescence — the remainder's idle
-        threads, whose QP re-arm is bounded by a whole unblockify slice —
-        into the preceding batch's transfer window, while busy worker
-        batches (which converge within about one request) are scoped in
-        only at their own turn.  Transferred workers stay parked
-        until the global commit — resuming one would make its transferred
-        state stale — so the client-perceived blackout shrinks to roughly
-        the final batch plus commit, while the whole sequence still
-        commits or rolls back atomically under the same transaction
-        machinery (fault sites, black box, fingerprint verification).
+        One entry per quiesce point, in hand-off order, replayed by
+        ``_verify_rollback``; whole-tree is the one-entry case.  The
+        first scope is captured before the restart exists, so its
+        refcounts are clean; later batches are captured while the new
+        tree holds inherited references (released again on rollback), so
+        their refcount component is excluded.
         """
-        result = UpdateResult()
-        result.mode = "rolling"
-        clock = self.kernel.clock
-        with self._obs_scope(clock):
-            return self._rolling_attempt(result, clock)
-
-    def _rolling_attempt(self, result: UpdateResult, clock) -> UpdateResult:
-        recorder = obs.recorder_for(clock)
-        new_root: Optional[Process] = None
-        verify = bool(self.config.verify_rollback)
-        entry_fp: Optional[TreeFingerprint] = None
-        entry_steps = self.kernel.steps_executed
-        if verify and self.config.faults is not None:
-            entry_fp = TreeFingerprint.capture(self.kernel, self.old_root)
-        worker_batches = self._worker_batches()
-        assigned = {p for batch in worker_batches for p in batch}
-        # One (batch, fingerprint, refcounts-included) entry per quiesced
-        # batch, in hand-off order; replayed by _verify_rollback_rolling.
-        # The first batch is captured before the restart exists, so its
-        # refcounts are clean; later batches are captured while the new
-        # tree holds inherited references (released again on rollback),
-        # so their refcount component is excluded.
-        batch_checkpoints: List[Tuple[List[Process], TreeFingerprint, bool]] = []
-        root = recorder.begin(
-            "update",
-            program=self.new_program.name,
-            to_version=self.new_program.version,
-            mode="rolling",
+        if not self.config.verify_rollback:
+            return
+        subset = None if scope is None else list(scope)
+        fingerprint = TreeFingerprint.capture(
+            self.kernel,
+            self.old_root,
+            processes_subset=subset,
+            include_refcounts=with_refcounts,
         )
-        try:
-            # 1. Checkpoint the FIRST batch only; with no enumerable
-            # workers the whole tree is one degenerate batch.
-            first_batch = (
-                worker_batches[0] if worker_batches else list(self.old_root.tree())
-            )
-            with recorder.span("quiescence"):
-                self.old_session.quiescence.request(scope=first_batch)
-                self._quiesce_with_retry(result)
-            if verify:
-                batch_checkpoints.append(
-                    (
-                        list(first_batch),
-                        TreeFingerprint.capture(
-                            self.kernel,
-                            self.old_root,
-                            processes_subset=first_batch,
-                        ),
-                        True,
-                    )
-                )
-            # 2-4. Global phases, identical to the whole-tree pipeline
-            # (non-quiesced workers keep serving through all of them).
-            # Runtime descriptors are NOT restored here: each batch's
-            # live connections are installed at its own quiesce point.
-            with recorder.span("offline-analysis"):
-                fire(self.config, "offline.analysis")
-                plan = self._offline_analysis()
-            with recorder.span("restart"):
-                new_root = self._restart(plan)
-                result.new_root = new_root
-            with recorder.span("control-migration"):
-                fire(self.config, "control.migration")
-                self._run_control_migration(new_root)
-            with recorder.span("restore"):
-                self._run_post_startup_handlers(new_root)
-                self._converge_volatile(new_root)
-            # 5. The rolling hand-off loop.
-            with recorder.span("rolling-transfer") as rolling_span:
-                shared_cache = SharedScanCache()
-                merged = TransferReport()
-                pending = list(worker_batches[1:])
-                remainder_pending = bool(worker_batches)
-                batch = first_batch
-                index = 0
-                scoped_ahead = True  # first batch scoped by the request
-                while True:
-                    with recorder.span(
-                        f"worker-batch-{index}", processes=len(batch)
-                    ):
-                        if index > 0:
-                            # Worker batches are scoped in at their own
-                            # turn: they are busy serving, so they reach a
-                            # quiescent point within about one request and
-                            # this wait is near-instant.  The remainder
-                            # batch was scoped in a whole transfer window
-                            # ago (see below) and is already parked.
-                            if not scoped_ahead:
-                                self.old_session.quiescence.extend_scope(
-                                    batch
-                                )
-                            self._quiesce_with_retry(result)
-                            if verify:
-                                batch_checkpoints.append(
-                                    (
-                                        list(batch),
-                                        TreeFingerprint.capture(
-                                            self.kernel,
-                                            self.old_root,
-                                            processes_subset=batch,
-                                            include_refcounts=False,
-                                        ),
-                                        False,
-                                    )
-                                )
-                        # The next batch to hand off: the remainder (master
-                        # plus anything outside the worker list) is computed
-                        # at scheduling time so late-born processes are seen.
-                        next_batch: Optional[List[Process]] = None
-                        next_is_remainder = False
-                        if pending:
-                            next_batch = pending.pop(0)
-                        elif remainder_pending:
-                            remainder_pending = False
-                            next_is_remainder = True
-                            next_batch = [
-                                p
-                                for p in self.old_root.tree()
-                                if p not in assigned
-                            ]
-                            if not next_batch:
-                                next_batch = None
+        self._checkpoints.append((subset, fingerprint, with_refcounts))
+
+    def _transfer(self, new_root: Process, **scope: Any) -> TransferReport:
+        """Run mutable-tracing state transfer (of the tree, or one batch)."""
+        return StateTransfer(
+            self.old_root,
+            new_root,
+            self.new_program,
+            self.config,
+            self.cost,
+            use_dirty_filter=self.use_dirty_filter,
+            **scope,
+        ).run()
+
+    def _hand_off_rolling(
+        self,
+        result: UpdateResult,
+        recorder,
+        new_root: Process,
+        first_batch: List[Process],
+        worker_batches: List[List[Process]],
+    ) -> None:
+        """The rolling per-worker hand-off loop.
+
+        Quiesces, fd-restores, traces and transfers one batch at a time
+        (master and stragglers in a final remainder batch), pipelining
+        the slow quiescence — the remainder's idle threads, whose QP
+        re-arm is bounded by a whole unblockify slice — into the
+        preceding batch's transfer window, while busy worker batches
+        (which converge within about one request) are scoped in only at
+        their own turn.  Transferred workers stay parked until the
+        global commit — resuming one would make its transferred state
+        stale — so the client-perceived blackout shrinks to roughly the
+        final batch plus commit, while the whole sequence still commits
+        or rolls back atomically.
+        """
+        assigned = {p for batch in worker_batches for p in batch}
+        quiescence = self.old_session.quiescence
+        with recorder.span("rolling-transfer") as rolling_span:
+            shared_cache = SharedScanCache()
+            merged = TransferReport()
+            pending = list(worker_batches[1:])
+            remainder_pending = bool(worker_batches)
+            batch = first_batch
+            index = 0
+            scoped_ahead = True  # first batch scoped by the request
+            while True:
+                with recorder.span(f"worker-batch-{index}", processes=len(batch)):
+                    if index > 0:
+                        # Worker batches are scoped in at their own turn:
+                        # they are busy serving, so they reach a quiescent
+                        # point within about one request and this wait is
+                        # near-instant.  The remainder batch was scoped in
+                        # a whole transfer window ago (see below) and is
+                        # already parked.
+                        if not scoped_ahead:
+                            quiescence.extend_scope(batch)
+                        self._quiesce_with_retry(result)
+                        self._checkpoint(batch, with_refcounts=False)
+                    # The next batch to hand off: the remainder (master
+                    # plus anything outside the worker list) is computed
+                    # at scheduling time so late-born processes are seen.
+                    next_batch: Optional[List[Process]] = None
+                    scoped_ahead = False
+                    if pending:
+                        next_batch = pending.pop(0)
+                    elif remainder_pending:
+                        remainder_pending = False
+                        next_batch = [
+                            p for p in self.old_root.tree() if p not in assigned
+                        ] or None
                         # The pipeline overlap: the remainder batch (master,
                         # janitors — processes that serve no clients) is
                         # scoped in NOW, a full transfer window before its
@@ -564,90 +538,34 @@ class LiveUpdateController:
                         # left serving.  Worker batches are NOT pre-scoped:
                         # parking a serving worker early would grow the
                         # client-perceived blackout for no convergence gain.
-                        scoped_ahead = False
-                        if next_batch is not None and next_is_remainder:
-                            self.old_session.quiescence.extend_scope(
-                                next_batch
-                            )
+                        if next_batch is not None:
+                            quiescence.extend_scope(next_batch)
                             scoped_ahead = True
-                        self._restore_runtime_fds(new_root, only=batch)
-                        transfer = StateTransfer(
-                            self.old_root,
-                            new_root,
-                            self.new_program,
-                            self.config,
-                            self.cost,
-                            use_dirty_filter=self.use_dirty_filter,
-                            only_processes=batch,
-                            shared_cache=shared_cache,
-                            include_base_cost=(index == 0),
-                        )
-                        report = transfer.run()
-                        merged.per_process.extend(report.per_process)
-                        merged.trace_results.update(report.trace_results)
-                        merged.conflicts.extend(report.conflicts)
-                        merged.total_ns += report.total_ns
-                        # The still-serving workers (and the clients they
-                        # serve) live through this batch's transfer time,
-                        # instead of the whole tree waiting it out.
-                        self.kernel.run_for(report.total_ns)
-                    index += 1
-                    if next_batch is None:
-                        break
-                    batch = next_batch
-                result.transfer_report = merged
-                result.rolling_batches = index
-                rolling_span.attrs["batches"] = index
-                rolling_span.attrs["objects_transferred"] = sum(
-                    s.objects_transferred for s in merged.per_process
-                )
-            # 6. Commit, same transaction boundary as whole-tree mode.
-            with recorder.span("commit"):
-                self._commit_prepare(new_root)
-                self._past_point_of_no_return = True
-                self._commit_critical(new_root)
-            result.committed = True
-            result.new_session = self.new_session
-            recorder.end(root, status=STATUS_OK)
-        except (MCRError, SimError) as error:
-            result.error = error
-            result.failure_site = (
-                getattr(error, "fault_site", None)
-                or self._derive_failure_site(root)
-            )
-            if self._past_point_of_no_return:
-                self._finish_commit()
-                result.committed = True
-                result.new_session = self.new_session
-                root.attrs["commit_fault"] = repr(error)
-                obs.emit(
-                    "update.commit_fault_contained",
-                    severity="error",
-                    site=result.failure_site,
-                    error=repr(error),
-                )
-                self._record_blackbox(result, recorder, "commit_fault_contained")
-                recorder.end(root, status=STATUS_OK)
-            else:
-                with recorder.span("rollback", reason=str(error)):
-                    self._rollback(new_root)
-                    self._record_blackbox(result, recorder, "rolled_back")
-                result.rolled_back = True
-                result.rollback_failed = bool(self._rollback_failures)
-                if verify:
-                    self._verify_rollback_rolling(
-                        result, batch_checkpoints, entry_fp, entry_steps
+                    self._restore_runtime_fds(new_root, only=batch)
+                    report = self._transfer(
+                        new_root,
+                        only_processes=batch,
+                        shared_cache=shared_cache,
+                        include_base_cost=(index == 0),
                     )
-                recorder.end(root, status="rolled_back")
-        finally:
-            if not root.closed:
-                in_flight = result.error or _host_sys.exc_info()[1]
-                if in_flight is not None:
-                    root.attrs["error"] = repr(in_flight)
-                recorder.end(root, status=STATUS_ERROR)
-        result.finalize_from_spans(root)
-        self._emit_finished(result)
-        return result
+                    merged.per_process.extend(report.per_process)
+                    merged.trace_results.update(report.trace_results)
+                    merged.conflicts.extend(report.conflicts)
+                    merged.total_ns += report.total_ns
+                    # The still-serving workers (and the clients they
+                    # serve) live through this batch's transfer time,
+                    # instead of the whole tree waiting it out.
+                    self.kernel.run_for(report.total_ns)
+                index += 1
+                if next_batch is None:
+                    break
+                batch = next_batch
+            result.transfer_report = merged
+            result.rolling_batches = index
+            rolling_span.attrs["batches"] = index
+            rolling_span.attrs["objects_transferred"] = sum(
+                s.objects_transferred for s in merged.per_process
+            )
 
     def _worker_batches(self) -> List[List[Process]]:
         """Ordered worker batches for the rolling hand-off.
@@ -670,44 +588,6 @@ class LiveUpdateController:
             workers = list(self.old_root.tree()[1:])
         size = max(1, int(self.config.rolling_batch))
         return [workers[i : i + size] for i in range(0, len(workers), size)]
-
-    def _verify_rollback_rolling(
-        self,
-        result: UpdateResult,
-        batch_checkpoints: List[Tuple[List[Process], TreeFingerprint, bool]],
-        entry_fp: Optional[TreeFingerprint],
-        entry_steps: int,
-    ) -> None:
-        """Fingerprint-verify a rolled-back rolling update.
-
-        Every batch that reached its quiesce point was captured there;
-        parked workers cannot run between capture and rollback, so each
-        capture is compared against a fresh scoped snapshot.  A failure
-        before the first batch quiesced falls back to the entry capture,
-        exactly like the whole-tree path.
-        """
-        if not batch_checkpoints:
-            self._verify_rollback(result, None, entry_fp, entry_steps)
-            return
-        problems: List[str] = []
-        try:
-            for batch, baseline, with_refcounts in batch_checkpoints:
-                after = TreeFingerprint.capture(
-                    self.kernel,
-                    self.old_root,
-                    processes_subset=batch,
-                    include_refcounts=with_refcounts,
-                )
-                problems.extend(baseline.diff(after))
-        except BaseException as error:  # verification must never throw
-            problems.append(f"fingerprint capture failed: {error!r}")
-        result.rollback_verified = not problems
-        if problems:
-            obs.emit(
-                "update.rollback_divergence",
-                severity="error",
-                problems="; ".join(problems[:8]),
-            )
 
     # -- transaction helpers ------------------------------------------------------
 
@@ -747,20 +627,35 @@ class LiveUpdateController:
     def _verify_rollback(
         self,
         result: UpdateResult,
-        checkpoint_fp: Optional[TreeFingerprint],
         entry_fp: Optional[TreeFingerprint],
         entry_steps: int,
     ) -> None:
-        baseline = checkpoint_fp
-        if baseline is None and self.kernel.steps_executed == entry_steps:
-            baseline = entry_fp
-        if baseline is None:
-            return  # old threads ran since capture: nothing comparable
+        """Fingerprint-verify the rolled-back old tree.
+
+        Every scope that reached its quiesce point was captured there
+        (whole-tree: one entry covering everything; rolling: one per
+        batch); parked processes cannot run between capture and rollback,
+        so each capture is compared against a fresh snapshot of the same
+        scope.  A failure before the first quiesce point falls back to
+        the entry capture, usable only if no old thread ran since.
+        """
+        checkpoints = self._checkpoints
+        if not checkpoints:
+            if entry_fp is None or self.kernel.steps_executed != entry_steps:
+                return  # old threads ran since capture: nothing comparable
+            checkpoints = [(None, entry_fp, True)]
+        problems: List[str] = []
         try:
-            after = TreeFingerprint.capture(self.kernel, self.old_root)
-            problems = baseline.diff(after)
+            for subset, baseline, with_refcounts in checkpoints:
+                after = TreeFingerprint.capture(
+                    self.kernel,
+                    self.old_root,
+                    processes_subset=subset,
+                    include_refcounts=with_refcounts,
+                )
+                problems.extend(baseline.diff(after))
         except BaseException as error:  # verification must never throw
-            problems = [f"fingerprint capture failed: {error!r}"]
+            problems.append(f"fingerprint capture failed: {error!r}")
         result.rollback_verified = not problems
         if problems:
             obs.emit(
@@ -781,8 +676,8 @@ class LiveUpdateController:
         The artifact bundles the last N events (including any injected
         fault), the currently open span stack, periodic gauge samples,
         and a fingerprint summary of the surviving tree.  Written to
-        ``config.blackbox_path`` when set; a write failure is reported,
-        never raised.
+        ``config.blackbox_path`` when set (``Collector.blackbox``: a write
+        failure is reported, never raised).
         """
         collector = obs.ACTIVE
         if collector is None:  # pragma: no cover - private install covers this
@@ -794,36 +689,23 @@ class LiveUpdateController:
                 fingerprint = TreeFingerprint.capture(self.kernel, survivor).summary()
         except BaseException:  # the dump must never make a failure worse
             fingerprint = None
-        result.blackbox = collector.recorder.dump(
+        # Deterministic replay hook: when this update ran under a
+        # ``repro.replay`` recording, the black box carries the trace
+        # reference (scenario spec + trace file path), so the post-mortem
+        # artifact alone is enough to re-execute the run to this failure
+        # (``python -m repro replay blackbox.json --to-failure``).
+        trace = replay_trace.ACTIVE
+        result.blackbox, result.blackbox_path = collector.blackbox(
             reason,
+            self.config.blackbox_path,
             failure_site=result.failure_site,
             open_spans=[span.name for span in recorder._stack],
             fingerprint=fingerprint,
             error=repr(result.error),
             program=self.new_program.name,
             to_version=self.new_program.version,
+            **({} if trace is None else {"trace": trace.reference()}),
         )
-        # Deterministic replay hook: when this update ran under a
-        # ``repro.replay`` recording, the black box carries the trace
-        # reference (scenario spec + trace file path), so the post-mortem
-        # artifact alone is enough to re-execute the run to this failure
-        # (``python -m repro replay blackbox.json --to-failure``).
-        active_trace = replay_trace.ACTIVE
-        if active_trace is not None:
-            result.blackbox["trace"] = active_trace.reference()
-        path = self.config.blackbox_path
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(result.blackbox, handle, indent=2, sort_keys=True)
-                result.blackbox_path = str(path)
-            except OSError as error:
-                obs.emit(
-                    "update.blackbox_write_failed",
-                    severity="warn",
-                    path=str(path),
-                    error=repr(error),
-                )
 
     def _emit_finished(self, result: UpdateResult) -> None:
         fields: dict = {
@@ -943,13 +825,17 @@ class LiveUpdateController:
         plan.apply_union_to_heap(new_root.heap)
         return new_root
 
-    def _run_control_migration(self, new_root: Process) -> None:
-        session = self.new_session
+    def _drive_to_barrier(self, new_root: Process) -> bool:
+        """Run the world until the new tree parks (or the deadline passes)."""
+        quiescence = self.new_session.quiescence
         self.kernel.run(
-            until=lambda: session.quiescence.is_quiescent(new_root),
+            until=lambda: quiescence.is_quiescent(new_root),
             max_ns=self.config.quiescence_deadline_ns,
         )
-        if not session.quiescence.is_quiescent(new_root):
+        return quiescence.is_quiescent(new_root)
+
+    def _run_control_migration(self, new_root: Process) -> None:
+        if not self._drive_to_barrier(new_root):
             laggards = [
                 f"{t.process.name}:{t.name}@{t.top_function()}"
                 for t in tree_live_threads(new_root)
@@ -958,7 +844,7 @@ class LiveUpdateController:
             raise MCRError(
                 f"control migration did not converge; laggards: {', '.join(laggards)}"
             )
-        session.replay_engine.finish(new_root)
+        self.new_session.replay_engine.finish(new_root)
 
     def _run_post_startup_handlers(self, new_root: Process) -> None:
         annotations = getattr(self.new_program, "annotations", None)
@@ -970,14 +856,9 @@ class LiveUpdateController:
 
     def _converge_volatile(self, new_root: Process) -> None:
         """Drive freshly recreated threads/processes to the barrier."""
-        session = self.new_session
-        if session.quiescence.is_quiescent(new_root):
+        if self.new_session.quiescence.is_quiescent(new_root):
             return
-        self.kernel.run(
-            until=lambda: session.quiescence.is_quiescent(new_root),
-            max_ns=self.config.quiescence_deadline_ns,
-        )
-        if not session.quiescence.is_quiescent(new_root):
+        if not self._drive_to_barrier(new_root):
             raise MCRError("volatile quiescent states did not converge")
 
     def _restore_runtime_fds(
@@ -1037,12 +918,6 @@ class LiveUpdateController:
         self.old_session.quiescence.release()
         self.new_session.phase = PHASE_NORMAL
         self.new_session.quiescence.release()
-
-    def _commit(self, new_root: Process) -> None:
-        """Single-shot commit (kept for direct callers/tests)."""
-        self._commit_prepare(new_root)
-        self._past_point_of_no_return = True
-        self._commit_critical(new_root)
 
     def _rollback(self, new_root: Optional[Process]) -> None:
         """Atomic reversal: destroy the new tree, resume the old version.

@@ -39,8 +39,9 @@ Usage::
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import VirtualClock
 from repro.obs.counters import CounterSet
@@ -88,6 +89,34 @@ class Collector:
         from repro.obs.export import collector_to_dict
 
         return collector_to_dict(self)
+
+    def blackbox(
+        self, reason: str, path: Optional[str] = None, **fields: Any
+    ) -> Tuple[Dict[str, Any], Optional[str]]:
+        """Dump the flight recorder as a post-mortem, optionally to ``path``.
+
+        The one black-box writer: failed updates, failed restores,
+        refused promotions and aborted migrations all come through here.
+        Returns the document and the path it reached (``None`` without a
+        path or when the write failed).  The dump must never make a
+        failure worse, so a write failure is one ``blackbox.write_failed``
+        warn event, never an exception.
+        """
+        document = self.recorder.dump(reason, **fields)
+        if not path:
+            return document, None
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+        except (OSError, TypeError, ValueError) as error:
+            self.events.emit(
+                "blackbox.write_failed",
+                severity="warn",
+                path=str(path),
+                error=repr(error),
+            )
+            return document, None
+        return document, str(path)
 
 
 # The active collector, or None (the no-op fast path).  Hot paths read

@@ -496,6 +496,34 @@ class TestBlackbox:
         assert status["last_update"] == "rolled_back"
         assert status["last_update_blackbox"] == result.blackbox_path
 
+    def test_unwritable_path_is_one_warn_event_never_an_exception(self, tmp_path):
+        kernel = Kernel()
+        _program, session = _booted_simple(kernel)
+        config = MCRConfig(
+            faults=FaultPlan().at("transfer.memory"),
+            blackbox_path=str(tmp_path / "no-such-dir" / "blackbox.json"),
+        )
+        with obs.collecting(kernel.clock) as collector:
+            result = McrCtl(kernel, session).live_update(
+                simple.make_program(2), config=config
+            )
+        assert result.rolled_back and result.rollback_verified
+        assert result.blackbox is not None and result.blackbox_path is None
+        failures = [e for e in collector.events if e.name == "blackbox.write_failed"]
+        assert len(failures) == 1 and failures[0].severity == "warn"
+
+    def test_collector_blackbox_is_the_writer(self, tmp_path):
+        collector = obs.Collector(VirtualClock())
+        collector.events.emit("fault.injected", severity="warn", site="x")
+        path = tmp_path / "blackbox.json"
+        document, written = collector.blackbox("why", str(path), failure_site="x")
+        assert written == str(path)
+        assert json.loads(path.read_text()) == document
+        assert document["reason"] == "why" and document["failure_site"] == "x"
+        assert document["last_fault"]["payload"]["site"] == "x"
+        # No path: the document only.
+        assert collector.blackbox("why")[1] is None
+
     def test_committed_update_has_no_blackbox(self):
         kernel = Kernel()
         _program, session = _booted_simple(kernel)

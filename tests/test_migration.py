@@ -14,12 +14,20 @@ import json
 
 import pytest
 
-from repro.bench.faultmatrix import run_migration_cell
+from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
+from repro.bench.migrate import COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head
 from repro.fleet.migration import MigrationDrill, run_migration_drill
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import DEFAULT_ERRORS, MIGRATION_SITES, SITES, FaultPlan
 
-FAULT_CELLS = tuple(MIGRATION_SITES) + ("migrate.precopy+migrate.cutover",)
+# The whole migration grid: the clean migration (None), every
+# migration-plane site, and the pre-copy + cutover double fault.
+_GRID = DRILL_GRIDS["migration"]
+FAULT_CELLS = (None, *_GRID.sites, _GRID.double)
+
+
+def run_migration_cell(server, site, blackbox_path=None):
+    return run_drill_cell("migration", server, site, blackbox_path=blackbox_path)
 
 
 def test_clean_migration_loses_nothing():
@@ -44,12 +52,25 @@ def test_fault_cells_converge_without_raising(site, tmp_path):
     )
     assert not cell["raised"], cell.get("error")
     assert cell["error"] is None
-    assert cell["fired"], f"armed fault at {site} never fired"
+    assert cell["fired"] == (site is not None), f"armed fault at {site}"
     assert cell["served_after"]
     assert cell["requests_lost"] == 0
     # Exactly one end state per cell, never both, never neither.
     assert cell["migrated"] != cell["primary_survived"]
     assert cell["converged"]
+
+
+def test_planned_brownout_is_at_most_comparable_to_the_crash_rto():
+    # Same cadence, same windows, same request stream: the planned
+    # brownout may not exceed COMPARABLE_FACTOR multiples of the crash RTO.
+    row = _head_to_head("simple", SMOKE_CADENCES_MS[0])
+    assert row["migrate_lost"] == 0 and row["failover_lost"] == 0
+    assert row["migrate_brownout_ms"] is not None
+    assert row["failover_rto_ms"] is not None
+    assert (
+        row["migrate_brownout_ms"] <= COMPARABLE_FACTOR * row["failover_rto_ms"]
+    )
+    assert row["comparable"]
 
 
 def test_precopy_fault_costs_a_round_not_the_migration(tmp_path):
