@@ -40,25 +40,25 @@ class VirtualClock:
     """Monotonic, manually-advanced nanosecond clock."""
 
     def __init__(self, start_ns: int = 0) -> None:
-        self._now_ns = start_ns
-
-    @property
-    def now_ns(self) -> int:
-        return self._now_ns
+        # A plain attribute: it is read several times per kernel step.
+        # ``advance`` is the checked writer; the only code that adds to it
+        # directly is ``Kernel._step``, with costs validated non-negative
+        # when the kernel was built.
+        self.now_ns = start_ns
 
     @property
     def now_ms(self) -> float:
-        return ns_to_ms(self._now_ns)
+        return ns_to_ms(self.now_ns)
 
     def advance(self, delta_ns: int) -> int:
         """Advance the clock by ``delta_ns`` and return the new time."""
         if delta_ns < 0:
             raise ValueError(f"clock cannot go backwards: {delta_ns}")
-        self._now_ns += delta_ns
-        return self._now_ns
+        self.now_ns += delta_ns
+        return self.now_ns
 
     def elapsed_since(self, t0_ns: int) -> int:
-        return self._now_ns - t0_ns
+        return self.now_ns - t0_ns
 
 
 class StopWatch:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.ptmalloc import PtMallocHeap
@@ -87,10 +87,19 @@ class WaitQueue:
         self._entries = keep
 
 
-def call_stack_id(names: List[str]) -> int:
-    """Version-agnostic context hash of the active function names."""
+@functools.lru_cache(maxsize=4096)  # a program has a few hundred distinct stacks
+def _stack_tuple_id(names: Tuple[str, ...]) -> int:
     digest = hashlib.sha1("/".join(names).encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def call_stack_id(names: List[str]) -> int:
+    """Version-agnostic context hash of the active function names.
+
+    Taken on every ``malloc`` (the allocation-site id) and every recorded
+    or replayed syscall, so the SHA-1 is memoised per call-stack tuple.
+    """
+    return _stack_tuple_id(tuple(names))
 
 
 def sim_function(fn: Callable[..., Generator]) -> Callable[..., Generator]:

@@ -1,9 +1,10 @@
 """Syscall requests, the cost model, and per-syscall semantics.
 
 A simulated thread performs a syscall by yielding a ``SyscallRequest``; the
-kernel dispatches it here.  A handler returns either an immediate result or
-a ``Blocked`` marker carrying a readiness predicate — the scheduler parks
-the thread and polls the predicate (with an optional timeout deadline).
+kernel looks its handler and cost up in ``SyscallTable.entries``.  A handler
+returns either an immediate result or a ``Blocked`` marker carrying a
+readiness predicate — the scheduler parks the thread and polls the
+predicate (with an optional timeout deadline).
 
 This module is *the* interception boundary of the reproduction: MCR's
 dynamic instrumentation wraps requests before they reach the kernel
@@ -17,9 +18,8 @@ instrumented builds charging extra work through the same clock.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro import obs
 from repro.errors import BadFileDescriptor, SimError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,29 +138,29 @@ BASE_COSTS: Dict[str, int] = {
 }
 
 
+# Charged for a name with no ``BASE_COSTS`` entry — in particular for an
+# unknown syscall, which costs a kernel entry before it fails.
+DEFAULT_COST_NS = 1_000
+
+
 class SyscallTable:
-    """Dispatches requests to handlers; owned by the kernel."""
+    """The syscall handlers and their costs; owned by the kernel.
+
+    ``entries`` is the one ``name -> (handler, cost_ns)`` table:
+    ``Kernel._step`` looks a request up in it once and adds the cost to the
+    clock directly, so a negative cost is refused here, at construction.
+    """
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self._handlers: Dict[str, Callable] = {
-            name[len("sys_"):]: getattr(self, name)
-            for name in dir(self)
-            if name.startswith("sys_")
-        }
-
-    def dispatch(self, thread: "Thread", request: SyscallRequest) -> Any:
-        handler = self._handlers.get(request.name)
-        if handler is None:
-            raise SimError(f"unknown syscall: {request.name}")
-        collector = obs.ACTIVE
-        if collector is not None:
-            collector.counters.incr("syscall." + request.name)
-            collector.counters.incr("syscall.total")
-        return handler(thread, **request.args)
-
-    def cost_of(self, name: str) -> int:
-        return BASE_COSTS.get(name, 1_000)
+        self.entries: Dict[str, Tuple[Callable, int]] = {}
+        for attr in dir(self):
+            if attr.startswith("sys_"):
+                name = attr[len("sys_"):]
+                cost_ns = BASE_COSTS.get(name, DEFAULT_COST_NS)
+                if cost_ns < 0:
+                    raise ValueError(f"negative cost for syscall {name}: {cost_ns}")
+                self.entries[name] = (getattr(self, attr), cost_ns)
 
     def _install(self, thread: "Thread", obj: Any, reserved: bool) -> int:
         """Install a new descriptor.

@@ -89,6 +89,7 @@ class Mapping:
     def __init__(self, base: int, size: int, name: str, kind: str) -> None:
         self.base = base
         self.size = _round_up_pages(size)
+        self.end = base + self.size  # stored: a mapping never moves or grows
         self.name = name
         self.kind = kind  # "data" | "heap" | "stack" | "mmap" | "lib"
         # Demand-zero store.  Private, not shared: a shared anonymous map
@@ -97,10 +98,6 @@ class Mapping:
             -1, self.size, flags=_mmap.MAP_PRIVATE | _mmap.MAP_ANONYMOUS
         )
         self.tracker = PageTracker(base, self.size)
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -255,13 +252,15 @@ class AddressSpace:
 
     def _locate(self, address: int, size: int, verb: str) -> Mapping:
         """The mapping backing ``[address, address+size)``, or MemoryFault."""
-        mapping = self.mapping_at(address)
-        if mapping is None:
-            raise MemoryFault(
-                address,
-                f"{verb} of unmapped memory{self._unmapped_detail(address)}",
-            )
-        if address - mapping.base + size > mapping.size:
+        mapping = self._hit  # the last hit, checked here to save the call
+        if mapping is None or not mapping.base <= address < mapping.end:
+            mapping = self.mapping_at(address)
+            if mapping is None:
+                raise MemoryFault(
+                    address,
+                    f"{verb} of unmapped memory{self._unmapped_detail(address)}",
+                )
+        if address + size > mapping.end:
             raise MemoryFault(address + size, f"{verb} crosses mapping end")
         return mapping
 
@@ -269,6 +268,26 @@ class AddressSpace:
         mapping = self._locate(address, size, "read")
         offset = address - mapping.base
         return mapping.data[offset : offset + size]
+
+    def read_cstr(self, address: int, limit: int) -> bytes:
+        """The bytes at ``address`` up to the first NUL or ``limit`` of them.
+
+        One search per mapping the string touches — one, unless it runs
+        into an adjacent mapping; a string that runs off the end of its
+        last mapping faults there, exactly as reading it byte by byte
+        would.
+        """
+        out = b""
+        while len(out) < limit:
+            cursor = address + len(out)
+            mapping = self._locate(cursor, 1, "read")
+            start = cursor - mapping.base
+            stop = min(start + limit - len(out), mapping.size)
+            nul = mapping.data.find(b"\x00", start, stop)
+            out += mapping.data[start : stop if nul < 0 else nul]
+            if nul >= 0:
+                break
+        return out
 
     def view(self, address: int, size: int) -> memoryview:
         """A zero-copy read window over ``[address, address+size)``.
@@ -282,10 +301,11 @@ class AddressSpace:
         return memoryview(mapping.data)[offset : offset + size].toreadonly()
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        mapping = self._locate(address, len(data), "write")
+        size = len(data)
+        mapping = self._locate(address, size, "write")
         offset = address - mapping.base
-        mapping.data[offset : offset + len(data)] = data
-        self.soft_dirty_faults += mapping.tracker.note_write(address, len(data))
+        mapping.data[offset : offset + size] = data
+        self.soft_dirty_faults += mapping.tracker.note_write(address, size)
 
     def read_word(self, address: int) -> int:
         mapping = self._locate(address, 8, "read")

@@ -27,6 +27,7 @@ behaviour, in-band metadata placement).
 from __future__ import annotations
 
 import bisect
+import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -34,6 +35,7 @@ from repro.errors import AllocatorError, MemoryFault
 from repro.mem.address_space import AddressSpace, HEAP_BASE, Mapping
 
 HEADER_SIZE = 32
+_HEADER = struct.Struct("<4Q")
 MIN_ALIGN = 16
 
 FLAG_IN_USE = 0x1
@@ -345,12 +347,8 @@ class PtMallocHeap:
 
     def _write_header(self, chunk: Chunk) -> None:
         flags = FLAG_IN_USE | (FLAG_STARTUP if chunk.startup else 0)
-        header = (
-            chunk.total_size.to_bytes(8, "little")
-            + flags.to_bytes(8, "little")
-            + chunk.site_id.to_bytes(8, "little")
-            + (0).to_bytes(8, "little")  # tag id mirror, set by TagStore
-        )
+        # size, flags, site id, tag id mirror (set by TagStore)
+        header = _HEADER.pack(chunk.total_size, flags, chunk.site_id, 0)
         self._space.write_bytes(chunk.base, header)
 
     def set_header_tag(self, chunk: Chunk, tag_id: int) -> None:

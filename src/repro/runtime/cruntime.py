@@ -304,15 +304,7 @@ class CRuntime:
         self.process.space.write_bytes(address, data)
 
     def read_cstr(self, address: int, limit: int = 4096) -> str:
-        out = bytearray()
-        cursor = address
-        while len(out) < limit:
-            chunk = self.process.space.read_bytes(cursor, 1)
-            if chunk == b"\x00":
-                break
-            out.extend(chunk)
-            cursor += 1
-        return out.decode(errors="replace")
+        return self.process.space.read_cstr(address, limit).decode(errors="replace")
 
     def strdup(self, thread: Thread, text: str) -> int:
         """Heap-allocate a C string.  Char data: opaque even when tagged."""

@@ -2,8 +2,10 @@
 
 One ``MCRSession`` exists per *program instance* (the process tree of one
 running version); one ``MCRRuntime`` attaches to each process in the tree.
-Every syscall of an MCR-enabled process funnels through
-``MCRRuntime.intercept``, which implements:
+``Sys._invoke`` routes a syscall of an MCR-enabled process through
+``MCRRuntime.intercept`` whenever the session is still starting up or the
+call site is a quiescent point of an unblockified build — the only calls
+it acts on — and ``intercept`` is the single home of:
 
 * **unblockification** (§4) — profiled quiescent-point call sites are
   issued in timeout slices with the quiescence hook run between slices;
@@ -181,10 +183,7 @@ class MCRRuntime:
     def __init__(self, session: MCRSession, process: Process) -> None:
         self.session = session
         self.process = process
-
-    @property
-    def build(self) -> BuildConfig:
-        return self.session.build
+        self.build: BuildConfig = session.build  # fixed for the session's life
 
     def on_fork(self, child: Process) -> "MCRRuntime":
         return self.session.attach_process(child)
@@ -192,6 +191,12 @@ class MCRRuntime:
     # -- the funnel (generator; driven with yield from by Sys._invoke) ---------------
 
     def intercept(self, sys_api, name: str, args: Dict[str, Any], timeout_ns: Optional[int]):
+        """Record, replay, reserve or unblockify one syscall — or pass it on.
+
+        Correct for *every* call (the tests drive it unconditionally as the
+        oracle); ``Sys._invoke`` merely skips it where it would pass the
+        request through untouched.
+        """
         thread: Thread = sys_api.thread
         session = self.session
         program = self.process.program

@@ -2,11 +2,15 @@
 and the libmcr interception (recording, separability, metadata)."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.errors import AllocatorError, SimError
+from repro.errors import AllocatorError, MemoryFault, SimError
 from repro.kernel import Kernel, sim_function
 from repro.kernel.fdtable import RESERVED_BASE, STASH_BASE
-from repro.runtime.cruntime import SharedLib
+from repro.kernel.process import Process
+from repro.mem.pages import PAGE_SIZE
+from repro.runtime.cruntime import CRuntime, SharedLib
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
@@ -284,3 +288,83 @@ class TestLibmcrRecording:
             make_test_program([]), build=BuildConfig.baseline()
         )
         assert proc.runtime is None and session is None
+
+
+def byte_loop_read_cstr(space, address, limit=4096):
+    """``CRuntime.read_cstr`` as it was: one ``read_bytes`` call per byte."""
+    out = bytearray()
+    cursor = address
+    while len(out) < limit:
+        chunk = space.read_bytes(cursor, 1)
+        if chunk == b"\x00":
+            break
+        out.extend(chunk)
+        cursor += 1
+    return out.decode(errors="replace")
+
+
+def _outcome(read):
+    try:
+        return ("ok", read())
+    except MemoryFault as fault:
+        return ("fault", fault.address, str(fault))
+
+
+class TestReadCstrAgainstTheByteLoop:
+    """One ``find`` per mapping must read what one ``read_bytes`` per byte did."""
+
+    BASE = 0x7000_0000
+
+    @given(
+        tail=st.binary(max_size=48),
+        back=st.integers(0, 48),
+        limit=st.integers(0, 80),
+        neighbour=st.none() | st.binary(max_size=24),
+    )
+    # NUL absent, string runs off the end of its mapping: same fault.
+    @example(tail=b"abc", back=3, limit=4096, neighbour=None)
+    # ...unless the limit stops it first, or exactly at the last byte.
+    @example(tail=b"abc", back=3, limit=2, neighbour=None)
+    @example(tail=b"abc", back=3, limit=3, neighbour=None)
+    # NUL at offset 0, and on the last byte of the mapping.
+    @example(tail=b"\x00bc", back=3, limit=4096, neighbour=None)
+    @example(tail=b"ab\x00", back=3, limit=4096, neighbour=None)
+    # limit just below / at / just above the distance to the NUL.
+    @example(tail=b"abcd\x00e", back=6, limit=3, neighbour=None)
+    @example(tail=b"abcd\x00e", back=6, limit=4, neighbour=None)
+    @example(tail=b"abcd\x00e", back=6, limit=5, neighbour=None)
+    # The string continues into a mapping that starts where this one ends.
+    @example(tail=b"ab", back=2, limit=4096, neighbour=b"cd\x00e")
+    @example(tail=b"\xff\xfe", back=2, limit=3, neighbour=b"cd")
+    def test_same_string_same_truncation_same_fault(self, tail, back, limit, neighbour):
+        kernel = Kernel()
+        process = Process(1, kernel, "strings")
+        space = process.space
+        first = space.map(PAGE_SIZE, address=self.BASE)
+        space.write_bytes(first.base, b"\xaa" * PAGE_SIZE)  # no stray terminator
+        if tail:
+            space.write_bytes(first.end - len(tail), tail)
+        if neighbour is not None:
+            second = space.map(PAGE_SIZE, address=first.end)
+            if neighbour:
+                space.write_bytes(second.base, neighbour)
+        address = first.end - min(back, len(tail))
+        faults_before = space.soft_dirty_faults
+        crt = CRuntime(process)
+        assert _outcome(lambda: crt.read_cstr(address, limit)) == _outcome(
+            lambda: byte_loop_read_cstr(space, address, limit)
+        )
+        assert space.soft_dirty_faults == faults_before  # a read stays a read
+
+    def test_default_limit_and_unmapped_start(self):
+        process = Process(1, Kernel(), "strings")
+        space = process.space
+        mapping = space.map(2 * PAGE_SIZE, address=self.BASE)
+        space.write_bytes(mapping.base, b"x" * (2 * PAGE_SIZE))
+        crt = CRuntime(process)
+        assert crt.read_cstr(mapping.base) == "x" * 4096
+        assert crt.read_cstr(mapping.base, limit=0) == ""
+        assert crt.read_cstr(mapping.end, limit=0) == ""  # never touches memory
+        assert _outcome(lambda: crt.read_cstr(mapping.end)) == _outcome(
+            lambda: byte_loop_read_cstr(space, mapping.end)
+        )
