@@ -10,10 +10,11 @@ Three views of the one scan engine:
   likely-pointer lists and ``words_scanned`` counts, and reports the
   resolve traffic of each.
 * **Per-server update** — one full ``run_update`` per server: host wall
-  time next to the simulated results (virtual update time, words
-  scanned, likely pointers, scan-cache hits), which are checked against
-  ``UPDATE_SPEC`` — how fast the host sweeps memory may change, what the
-  simulation measures may not.
+  time and the traces the update's memo reused instead of walking again,
+  next to the simulated results (virtual update time, words scanned,
+  likely pointers), which are checked against ``UPDATE_SPEC`` — how fast
+  the host sweeps memory may change, what the simulation measures may
+  not.
 * **Scaling curve** — worker count vs sweep throughput, rolling
   ``run_update`` wall time and memory (simulated mapped/resident bytes,
   host ``ru_maxrss``) on scaled-up httpd prefork trees (8 .. 1000
@@ -179,7 +180,7 @@ def _measure_update(name: str) -> Dict[str, object]:
             len(r.likely_pointers)
             for r in result.transfer_report.trace_results.values()
         ),
-        "cache_hits": collector.counters.snapshot().get("scan.cache_hits", 0),
+        "traces_reused": collector.counters.snapshot().get("trace.memo_hits", 0),
     }
     if name in UPDATE_SPEC:
         row["matches_spec"] = UPDATE_SPEC[name] == (
@@ -308,7 +309,7 @@ def render(results: Dict[str, object]) -> str:
             f"{row['virtual_total_ms']:.6f}",
             fmt_cell(row["words_scanned"]),
             fmt_cell(row["likely_pointers"]),
-            fmt_cell(row["cache_hits"]),
+            fmt_cell(row["traces_reused"]),
             fmt_cell(row.get("matches_spec")),
         ]
         for name, row in results["servers"].items()
@@ -316,7 +317,7 @@ def render(results: Dict[str, object]) -> str:
     lines.append(
         render_table(
             "run_update per server",
-            ["server", "wall_ms", "virt_ms", "words", "likely", "cache_hits", "spec"],
+            ["server", "wall_ms", "virt_ms", "words", "likely", "traces_reused", "spec"],
             rows,
             note=(
                 "wall = host time of ctl.live_update; spec = virt_ms/words/likely "

@@ -1,8 +1,8 @@
 """Incremental checkpoints: dirty pages + changed records since a baseline.
 
 A full image records each mapping's monotonic ``write_seq`` (the same
-sequencing the incremental-scan cache layers on, deliberately disjoint
-from the update-time soft-dirty bits).  A delta then ships exactly the
+sequencing the update's trace memo stamps, deliberately disjoint from
+the update-time soft-dirty bits).  A delta then ships exactly the
 pages ``PageTracker.pages_written_since`` reports, plus the
 fd/allocator/listener records whose serialized form changed, plus —
 always — the source tree's ``TreeFingerprint``, so the standby can

@@ -42,13 +42,12 @@ from repro.mcr.quiescence.detection import tree_live_threads
 from repro.mcr.reinit.immutable import FdStash, ImmutableInventory
 from repro.mcr.reinit.realloc import GlobalRealloc
 from repro.mcr.reinit.replay import ReplayEngine
-from repro.mcr.tracing.graph import GraphBuilder
+from repro.mcr.tracing.incremental import TraceMemo
 from repro.mcr.tracing.invariants import (
     apply_invariants,
     immutable_heap_spans,
     immutable_static_symbols,
 )
-from repro.mcr.tracing.incremental import SharedScanCache
 from repro.mcr.tracing.transfer import StateTransfer, TransferReport
 from repro.replay import trace as replay_trace
 from repro.runtime.instrument import BuildConfig
@@ -261,6 +260,11 @@ class LiveUpdateController:
         self._rollback_failures: List[str] = []
         # Rollback-verification baselines, one per quiesce point.
         self._checkpoints: List[_Checkpoint] = []
+        # This update's trace/scan memoization: offline analysis and state
+        # transfer (every rolling batch of it) ask it for each old
+        # process's trace, so a process that did not change in between is
+        # walked once.  ``run_update`` drops it when the update is over.
+        self._memo = TraceMemo()
         # The global-inheritance socketpair, kept so rollback can drain
         # in-flight fd messages if the handoff dies mid-stream.
         self._boot_channel: Optional[Tuple[Any, Any]] = None
@@ -284,8 +288,13 @@ class LiveUpdateController:
         result = UpdateResult()
         if self.config.update_mode == "rolling":
             result.mode = "rolling"
-        with self._obs_scope(self.kernel.clock):
-            return self._attempt(result)
+        try:
+            with self._obs_scope(self.kernel.clock):
+                return self._attempt(result)
+        finally:
+            # The memo dies with the update: its traces live on only in
+            # ``result.transfer_report``, as they always have.
+            self._memo = TraceMemo()
 
     def _obs_scope(self, clock):
         """The collector activation this update runs under.
@@ -468,6 +477,7 @@ class LiveUpdateController:
             self.config,
             self.cost,
             use_dirty_filter=self.use_dirty_filter,
+            memo=self._memo,
             **scope,
         ).run()
 
@@ -496,7 +506,6 @@ class LiveUpdateController:
         assigned = {p for batch in worker_batches for p in batch}
         quiescence = self.old_session.quiescence
         with recorder.span("rolling-transfer") as rolling_span:
-            shared_cache = SharedScanCache()
             merged = TransferReport()
             pending = list(worker_batches[1:])
             remainder_pending = bool(worker_batches)
@@ -545,7 +554,6 @@ class LiveUpdateController:
                     report = self._transfer(
                         new_root,
                         only_processes=batch,
-                        shared_cache=shared_cache,
                         include_base_cost=(index == 0),
                     )
                     merged.per_process.extend(report.per_process)
@@ -740,7 +748,7 @@ class LiveUpdateController:
         annotations = getattr(self.old_session.program, "annotations", None)
         for process in self.old_root.tree():
             trace = apply_invariants(
-                GraphBuilder(process, self.config, annotations=annotations).build()
+                self._memo.trace(process, self.config, annotations)
             )
             for name in immutable_static_symbols(trace):
                 symbol = process.symbols.get(name)

@@ -7,6 +7,8 @@ memory, followed by state transfer into the new version:
 * ``conservative`` — likely-pointer scanning of opaque regions;
 * ``graph``        — object records, per-process address resolution, and
   the hybrid walk driver;
+* ``incremental``  — the update-scoped ``TraceMemo`` (each process traced
+  once per update, each distinct window classified once);
 * ``invariants``   — immutability / nonupdatability assignment;
 * ``dirty``        — soft-dirty-based dirty-object filtering;
 * ``transform``    — cross-version type transformations;

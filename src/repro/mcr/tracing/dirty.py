@@ -26,11 +26,21 @@ class DirtyFilter:
     def __init__(self, process: Process) -> None:
         self.process = process
         self.pages_scanned = 0
+        # One verdict per record: the process is quiesced while a filter
+        # lives, so transfer's pairing pass reuses what ``reduction_stats``
+        # classified instead of reading the soft-dirty bits again (and
+        # ``pages_scanned`` charges each object once).
+        self._verdicts: Dict[ObjectRecord, bool] = {}
 
     def is_dirty(self, record: ObjectRecord) -> bool:
-        size = max(record.size, 1)
-        self.pages_scanned += (size + 4095) // 4096
-        return self.process.space.range_dirty(record.base, size)
+        verdict = self._verdicts.get(record)
+        if verdict is None:
+            size = max(record.size, 1)
+            self.pages_scanned += (size + 4095) // 4096
+            verdict = self._verdicts[record] = self.process.space.range_dirty(
+                record.base, size
+            )
+        return verdict
 
     def partition(self, result: TraceResult) -> Tuple[List[ObjectRecord], List[ObjectRecord]]:
         """Split the graph into (dirty, clean) object lists."""

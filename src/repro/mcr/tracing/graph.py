@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig
 from repro.mcr.tracing import conservative, precise
-from repro.mcr.tracing.incremental import cache_for
 from repro.mem import scan_backend
 from repro.mem.tags import DataTag
 from repro.types.descriptors import TypeDesc
@@ -341,7 +340,7 @@ class GraphBuilder:
         process: Process,
         config: Optional[MCRConfig] = None,
         annotations=None,
-        shared_cache=None,
+        memo=None,
     ) -> None:
         self.process = process
         self.config = config or MCRConfig()
@@ -351,22 +350,17 @@ class GraphBuilder:
         self.result = TraceResult(process)
         self._worklist: deque = deque()
         self._index: Optional[scan_backend.PreparedScanIndex] = None  # set by build()
-        self._scan_cache = cache_for(process)
-        # Cross-worker memoization (rolling updates only): forked workers
-        # share startup-time pages, so identical ranges are scanned once.
-        self._shared_cache = shared_cache
+        # The update's ``TraceMemo`` when a controller drives this trace:
+        # byte-identical windows under identical layouts (forked siblings'
+        # startup pages) are classified once per update, not once each.
+        self._memo = memo
 
     # -- public API ---------------------------------------------------------------
 
     def build(self) -> TraceResult:
         # The process is quiesced for the duration of a trace, so its live
-        # objects can be snapshotted into the scan index; the scan cache
-        # revalidates against writes/allocations since the previous sweep
-        # (dirty-page-incremental tracing).
+        # objects can be snapshotted into the scan index.
         self._index = snapshot_index(self.process)
-        self._scan_cache.begin_round()
-        if self._shared_cache is not None:
-            self._shared_cache.begin_process(self.process)
         self._add_static_roots()
         self._add_stack_roots()
         while self._worklist:
@@ -380,24 +374,10 @@ class GraphBuilder:
     # -- scan kernel --------------------------------------------------------------
 
     def _scan_range(self, start: int, size: int):
-        """One conservative range scan: own cache -> shared cache -> scan."""
-        cache = self._scan_cache
-        hit = cache.lookup(start, size)
-        if hit is not None:
-            return hit
-        shared = self._shared_cache
-        if shared is not None:
-            hit = shared.lookup(self.process, start, size)
-            if hit is not None:
-                cache.store(start, size, *hit)
-                return hit
-        found, scanned = conservative.scan_range(
-            self.process.space, start, size, self._index
-        )
-        cache.store(start, size, found, scanned)
-        if shared is not None:
-            shared.store(self.process, start, size, found, scanned)
-        return found, scanned
+        """One conservative range scan, through the update's memo if any."""
+        if self._memo is not None:
+            return self._memo.scan(self.process, self._index, start, size)
+        return conservative.scan_range(self.process.space, start, size, self._index)
 
     # -- roots -----------------------------------------------------------------------
 

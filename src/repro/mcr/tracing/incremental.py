@@ -1,60 +1,76 @@
-"""Dirty-page-incremental conservative scanning.
+"""The update-scoped trace memo: trace each quiesced process once, scan
+each distinct (bytes, layout) once.
 
-One live update traces every old-version process **twice**: once during
-offline analysis (to compute the immutable set and the reallocation plan)
-and once during state transfer.  Between the two sweeps the old tree is
-quiesced — nothing writes its memory — so the second sweep's conservative
-scans are byte-for-byte repeats of the first.  CRIU-style systems exploit
-exactly this with page-granular incremental dumps (pre-dump + soft-dirty
-tracking); the analogue here is a per-process **scan cache**:
+One live update asks for the trace of every old-version process **twice**
+— offline analysis derives the immutable set and the relink plan from it,
+state transfer pairs and copies from it — and between the two sweeps the
+old tree is parked at the barrier, so the second answer is the first.  On
+top of that, forked workers and sessions share their startup-time pages
+and allocator history, so much of what one process's conservative scan
+reads, a sibling's scan has already classified.  CRIU-style systems
+exploit both with pre-dumps and page dedup; the analogue here is one
+``TraceMemo`` per update, owned by ``LiveUpdateController`` (created with
+it and swapped for a fresh one when ``run_update`` returns, so it
+outlives quiescence retries and rolling batches, dies with the update
+and hands nothing from a rolled-back attempt to a retry), answering two
+questions — each *exactly*, by a key that holds everything its value
+depends on, so nobody has to remember to invalidate:
 
-* every ``scan_range`` result is remembered, keyed by ``(start, size)``,
-  together with the ``PageTracker.write_seq`` at scan time;
-* a repeated scan whose pages were **not** written since that sequence
-  number (``range_written_since``) reuses the cached likely-pointer list
-  and word count — identical output, none of the work;
-* any write to an overlapping page, or any change to the process's
-  resolution state (allocations, frees, tag churn, mapping changes — the
-  *resolution fingerprint*), falls back to a full scan.  Correctness
-  never depends on the cache; it is a pure memoization with a
-  conservative validity test.
+``trace(process, config, annotations)``
+    The memoized ``TraceResult`` when the process's *trace stamp* is
+    unchanged, else a fresh ``GraphBuilder.build()`` — which stays the
+    pure, memo-free definition of a trace.  The stamp (``trace_stamp``)
+    is every input of the walk:
 
-Both caches here are part of the scan engine, not options: every
-``GraphBuilder`` consults its process's ``ScanCache`` (``cache_for``),
-and a rolling update threads one ``SharedScanCache`` through its
-per-worker builders.
+    * what resolves — ``resolution_fingerprint``: tag, allocation and
+      free counts (monotonic, so any register / malloc / free moves
+      one), reserved superobject spans, symbols, library images;
+    * the bytes — per mapping ``(base, size, PageTracker, write_seq,
+      graft_epoch)``: every program write advances ``write_seq``, every
+      checkpoint graft (``Mapping.load``, which deliberately leaves write
+      sequencing alone) advances ``graft_epoch``, and a mapping replaced
+      at the same address has a new tracker — held as the object itself,
+      never ``id()``, so a recycled id cannot alias it;
+    * the roots — live thread ids and their stack-overlay addresses;
+    * the policy — the three ``MCRConfig`` fields the walk reads and the
+      two annotation tables it reads, by value (analysis traces under
+      v1's annotations, transfer under v2's).
 
-The sequencing lives beside, not inside, the soft-dirty bits: the
-update-time dirty filter owns ``clear()``/``_dirty`` and must not be
-perturbed by scan bookkeeping (see ``PageTracker.write_seq``).
+    A worker that served a request between the sweeps, a rolled-back
+    retry, or a v2 that annotates differently therefore re-traces.
 
-Accounting note: a cache hit still reports the cached ``words_scanned``,
-so the cost model charges identical virtual time and every Table 2/3 and
-Figure 3 number is unchanged.  The savings are host wall time only —
-which is what ``bench scanperf`` measures.
+``scan(process, index, start, size)``
+    The one conservative-scan memo, for both sweeps and both update
+    modes, keyed by ``(start, size, digest of the window bytes, digest of
+    the scan index's segment arrays)``.  ``scan_range`` output is a pure
+    function of exactly those: likely pointers carry absolute slot
+    addresses (``start``), the word count follows from ``size``, and
+    ``classify`` reads nothing but the window and the index's
+    ``starts`` / ``ends`` / ``bases`` / ``aligns``.  Digests are 128-bit
+    BLAKE2b, so equal keys mean equal inputs; a count-based layout key
+    would not (two forked workers with equal malloc/free counts but
+    different chunk sizes resolve the same word differently).
+
+Accounting note: a reused trace or scan carries its ``words_scanned``,
+objects and likely-pointer lists, so the cost model charges identical
+virtual time and every Table 2/3 and Figure 3 number is unchanged.  The
+savings are host wall time only — ``bench scanperf`` and ``perfbench``
+measure them.  Callers that trace once (diagnostics, ``bench table2``,
+the ablations) call ``GraphBuilder`` with no memo.
 """
 
 from __future__ import annotations
 
-import weakref
-import zlib
+from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import MemoryFault
+from repro.mcr.config import MCRConfig
+from repro.mcr.tracing import conservative
 from repro.mcr.tracing.conservative import LikelyPointer
-
-
-class _CacheEntry:
-    """One remembered scan: its result plus everything needed to trust it."""
-
-    __slots__ = ("found", "words_scanned", "tracker", "seq")
-
-    def __init__(self, found: List[LikelyPointer], words_scanned: int, tracker, seq: int) -> None:
-        self.found = found
-        self.words_scanned = words_scanned
-        self.tracker = tracker
-        self.seq = seq
+from repro.mcr.tracing.graph import GraphBuilder, TraceResult
+from repro.mem.scan_backend import PreparedScanIndex
 
 
 def resolution_fingerprint(process) -> Tuple:
@@ -63,7 +79,9 @@ def resolution_fingerprint(process) -> Tuple:
     If any component changes, a word that previously resolved may now
     miss (or vice versa) even though the scanned bytes are untouched —
     e.g. a freshly malloc'd chunk makes old integer words "resolve".
-    The cache treats any fingerprint change as a full invalidation.
+    The counts are monotonic per process, so within one process's history
+    equal fingerprints mean nothing was registered, allocated or freed;
+    across processes they do not (see ``TraceMemo.scan``).
     """
     heap = process.heap
     tags = process.tags
@@ -81,143 +99,84 @@ def resolution_fingerprint(process) -> Tuple:
     )
 
 
-def _note_hit(cache, words_scanned: int, hit_counter: str, words_counter: str) -> None:
-    """Hit accounting for either cache (their validity rules differ)."""
-    cache.hits += 1
-    cache.words_skipped += words_scanned
-    collector = obs.ACTIVE
-    if collector is not None:
-        collector.counters.incr(hit_counter)
-        collector.counters.incr(words_counter, words_scanned)
+def trace_stamp(process, config: MCRConfig, annotations) -> Tuple:
+    """Everything ``GraphBuilder.build()`` reads, cheaply comparable."""
+    crt = getattr(process, "crt", None)
+    stacks = crt._stacks if crt is not None else {}
+    return (
+        resolution_fingerprint(process),
+        tuple(
+            (m.base, m.size, m.tracker, m.tracker.write_seq, m.tracker.graft_epoch)
+            for m in process.space.mappings()
+        ),
+        tuple(
+            (thread.tid, tuple(address for _name, address, _type in area.overlay))
+            for thread in process.live_threads()
+            if (area := stacks.get(thread.tid)) is not None
+        ),
+        (
+            config.transfer_shared_libs,
+            config.scan_opaque_int64,
+            config.interior_only_nonupdatable,
+        ),
+        None
+        if annotations is None
+        else (
+            tuple(sorted(annotations.encoded_pointers.items())),
+            frozenset(annotations.opaque_overrides),
+        ),
+    )
 
 
-class ScanCache:
-    """Per-process memo of conservative ``scan_range`` results."""
-
-    def __init__(self, process) -> None:
-        self._process_ref = weakref.ref(process)
-        self._entries: Dict[Tuple[int, int], _CacheEntry] = {}
-        self._fingerprint: Optional[Tuple] = None
-        self.hits = 0
-        self.misses = 0
-        self.words_skipped = 0
-
-    def begin_round(self) -> None:
-        """Start one trace sweep: revalidate against the live process.
-
-        Any resolution-state drift since the previous sweep empties the
-        cache (the conservative fallback the design requires).
-        """
-        process = self._process_ref()
-        if process is None:  # pragma: no cover - process died under us
-            self._entries.clear()
-            return
-        fingerprint = resolution_fingerprint(process)
-        if fingerprint != self._fingerprint:
-            self._entries.clear()
-            self._fingerprint = fingerprint
-
-    def lookup(self, start: int, size: int) -> Optional[Tuple[List[LikelyPointer], int]]:
-        """The cached (found, words_scanned) if still valid, else None."""
-        entry = self._entries.get((start, size))
-        if entry is None:
-            self.misses += 1
-            return None
-        process = self._process_ref()
-        if process is None:  # pragma: no cover - process died under us
-            return None
-        mapping = process.space.mapping_at(start)
-        if mapping is None or mapping.tracker is not entry.tracker:
-            # Mapping replaced since the scan: never trust the entry.
-            del self._entries[(start, size)]
-            self.misses += 1
-            return None
-        if entry.tracker.range_written_since(start, size, entry.seq):
-            del self._entries[(start, size)]
-            self.misses += 1
-            return None
-        _note_hit(self, entry.words_scanned, "scan.cache_hits", "scan.words_from_cache")
-        return entry.found, entry.words_scanned
-
-    def store(self, start: int, size: int, found: List[LikelyPointer], words_scanned: int) -> None:
-        process = self._process_ref()
-        if process is None:  # pragma: no cover - process died under us
-            return
-        mapping = process.space.mapping_at(start)
-        if mapping is None:
-            return
-        self._entries[(start, size)] = _CacheEntry(
-            found, words_scanned, mapping.tracker, mapping.tracker.write_seq
-        )
-
-
-class SharedScanCache:
-    """Cross-process memo of conservative ``scan_range`` results.
-
-    Rolling updates trace workers one batch at a time, but forked workers
-    share their startup-time layout: the same read-only pages, the same
-    allocator history up to the fork, the same tag registrations.  A scan
-    of such a range in worker N+1 is byte-for-byte the scan already done
-    in worker N, so the rolling controller threads one ``SharedScanCache``
-    through every per-worker ``GraphBuilder``.
-
-    Validity is self-evident from the key: ``(start, size, crc32 of the
-    bytes, resolution fingerprint)``.  Conservative scan output is a pure
-    function of the scanned bytes and the resolution state, so two
-    processes with equal keys get equal results.  A hit still reports the
-    cached ``words_scanned`` (identical virtual-time accounting); only
-    host wall time is saved.  Whole-tree updates never construct one, so
-    their counters stay byte-identical.
-    """
+class TraceMemo:
+    """One update's trace and conservative-scan memoization."""
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple, Tuple[List[LikelyPointer], int]] = {}
-        self._fingerprints: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self.hits = 0
-        self.misses = 0
-        self.words_skipped = 0
+        # Keyed by the process object: the memo dies with the update, so
+        # it never outlives a trace ``TransferReport.trace_results`` would
+        # not have kept alive anyway, and ``Process`` never points back.
+        self._traces: Dict[object, Tuple[Tuple, TraceResult]] = {}
+        self._scans: Dict[Tuple, Tuple[List[LikelyPointer], int]] = {}
+        self.traces_built = 0
+        self.traces_reused = 0
+        self.scan_hits = 0
 
-    def begin_process(self, process) -> None:
-        """Cache the per-process fingerprint once per trace, not per range."""
-        self._fingerprints[process] = resolution_fingerprint(process)
+    def trace(
+        self, process, config: Optional[MCRConfig] = None, annotations=None
+    ) -> TraceResult:
+        """The process's trace: reused while its stamp holds, else built."""
+        builder = GraphBuilder(process, config, annotations=annotations, memo=self)
+        stamp = trace_stamp(process, builder.config, builder.annotations)
+        entry = self._traces.get(process)
+        if entry is not None and entry[0] == stamp:
+            self.traces_reused += 1
+            obs.incr("trace.memo_hits")
+            return entry[1]
+        result = builder.build()
+        self._traces[process] = (stamp, result)
+        self.traces_built += 1
+        obs.incr("trace.memo_misses")
+        return result
 
-    def _key(self, process, start: int, size: int) -> Optional[Tuple]:
+    def scan(
+        self, process, index: PreparedScanIndex, start: int, size: int
+    ) -> Tuple[List[LikelyPointer], int]:
+        """``conservative.scan_range`` of the window, classified at most once."""
+        space = process.space
         try:
-            data = process.space.view(start, size)
+            window = space.view(start, size)
         except MemoryFault:
-            return None
-        fingerprint = self._fingerprints.get(process)
-        if fingerprint is None:
-            fingerprint = resolution_fingerprint(process)
-            self._fingerprints[process] = fingerprint
-        return (start, size, zlib.crc32(data), fingerprint)
-
-    def lookup(self, process, start: int, size: int) -> Optional[Tuple[List[LikelyPointer], int]]:
-        key = self._key(process, start, size)
-        if key is None:
-            return None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        _note_hit(self, entry[1], "scan.shared_hits", "scan.words_from_shared")
-        return entry
-
-    def store(self, process, start: int, size: int, found: List[LikelyPointer], words_scanned: int) -> None:
-        key = self._key(process, start, size)
-        if key is None:
-            return
-        self._entries[key] = (found, words_scanned)
-
-
-# One cache per process, lifetime-tied to it (dies with the process).
-_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def cache_for(process) -> ScanCache:
-    """The process's scan cache, created on first use."""
-    cache = _CACHES.get(process)
-    if cache is None:
-        cache = ScanCache(process)
-        _CACHES[process] = cache
-    return cache
+            # Not one mapping's bytes: there is no window to address the
+            # result by, and the scanner owns the per-word fault semantics.
+            return conservative.scan_range(space, start, size, index)
+        key = (start, size, blake2b(window, digest_size=16).digest(), index.layout_digest())
+        hit = self._scans.get(key)
+        if hit is None:
+            hit = self._scans[key] = conservative.scan_range(space, start, size, index)
+        else:
+            self.scan_hits += 1
+            collector = obs.ACTIVE
+            if collector is not None:
+                collector.counters.incr("scan.cache_hits")
+                collector.counters.incr("scan.words_from_cache", hit[1])
+        return hit

@@ -36,7 +36,6 @@ from repro.mcr.config import MCRConfig, TransferCostModel
 from repro.mcr.faults import fire
 from repro.mcr.tracing.dirty import DirtyFilter
 from repro.mcr.tracing.graph import (
-    GraphBuilder,
     ObjectRecord,
     REGION_DYNAMIC,
     REGION_LIB,
@@ -44,6 +43,7 @@ from repro.mcr.tracing.graph import (
     TraceResult,
 )
 from repro.mcr.tracing.handlers import TraversalContext
+from repro.mcr.tracing.incremental import TraceMemo
 from repro.mcr.tracing.invariants import apply_invariants
 from repro.mcr.tracing.spans import SpanWriter
 from repro.mcr.tracing.transform import transform_value
@@ -191,7 +191,7 @@ class StateTransfer:
         cost: Optional[TransferCostModel] = None,
         use_dirty_filter: bool = True,
         only_processes: Optional[List[Process]] = None,
-        shared_cache=None,
+        memo: Optional[TraceMemo] = None,
         include_base_cost: bool = True,
     ) -> None:
         self.old_root = old_root
@@ -203,11 +203,12 @@ class StateTransfer:
         # object is transferred (what a non-incremental MCR would do).
         self.use_dirty_filter = use_dirty_filter
         # Rolling updates transfer one worker batch at a time: restrict
-        # the pairing to this subset of old processes, share conservative
-        # scan results across the batches, and charge the coordinator
-        # bring-up only once (with the first batch).
+        # the pairing to this subset of old processes and charge the
+        # coordinator bring-up only once (with the first batch).
         self.only_processes = set(only_processes) if only_processes is not None else None
-        self.shared_cache = shared_cache
+        # The update's memo: a process offline analysis already traced,
+        # and that has not changed since, is not traced again.
+        self.memo = memo or TraceMemo()
         self.include_base_cost = include_base_cost
         self.report = TransferReport()
 
@@ -265,14 +266,7 @@ class StateTransfer:
     def _transfer_process(self, old_proc: Process, new_proc: Process) -> ProcessTransferStats:
         stats = ProcessTransferStats(old_proc.pid)
         annotations = getattr(self.new_program, "annotations", None)
-        trace = apply_invariants(
-            GraphBuilder(
-                old_proc,
-                self.config,
-                annotations=annotations,
-                shared_cache=self.shared_cache,
-            ).build()
-        )
+        trace = apply_invariants(self.memo.trace(old_proc, self.config, annotations))
         self.report.trace_results[old_proc.pid] = trace
         stats.objects_traced = len(trace.objects)
         stats.words_scanned = trace.words_scanned
@@ -283,7 +277,8 @@ class StateTransfer:
         stats.bytes_traced_total = reduction["bytes_total"]
         stats.bytes_clean = reduction["bytes_clean"]
         index = _AddressIndex(trace)
-        # Pass 1: pair every traced object with a new-version address.
+        # Pass 1: pair every traced object with a new-version address
+        # (the filter remembers each verdict ``reduction_stats`` reached).
         addr_map, to_transfer = self._pair_objects(trace, old_proc, new_proc, dirty_filter, stats)
 
         def translate(old_ptr: int) -> int:

@@ -126,8 +126,10 @@ class Mapping:
         Marks resident exactly the pages that receive non-zero bytes or
         were resident already; the rest are zero on both sides and stay
         untouched.  A graft is not a program write: soft-dirty bits,
-        write sequencing and fault counts do not move.
+        write sequencing and fault counts do not move — only the graft
+        epoch does, so a memoized trace of these bytes is not reused.
         """
+        self.tracker.graft_epoch += 1
         resident = self.tracker.ever_written
         end = offset + len(payload)
         for page in range(offset // PAGE_SIZE, (end + PAGE_SIZE - 1) // PAGE_SIZE):

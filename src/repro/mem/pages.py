@@ -46,12 +46,16 @@ class PageTracker:
         self.fault_count = 0  # simulated write-protect faults taken
         # Monotonic write sequencing, independent of the soft-dirty bits
         # (which belong to the update-time dirty filter and must not be
-        # cleared by scan bookkeeping).  ``write_seq`` advances on every
-        # write; ``_page_seq`` records the last sequence number that
-        # touched each page, so incremental scans can ask "was this range
-        # written since sequence N?" without disturbing soft-dirty state.
+        # cleared by anyone else's bookkeeping).  ``write_seq`` advances on
+        # every write — the trace memo's "were these bytes written since?"
+        # test — and ``_page_seq`` records the last sequence number that
+        # touched each page, the incremental-checkpoint delta source.
         self.write_seq = 0
         self._page_seq: Dict[int, int] = {}
+        # Bumped by ``Mapping.load``: a graft changes bytes without being a
+        # program write, so it moves none of the sequencing above and a
+        # validity test built on ``write_seq`` alone would be blind to it.
+        self.graft_epoch = 0
 
     def clear(self) -> None:
         """Mark all pages soft-clean (CRIU-style ``clear_refs``)."""
@@ -62,9 +66,10 @@ class PageTracker:
         """fork(): duplicate all tracking state, preserving semantics.
 
         ``_cleared_once``, the soft-dirty set, the resident set, the fault
-        count, and the write sequencing all carry over — a forked child
-        must observe exactly the dirty-page state of its parent, or the
-        update-time dirty filter would treat inherited writes as clean.
+        count, the write sequencing and the graft epoch all carry over — a
+        forked child must observe exactly the dirty-page state of its
+        parent, or the update-time dirty filter would treat inherited
+        writes as clean.
         """
         twin = PageTracker(self.base, self.size)
         twin._cleared_once = self._cleared_once
@@ -73,6 +78,7 @@ class PageTracker:
         twin.fault_count = self.fault_count
         twin.write_seq = self.write_seq
         twin._page_seq = dict(self._page_seq)
+        twin.graft_epoch = self.graft_epoch
         return twin
 
     def resident_runs(self) -> Iterator[Tuple[int, int]]:
@@ -129,28 +135,20 @@ class PageTracker:
             return True
         first = (address - self.base) // PAGE_SIZE
         last = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
-        return any(page in self._dirty for page in range(first, last + 1))
-
-    def range_written_since(self, address: int, size: int, seq: int) -> bool:
-        """Was any page of ``[address, address+size)`` written after ``seq``?
-
-        The incremental-scan validity test: ``seq`` is a ``write_seq``
-        value captured at scan time.  Unlike the soft-dirty bits this
-        never needs clearing, so repeated scans can layer on top of the
-        update-time dirty filter without interfering with it.
-        """
-        first = (address - self.base) // PAGE_SIZE
-        last = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
-        get = self._page_seq.get
-        return any(get(page, 0) > seq for page in range(first, last + 1))
+        dirty = self._dirty
+        if first == last:  # the common case: a word or a small object
+            return first in dirty
+        for page in range(first, last + 1):
+            if page in dirty:
+                return True
+        return False
 
     def pages_written_since(self, seq: int) -> Iterator[int]:
         """Yield base addresses of pages written after write-sequence ``seq``.
 
         The incremental-checkpoint delta source: a full image records each
         mapping's ``write_seq``, and the next checkpoint ships exactly the
-        pages this yields — layered on the same sequencing the incremental
-        scan cache uses, so neither consumer disturbs the soft-dirty bits.
+        pages this yields, without disturbing the soft-dirty bits.
         """
         for page in sorted(self._page_seq):
             if self._page_seq[page] > seq:

@@ -33,6 +33,8 @@ from __future__ import annotations
 import bisect as _bisect
 import struct as _struct
 import sys as _sys
+from array import array as _array
+from hashlib import blake2b as _blake2b
 from typing import List, Optional, Sequence, Tuple
 
 _NATIVE_LITTLE_ENDIAN = _sys.byteorder == "little"
@@ -52,7 +54,7 @@ class PreparedScanIndex:
     for a non-empty index, so a zero word is never a candidate).
     """
 
-    __slots__ = ("starts", "ends", "payloads", "lo", "hi", "bases", "aligns")
+    __slots__ = ("starts", "ends", "payloads", "lo", "hi", "bases", "aligns", "_digest")
 
     def __init__(
         self, starts: Sequence[int], ends: Sequence[int], payloads: Sequence[Tuple]
@@ -65,6 +67,23 @@ class PreparedScanIndex:
         # Per-segment object base and tag alignment (None -> 1: accept any).
         self.bases = [p[0] for p in payloads]
         self.aligns = [p[2] or 1 for p in payloads]
+        self._digest: Optional[bytes] = None
+
+    def layout_digest(self) -> bytes:
+        """A 128-bit digest of everything ``classify`` reads.
+
+        ``starts`` / ``ends`` / ``bases`` / ``aligns`` (``lo`` and ``hi``
+        are their first and last entries): two indexes with equal digests
+        classify any window identically, whichever backend built them.
+        Computed on first use — once per trace that memoizes its scans.
+        """
+        digest = self._digest
+        if digest is None:
+            hasher = _blake2b(digest_size=16)
+            for column in (self.starts, self.ends, self.bases, self.aligns):
+                hasher.update(_array("Q", column).tobytes())
+            digest = self._digest = hasher.digest()
+        return digest
 
     def lookup(self, address: int) -> Optional[Tuple]:
         """The payload of the segment containing ``address``, or None."""

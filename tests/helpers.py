@@ -70,3 +70,17 @@ def scan_index_of(objects, cls=None):
         [base + size for base, size, _ in objects],
         objects,
     )
+
+
+class CallCounter:
+    """Count calls to ``owner.attr`` through monkeypatch, leaving it working."""
+
+    def __init__(self, monkeypatch, owner, attr: str) -> None:
+        self.calls = 0
+        original = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)

@@ -45,6 +45,14 @@ class TestPageTracker:
         tracker.note_write(2 * PAGE_SIZE + 100, 1)
         assert tracker.range_dirty(2 * PAGE_SIZE, 10)
         assert not tracker.range_dirty(0, PAGE_SIZE)
+        # Multi-page ranges: any overlapping dirty page counts, a byte
+        # short of it does not, and a zero-size query asks about one page.
+        assert tracker.range_dirty(0, 2 * PAGE_SIZE + 1)
+        assert not tracker.range_dirty(0, 2 * PAGE_SIZE)
+        assert tracker.range_dirty(PAGE_SIZE + 1, 2 * PAGE_SIZE)
+        assert not tracker.range_dirty(3 * PAGE_SIZE, PAGE_SIZE)
+        assert tracker.range_dirty(2 * PAGE_SIZE, 0)
+        assert PageTracker(0, 4 * PAGE_SIZE).range_dirty(0, 1)  # never cleared
 
     def test_clone_before_first_clear_stays_all_dirty(self):
         tracker = PageTracker(0, 2 * PAGE_SIZE)
@@ -76,27 +84,29 @@ class TestPageTracker:
         tracker.note_write(PAGE_SIZE, 8)
         assert not twin.is_dirty(PAGE_SIZE)
 
-    def test_range_written_since(self):
+    def test_pages_written_since(self):
         tracker = PageTracker(0, 4 * PAGE_SIZE)
         tracker.note_write(0, 8)
         seq = tracker.write_seq
-        assert not tracker.range_written_since(0, PAGE_SIZE, seq)
+        assert list(tracker.pages_written_since(seq)) == []
         tracker.note_write(2 * PAGE_SIZE, 8)
-        assert not tracker.range_written_since(0, PAGE_SIZE, seq)
-        assert tracker.range_written_since(2 * PAGE_SIZE, 8, seq)
-        assert tracker.range_written_since(0, 4 * PAGE_SIZE, seq)  # overlaps page 2
+        assert list(tracker.pages_written_since(seq)) == [2 * PAGE_SIZE]
+        assert list(tracker.pages_written_since(0)) == [0, 2 * PAGE_SIZE]
 
     def test_write_sequencing_independent_of_soft_dirty(self):
         tracker = PageTracker(0, 2 * PAGE_SIZE)
         tracker.note_write(0, 8)
         seq = tracker.write_seq
         # clear() resets soft-dirty bits but must not disturb sequencing:
-        # the update-time dirty filter and the scan cache are independent.
+        # the update-time dirty filter, the checkpoint deltas and the
+        # trace memo's stamp are independent readers.
         tracker.clear()
         assert not tracker.is_dirty(0)
-        assert not tracker.range_written_since(0, PAGE_SIZE, seq)
+        assert tracker.write_seq == seq
+        assert list(tracker.pages_written_since(seq)) == []
         tracker.note_write(0, 8)
-        assert tracker.range_written_since(0, PAGE_SIZE, seq)
+        assert tracker.write_seq == seq + 1
+        assert list(tracker.pages_written_since(seq)) == [0]
 
 
 class TestAddressSpace:

@@ -1,12 +1,12 @@
 """Equivalence tests for the scan engine against its oracles.
 
 The window scanners (``scan_range``/``scan_words`` through a scan index),
-the index's scalar ``lookup``, and the incremental scan cache must each be
+the index's scalar ``lookup``, and the update's scan memo must each be
 observationally identical to the per-word reference scanners over the
 cascade resolver (identical ``LikelyPointer`` lists, identical
 ``words_scanned``, identical resolve results).  These tests pin that
-equivalence down with randomized memory images and direct checks of the
-cache-validity rules.
+equivalence down with randomized memory images and direct checks of what
+the memo's key does and does not share.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from repro.mcr.tracing.conservative import (
     scan_words_ref,
 )
 from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
-from repro.mcr.tracing.incremental import ScanCache, cache_for, resolution_fingerprint
+from repro.mcr.tracing.incremental import TraceMemo, resolution_fingerprint
 from repro.mem import scan_backend
 from repro.mem.address_space import AddressSpace
 from repro.runtime.program import GlobalVar
@@ -31,6 +31,7 @@ from repro.types.descriptors import INT32, INT64, PointerType, StructType
 
 from tests.helpers import (
     INDEX_CLASSES,
+    CallCounter,
     boot_test_program,
     make_test_program,
     scan_index_of,
@@ -201,67 +202,111 @@ class TestIntervalIndex:
                 assert index.lo <= probe < index.hi
 
 
-# -- the incremental scan cache ------------------------------------------------
+# -- the conservative-scan memo -------------------------------------------------
 
 
-class TestScanCache:
+class TestScanMemo:
+    """``TraceMemo.scan``: content- and layout-addressed, so validity is
+    the key itself — there is nothing to invalidate and nothing to forget."""
+
     def _scanned_world(self):
         kernel, session, proc = _booted_world([])
         raw = proc.crt.malloc(64)
         proc.space.write_word(raw, raw + 16)  # a real likely pointer
         return proc, raw
 
-    def test_store_then_hit(self):
-        proc, raw = self._scanned_world()
-        resolver = AddressResolver(proc)
-        cache = ScanCache(proc)
-        cache.begin_round()
-        start, size = proc.heap.base, 512
-        assert cache.lookup(start, size) is None
-        found, words = scan_range_ref(proc.space, start, size, resolver.resolve)
-        cache.store(start, size, found, words)
-        hit = cache.lookup(start, size)
-        assert hit is not None
-        assert hit[0] is found and hit[1] == words
-        assert cache.hits == 1 and cache.misses == 1
+    def _scan(self, memo, proc, start, size, monkeypatch):
+        """One ``memo.scan``; returns (result, scanner calls it cost)."""
+        with monkeypatch.context() as patched:
+            scans = CallCounter(patched, conservative, "scan_range")
+            result = memo.scan(proc, snapshot_index(proc), start, size)
+        return result, scans.calls
 
-    def test_write_invalidates(self):
+    def test_miss_then_hit_on_unchanged_bytes_and_layout(self, monkeypatch):
         proc, raw = self._scanned_world()
-        cache = ScanCache(proc)
-        cache.begin_round()
+        memo = TraceMemo()
         start, size = proc.heap.base, 512
-        cache.store(start, size, [], 64)
-        proc.space.write_word(start + 256, 7)
-        assert cache.lookup(start, size) is None
+        ref = scan_range_ref(proc.space, start, size, AddressResolver(proc).resolve)
+        first, cost = self._scan(memo, proc, start, size, monkeypatch)
+        assert cost == 1
+        assert _key(first[0]) == _key(ref[0]) and first[1] == ref[1]
+        assert (raw, raw + 16, raw, True) in _key(first[0])
+        # A second index built from the unchanged process: equal layout
+        # digest, equal bytes -> the very same result object, no scan.
+        again, cost = self._scan(memo, proc, start, size, monkeypatch)
+        assert cost == 0 and again is first
+        assert memo.scan_hits == 1
 
-    def test_write_elsewhere_keeps_entry(self):
+    def test_overlapping_write_misses(self, monkeypatch):
         proc, raw = self._scanned_world()
-        cache = ScanCache(proc)
-        cache.begin_round()
+        memo = TraceMemo()
         start, size = proc.heap.base, 512
-        cache.store(start, size, [], 64)
-        # A write several pages away must not invalidate this range.
+        first, _ = self._scan(memo, proc, start, size, monkeypatch)
+        proc.space.write_word(raw + 8, raw + 24)
+        second, cost = self._scan(memo, proc, start, size, monkeypatch)
+        assert cost == 1 and len(second[0]) == len(first[0]) + 1
+        # Writing the old bytes back is a hit again: the key is the content.
+        proc.space.write_word(raw + 8, 0)
+        third, cost = self._scan(memo, proc, start, size, monkeypatch)
+        assert cost == 0 and third is first
+
+    def test_write_elsewhere_keeps_entry(self, monkeypatch):
+        proc, raw = self._scanned_world()
+        memo = TraceMemo()
+        start, size = proc.heap.base, 512
+        first, _ = self._scan(memo, proc, start, size, monkeypatch)
+        # A write several pages away must not cost this range a scan.
         proc.space.write_word(start + 16 * 4096, 7)
-        assert cache.lookup(start, size) is not None
+        again, cost = self._scan(memo, proc, start, size, monkeypatch)
+        assert cost == 0 and again is first
 
-    def test_fingerprint_change_empties_cache(self):
+    def test_allocation_misses(self, monkeypatch):
         proc, raw = self._scanned_world()
-        cache = ScanCache(proc)
-        cache.begin_round()
-        start, size = proc.heap.base + 8192, 256  # pages untouched by malloc
-        cache.store(start, size, [], 32)
-        proc.crt.malloc(32)  # allocation changes what resolves
-        cache.begin_round()
-        assert cache.lookup(start, size) is None
+        memo = TraceMemo()
+        # A word aimed at free heap space, right where the next big chunk
+        # will land: it resolves only once that chunk exists.
+        target = raw + proc.heap.find_chunk(raw).total_size
+        proc.space.write_word(raw + 8, target)
+        first, _ = self._scan(memo, proc, raw, 64, monkeypatch)
+        assert [p.value for p in first[0]] == [raw + 16]
+        assert proc.crt.malloc(3 * 4096) == target
+        # Same bytes, new layout: the old entry must not answer.
+        second, cost = self._scan(memo, proc, raw, 64, monkeypatch)
+        assert cost == 1
+        assert [p.value for p in second[0]] == [raw + 16, target]
 
-    def test_quiet_round_keeps_cache(self):
+    def test_replaced_mapping_misses_unless_bytes_match(self, monkeypatch):
         proc, raw = self._scanned_world()
-        cache = ScanCache(proc)
-        cache.begin_round()
-        start, size = proc.heap.base + 8192, 256
-        cache.store(start, size, [], 32)
-        cache.begin_round()  # nothing changed: the second sweep reuses it
-        assert cache.lookup(start, size) is not None
+        memo = TraceMemo()
+        area = proc.space.map(4096, name="scratch", kind="mmap")
+        proc.space.write_word(area.base, raw)
+        first, _ = self._scan(memo, proc, area.base, 64, monkeypatch)
+        assert len(first[0]) == 1
+        proc.space.unmap(area.base)
+        proc.space.map(4096, address=area.base, name="scratch", kind="mmap")
+        second, cost = self._scan(memo, proc, area.base, 64, monkeypatch)
+        assert cost == 1 and second[0] == []  # the fresh mapping is all zero
+
+    def test_range_across_mappings_is_scanned_not_memoized(self, monkeypatch):
+        proc, raw = self._scanned_world()
+        memo = TraceMemo()
+        a = proc.space.map(4096, address=0x6000_0000, name="a", kind="mmap")
+        proc.space.map(4096, address=a.end, name="b", kind="mmap")
+        proc.space.write_word(a.end - 8, raw)
+        proc.space.write_word(a.end, raw + 8)
+        ref = scan_range_ref(proc.space, a.end - 32, 64, AddressResolver(proc).resolve)
+        for _ in range(2):
+            got, cost = self._scan(memo, proc, a.end - 32, 64, monkeypatch)
+            assert cost == 1 and _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
+        assert memo.scan_hits == 0
+
+    def test_layout_digest_is_backend_independent(self):
+        proc, raw = self._scanned_world()
+        segments = graph.live_segments(proc)
+        digests = {cls(*segments).layout_digest() for cls in INDEX_CLASSES}
+        assert len(digests) == 1
+        proc.crt.malloc(32)
+        assert scan_backend.ACTIVE(*graph.live_segments(proc)).layout_digest() not in digests
 
     def test_fingerprint_tracks_tags_and_mappings(self):
         proc, raw = self._scanned_world()
@@ -296,7 +341,8 @@ class TestGraphBuilderModes:
         proc.space.write_word(raw + 8, n2)  # conservative edge
 
         # The oracle: the same walk with both scanners swapped for the
-        # per-word reference over the cascade resolver.
+        # per-word reference over the cascade resolver (and no memo, so
+        # nothing the engine computed can feed it).
         resolve = AddressResolver(proc).resolve
         with monkeypatch.context() as patched:
             patched.setattr(
@@ -307,16 +353,18 @@ class TestGraphBuilderModes:
                 conservative, "scan_words",
                 lambda space, offsets, base, index: scan_words_ref(space, offsets, base, resolve),
             )
-            # ... and a throwaway cache, so its results never feed the engine.
-            patched.setattr(graph, "cache_for", ScanCache)
             oracle = GraphBuilder(proc).build()
-        cache = cache_for(proc)
-        first = GraphBuilder(proc).build()
-        hits, misses = cache.hits, cache.misses
-        repeat = GraphBuilder(proc).build()  # second sweep: all cache hits
-        assert cache.hits > hits and cache.misses == misses
+        plain = GraphBuilder(proc).build()
+        memo = TraceMemo()
+        first = memo.trace(proc)
+        # A second sweep over the unchanged process: the whole trace is a
+        # hit; a second *builder* through the same memo: every scan is.
+        assert memo.trace(proc) is first
+        hits = memo.scan_hits
+        rescanned = GraphBuilder(proc, memo=memo).build()
+        assert memo.scan_hits > hits
 
-        for trace in (first, repeat):
+        for trace in (plain, first, rescanned):
             assert set(trace.objects) == set(oracle.objects)
             assert trace.words_scanned == oracle.words_scanned
             assert _key(trace.likely_pointers) == _key(oracle.likely_pointers)
