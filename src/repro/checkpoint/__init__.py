@@ -5,9 +5,10 @@ The live-update plane (``repro.mcr``) keeps a server alive across a
 crash.  Four pieces:
 
 * ``image``   — a deterministic, versioned on-disk serialization of one
-  quiesced server tree: every mapping's bytes (read through the
-  zero-copy ``AddressSpace.view`` windows), the fd/listener/socket
-  tables, ptmalloc bookkeeping, and per-thread call-stack positions,
+  quiesced server tree: every mapping's resident pages (a page nobody
+  wrote is all zero and is neither stored nor read), the
+  fd/listener/socket tables, ptmalloc bookkeeping, and per-thread
+  call-stack positions,
   integrity-headed by the same ``TreeFingerprint`` the rollback
   verifier uses.  Written atomically (tmp + rename), so a torn write
   never replaces the last good image.

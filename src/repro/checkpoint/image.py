@@ -11,17 +11,40 @@ Layout of an encoded image (all integers little-endian)::
               (relative to the end of the header), one per mapping,
               each independently CRC'd
 
+Images are *sparse*: a section holds only its mapping's resident pages
+(``PageTracker.resident_runs``; a page that is not resident is all
+zero), packed back to back, and its record in ``meta["sections"]``
+carries the ascending, page-aligned ``[start, stop)`` run list next to
+``offset`` / ``length`` / ``crc32``.  Capture, encode, file I/O, decode,
+validation and graft all do work in proportion to resident bytes, never
+to mapped size.  Two sizes follow, and they answer different questions:
+
+* ``total_bytes()`` — the bytes the image *describes* (the sum of its
+  mapping sizes).  This is what the virtual clock is charged for
+  (``SERIALIZE_BYTE_NS``, the cold-restore rehydrate) and what drills
+  report as ``image_kb``: the modelled system dumps a whole tree.
+* ``stored_bytes()`` — the bytes the image *holds* and ``write_image``
+  puts on disk (plus meta): what the host pays.
+
+``image_id`` names the captured state, not the container: it is the
+CRC of the structural meta — everything captured except ``format``,
+``sections`` and the id itself, which are added afterwards — chained
+over every mapping's full contents, zeros included (folded in closed
+form by ``Mapping.crc32``, not read).  Two captures of byte-identical
+trees get the same id whatever format version wrote them.
+
 The meta document carries everything needed to *validate* a restore
 before mutating anything: the process tree shape (pids, names, parents,
 thread call-stack positions), mapping/fd/listener/allocator records,
 world-level counters, and the full ``TreeFingerprint`` of the source
-tree at capture time.  ``decode`` verifies magic, version, and every
-CRC up front and raises ``ImageError`` naming the failing section —
-truncated, bit-flipped, or wrong-version images are rejected whole.
+tree at capture time.  ``decode`` verifies magic, version, every CRC
+and every section record up front and raises ``ImageError`` naming the
+failing section — truncated, bit-flipped, ill-formed or wrong-version
+images are rejected whole, and it raises nothing else.
 
 Capture quiesces the tree first (same barrier protocol as a live
 update), so the image is a transactionally consistent cut; the pause is
-charged to the virtual clock per byte serialized, which is what the
+charged to the virtual clock per byte described, which is what the
 ``bench failover`` cadence sweep measures against RTO.
 """
 
@@ -31,15 +54,17 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional, Union
 
 from repro import obs
 from repro.errors import ImageError
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint, fire
+from repro.mem.address_space import Runs
+from repro.mem.pages import PAGE_SIZE
 
 MAGIC = b"MCRIMAGE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sII")  # magic, format version, meta length
 
 # Virtual-time cost of serializing/writing one image byte (ns).  Chosen
@@ -52,10 +77,47 @@ def section_name(pid: int, mapping_name: str, base: int) -> str:
     return f"mem/{pid}/{mapping_name}@0x{base:x}"
 
 
+class Section(NamedTuple):
+    """One mapping's resident bytes: ``payload`` packs ``runs`` back to back."""
+
+    runs: Runs
+    payload: Union[bytes, memoryview]
+
+
+def check_runs(name: str, runs: Any, length: int, limit: Optional[int] = None) -> None:
+    """Raise ``ImageError(name)`` unless ``runs`` is a well-formed run list.
+
+    Well-formed: ``[start, stop)`` integer pairs, page-aligned, ascending
+    and disjoint, ``length`` bytes in total and (given ``limit``, the
+    mapping's size) none past it.
+    """
+    if not isinstance(runs, (list, tuple)):
+        raise ImageError(name, "run list missing or not a list")
+    cursor = total = 0
+    for run in runs:
+        if not (
+            isinstance(run, (list, tuple))
+            and len(run) == 2
+            and all(type(edge) is int for edge in run)
+        ):
+            raise ImageError(name, f"malformed run {run!r}")
+        start, stop = run
+        if start % PAGE_SIZE or stop % PAGE_SIZE:
+            raise ImageError(name, f"run [{start:#x},{stop:#x}) not page-aligned")
+        if not cursor <= start < stop:
+            raise ImageError(name, f"run [{start:#x},{stop:#x}) empty or out of order")
+        cursor = stop
+        total += stop - start
+    if total != length:
+        raise ImageError(name, f"runs cover {total} bytes, payload is {length}")
+    if limit is not None and cursor > limit:
+        raise ImageError(name, f"runs end at {cursor:#x}, mapping is {limit:#x} bytes")
+
+
 class CheckpointImage:
     """One decoded (or freshly captured) checkpoint image."""
 
-    def __init__(self, meta: Dict[str, Any], sections: Dict[str, bytes]) -> None:
+    def __init__(self, meta: Dict[str, Any], sections: Dict[str, Section]) -> None:
         self.meta = meta
         self.sections = sections
 
@@ -72,7 +134,16 @@ class CheckpointImage:
         return TreeFingerprint.from_dict(self.meta["fingerprint"])
 
     def total_bytes(self) -> int:
-        return sum(len(blob) for blob in self.sections.values())
+        """Bytes the image describes: every mapped byte of the tree."""
+        return sum(
+            mapping["size"]
+            for record in self.meta["processes"]
+            for mapping in record["mappings"]
+        )
+
+    def stored_bytes(self) -> int:
+        """Bytes the image holds (and writes): the resident pages only."""
+        return sum(len(section.payload) for section in self.sections.values())
 
     # -- encoding --------------------------------------------------------------
 
@@ -82,13 +153,14 @@ class CheckpointImage:
         sections_meta: Dict[str, Any] = {}
         offset = 0
         for name in names:
-            blob = self.sections[name]
+            runs, payload = self.sections[name]
             sections_meta[name] = {
                 "offset": offset,
-                "length": len(blob),
-                "crc32": zlib.crc32(blob),
+                "length": len(payload),
+                "crc32": zlib.crc32(payload),
+                "runs": [list(run) for run in runs],
             }
-            offset += len(blob)
+            offset += len(payload)
         meta = dict(self.meta)
         meta["sections"] = sections_meta
         meta_blob = json.dumps(meta, sort_keys=True).encode()
@@ -97,13 +169,14 @@ class CheckpointImage:
             meta_blob,
             struct.pack("<I", zlib.crc32(meta_blob)),
         ]
-        parts.extend(self.sections[name] for name in names)
+        parts.extend(self.sections[name].payload for name in names)
         return b"".join(parts)
 
     # -- decoding (validate everything, or raise ImageError) ------------------
 
     @classmethod
     def decode(cls, data: bytes) -> "CheckpointImage":
+        """Validate and index ``data``; payloads are windows into it, not copies."""
         if len(data) < _HEADER.size:
             raise ImageError("magic", f"truncated header ({len(data)} bytes)")
         magic, version, meta_len = _HEADER.unpack_from(data)
@@ -124,16 +197,26 @@ class CheckpointImage:
             meta = json.loads(meta_blob)
         except ValueError as error:
             raise ImageError("meta", f"undecodable JSON: {error}") from None
-        body = data[meta_end + 4:]
-        sections: Dict[str, bytes] = {}
-        for name, record in meta.get("sections", {}).items():
-            start, length = record["offset"], record["length"]
-            blob = body[start:start + length]
-            if len(blob) != length:
+        records = meta.get("sections", {}) if isinstance(meta, dict) else None
+        if not isinstance(records, dict):
+            raise ImageError("meta", "meta or its section table is not an object")
+        body = memoryview(data)[meta_end + 4:]
+        sections: Dict[str, Section] = {}
+        for name, record in records.items():
+            if not isinstance(record, dict):
+                raise ImageError(name, "section record is not an object")
+            fields = [record.get(key) for key in ("offset", "length", "crc32")]
+            if any(type(field) is not int or field < 0 for field in fields):
+                raise ImageError(name, f"missing or ill-typed offset/length/crc32 {fields}")
+            start, length, crc = fields
+            check_runs(name, record.get("runs"), length)
+            payload = body[start:start + length]
+            if len(payload) != length:
                 raise ImageError(name, "truncated section")
-            if zlib.crc32(blob) != record["crc32"]:
+            if zlib.crc32(payload) != crc:
                 raise ImageError(name, "CRC mismatch (corrupt section)")
-            sections[name] = blob
+            runs = tuple((run[0], run[1]) for run in record["runs"])
+            sections[name] = Section(runs, payload)
         return cls(meta, sections)
 
 
@@ -213,17 +296,14 @@ def capture_quiesced(node: Any, config: Optional[MCRConfig] = None) -> Checkpoin
     fire(config, "checkpoint.capture")
     kernel = node.kernel
     fingerprint = TreeFingerprint.capture(kernel, node.root)
-    sections: Dict[str, bytes] = {}
+    stores: Dict[str, Any] = {}  # section name -> Mapping
     processes = []
     for process in node.root.tree():
-        record = _process_record(process)
-        processes.append(record)
-        for mapping in sorted(process.space.mappings(), key=lambda m: m.base):
-            name = section_name(process.pid, mapping.name, mapping.base)
-            sections[name] = bytes(process.space.view(mapping.base, mapping.size))
+        processes.append(_process_record(process))
+        for mapping in process.space.mappings():
+            stores[section_name(process.pid, mapping.name, mapping.base)] = mapping
     net = kernel.net
     meta: Dict[str, Any] = {
-        "format": FORMAT_VERSION,
         "server": node.server,
         "program_version": int(node.program.version),
         "captured_ns": kernel.clock.now_ns,
@@ -242,17 +322,22 @@ def capture_quiesced(node: Any, config: Optional[MCRConfig] = None) -> Checkpoin
         ],
         "processes": processes,
     }
-    # Identity: a CRC over the structural meta + payload CRCs, so two
-    # captures of byte-identical trees get the same id.
+    # Identity: a CRC over the structural meta chained over every
+    # mapping's contents, so two captures of byte-identical trees get the
+    # same id; the container's format is added after, as the id itself is.
     digest = zlib.crc32(json.dumps(meta, sort_keys=True).encode())
-    for name in sorted(sections):
-        digest = zlib.crc32(sections[name], digest)
+    for name in sorted(stores):
+        digest = stores[name].crc32(digest)
     meta["image_id"] = f"img-{digest:08x}"
-    image = CheckpointImage(meta, sections)
+    meta["format"] = FORMAT_VERSION
+    image = CheckpointImage(
+        meta, {name: Section(*mapping.packed()) for name, mapping in stores.items()}
+    )
     pause_ns = image.total_bytes() * SERIALIZE_BYTE_NS
     kernel.clock.advance(pause_ns)
     obs.incr("checkpoint.images")
     obs.incr("checkpoint.image_bytes", image.total_bytes())
+    obs.incr("checkpoint.image_stored_bytes", image.stored_bytes())
     obs.emit(
         "checkpoint.captured",
         image_id=meta["image_id"],

@@ -31,7 +31,7 @@ from repro.errors import ImageError
 from repro.fleet.node import DEFAULT_STALL_NS, Node
 from repro.mcr.config import MCRConfig
 from repro.mem.ptmalloc import Chunk, _FreeList
-from repro.checkpoint.image import CheckpointImage
+from repro.checkpoint.image import CheckpointImage, check_runs
 from repro.mcr.faults import fire
 
 
@@ -104,11 +104,9 @@ def _validate_mappings(process: Any, record: Dict[str, Any], image: CheckpointIm
         section = image.sections.get(entry["section"])
         if section is None:
             raise ImageError(entry["section"], "section payload missing")
-        if len(section) != entry["size"]:
-            raise ImageError(
-                entry["section"],
-                f"payload {len(section)} bytes, mapping is {entry['size']}",
-            )
+        check_runs(
+            entry["section"], section.runs, len(section.payload), limit=entry["size"]
+        )
 
 
 def _validate_heap(process: Any, record: Dict[str, Any]) -> None:
@@ -217,7 +215,7 @@ def graft_process(process: Any, record: Dict[str, Any], image: CheckpointImage) 
     """Overlay one process's mutable state from the image (post-validation)."""
     for entry in record["mappings"]:
         mapping = process.space.mapping_at(entry["base"])
-        mapping.load(0, image.sections[entry["section"]])
+        mapping.replace(*image.sections[entry["section"]])
         # Chunk headers and tag mirrors ride along in the mapping bytes.
     _graft_heap(process.heap, record["heap"])
     fdtable = process.fdtable

@@ -175,10 +175,20 @@ class WarmStandby:
                     listener.closed = bool(closed)
 
     def resync(self, image: CheckpointImage, node_id: Optional[int] = None) -> None:
-        """Replace the standby's tree from a fresh full image (stale exit)."""
+        """Replace the standby's tree from a fresh full image (stale exit).
+
+        The new tree is restored before the old one is let go: a failed
+        restore raises with the previous tree intact and the standby
+        stale, still promotable at its last consistent checkpoint.
+        """
         node_id = self.node.node_id if node_id is None else node_id
+        try:
+            node = restore_image(image, node_id=node_id, config=self.config)
+        except BaseException:
+            self.stale = True
+            raise
         self.node.teardown()
-        self.node = restore_image(image, node_id=node_id, config=self.config)
+        self.node = node
         self.image_id = image.image_id
         self.applied_seq = 0
         self.stale = False

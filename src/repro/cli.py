@@ -422,7 +422,8 @@ def cmd_checkpoint(args) -> int:
     size = write_image(image, args.out)
     digest = image.fingerprint.summary()
     print(f"{args.server}: image {image.image_id} "
-          f"({size} bytes on disk, {image.total_bytes()} section bytes)")
+          f"({size} bytes on disk: {image.stored_bytes()} resident of "
+          f"{image.total_bytes()} described)")
     print(f"served {node.completed} requests before capture "
           f"({node.lost} lost)")
     print(f"fingerprint: {digest}")
@@ -444,8 +445,9 @@ def cmd_restore(args) -> int:
         return 2
     verified = node.fingerprint().matches(image.fingerprint)
     state = "verified" if verified else "MISMATCH"
-    print(f"{image.server}: restored image {image.image_id} -> "
-          f"fingerprint {state}")
+    print(f"{image.server}: restored image {image.image_id} "
+          f"({image.stored_bytes()} resident of {image.total_bytes()} "
+          f"described bytes) -> fingerprint {state}")
     exit_code = 0 if verified else 1
     if args.serve and verified:
         resume_node(node)

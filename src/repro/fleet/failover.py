@@ -179,7 +179,11 @@ class FailoverDrill(Drill):
         if delta is None:
             # Tree shape changed: resync standby from a fresh full image.
             if self._cut_full(result) and self.peer is not None:
-                self.peer.resync(self.last_image)
+                try:
+                    self.peer.resync(self.last_image)
+                except Exception as error:  # the standby stays stale
+                    result.checkpoint_failures += 1
+                    self._fired(result, error)
             return
         self.source_seq = delta.seq
         result.deltas_sent += 1

@@ -27,10 +27,10 @@ depends on, so nobody has to remember to invalidate:
       one), reserved superobject spans, symbols, library images;
     * the bytes — per mapping ``(base, size, PageTracker, write_seq,
       graft_epoch)``: every program write advances ``write_seq``, every
-      checkpoint graft (``Mapping.load``, which deliberately leaves write
-      sequencing alone) advances ``graft_epoch``, and a mapping replaced
-      at the same address has a new tracker — held as the object itself,
-      never ``id()``, so a recycled id cannot alias it;
+      checkpoint graft (``Mapping.load`` / ``replace``, which deliberately
+      leave write sequencing alone) advances ``graft_epoch``, and a
+      mapping replaced at the same address has a new tracker — held as
+      the object itself, never ``id()``, so a recycled id cannot alias it;
     * the roots — live thread ids and their stack-overlay addresses;
     * the policy — the three ``MCRConfig`` fields the walk reads and the
       two annotation tables it reads, by value (analysis traces under

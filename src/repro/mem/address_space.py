@@ -18,10 +18,11 @@ Mappings are demand-paged.  The host OS backs a store with demand-zero
 pages, so a page nobody wrote costs no memory — reading it (an image
 section, a scan window) maps the shared zero page — fork() stays eager but
 copies only the pages in ``tracker.ever_written``, and ``Mapping.crc32``
-reads only those.  That rests on one invariant: **a page not in
+reads only those, as do the checkpoint image's ``Mapping.packed`` and
+``Mapping.replace``.  That rests on one invariant: **a page not in
 ``ever_written`` is all zero**.  The only writers of a store are therefore
-``write_bytes``/``write_word`` (tracked) and ``Mapping.load`` (checkpoint
-grafts); ``view()`` windows are read-only.
+``write_bytes``/``write_word`` (tracked) and ``Mapping.load`` /
+``Mapping.replace`` (checkpoint grafts); ``view()`` windows are read-only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import mmap as _mmap
 import struct as _struct
 import zlib as _zlib
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 from repro.mem.pages import PAGE_SIZE, PageTracker
@@ -40,6 +41,11 @@ DATA_BASE = 0x0000_0060_0000
 HEAP_BASE = 0x0000_0100_0000
 MMAP_BASE = 0x0000_7000_0000
 LIB_BASE = 0x0000_7F00_0000
+
+
+# Ascending, page-aligned ``[start, stop)`` byte offsets into one store.
+Runs = Sequence[Tuple[int, int]]
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 def _round_up_pages(size: int) -> int:
@@ -111,17 +117,47 @@ class Mapping:
                 twin.data[start:stop] = source[start:stop]
         return twin
 
-    def crc32(self) -> int:
-        """``zlib.crc32`` of the whole store, reading only resident pages."""
-        crc = cursor = 0
+    def crc32(self, crc: int = 0) -> int:
+        """``zlib.crc32`` of the whole store, reading only resident pages.
+
+        ``crc`` is the running value to continue from, as in ``zlib``.
+        """
+        cursor = 0
         with memoryview(self.data) as data:
             for start, stop in self.tracker.resident_runs():
                 crc = _zlib.crc32(data[start:stop], _crc32_zeros(crc, start - cursor))
                 cursor = stop
         return _crc32_zeros(crc, self.size - cursor)
 
+    def packed(self) -> Tuple[Runs, bytes]:
+        """The resident runs and their bytes, back to back (image capture)."""
+        runs = tuple(self.tracker.resident_runs())
+        data = self.data
+        return runs, b"".join([data[start:stop] for start, stop in runs])
+
+    def replace(self, runs: Runs, payload: bytes) -> None:
+        """Make the whole store what ``packed`` read (image restore).
+
+        ``payload`` holds the bytes of ``runs`` back to back; every byte
+        outside them becomes zero, which only takes writing where this
+        store has a resident page the image does not.  Like ``load``, not
+        a program write: only residency and the graft epoch move.
+        """
+        self.tracker.graft_epoch += 1
+        resident = self.tracker.ever_written
+        stale = set(resident)
+        cursor = 0
+        for start, stop in runs:
+            self.data[start:stop] = payload[cursor : cursor + stop - start]
+            cursor += stop - start
+            pages = range(start // PAGE_SIZE, stop // PAGE_SIZE)
+            stale.difference_update(pages)
+            resident.update(pages)
+        for page in stale:
+            self.data[page * PAGE_SIZE : (page + 1) * PAGE_SIZE] = _ZERO_PAGE
+
     def load(self, offset: int, payload: bytes) -> None:
-        """Overlay checkpoint bytes at ``offset`` (restore / delta graft).
+        """Overlay checkpoint bytes at ``offset`` (delta graft).
 
         Marks resident exactly the pages that receive non-zero bytes or
         were resident already; the rest are zero on both sides and stay

@@ -52,9 +52,10 @@ class PageTracker:
         # touched each page, the incremental-checkpoint delta source.
         self.write_seq = 0
         self._page_seq: Dict[int, int] = {}
-        # Bumped by ``Mapping.load``: a graft changes bytes without being a
-        # program write, so it moves none of the sequencing above and a
-        # validity test built on ``write_seq`` alone would be blind to it.
+        # Bumped by ``Mapping.load`` / ``replace``: a graft changes bytes
+        # without being a program write, so it moves none of the sequencing
+        # above and a validity test built on ``write_seq`` alone would be
+        # blind to it.
         self.graft_epoch = 0
 
     def clear(self) -> None:

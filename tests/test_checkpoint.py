@@ -12,7 +12,9 @@ restored tree.
 from __future__ import annotations
 
 import json
+import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,7 @@ from repro.checkpoint import (
     WarmStandby,
     capture_delta,
     checkpoint_node,
+    hold_quiesced,
     read_image,
     restore_image,
     resume_node,
@@ -35,6 +38,7 @@ from repro.errors import ImageError, PromotionError
 from repro.fleet.node import REQUEST_SCRIPTS, Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import FaultPlan, TreeFingerprint
+from repro.mem.pages import PAGE_SIZE
 
 SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
 
@@ -170,13 +174,23 @@ def test_sequence_gap_marks_standby_stale():
 # -- corrupt-image hardening --------------------------------------------------
 
 
-def _encoded_simple_image():
-    node = _boot_warm("simple")
+def _encoded_image(server):
+    node = _boot_warm(server)
     try:
         image = checkpoint_node(node)
         return image, image.encode()
     finally:
         _teardown(node)
+
+
+def _encoded_simple_image():
+    return _encoded_image("simple")
+
+
+@pytest.fixture(scope="module")
+def httpd_image():
+    """A three-process image with multi-run sections, cut once for the fuzz tests."""
+    return _encoded_image("httpd")
 
 
 def test_corrupt_images_raise_typed_errors():
@@ -220,6 +234,202 @@ def test_incompatible_image_never_partially_restores():
         assert excinfo.value.section == "threads"
     finally:
         _teardown(source)
+
+
+def test_v1_image_is_refused_by_version():
+    _image, blob = _encoded_simple_image()
+    assert FORMAT_VERSION == 2
+    with pytest.raises(ImageError) as excinfo:
+        CheckpointImage.decode(blob[:8] + struct.pack("<I", 1) + blob[12:])
+    assert excinfo.value.section == "version"
+
+
+# -- image-format fuzzing: decode raises a section-named ImageError, only -------
+
+_HEADER_SIZE = 16
+
+
+def _layout(blob):
+    """``(meta, body_start)`` of an encoded image."""
+    (meta_len,) = struct.unpack_from("<I", blob, 12)
+    meta_end = _HEADER_SIZE + meta_len
+    return json.loads(blob[_HEADER_SIZE:meta_end]), meta_end + 4
+
+
+def _decode_error(blob) -> str:
+    """The section ``decode`` blames; anything but ``ImageError`` propagates."""
+    with pytest.raises(ImageError) as excinfo:
+        CheckpointImage.decode(bytes(blob))
+    return excinfo.value.section
+
+
+def _flipped(blob, at, rng):
+    damaged = bytearray(blob)
+    damaged[at] ^= rng.randrange(1, 256)
+    return damaged
+
+
+def test_fuzzed_byte_flips_name_the_damaged_region(httpd_image):
+    _image, blob = httpd_image
+    meta, body = _layout(blob)
+    rng = random.Random(20)
+    regions = [
+        ("magic", range(0, 8)),
+        ("version", range(8, 12)),
+        ("meta", range(12, _HEADER_SIZE)),      # the meta length
+        ("meta", range(_HEADER_SIZE, body - 4)),
+        ("meta", range(body - 4, body)),        # the meta CRC
+    ]
+    for name, record in meta["sections"].items():
+        start = body + record["offset"]
+        regions.append((name, range(start, start + record["length"])))
+    assert sum(len(span) for _name, span in regions) == len(blob)
+    assert sum(1 for _name, span in regions[5:] if span) >= 5  # sections with bytes
+    for expected, span in regions:
+        for at in rng.sample(span, min(len(span), 24)):
+            assert _decode_error(_flipped(blob, at, rng)) == expected, f"flip at {at}"
+
+
+def test_truncation_at_every_section_boundary_is_rejected(httpd_image):
+    image, blob = httpd_image
+    meta, body = _layout(blob)
+    assert _decode_error(blob[: body - 1]) == "meta"
+    names = set(image.sections)
+    boundaries = {body + r["offset"] for r in meta["sections"].values()} | {len(blob)}
+    cuts = {b + d for b in boundaries for d in (-1, 0, 1)}
+    for cut in sorted(c for c in cuts if body <= c < len(blob)):
+        assert _decode_error(blob[:cut]) in names, f"cut at {cut}"
+    CheckpointImage.decode(blob)  # the whole image still decodes
+
+
+def _with_meta(blob, meta_blob):
+    """``blob``'s sections behind a different meta document, CRC fixed up."""
+    _meta, body = _layout(blob)
+    header = struct.pack("<8sII", b"MCRIMAGE", FORMAT_VERSION, len(meta_blob))
+    return header + meta_blob + struct.pack("<I", zlib.crc32(meta_blob)) + blob[body:]
+
+
+def _with_section_record(blob, mutate):
+    """Re-encode ``blob`` with its largest section's record doctored."""
+    meta, _body = _layout(blob)
+    name = max(meta["sections"], key=lambda n: meta["sections"][n]["length"])
+    mutate(meta["sections"][name])
+    return name, _with_meta(blob, json.dumps(meta, sort_keys=True).encode())
+
+
+def _set(key, value):
+    return lambda record: record.__setitem__(key, value)
+
+
+def _shift_runs(record):  # same length, off the page grid
+    record["runs"] = [[start + 8, stop + 8] for start, stop in record["runs"]]
+
+
+def _split_run(record):
+    """The first run as two pages-long halves (needs >= 2 pages)."""
+    start, stop = record["runs"][0]
+    assert stop - start >= 2 * PAGE_SIZE
+    return [start, start + PAGE_SIZE], [start + PAGE_SIZE, stop], record["runs"][1:]
+
+
+def _descending_runs(record):
+    first, second, rest = _split_run(record)
+    record["runs"] = [second, first, *rest]
+
+
+def _overlapping_runs(record):
+    first, second, rest = _split_run(record)
+    record["runs"] = [first, [second[0] - PAGE_SIZE, second[1] - PAGE_SIZE], *rest]
+
+
+def _short_runs(record):
+    first, _second, rest = _split_run(record)
+    record["runs"] = [first, *rest]
+
+
+RECORD_DAMAGE = [
+    *(
+        (f"{key}={value!r}", _set(key, value))
+        for key in ("offset", "length", "crc32", "runs")
+        for value in (None, -1, "7", 1.5, True, {"a": 1})
+    ),
+    *(
+        (f"no {key}", lambda record, key=key: record.pop(key))
+        for key in ("offset", "length", "crc32", "runs")
+    ),
+    ("runs of non-pairs", _set("runs", [[0], [1, 2, 3]])),
+    ("runs of non-ints", _set("runs", [["0", 4096]])),
+    ("unaligned runs", _shift_runs),
+    ("descending runs", _descending_runs),
+    ("overlapping runs", _overlapping_runs),
+    ("runs shorter than length", _short_runs),
+]
+
+
+@pytest.mark.parametrize("mutate", [m for _l, m in RECORD_DAMAGE], ids=[l for l, _m in RECORD_DAMAGE])
+def test_doctored_section_record_names_its_section(mutate, httpd_image):
+    _image, blob = httpd_image
+    name, doctored = _with_section_record(blob, mutate)
+    assert _decode_error(doctored) == name
+
+
+@pytest.mark.parametrize(
+    "meta_blob,blamed",
+    [
+        (b"[]", "meta"),
+        (b'{"sections": []}', "meta"),
+        (b'{"sections": {"mem/1/x@0x0": 7}}', "mem/1/x@0x0"),
+    ],
+)
+def test_meta_that_is_not_a_section_table_is_rejected(meta_blob, blamed, httpd_image):
+    _image, blob = httpd_image
+    assert _decode_error(_with_meta(blob, meta_blob)) == blamed
+
+
+def _quiesced_boot_fingerprint(server: str) -> TreeFingerprint:
+    """What a fresh boot parked at the barrier fingerprints as (deterministic)."""
+    node = Node.boot(server, node_id=1)
+    try:
+        with hold_quiesced(node):
+            return node.fingerprint()
+    finally:
+        _teardown(node)
+
+
+def _past_the_end(section, size):
+    start, stop = section.runs[-1]
+    return section._replace(runs=(*section.runs[:-1], (start + size, stop + size)))
+
+
+def _short_payload(section, _size):
+    return section._replace(payload=bytes(section.payload)[:-PAGE_SIZE])
+
+
+@pytest.mark.parametrize("doctor", [_past_the_end, _short_payload])
+def test_doctored_in_memory_image_never_partially_grafts(doctor, monkeypatch):
+    """A bad last section is found before the first mapping is written."""
+    source = _boot_warm("simple")
+    try:
+        image = checkpoint_node(source)
+    finally:
+        _teardown(source)
+    mappings = image.meta["processes"][-1]["mappings"]
+    entry = [e for e in mappings if image.sections[e["section"]].runs][-1]
+    sections = dict(image.sections)
+    sections[entry["section"]] = doctor(sections[entry["section"]], entry["size"])
+    at_teardown = []
+    real_teardown = Node.teardown
+
+    def fingerprinting_teardown(node):
+        at_teardown.append(node.fingerprint())
+        real_teardown(node)
+
+    with monkeypatch.context() as patch, pytest.raises(ImageError) as excinfo:
+        patch.setattr(Node, "teardown", fingerprinting_teardown)
+        restore_image(CheckpointImage(image.meta, sections), node_id=1)
+    assert excinfo.value.section == entry["section"]
+    (failed_target,) = at_teardown
+    assert _quiesced_boot_fingerprint("simple").diff(failed_target) == []
 
 
 def test_unreadable_image_file(tmp_path):

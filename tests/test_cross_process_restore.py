@@ -38,10 +38,13 @@ def test_image_restores_in_a_fresh_python_process(tmp_path):
     assert wrote.returncode == 0, wrote.stderr
     assert image.exists() and image.stat().st_size > 0
     assert "fingerprint:" in wrote.stdout
+    # Both sides report what the image describes and what it stores.
+    assert "resident of 4464640 described" in wrote.stdout
 
     read = _repro("restore", str(image), "--serve", "4")
     assert read.returncode == 0, read.stdout + read.stderr
     assert "fingerprint verified" in read.stdout
+    assert "resident of 4464640 described" in read.stdout
     # The restored tree does not just fingerprint-match: it resumes and
     # actually serves, in a process that never saw the original kernel.
     assert "served 4/4" in read.stdout

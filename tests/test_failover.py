@@ -168,3 +168,59 @@ def test_dropped_delta_gap_goes_stale_then_resync_recovers():
         assert standby.promote() is standby.node
     finally:
         drill._teardown()
+
+
+# -- a resync whose restore fails --------------------------------------------
+
+
+def _booted_drill_with_restore_fault():
+    """``_booted_drill``, with the next ``restore.image`` armed to fail."""
+    drill, result = _booted_drill()
+    config = MCRConfig(
+        checkpoint_interval_ns=25_000_000,
+        faults=FaultPlan().at("restore.image"),
+    )
+    drill.config = drill.standby.config = config
+    return drill, result
+
+
+def test_failed_resync_keeps_the_previous_tree_and_goes_stale():
+    drill, result = _booted_drill_with_restore_fault()
+    try:
+        standby = drill.standby
+        node, image_id = standby.node, standby.image_id
+        before = node.fingerprint()
+        assert drill._cut_full(result)
+        with pytest.raises(Exception) as excinfo:
+            standby.resync(drill.last_image)
+        assert excinfo.value.fault_site == "restore.image"
+        # The tree it held is the tree it holds: alive, untouched, and
+        # still named by the image it came from.
+        assert standby.node is node and not node.torn_down
+        assert standby.image_id == image_id
+        assert before.diff(node.fingerprint()) == []
+        assert standby.stale
+        # apply() never raises (a stale standby refuses), and the last
+        # consistent checkpoint is still promotable.
+        delta = capture_delta(drill.primary, drill.baseline, drill.config)
+        assert standby.apply(delta.encode()) is False
+        assert standby.promote() is node
+    finally:
+        drill._teardown()
+
+
+def test_cadence_tick_survives_a_failed_resync():
+    drill, result = _booted_drill_with_restore_fault()
+    try:
+        standby = drill.standby
+        drill.baseline.mapping_seqs[(9999, 0x7F000000)] = 0  # structural drift
+        drill._cadence_tick(result)  # must not raise
+        assert result.fired_sites == ["restore.image"]
+        assert result.checkpoint_failures == 1
+        assert drill.standby is standby and standby.stale
+        assert not standby.node.torn_down
+        drill._cadence_tick(result)  # the stale standby refuses the delta
+        assert standby.deltas_rejected == 1
+        assert standby.promote() is standby.node
+    finally:
+        drill._teardown()

@@ -12,22 +12,34 @@ each is pinned against the body it replaced, kept here as the oracle:
 * ``PageTracker.note_write`` has a single-page fast path — against the
   old body, field for field.
 
-The two count-based guards at the end hold the costs themselves (bytes
-through ``zlib.crc32``, blocks probed) without reading a clock.
+The count-based guards hold the costs themselves (bytes through
+``zlib.crc32``, blocks probed, bytes a checkpoint image stores and the
+widest slice its capture and restore take of a store) without reading a
+clock.
 """
 
 from __future__ import annotations
 
+import mmap
 import random
+import struct
+import types
 import zlib
 
 import pytest
 
 from repro.bench.harness import boot_server
-from repro.checkpoint import checkpoint_node, read_image, restore_image, write_image
+from repro.checkpoint import (
+    checkpoint_node,
+    hold_quiesced,
+    read_image,
+    restore_image,
+    write_image,
+)
+from repro.fleet.drill import SETTLE_NS
 from repro.fleet.node import Node
 from repro.mcr.faults import TreeFingerprint
-from repro.mem import regions
+from repro.mem import address_space, regions
 from repro.mem.address_space import AddressSpace, _crc32_zeros
 from repro.mem.pages import PAGE_SIZE, PageTracker
 from repro.mem.ptmalloc import PtMallocHeap
@@ -173,6 +185,126 @@ class TestFingerprintBitIdentity:
         monkeypatch.undo()
         assert fed, "the fingerprint no longer goes through zlib.crc32 at all"
         assert sum(fed) <= resident
+
+
+# -- checkpoint images: pay for resident pages, not mapped size -----------------
+
+
+def _warm_httpd() -> Node:
+    node = Node.boot("httpd")
+    node.serve(32)
+    node.drain()
+    node.settle(SETTLE_NS)
+    return node
+
+
+def _mappings(node: Node) -> dict:
+    return {(p.pid, m.base): m for p in node.root.tree() for m in p.space.mappings()}
+
+
+class _CountingStore(mmap.mmap):
+    """A mapping store that records how wide every slice taken of it is."""
+
+    widths = None  # a list while a test is counting
+
+    def _note(self, key) -> None:
+        if self.widths is not None and isinstance(key, slice):
+            start, stop, _step = key.indices(len(self))
+            self.widths.append((self, stop - start))
+
+    def __getitem__(self, key):
+        self._note(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value) -> None:
+        self._note(key)
+        super().__setitem__(key, value)
+
+
+class TestImageCostFollowsResidentPages:
+    def test_an_image_stores_the_resident_pages_and_meta_only(self):
+        node = _warm_httpd()
+        try:
+            image = checkpoint_node(node)
+            mappings = _mappings(node)
+            resident = sum(len(m.tracker.ever_written) for m in mappings.values()) * PAGE_SIZE
+            mapped = sum(m.size for m in mappings.values())
+            assert resident * 8 < mapped
+            assert image.stored_bytes() == resident
+            assert image.total_bytes() == mapped
+            counters = node.collector.counters
+            assert counters.get("checkpoint.image_bytes") == mapped
+            assert counters.get("checkpoint.image_stored_bytes") == resident
+            # What encode adds is the header, the meta document and its
+            # CRC; the meta grows with records and runs, never with bytes.
+            blob = image.encode()
+            (meta_len,) = struct.unpack_from("<I", blob, 12)
+            assert len(blob) - resident == 16 + meta_len + 4
+            runs = sum(len(section.runs) for section in image.sections.values())
+            assert meta_len < 16 * 1024 + 256 * (len(mappings) + runs)
+        finally:
+            node.teardown()
+
+    def test_restore_leaves_resident_what_source_or_boot_touched(self):
+        source, fresh, restored = _warm_httpd(), Node.boot("httpd", node_id=2), None
+        try:
+            restored = restore_image(checkpoint_node(source), node_id=1)
+            with hold_quiesced(fresh):
+                booted = {key: set(m.tracker.ever_written) for key, m in _mappings(fresh).items()}
+            touched = _mappings(source)
+            union = 0
+            for key, mapping in _mappings(restored).items():
+                either = touched[key].tracker.ever_written | booted[key]
+                assert mapping.tracker.ever_written <= either, mapping.name
+                union += len(either) * PAGE_SIZE
+            assert sum(p.space.resident_bytes() for p in restored.root.tree()) <= union
+        finally:
+            for node in (source, fresh, restored):
+                if node is not None:
+                    node.teardown()
+
+    def test_capture_and_restore_never_take_a_whole_sparse_mapping(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            address_space,
+            "_mmap",
+            types.SimpleNamespace(
+                mmap=_CountingStore,
+                MAP_PRIVATE=mmap.MAP_PRIVATE,
+                MAP_ANONYMOUS=mmap.MAP_ANONYMOUS,
+            ),
+        )
+        widths, views = [], []
+        plain_view = AddressSpace.view
+
+        def counting_view(space, address, size):
+            views.append(size)
+            return plain_view(space, address, size)
+
+        source, restored = _warm_httpd(), None
+        try:
+            with monkeypatch.context() as counting:
+                counting.setattr(_CountingStore, "widths", widths)
+                counting.setattr(AddressSpace, "view", counting_view)
+                path = str(tmp_path / "node.img")
+                write_image(checkpoint_node(source), path)
+                restored = restore_image(read_image(path), node_id=1)
+            assert restored.fingerprint().matches(source.fingerprint())
+            assert views == [], "the image path reads through resident runs, not views"
+            widest = {}
+            for store, width in widths:
+                widest[store] = max(width, widest.get(store, 0))
+            stores = {m.data: m for node in (source, restored) for m in _mappings(node).values()}
+            assert len(widest) >= 6 and set(widest) <= set(stores)
+            for store, width in widest.items():
+                mapping = stores[store]
+                longest_run = max(
+                    (stop - start for start, stop in mapping.tracker.resident_runs()), default=0
+                )
+                assert width <= longest_run < mapping.size, mapping.name
+        finally:
+            for node in (source, restored):
+                if node is not None:
+                    node.teardown()
 
 
 # -- PageTracker.note_write -----------------------------------------------------

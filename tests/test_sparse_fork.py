@@ -6,12 +6,18 @@
 levels: a hypothesis model of one address space against dense
 ``bytearray``s, a walk over whole server trees across the update and the
 checkpoint planes, and the restore-then-fork regression the invariant
-exists for.
+exists for.  Checkpoint images rest on the same invariant — a section
+stores resident runs only — so the same model and the same trees pin
+*sparse ≡ dense* there (section (d)): the dense capture the image format
+used to perform lives on here as the oracle.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +25,20 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import SERVER_BENCHES, boot_server
 from repro.checkpoint import (
+    CheckpointImage,
     DeltaBaseline,
     StandbyChannel,
     WarmStandby,
     capture_delta,
     checkpoint_node,
+    hold_quiesced,
     read_image,
     restore_image,
     resume_node,
     write_image,
 )
+from repro.checkpoint import restore as restore_module
+from repro.checkpoint.image import Section, capture_quiesced, section_name
 from repro.fleet.node import REQUEST_SCRIPTS, Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -117,6 +127,36 @@ class DenseModel:
         assert_residency(self.space)
 
 
+def assert_image_graft_matches_dense(model: DenseModel) -> None:
+    """capture -> encode -> decode -> replace lands the dense bytes, exactly.
+
+    Into a fresh twin of the layout, and into one whose every page the
+    source never touched holds stale data (which the graft must zero).
+    """
+    space = model.space
+    captured = CheckpointImage(
+        {}, {f"{m.base:x}": Section(*m.packed()) for m in space.mappings()}
+    )
+    image = CheckpointImage.decode(captured.encode())
+    for stale in (False, True):
+        target = AddressSpace()
+        for mapping in space.mappings():
+            twin = target.map(mapping.size, address=mapping.base, name=mapping.name)
+            for page in set(range(twin.tracker.num_pages)) - model.resident[twin.base]:
+                if stale:
+                    target.write_bytes(twin.base + page * PAGE_SIZE + 40, b"stale")
+        for twin in target.mappings():
+            had = set(twin.tracker.ever_written)
+            before = tracker_state(twin, skip=("ever_written",))
+            epoch = twin.tracker.graft_epoch
+            twin.replace(*image.sections[f"{twin.base:x}"])
+            assert bytes(twin.data) == bytes(model.dense[twin.base])
+            assert twin.tracker.ever_written == had | model.resident[twin.base]
+            assert tracker_state(twin, skip=("ever_written",)) == before
+            assert twin.tracker.graft_epoch == epoch + 1
+        assert_residency(target)
+
+
 payloads = st.one_of(
     st.binary(min_size=1, max_size=64),
     # Multi-page payloads with whole zero pages inside: what a restored
@@ -198,6 +238,7 @@ def test_sparse_clone_matches_dense_oracle(ops):
             each.check()
     for each in models:
         each.check()
+        assert_image_graft_matches_dense(each)
 
 
 def test_view_is_read_only():
@@ -314,3 +355,113 @@ def test_restored_vsftpd_forks_complete_children(monkeypatch):
         for node in (source, restored):
             if node is not None:
                 node.teardown()
+
+
+# -- (d) checkpoint images: sparse ≡ dense on whole trees ---------------------------
+
+IMAGE_SERVERS = ("httpd", "nginx", "vsftpd", "memcache")
+
+
+def dense_sections(node: Node) -> dict:
+    """The capture image format v1 performed: every mapped byte of the tree."""
+    return {
+        section_name(process.pid, m.name, m.base): bytes(process.space.view(m.base, m.size))
+        for process in node.root.tree()
+        for m in process.space.mappings()
+    }
+
+
+def dense_image_id(image: CheckpointImage, dense: dict) -> str:
+    """``image_id`` by the plain ``zlib.crc32`` chain over the dense sections."""
+    meta = {k: v for k, v in image.meta.items() if k not in ("image_id", "format")}
+    digest = zlib.crc32(json.dumps(meta, sort_keys=True).encode())
+    for name in sorted(dense):
+        digest = zlib.crc32(dense[name], digest)
+    return f"img-{digest:08x}"
+
+
+def expanded(section: Section, size: int) -> bytes:
+    out, cursor = bytearray(size), 0
+    for start, stop in section.runs:
+        out[start:stop] = section.payload[cursor : cursor + stop - start]
+        cursor += stop - start
+    return bytes(out)
+
+
+def scribble(node: Node, rng: random.Random, writes: int = 40) -> None:
+    """Seeded ``write_bytes`` / ``write_word`` / ``load`` all over a parked tree."""
+    spots = [(p.space, m) for p in node.root.tree() for m in p.space.mappings()]
+    for _ in range(writes):
+        space, mapping = rng.choice(spots)
+        length = min(rng.choice((8, 100, PAGE_SIZE, 2 * PAGE_SIZE + 9)), mapping.size)
+        offset = rng.randrange(0, mapping.size - length + 1, 8)
+        kind = rng.random()
+        if kind < 0.3:
+            space.write_word(mapping.base + offset, rng.getrandbits(64))
+        elif kind < 0.7:
+            space.write_bytes(mapping.base + offset, rng.randbytes(length))
+        else:
+            mapping.load(offset, rng.choice((bytes(length), rng.randbytes(length))))
+
+
+def restore_watched(image: CheckpointImage, source: Node, rng, monkeypatch):
+    """``restore_image``, looking at the booted target right before validation.
+
+    With ``rng``, first dirties pages of the target the source never
+    touched.  Returns the restored node and its trackers' pre-graft state.
+    """
+    resident = {
+        (p.pid, m.base): m.tracker.ever_written
+        for p in source.root.tree()
+        for m in p.space.mappings()
+    }
+    before = {}
+    validate = restore_module._validate_tree
+
+    def watching_validate(node, image):
+        for process in node.root.tree():
+            for m in process.space.mappings():
+                free = sorted(set(range(m.tracker.num_pages)) - resident[process.pid, m.base])
+                for page in rng.sample(free, min(3, len(free))) if rng else ():
+                    process.space.write_bytes(m.base + page * PAGE_SIZE + 8, b"stale")
+                before[process.pid, m.base] = tracker_state(m, skip=("ever_written",))
+        return validate(node, image)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(restore_module, "_validate_tree", watching_validate)
+        return restore_image(image, node_id=1), before
+
+
+@pytest.mark.parametrize("server", IMAGE_SERVERS)
+def test_sparse_image_matches_dense_oracle_on_trees(server, monkeypatch):
+    rng = random.Random(f"sparse-image-{server}")
+    source = Node.boot(server)
+    targets = []
+    try:
+        _serve(source, 4)
+        with hold_quiesced(source):
+            scribble(source, rng)
+            image = capture_quiesced(source)
+            dense = dense_sections(source)
+        # Capture: same identity, same bytes, as the dense reader's.
+        assert image.image_id == dense_image_id(image, dense)
+        assert sorted(image.sections) == sorted(dense)
+        for name, section in image.sections.items():
+            assert expanded(section, len(dense[name])) == dense[name], name
+        assert image.total_bytes() == sum(len(blob) for blob in dense.values())
+        # Restore, into a fresh boot and into one with stale pages.
+        decoded = CheckpointImage.decode(image.encode())
+        assert decoded.image_id == image.image_id
+        for dirt in (None, rng):
+            target, before = restore_watched(decoded, source, dirt, monkeypatch)
+            targets.append(target)
+            assert image.fingerprint.diff(target.fingerprint()) == []
+            for process in target.root.tree():
+                for m in process.space.mappings():
+                    name = section_name(process.pid, m.name, m.base)
+                    assert bytes(m.data) == dense[name], name
+                    assert tracker_state(m, skip=("ever_written",)) == before[process.pid, m.base]
+            assert_tree_residency(target.root.tree())
+    finally:
+        for node in (source, *targets):
+            node.teardown()
