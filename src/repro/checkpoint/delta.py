@@ -18,7 +18,9 @@ a fresh full image instead of describing structural change in a delta.
 Wire format mirrors the image: ``b"MCRDELTA"`` + u32 version + u32 meta
 length + meta JSON + meta CRC + page payload blob (offsets in meta,
 whole blob CRC'd).  ``DeltaCheckpoint.decode`` raises ``ImageError``
-(section ``"delta"``) on any damage.
+(section ``"delta"``) on any damage, and nothing else: a meta that passes
+its CRC but is not an object, or lacks or mistypes a key a consumer
+reads, is refused naming the key.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ from repro.checkpoint.image import CheckpointImage, _process_record
 DELTA_MAGIC = b"MCRDELTA"
 DELTA_VERSION = 1
 _HEADER = struct.Struct("<8sII")
+
+# The meta keys a consumer reads without asking, and their JSON types: a
+# meta that passes its CRC but lacks or mistypes one is refused by name.
+_META_FIELDS = (
+    ("seq", int),
+    ("base_image_id", str),
+    ("pages", list),
+    ("pages_length", int),
+    ("pages_crc32", int),
+    ("records", dict),
+    ("fingerprint", dict),
+)
 
 # Virtual-time cost of serializing one delta byte (same order as the
 # full-image cost; deltas are small so the pause is microseconds).
@@ -117,7 +131,15 @@ class DeltaCheckpoint:
         (crc,) = struct.unpack_from("<I", data, meta_end)
         if zlib.crc32(meta_blob) != crc:
             raise ImageError("delta", "meta CRC mismatch")
-        meta = json.loads(meta_blob)
+        try:
+            meta = json.loads(meta_blob)
+        except ValueError as error:
+            raise ImageError("delta", f"undecodable meta JSON: {error}") from None
+        if not isinstance(meta, dict):
+            raise ImageError("delta", "meta is not an object")
+        for field, kind in _META_FIELDS:
+            if type(meta.get(field)) is not kind:
+                raise ImageError("delta", f"missing or ill-typed {field!r} in meta")
         blob = data[meta_end + 4:]
         if len(blob) != meta["pages_length"] or zlib.crc32(blob) != meta["pages_crc32"]:
             raise ImageError("delta", "page payload truncated or corrupt")

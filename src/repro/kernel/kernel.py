@@ -475,7 +475,7 @@ class Kernel:
         # inherits the old one's count and its first faults go uncharged.
         # Known and kept bit for bit: every committed virtual number
         # includes it (tests/test_syscall_fastpath.py holds the xfail;
-        # ROADMAP item 2 the fix).
+        # ROADMAP item 3 the fix).
         process = thread.process
         faults = process.space.soft_dirty_faults
         seen = self._fault_charged.get(process.pid, 0)

@@ -7,8 +7,9 @@ memory, followed by state transfer into the new version:
 * ``conservative`` — likely-pointer scanning of opaque regions;
 * ``graph``        — object records, per-process address resolution, and
   the hybrid walk driver;
-* ``incremental``  — the update-scoped ``TraceMemo`` (each process traced
-  once per update, each distinct window classified once);
+* ``incremental``  — the update-scoped ``TraceMemo`` (each distinct
+  process walked once per update — siblings that answer every read of a
+  walk alike share it — each distinct window classified once);
 * ``invariants``   — immutability / nonupdatability assignment;
 * ``dirty``        — soft-dirty-based dirty-object filtering;
 * ``transform``    — cross-version type transformations;

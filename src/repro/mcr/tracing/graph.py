@@ -20,7 +20,7 @@ from repro.mcr.config import MCRConfig
 from repro.mcr.tracing import conservative, precise
 from repro.mem import scan_backend
 from repro.mem.tags import DataTag
-from repro.types.descriptors import TypeDesc
+from repro.types.descriptors import WORD_SIZE, TypeDesc
 
 # Memory regions for Table-2 classification.
 REGION_STATIC = "static"
@@ -34,6 +34,13 @@ _KIND_TO_REGION = {
     "mmap": REGION_DYNAMIC,
     "lib": REGION_LIB,
 }
+
+# The three questions a walk puts to memory (``GraphBuilder.transcript``):
+# one word, one contiguous range scanned for likely pointers, and the
+# pointer-sized-integer slots of one object scanned likewise.
+ASKED_WORD = "word"
+ASKED_RANGE = "range"
+ASKED_WORDS = "words"
 
 
 class ObjectRecord:
@@ -294,6 +301,42 @@ class TraceResult:
     def record_for(self, base: int) -> Optional[ObjectRecord]:
         return self.objects.get(base)
 
+    def rebound(self, process: Process) -> "TraceResult":
+        """This trace as ``process``'s own: a fresh record per object,
+        ``tag`` and ``type`` from its own tag store, the (read-only)
+        pointer slots shared.  For a process the walk would have gone
+        alike in — ``TraceMemo`` decides that; nothing is re-read here.
+        """
+        twin = TraceResult(process)
+        own_tag = process.tags.lookup
+        objects = twin.objects
+        new = ObjectRecord.__new__
+        for base, record in self.objects.items():
+            copy = objects[base] = new(ObjectRecord)
+            tag = record.tag
+            if tag is not None:
+                tag = own_tag(tag.address)
+            copy.tag = tag
+            copy.type = tag.type if tag is not None else None
+            copy.base = base
+            copy.size = record.size
+            copy.region = record.region
+            copy.site = record.site
+            copy.name = record.name
+            copy.startup = record.startup
+            copy.immutable = record.immutable
+            copy.nonupdatable = record.nonupdatable
+            copy.conservatively_traversed = record.conservatively_traversed
+            copy.is_root = record.is_root
+            copy.visited = record.visited
+            gaps = record.gap_ranges
+            copy.gap_ranges = gaps if gaps is None else list(gaps)
+        twin.precise_pointers = list(self.precise_pointers)
+        twin.likely_pointers = list(self.likely_pointers)
+        twin.dangling_precise = self.dangling_precise
+        twin.words_scanned = self.words_scanned
+        return twin
+
     # -- Table 2 ------------------------------------------------------------------
 
     def _classify(self, pointers: List[PointerSlot]) -> Dict[str, int]:
@@ -349,18 +392,24 @@ class GraphBuilder:
         )
         self.result = TraceResult(process)
         self._worklist: deque = deque()
-        self._index: Optional[scan_backend.PreparedScanIndex] = None  # set by build()
+        self.index: Optional[scan_backend.PreparedScanIndex] = None  # set by build()
         # The update's ``TraceMemo`` when a controller drives this trace:
         # byte-identical windows under identical layouts (forked siblings'
         # startup pages) are classified once per update, not once each.
         self._memo = memo
+        # What the walk asked memory and what it was told, in order:
+        # ``(kind, address, extent, answer)``.  Everything else a walk
+        # reads is layout, roots and policy, so two processes that agree
+        # on those and on every answer here have the same trace
+        # (``TraceMemo`` shares one walk between forked siblings this way).
+        self.transcript: List[Tuple] = []
 
     # -- public API ---------------------------------------------------------------
 
     def build(self) -> TraceResult:
         # The process is quiesced for the duration of a trace, so its live
         # objects can be snapshotted into the scan index.
-        self._index = snapshot_index(self.process)
+        self.index = snapshot_index(self.process)
         self._add_static_roots()
         self._add_stack_roots()
         while self._worklist:
@@ -376,8 +425,11 @@ class GraphBuilder:
     def _scan_range(self, start: int, size: int):
         """One conservative range scan, through the update's memo if any."""
         if self._memo is not None:
-            return self._memo.scan(self.process, self._index, start, size)
-        return conservative.scan_range(self.process.space, start, size, self._index)
+            answer = self._memo.scan(self.process, self.index, start, size)
+        else:
+            answer = conservative.scan_range(self.process.space, start, size, self.index)
+        self.transcript.append((ASKED_RANGE, start, size, answer))
+        return answer
 
     # -- roots -----------------------------------------------------------------------
 
@@ -407,7 +459,7 @@ class GraphBuilder:
     # -- interning ----------------------------------------------------------------------
 
     def _intern(self, address: int) -> Optional[ObjectRecord]:
-        resolved = self._index.lookup(address)
+        resolved = self.index.lookup(address)
         if resolved is None:
             return None
         base, size, _align, tag = resolved
@@ -457,9 +509,11 @@ class GraphBuilder:
         """Decode an annotated encoded-pointer object precisely."""
         space = self.process.space
         mask = self.annotations.encoded_pointers[record.name]
-        value = space.read_word(record.base) & ~mask
+        word = space.read_word(record.base)
+        self.transcript.append((ASKED_WORD, record.base, WORD_SIZE, word))
+        value = word & ~mask
         if value:
-            resolved = self._index.lookup(value)
+            resolved = self.index.lookup(value)
             if resolved is not None:
                 target_base = resolved[0]
                 if self._intern(target_base) is not None:
@@ -476,12 +530,14 @@ class GraphBuilder:
 
     def _visit_precise(self, record: ObjectRecord) -> None:
         space = self.process.space
+        asked = self.transcript.append
         for offset, _ptr_type in precise.pointer_slots(record.type):
             slot = record.base + offset
             value = space.read_word(slot)
+            asked((ASKED_WORD, slot, WORD_SIZE, value))
             if value == 0:
                 continue
-            resolved = self._index.lookup(value)
+            resolved = self.index.lookup(value)
             if resolved is None:
                 self.result.dangling_precise += 1
                 continue
@@ -497,9 +553,11 @@ class GraphBuilder:
         if self.config.scan_opaque_int64:
             slots = precise.int_word_slots(record.type)
             if slots:
-                found, scanned = conservative.scan_words(
-                    self.process.space, slots, record.base, self._index
+                answer = conservative.scan_words(
+                    self.process.space, slots, record.base, self.index
                 )
+                asked((ASKED_WORDS, record.base, slots, answer))
+                found, scanned = answer
                 self.result.words_scanned += scanned
                 self._absorb_likely(record, found)
 

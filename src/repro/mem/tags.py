@@ -94,10 +94,8 @@ class TagStore:
 
     def tags_in_range(self, start: int, end: int) -> List[DataTag]:
         """Tags whose object starts in [start, end), ascending by address."""
-        import bisect as _bisect
-
-        lo = _bisect.bisect_left(self._sorted_addresses, start)
-        hi = _bisect.bisect_left(self._sorted_addresses, end)
+        lo = bisect.bisect_left(self._sorted_addresses, start)
+        hi = bisect.bisect_left(self._sorted_addresses, end)
         return [self._by_address[a] for a in self._sorted_addresses[lo:hi]]
 
     def unregister_range(self, start: int, end: int) -> int:
@@ -107,10 +105,8 @@ class TagStore:
         instrumented wrapper registered per-allocation tags that must die
         with the backing block.
         """
-        import bisect as _bisect
-
-        lo = _bisect.bisect_left(self._sorted_addresses, start)
-        hi = _bisect.bisect_left(self._sorted_addresses, end)
+        lo = bisect.bisect_left(self._sorted_addresses, start)
+        hi = bisect.bisect_left(self._sorted_addresses, end)
         doomed = self._sorted_addresses[lo:hi]
         for address in doomed:
             del self._by_address[address]

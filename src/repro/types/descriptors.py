@@ -12,7 +12,8 @@ compile time: derived once per descriptor object, on first use, from its
 members' maps, and cached on the instance — tracing pays per traced
 object, never per type walk.
 
-Descriptors are immutable once constructed (the cached map depends on it)
+Descriptors are immutable once constructed (the cached map and the cached
+signature depend on it)
 and compared structurally via ``signature()``: two versions of a program
 have "the same" type when the signatures match, which is how mutable tracing
 decides whether a type transformation is needed.
@@ -49,6 +50,7 @@ class TypeDesc:
         self.size = size
         self.align = align
         self._pointer_map: Optional[PointerMap] = None
+        self._signature: Optional[str] = None
 
     def pointer_map(self) -> PointerMap:
         """This type's compiled pointer map (derived on first use)."""
@@ -70,14 +72,26 @@ class TypeDesc:
         return False
 
     def signature(self) -> str:
-        """A structural identity string, stable across program versions."""
+        """A structural identity string, stable across program versions.
+
+        Built on first use and kept: ``==``, ``hash()`` and every
+        transferred object ask for it, and a descriptor never changes.
+        """
+        built = self._signature
+        if built is None:
+            built = self._signature = self._build_signature()
+        return built
+
+    def _build_signature(self) -> str:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} size={self.size}>"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TypeDesc) and self.signature() == other.signature()
+        return self is other or (
+            isinstance(other, TypeDesc) and self.signature() == other.signature()
+        )
 
     def __hash__(self) -> int:
         return hash(self.signature())
@@ -95,7 +109,7 @@ class IntType(TypeDesc):
         label = name or f"{'' if signed else 'u'}int{size * 8}"
         super().__init__(label, size, size)
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         return f"i{'s' if self.signed else 'u'}{self.size}"
 
 
@@ -107,7 +121,7 @@ class CharType(TypeDesc):
     def __init__(self) -> None:
         super().__init__("char", 1, 1)
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         return "c"
 
 
@@ -121,7 +135,7 @@ class PointerType(TypeDesc):
         target_name = target.name if target is not None else "void"
         super().__init__(name or f"{target_name}*", WORD_SIZE, WORD_SIZE)
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         # Pointer signatures deliberately use only the *name* of the target
         # (not its full structure): pointer graphs are cyclic, and a pointer
         # slot is layout-identical regardless of how the pointee changed.
@@ -137,7 +151,7 @@ class FuncType(TypeDesc):
     def __init__(self, name: str = "func") -> None:
         super().__init__(name, WORD_SIZE, WORD_SIZE)
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         return "fn"
 
 
@@ -187,7 +201,7 @@ class StructType(TypeDesc):
         # *regions* opaque, handled field-by-field by the tracer.
         return False
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         inner = ",".join(f"{f.name}:{f.type.signature()}" for f in self.fields)
         return f"s:{self.name}{{{inner}}}"
 
@@ -206,7 +220,7 @@ class UnionType(TypeDesc):
     def is_opaque(self) -> bool:
         return True
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         inner = ",".join(f"{f.name}:{f.type.signature()}" for f in self.fields)
         return f"u:{self.name}{{{inner}}}"
 
@@ -228,7 +242,7 @@ class ArrayType(TypeDesc):
         # default policy (Listing 1's ``char b[8]``).
         return isinstance(self.element, CharType) or self.element.is_opaque()
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         return f"a:{self.count}x{self.element.signature()}"
 
 
@@ -247,7 +261,7 @@ class OpaqueType(TypeDesc):
     def is_opaque(self) -> bool:
         return True
 
-    def signature(self) -> str:
+    def _build_signature(self) -> str:
         return f"o:{self.size}"
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     CheckpointImage,
     DeltaBaseline,
+    DeltaCheckpoint,
     FORMAT_VERSION,
     StandbyChannel,
     WarmStandby,
@@ -167,6 +168,81 @@ def test_sequence_gap_marks_standby_stale():
         assert not standby.apply(deltas[0].encode())
         standby.resync(checkpoint_node(primary))
         assert not standby.stale
+    finally:
+        _teardown(primary, None if standby is None else standby.node)
+
+
+# -- delta-format fuzzing: decode raises ImageError("delta", ...), only -----------
+
+
+def _delta_with_meta(delta: DeltaCheckpoint, meta_blob: bytes) -> bytes:
+    """``delta``'s page payload behind a different meta document, CRC fixed up."""
+    header = struct.pack("<8sII", b"MCRDELTA", 1, len(meta_blob))
+    return header + meta_blob + struct.pack("<I", zlib.crc32(meta_blob)) + delta.pages_blob
+
+
+def _delta_error(blob) -> str:
+    """What ``decode`` says; anything but ``ImageError`` propagates."""
+    with pytest.raises(ImageError) as excinfo:
+        DeltaCheckpoint.decode(bytes(blob))
+    assert excinfo.value.section == "delta"
+    return str(excinfo.value)
+
+
+def test_damaged_delta_raises_nothing_but_image_error():
+    primary = _boot_warm("simple")
+    standby = None
+    try:
+        image = checkpoint_node(primary)
+        baseline = DeltaBaseline(image)
+        standby = WarmStandby.from_image(image, node_id=1)
+        primary.serve(3)
+        primary.run_for(WARMUP_NS)
+        delta = capture_delta(primary, baseline)
+        blob = delta.encode()
+        assert delta.pages_blob and DeltaCheckpoint.decode(blob).meta == delta.meta
+
+        # A meta that passes its CRC but lacks or mistypes a key a consumer
+        # reads is refused naming the key (``KeyError`` / ``TypeError`` before).
+        wrong = {"pages_length": "0", "pages_crc32": None, "pages": {}, "records": [],
+                 "seq": "1", "base_image_id": 7, "fingerprint": "none"}
+        for key, retyped in wrong.items():
+            for doctored in (
+                {k: v for k, v in delta.meta.items() if k != key},
+                {**delta.meta, key: retyped},
+                {**delta.meta, key: True},  # a bool is not a count
+            ):
+                meta_blob = json.dumps(doctored, sort_keys=True).encode()
+                assert repr(key) in _delta_error(_delta_with_meta(delta, meta_blob)), key
+        for not_an_object in (b"[]", b"null", b"7", b'"meta"'):
+            assert "not an object" in _delta_error(_delta_with_meta(delta, not_an_object))
+        assert "JSON" in _delta_error(_delta_with_meta(delta, b"{\"seq\": 1"))
+        assert "JSON" in _delta_error(_delta_with_meta(delta, b"\xff\xfe"))
+
+        # One flipped byte anywhere: header, meta, meta CRC, page payload.
+        (meta_len,) = struct.unpack_from("<I", blob, 12)
+        body = 16 + meta_len + 4
+        rng = random.Random(21)
+        regions = [range(0, 8), range(8, 12), range(12, 16), range(16, body - 4),
+                   range(body - 4, body), range(body, len(blob))]
+        assert sum(len(span) for span in regions) == len(blob)
+        for span in regions:
+            for at in rng.sample(span, min(len(span), 24)):
+                damaged = bytearray(blob)
+                damaged[at] ^= rng.randrange(1, 256)
+                _delta_error(damaged)
+
+        # Truncation at each boundary +- 1 (the whole delta still decodes).
+        for boundary in (0, 8, 12, 16, body - 4, body, len(blob)):
+            for cut in (boundary - 1, boundary, boundary + 1):
+                if 0 <= cut < len(blob):
+                    _delta_error(blob[:cut])
+        _delta_error(blob + b"\x00")
+
+        # ``apply`` is as it was: damage marks the standby stale, no raise.
+        no_pages = {k: v for k, v in delta.meta.items() if k != "pages"}
+        assert not standby.apply(_delta_with_meta(delta, json.dumps(no_pages).encode()))
+        assert standby.stale and standby.deltas_rejected == 1
     finally:
         _teardown(primary, None if standby is None else standby.node)
 

@@ -418,7 +418,7 @@ class TestSoftDirtyFaultCharging:
         "version's PidNamespace mirrors the old one's pids: a new-version "
         "process inherits its predecessor's count and its first faults go "
         "uncharged.  Fixing it moves UPDATE_SPEC and the BENCH_*.json "
-        "payloads (ROADMAP item 2).",
+        "payloads (ROADMAP item 3).",
     )
     def test_every_process_is_charged_for_its_own_faults(self, kernel):
         old = kernel.spawn_process(_touch_pages_then_yield, args=(5,))

@@ -136,6 +136,29 @@ class TestDescriptors:
         b = StructType("t", [("x", INT32)])
         assert a == b and hash(a) == hash(b)
 
+    def test_signature_is_built_once_per_descriptor(self, monkeypatch):
+        built = []
+        plain = StructType._build_signature
+        monkeypatch.setattr(
+            StructType, "_build_signature", lambda self: (built.append(self), plain(self))[1]
+        )
+        inner = StructType("in", [("n", INT64), ("p", VOID_PTR)])
+        outer = StructType("out", [("head", inner), ("rest", ArrayType(inner, 4))])
+        twin = StructType("out", [("head", inner), ("rest", ArrayType(inner, 4))])
+        for _ in range(3):
+            assert outer == twin and hash(outer) == hash(twin) and outer == outer
+            assert outer.signature() == (
+                "s:out{head:s:in{n:is8,p:p:void},rest:a:4xs:in{n:is8,p:p:void}}"
+            )
+            assert {outer: "found"}[twin] == "found"
+        # ``==``, ``hash()`` and ``signature()`` all read the one string each
+        # instance built: the two outer structs and the struct they share.
+        assert sorted(map(id, built)) == sorted(map(id, (inner, outer, twin)))
+        # Structurally equal descriptors built apart still compare equal; a
+        # different shape still does not, cached or not.
+        assert outer != StructType("out", [("head", inner), ("rest", ArrayType(inner, 5))])
+        assert outer != "s:out" and INT64 != VOID_PTR
+
     def test_pointer_signature_uses_target_name_only(self):
         # Cyclic type graphs must not recurse through pointers.
         v1 = PointerType(StructType("n", [("v", INT32)]))
