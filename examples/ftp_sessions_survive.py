@@ -11,12 +11,9 @@ byte counters intact — inside freshly recreated v2 processes.
 Run:  python examples/ftp_sessions_survive.py
 """
 
-from repro.kernel import Kernel, sim_function
+import repro
+from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
-from repro.servers import vsftpd
 from repro.servers.common import PORT_VSFTPD, connect_with_retry, recv_line
 
 USERS = ("alice", "bob", "carol")
@@ -45,11 +42,8 @@ def ftp_user(sys, user):
 
 
 def main() -> None:
-    kernel = Kernel()
-    vsftpd.setup_world(kernel)
-    program = vsftpd.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    load_program(kernel, program, build=BuildConfig.full(), session=session)
+    world = repro.boot("vsftpd")  # kernel + vsftpd v1 under the full MCR build
+    kernel, session = world.kernel, world.session
 
     for user in USERS:
         kernel.spawn_process(ftp_user, args=(user,), name=f"ftp-{user}")
@@ -63,7 +57,7 @@ def main() -> None:
           f"{[(p.name, p.pid) for p in tree]}")
 
     ctl = McrCtl(kernel, session)
-    result = ctl.live_update(vsftpd.make_program(3))  # v3 grows the session
+    result = ctl.live_update(world.make_program(3))  # v3 grows the session
     if not result.committed:
         raise SystemExit(f"update failed: {result.error}")
     print(f"\nlive update committed in {result.total_ms():.2f} ms "

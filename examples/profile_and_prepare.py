@@ -9,26 +9,21 @@ each program ships with.
 Run:  python examples/profile_and_prepare.py
 """
 
-from repro.kernel import Kernel
-from repro.mcr.quiescence.profiler import QuiescenceProfiler
-from repro.servers import httpd, nginx, opensshd, vsftpd
-from repro.workloads import profiles
+from repro.runtime.build import profile_program
+from repro.servers.catalog import CATALOG
 
-SUBJECTS = [
-    ("httpd", httpd, profiles.web_profile(80)),
-    ("nginx", nginx, profiles.web_profile(8081)),
-    ("vsftpd", vsftpd, profiles.ftp_profile(21)),
-    ("opensshd", opensshd, profiles.ssh_profile(22)),
-]
+SUBJECTS = ("httpd", "nginx", "vsftpd", "opensshd")
 
 
 def main() -> None:
-    for name, module, workload in SUBJECTS:
-        kernel = Kernel()
-        module.setup_world(kernel)
-        program = module.make_program(1)
-        profiler = QuiescenceProfiler(kernel)
-        report = profiler.profile(program, workload)
+    for name in SUBJECTS:
+        # The catalog row knows the server's module and its §8 profiling
+        # script (long-lived idle connections + one large transfer).
+        spec = CATALOG[name]
+        report = profile_program(
+            spec.make_program, spec.module.setup_world, spec.profile
+        )
+        program = spec.make_program(1)
         print(report.render())
         declared = program.quiescent_points
         profiled = report.quiescent_points()

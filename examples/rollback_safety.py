@@ -16,12 +16,10 @@ Demonstrates the paper's reversibility guarantee on Apache httpd:
 Run:  python examples/rollback_safety.py
 """
 
-from repro.kernel import Kernel, sim_function
+import repro
+from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
-from repro.servers import httpd, simple
+from repro.servers import httpd
 from repro.servers.common import connect_with_retry, recv_line
 
 
@@ -35,16 +33,13 @@ def one_get(sys, port, path, replies):
 
 
 def main() -> None:
-    kernel = Kernel()
-    httpd.setup_world(kernel)
-    program = httpd.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    load_program(kernel, program, build=BuildConfig.full(), session=session)
+    world = repro.boot("httpd")  # kernel + httpd v1 under the full MCR build
+    kernel = world.kernel
     replies = []
     kernel.spawn_process(one_get, args=(80, "/index.html", replies))
     kernel.run(max_steps=600_000, until=lambda: len(replies) == 1)
     print("v1 serving:", replies[-1])
-    ctl = McrCtl(kernel, session)
+    ctl = McrCtl(kernel, world.session)
 
     # 1. The unprepared v2 aborts when it sees the running instance.
     print("\n-- attempt 1: unprepared v2 (aborts on own pidfile) --")

@@ -9,12 +9,9 @@ keep-alive connection open through *all* of them.
 Run:  python examples/rolling_nginx_releases.py
 """
 
-from repro.kernel import Kernel, sim_function
+import repro
+from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
-from repro.servers import nginx
 from repro.servers.common import PORT_NGINX, connect_with_retry, recv_line
 
 RELEASES = (2, 3, 4, 7, 8, 12, 13)  # 3, 7, 12 change structure layouts
@@ -35,20 +32,17 @@ def long_lived_client(sys):
 
 
 def main() -> None:
-    kernel = Kernel()
-    nginx.setup_world(kernel)
-    program = nginx.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    load_program(kernel, program, build=BuildConfig.full(), session=session)
+    world = repro.boot("nginx")  # kernel + nginx v1 under the full MCR build
+    kernel = world.kernel
 
     kernel.spawn_process(long_lived_client, name="poller")
     kernel.run(max_steps=300_000, until=lambda: len(state["log"]) >= 2)
     print("v1 serving:", state["log"][-1])
 
-    ctl = McrCtl(kernel, session)
+    ctl = McrCtl(kernel, world.session)
     for version in RELEASES:
         before = len(state["log"])
-        result = ctl.live_update(nginx.make_program(version))
+        result = ctl.live_update(world.make_program(version))
         if not result.committed:
             raise SystemExit(f"update to v{version} failed: {result.error}")
         kernel.run(max_steps=400_000, until=lambda: len(state["log"]) > before + 1)

@@ -19,43 +19,26 @@ Quick start::
     result = live_update(world, version=2)      # commit or atomic rollback
 """
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 __version__ = "1.0.0"
 
-__all__ = ["boot", "live_update", "BootedWorld", "__version__"]
+__all__ = ["boot", "live_update", "__version__"]
 
 
-class BootedWorld(NamedTuple):
-    """A running MCR-enabled server instance."""
+def boot(server: str = "simple", version: int = 1, **options):
+    """Boot one of the bundled servers; returns the catalog's ``World``.
 
-    kernel: object
-    program: object
-    session: object
-    root: object
-    module: object
+    ``repro.servers.catalog.boot`` (``options``: ``build``, ``kernel``,
+    ``make_program``, ``config``, ``max_steps``), imported on first use so
+    that ``import repro`` stays light.
+    """
+    from repro.servers.catalog import boot as boot_world
 
-
-def boot(server: str = "simple", version: int = 1) -> BootedWorld:
-    """Boot one of the bundled servers under the full MCR build."""
-    import importlib
-
-    from repro.kernel import Kernel
-    from repro.runtime.instrument import BuildConfig
-    from repro.runtime.libmcr import MCRSession
-    from repro.runtime.program import load_program
-
-    module = importlib.import_module(f"repro.servers.{server}")
-    kernel = Kernel()
-    module.setup_world(kernel)
-    program = module.make_program(version)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    root = load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=400_000)
-    return BootedWorld(kernel, program, session, root, module)
+    return boot_world(server, version, **options)
 
 
-def live_update(world: BootedWorld, version: int = 2, program: Optional[object] = None):
+def live_update(world, version: int = 2, program: Optional[object] = None):
     """Live-update a booted world to ``version`` (or an explicit program).
 
     Returns the ``UpdateResult``; on commit, ``world.session`` is stale —
@@ -64,4 +47,4 @@ def live_update(world: BootedWorld, version: int = 2, program: Optional[object] 
     from repro.mcr.ctl import McrCtl
 
     ctl = McrCtl(world.kernel, world.session)
-    return ctl.live_update(program or world.module.make_program(version))
+    return ctl.live_update(program or world.make_program(version))

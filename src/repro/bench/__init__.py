@@ -18,7 +18,7 @@ the pytest benchmarks can both assert the paper's *shape* and print the
 regenerated table.
 """
 
-from repro.bench.harness import BenchWorld, SERVER_BENCHES, boot_server
+from repro.bench.harness import SERVER_BENCHES, boot_server
 from repro.bench import reporting
 
-__all__ = ["BenchWorld", "SERVER_BENCHES", "boot_server", "reporting"]
+__all__ = ["SERVER_BENCHES", "boot_server", "reporting"]

@@ -20,28 +20,24 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants, invariant_counts
-from repro.workloads.holders import ConnectionHolder
 
 
 def _run_update(server: str, connections: int, use_dirty_filter: bool):
-    spec = SERVER_BENCHES[server]
     world = boot_server(server)
-    spec["workload"]().run(world.kernel)
-    holder = None
+    world.spec.workload().run(world.kernel)
     if connections:
-        holder = ConnectionHolder(world.port, connections, spec["holder_kind"])
-        holder.establish(world.kernel)
+        world.hold(connections).establish(world.kernel)
     controller = LiveUpdateController(
         world.kernel,
         world.session,
-        spec["make_program"](2),
+        world.make_program(2),
         use_dirty_filter=use_dirty_filter,
     )
     result = controller.run_update()
@@ -109,7 +105,7 @@ def ablate_int64_policy(server: str = "nginx") -> Dict[str, int]:
     counts = {}
     for label, flag in (("on", True), ("off", False)):
         world = boot_server(server)
-        SERVER_BENCHES[server]["workload"]().run(world.kernel)
+        world.spec.workload().run(world.kernel)
         session = world.session
         session.quiescence.request()
         session.quiescence.wait(session.root_process)
@@ -137,7 +133,7 @@ def ablate_interior_only(server: str = "httpd") -> Dict[str, int]:
     counts = {}
     for label, flag in (("strict", False), ("interior_only", True)):
         world = boot_server(server)
-        SERVER_BENCHES[server]["workload"]().run(world.kernel)
+        world.spec.workload().run(world.kernel)
         session = world.session
         session.quiescence.request()
         session.quiescence.wait(session.root_process)

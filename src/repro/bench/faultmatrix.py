@@ -29,8 +29,9 @@ Two cells deviate from plain arm-one-site:
   flagged while the old version still serves.
 
 Wired into the CLI as ``python -m repro bench faultmatrix [--smoke]
-[--json]``; the JSON lands in ``BENCH_faultmatrix.json`` and CI asserts
-every cell's ``survived`` and ``old_version_intact`` booleans.
+[--json]``; the JSON lands in ``BENCH_faultmatrix.json``, CI fails on any
+drift of the smoke run from the committed copy, and tier-1 asserts every
+cell's ``survived`` and ``old_version_intact`` booleans of that copy.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from repro.mcr.faults import (
 )
 from repro.replay.scenario import default_spec, run_scenario
 from repro.replay.trace import TraceLog
+from repro.servers.catalog import CATALOG
 
-FULL_SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
+FULL_SERVERS = tuple(CATALOG)  # a server joins the full grid by having a row
 SMOKE_SERVERS = ("simple", "vsftpd", "memcache")
 # Servers re-run through the whole site grid in rolling update mode (the
 # multi-worker pools where per-batch hand-off is meaningful).

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
 from repro.mcr.ctl import McrCtl
-from repro.workloads.holders import ConnectionHolder
 
 # The paper's x-axis is 0..100; the simulator's default is scaled down
 # (per-connection-process servers fork one process per held connection).
@@ -56,20 +55,19 @@ class Figure3Point:
 
 def measure_point(server: str, connections: int, to_version: int = 2) -> Figure3Point:
     point = Figure3Point(server, connections)
-    spec = SERVER_BENCHES[server]
     world = boot_server(server)
     # Populate some post-startup state first (the paper measures "after
     # completing the execution of our benchmarks").
-    spec["workload"]().run(world.kernel)
+    world.spec.workload().run(world.kernel)
     holder = None
     if connections:
-        holder = ConnectionHolder(world.port, connections, spec["holder_kind"])
+        holder = world.hold(connections)
         holder.establish(world.kernel, max_steps=20_000_000)
         if holder.errors:
             point.error = f"{holder.errors} connections failed to establish"
             return point
     ctl = McrCtl(world.kernel, world.session)
-    result = ctl.live_update(spec["make_program"](to_version))
+    result = ctl.live_update(world.make_program(to_version))
     point.committed = result.committed
     if not result.committed:
         point.error = str(result.error)

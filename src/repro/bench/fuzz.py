@@ -36,8 +36,9 @@ from repro.bench.reporting import fmt_cell, render_table
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import UPDATE_SITES
 from repro.replay.rng import RngStream, derive_seed
-from repro.replay.scenario import SERVERS, default_spec, run_scenario
+from repro.replay.scenario import default_spec, run_scenario
 from repro.replay.trace import TraceLog
+from repro.servers.catalog import CATALOG
 
 FULL_ITERATIONS = 24
 SMOKE_ITERATIONS = 6
@@ -47,7 +48,9 @@ SMOKE_ITERATIONS = 6
 # rollback path at all, so it is always armed as the double fault.
 _FUZZ_SITES = tuple(UPDATE_SITES)
 
-_FUZZ_SERVERS = tuple(SERVERS)
+# An explicit tuple, not ``tuple(CATALOG)``: ``master.choice`` indexes it,
+# so its length and order are part of what every seed means.
+_FUZZ_SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
 
 # Rolling mode only means something for the multi-worker pools.
 _ROLLING_SERVERS = ("httpd", "nginx")
@@ -97,7 +100,7 @@ def draw_spec(master: RngStream) -> Dict[str, Any]:
     else:
         workload["clients"] = master.randint(1, 3)
     holders = None
-    if SERVERS[server]["holder_kind"] is not None:
+    if CATALOG[server].holder_kind is not None:
         holders = master.randint(0, 3)
     return default_spec(
         server,

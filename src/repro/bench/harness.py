@@ -1,139 +1,22 @@
-"""Shared benchmark scaffolding: boot a server world, run its workload.
+"""Shared benchmark scaffolding: the §8 subjects and the Table-3 ladder.
 
-``SERVER_BENCHES`` maps each evaluation subject (including the
-``nginx_reg`` configuration) to how it is booted and benchmarked, mirroring
-§8: AB for the web servers, the FTP benchmark for vsftpd, the test suite
-for sshd.
+What a server is and how it is started live in ``repro.servers.catalog``:
+``boot_server`` is its ``boot`` and ``SERVER_BENCHES`` its rows with a §8
+benchmark (AB for the web servers and the ``nginx_reg`` configuration, the
+FTP benchmark for vsftpd, the test suite for sshd, mc-bench for memcache).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
-from repro.kernel.kernel import Kernel
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import Program, load_program
-from repro.servers import httpd, memcache, nginx, opensshd, vsftpd
-from repro.workloads.ab import ApacheBench
-from repro.workloads.ftpbench import FtpBench
-from repro.workloads.mcbench import McBench
-from repro.workloads.sshsuite import SshSuite
+from repro.servers.catalog import CATALOG, ServerSpec, boot
 
-
-class BenchWorld:
-    """One booted server instance plus its session handles."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        program: Program,
-        session: Optional[MCRSession],
-        root,
-        port: int,
-    ) -> None:
-        self.kernel = kernel
-        self.program = program
-        self.session = session
-        self.root = root
-        self.port = port
-
-    def run_until_started(self, max_steps: int = 400_000) -> None:
-        if self.session is not None:
-            self.kernel.run(
-                until=lambda: self.session.startup_complete, max_steps=max_steps
-            )
-        else:
-            # Uninstrumented baseline: run until the tree stalls.
-            from repro.mcr.quiescence.profiler import _tree_quiet
-
-            self.kernel.run(
-                until=lambda: _tree_quiet(self.root), max_steps=max_steps
-            )
-
-
-def boot_server(
-    name: str,
-    version: int = 1,
-    build: Optional[BuildConfig] = None,
-    kernel: Optional[Kernel] = None,
-    make_program: Optional[Callable[[int], Program]] = None,
-) -> BenchWorld:
-    """Create a world running one server under the given build config.
-
-    ``make_program`` overrides the spec's factory — the rolling-update
-    comparison boots nginx with a multi-worker pool this way while the
-    registered default stays single-worker.
-    """
-    spec = SERVER_BENCHES[name]
-    kernel = kernel or Kernel()
-    spec["setup_world"](kernel)
-    program = (make_program or spec["make_program"])(version)
-    if build is None:
-        build = BuildConfig.qdet(instrument_regions=spec["instrument_regions"])
-    if build.mcr_enabled:
-        session = MCRSession(kernel, program, build)
-    else:
-        session = None
-    root = load_program(kernel, program, build=build, session=session)
-    world = BenchWorld(kernel, program, session, root, spec["port"])
-    world.run_until_started()
-    return world
-
-
-def _make_nginx_reg(version: int = 1) -> Program:
-    return nginx.make_program(version, instrument_regions=True)
-
-
-SERVER_BENCHES: Dict[str, Dict] = {
-    "httpd": {
-        "make_program": httpd.make_program,
-        "setup_world": httpd.setup_world,
-        "port": 80,
-        "workload": lambda: ApacheBench(80, requests=120, concurrency=4),
-        "holder_kind": "http",
-        "instrument_regions": False,
-    },
-    "nginx": {
-        "make_program": nginx.make_program,
-        "setup_world": nginx.setup_world,
-        "port": 8081,
-        "workload": lambda: ApacheBench(8081, requests=120, concurrency=4),
-        "holder_kind": "http",
-        "instrument_regions": False,
-    },
-    "nginx_reg": {
-        "make_program": _make_nginx_reg,
-        "setup_world": nginx.setup_world,
-        "port": 8081,
-        "workload": lambda: ApacheBench(8081, requests=120, concurrency=4),
-        "holder_kind": "http",
-        "instrument_regions": True,
-    },
-    "vsftpd": {
-        "make_program": vsftpd.make_program,
-        "setup_world": vsftpd.setup_world,
-        "port": 21,
-        "workload": lambda: FtpBench(21, users=8, retrievals=2),
-        "holder_kind": "ftp",
-        "instrument_regions": False,
-    },
-    "memcache": {
-        "make_program": memcache.make_program,
-        "setup_world": memcache.setup_world,
-        "port": 11211,
-        "workload": lambda: McBench(11211, operations=120, concurrency=4),
-        "holder_kind": None,
-        "instrument_regions": False,
-    },
-    "opensshd": {
-        "make_program": opensshd.make_program,
-        "setup_world": opensshd.setup_world,
-        "port": 22,
-        "workload": lambda: SshSuite(22, sessions=5, commands=3),
-        "holder_kind": "ssh",
-        "instrument_regions": False,
-    },
+# The names the frozen perfbench (and most tests) import: views, not copies.
+boot_server = boot
+SERVER_BENCHES: Dict[str, ServerSpec] = {
+    name: spec for name, spec in CATALOG.items() if spec.workload is not None
 }
 
 # The four real programs (nginx_reg is a build configuration, not a fifth).

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import render_table
 from repro.mem.tags import TAG_OVERHEAD_BYTES
 from repro.runtime.instrument import BuildConfig
@@ -43,16 +43,15 @@ INSTRUMENTATION_CODE_FACTOR = 0.9      # wrappers/unblockification stubs
 
 
 def measure_server(name: str) -> Dict[str, float]:
-    spec = SERVER_BENCHES[name]
     # Baseline RSS: run the benchmark uninstrumented, sum mapping sizes.
     base_world = boot_server(name, build=BuildConfig.baseline())
-    spec["workload"]().run(base_world.kernel)
+    base_world.spec.workload().run(base_world.kernel)
     base_rss = sum(
         p.space.resident_bytes() for p in base_world.root.tree()
     )
     # Instrumented RSS: same run under the full MCR build.
     mcr_world = boot_server(name)
-    spec["workload"]().run(mcr_world.kernel)
+    mcr_world.spec.workload().run(mcr_world.kernel)
     session = mcr_world.session
     mcr_rss = sum(
         p.space.resident_bytes() for p in session.root_process.tree()

@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import fmt_cell, render_table
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -101,7 +101,7 @@ def _seed_pointer_field(process, size: int = 256 * 1024) -> None:
 def run_scan_micro(server: str = "httpd", repeats: int = 3) -> Dict[str, object]:
     """Reference vs current scanner over one booted server's memory image."""
     world = boot_server(server)
-    SERVER_BENCHES[server]["workload"]().run(world.kernel)
+    world.spec.workload().run(world.kernel)
     process = world.root
     _seed_pointer_field(process)
     targets = _scan_targets(process)
@@ -160,13 +160,12 @@ def _timed(fn) -> float:
 
 def _measure_update(name: str) -> Dict[str, object]:
     """One full live update: host wall time beside the simulated results."""
-    spec = SERVER_BENCHES[name]
     world = boot_server(name)
-    spec["workload"]().run(world.kernel)
+    world.spec.workload().run(world.kernel)
     ctl = McrCtl(world.kernel, world.session)
     with obs.collecting(world.kernel.clock) as collector:
         start = time.perf_counter()
-        result = ctl.live_update(spec["make_program"](2), config=MCRConfig())
+        result = ctl.live_update(world.make_program(2), config=MCRConfig())
         wall_s = time.perf_counter() - start
     if not result.committed:
         raise RuntimeError(f"{name}: update failed: {result.error}")
@@ -203,20 +202,18 @@ def run_scaling_curve(
     the global virtual clock, so per-request latency genuinely grows
     with the pool — an aggressive few-ms stall would starve itself.
     """
-    from repro.kernel.kernel import Kernel
     from repro.servers import httpd
     from repro.workloads.ab import ApacheBench
 
     rows: List[Dict[str, object]] = []
     for workers in worker_counts:
-        def factory(version=1, mcr_prepared=True, _n=workers):
-            return httpd.make_program(version, mcr_prepared, server_processes=_n)
+        def factory(version, _n=workers):
+            return httpd.make_program(version, server_processes=_n)
 
-        kernel = Kernel()
         start = time.perf_counter()
-        world = boot_server("httpd", 1, None, kernel, factory)
+        world = boot_server("httpd", make_program=factory)
         boot_s = time.perf_counter() - start
-        process = world.root
+        kernel, process = world.kernel, world.root
         processes = len(process.tree())
         _seed_pointer_field(process)
         targets = _scan_targets(process)
@@ -234,7 +231,7 @@ def run_scaling_curve(
         words = sweep()
         sweep_s = min(_timed(sweep) for _ in range(2))
         workload = ApacheBench(
-            80, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
+            world.port, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
         )
         workload(kernel)
         kernel.run(
@@ -249,7 +246,7 @@ def run_scaling_curve(
         mapped = sum(space.mapped_bytes() for space in spaces)
         resident = sum(space.resident_bytes() for space in spaces)
         start = time.perf_counter()
-        result = ctl.live_update(factory(2), config=config)
+        result = ctl.live_update(world.make_program(2), config=config)
         update_s = time.perf_counter() - start
         if not result.committed:
             raise RuntimeError(

@@ -22,10 +22,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bench.reporting import render_table
-from repro.kernel.kernel import Kernel
-from repro.mcr.quiescence.profiler import QuiescenceProfiler
+from repro.runtime.build import profile_program
+from repro.servers.catalog import lookup
 from repro.servers.updates import ALL_SERIES, UpdateSeries
-from repro.workloads import profiles
 
 PAPER_PROFILING = {
     "httpd": {"SL": 2, "LL": 8, "QP": 8, "Per": 5, "Vol": 3},
@@ -34,21 +33,10 @@ PAPER_PROFILING = {
     "opensshd": {"SL": 3, "LL": 3, "QP": 3, "Per": 1, "Vol": 2},
 }
 
-_PROFILES = {
-    "httpd": lambda: profiles.web_profile(80),
-    "nginx": lambda: profiles.web_profile(8081),
-    "vsftpd": lambda: profiles.ftp_profile(21),
-    "opensshd": lambda: profiles.ssh_profile(22),
-}
-
-
 def profile_server(name: str) -> Dict[str, int]:
     """Run the quiescence profiler for one server; Table-1 counters."""
-    series = ALL_SERIES[name]
-    kernel = Kernel()
-    series.setup_world(kernel)
-    profiler = QuiescenceProfiler(kernel)
-    report = profiler.profile(series.make(1), _PROFILES[name]())
+    spec = lookup(name)
+    report = profile_program(spec.make_program, spec.module.setup_world, spec.profile)
     return report.summary()
 
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import render_table
 from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.workloads.holders import ConnectionHolder
 
 PAPER_TABLE2 = {
     "httpd": {"precise_ptr": 2_373, "likely_ptr": 16_252, "likely_targ_static": 2_050,
@@ -39,11 +38,9 @@ PAPER_TABLE2 = {
 
 def trace_statistics(server: str, held_connections: int = 4) -> Dict[str, Dict[str, int]]:
     """Run the §8 benchmark, quiesce, trace, aggregate Table-2 counts."""
-    spec = SERVER_BENCHES[server]
     world = boot_server(server)
-    workload = spec["workload"]()
-    workload.run(world.kernel)
-    holder = ConnectionHolder(world.port, held_connections, spec["holder_kind"])
+    world.spec.workload().run(world.kernel)
+    holder = world.hold(held_connections)
     holder.establish(world.kernel)
     session = world.session
     session.quiescence.request()

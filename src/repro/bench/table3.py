@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import PRIMARY_SERVERS, SERVER_BENCHES, boot_server, build_ladder
+from repro.bench.harness import SERVER_BENCHES, boot_server, build_ladder
 from repro.bench.reporting import render_table
 
 PAPER_TABLE3 = {
@@ -35,14 +35,11 @@ def measure_runtime_ns(server: str, config_name: str, warmup: bool = True) -> in
     pool growth) are fully amortized; our scaled-down run reproduces that
     steady state by warming up before the timed window.
     """
-    spec = SERVER_BENCHES[server]
-    ladder = build_ladder(instrument_regions=spec["instrument_regions"])
-    build = ladder[config_name]()
-    world = boot_server(server, build=build)
+    ladder = build_ladder(SERVER_BENCHES[server].instrument_regions)
+    world = boot_server(server, build=ladder[config_name]())
     if warmup:
-        spec["workload"]().run(world.kernel)
-    workload = spec["workload"]()
-    return workload.run(world.kernel)
+        world.spec.workload().run(world.kernel)
+    return world.spec.workload().run(world.kernel)
 
 
 def run_table3(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.bench.harness import SERVER_BENCHES, boot_server
+from repro.bench.harness import boot_server
 from repro.bench.reporting import fmt_cell, latency_summary_ms, render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
@@ -33,9 +33,13 @@ from repro.servers.common import ClientPerceived
 from repro.workloads.ab import ApacheBench
 
 # Servers with a stable worker pool, where per-worker rolling update is
-# meaningful.  nginx is booted with a real multi-worker pool for the
-# comparison (the registered default stays single-worker).
+# meaningful.  The comparison boots nginx with a real multi-worker pool,
+# in both modes (the catalogued default stays single-worker); the update
+# target is ``world.make_program``'s, so replay fork counts match.
 ROLLING_SERVERS = ("httpd", "nginx")
+_ROLLING_POOLS = {
+    "nginx": lambda version: nginx.make_program(version, worker_processes=2),
+}
 
 # Pool size for the scaled-up rolling row (non-smoke runs only): the v2
 # scheduler's headline configuration, a 1000-process httpd prefork tree.
@@ -44,7 +48,6 @@ SCALE_WORKERS = 1000
 
 def measure_quiescence_under_load(name: str) -> Dict[str, float]:
     """Quiescence time with the benchmark running vs idle."""
-    spec = SERVER_BENCHES[name]
     # Idle quiescence.
     world = boot_server(name)
     session = world.session
@@ -53,7 +56,7 @@ def measure_quiescence_under_load(name: str) -> Dict[str, float]:
     session.quiescence.release()
     world.kernel.run(max_steps=50_000)
     # Under load: launch the workload, then immediately quiesce.
-    clients = spec["workload"]()(world.kernel)
+    clients = world.spec.workload()(world.kernel)
     world.kernel.run(max_steps=5_000)  # let requests get in flight
     session.quiescence.request()
     loaded_ns = session.quiescence.wait(session.root_process)
@@ -63,12 +66,11 @@ def measure_quiescence_under_load(name: str) -> Dict[str, float]:
 
 
 def measure_update_components(name: str, to_version: int = 2) -> Dict[str, float]:
-    spec = SERVER_BENCHES[name]
     world = boot_server(name)
-    spec["workload"]().run(world.kernel)
+    world.spec.workload().run(world.kernel)
     startup_ns = world.session.startup_duration_ns() or 1
     ctl = McrCtl(world.kernel, world.session)
-    result = ctl.live_update(spec["make_program"](to_version))
+    result = ctl.live_update(world.make_program(to_version))
     if not result.committed:
         raise RuntimeError(f"{name}: update failed: {result.error}")
     replay_startup_ns = result.new_session.startup_duration_ns() or 0
@@ -98,17 +100,16 @@ def measure_client_perceived(
     send/receive stamps, so the blackout interval — the longest gap in
     completed responses — directly measures client-perceived downtime.
     """
-    spec = SERVER_BENCHES[name]
     world = boot_server(name)
     kernel = world.kernel
-    workload = spec["workload"]()
+    workload = world.spec.workload()
     clients = workload(kernel)
     kernel.run(
         until=lambda: workload.latency.count >= warm_requests,
         max_steps=2_000_000,
     )
     ctl = McrCtl(kernel, world.session)
-    result = ctl.live_update(spec["make_program"](to_version))
+    result = ctl.live_update(world.make_program(to_version))
     if not result.committed:
         raise RuntimeError(f"{name}: mid-flight update failed: {result.error}")
     kernel.run(until=lambda: all(c.exited for c in clients), max_steps=5_000_000)
@@ -126,18 +127,6 @@ def measure_client_perceived(
     return row
 
 
-def _rolling_factory(name: str):
-    """Program factory used for the rolling-vs-whole-tree comparison.
-
-    Both the booted v1 world and the v2 update target must come from the
-    *same* factory (replay fork counts must match), so nginx gets its
-    multi-worker pool here for both modes.
-    """
-    if name == "nginx":
-        return lambda version: nginx.make_program(version, worker_processes=2)
-    return SERVER_BENCHES[name]["make_program"]
-
-
 def measure_rolling_comparison(
     name: str,
     to_version: int = 2,
@@ -151,11 +140,9 @@ def measure_rolling_comparison(
     the comparison isolates the update mode — same program, same worker
     pool, same request stream.
     """
-    factory = _rolling_factory(name)
-    spec = SERVER_BENCHES[name]
     row: Dict[str, object] = {}
     for mode, prefix in (("whole-tree", "wt"), ("rolling", "rolling")):
-        world = boot_server(name, make_program=factory)
+        world = boot_server(name, make_program=_ROLLING_POOLS.get(name))
         kernel = world.kernel
         # Same workload in both modes, with the timeout/retry posture of
         # real AB: a stalled keep-alive connection is abandoned and the
@@ -164,7 +151,7 @@ def measure_rolling_comparison(
         # worker blocks for the whole update in *both* modes and the
         # comparison measures nothing.
         workload = ApacheBench(
-            spec["port"],
+            world.port,
             requests=120,
             concurrency=4,
             reconnect_stall_ns=5_000_000,
@@ -176,7 +163,7 @@ def measure_rolling_comparison(
         )
         ctl = McrCtl(kernel, world.session)
         result = ctl.live_update(
-            factory(to_version), config=MCRConfig(update_mode=mode)
+            world.make_program(to_version), config=MCRConfig(update_mode=mode)
         )
         if not result.committed:
             raise RuntimeError(
@@ -211,18 +198,15 @@ def measure_rolling_at_scale(
     """
     import time as _time
 
-    from repro.kernel.kernel import Kernel
     from repro.servers import httpd as _httpd
 
-    spec = SERVER_BENCHES[name]
+    def factory(version):
+        return _httpd.make_program(version, server_processes=workers)
 
-    def factory(version, _n=workers):
-        return _httpd.make_program(version, server_processes=_n)
-
-    kernel = Kernel()
-    world = boot_server(name, kernel=kernel, make_program=factory)
+    world = boot_server(name, make_program=factory)
+    kernel = world.kernel
     workload = ApacheBench(
-        spec["port"], requests=24, concurrency=4, reconnect_stall_ns=100_000_000
+        world.port, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
     )
     clients = workload(kernel)
     kernel.run(
@@ -232,7 +216,7 @@ def measure_rolling_at_scale(
     ctl = McrCtl(kernel, world.session)
     start = _time.perf_counter()
     result = ctl.live_update(
-        factory(to_version),
+        world.make_program(to_version),
         config=MCRConfig(
             update_mode="rolling", rolling_batch=max(1, workers // 4)
         ),

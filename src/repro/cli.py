@@ -6,10 +6,9 @@ Commands:
   and print the operator report (default: simple).
 * ``profile [server]``       — run the quiescence profiler and print the
   per-thread report (default: all four evaluation servers).
-* ``bench <experiment>``     — regenerate one paper table/figure
-  (table1, table2, table3, figure3, spec, memusage, updatetime,
-  ablations, scanperf, faultmatrix, fleetroll, failover, migrate,
-  fuzz, or ``all``); ``--json`` also writes ``BENCH_<experiment>.json``
+* ``bench <experiment>``     — regenerate one paper table/figure (any
+  key of ``BENCH_EXPERIMENTS`` below — ``bench --help`` lists them — or
+  ``all``); ``--json`` also writes ``BENCH_<experiment>.json``
   through ``repro.obs.export``; ``--smoke`` shrinks faultmatrix,
   updatetime, fleetroll, scanperf, failover, migrate, and fuzz to
   their CI subsets; ``--seed N`` reseeds the fuzzer's scenario draws.
@@ -22,7 +21,7 @@ Commands:
   observability collector and print the span tree + counters;
   ``--export FILE`` writes a Chrome ``trace_event`` JSON (Perfetto).
 * ``metrics [server]``       — live-update a server *mid-flight* under its
-  demo workload and print the client-perceived verdict: latency
+  small workload and print the client-perceived verdict: latency
   histogram percentiles, the blackout interval, the SLO verdict, and a
   Prometheus text exposition; ``--json`` writes ``METRICS_<server>.json``.
 * ``status [server]``        — boot a server and print ``mcr-ctl status``.
@@ -41,86 +40,37 @@ import importlib
 import sys as _host_sys
 from typing import List, Optional
 
-SERVERS = ("simple", "httpd", "nginx", "vsftpd", "opensshd", "memcache")
+import repro
 
-
-def _server_module(name: str):
-    if name not in SERVERS:
-        raise SystemExit(f"unknown server {name!r}; choose from {', '.join(SERVERS)}")
-    return importlib.import_module(f"repro.servers.{name}")
-
-
-def _boot(name: str):
-    from repro.kernel import Kernel
-    from repro.runtime.instrument import BuildConfig
-    from repro.runtime.libmcr import MCRSession
-    from repro.runtime.program import load_program
-
-    module = _server_module(name)
-    kernel = Kernel()
-    module.setup_world(kernel)
-    program = module.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=400_000)
-    return kernel, module, program, session
-
-
-def _demo_workload(name: str, port: int):
-    """A small deterministic workload for demo/trace runs."""
-    from repro.workloads.ab import ApacheBench
-    from repro.workloads.ftpbench import FtpBench
-    from repro.workloads.sshsuite import SshSuite
-
-    if name in ("simple", "httpd", "nginx", "memcache"):
-        paths = {"simple": "sum", "memcache": "anykey"}
-        return ApacheBench(port, requests=40, concurrency=2,
-                           path=paths.get(name, "/index.html"))
-    if name == "vsftpd":
-        return FtpBench(port, users=3, retrievals=1)
-    return SshSuite(port, sessions=3, commands=2)
+# Replies ``metrics`` waits for before firing the update; every row's small
+# workload sends more, so in-flight requests span the blackout.
+WARM_REPLIES = 2
 
 
 def cmd_demo(args) -> int:
-    from repro.mcr.ctl import McrCtl
     from repro.mcr.diagnostics import describe_update
 
     name = args.server
-    kernel, module, program, session = _boot(name)
-    port = program.metadata.get("port")
-    print(f"{name} v1 running on simulated port {port}")
-    workload = _demo_workload(name, port)
-    workload.run(kernel)
+    world = repro.boot(name)
+    print(f"{name} v1 running on simulated port {world.port}")
+    workload = world.spec.small_workload({})
+    workload.run(world.kernel)
     print(f"workload done: {workload.completed} ops, {workload.errors} errors")
-    ctl = McrCtl(kernel, session)
-    result = ctl.live_update(module.make_program(2))
+    result = repro.live_update(world, version=2)
     print()
     print(describe_update(result))
     return 0 if result.committed else 1
 
 
 def cmd_profile(args) -> int:
-    from repro.kernel import Kernel
-    from repro.mcr.quiescence.profiler import QuiescenceProfiler
-    from repro.workloads import profiles
+    from repro.runtime.build import profile_program
+    from repro.servers.catalog import lookup
 
     targets = [args.server] if args.server else ["httpd", "nginx", "vsftpd", "opensshd"]
-    workloads = {
-        "simple": lambda: profiles.web_profile(8080, big_path="/index.html"),
-        "httpd": lambda: profiles.web_profile(80),
-        "nginx": lambda: profiles.web_profile(8081),
-        "vsftpd": lambda: profiles.ftp_profile(21),
-        "opensshd": lambda: profiles.ssh_profile(22),
-        "memcache": lambda: profiles.web_profile(11211, big_path="bigkey"),
-    }
     for name in targets:
-        module = _server_module(name)
-        kernel = Kernel()
-        module.setup_world(kernel)
-        if name == "simple":
-            kernel.fs.create("/srv/www/index.html", b"x")
-        report = QuiescenceProfiler(kernel).profile(
-            module.make_program(1), workloads[name]()
+        spec = lookup(name)
+        report = profile_program(
+            spec.make_program, spec.module.setup_world, spec.profile
         )
         print(report.render())
         print()
@@ -272,17 +222,14 @@ def cmd_bench(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro import obs
-    from repro.mcr.ctl import McrCtl
     from repro.obs.export import chrome_trace, write_json
     from repro.obs.spans import render_tree
 
     name = args.server
-    kernel, module, program, session = _boot(name)
-    port = program.metadata.get("port")
-    ctl = McrCtl(kernel, session)
-    with obs.collecting(kernel.clock) as collector:
-        _demo_workload(name, port).run(kernel)
-        result = ctl.live_update(module.make_program(2))
+    world = repro.boot(name)
+    with obs.collecting(world.kernel.clock) as collector:
+        world.spec.small_workload({}).run(world.kernel)
+        result = repro.live_update(world, version=2)
     status = "committed" if result.committed else "ROLLED BACK"
     print(f"{name}: update {status} in {result.total_ms():.2f} ms")
     if result.retries:
@@ -318,30 +265,27 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    """Mid-flight live update under the demo workload; report the client view."""
+    """Mid-flight live update under the small workload; report the client view."""
     from repro import obs
-    from repro.mcr.ctl import McrCtl
     from repro.obs.export import write_json
     from repro.obs.metrics import prometheus_text
     from repro.servers.common import ClientPerceived
 
     name = args.server
-    kernel, module, program, session = _boot(name)
-    port = program.metadata.get("port")
-    workload = _demo_workload(name, port)
-    ctl = McrCtl(kernel, session)
-    # Warm up only a fraction of the workload's requests, so the update
-    # fires genuinely mid-flight and in-flight clients span the blackout
-    # (ApacheBench issues 40 requests; the FTP/SSH drivers only ~9-12).
-    warm = min(8, max(2, getattr(workload, "requests", 16) // 5))
+    world = repro.boot(name)
+    kernel = world.kernel
+    workload = world.spec.small_workload({})
     with obs.collecting(kernel.clock) as collector:
         clients = workload(kernel)
-        kernel.run(until=lambda: workload.latency.count >= warm, max_steps=2_000_000)
-        result = ctl.live_update(module.make_program(2))
+        kernel.run(
+            until=lambda: workload.latency.count >= WARM_REPLIES,
+            max_steps=2_000_000,
+        )
+        result = repro.live_update(world, version=2)
         kernel.run(
             until=lambda: all(c.exited for c in clients), max_steps=5_000_000
         )
-    budget_ns = session.config.downtime_budget_ns
+    budget_ns = world.session.config.downtime_budget_ns
     perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
     result.client = perceived
     summary = perceived.to_dict()
@@ -401,8 +345,8 @@ def cmd_replay(args) -> int:
 def cmd_status(args) -> int:
     from repro.mcr.ctl import McrCtl
 
-    kernel, module, program, session = _boot(args.server)
-    for key, value in McrCtl(kernel, session).status().items():
+    world = repro.boot(args.server)
+    for key, value in McrCtl(world.kernel, world.session).status().items():
         print(f"{key}: {value}")
     return 0
 
@@ -414,7 +358,7 @@ def cmd_checkpoint(args) -> int:
     from repro.fleet.node import Node
 
     node = Node.boot(args.server)
-    if args.serve:
+    if args.serve and node.world.spec.request is not None:
         node.serve(args.serve)
         node.drain()
         node.settle(SETTLE_NS)  # workers release served-connection fds
@@ -462,6 +406,9 @@ def cmd_restore(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.servers.catalog import CATALOG
+
+    servers = tuple(CATALOG)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Mutable Checkpoint-Restart reproduction toolkit",
@@ -469,20 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     demo = subparsers.add_parser("demo", help="boot, serve, live-update, report")
-    demo.add_argument("server", nargs="?", default="simple", choices=SERVERS)
+    demo.add_argument("server", nargs="?", default="simple", choices=servers)
     demo.set_defaults(fn=cmd_demo)
 
     profile = subparsers.add_parser("profile", help="run the quiescence profiler")
-    profile.add_argument("server", nargs="?", default=None, choices=SERVERS)
+    profile.add_argument("server", nargs="?", default=None, choices=servers)
     profile.set_defaults(fn=cmd_profile)
 
     bench = subparsers.add_parser("bench", help="regenerate a paper experiment")
     bench.add_argument(
         "experiment",
-        choices=["table1", "table2", "table3", "figure3", "spec",
-                 "memusage", "updatetime", "ablations", "scanperf",
-                 "faultmatrix", "fleetroll", "failover", "migrate",
-                 "fuzz", "all"],
+        choices=[*BENCH_EXPERIMENTS, "all"],
     )
     bench.add_argument(
         "--json",
@@ -506,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace", help="live-update under a collector; print spans + counters"
     )
-    trace.add_argument("server", nargs="?", default="simple", choices=SERVERS)
+    trace.add_argument("server", nargs="?", default="simple", choices=servers)
     trace.add_argument(
         "--export",
         metavar="FILE",
@@ -519,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="mid-flight live update; print the client-perceived verdict",
     )
-    metrics.add_argument("server", nargs="?", default="simple", choices=SERVERS)
+    metrics.add_argument("server", nargs="?", default="simple", choices=servers)
     metrics.add_argument(
         "--json",
         action="store_true",
@@ -550,20 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(fn=cmd_replay)
 
     status = subparsers.add_parser("status", help="mcr-ctl status of a server")
-    status.add_argument("server", nargs="?", default="simple", choices=SERVERS)
+    status.add_argument("server", nargs="?", default="simple", choices=servers)
     status.set_defaults(fn=cmd_status)
 
     checkpoint = subparsers.add_parser(
         "checkpoint", help="serve traffic, then write a durable image"
     )
-    checkpoint.add_argument("server", nargs="?", default="simple", choices=SERVERS)
+    checkpoint.add_argument("server", nargs="?", default="simple", choices=servers)
     checkpoint.add_argument(
         "--out", metavar="FILE", default="checkpoint.img",
         help="where to write the image (default: checkpoint.img)",
     )
     checkpoint.add_argument(
         "--serve", type=int, default=8, metavar="N",
-        help="requests to serve before capture (mutates server state)",
+        help="requests to serve before capture (mutates server state; none "
+             "where the server's catalog row has no request script)",
     )
     checkpoint.set_defaults(fn=cmd_checkpoint)
 

@@ -18,8 +18,7 @@ flight-recorder samples.
 
 from __future__ import annotations
 
-import importlib
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro import obs
 from repro.errors import SimError
@@ -30,20 +29,9 @@ from repro.mcr.ctl import McrCtl
 from repro.mcr.controller import UpdateResult
 from repro.mcr.faults import TreeFingerprint
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import Program, load_program
+from repro.runtime.program import Program
+from repro.servers.catalog import World, boot
 from repro.servers.common import ClientLatencyLog, connect_with_retry
-
-# Per-server request line + expected reply prefix for the fleet's
-# one-shot clients.  Every simulated server speaks a line protocol, so
-# one client shape covers them all; the expectation keeps the probe
-# non-vacuous (an "ERROR unknown" reply never counts as served).
-REQUEST_SCRIPTS: Dict[str, Tuple[str, str]] = {
-    "simple": ("sum", "sum"),
-    "memcache": ("NSTATS", "STATS"),
-    "httpd": ("GET /file1k.bin", ""),
-    "nginx": ("GET /file1k.bin", ""),
-}
 
 # A client whose response stalls longer than this abandons the
 # connection and retries over a fresh connect (real load balancers and
@@ -58,26 +46,23 @@ class Node:
     def __init__(
         self,
         node_id: int,
-        server: str,
-        kernel: Kernel,
-        module,
-        program: Program,
-        session: MCRSession,
+        world: World,
         collector: obs.Collector,
-        port: int,
         stall_ns: int = DEFAULT_STALL_NS,
     ) -> None:
         self.node_id = node_id
-        self.server = server
-        self.kernel = kernel
-        self.module = module
-        self.program = program
-        self.session = session
+        self.world = world
+        self.server = world.spec.name
+        self.kernel: Kernel = world.kernel
+        self.port = world.spec.port
+        # What is running *now*: re-bound on every committed update
+        # (``world`` keeps what was booted, and the program factory).
+        self.program = world.program
+        self.session = world.session
         self.collector = collector
-        self.port = port
         self.stall_ns = stall_ns
-        self.ctl = McrCtl(kernel, session)
-        self.version = int(program.version)
+        self.ctl = McrCtl(self.kernel, self.session)
+        self.version = int(self.program.version)
         # Client-perceived bookkeeping, fleet-visible.
         self.latency = ClientLatencyLog()
         self.requests_sent = 0
@@ -107,24 +92,14 @@ class Node:
         the node's own fresh collector, so even startup spans and
         counters land in node-local state.
         """
-        module = importlib.import_module(f"repro.servers.{server}")
         kernel = Kernel()
         collector = obs.Collector(kernel.clock)
         with obs.scoped(collector):
-            module.setup_world(kernel)
-            program = module.make_program(version)
-            session = MCRSession(kernel, program, build or BuildConfig.full(), config)
-            load_program(
-                kernel, program, build=build or BuildConfig.full(), session=session
+            world = boot(
+                server, version, build=build, kernel=kernel, config=config,
+                max_steps=max_steps,
             )
-            kernel.run(until=lambda: session.startup_complete, max_steps=max_steps)
-        if not session.startup_complete:
-            raise SimError(f"node {node_id} ({server}): startup did not complete")
-        port = program.metadata.get("port")
-        return cls(
-            node_id, server, kernel, module, program, session, collector, port,
-            stall_ns=stall_ns,
-        )
+        return cls(node_id, world, collector, stall_ns)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -180,9 +155,14 @@ class Node:
         virtual-time latency into ``self.latency`` on completion.  A
         request is *lost* only when its retry budget is exhausted — a
         stall during a live update reconnects and retries instead, so a
-        healthy update loses nothing.
+        healthy update loses nothing.  A catalog row without a request
+        script is refused: any other line would count the banner as served.
         """
-        line, expect = REQUEST_SCRIPTS.get(self.server, ("GET /", ""))
+        if self.world.spec.request is None:
+            raise ValueError(
+                f"{self.server} has no one-shot request script in the catalog"
+            )
+        line, expect = self.world.spec.request
         for _ in range(requests):
             self.requests_sent += 1
             self._clients.append(
@@ -221,7 +201,7 @@ class Node:
         whatever other node's scope happens to be ambient.
         """
         if program is None:
-            program = self.module.make_program(to_version or self.version + 1)
+            program = self.world.make_program(to_version or self.version + 1)
         with self.scope():
             result = self.ctl.live_update(
                 program, config=config, collector=self.collector
@@ -244,11 +224,40 @@ class Node:
         return TreeFingerprint.capture(self.kernel, self.root)
 
     def served_version(self, max_steps: int = 200_000) -> Optional[int]:
-        """Ask the *server* which version is live (protocol-level probe)."""
-        probe = _VersionProbe(self)
+        """Ask the *server* which version is live (protocol-level probe).
+
+        Reads what the serving tree itself reports (the catalog row's
+        ``version_probe``: ``version`` for the simple server, ``NSTATS``'s
+        trailing ``vN`` for memcache; None where the row has none), so
+        fleet end-state checks are grounded in observed behaviour, not
+        orchestrator bookkeeping.
+        """
+        script = self.world.spec.version_probe
+        if script is None:
+            return None
+        line, marker = script
+        seen: List[int] = []
+
+        @sim_function
+        def version_client(sys):
+            try:
+                fd = yield from connect_with_retry(sys, self.port)
+            except SimError:
+                return
+            yield from sys.send(fd, (line + "\n").encode())
+            reply = yield from sys.recv(fd)
+            if isinstance(reply, (bytes, bytearray)) and reply:
+                text = reply.decode(errors="replace").strip()
+                if marker in text:
+                    tail = text.rsplit(marker, 1)[1].split()[0]
+                    if tail.isdecimal():
+                        seen.append(int(tail))
+            yield from sys.close(fd)
+
         with self.scope():
-            probe.run(max_steps=max_steps)
-        return probe.version
+            process = self.kernel.spawn_process(version_client, name="version-probe")
+            self.kernel.run(until=lambda: process.exited, max_steps=max_steps)
+        return seen[0] if seen else None
 
     def teardown(self) -> None:
         """Kill the tree and release every port — node-local only."""
@@ -307,51 +316,3 @@ def _oneshot_request(sys, node: Node, line: str, expect: str):
             node.lost += 1
             return
     yield from sys.close(fd)
-
-
-class _VersionProbe:
-    """Protocol-level 'which version answers here' probe.
-
-    Reads the version the serving tree itself reports (``version`` for
-    the simple server, ``NSTATS``'s trailing ``vN`` for memcache), so
-    fleet end-state checks are grounded in observed behaviour, not
-    orchestrator bookkeeping.
-    """
-
-    _SCRIPTS = {
-        "simple": ("version", "version "),
-        "memcache": ("NSTATS", " v"),
-    }
-
-    def __init__(self, node: Node) -> None:
-        self.node = node
-        self.version: Optional[int] = None
-
-    def run(self, max_steps: int = 200_000) -> None:
-        script = self._SCRIPTS.get(self.node.server)
-        if script is None:
-            return
-        line, marker = script
-        probe = self
-
-        @sim_function
-        def version_client(sys):
-            try:
-                fd = yield from connect_with_retry(sys, probe.node.port)
-            except SimError:
-                return
-            yield from sys.send(fd, (line + "\n").encode())
-            reply = yield from sys.recv(fd)
-            if isinstance(reply, (bytes, bytearray)) and reply:
-                text = reply.decode(errors="replace").strip()
-                if marker in text:
-                    tail = text.rsplit(marker, 1)[1].split()[0]
-                    try:
-                        probe.version = int(tail)
-                    except ValueError:
-                        probe.version = None
-            yield from sys.close(fd)
-
-        kernel = self.node.kernel
-        process = kernel.spawn_process(version_client, name="version-probe")
-        kernel.run(until=lambda: process.exited, max_steps=max_steps)

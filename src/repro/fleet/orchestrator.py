@@ -285,9 +285,7 @@ class Orchestrator:
             config = copy.copy(config) if config is not None else MCRConfig()
             config.faults = faults
         t0 = node.now_ns
-        result = node.update(
-            program=node.module.make_program(target), config=config
-        )
+        result = node.update(to_version=target, config=config)
         # In-flight requests held through the update complete here; their
         # completion stamps bound the measured blackout.
         node.drain()
@@ -315,9 +313,7 @@ class Orchestrator:
         for node in self.fleet.nodes:
             if node.version == report.from_version:
                 continue
-            result = node.update(
-                program=node.module.make_program(report.from_version)
-            )
+            result = node.update(to_version=report.from_version)
             node.drain()
             if result.committed:
                 report.reverted_nodes.append(node.node_id)

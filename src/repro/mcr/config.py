@@ -23,9 +23,7 @@ class MCRConfig:
         quiescence_max_retries: int = 2,         # extra wait attempts on timeout
         quiescence_backoff_ns: int = 25_000_000, # first retry backoff (doubles)
         scan_opaque_int64: bool = True,          # pointer-sized ints are opaque
-        scan_char_arrays: bool = True,           # char arrays are opaque
         transfer_shared_libs: bool = False,      # paper default: don't
-        conservative_interior_pointers: bool = True,
         interior_only_nonupdatable: bool = False,
         faults=None,                             # FaultPlan (None = nothing armed)
         verify_rollback: bool = True,            # fingerprint-check rolled-back trees
@@ -47,9 +45,7 @@ class MCRConfig:
         self.quiescence_max_retries = quiescence_max_retries
         self.quiescence_backoff_ns = quiescence_backoff_ns
         self.scan_opaque_int64 = scan_opaque_int64
-        self.scan_char_arrays = scan_char_arrays
         self.transfer_shared_libs = transfer_shared_libs
-        self.conservative_interior_pointers = conservative_interior_pointers
         # Paper §6: "we could restrict [nonupdatability] to only interior
         # pointers ... but we have not implemented this option yet."  We
         # did: with this flag, a likely pointer to an object *base* pins

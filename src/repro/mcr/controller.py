@@ -242,7 +242,10 @@ class LiveUpdateController:
         self.old_session = old_session
         self.old_root: Process = old_session.root_process
         self.new_program = new_program
-        self.build = build or BuildConfig.full()
+        # Default: the running session's build.  A region-instrumented
+        # server (nginx_reg) restarted under plain ``full()`` loses its
+        # region tags and serves empty replies after the commit.
+        self.build = build or old_session.build
         self.config = config or old_session.config
         self.cost = cost or TransferCostModel()
         self.use_dirty_filter = use_dirty_filter  # ablation knob

@@ -5,7 +5,7 @@ complete run of the simulated world::
 
     {
         "kind": "update",
-        "server": "httpd",            # simple|httpd|nginx|vsftpd|memcache
+        "server": "httpd",            # any row of repro.servers.catalog
         "mode": "whole-tree",         # or "rolling"
         "seed": 0,                    # RngRegistry master seed
         "faults": [ ...FaultPlan.to_spec()... ],
@@ -31,7 +31,6 @@ the failure left behind; the replayer uses this for ``--to-failure``.
 
 from __future__ import annotations
 
-import importlib
 import zlib
 from typing import Any, Dict, Optional
 
@@ -44,44 +43,9 @@ from repro.obs.export import to_json
 from repro.replay import rng as replay_rng
 from repro.replay import trace as replay_trace
 from repro.replay.trace import TraceLog
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
-from repro.workloads.ab import ApacheBench
-from repro.workloads.ftpbench import FtpBench
-from repro.workloads.holders import ConnectionHolder
-from repro.workloads.linebench import LineBench
-
-# Per-server wiring: port, protocol the connection holder speaks (None =
-# holders unsupported), and workload/probe defaults.  These mirror the
-# historical ``bench faultmatrix`` matrix exactly — the faultmatrix cells
-# run through ``run_scenario`` and must keep their recorded behaviour.
-SERVERS: Dict[str, Dict[str, Any]] = {
-    "simple": {"port": 8080, "holder_kind": None},
-    "httpd": {"port": 80, "holder_kind": "http"},
-    "nginx": {"port": 8081, "holder_kind": "http"},
-    "vsftpd": {"port": 21, "holder_kind": "ftp"},
-    "memcache": {"port": 11211, "holder_kind": None},
-}
+from repro.servers.catalog import World, boot, lookup
 
 DEFAULT_HELD_CONNECTIONS = 2
-
-_LINE_SCRIPTS: Dict[str, Dict[str, Any]] = {
-    "simple": {
-        "bench": [("push 5", "ok"), ("push 7", "ok"), ("sum", "sum 12")],
-        "probe": [("sum", "sum"), ("version", "version")],
-        "clients": 2,
-    },
-    "memcache": {
-        "bench": [
-            ("set k1 v1", "STORED"),
-            ("set k2 v2", "STORED"),
-            ("get k1", "VALUE v1"),
-        ],
-        "probe": [("get k1", "VALUE v1"), ("nstats", "STATS")],
-        "clients": 1,
-    },
-}
 
 
 def default_spec(
@@ -93,13 +57,7 @@ def default_spec(
     holders: Optional[int] = None,
 ) -> Dict[str, Any]:
     """A faultmatrix-cell-shaped spec for ``server`` (defaults filled in)."""
-    if server not in SERVERS:
-        raise ValueError(
-            f"unknown scenario server {server!r}; choose from {sorted(SERVERS)}"
-        )
-    info = SERVERS[server]
-    if holders is None:
-        holders = DEFAULT_HELD_CONNECTIONS if info["holder_kind"] else 0
+    default_held = DEFAULT_HELD_CONNECTIONS if lookup(server).holder_kind else 0
     return {
         "kind": "update",
         "server": server,
@@ -107,66 +65,8 @@ def default_spec(
         "seed": seed,
         "faults": list(faults or []),
         "workload": dict(workload or {}),
-        "holders": holders,
+        "holders": default_held if holders is None else holders,
     }
-
-
-def _workload_for(server: str, params: Dict[str, Any]):
-    port = SERVERS[server]["port"]
-    if server in _LINE_SCRIPTS:
-        script = _LINE_SCRIPTS[server]
-        return LineBench(
-            port, script["bench"], clients=params.get("clients", script["clients"])
-        )
-    if server == "vsftpd":
-        return FtpBench(
-            port,
-            users=params.get("users", 3),
-            retrievals=params.get("retrievals", 1),
-        )
-    return ApacheBench(
-        port,
-        requests=params.get("requests", 30),
-        concurrency=params.get("concurrency", 2),
-        jitter_ns=params.get("jitter_ns", 0),
-    )
-
-
-def _probe_for(server: str):
-    port = SERVERS[server]["port"]
-    if server in _LINE_SCRIPTS:
-        return LineBench(port, _LINE_SCRIPTS[server]["probe"])
-    if server == "vsftpd":
-        return FtpBench(port, users=1, retrievals=1)
-    return ApacheBench(port, requests=5, concurrency=1)
-
-
-class _World:
-    __slots__ = ("kernel", "module", "session", "port", "root")
-
-    def __init__(self, kernel, module, session, port, root) -> None:
-        self.kernel = kernel
-        self.module = module
-        self.session = session
-        self.port = port
-        self.root = root
-
-
-def _boot(name: str, kernel: Kernel) -> _World:
-    """Boot one scenario server into ``kernel`` (trace already bound)."""
-    from repro.bench.harness import SERVER_BENCHES, boot_server
-
-    module = importlib.import_module(f"repro.servers.{name}")
-    if name in SERVER_BENCHES:
-        world = boot_server(name, kernel=kernel)
-        return _World(kernel, module, world.session, world.port, world.root)
-    module.setup_world(kernel)
-    program = module.make_program(1)
-    build = BuildConfig.full()
-    session = MCRSession(kernel, program, build)
-    root = load_program(kernel, program, build=build, session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=400_000)
-    return _World(kernel, module, session, SERVERS[name]["port"], root)
 
 
 class ScenarioOutcome:
@@ -190,7 +90,7 @@ class ScenarioOutcome:
     def __init__(self, spec: Dict[str, Any]) -> None:
         self.spec = spec
         self.kernel: Optional[Kernel] = None
-        self.world: Optional[_World] = None
+        self.world: Optional[World] = None
         self.collector: Optional[obs.Collector] = None
         self.plan: Optional[FaultPlan] = None
         self.result = None
@@ -270,11 +170,6 @@ def run_scenario(
     ``--export``.  Never raises for fault-plan-induced failures (that is
     the property under test); infrastructure errors do propagate.
     """
-    server = spec["server"]
-    if server not in SERVERS:
-        raise ValueError(
-            f"unknown scenario server {server!r}; choose from {sorted(SERVERS)}"
-        )
     outcome = ScenarioOutcome(spec)
     outcome.trace = trace
     registry = replay_rng.RngRegistry(int(spec.get("seed", 0)))
@@ -287,15 +182,13 @@ def run_scenario(
     collector = obs.Collector(kernel.clock)
     outcome.collector = collector
     with replay_rng.scoped(registry), replay_trace.tracing(trace):
-        world = _boot(server, kernel)
-        outcome.world = world
-        workload = _workload_for(server, spec.get("workload") or {})
-        workload.run(kernel)
-        holder: Optional[ConnectionHolder] = None
+        outcome.world = world = boot(spec["server"], kernel=kernel)
+        server = world.spec
+        server.small_workload(spec.get("workload") or {}).run(kernel)
+        holder = None
         held = spec.get("holders", 0)
-        holder_kind = SERVERS[server]["holder_kind"]
-        if holder_kind is not None and held:
-            holder = ConnectionHolder(world.port, held, holder_kind)
+        if server.holder_kind is not None and held:
+            holder = world.hold(held)
             holder.establish(kernel)
         plan = FaultPlan.from_spec(spec.get("faults") or [])
         outcome.plan = plan
@@ -307,13 +200,13 @@ def run_scenario(
         ctl = McrCtl(kernel, world.session)
         try:
             outcome.result = ctl.live_update(
-                world.module.make_program(2), config=config, collector=collector
+                world.make_program(2), config=config, collector=collector
             )
         except BaseException as error:  # the property under test: never
             outcome.raised = repr(error)
         outcome.listener_present = kernel.net.listener_for(world.port) is not None
         if not until_failure:
-            probe = _probe_for(server)
+            probe = server.probe()
             try:
                 probe.run(kernel)
             except BaseException as error:  # pragma: no cover - diagnostics

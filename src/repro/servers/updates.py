@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.runtime.program import Program
-from repro.servers import httpd, nginx, opensshd, simple, vsftpd
+from repro.servers import httpd, nginx, opensshd, vsftpd
 
 
 class UpdateSpec:
@@ -64,15 +64,11 @@ class UpdateSeries:
         self,
         name: str,
         make: Callable[..., Program],
-        setup_world: Callable,
-        port: int,
         updates: List[UpdateSpec],
         paper_row: Dict[str, int],
     ) -> None:
         self.name = name
         self.make = make
-        self.setup_world = setup_world
-        self.port = port
         self.updates = updates
         self.paper_row = paper_row
 
@@ -124,8 +120,6 @@ def make_httpd_update(version: int, **kwargs) -> Program:
 HTTPD_SERIES = UpdateSeries(
     name="httpd",
     make=make_httpd_update,
-    setup_world=httpd.setup_world,
-    port=80,
     updates=[
         UpdateSpec(1, 2, "request-handling refactor", 310, 24, 2),
         UpdateSpec(2, 3, "scoreboard grows bytes_served", 520, 41, 3),
@@ -141,8 +135,6 @@ HTTPD_SERIES = UpdateSeries(
 NGINX_SERIES = UpdateSeries(
     name="nginx",
     make=nginx.make_program,
-    setup_world=nginx.setup_world,
-    port=8081,
     updates=(
         [UpdateSpec(1, 2, "worker-cycle tweak", 40, 3, 0)]
         + [UpdateSpec(2, 3, "cycle grows keepalive_timeout", 120, 9, 1)]
@@ -162,8 +154,6 @@ NGINX_SERIES = UpdateSeries(
 VSFTPD_SERIES = UpdateSeries(
     name="vsftpd",
     make=vsftpd.make_program,
-    setup_world=vsftpd.setup_world,
-    port=21,
     updates=[
         UpdateSpec(1, 2, "command-loop hardening", 180, 12, 3),
         UpdateSpec(2, 3, "session grows failed_logins", 240, 17, 2),
@@ -178,8 +168,6 @@ VSFTPD_SERIES = UpdateSeries(
 OPENSSHD_SERIES = UpdateSeries(
     name="opensshd",
     make=opensshd.make_program,
-    setup_world=opensshd.setup_world,
-    port=22,
     updates=[
         UpdateSpec(1, 2, "auth-path refactor", 260, 19, 2),
         UpdateSpec(2, 3, "session grows auth_attempts", 340, 26, 3),
@@ -189,15 +177,6 @@ OPENSSHD_SERIES = UpdateSeries(
     ],
     paper_row={"Num": 5, "LOC": 14_370, "Fun": 894, "Var": 84, "Type": 33,
                "Ann": 49, "ST": 135},
-)
-
-SIMPLE_SERIES = UpdateSeries(
-    name="simple",
-    make=simple.make_program,
-    setup_world=simple.setup_world,
-    port=8080,
-    updates=[UpdateSpec(1, 2, "list node grows 'new' field (Figure 2)", 20, 2, 0)],
-    paper_row={},
 )
 
 ALL_SERIES: Dict[str, UpdateSeries] = {

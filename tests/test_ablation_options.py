@@ -112,3 +112,30 @@ class TestDirtyFilterSwitch:
         # counter is clean in old; with the filter off it transfers anyway.
         StateTransfer(old, new, program2, use_dirty_filter=False).run()
         assert new.crt.gget("counter") == 7
+
+
+def test_every_config_option_is_read_by_something():
+    """A knob nothing consults is a lie in the signature: two such
+    (``scan_char_arrays``, ``conservative_interior_pointers``) sat in
+    ``MCRConfig`` unread until they were deleted.  Every ``__init__``
+    parameter must be read as an attribute somewhere under ``src/repro``
+    outside ``config.py`` itself (a plain assignment does not count)."""
+    import inspect
+    import re
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parent
+    text = "\n".join(
+        path.read_text()
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "mcr" / "config.py"
+    )
+    options = [p for p in inspect.signature(MCRConfig.__init__).parameters if p != "self"]
+    assert len(options) == 17
+    unread = [
+        name for name in options
+        if not re.search(rf"\.{name}\b(?!\s*=[^=])", text)
+    ]
+    assert not unread, f"MCRConfig options nothing reads: {unread}"

@@ -73,3 +73,22 @@ def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():
     assert all(row["comparable"] for row in migrate["head_to_head"])
     assert migrate["summary"]["brownout_within_budget"]
     assert migrate["summary"]["brownout_at_most_comparable"]
+
+
+def test_committed_faultmatrix_artifacts_carry_the_verdicts_ci_demanded():
+    """What ``ci.yml``'s fault-matrix heredoc asserted, of the committed files."""
+    results = json.loads((REPO_ROOT / "BENCH_faultmatrix.json").read_text())["results"]
+    assert not results["any_raised"], "a fault escaped run_update"
+    assert results["rolling_cells"] > 0 and results["rolling_all_survived"]
+    for cell in results["cells"]:
+        assert cell["survived"] and cell["old_version_intact"], cell
+        if cell["rolled_back"]:
+            assert cell["blackbox_matches_site"], cell
+    assert results["all_blackbox_match"]
+    # The black box left behind is the post-mortem of the last injected
+    # fault: it names that fault's site and references its replay trace.
+    blackbox = json.loads((REPO_ROOT / "BENCH_faultmatrix_blackbox.json").read_text())
+    last = [cell for cell in results["cells"] if cell["rolled_back"]][-1]
+    assert blackbox["last_fault"]["payload"]["site"] == last["fired_sites"][-1]
+    assert blackbox["trace"]["format"] == "repro-trace-v1"
+    assert blackbox["trace"]["path"] == "BENCH_faultmatrix_blackbox.trace.json"

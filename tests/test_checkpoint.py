@@ -36,7 +36,7 @@ from repro.checkpoint import (
     write_image,
 )
 from repro.errors import ImageError, PromotionError
-from repro.fleet.node import REQUEST_SCRIPTS, Node
+from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import FaultPlan, TreeFingerprint
 from repro.mem.pages import PAGE_SIZE
@@ -49,7 +49,7 @@ WARMUP_NS = 30_000_000
 def _boot_warm(server: str, requests: int = 4) -> Node:
     """Boot a node, push some traffic through it, and drain in-flight work."""
     node = Node.boot(server)
-    if requests and server in REQUEST_SCRIPTS:
+    if requests and node.world.spec.request is not None:
         node.serve(requests)
     node.run_for(WARMUP_NS)
     return node

@@ -14,19 +14,13 @@ from repro.mcr.diagnostics import (
 )
 from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
 from repro.servers import simple
+from repro.servers.catalog import boot
 
 
 def _booted_simple(kernel):
-    simple.setup_world(kernel)
-    program = simple.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    root = load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=100_000)
-    return program, session, root
+    world = boot("simple", kernel=kernel)
+    return world.program, world.session, world.root
 
 
 class TestDiagnostics:
@@ -110,6 +104,10 @@ class TestCli:
         assert main(["demo", "simple"]) == 0
         out = capsys.readouterr().out
         assert "COMMITTED" in out
+        # simple is driven by its own line protocol (2 clients x push,
+        # push, sum), each reply checked against its expected prefix — not
+        # by AB's ``GET sum``, whose 40 ``err unknown`` replies counted.
+        assert "workload done: 6 ops, 0 errors" in out
 
     def test_profile_command_single_server(self, capsys):
         assert main(["profile", "nginx"]) == 0

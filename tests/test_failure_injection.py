@@ -19,20 +19,14 @@ from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.mcr import controller as controller_module
 from repro.mcr.tracing.transfer import StateTransfer
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
 from repro.servers import simple
+from repro.servers.catalog import boot
 from repro.servers.common import connect_with_retry, recv_line
 
 
 def _boot(kernel):
-    simple.setup_world(kernel)
-    program = simple.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    root = load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=100_000)
-    return program, session, root
+    world = boot("simple", kernel=kernel)
+    return world.program, world.session, world.root
 
 
 def _serve_one(kernel, command, expected_prefix):

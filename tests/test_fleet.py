@@ -236,3 +236,15 @@ class TestNodeFactory:
             assert node.served_version() == 2
         finally:
             node.teardown()
+
+    @pytest.mark.parametrize("server", ["vsftpd", "opensshd"])
+    def test_serve_refuses_a_server_without_a_request_script(self, server):
+        """``GET /`` drew the protocol banner, which counted as served."""
+        node = Node.boot(server)
+        try:
+            with pytest.raises(ValueError, match="no one-shot request script"):
+                node.serve(3)
+            assert node.requests_sent == 0 and node.pending() == 0
+            assert node.served_version() is None  # no version command either
+        finally:
+            node.teardown()

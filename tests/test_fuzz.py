@@ -6,7 +6,8 @@ import copy
 
 from repro.bench import fuzz
 from repro.replay.rng import RngStream, derive_seed
-from repro.replay.scenario import SERVERS, default_spec
+from repro.replay.scenario import default_spec
+from repro.servers.catalog import CATALOG
 
 
 def _master(seed=0):
@@ -30,10 +31,10 @@ def test_draw_spec_respects_server_capabilities():
     master = _master(9)
     for _ in range(30):
         spec = fuzz.draw_spec(master)
-        assert spec["server"] in SERVERS
+        assert spec["server"] in CATALOG
         if spec["mode"] == "rolling":
             assert spec["server"] in ("httpd", "nginx")
-        if SERVERS[spec["server"]]["holder_kind"] is None:
+        if CATALOG[spec["server"]].holder_kind is None:
             assert not spec.get("holders")
         for arm in spec["faults"]:
             assert ("probability" in arm) != ("nth" in arm)

@@ -34,21 +34,15 @@ from repro.obs.metrics import (
     prometheus_text,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import load_program
 from repro.servers import simple
+from repro.servers.catalog import boot
 from repro.servers.common import ClientLatencyLog, ClientPerceived
 from repro.workloads.ab import ApacheBench
 
 
 def _booted_simple(kernel):
-    simple.setup_world(kernel)
-    program = simple.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=100_000)
-    return program, session
+    world = boot("simple", kernel=kernel)
+    return world.program, world.session
 
 
 # -- Histogram ----------------------------------------------------------------

@@ -24,5 +24,5 @@ class TestPublicApi:
         assert result.committed
 
     def test_unknown_server(self):
-        with pytest.raises(ModuleNotFoundError):
+        with pytest.raises(ValueError, match="unknown server 'iis'; choose from simple, "):
             repro.boot("iis")

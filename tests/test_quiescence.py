@@ -11,6 +11,7 @@ from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, load_program
 from repro.servers import simple
+from repro.servers.catalog import boot
 from repro.servers.common import connect_with_retry
 
 from tests.helpers import boot_test_program, make_test_program
@@ -18,12 +19,8 @@ from tests.helpers import boot_test_program, make_test_program
 
 class TestBarrierProtocol:
     def _boot_simple(self, kernel):
-        simple.setup_world(kernel)
-        program = simple.make_program(1)
-        session = MCRSession(kernel, program, BuildConfig.full())
-        root = load_program(kernel, program, build=BuildConfig.full(), session=session)
-        kernel.run(until=lambda: session.startup_complete, max_steps=100_000)
-        return session, root
+        world = boot("simple", kernel=kernel)
+        return world.session, world.root
 
     def test_request_wait_release_cycle(self, kernel):
         session, root = self._boot_simple(kernel)

@@ -39,7 +39,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint import restore as restore_module
 from repro.checkpoint.image import Section, capture_quiesced, section_name
-from repro.fleet.node import REQUEST_SCRIPTS, Node
+from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
@@ -274,7 +274,7 @@ def test_residency_invariant_across_updates(server):
 
 
 def _serve(node: Node, requests: int) -> None:
-    if node.server in REQUEST_SCRIPTS:
+    if node.world.spec.request is not None:
         node.serve(requests)
     node.run_for(30_000_000)
 

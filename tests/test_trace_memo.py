@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.bench.harness import SERVER_BENCHES, boot_server
-from repro.kernel.kernel import Kernel
 from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -49,10 +48,8 @@ from repro.mcr.tracing.invariants import apply_invariants
 from repro.mcr.tracing.transfer import ProcessTransferStats
 from repro.mem import scan_backend
 from repro.mem.pages import PAGE_SIZE
-from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
-from repro.runtime.program import GlobalVar, load_program
-from repro.servers import httpd, simple
+from repro.runtime.program import GlobalVar
+from repro.servers import httpd
 from repro.types.descriptors import INT32, INT64, OpaqueType, PointerType, StructType
 from repro.types.symbols import SymbolTable
 from repro.workloads.ab import ApacheBench
@@ -207,14 +204,9 @@ def test_graft_over_a_pointer_slot_invalidates_the_trace():
 
 
 def _boot_simple():
-    kernel = Kernel()
-    simple.setup_world(kernel)
-    program = simple.make_program(1)
-    session = MCRSession(kernel, program, BuildConfig.full())
-    root = load_program(kernel, program, build=BuildConfig.full(), session=session)
-    kernel.run(until=lambda: session.startup_complete, max_steps=400_000)
-    ApacheBench(8080, requests=40, concurrency=2, path="sum").run(kernel)
-    return kernel, session, root
+    world = boot_server("simple")
+    ApacheBench(world.port, requests=40, concurrency=2, path="sum").run(world.kernel)
+    return world.kernel, world.session, world.root
 
 
 def _boot_served(name: str, sessions: int = 0):

@@ -54,7 +54,6 @@ class TestFullSeriesWalk:
     def test_walk_all_five_updates(self, name):
         series = series_for(name)
         world = boot_server(name)
-        series.setup_world(world.kernel)  # idempotent world files
         ctl = McrCtl(world.kernel, world.session)
         for spec in series.updates:
             program = series.make(spec.to_version)

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.bench.harness import boot_server
+from repro.servers.catalog import boot
 from repro.workloads.ab import ApacheBench
 from repro.workloads.ftpbench import FtpBench
 from repro.workloads.holders import ConnectionHolder
+from repro.workloads.linebench import LineBench
 from repro.workloads.sshsuite import SshSuite
 
 
@@ -65,6 +67,30 @@ class TestSshSuite:
             p for p in world.kernel.processes.values() if p.name == "ssh-helper"
         ]
         assert helpers and all(p.exited for p in helpers)
+
+
+class TestLineBench:
+    def test_shares_the_driver_surface(self):
+        """``__call__`` spawns, ``run`` drives, every counted reply is
+        stamped in ``latency`` — what ``cli metrics`` needs of a driver."""
+        world = boot("simple")
+        bench = LineBench(
+            world.port, [("push 1", "ok"), ("sum", "sum"), ("GET sum", "sum")],
+            clients=2,
+        )
+        clients = bench(world.kernel)
+        assert len(clients) == 2 and not any(c.exited for c in clients)
+        world.kernel.run(until=lambda: all(c.exited for c in clients))
+        # ``GET sum`` draws ``err unknown``: an error, and not a latency sample.
+        assert (bench.completed, bench.errors, bench.latency.count) == (4, 2, 4)
+        assert all(recv > send for send, recv in bench.latency.samples)
+
+    def test_run_returns_elapsed_virtual_time(self):
+        world = boot("memcache")
+        bench = LineBench(world.port, [("set k v", "STORED"), ("get k", "VALUE v")])
+        before = world.kernel.clock.now_ns
+        assert bench.run(world.kernel) == world.kernel.clock.now_ns - before > 0
+        assert (bench.completed, bench.errors) == (2, 0)
 
 
 class TestConnectionHolder:
