@@ -277,11 +277,7 @@ def _process_record(process: Any) -> Dict[str, Any]:
         "mappings": mappings,
         "heap": _heap_record(process.heap),
         "fds": fds,
-        "fd_alloc": {
-            "next_reserved": fdtable._next_reserved,
-            "next_stash": fdtable._next_stash,
-            "blocked": sorted(fdtable._blocked_numbers),
-        },
+        "fd_alloc": fdtable.alloc_state(),
     }
 
 

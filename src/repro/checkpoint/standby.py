@@ -161,10 +161,7 @@ class WarmStandby:
                 obj = fdtable.try_get(fd)
                 if obj is not None and hasattr(obj, "closed"):
                     obj.closed = bool(closed)
-            alloc = record["fd_alloc"]
-            fdtable._next_reserved = alloc["next_reserved"]
-            fdtable._next_stash = alloc["next_stash"]
-            fdtable._blocked_numbers = set(alloc["blocked"])
+            fdtable.load_alloc_state(record["fd_alloc"])
         listeners = delta.meta.get("listeners")
         if listeners:
             net = self.node.kernel.net

@@ -146,37 +146,12 @@ class Kernel:
         self.processes[process.global_id] = process
 
     def do_fork(self, caller: Thread, child_main: Callable, args: Tuple, name: str) -> Process:
+        """fork() from a running thread, which supplies the parent and the
+        creation stack; the fork body itself is ``fork_for_restore``'s."""
         parent = caller.process
-        namespace = getattr(parent, "namespace", None) or self.pidns
-        pid = namespace.allocate()
-        child_name = name or f"{parent.name}-child"
-        space = parent.space.clone()
         creation_stack = list(caller.call_stack) + [getattr(child_main, "__name__", "child")]
-        child = Process(
-            pid,
-            self,
-            child_name,
-            parent=parent,
-            space=space,
-            heap=parent.heap.clone_into(space),
-            tags=parent.tags.clone(),
-            fdtable=parent.fdtable.clone(),
-            creation_stack=creation_stack,
-        )
-        child.program = parent.program
-        child.namespace = namespace
-        for attr in ("build", "symbols", "libs"):
-            if hasattr(parent, attr):
-                setattr(child, attr, getattr(parent, attr))
-        if hasattr(parent, "crt"):
-            from repro.runtime.cruntime import CRuntime
-
-            child.crt = CRuntime(child)
-        self._register(child)
-        if parent.runtime is not None:
-            child.runtime = parent.runtime.on_fork(child)
-        self._start_thread(child, child_main, args, "main", creation_stack)
-        return child
+        child_name = name or f"{parent.name}-child"
+        return self.fork_for_restore(parent, child_main, args, child_name, creation_stack)
 
     def fork_for_restore(
         self,
@@ -187,7 +162,7 @@ class Kernel:
         creation_stack: List[str],
         forced_pid: Optional[int] = None,
     ) -> Process:
-        """Fork a child of ``parent`` outside any running thread.
+        """Fork a child of ``parent``; callable outside any running thread.
 
         MCR's post-startup reinit handlers use this to recreate volatile
         quiescent states: new-version counterparts of old-version processes
@@ -273,23 +248,8 @@ class Kernel:
             return
         for thread in list(process.threads.values()):
             self._retire_thread(thread)
-        for fd in list(process.fdtable.fds()):
-            try:
-                obj = process.fdtable.close(fd)
-            except SimError:
-                continue
-            release = getattr(obj, "release", None)
-            if release is not None:
-                release()
-                if obj.refcount <= 0:
-                    if obj.kind == "stream":
-                        obj.close()
-                    elif obj.kind == "listener":
-                        self.net.release_port(obj)
-                    elif obj.kind == "unix":
-                        # close() also drains undelivered fd-passing
-                        # messages so a dead channel pins nothing.
-                        obj.close()
+        for obj in process.fdtable.close_all():
+            self.drop_reference(obj)
         process.exited = True
         process.exit_status = status
         namespace = getattr(process, "namespace", None) or self.pidns
@@ -298,6 +258,22 @@ class Kernel:
         parent = process.parent
         if parent is not None and not parent.exited:
             parent.waitq.kick()
+
+    def drop_reference(self, obj: Any) -> None:
+        """One descriptor stopped referring to ``obj``; the last one to do
+        so closes the stream, frees the port or drains the unix channel."""
+        release = getattr(obj, "release", None)
+        if release is not None:
+            release()
+            if obj.refcount > 0:
+                return
+        kind = getattr(obj, "kind", None)
+        if kind == "listener":
+            self.net.release_port(obj)
+        elif kind in ("stream", "unix"):
+            # A unix close() also drains undelivered fd-passing messages,
+            # so a dead channel pins nothing.
+            obj.close()
 
     def terminate_tree(self, process: Process, status: int = 0) -> None:
         """Kill a process and every live descendant (rollback/teardown)."""

@@ -361,23 +361,7 @@ class SyscallTable:
         return Blocked(ready, "recvmsg", channels=(endpoint,))
 
     def sys_close(self, thread: "Thread", fd: int) -> int:
-        obj = thread.process.fdtable.close(fd)
-        release = getattr(obj, "release", None)
-        if release is not None:
-            release()
-            if obj.refcount <= 0:
-                if obj.kind == "stream":
-                    obj.close()
-                elif obj.kind == "listener":
-                    self.kernel.net.release_port(obj)
-                elif obj.kind == "unix":
-                    # Drains undelivered fd-passing messages too.
-                    obj.close()
-        else:
-            if obj.kind == "stream":
-                obj.close()
-            elif obj.kind == "listener":
-                self.kernel.net.release_port(obj)
+        self.kernel.drop_reference(thread.process.fdtable.close(fd))
         return 0
 
     # -- filesystem ------------------------------------------------------------

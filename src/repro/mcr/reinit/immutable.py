@@ -11,10 +11,12 @@ objects (paper §5):
 
 *Global inheritance*: the first process of the new version receives all
 old fds — over a Unix-domain socket, with each message carrying the source
-``(pid, fd)`` identity — into a **stash** in the reserved fd range.  fork
-propagates the stash down the new hierarchy for free; replay *claims*
-entries out of the stash onto their original numbers; whatever is left
-unclaimed when control migration completes is garbage-collected.
+``(pid, fd)`` identity — into a **stash**: its own fd range, above the
+reserved startup range (``fdtable.STASH_BASE`` and up).  fork propagates
+the stash down the new hierarchy for free — by reference, every table of
+the new tree sharing one stash layer; replay *claims* entries out of the
+stash onto their original numbers; whatever is left unclaimed when
+control migration completes is garbage-collected.
 
 *Global separability*: claimed numbers are blocked from reuse, so a
 startup-time descriptor number can never be recycled into ambiguity.
@@ -64,9 +66,6 @@ class ImmutableInventory:
                 )
         return inventory
 
-    def entries_for_pid(self, pid: int) -> List[FdEntry]:
-        return [e for e in self.fd_entries if e.src_pid == pid]
-
     def lookup(self, src_pid: int, src_fd: int) -> Optional[FdEntry]:
         for entry in self.fd_entries:
             if entry.src_pid == src_pid and entry.src_fd == src_fd:
@@ -81,9 +80,10 @@ class FdStash:
     """The new version's view of inherited descriptors.
 
     Maps ``(src_pid, src_fd)`` to the *stash fd* where the object sits in
-    the new version's reserved range until claimed.  Shared (by reference)
+    the new version's stash range until claimed.  Shared (by reference)
     across the new tree — the claim state is global, matching the paper's
-    "progressively propagate all the objects down the process hierarchy".
+    "progressively propagate all the objects down the process hierarchy"
+    (as are the stashed descriptors themselves: fork shares that fd range).
     """
 
     def __init__(self) -> None:

@@ -245,16 +245,13 @@ class ReplayEngine:
         # GC: drop every stash descriptor everywhere in the new tree.
         # Claimed objects live on at their original numbers (with their own
         # reference); unclaimed ones are released entirely.  (Walked again:
-        # a conflict handler above may have respawned a process.)  One
-        # pass per process: ``release`` only decrements a refcount, so the
-        # order across processes is immaterial, and every forked worker
-        # inherits every stash fd, so there is no smaller holder set to visit.
-        stash_fds = self.stash.all_stash_fds()
+        # a conflict handler above may have respawned a process.)  fork
+        # shared the stash by reference, so each process only gives its
+        # share up; the objects come back, for their one release, from
+        # whichever table held a layer last.
         for process in new_root.tree():
-            for obj in process.fdtable.close_open(stash_fds):
-                release = getattr(obj, "release", None)
-                if release is not None:
-                    release()
+            for obj in process.fdtable.close_stash():
+                new_root.kernel.drop_reference(obj)
 
     # -- volatile-quiescent-state support (used by reinit handlers) ----------------------
 
@@ -285,14 +282,10 @@ class ReplayEngine:
         """Move an inherited object from the stash to its original number."""
         stash_fd = self.stash.stash_fd_for(src_pid, src_fd)
         obj = process.fdtable.get(stash_fd)
-        occupant = process.fdtable.try_get(src_fd)
-        if occupant is not None:
+        if src_fd in process.fdtable:
             # A propagated/foreign descriptor landed on this number first
             # (the clash the paper describes); evict it.
-            process.fdtable.close(src_fd)
-            release = getattr(occupant, "release", None)
-            if release is not None:
-                release()
+            process.kernel.drop_reference(process.fdtable.close(src_fd))
         acquire = getattr(obj, "acquire", None)
         if acquire is not None:
             acquire()

@@ -150,7 +150,7 @@ class FlightRecorder:
             if entry is None or entry[0] != stamp:
                 entry = (
                     stamp,
-                    len(process.fdtable.fds()),
+                    len(process.fdtable),
                     process.heap.live_bytes(),
                     process.heap.live_chunk_count(),
                     process.heap._free.total_free(),
