@@ -197,9 +197,7 @@ def _graft_heap(heap: Any, rec: Dict[str, Any]) -> None:
     heap._free = free
     heap._chunks = {}
     for base, user_size, total_size, startup, site_id in rec["chunks"]:
-        chunk = Chunk(base, user_size, total_size)
-        chunk.startup = bool(startup)
-        chunk.site_id = site_id
+        chunk = Chunk(base, user_size, total_size, bool(startup), site_id)
         heap._chunks[chunk.user_base] = chunk
     heap._sorted_user_bases = sorted(heap._chunks)
     heap._reserved = {base: size for base, size in rec["reserved"]}

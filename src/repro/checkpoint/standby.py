@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.errors import PromotionError
+from repro.errors import ImageError, PromotionError
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint, fire
@@ -115,27 +115,20 @@ class WarmStandby:
         try:
             fire(self.config, "stream.apply")
             delta = DeltaCheckpoint.decode(blob)
+            in_sequence = (
+                delta.base_image_id == self.image_id and delta.seq == self.applied_seq + 1
+            )
+            # A delta that is not next is a gap, whatever else is wrong with it.
+            processes = self._validated_targets(delta) if in_sequence else {}
         except Exception as error:  # ImageError, injected faults, ...
-            self.deltas_rejected += 1
-            self.stale = True
-            obs.emit(
-                "standby.delta_rejected",
-                severity="warn",
-                error=repr(error),
-                applied_seq=self.applied_seq,
+            return self._reject(
+                "standby.delta_rejected", error=repr(error), applied_seq=self.applied_seq
             )
-            return False
-        if delta.base_image_id != self.image_id or delta.seq != self.applied_seq + 1:
-            self.deltas_rejected += 1
-            self.stale = True
-            obs.emit(
-                "standby.sequence_gap",
-                severity="warn",
-                got_seq=delta.seq,
-                want_seq=self.applied_seq + 1,
+        if not in_sequence:
+            return self._reject(
+                "standby.sequence_gap", got_seq=delta.seq, want_seq=self.applied_seq + 1
             )
-            return False
-        self._graft_delta(delta)
+        self._graft_delta(delta, processes)
         self.applied_seq = delta.seq
         self.expected_fingerprint = delta.fingerprint
         self.deltas_applied += 1
@@ -143,8 +136,52 @@ class WarmStandby:
         obs.incr("checkpoint.deltas_applied")
         return True
 
-    def _graft_delta(self, delta: DeltaCheckpoint) -> None:
+    def _reject(self, event: str, **fields: Any) -> bool:
+        """Count the delta as rejected and go stale; ``apply``'s False."""
+        self.deltas_rejected += 1
+        self.stale = True
+        obs.emit(event, severity="warn", **fields)
+        return False
+
+    def _validated_targets(self, delta: DeltaCheckpoint) -> Dict[int, Any]:
+        """The live processes by pid, once every page record and every
+        ``records`` pid of a well-formed delta is known to land in one.
+
+        Raises ``ImageError("delta", …)`` naming the key otherwise —
+        before the first write, so a refused delta leaves the tree as the
+        last applied checkpoint left it.
+        """
         processes = {p.pid: p for p in self.node.root.tree()}
+        for at, page in enumerate(delta.meta["pages"]):
+            where = f"pages[{at}]"
+            if not isinstance(page, dict):
+                raise ImageError("delta", f"{where} is not an object")
+            for field in ("pid", "mapping_base", "address", "offset", "length"):
+                if type(page.get(field)) is not int or page[field] < 0:
+                    raise ImageError("delta", f"missing or ill-typed {field!r} in {where}")
+            process = processes.get(page["pid"])
+            mapping = process and process.space.mapping_at(page["mapping_base"])
+            if mapping is None or mapping.base != page["mapping_base"]:
+                raise ImageError(
+                    "delta",
+                    f"{where}: no 'pid' {page['pid']} with a mapping at "
+                    f"'mapping_base' {page['mapping_base']:#x}",
+                )
+            if not (
+                mapping.base <= page["address"] <= mapping.end - page["length"]
+                and page["offset"] + page["length"] <= len(delta.pages_blob)
+            ):
+                raise ImageError(
+                    "delta",
+                    f"{where}: 'address' / 'offset' + 'length' leave mapping "
+                    f"{mapping.name} or the page payload",
+                )
+        for pid_text in delta.meta["records"]:
+            if not (pid_text.isdecimal() and int(pid_text) in processes):
+                raise ImageError("delta", f"'records' names pid {pid_text!r}, not in the tree")
+        return processes
+
+    def _graft_delta(self, delta: DeltaCheckpoint, processes: Dict[int, Any]) -> None:
         blob = delta.pages_blob
         for page in delta.meta["pages"]:
             process = processes[page["pid"]]

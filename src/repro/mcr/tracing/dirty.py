@@ -21,26 +21,18 @@ from repro.mcr.tracing.graph import ObjectRecord, TraceResult
 
 
 class DirtyFilter:
-    """Classify traced objects of one process as dirty or clean."""
+    """Classify traced objects of one process as dirty or clean.
+
+    The per-object definition.  State transfer reaches the same verdicts
+    from the other end — it reads each tracker's dirty pages and looks up
+    which objects lie on them (``transfer._PairingPlan``).
+    """
 
     def __init__(self, process: Process) -> None:
         self.process = process
-        self.pages_scanned = 0
-        # One verdict per record: the process is quiesced while a filter
-        # lives, so transfer's pairing pass reuses what ``reduction_stats``
-        # classified instead of reading the soft-dirty bits again (and
-        # ``pages_scanned`` charges each object once).
-        self._verdicts: Dict[ObjectRecord, bool] = {}
 
     def is_dirty(self, record: ObjectRecord) -> bool:
-        verdict = self._verdicts.get(record)
-        if verdict is None:
-            size = max(record.size, 1)
-            self.pages_scanned += (size + 4095) // 4096
-            verdict = self._verdicts[record] = self.process.space.range_dirty(
-                record.base, size
-            )
-        return verdict
+        return self.process.space.range_dirty(record.base, max(record.size, 1))
 
     def partition(self, result: TraceResult) -> Tuple[List[ObjectRecord], List[ObjectRecord]]:
         """Split the graph into (dirty, clean) object lists."""

@@ -297,6 +297,12 @@ class TraceResult:
         self.likely_pointers: List[PointerSlot] = []
         self.dangling_precise = 0
         self.words_scanned = 0
+        # Same token, same objects in the same order with the same flags
+        # and the same pointer slots: every walk (``build()`` fills a fresh
+        # result) has its own, ``rebound`` hands it on — ``TraceMemo``'s
+        # proof that two processes were walked alike, kept so nobody
+        # derives it again.
+        self.shape = object()
 
     def record_for(self, base: int) -> Optional[ObjectRecord]:
         return self.objects.get(base)
@@ -335,6 +341,7 @@ class TraceResult:
         twin.likely_pointers = list(self.likely_pointers)
         twin.dangling_precise = self.dangling_precise
         twin.words_scanned = self.words_scanned
+        twin.shape = self.shape
         return twin
 
     # -- Table 2 ------------------------------------------------------------------

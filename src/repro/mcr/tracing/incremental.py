@@ -263,6 +263,11 @@ class TraceMemo:
         self._traces: Dict[object, Tuple[Tuple, TraceResult]] = {}
         self._transcripts: Dict[Tuple, List[_Transcript]] = {}
         self._scans: Dict[Tuple, ScanAnswer] = {}
+        # State transfer's pairing plans, by ``TraceResult.shape``: they
+        # derive from the traces shared here, so they are kept beside them
+        # — rolling batches reuse them, and they die with the update.
+        # ``transfer.py`` owns what is in the lists.
+        self.plans: Dict[object, List] = {}
         self.traces_built = 0
         self.traces_reused = 0
         self.traces_shared = 0

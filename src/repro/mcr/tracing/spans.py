@@ -14,11 +14,23 @@ receives the same bytes in the same order as the per-word path —
 byte-for-byte identical final memory, identical dirty-page transitions
 (the union of bytes written is unchanged), property-tested in
 ``tests/test_scan_vectorized.py``.
+
+An object whose type did not change needs no codec: decoding, transforming
+and re-encoding it reproduces its bytes except in the pointer slots, and
+the spans the writer would emit are a property of the type
+(``TypeDesc.span_program``).  ``move_unchanged`` is that round trip as one
+read and one write per span — same bytes, same ``write_bytes`` sequence,
+held against the decoded path in ``tests/test_transfer_plan.py``.
 """
 
 from __future__ import annotations
 
+import struct
+
 from repro import obs
+from repro.types.descriptors import SpanProgram
+
+_WORD = struct.Struct("<Q")
 
 
 class SpanWriter:
@@ -65,10 +77,41 @@ class SpanWriter:
     def close(self) -> None:
         """Flush and publish span-level counters to the active collector."""
         self.flush()
-        collector = obs.ACTIVE
-        if collector is None:
-            return
-        counters = collector.counters
-        counters.incr("transfer.span_writes_absorbed", self.writes_absorbed)
-        counters.incr("transfer.spans_emitted", self.spans_emitted)
-        counters.incr("transfer.span_bytes", self.bytes_written)
+        _publish(self.writes_absorbed, self.spans_emitted, self.bytes_written)
+
+
+def _publish(leaves: int, spans: int, written: int) -> None:
+    collector = obs.ACTIVE
+    if collector is None:
+        return
+    counters = collector.counters
+    counters.incr("transfer.span_writes_absorbed", leaves)
+    counters.incr("transfer.spans_emitted", spans)
+    counters.incr("transfer.span_bytes", written)
+
+
+def move_unchanged(
+    program: SpanProgram, source, old_base: int, target, new_base: int, size: int, translate
+) -> None:
+    """Move one object of an unchanged type from ``source`` to ``target``.
+
+    What ``read_value`` → ``transform_value`` → ``write_value`` through a
+    ``SpanWriter`` does when both signatures are equal: every pointer slot
+    is translated, in leaf order (a null function pointer is not asked
+    about), before the first write — so a conflict still leaves the new
+    object untouched — and padding is never written.
+    """
+    leaves, slots, runs = program
+    data = source.read_bytes(old_base, size)
+    if slots:
+        patched = bytearray(data)
+        for offset, is_function in slots:
+            (word,) = _WORD.unpack_from(patched, offset)
+            if word or not is_function:
+                _WORD.pack_into(patched, offset, translate(word) & 0xFFFFFFFFFFFFFFFF)
+        data = bytes(patched)
+    written = 0
+    for offset, length in runs:
+        target.write_bytes(new_base + offset, data[offset : offset + length])
+        written += length
+    _publish(leaves, len(runs), written)

@@ -17,6 +17,14 @@ counterpart by creation-time call-stack ID:
    remain valid); nonupdatable objects whose type changed raise a
    conflict unless a user object handler resolves it.
 
+What forked siblings have in common is computed once: the pairing (step
+3) reads no dirty bit and no memory answer, so it is one ``_PairingPlan``
+per distinct (trace shape, stack roots, new-version layout), held on the
+update's ``TraceMemo``; only the selection (step 2) is per process, and it
+starts from the trackers' dirty pages rather than asking every object.  A
+typed object whose type did not change moves by its type's span program
+(``spans.move_unchanged``), not through the codec.
+
 The engine accounts every work item against ``TransferCostModel`` so the
 update-time evaluation (Figure 3) is deterministic: total virtual time =
 coordinator bring-up + serial per-process channel setup + the *max* of
@@ -26,15 +34,14 @@ per-process work (state transfer parallelizes across the hierarchy).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.clock import ns_to_ms
-from repro.errors import ConflictError, StateTransferError
+from repro.errors import ConflictError, MemoryFault, StateTransferError
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig, TransferCostModel
 from repro.mcr.faults import fire
-from repro.mcr.tracing.dirty import DirtyFilter
 from repro.mcr.tracing.graph import (
     ObjectRecord,
     REGION_DYNAMIC,
@@ -45,8 +52,9 @@ from repro.mcr.tracing.graph import (
 from repro.mcr.tracing.handlers import TraversalContext
 from repro.mcr.tracing.incremental import TraceMemo
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.mcr.tracing.spans import SpanWriter
+from repro.mcr.tracing.spans import SpanWriter, move_unchanged
 from repro.mcr.tracing.transform import transform_value
+from repro.mem.pages import PAGE_SIZE
 from repro.mem.tags import ORIGIN_HEAP
 from repro.types import codec
 from repro.types.descriptors import TypeDesc
@@ -138,8 +146,14 @@ class TransferReport:
             "precise": {k: 0 for k in keys},
             "likely": {k: 0 for k in keys},
         }
+        # Classification reads the pointer slots (one list per shape) and
+        # which mapping each end falls in: once per distinct pair.
+        rows: Dict[Tuple, Dict[str, Dict[str, int]]] = {}
         for result in self.trace_results.values():
-            row = result.table2_row()
+            layout = tuple((m.base, m.size, m.kind) for m in result.process.space.mappings())
+            row = rows.get((result.shape, layout))
+            if row is None:
+                row = rows[(result.shape, layout)] = result.table2_row()
             for kind in ("precise", "likely"):
                 for key in keys:
                     out[kind][key] += row[kind][key]
@@ -161,9 +175,9 @@ class TransferReport:
 class _AddressIndex:
     """Containing-object lookup over a trace result."""
 
-    def __init__(self, result: TraceResult) -> None:
-        self._bases = sorted(result.objects)
-        self._objects = result.objects
+    def __init__(self, bases: List[int], objects: Dict[int, ObjectRecord]) -> None:
+        self._bases = bases  # sorted
+        self._objects = objects
 
     def find(self, address: int) -> Optional[ObjectRecord]:
         index = bisect.bisect_right(self._bases, address) - 1
@@ -177,6 +191,100 @@ class _AddressIndex:
                 break  # far past any plausible container
             index -= 1
         return None
+
+
+def _stack_overlays(process: Process) -> Tuple:
+    """Per live thread with a stack area: its creation-stack class and its
+    overlay as ``(name, address)``s — all that pairing reads of a stack."""
+    crt = getattr(process, "crt", None)
+    return tuple(
+        (thread.creation_stack_id, tuple((name, address) for name, address, _type in area.overlay))
+        for thread in (process.live_threads() if crt is not None else ())
+        if (area := crt._stacks.get(thread.tid)) is not None
+    )
+
+
+class _PairingPlan:
+    """One pairing, for every process pair that shares it: where each
+    traced object lives in the new version, and which objects a dirty page
+    selects.  Objects are named by their position in trace order.
+    """
+
+    def __init__(self, key, trace: TraceResult, old_proc: Process, startup_pool, new_symbols):
+        self.key = key
+        self.bases: List[int] = sorted(trace.objects)
+        # Old base -> new address, except for the ``fresh`` objects: those
+        # are reallocated (and then always transferred) per process.
+        self.addr_map: Dict[int, int] = {}
+        self.fresh: List[int] = []
+        self.always: Set[int] = set()  # transferred whatever the dirty bits say
+        self.skippable: Set[int] = set()  # paired with startup-rebuilt state: only if dirty
+        self.pages_scanned = 0
+        # Sizes by position; library objects are never transferred by
+        # default, so they weigh nothing in the dirty/clean split.
+        self.nonlib_sizes: List[int] = []
+        self._on_pages: Dict[int, Dict[int, List[int]]] = {}  # mapping base -> page -> positions
+        old_overlays, new_overlays = key[0], key[1]
+        # New-version stack variables keyed by (thread class, var name).
+        stack_pool = {(cls, name): at for cls, overlay in new_overlays for name, at in overlay}
+        for position, record in enumerate(trace.objects.values()):
+            base, size = record.base, max(record.size, 1)
+            mapping = old_proc.space.mapping_at(base)
+            if mapping is None:
+                raise MemoryFault(base, "dirty query on unmapped memory")
+            self.pages_scanned += (size + PAGE_SIZE - 1) // PAGE_SIZE  # the bits one verdict reads
+            self.nonlib_sizes.append(0 if record.region == REGION_LIB else record.size)
+            by_page = self._on_pages.setdefault(mapping.base, {})
+            offset = base - mapping.base
+            for page in range(offset // PAGE_SIZE, (offset + size - 1) // PAGE_SIZE + 1):
+                by_page.setdefault(page, []).append(position)
+            if record.immutable:
+                # Identity mapping; contents always refreshed (the new
+                # version never re-created these bytes at this address).
+                self.addr_map[base] = base
+                self.always.add(position)
+                continue
+            counterpart = None
+            if record.region == REGION_STATIC and record.name:
+                # Deleted globals stay unmapped; a pointer reaching one
+                # later raises a conflict (the update dropped live state).
+                symbol = new_symbols.get(record.name) if new_symbols is not None else None
+                counterpart = symbol.address if symbol is not None else None
+            elif record.region == REGION_STATIC:
+                # Stack variable (tracked via overlay metadata).
+                if record.tag is not None and record.tag.name:
+                    counterpart = next(
+                        (stack_pool.get((cls, name)) for cls, overlay in old_overlays
+                         for name, at in overlay if at == base),
+                        None,
+                    )
+            else:
+                if record.region == REGION_DYNAMIC and record.startup:
+                    site = record.tag.site if record.tag is not None else record.site
+                    if startup_pool.get(site):
+                        counterpart = startup_pool[site].pop(0)
+                if counterpart is None:
+                    # Mutable dynamic object (or a startup one the new
+                    # version no longer allocates): reallocated in the new
+                    # heap with the new version's type.
+                    self.fresh.append(position)
+                    self.always.add(position)
+            if counterpart is not None:
+                self.addr_map[base] = counterpart
+                self.skippable.add(position)
+        self.bytes_nonlib = sum(self.nonlib_sizes)
+
+    def dirty_positions(self, space) -> Set[int]:
+        """The objects overlapping a soft-dirty page of ``space`` (whose
+        mappings are laid out as the witness's were: same shape)."""
+        dirty: Set[int] = set()
+        for mapping in space.mappings():
+            by_page = self._on_pages.get(mapping.base, {})
+            pages = mapping.tracker.soft_dirty()
+            # A never-cleared mapping is dirty throughout.
+            for page in by_page if pages is None else pages & by_page.keys():
+                dirty.update(by_page[page])
+        return dirty
 
 
 class StateTransfer:
@@ -270,16 +378,30 @@ class StateTransfer:
         self.report.trace_results[old_proc.pid] = trace
         stats.objects_traced = len(trace.objects)
         stats.words_scanned = trace.words_scanned
-        dirty_filter = DirtyFilter(old_proc)
-        reduction = dirty_filter.reduction_stats(trace)
-        stats.pages_scanned = dirty_filter.pages_scanned
-        stats.reduction = reduction["reduction"]
-        stats.bytes_traced_total = reduction["bytes_total"]
-        stats.bytes_clean = reduction["bytes_clean"]
-        index = _AddressIndex(trace)
-        # Pass 1: pair every traced object with a new-version address
-        # (the filter remembers each verdict ``reduction_stats`` reached).
-        addr_map, to_transfer = self._pair_objects(trace, old_proc, new_proc, dirty_filter, stats)
+        plan = self._plan_for(trace, old_proc, new_proc)
+        # Select: the objects on a soft-dirty page, looked up from the pages.
+        dirty = plan.dirty_positions(old_proc.space)
+        stats.pages_scanned = plan.pages_scanned
+        stats.bytes_traced_total = plan.bytes_nonlib or 1
+        stats.bytes_clean = plan.bytes_nonlib - sum(plan.nonlib_sizes[i] for i in dirty)
+        stats.reduction = stats.bytes_clean / stats.bytes_traced_total
+        kept = plan.skippable
+        if self.use_dirty_filter:
+            kept = kept & dirty
+            stats.objects_skipped_clean = len(plan.skippable) - len(kept)
+        # Allocate, in trace order: dynamic objects with no startup
+        # counterpart get a fresh chunk typed by the *new* version.
+        records = list(trace.objects.values())
+        addr_map = plan.addr_map
+        if plan.fresh:
+            addr_map = dict(addr_map)
+            for position in plan.fresh:
+                record = records[position]
+                new_type = self._new_type_for(record)
+                address = new_proc.heap.malloc(new_type.size)
+                new_proc.tags.register(address, new_type, ORIGIN_HEAP, site=record.site)
+                addr_map[record.base] = address
+        index = _AddressIndex(plan.bases, trace.objects)
 
         def translate(old_ptr: int) -> int:
             if old_ptr == 0:
@@ -299,72 +421,39 @@ class StateTransfer:
             stats.pointers_fixed += 1
             return new_base + (old_ptr - record.base)
 
-        # Pass 2: copy/transform contents.
-        for record in to_transfer:
+        # Copy/transform contents, in trace order.
+        for position in sorted(plan.always | kept):
+            record = records[position]
             self._transfer_object(record, addr_map[record.base], old_proc, new_proc, translate, stats)
         return stats
 
-    def _pair_objects(
-        self,
-        trace: TraceResult,
-        old_proc: Process,
-        new_proc: Process,
-        dirty_filter: DirtyFilter,
-        stats: ProcessTransferStats,
-    ) -> Tuple[Dict[int, int], List[ObjectRecord]]:
-        addr_map: Dict[int, int] = {}
-        to_transfer: List[ObjectRecord] = []
+    def _plan_for(self, trace: TraceResult, old_proc: Process, new_proc: Process) -> "_PairingPlan":
+        """The pairing of ``trace`` with ``new_proc``: a sibling's when there is one.
+
+        The key is the trace's shape plus, by value, everything else
+        pairing reads — both sides' stack overlays, and of the new process
+        its tags and chunks (what the startup pool is made from) and its
+        symbol table.  No dirty bit and no byte of memory is in it, because
+        pairing reads neither.
+        """
         new_symbols = getattr(new_proc, "symbols", None)
-        startup_pool = self._startup_pool(new_proc)
-        stack_pool = self._stack_pool(new_proc)
-        for record in trace.objects.values():
-            dirty = dirty_filter.is_dirty(record) if self.use_dirty_filter else True
-            if record.immutable:
-                # Identity mapping; contents always refreshed (the new
-                # version never re-created these bytes at this address).
-                addr_map[record.base] = record.base
-                to_transfer.append(record)
-                continue
-            if record.region == REGION_STATIC and record.name:
-                if new_symbols is not None and record.name in new_symbols:
-                    symbol = new_symbols.lookup(record.name)
-                    addr_map[record.base] = symbol.address
-                    if dirty:
-                        to_transfer.append(record)
-                    else:
-                        stats.objects_skipped_clean += 1
-                # Deleted globals stay unmapped; a pointer reaching one
-                # later raises a conflict (the update dropped live state).
-                continue
-            if record.region == REGION_DYNAMIC and record.startup:
-                counterpart = self._pop_startup_match(startup_pool, record)
-                if counterpart is not None:
-                    addr_map[record.base] = counterpart
-                    if dirty:
-                        to_transfer.append(record)
-                    else:
-                        stats.objects_skipped_clean += 1
-                    continue
-                # No startup counterpart (the new version no longer
-                # allocates it): fall through to fresh reallocation.
-            if record.region == REGION_STATIC and not record.name:
-                # Stack variable (tracked via overlay metadata).
-                counterpart = self._pop_stack_match(stack_pool, record, old_proc)
-                if counterpart is not None:
-                    addr_map[record.base] = counterpart
-                    if dirty:
-                        to_transfer.append(record)
-                    else:
-                        stats.objects_skipped_clean += 1
-                continue
-            # Mutable dynamic object: reallocate in the new heap with the
-            # new version's type.
-            new_type = self._new_type_for(record)
-            address = new_proc.heap.malloc(new_type.size)
-            new_proc.tags.register(address, new_type, ORIGIN_HEAP, site=record.site)
-            addr_map[record.base] = address
-            to_transfer.append(record)
-        return addr_map, to_transfer
+        key = (
+            _stack_overlays(old_proc),
+            _stack_overlays(new_proc),
+            new_proc.tags.table(),
+            new_proc.heap.chunk_table(),
+            # Forked siblings share the loader's table; a table is only added to.
+            new_symbols,
+            len(new_symbols) if new_symbols is not None else 0,
+        )
+        plans = self.memo.plans.setdefault(trace.shape, [])
+        for plan in plans:
+            if plan.key == key:
+                return plan
+        plan = _PairingPlan(key, trace, old_proc, self._startup_pool(new_proc), new_symbols)
+        plans.append(plan)
+        obs.incr("transfer.plans_built")
+        return plan
 
     def _transfer_object(
         self,
@@ -440,6 +529,17 @@ class StateTransfer:
             stats.bytes_copied += record.size
             stats.objects_transferred += 1
             return
+        program = None if handler is not None or type_changed else new_type.span_program()
+        if program is not None:
+            # Unchanged type, nobody to hand a decoded value to: the bytes
+            # move as the spans the codec would have written.
+            move_unchanged(
+                program, old_proc.space, record.base, new_proc.space, new_base,
+                new_type.size, translate,
+            )
+            stats.bytes_copied += new_type.size
+            stats.objects_transferred += 1
+            return
         old_value = codec.read_value(old_proc.space, record.base, old_type)
         transformed = transform_value(
             old_type,
@@ -486,44 +586,6 @@ class StateTransfer:
         for addresses in pool.values():
             addresses.sort()
         return pool
-
-    def _pop_startup_match(self, pool: Dict[str, List[int]], record: ObjectRecord) -> Optional[int]:
-        site = record.tag.site if record.tag is not None else record.site
-        addresses = pool.get(site)
-        if addresses:
-            return addresses.pop(0)
-        return None
-
-    def _stack_pool(self, new_proc: Process) -> Dict[Tuple[int, str], int]:
-        """New-version stack variables keyed by (thread class, var name)."""
-        pool: Dict[Tuple[int, str], int] = {}
-        crt = getattr(new_proc, "crt", None)
-        if crt is None:
-            return pool
-        for thread in new_proc.live_threads():
-            area = crt._stacks.get(thread.tid)
-            if area is None:
-                continue
-            for name, address, _type in area.overlay:
-                pool[(thread.creation_stack_id, name)] = address
-        return pool
-
-    def _pop_stack_match(
-        self, pool: Dict[Tuple[int, str], int], record: ObjectRecord, old_proc: Process
-    ) -> Optional[int]:
-        if record.tag is None or not record.tag.name:
-            return None
-        crt = getattr(old_proc, "crt", None)
-        if crt is None:
-            return None
-        for thread in old_proc.live_threads():
-            area = crt._stacks.get(thread.tid)
-            if area is None:
-                continue
-            for name, address, _type in area.overlay:
-                if address == record.base:
-                    return pool.get((thread.creation_stack_id, name))
-        return None
 
     # -- helpers ----------------------------------------------------------------------------
 

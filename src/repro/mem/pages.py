@@ -17,7 +17,7 @@ kernel default where soft-dirty bits start set for new mappings).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 PAGE_SIZE = 4096
 
@@ -143,6 +143,11 @@ class PageTracker:
             if page in dirty:
                 return True
         return False
+
+    def soft_dirty(self) -> Optional[Set[int]]:
+        """The soft-dirty page indexes (read-only), or ``None`` before the
+        first ``clear()``: every page is dirty then."""
+        return self._dirty if self._cleared_once else None
 
     def pages_written_since(self, seq: int) -> Iterator[int]:
         """Yield base addresses of pages written after write-sequence ``seq``.

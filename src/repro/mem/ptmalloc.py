@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import struct
+from collections import namedtuple
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -47,25 +48,28 @@ def _align_up(value: int, alignment: int = MIN_ALIGN) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-class Chunk:
-    """A live heap chunk (header + user area)."""
+class Chunk(namedtuple("_Chunk", "base user_base user_size total_size startup site_id")):
+    """A live heap chunk (header + user area).
 
-    __slots__ = ("base", "user_base", "user_size", "total_size", "startup", "site_id")
+    Written once, like ``DataTag``: ``fork`` shares the chunk objects and
+    copies the table, and a flag is changed by installing a new chunk.
+    """
 
-    def __init__(self, base: int, user_size: int, total_size: int) -> None:
-        self.base = base
-        self.user_base = base + HEADER_SIZE
-        self.user_size = user_size
-        self.total_size = total_size
-        self.startup = False
-        self.site_id = 0
+    __slots__ = ()
+
+    def __new__(
+        cls, base: int, user_size: int, total_size: int, startup: bool = False, site_id: int = 0
+    ) -> "Chunk":
+        return tuple.__new__(
+            cls, (base, base + HEADER_SIZE, user_size, total_size, startup, site_id)
+        )
 
     @property
     def user_end(self) -> int:
         return self.user_base + self.user_size
 
     def contains(self, address: int) -> bool:
-        return self.user_base <= address < self.user_end
+        return self[1] <= address < self[1] + self[2]  # user_base, user_size: by index, it is hot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Chunk user=0x{self.user_base:x} size={self.user_size}>"
@@ -306,6 +310,10 @@ class PtMallocHeap:
             if chunk is not None:
                 yield chunk
 
+    def chunk_table(self) -> Tuple[Chunk, ...]:
+        """Every live chunk, in table order, as one comparable value."""
+        return tuple(self._chunks.values())
+
     def live_chunk_count(self) -> int:
         return len(self._chunks)
 
@@ -315,11 +323,11 @@ class PtMallocHeap:
     # -- internals ----------------------------------------------------------
 
     def _install_chunk(self, base: int, size: int, total: int, site_id: int) -> int:
-        chunk = Chunk(base, size, total)
-        chunk.startup = self.startup_mode
-        chunk.site_id = site_id
-        self._chunks[chunk.user_base] = chunk
-        bisect.insort(self._sorted_user_bases, chunk.user_base)
+        # ``Chunk(...)`` without its Python-level ``__new__`` frame: one per malloc.
+        user_base = base + HEADER_SIZE
+        chunk = tuple.__new__(Chunk, (base, user_base, size, total, self.startup_mode, site_id))
+        self._chunks[user_base] = chunk
+        bisect.insort(self._sorted_user_bases, user_base)
         self._write_header(chunk)
         self.malloc_count += 1
         self.bytes_allocated += size
@@ -329,7 +337,7 @@ class PtMallocHeap:
             collector.counters.incr("alloc.bytes", size)
             if chunk.startup:
                 collector.counters.incr("alloc.startup_chunks")
-        return chunk.user_base
+        return user_base
 
     def _release(self, chunk: Chunk) -> None:
         del self._chunks[chunk.user_base]
@@ -368,14 +376,9 @@ class PtMallocHeap:
         if twin._mapping is None:
             raise MemoryFault(self._mapping.base, "heap mapping missing in clone")
         twin._free = _FreeList()
-        for start, end in self._free.intervals():
-            twin._free.add(start, end)
-        twin._chunks = {}
-        for user_base, chunk in self._chunks.items():
-            copy = Chunk(chunk.base, chunk.user_size, chunk.total_size)
-            copy.startup = chunk.startup
-            copy.site_id = chunk.site_id
-            twin._chunks[user_base] = copy
+        twin._free._starts = list(self._free._starts)
+        twin._free._ends = list(self._free._ends)
+        twin._chunks = dict(self._chunks)  # the (write-once) chunks are shared
         twin._sorted_user_bases = list(self._sorted_user_bases)
         twin._reserved = dict(self._reserved)
         twin.startup_mode = self.startup_mode

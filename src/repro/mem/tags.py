@@ -18,7 +18,7 @@ benchmark charges their footprint through ``overhead_bytes``.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.types.descriptors import TypeDesc
 
@@ -33,33 +33,27 @@ ORIGIN_STACK = "stack"
 ORIGIN_LIB = "lib"
 
 
-class DataTag:
-    """Type + relocation metadata for one state object."""
+class DataTag(NamedTuple):
+    """Type + relocation metadata for one state object.
 
-    __slots__ = ("address", "type", "origin", "site", "tag_id", "name")
+    Written once: a tag is never edited after ``register`` made it (a
+    re-registration installs a new one), so ``fork`` hands the child the
+    parent's tag objects and copies only the table that holds them.
+    """
 
-    def __init__(
-        self,
-        address: int,
-        type_: TypeDesc,
-        origin: str,
-        site: str = "",
-        tag_id: int = 0,
-        name: str = "",
-    ) -> None:
-        self.address = address
-        self.type = type_
-        self.origin = origin
-        self.site = site  # allocation site / symbol name, for cross-version pairing
-        self.tag_id = tag_id
-        self.name = name
+    address: int
+    type: TypeDesc
+    origin: str
+    site: str = ""  # allocation site / symbol name, for cross-version pairing
+    tag_id: int = 0
+    name: str = ""
 
     @property
     def end(self) -> int:
         return self.address + self.type.size
 
     def contains(self, address: int) -> bool:
-        return self.address <= address < self.end
+        return self[0] <= address < self[0] + self[1].size  # address, type: by index, it is hot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DataTag 0x{self.address:x} {self.type.name} {self.origin}/{self.site}>"
@@ -85,7 +79,8 @@ class TagStore:
         if address in self._by_address:
             # Re-registration replaces (e.g. realloc'd slot reused).
             self.unregister(address)
-        tag = DataTag(address, type_, origin, site, self._next_tag_id, name)
+        # ``DataTag(...)`` without its Python-level ``__new__`` frame: one per malloc.
+        tag = tuple.__new__(DataTag, (address, type_, origin, site, self._next_tag_id, name))
         self._next_tag_id += 1
         self._by_address[address] = tag
         bisect.insort(self._sorted_addresses, address)
@@ -140,6 +135,11 @@ class TagStore:
             if tag is not None and (origin is None or tag.origin == origin):
                 yield tag
 
+    def table(self) -> Tuple[DataTag, ...]:
+        """Every tag, in table order, as one comparable value (forked
+        siblings hold the same objects, so comparing two is mostly ``is``)."""
+        return tuple(self._by_address.values())
+
     def __len__(self) -> int:
         return len(self._by_address)
 
@@ -148,13 +148,11 @@ class TagStore:
         return len(self._by_address) * TAG_OVERHEAD_BYTES
 
     def clone(self) -> "TagStore":
-        """fork(): tags are per-process state and follow the address space."""
+        """fork(): the table follows the address space; the (write-once)
+        tags in it are shared, not copied."""
         twin = TagStore()
         twin._next_tag_id = self._next_tag_id
         twin.register_count = self.register_count
-        for address, tag in self._by_address.items():
-            twin._by_address[address] = DataTag(
-                tag.address, tag.type, tag.origin, tag.site, tag.tag_id, tag.name
-            )
+        twin._by_address = dict(self._by_address)
         twin._sorted_addresses = list(self._sorted_addresses)
         return twin

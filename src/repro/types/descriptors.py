@@ -39,6 +39,16 @@ PointerMap = Tuple[
 
 _EMPTY_MAP: PointerMap = ((), (), ())
 
+# ``(leaves, slots, runs)``: how a value of the type lands in memory when
+# ``codec.write_value`` emits it leaf by leaf through a ``SpanWriter`` —
+# the number of leaf writes, the pointer-shaped leaves in leaf order as
+# ``(offset, is_function_pointer)``, and the maximal runs of adjacent
+# leaves as ``(offset, length)``, i.e. exactly the spans that reach
+# memory.  Padding is in no run.
+SpanProgram = Tuple[int, Tuple[Tuple[int, bool], ...], Tuple[Tuple[int, int], ...]]
+
+_NOT_COMPILED = object()
+
 
 class TypeDesc:
     """Base class for all type descriptors."""
@@ -50,6 +60,7 @@ class TypeDesc:
         self.size = size
         self.align = align
         self._pointer_map: Optional[PointerMap] = None
+        self._span_program: object = _NOT_COMPILED
         self._signature: Optional[str] = None
 
     def pointer_map(self) -> PointerMap:
@@ -58,6 +69,13 @@ class TypeDesc:
         if compiled is None:
             compiled = self._pointer_map = compile_pointer_map(self)
         return compiled
+
+    def span_program(self) -> Optional[SpanProgram]:
+        """This type's compiled span program (derived on first use), or
+        ``None`` for a type only the decoded path can move."""
+        if self._span_program is _NOT_COMPILED:
+            self._span_program = compile_span_program(self)
+        return self._span_program
 
     def pointer_offsets(self) -> Iterator[Tuple[int, "PointerType"]]:
         """Yield ``(offset, pointer_type)`` for every typed pointer slot."""
@@ -294,6 +312,50 @@ def compile_pointer_map(type_: TypeDesc) -> PointerMap:
         tuple((base + off, size) for base, m in members for off, size in m[1]),
         tuple(base + off for base, m in members for off in m[2]),
     )
+
+
+def _leaves(type_: TypeDesc, base: int) -> Iterator[Tuple[int, int, Optional[bool]]]:
+    """``(offset, size, is_function_pointer or None)`` per leaf
+    ``codec.write_value`` writes, in its order."""
+    if isinstance(type_, (PointerType, FuncType)):
+        yield base, WORD_SIZE, isinstance(type_, FuncType)
+    elif isinstance(type_, StructType) and len(type_._by_name) == len(type_.fields):
+        for f in type_.fields:
+            yield from _leaves(f.type, base + f.offset)
+    elif isinstance(type_, ArrayType) and not type_.is_opaque():
+        for index in range(type_.count):
+            yield from _leaves(type_.element, base + index * type_.element.size)
+    elif isinstance(type_, (IntType, CharType, ArrayType, UnionType, OpaqueType)):
+        yield base, type_.size, None
+    else:
+        # A struct naming a field twice decodes into one dict slot, not
+        # its bytes; any other type the codec refuses as well.
+        raise TypeError(type_)
+
+
+def compile_span_program(type_: TypeDesc) -> Optional[SpanProgram]:
+    """Walk ``type_`` once, the way ``codec.write_value`` does, and coalesce
+    its leaf writes the way ``SpanWriter`` does (an empty leaf is absorbed
+    like any other and extends no run).
+    Call ``type_.span_program()`` instead: it caches the result.
+    """
+    try:
+        leaves = list(_leaves(type_, 0))
+    except TypeError:
+        return None
+    runs = []
+    start = length = 0
+    for offset, size, _kind in leaves:
+        if length and offset == start + length:
+            length += size
+            continue
+        if length:
+            runs.append((start, length))
+        start, length = offset, size
+    if length:
+        runs.append((start, length))
+    slots = tuple((offset, kind) for offset, _size, kind in leaves if kind is not None)
+    return len(leaves), slots, tuple(runs)
 
 
 # Shared singleton scalars --------------------------------------------------

@@ -247,6 +247,84 @@ def test_damaged_delta_raises_nothing_but_image_error():
         _teardown(primary, None if standby is None else standby.node)
 
 
+def _doctored_pages(**changed):
+    """Every page record of the delta with some fields replaced."""
+    return lambda meta: {**meta, "pages": [{**page, **changed} for page in meta["pages"]]}
+
+
+def _last_page(**changed):
+    """One more page record, a doctored copy: the ones before it are good."""
+    def doctor(meta):
+        return {**meta, "pages": meta["pages"] + [{**meta["pages"][-1], **changed}]}
+
+    return doctor
+
+
+def _records_for(pid_text):
+    """A process record for a pid the tree does not have (never opened)."""
+    return lambda meta: {**meta, "records": {**meta["records"], pid_text: {}}}
+
+
+def _relative_to_last_page(field, of, plus):
+    """``field`` of a doctored last record set to ``of`` of the good one ``+ plus``."""
+    return lambda meta: _last_page(**{field: meta["pages"][-1][of] + plus})(meta)
+
+
+MISSES_THE_TREE = {
+    "unknown-pid": ("'pid'", _last_page(pid=4242)),
+    "pid-as-text": ("'pid'", _last_page(pid="100")),
+    "no-mapping-there": ("'mapping_base'", _last_page(mapping_base=0x1000)),
+    "not-a-mapping-start": (
+        "'mapping_base'", _relative_to_last_page("mapping_base", "mapping_base", PAGE_SIZE)),
+    "address-elsewhere": ("'address'", _last_page(address=0x1000)),
+    "address-before-mapping": (
+        "'address'", _relative_to_last_page("address", "mapping_base", -PAGE_SIZE)),
+    "length-past-mapping": ("'length'", _last_page(length=1 << 40)),
+    "negative-length": ("'length'", _last_page(length=-PAGE_SIZE)),
+    "offset-past-payload": (
+        "'offset'", lambda meta: _last_page(offset=meta["pages_length"])(meta)),
+    "offset-missing": ("'offset'", _doctored_pages(offset=None)),
+    "page-not-an-object": ("pages[0]", lambda meta: {**meta, "pages": [7] + meta["pages"]}),
+    "record-for-unknown-pid": ("'records'", _records_for("4242")),
+    "record-for-non-pid": ("'records'", _records_for("init")),
+}
+
+
+@pytest.mark.parametrize("case", MISSES_THE_TREE)
+def test_well_formed_delta_that_misses_the_tree_is_rejected_before_any_write(case):
+    blamed, doctor = MISSES_THE_TREE[case]
+    primary = _boot_warm("simple")
+    standby = None
+    try:
+        image = checkpoint_node(primary)
+        baseline = DeltaBaseline(image)
+        standby = WarmStandby.from_image(image, node_id=1)
+        primary.serve(3)
+        primary.run_for(WARMUP_NS)
+        delta = capture_delta(primary, baseline)
+        assert delta.meta["pages"]
+        before = standby.node.fingerprint()
+        meta_blob = json.dumps(doctor(delta.meta), sort_keys=True).encode()
+        with standby.node.scope():
+            # Decodes (the CRCs are right), is the next in sequence, and
+            # points outside the standby's tree: refused, not raised, and
+            # not one good record before the bad one was written.
+            assert not standby.apply(_delta_with_meta(delta, meta_blob))
+        assert standby.stale and (standby.deltas_rejected, standby.deltas_applied) == (1, 0)
+        assert standby.applied_seq == 0
+        (event,) = [e for e in standby.node.collector.events if e.name == "standby.delta_rejected"]
+        assert "ImageError" in event.payload["error"] and blamed in event.payload["error"]
+        assert before.diff(standby.node.fingerprint()) == []
+        # Stale, but still the last consistent checkpoint: promotable.
+        promoted = standby.promote()
+        served = promoted.completed
+        promoted.serve(2)
+        promoted.run_for(WARMUP_NS)
+        assert (promoted.completed - served, promoted.lost) == (2, 0)
+    finally:
+        _teardown(primary, None if standby is None else standby.node)
+
+
 # -- corrupt-image hardening --------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 A memoized answer is only worth having if it is *the* answer: every test
 here compares what the memo hands out with a memo-free build of the same
-process, node for node.  Five groups:
+process, node for node.  Four groups:
 
 * the two defects the exact keys fix — a count-based layout key that let
   forked workers swap likely-pointer lists, and a write-sequence validity
@@ -13,8 +13,10 @@ process, node for node.  Five groups:
   mutation property, sharing shown both ways, and the ablation — every
   part of the sibling key and every question kind is load-bearing;
 * clock-free cost guards: how many graph walks and conservative scans one
-  update runs, pinned by count;
-* ``DirtyFilter``'s classify-once body against the body it replaced.
+  update runs, pinned by count.
+
+(State transfer against the per-object ``DirtyFilter`` and the pairing loop
+it replaced is ``tests/test_transfer_plan.py``.)
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.mcr.tracing import conservative, graph, incremental, precise
-from repro.mcr.tracing.dirty import DirtyFilter
 from repro.mcr.tracing.graph import GraphBuilder, ObjectRecord, PointerSlot, TraceResult
 from repro.mcr.tracing.incremental import (
     TRANSCRIPTS_PER_KEY,
@@ -45,7 +46,6 @@ from repro.mcr.tracing.incremental import (
     trace_stamp,
 )
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.mcr.tracing.transfer import ProcessTransferStats
 from repro.mem import scan_backend
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.program import GlobalVar
@@ -625,7 +625,11 @@ def _chunk_sizes(first, second):
 
 def _chunk_flag(flag: str, value) -> Callable:
     def scenario(first, second):
-        setattr(second.proc.heap.find_chunk(second.raw), flag, value)
+        # Chunks are written once and shared across fork: the second
+        # sibling gets a replacement in its own table.
+        heap = second.proc.heap
+        chunk = heap.find_chunk(second.raw)
+        heap._chunks[chunk.user_base] = chunk._replace(**{flag: value})
 
     return scenario
 
@@ -889,55 +893,3 @@ def test_fault_matrix_still_converges_in_every_cell_in_both_modes():
         assert cell["committed"] or cell["rollback_verified"], cell
     assert results["all_survived"] and results["rolling_all_survived"]
     assert results["failover_all_converged"] and results["migration_all_converged"]
-
-
-# -- DirtyFilter: classify once, same numbers ------------------------------------------------
-
-
-class TwiceClassifyingFilter(DirtyFilter):
-    """``DirtyFilter.is_dirty`` as it was: stateless, re-read on every ask."""
-
-    def is_dirty(self, record: ObjectRecord) -> bool:
-        size = max(record.size, 1)
-        self.pages_scanned += (size + 4095) // 4096
-        return self.process.space.range_dirty(record.base, size)
-
-
-def _transfer_numbers(filter_class, old_proc, trace) -> Tuple:
-    dirty_filter = filter_class(old_proc)
-    reduction = dirty_filter.reduction_stats(trace)
-    pages_after_stats = dirty_filter.pages_scanned
-    verdicts = [dirty_filter.is_dirty(record) for record in trace.objects.values()]
-    return reduction, pages_after_stats, verdicts
-
-
-@pytest.mark.parametrize("name", ["httpd", "nginx", "vsftpd", "opensshd", "memcache"])
-def test_dirty_filter_classifies_once_with_identical_results(name, monkeypatch):
-    kernel, session, root = _boot_served(name, sessions=4 if name in ("vsftpd", "opensshd") else 0)
-    for process in root.tree():
-        trace = apply_invariants(GraphBuilder(process).build())
-        assert _transfer_numbers(DirtyFilter, process, trace) == _transfer_numbers(
-            TwiceClassifyingFilter, process, trace
-        )
-        # One soft-dirty read per record, not two.
-        reads = CallCounter(monkeypatch, type(process.space), "range_dirty")
-        _transfer_numbers(DirtyFilter, process, trace)
-        assert reads.calls == len(trace.objects)
-        monkeypatch.undo()
-
-    # End to end: every ProcessTransferStats field of a real update equals
-    # what the old filter body produces for the same update.
-    def update_stats(filter_class):
-        k, s, _root = _boot_served(name, sessions=4 if name in ("vsftpd", "opensshd") else 0)
-        monkeypatch.setattr("repro.mcr.tracing.transfer.DirtyFilter", filter_class)
-        result = McrCtl(k, s).live_update(SERVER_BENCHES[name]["make_program"](2))
-        monkeypatch.undo()
-        assert result.committed, result.error
-        fields = vars(ProcessTransferStats(0)).keys()
-        return (
-            [tuple(getattr(stats, f) for f in fields) for stats in result.transfer_report.per_process],
-            result.transfer_report.total_ns,
-            result.total_ns,
-        )
-
-    assert update_stats(DirtyFilter) == update_stats(TwiceClassifyingFilter)
