@@ -109,25 +109,25 @@ def _validate_mappings(process: Any, record: Dict[str, Any], image: CheckpointIm
         )
 
 
-def _validate_heap(process: Any, record: Dict[str, Any]) -> None:
+def _validate_heap(process: Any, record: Dict[str, Any], section: str = "allocator") -> None:
     heap = process.heap
     rec = record["heap"]
     if rec["base"] != heap.base:
         raise ImageError(
-            "allocator", f"pid {process.pid}: heap base moved"
+            section, f"pid {process.pid}: heap 'base' moved"
         )
     lo, hi = heap.base, heap.end
     for start, end in rec["free"]:
         if not (lo <= start < end <= hi):
             raise ImageError(
-                "allocator",
-                f"pid {process.pid}: free interval [{start:#x},{end:#x}) outside heap",
+                section,
+                f"pid {process.pid}: 'free' interval [{start:#x},{end:#x}) outside heap",
             )
     for base, _user, total, _startup, _site in rec["chunks"]:
         if not (lo <= base and base + total <= hi):
             raise ImageError(
-                "allocator",
-                f"pid {process.pid}: chunk at {base:#x} outside heap",
+                section,
+                f"pid {process.pid}: 'chunks' entry at {base:#x} outside heap",
             )
 
 

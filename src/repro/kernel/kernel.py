@@ -305,6 +305,7 @@ class Kernel:
         if thread.state == EXITED:
             return
         thread.state = EXITED
+        thread.process.retally(-1, -thread.at_barrier, -thread.reached_qp)
         if thread.body is not None:
             thread.body.close()
         if thread in self._run_queue:
@@ -348,7 +349,11 @@ class Kernel:
                         return "until"
                     if budget <= 0:
                         return "max_steps"
-                thread = run_queue.popleft()
+                try:
+                    thread = run_queue.popleft()
+                except IndexError:
+                    # An exit this round retired threads queued behind it.
+                    break
                 if thread.state != RUNNABLE:
                     continue
                 self._step(thread)
@@ -419,6 +424,7 @@ class Kernel:
                 request = thread.body.send(value)
         except StopIteration as stop:
             thread.state = EXITED
+            thread.process.retally(-1, -thread.at_barrier, -thread.reached_qp)
             thread.exit_value = getattr(stop, "value", None)
             self._maybe_reap_process(thread.process)
             return
@@ -659,9 +665,6 @@ class Kernel:
             if process.pid == pid and process.namespace is ns and not process.exited:
                 return process
         return None
-
-    def threads_blocked_at_barrier(self) -> List[Thread]:
-        return [t for t in self._blocked if t.at_barrier]
 
     def run_until_idle(self, max_steps: Optional[int] = None) -> str:
         return self.run(max_steps=max_steps)

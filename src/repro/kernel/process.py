@@ -229,6 +229,10 @@ class Process:
         self.runtime: Any = None
         # Program handle (set by the loader) for symbol lookup.
         self.program: Any = None
+        # This subtree's convergence tally: None until someone asks
+        # (``convergence``), then kept by the writers of its three facts
+        # through ``retally``.
+        self.tally: Optional[List[int]] = None
         if parent is not None:
             parent.children.append(self)
 
@@ -241,14 +245,36 @@ class Process:
         thread = Thread(self._next_tid, self, body, name, creation_stack)
         self._next_tid += 1
         self.threads[thread.tid] = thread
+        self.retally(1, 0, 0)
         return thread
+
+    def convergence(self) -> List[int]:
+        """``[live threads, of them at the barrier, of them past their first
+        quiescent point]`` over ``tree()``; the first ask walks it once."""
+        tally = self.tally
+        if tally is None:
+            tally = self.tally = [0, 0, 0]
+            for process in self.tree():
+                for thread in process.live_threads():
+                    tally[0] += 1
+                    tally[1] += thread.at_barrier
+                    tally[2] += thread.reached_qp
+        return tally
+
+    def retally(self, live: int, parked: int, reached: int) -> None:
+        """Move the tally of this process and of each tallied ancestor (a
+        few ``parent`` hops): every writer of a tallied fact calls this."""
+        process: Optional[Process] = self
+        while process is not None:
+            tally = process.tally
+            if tally is not None:
+                tally[0] += live
+                tally[1] += parked
+                tally[2] += reached
+            process = process.parent
 
     def live_threads(self) -> List[Thread]:
         return [t for t in self.threads.values() if t.state != EXITED]
-
-    def all_threads_blocked(self) -> bool:
-        live = self.live_threads()
-        return bool(live) and all(t.state == BLOCKED for t in live)
 
     def descendants(self) -> List["Process"]:
         """All live descendant processes, depth-first."""

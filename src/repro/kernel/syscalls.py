@@ -452,11 +452,13 @@ class SyscallTable:
 
     def sys_barrier_wait(self, thread: "Thread", barrier: Any) -> Any:
         thread.at_barrier = True
+        thread.process.retally(0, 1, 0)
         barrier.arrived += 1
 
         def ready():
             if barrier.released:
                 thread.at_barrier = False
+                thread.process.retally(0, -1, 0)
                 return True, None
             return False, None
 

@@ -308,14 +308,17 @@ class LiveUpdateController:
         clock, else a fresh private one.  Black-box recording rides on
         the event-log -> flight-recorder wiring, so an update must always
         run under *some* collector; obs never advances the virtual clock,
-        so every measured phase timing is identical either way.
+        so every measured phase timing is identical either way.  Only the
+        black box and the span tree of a private collector are ever read,
+        so it is a ``Collector.black_box``: counters, metrics and event
+        ring are not kept.
         """
         collector = self.collector
         if collector is None:
             active = obs.ACTIVE
             if active is not None and active.clock is clock:
                 return nullcontext(active)
-            collector = obs.Collector(clock)
+            collector = obs.Collector.black_box(clock)
         elif obs.ACTIVE is collector:
             return nullcontext(collector)
         return obs.scoped(collector)

@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def tree_live_threads(root: Process) -> List[Thread]:
+    """Every live thread of ``root``'s live tree, by walking it (laggard
+    reports; ``Process.convergence`` keeps the same counts without one)."""
     threads: List[Thread] = []
     for process in root.tree():
         threads.extend(process.live_threads())
@@ -47,11 +49,13 @@ class QuiescenceProtocol:
         # keeps serving.  None (the default, and the whole-tree mode)
         # scopes the protocol to every process.
         self.scope: Optional[Set[Process]] = None
-        # Walk-avoidance floor for ``is_quiescent``: after a failed walk,
-        # no walk can succeed until at least one more thread arrives at
-        # the barrier (``Barrier.arrived`` is monotonic), so walks below
+        # Check-skipping floor for ``is_quiescent``: after a failed check,
+        # no check can succeed until at least one more thread arrives at
+        # the barrier (``Barrier.arrived`` is monotonic), so checks below
         # the floor are skipped — except a 1-in-64 sample that covers
-        # stragglers exiting instead of arriving.
+        # stragglers exiting instead of arriving.  A whole-tree check is a
+        # tally read and would be cheap without it, but the floor fixes
+        # the step at which a straggler's exit is seen: virtual time.
         self._arrivals_floor = 0
         self._skipped_checks = 0
 
@@ -87,20 +91,27 @@ class QuiescenceProtocol:
 
     def is_quiescent(self, root: Process) -> bool:
         # Hot path: evaluated once per kernel step while an update drives
-        # the world to the barrier.  Short-circuit on the first straggler
-        # instead of materializing the whole tree's thread list, and when
-        # the protocol is scoped (rolling updates) iterate only the scoped
-        # batch — walking the whole tree per step is O(tree x steps),
-        # which is what made 1000-worker rolling updates crawl.
+        # the world to the barrier.  The whole tree is read from its
+        # convergence tally (O(1)); a scoped protocol (rolling updates)
+        # iterates only the scoped batch, short-circuiting on the first
+        # straggler.  The floor below decides *when* the predicate is
+        # asked, and so the step at which a run stops.
         barrier = self.barrier
         if barrier is not None and barrier.arrived < self._arrivals_floor:
             self._skipped_checks += 1
             if self._skipped_checks & 63:
                 return False
-        any_thread = False
         scope = self.scope
-        candidates = root.tree() if scope is None else scope
-        for process in candidates:
+        if scope is None:
+            live, parked, _reached = root.convergence()
+            if parked < live:
+                if barrier is not None:
+                    self._arrivals_floor = barrier.arrived + 1
+                return False
+            self._arrivals_floor = 0
+            return live > 0
+        any_thread = False
+        for process in scope:
             if process.exited:
                 continue
             for thread in process.live_threads():

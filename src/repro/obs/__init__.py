@@ -26,6 +26,12 @@ in arbitrary order, and each exit restores exactly the collector that
 should be visible, never a stale snapshot of "whatever was active when I
 started".
 
+A live update always activates a collector — its black box and timing
+breakdown are recorded through one: the caller's, an ambient one on the
+same clock, else a private ``Collector.black_box``.  Nothing can read a
+private collector after the update, so it keeps only what the update
+reads (spans, flight recorder); explicit and ambient ones keep all.
+
 Usage::
 
     with obs.collecting(kernel.clock) as collector:
@@ -44,9 +50,9 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import VirtualClock
-from repro.obs.counters import CounterSet
-from repro.obs.events import DEFAULT_CAPACITY, EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.counters import CounterSet, DiscardingCounters
+from repro.obs.events import DEFAULT_CAPACITY, BlackBoxLog, EventLog
+from repro.obs.metrics import DiscardingMetrics, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import Span, SpanRecorder
 
@@ -71,9 +77,9 @@ __all__ = [
 class Collector:
     """Spans + counters + events + metrics recorded against one virtual clock.
 
-    The flight recorder is wired as an event-log subscriber, so its ring
-    mirrors every emitted event; the kernel scheduler additionally feeds
-    it periodic gauge samples through ``FlightRecorder.tick``.
+    The event log hands every emitted event to the flight recorder, so
+    its ring mirrors the event stream; the kernel scheduler additionally
+    feeds it periodic gauge samples through ``FlightRecorder.tick``.
     """
 
     def __init__(self, clock: VirtualClock, max_events: int = DEFAULT_CAPACITY) -> None:
@@ -82,8 +88,19 @@ class Collector:
         self.counters = CounterSet()
         self.events = EventLog(clock, capacity=max_events)
         self.metrics = MetricsRegistry()
-        self.recorder = FlightRecorder(clock)
-        self.events.subscribe(self.recorder.on_event)
+        self.recorder = self.events.recorder = FlightRecorder(clock)
+
+    @classmethod
+    def black_box(cls, clock: VirtualClock) -> "Collector":
+        """Spans and flight recorder as a full collector's; counters,
+        metrics and event log that keep nothing.  For a collector whose
+        only readers are its ``blackbox`` dump and span tree."""
+        collector = cls(clock)
+        collector.counters = DiscardingCounters()
+        collector.metrics = DiscardingMetrics()
+        collector.events = BlackBoxLog(clock)
+        collector.events.recorder = collector.recorder
+        return collector
 
     def to_dict(self):
         from repro.obs.export import collector_to_dict

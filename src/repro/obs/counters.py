@@ -76,3 +76,13 @@ class CounterSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CounterSet {len(self._values)} series>"
+
+
+class DiscardingCounters(CounterSet):
+    """A counter set that keeps nothing: a black-box collector's.  The hot
+    sites' one ``incr`` call lands here and costs a frame, no dict update."""
+
+    def incr(self, name: str, delta: Number = 1) -> None:
+        pass
+
+    gauge = incr

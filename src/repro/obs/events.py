@@ -10,9 +10,10 @@ log without bound.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.clock import VirtualClock
+from repro.obs.recorder import FlightRecorder
 
 SEVERITIES = ("debug", "info", "warn", "error")
 DEFAULT_CAPACITY = 1024
@@ -50,30 +51,24 @@ class EventLog:
         self.clock = clock
         self.capacity = capacity
         self._ring: Deque[Event] = deque(maxlen=capacity)
-        self._listeners: List[Any] = []
+        # The flight recorder mirroring this log (``obs.Collector`` wires
+        # its own): one direct call per event, no second event object.
+        self.recorder: Optional[FlightRecorder] = None
         self.emitted = 0
 
     @property
     def dropped(self) -> int:
         return self.emitted - len(self._ring)
 
-    def subscribe(self, listener) -> None:
-        """Register ``listener(event)`` to see every emitted event.
-
-        The flight recorder subscribes here so its ring mirrors the event
-        stream without the hot emit path paying for two ring protocols.
-        """
-        self._listeners.append(listener)
-
-    def emit(self, name: str, severity: str = "info", **payload: Any) -> Event:
+    def emit(self, name: str, severity: str = "info", **payload: Any) -> None:
         if severity not in SEVERITIES:
             raise ValueError(f"unknown severity {severity!r}; choose from {SEVERITIES}")
-        event = Event(self.clock.now_ns, severity, name, payload)
-        self._ring.append(event)
+        now = self.clock.now_ns
+        self._ring.append(Event(now, severity, name, payload))
         self.emitted += 1
-        for listener in self._listeners:
-            listener(event)
-        return event
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record_at(now, "event", name, payload)
 
     def to_list(self) -> List[Dict[str, Any]]:
         return [event.to_dict() for event in self._ring]
@@ -86,3 +81,13 @@ class EventLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventLog {len(self._ring)}/{self.capacity} ({self.dropped} dropped)>"
+
+
+class BlackBoxLog(EventLog):
+    """A black-box collector's log: every event goes to the wired flight
+    recorder only, and no ``Event`` is built for a ring nobody reads."""
+
+    def emit(self, name: str, severity: str = "info", **payload: Any) -> None:
+        if severity not in SEVERITIES:
+            raise ValueError(f"unknown severity {severity!r}; choose from {SEVERITIES}")
+        self.recorder.record_at(self.clock.now_ns, "event", name, payload)

@@ -261,6 +261,13 @@ class MetricsRegistry:
         return f"<MetricsRegistry {len(self._histograms)} histograms>"
 
 
+class DiscardingMetrics(MetricsRegistry):
+    """A registry that keeps no observation: a black-box collector's."""
+
+    def observe(self, name: str, value: Number, boundaries=None) -> None:
+        pass
+
+
 # -- Prometheus text exposition ------------------------------------------------
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")

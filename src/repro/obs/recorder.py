@@ -18,7 +18,7 @@ its budgets, which the property tests flood-check.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.clock import VirtualClock
@@ -31,19 +31,12 @@ DEFAULT_SAMPLE_INTERVAL_STEPS = 2_048
 _ENTRY_BASE_COST = 24
 
 
-class FlightEntry:
-    """One recorded moment: an obs event or a gauge sample."""
+class FlightEntry(namedtuple("_FlightEntry", "ts_ns kind name payload cost")):
+    """One recorded moment: an obs event or a gauge sample.  Written once,
+    like ``Chunk``: ``record_at`` builds it with ``tuple.__new__`` and its
+    cost already summed, so an append runs no constructor frame."""
 
-    __slots__ = ("ts_ns", "kind", "name", "payload", "cost")
-
-    def __init__(self, ts_ns: int, kind: str, name: str, payload: Dict[str, Any]) -> None:
-        self.ts_ns = ts_ns
-        self.kind = kind
-        self.name = name
-        self.payload = payload
-        self.cost = _ENTRY_BASE_COST + len(kind) + len(name) + sum(
-            len(str(key)) + len(str(value)) for key, value in payload.items()
-        )
+    __slots__ = ()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -101,25 +94,26 @@ class FlightRecorder:
         payload: Dict[str, Any],
         ts_ns: Optional[int] = None,
     ) -> None:
-        entry = FlightEntry(
-            self.clock.now_ns if ts_ns is None else ts_ns, kind, name, payload
-        )
-        if entry.cost > self.max_bytes:
+        self.record_at(self.clock.now_ns if ts_ns is None else ts_ns, kind, name, payload)
+
+    def record_at(self, ts_ns: int, kind: str, name: str, payload: Dict[str, Any]) -> None:
+        """Append one entry stamped ``ts_ns``: the body behind ``record``,
+        and what ``EventLog.emit`` calls directly for every event."""
+        cost = _ENTRY_BASE_COST + len(kind) + len(name)
+        for key, value in payload.items():
+            cost += len(str(key)) + len(str(value))
+        if cost > self.max_bytes:
             # A single over-budget entry is dropped outright: storing it
             # would violate the byte bound no matter what we evict.
             self.dropped += 1
             return
-        self._ring.append(entry)
-        self._bytes += entry.cost
+        ring = self._ring
+        ring.append(tuple.__new__(FlightEntry, (ts_ns, kind, name, payload, cost)))
+        self._bytes += cost
         self.recorded += 1
-        while len(self._ring) > self.max_entries or self._bytes > self.max_bytes:
-            evicted = self._ring.popleft()
-            self._bytes -= evicted.cost
+        while len(ring) > self.max_entries or self._bytes > self.max_bytes:
+            self._bytes -= ring.popleft()[4]  # the evicted entry's cost
             self.dropped += 1
-
-    def on_event(self, event) -> None:
-        """EventLog subscription hook: mirror every emitted event."""
-        self.record("event", event.name, event.payload, ts_ns=event.ts_ns)
 
     # -- periodic world sampling (kernel scheduler tick hook) ------------------
 

@@ -30,7 +30,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, Thread
 from repro.kernel.syscalls import SyscallRequest, TIMEOUT
 from repro.mcr.config import MCRConfig
-from repro.mcr.quiescence.detection import QuiescenceProtocol, tree_live_threads
+from repro.mcr.quiescence.detection import QuiescenceProtocol
 from repro.mcr.reinit.startup_log import StartupLog
 from repro.mcr.reinit.callstack import sanitize_args, sanitize_result
 from repro.runtime.instrument import BuildConfig
@@ -79,10 +79,12 @@ class MCRSession:
         self.root_process: Optional[Process] = None
         self.runtimes: List["MCRRuntime"] = []
         # Startup-completion bookkeeping: ``_qp_marked`` counts threads
-        # that reached a quiescent point at least once; the full
-        # tree-walk check is deferred until it reaches ``_qp_check_floor``
-        # (the live-thread total of the last walk), which keeps startup
-        # tracking O(threads) instead of O(threads^2) for large trees.
+        # that reached a quiescent point at least once; the completion
+        # check (a read of the root's convergence tally) is deferred until
+        # it reaches ``_qp_check_floor`` (the live-thread total of the
+        # last check).  The check is cheap, but the floor and the 1-in-64
+        # re-visit samples fix the step at which startup is seen to
+        # complete, and that step is virtual time.
         self._qp_marked = 0
         self._qp_check_floor = 0
         self._qp_repeat_notes = 0
@@ -106,6 +108,9 @@ class MCRSession:
         if self.root_process is None:
             self.root_process = process
             self.startup_started_ns = self.kernel.clock.now_ns
+            # The session reads its root's tally (startup completion,
+            # whole-tree quiescence): start it while the tree is one process.
+            process.convergence()
         return runtime
 
     # -- startup-completion tracking ------------------------------------------------
@@ -115,6 +120,7 @@ class MCRSession:
             return
         if not thread.reached_qp:
             thread.reached_qp = True
+            thread.process.retally(0, 0, 1)
             self._qp_marked += 1
             if self._qp_marked < self._qp_check_floor:
                 return
@@ -128,13 +134,13 @@ class MCRSession:
         root = self.root_process
         if root is None:
             return
-        live = tree_live_threads(root)
-        if live and all(t.reached_qp for t in live):
+        live, _parked, reached = root.convergence()
+        if live and reached == live:
             self.finish_startup()
             return
-        # Not there yet: no walk can succeed before every currently-live
+        # Not there yet: no check can succeed before every currently-live
         # thread has flipped, so defer the next one until then.
-        self._qp_check_floor = len(live)
+        self._qp_check_floor = live
 
     def finish_startup(self) -> None:
         """Startup over: run deferred frees, start dirty tracking.

@@ -35,6 +35,7 @@ from repro.checkpoint import (
     resume_node,
     write_image,
 )
+from repro.checkpoint.image import _process_record
 from repro.errors import ImageError, PromotionError
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
@@ -290,9 +291,56 @@ MISSES_THE_TREE = {
 }
 
 
+def _root_record(doctor):
+    """The standby root's own heap / fds / fd_alloc, doctored, as its ``records`` entry."""
+    def doctor_meta(meta, standby):
+        root = standby.node.root
+        good = {k: _process_record(root)[k] for k in ("heap", "fds", "fd_alloc")}
+        return {**meta, "records": {**meta["records"], str(root.pid): doctor(good)}}
+
+    return doctor_meta
+
+
+def _heap(**changed):
+    return lambda record: {**record, "heap": {**record["heap"], **changed}}
+
+
+def _heap_plus(key, entry):
+    return lambda record: _heap(**{key: record["heap"][key] + [entry]})(record)
+
+
+# A record for a pid the tree has, whose contents an image's restore
+# would refuse: the graft used to raise half-way or take it.
+BAD_RECORD_CONTENTS = {
+    "record-without-heap": (
+        "'heap'", _root_record(lambda rec: {k: v for k, v in rec.items() if k != "heap"})),
+    "fds-not-a-list": ("'fds'", _root_record(lambda rec: {**rec, "fds": 7})),
+    "fd-alloc-without-blocked": (
+        "'blocked'", _root_record(lambda rec: {**rec, "fd_alloc": {"next_reserved": 3,
+                                                                   "next_stash": 0}})),
+    "chunk-size-not-a-count": (
+        "'chunks'", _root_record(_heap_plus("chunks", [0x10, True, 32, False, 0]))),
+    "chunk-below-the-heap": (
+        "'chunks'", _root_record(_heap_plus("chunks", [0x10, 16, 32, False, 0]))),
+    "free-interval-past-the-heap": (
+        "'free'", _root_record(_heap_plus("free", [2**60, 2**60 + PAGE_SIZE]))),
+    "heap-base-moved": ("'base'", _root_record(_heap(base=0x1000))),
+}
+
+
 @pytest.mark.parametrize("case", MISSES_THE_TREE)
 def test_well_formed_delta_that_misses_the_tree_is_rejected_before_any_write(case):
     blamed, doctor = MISSES_THE_TREE[case]
+    _assert_refused_before_any_write(blamed, lambda meta, _standby: doctor(meta))
+
+
+@pytest.mark.parametrize("case", BAD_RECORD_CONTENTS)
+def test_delta_record_an_image_restore_would_refuse_is_rejected_before_any_write(case):
+    blamed, doctor = BAD_RECORD_CONTENTS[case]
+    _assert_refused_before_any_write(blamed, doctor)
+
+
+def _assert_refused_before_any_write(blamed, doctor):
     primary = _boot_warm("simple")
     standby = None
     try:
@@ -304,10 +352,11 @@ def test_well_formed_delta_that_misses_the_tree_is_rejected_before_any_write(cas
         delta = capture_delta(primary, baseline)
         assert delta.meta["pages"]
         before = standby.node.fingerprint()
-        meta_blob = json.dumps(doctor(delta.meta), sort_keys=True).encode()
+        meta_blob = json.dumps(doctor(delta.meta, standby), sort_keys=True).encode()
         with standby.node.scope():
             # Decodes (the CRCs are right), is the next in sequence, and
-            # points outside the standby's tree: refused, not raised, and
+            # points outside the standby's tree or carries a record its
+            # graft cannot take: refused, not raised, and
             # not one good record before the bad one was written.
             assert not standby.apply(_delta_with_meta(delta, meta_blob))
         assert standby.stale and (standby.deltas_rejected, standby.deltas_applied) == (1, 0)

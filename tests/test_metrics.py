@@ -362,6 +362,125 @@ class TestFlightRecorder:
         assert payload["processes"] > 0
 
 
+class _SlottedFlightEntry:
+    """A recorder entry as a slotted class with a constructor (the oracle)."""
+
+    __slots__ = ("ts_ns", "kind", "name", "payload", "cost")
+
+    def __init__(self, ts_ns, kind, name, payload) -> None:
+        self.ts_ns = ts_ns
+        self.kind = kind
+        self.name = name
+        self.payload = payload
+        self.cost = 24 + len(kind) + len(name) + sum(
+            len(str(key)) + len(str(value)) for key, value in payload.items()
+        )
+
+    def to_dict(self):
+        return {
+            "ts_ns": self.ts_ns,
+            "kind": self.kind,
+            "name": self.name,
+            "payload": dict(self.payload),
+        }
+
+
+class _SlottedFlightRecorder(FlightRecorder):
+    """``record`` building slotted entries, and the event-log subscription
+    hook ``on_event`` (the oracle)."""
+
+    def record(self, kind, name, payload, ts_ns=None) -> None:
+        entry = _SlottedFlightEntry(
+            self.clock.now_ns if ts_ns is None else ts_ns, kind, name, payload
+        )
+        if entry.cost > self.max_bytes:
+            # A single over-budget entry is dropped outright: storing it
+            # would violate the byte bound no matter what we evict.
+            self.dropped += 1
+            return
+        self._ring.append(entry)
+        self._bytes += entry.cost
+        self.recorded += 1
+        while len(self._ring) > self.max_entries or self._bytes > self.max_bytes:
+            evicted = self._ring.popleft()
+            self._bytes -= evicted.cost
+            self.dropped += 1
+
+    def on_event(self, event) -> None:
+        """EventLog subscription hook: mirror every emitted event."""
+        self.record("event", event.name, event.payload, ts_ns=event.ts_ns)
+
+
+_NAMES = st.sampled_from(["fault.injected", "sched.wake", "update.finished", "x", ""])
+_SCALARS = st.one_of(
+    st.text(max_size=12), st.integers(), st.floats(allow_nan=False), st.none(),
+    st.booleans(), st.builds(lambda n: "z" * n, st.integers(min_value=500, max_value=3_000)),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# Event payloads arrive as keyword arguments: not ``name`` / ``severity``.
+_PAYLOADS = st.dictionaries(
+    st.text(max_size=8).filter(lambda key: key not in ("name", "severity")), _VALUES, max_size=4
+)
+_STREAM = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(["event", "sample", "note"]), _NAMES,
+                  _PAYLOADS, st.one_of(st.none(), st.integers(min_value=0, max_value=10**9))),
+        st.tuples(st.just("emit"), st.booleans(), _NAMES, _PAYLOADS,
+                  st.sampled_from(["debug", "info", "warn", "error"])),
+        st.tuples(st.just("sample")),
+        st.tuples(st.just("advance"), st.integers(min_value=0, max_value=10**6)),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    stream=_STREAM,
+    max_entries=st.integers(min_value=1, max_value=16),
+    max_bytes=st.integers(min_value=30, max_value=2_000),
+)
+@settings(max_examples=150, deadline=None)
+def test_recorder_keeps_what_the_class_entries_kept(stream, max_entries, max_bytes):
+    """Tuple entries and the direct event call against the parent bodies."""
+    from repro.obs.events import BlackBoxLog, Event, EventLog
+
+    clock = VirtualClock()
+    kernel = Kernel(clock=clock)
+    _booted_simple(kernel)
+    new = FlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)
+    old = _SlottedFlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)
+    full, black_box = EventLog(clock), BlackBoxLog(clock)
+    full.recorder = black_box.recorder = new
+    for op in stream:
+        if op[0] == "record":
+            _op, kind, name, payload, ts_ns = op
+            new.record(kind, name, payload, ts_ns=ts_ns)
+            old.record(kind, name, payload, ts_ns=ts_ns)
+        elif op[0] == "emit":
+            _op, through_full, name, payload, severity = op
+            (full if through_full else black_box).emit(name, severity=severity, **payload)
+            old.on_event(Event(clock.now_ns, severity, name, payload))
+        elif op[0] == "sample":
+            new.sample(kernel)
+            old.sample(kernel)
+        else:
+            clock.advance(op[1])
+    assert new.to_list() == old.to_list()
+    assert (new.recorded, new.dropped, new.bytes_used) == (old.recorded, old.dropped, old.bytes_used)
+    assert [e.cost for e in new.entries()] == [e.cost for e in old.entries()]
+    for name in ("fault.injected", "sched.wake", "update.finished", "x", "", "gauges"):
+        assert new.last_event(name) == old.last_event(name)
+    assert new.dump("why", failure_site="here", open_spans=["update"]) == old.dump(
+        "why", failure_site="here", open_spans=["update"]
+    )
+
+
 # -- ClientLatencyLog / ClientPerceived ---------------------------------------
 
 
