@@ -9,6 +9,8 @@ from repro.bench.updatetime import (
     run_updatetime,
 )
 
+PAPER_SERVERS = ("httpd", "nginx", "vsftpd", "opensshd")
+
 
 @pytest.fixture(scope="module")
 def updatetime():
@@ -39,11 +41,17 @@ class TestUpdateTimeShape:
             assert row["control_migration_ms"] < 50.0, server
 
     def test_replay_overhead_band(self, updatetime):
-        """Paper: 1-45% overhead over the original startup time."""
-        for server, row in updatetime.items():
+        """Paper: 1-45% overhead over the original startup time, measured
+        on the four servers it evaluates.  memcache starts in ~10 us of
+        virtual time, so a ratio says nothing about it: its replay must
+        add under 50 us instead."""
+        for server in PAPER_SERVERS:
+            row = updatetime[server]
             assert -0.05 < row["replay_overhead"] < 0.60, (
                 f"{server}: {row['replay_overhead']:.2f}"
             )
+        memcache = updatetime["memcache"]
+        assert memcache["replay_startup_ms"] - memcache["v1_startup_ms"] < 0.05
 
     def test_total_update_subsecond(self, updatetime):
         """Paper: realistic update times (< 1 s)."""

@@ -42,6 +42,7 @@ from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import QUIESCENCE_MAX_RETRIES
 from repro.mcr.faults import (
     CHECKPOINT_SITES,
     FaultPlan,
@@ -65,7 +66,7 @@ def arm(site: Optional[str]) -> FaultPlan:
     for name in site.split("+") if site else ():
         if name == "quiescence.wait":
             # Outlast the controller's bounded retries or the cell commits.
-            plan.at(name, times=MCRConfig().quiescence_max_retries + 1)
+            plan.at(name, times=QUIESCENCE_MAX_RETRIES + 1)
         elif name == "rollback":
             # The double fault: a transfer fault forces the rollback, which
             # then faults itself.

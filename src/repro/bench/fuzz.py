@@ -33,7 +33,7 @@ import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.reporting import fmt_cell, render_table
-from repro.mcr.config import MCRConfig
+from repro.mcr.controller import QUIESCENCE_MAX_RETRIES
 from repro.mcr.faults import UPDATE_SITES
 from repro.replay.rng import RngStream, derive_seed
 from repro.replay.scenario import default_spec, run_scenario
@@ -75,7 +75,7 @@ def draw_spec(master: RngStream) -> Dict[str, Any]:
                 {
                     "site": site,
                     "nth": 1,
-                    "times": MCRConfig().quiescence_max_retries + 1,
+                    "times": QUIESCENCE_MAX_RETRIES + 1,
                 }
             )
         elif master.random() < 0.3:

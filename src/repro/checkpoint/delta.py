@@ -36,7 +36,12 @@ from repro.errors import ImageError
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint, fire
 from repro.mem.pages import PAGE_SIZE
-from repro.checkpoint.image import CheckpointImage, _process_record
+from repro.checkpoint.image import (
+    RECORD_SHAPE,
+    CheckpointImage,
+    _process_record,
+    listener_records,
+)
 
 DELTA_MAGIC = b"MCRDELTA"
 DELTA_VERSION = 1
@@ -63,6 +68,11 @@ def _record_crc(record: Dict[str, Any]) -> int:
     return zlib.crc32(json.dumps(record, sort_keys=True).encode())
 
 
+def _grafted(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The part of a process record a delta ships and a graft overlays."""
+    return {key: record[key] for key in RECORD_SHAPE}
+
+
 class DeltaBaseline:
     """What the last checkpoint (full or delta) saw: seqs + record CRCs."""
 
@@ -75,9 +85,7 @@ class DeltaBaseline:
         self.record_crcs: Dict[int, int] = {}
         self.listeners_crc = _record_crc({"listeners": image.meta["listeners"]})
         for record in image.meta["processes"]:
-            self.record_crcs[record["pid"]] = _record_crc(
-                {k: record[k] for k in ("heap", "fds", "fd_alloc")}
-            )
+            self.record_crcs[record["pid"]] = _record_crc(_grafted(record))
             for entry in record["mappings"]:
                 self.mapping_seqs[(record["pid"], entry["base"])] = entry["write_seq"]
 
@@ -239,20 +247,12 @@ def _capture_delta_quiesced(
                 )
                 blob_parts.append(blob)
                 offset += length
-        crc = _record_crc({k: record[k] for k in ("heap", "fds", "fd_alloc")})
-        if crc != baseline.record_crcs.get(process.pid):
-            records[str(process.pid)] = {
-                "heap": record["heap"],
-                "fds": record["fds"],
-                "fd_alloc": record["fd_alloc"],
-            }
+        shipped = _grafted(record)
+        if _record_crc(shipped) != baseline.record_crcs.get(process.pid):
+            records[str(process.pid)] = shipped
     if live_keys != set(baseline.mapping_seqs):
         return None  # a mapping (or whole process) disappeared
-    net = kernel.net
-    listeners = [
-        [port, listener.sock_id, bool(listener.closed), listener.backlog]
-        for port, listener in sorted(net._listeners.items())
-    ]
+    listeners = listener_records(kernel.net)
     listeners_crc = _record_crc({"listeners": listeners})
     pages_blob = b"".join(blob_parts)
     meta: Dict[str, Any] = {
@@ -274,9 +274,7 @@ def _capture_delta_quiesced(
     baseline.listeners_crc = listeners_crc
     for process in node.root.tree():
         record = _process_record(process)
-        baseline.record_crcs[process.pid] = _record_crc(
-            {k: record[k] for k in ("heap", "fds", "fd_alloc")}
-        )
+        baseline.record_crcs[process.pid] = _record_crc(_grafted(record))
         for entry in record["mappings"]:
             baseline.mapping_seqs[(process.pid, entry["base"])] = entry["write_seq"]
     pause_ns = len(pages_blob) * DELTA_BYTE_NS

@@ -54,7 +54,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, NamedTuple, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from repro import obs
 from repro.errors import ImageError
@@ -240,6 +240,119 @@ def _heap_record(heap: Any) -> Dict[str, Any]:
     }
 
 
+# What ``_process_record`` writes of a process's allocator and fd state,
+# as JSON decodes it — the part of a record a delta ships, and that a
+# restore or a delta grafts: a dict names required keys (keyed by ``str``
+# alone, an object of any keys), a tuple is a list of exactly those items,
+# a one-item list a list of any length, a set the allowed types.
+RECORD_SHAPE = {
+    "heap": {
+        "base": int,
+        "free": [(int, int)],
+        "chunks": [(int, int, int, bool, int)],
+        "reserved": [(int, int)],
+        "startup_mode": bool,
+        "deferred": [int],
+        "malloc_count": int,
+        "free_count": int,
+        "bytes_allocated": int,
+    },
+    "fds": [(int, str, bool, {int, type(None)})],
+    "fd_alloc": {"next_reserved": int, "next_stash": int, "blocked": [int]},
+}
+LISTENERS_SHAPE = [(int, int, bool, int)]
+# ``TreeFingerprint.to_dict``; each ``processes`` key is ``"pid|name"``.
+FINGERPRINT_SHAPE = {
+    "processes": {
+        str: {
+            "mem": [(str, int, int, int)],
+            "fds": [(int, str, {int, type(None)}, bool)],
+            "allocator": (int, int, int, int),
+        }
+    },
+    "listeners": [(int, int, bool)],
+}
+# Everything of an image's meta that restore reads; the fingerprint is
+# ``check_fingerprint``'s.
+IMAGE_SHAPE = {
+    "image_id": str,
+    "server": str,
+    "program_version": int,
+    "fingerprint": dict,
+    "namespace": {"next_pid": int},
+    "net": {
+        key: int
+        for key in (
+            "next_sock_id", "next_conn_id", "next_pair_id", "next_epoll_id",
+            "total_connections",
+        )
+    },
+    "listeners": LISTENERS_SHAPE,
+    "processes": [
+        {
+            "pid": int,
+            "name": str,
+            "parent_pid": {int, type(None)},
+            "threads": [{"tid": int, "name": str, "at_barrier": bool, "call_stack": list}],
+            "mappings": [{"name": str, "base": int, "size": int, "kind": str, "section": str}],
+            **RECORD_SHAPE,
+        }
+    ],
+}
+
+
+_MISSING = object()
+
+
+def _misshapen(value: Any, shape: Any) -> Optional[List[Any]]:
+    """The key path at which ``value`` departs from ``shape``, or None.
+
+    Types match exactly, so a JSON ``true`` is not a count, and a missing
+    key matches no shape, not even one that allows ``None``.
+    """
+    if isinstance(shape, (set, type)):
+        return None if type(value) in (shape if isinstance(shape, set) else (shape,)) else []
+    if isinstance(shape, dict) and type(value) is dict and str in shape:
+        parts = ((key, item, shape[str]) for key, item in value.items())
+    elif isinstance(shape, dict) and type(value) is dict:
+        parts = ((key, value.get(key, _MISSING), inner) for key, inner in shape.items())
+    elif isinstance(shape, list) and type(value) is list:
+        parts = ((at, item, shape[0]) for at, item in enumerate(value))
+    elif isinstance(shape, tuple) and type(value) is list and len(value) == len(shape):
+        parts = ((at, item, inner) for at, (item, inner) in enumerate(zip(value, shape)))
+    else:
+        return []
+    for key, item, inner in parts:
+        found = _misshapen(item, inner)
+        if found is not None:
+            return [key] + found
+    return None
+
+
+def check_shape(section: str, what: str, value: Any, shape: Any) -> None:
+    """Raise ``ImageError(section)`` naming the key unless ``value`` has ``shape``."""
+    path = _misshapen(value, shape)
+    if path is not None:
+        keys = "".join(f"[{key!r}]" for key in path)
+        raise ImageError(section, f"missing or ill-typed {what}{keys}")
+
+
+def check_fingerprint(section: str, payload: Any) -> None:
+    """Raise ``ImageError(section)`` unless ``TreeFingerprint.from_dict`` reads ``payload``."""
+    check_shape(section, "fingerprint", payload, FINGERPRINT_SHAPE)
+    for key in payload["processes"]:
+        if not key.partition("|")[0].isdecimal():
+            raise ImageError(section, f"fingerprint['processes'] key {key!r} is not 'pid|name'")
+
+
+def listener_records(net: Any) -> List[List[Any]]:
+    """The listener table as images and deltas carry it (``LISTENERS_SHAPE``)."""
+    return [
+        [port, listener.sock_id, bool(listener.closed), listener.backlog]
+        for port, listener in sorted(net._listeners.items())
+    ]
+
+
 def _process_record(process: Any) -> Dict[str, Any]:
     threads = [
         {
@@ -312,10 +425,7 @@ def capture_quiesced(node: Any, config: Optional[MCRConfig] = None) -> Checkpoin
             "next_epoll_id": net._next_epoll_id,
             "total_connections": net.total_connections,
         },
-        "listeners": [
-            [port, listener.sock_id, bool(listener.closed), listener.backlog]
-            for port, listener in sorted(net._listeners.items())
-        ],
+        "listeners": listener_records(net),
         "processes": processes,
     }
     # Identity: a CRC over the structural meta chained over every

@@ -12,10 +12,16 @@ entirely in simulated memory, so byte-identical memory plus identical
 kernel-object state is a byte-identical server (``TreeFingerprint``
 pins this in the round-trip tests).
 
-Validation runs **in full before any mutation**: every structural
-surface of the freshly booted tree is checked against the image and a
-mismatch raises ``ImageError`` naming the failing surface — a bad or
-incompatible image can never produce a partially restored tree.
+Validation runs **in full before any mutation**: the meta is checked
+against ``IMAGE_SHAPE`` and ``check_fingerprint`` before anything is
+booted, every structural
+surface of the freshly booted tree is checked against the image, and a
+mismatch raises ``ImageError`` naming the failing key or surface — a bad
+or incompatible image can never produce a partially restored tree.
+
+The graft is shared with the warm standby: ``graft_record`` overlays one
+process's allocator and fd state and ``graft_listeners`` the listener
+table, for an image's records and a delta's alike.
 
 The returned node is still parked at the quiescence barrier, which is
 what makes it a *warm standby*: deltas can be grafted indefinitely, and
@@ -31,7 +37,13 @@ from repro.errors import ImageError
 from repro.fleet.node import DEFAULT_STALL_NS, Node
 from repro.mcr.config import MCRConfig
 from repro.mem.ptmalloc import Chunk, _FreeList
-from repro.checkpoint.image import CheckpointImage, check_runs
+from repro.checkpoint.image import (
+    IMAGE_SHAPE,
+    CheckpointImage,
+    check_fingerprint,
+    check_runs,
+    check_shape,
+)
 from repro.mcr.faults import fire
 
 
@@ -209,12 +221,8 @@ def _graft_heap(heap: Any, rec: Dict[str, Any]) -> None:
     heap.bytes_allocated = rec["bytes_allocated"]
 
 
-def graft_process(process: Any, record: Dict[str, Any], image: CheckpointImage) -> None:
-    """Overlay one process's mutable state from the image (post-validation)."""
-    for entry in record["mappings"]:
-        mapping = process.space.mapping_at(entry["base"])
-        mapping.replace(*image.sections[entry["section"]])
-        # Chunk headers and tag mirrors ride along in the mapping bytes.
+def graft_record(process: Any, record: Dict[str, Any]) -> None:
+    """Overlay one process's allocator and fd state (``RECORD_SHAPE``)."""
     _graft_heap(process.heap, record["heap"])
     fdtable = process.fdtable
     for fd, _kind, closed, _refcount in record["fds"]:
@@ -222,6 +230,24 @@ def graft_process(process: Any, record: Dict[str, Any], image: CheckpointImage) 
         if obj is not None and hasattr(obj, "closed"):
             obj.closed = bool(closed)
     fdtable.load_alloc_state(record["fd_alloc"])
+
+
+def graft_listeners(net: Any, listeners: Any) -> None:
+    """Overlay the listener table's backlog and closed flags."""
+    for port, _sock_id, closed, backlog in listeners:
+        listener = net._listeners.get(port)
+        if listener is not None:
+            listener.backlog = backlog
+            listener.closed = bool(closed)
+
+
+def graft_process(process: Any, record: Dict[str, Any], image: CheckpointImage) -> None:
+    """Overlay one process's mutable state from the image (post-validation)."""
+    # Chunk headers and tag mirrors ride along in the mapping bytes.
+    for entry in record["mappings"]:
+        mapping = process.space.mapping_at(entry["base"])
+        mapping.replace(*image.sections[entry["section"]])
+    graft_record(process, record)
 
 
 def _graft_world(node: Node, image: CheckpointImage) -> None:
@@ -232,11 +258,7 @@ def _graft_world(node: Node, image: CheckpointImage) -> None:
     net._next_pair_id = counters["next_pair_id"]
     net._next_epoll_id = counters["next_epoll_id"]
     net.total_connections = counters["total_connections"]
-    for port, _sock_id, closed, backlog in image.meta["listeners"]:
-        listener = net._listeners.get(port)
-        if listener is not None:
-            listener.backlog = backlog
-            listener.closed = bool(closed)
+    graft_listeners(net, image.meta["listeners"])
     node.kernel.pidns._next_pid = image.meta["namespace"]["next_pid"]
 
 
@@ -251,13 +273,15 @@ def restore_image(
 ) -> Node:
     """Rehydrate ``image`` into a fresh, fully validated, *quiesced* node.
 
-    Boot-and-graft: boots ``image.server`` at the image's program
-    version in a brand-new kernel, drives it to the quiescence barrier,
-    validates every structural surface against the image (raising
-    ``ImageError`` before any mutation on mismatch), then grafts the
-    mutable state.  The returned node is held at the barrier — apply
-    deltas to keep it warm, or ``resume_node`` to start serving.
+    Boot-and-graft: checks the meta's shape, boots ``image.server`` at
+    the image's program version in a brand-new kernel, drives it to the
+    quiescence barrier, validates every structural surface against the
+    image (raising ``ImageError`` before any mutation on mismatch), then
+    grafts the mutable state.  The returned node is held at the barrier —
+    apply deltas to keep it warm, or ``resume_node`` to start serving.
     """
+    check_shape("meta", "meta", image.meta, IMAGE_SHAPE)
+    check_fingerprint("meta", image.meta["fingerprint"])
     node = Node.boot(
         image.server,
         node_id=node_id,

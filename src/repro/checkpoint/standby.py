@@ -28,55 +28,25 @@ from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint, fire
 from repro.checkpoint.delta import DeltaCheckpoint
-from repro.checkpoint.image import CheckpointImage
-from repro.checkpoint.restore import _graft_heap, _validate_heap, restore_image, resume_node
+from repro.checkpoint.image import (
+    LISTENERS_SHAPE,
+    RECORD_SHAPE,
+    CheckpointImage,
+    check_fingerprint,
+    check_shape,
+)
+from repro.checkpoint.restore import (
+    _validate_heap,
+    graft_listeners,
+    graft_record,
+    restore_image,
+    resume_node,
+)
 
 # Virtual-time costs of the replication channel (ns).
 STREAM_BYTE_NS = 2        # serialize + ship one byte primary -> standby
 APPLY_BYTE_NS = 1         # graft one received byte into the standby
 PROMOTE_BASE_NS = 3_000_000  # barrier release + VIP flip on promotion
-
-# What one of a delta's ``records`` must hold before any of it is grafted
-# (``image._process_record``'s heap / fds / fd_alloc, as JSON decodes
-# them): a dict names required keys, a tuple is a list of exactly those
-# items, a one-item list a list of any length, a set the allowed types.
-_RECORD_SHAPE = {
-    "heap": {
-        "base": int,
-        "free": [(int, int)],
-        "chunks": [(int, int, int, bool, int)],
-        "reserved": [(int, int)],
-        "startup_mode": bool,
-        "deferred": [int],
-        "malloc_count": int,
-        "free_count": int,
-        "bytes_allocated": int,
-    },
-    "fds": [(int, str, bool, {int, type(None)})],
-    "fd_alloc": {"next_reserved": int, "next_stash": int, "blocked": [int]},
-}
-
-
-def _misshapen(value: Any, shape: Any) -> Optional[List[Any]]:
-    """The key path at which ``value`` departs from ``shape``, or None.
-
-    Types match exactly, so a JSON ``true`` is not a count.
-    """
-    if isinstance(shape, (set, type)):
-        return None if type(value) in (shape if isinstance(shape, set) else (shape,)) else []
-    if isinstance(shape, dict) and type(value) is dict:
-        parts = ((key, value.get(key), inner) for key, inner in shape.items())
-    elif isinstance(shape, list) and type(value) is list:
-        parts = ((at, item, shape[0]) for at, item in enumerate(value))
-    elif isinstance(shape, tuple) and type(value) is list and len(value) == len(shape):
-        parts = ((at, item, inner) for at, (item, inner) in enumerate(zip(value, shape)))
-    else:
-        return []
-    for key, item, inner in parts:
-        found = _misshapen(item, inner)
-        if found is not None:
-            return [key] + found
-    return None
 
 
 class StandbyChannel:
@@ -188,8 +158,10 @@ class WarmStandby:
     def _validated_targets(self, delta: DeltaCheckpoint) -> Dict[int, Any]:
         """The live processes by pid, once every page record and every
         ``records`` entry of a well-formed delta is known to land in one:
-        a pid of the tree, holding heap / fds / fd_alloc of the right
-        shape, with the heap ranges an image's restore would accept.
+        a pid of the tree, holding heap / fds / fd_alloc of the shape an
+        image's records have (``RECORD_SHAPE``), with the heap ranges an
+        image's restore would accept; and its listeners, if any, and its
+        fingerprint shaped as an image's.
 
         Raises ``ImageError("delta", …)`` naming the key otherwise —
         before the first write, so a refused delta leaves the tree as the
@@ -223,11 +195,11 @@ class WarmStandby:
         for pid_text, record in delta.meta["records"].items():
             if not (pid_text.isdecimal() and int(pid_text) in processes):
                 raise ImageError("delta", f"'records' names pid {pid_text!r}, not in the tree")
-            path = _misshapen(record, _RECORD_SHAPE)
-            if path is not None:
-                keys = "".join(f"[{key!r}]" for key in path)
-                raise ImageError("delta", f"missing or ill-typed records[{pid_text!r}]{keys}")
+            check_shape("delta", f"records[{pid_text!r}]", record, RECORD_SHAPE)
             _validate_heap(processes[int(pid_text)], record, "delta")
+        if delta.meta.get("listeners") is not None:
+            check_shape("delta", "listeners", delta.meta["listeners"], LISTENERS_SHAPE)
+        check_fingerprint("delta", delta.meta["fingerprint"])
         return processes
 
     def _graft_delta(self, delta: DeltaCheckpoint, processes: Dict[int, Any]) -> None:
@@ -240,22 +212,9 @@ class WarmStandby:
                 blob[page["offset"]:page["offset"] + page["length"]],
             )
         for pid_text, record in delta.meta["records"].items():
-            process = processes[int(pid_text)]
-            _graft_heap(process.heap, record["heap"])
-            fdtable = process.fdtable
-            for fd, _kind, closed, _ref in record["fds"]:
-                obj = fdtable.try_get(fd)
-                if obj is not None and hasattr(obj, "closed"):
-                    obj.closed = bool(closed)
-            fdtable.load_alloc_state(record["fd_alloc"])
-        listeners = delta.meta.get("listeners")
-        if listeners:
-            net = self.node.kernel.net
-            for port, _sock_id, closed, backlog in listeners:
-                listener = net._listeners.get(port)
-                if listener is not None:
-                    listener.backlog = backlog
-                    listener.closed = bool(closed)
+            graft_record(processes[int(pid_text)], record)
+        if delta.meta.get("listeners") is not None:
+            graft_listeners(self.node.kernel.net, delta.meta["listeners"])
 
     def resync(self, image: CheckpointImage, node_id: Optional[int] = None) -> None:
         """Replace the standby's tree from a fresh full image (stale exit).

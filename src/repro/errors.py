@@ -58,14 +58,6 @@ class SimTimeout(SimError):
     """A timed blocking call expired without the awaited event."""
 
 
-class ProcessExit(Exception):
-    """Raised inside a simulated thread to unwind on exit()."""
-
-    def __init__(self, status: int = 0) -> None:
-        self.status = status
-        super().__init__(f"process exit with status {status}")
-
-
 class MCRError(Exception):
     """Base class for live-update machinery faults."""
 

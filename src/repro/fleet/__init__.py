@@ -23,13 +23,8 @@ from repro.fleet.orchestrator import (
 # The failover/migration drivers sit atop repro.checkpoint, which
 # itself boots fleet Nodes — import them lazily so ``import
 # repro.checkpoint`` does not re-enter this package mid-initialisation.
-_FAILOVER_EXPORTS = ("FailoverDrill", "FailoverResult", "run_failover_drill")
-_MIGRATION_EXPORTS = (
-    "MigrationAbort",
-    "MigrationDrill",
-    "MigrationResult",
-    "run_migration_drill",
-)
+_FAILOVER_EXPORTS = ("FailoverDrill", "FailoverResult")
+_MIGRATION_EXPORTS = ("MigrationAbort", "MigrationDrill", "MigrationResult")
 
 
 def __getattr__(name: str):
@@ -51,7 +46,6 @@ __all__ = [
     "MigrationAbort",
     "MigrationDrill",
     "MigrationResult",
-    "run_migration_drill",
     "LoadBalancer",
     "Node",
     "NodeOutcome",

@@ -108,7 +108,7 @@ class FailoverDrill(Drill):
             crash_window if crash_window is not None else max(1, windows // 2)
         )
         self.detect_ns = detect_ns
-        self.checkpoint_path = checkpoint_path or self.config.checkpoint_path
+        self.checkpoint_path = checkpoint_path
         self.last_image = None
         self.durable_ok = False
         self.source_seq = 0
@@ -283,12 +283,3 @@ class FailoverDrill(Drill):
         after = [r for _s, r in serving.latency.samples if r >= self.crash_ns]
         if after:
             result.rto_ns = min(after) - self.crash_ns
-
-
-def run_failover_drill(
-    server: str = "simple",
-    config: Optional[MCRConfig] = None,
-    **kwargs: Any,
-) -> FailoverResult:
-    """Convenience wrapper: build a drill, run it, return the result."""
-    return FailoverDrill(server, config=config, **kwargs).run()

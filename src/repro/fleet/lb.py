@@ -44,9 +44,6 @@ class LoadBalancer:
     def in_rotation(self) -> List[int]:
         return [n for n in self.node_ids if n not in self._out]
 
-    def out_of_rotation(self) -> List[int]:
-        return [n for n in self.node_ids if n in self._out]
-
     # -- routing -------------------------------------------------------------
 
     def route(self, requests: int) -> Dict[int, int]:

@@ -302,12 +302,3 @@ class MigrationDrill(Drill):
         after = [r for r in completions if r > cut]
         if before and after:
             result.brownout_ns = after[0] - before[-1]
-
-
-def run_migration_drill(
-    server: str = "simple",
-    config: Optional[MCRConfig] = None,
-    **kwargs: Any,
-) -> MigrationResult:
-    """Convenience wrapper: build a drill, run it, return the result."""
-    return MigrationDrill(server, config=config, **kwargs).run()

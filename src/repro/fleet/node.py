@@ -116,10 +116,6 @@ class Node:
         with self.scope():
             return self.kernel.run_for(duration_ns, max_steps=max_steps)
 
-    def run_until_idle(self, max_steps: Optional[int] = None) -> str:
-        with self.scope():
-            return self.kernel.run_until_idle(max_steps=max_steps)
-
     def advance_to(self, deadline_ns: int, max_steps: Optional[int] = None) -> None:
         """Run until the node's clock reaches the fleet-wide deadline."""
         delta = deadline_ns - self.now_ns

@@ -9,7 +9,7 @@ mutable reinitialization decides per-syscall whether to replay or run live.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import SimError
 
@@ -82,24 +82,11 @@ class SimFileSystem:
             file.content = bytearray()
         return OpenFile(file, path, flags)
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
-    def unlink(self, path: str) -> None:
-        if path not in self._files:
-            raise SimError(f"no such file: {path}")
-        del self._files[path]
-
     def read(self, path: str) -> bytes:
         file = self._files.get(path)
         if file is None:
             raise SimError(f"no such file: {path}")
         return bytes(file.content)
-
-    def listdir(self, prefix: str) -> List[str]:
-        if prefix and not prefix.endswith("/"):
-            prefix += "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
 
     def size(self, path: str) -> Optional[int]:
         file = self._files.get(path)

@@ -665,6 +665,3 @@ class Kernel:
             if process.pid == pid and process.namespace is ns and not process.exited:
                 return process
         return None
-
-    def run_until_idle(self, max_steps: Optional[int] = None) -> str:
-        return self.run(max_steps=max_steps)

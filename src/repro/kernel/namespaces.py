@@ -44,6 +44,3 @@ class PidNamespace:
 
     def release(self, pid: int) -> None:
         self._in_use.discard(pid)
-
-    def in_use(self, pid: int) -> bool:
-        return pid in self._in_use

@@ -117,9 +117,6 @@ class Sys:
     def write(self, fd: int, data: bytes):
         return self._invoke("write", {"fd": fd, "data": data})
 
-    def unlink(self, path: str):
-        return self._invoke("unlink", {"path": path})
-
     def stat(self, path: str):
         return self._invoke("stat", {"path": path})
 
@@ -147,9 +144,6 @@ class Sys:
     def getpid(self):
         return self._invoke("getpid", {})
 
-    def gettid(self):
-        return self._invoke("gettid", {})
-
     # -- time / compute -----------------------------------------------------------
 
     def nanosleep(self, duration_ns: int):
@@ -162,16 +156,6 @@ class Sys:
     def sched_yield(self):
         return self._invoke("sched_yield", {})
 
-    # -- memory ---------------------------------------------------------------------
-
-    def mmap(self, size: int, address: Optional[int] = None, fixed: bool = False, name: str = "anon"):
-        return self._invoke(
-            "mmap", {"size": size, "address": address, "fixed": fixed, "name": name}
-        )
-
-    def munmap(self, address: int):
-        return self._invoke("munmap", {"address": address})
-
     # -- loop bookkeeping (profiler input; no kernel involvement) ------------------
 
     def loop_iter(self, loop_name: str) -> None:
@@ -181,10 +165,3 @@ class Sys:
         thread.loop_counts[key] = thread.loop_counts.get(key, 0) + 1
         if key not in thread.loop_stack:
             thread.loop_stack.append(key)
-
-    def loop_end(self, loop_name: str) -> None:
-        """Mark that a named loop terminated (it is not long-lived)."""
-        thread = self.thread
-        key = f"{thread.top_function()}:{loop_name}"
-        if key in thread.loop_stack:
-            thread.loop_stack.remove(key)

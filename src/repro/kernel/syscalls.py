@@ -120,7 +120,6 @@ BASE_COSTS: Dict[str, int] = {
     "open": 4_000,
     "read": 2_500,
     "write": 2_500,
-    "unlink": 2_000,
     "stat": 1_000,
     "fork": 150_000,
     "exec": 250_000,
@@ -128,12 +127,9 @@ BASE_COSTS: Dict[str, int] = {
     "wait_child": 1_000,
     "thread_create": 30_000,
     "getpid": 200,
-    "gettid": 200,
     "nanosleep": 700,
     "cpu": 0,
     "barrier_wait": 500,
-    "mmap": 5_000,
-    "munmap": 2_000,
     "sched_yield": 300,
 }
 
@@ -382,10 +378,6 @@ class SyscallTable:
             return obj.write(bytes(data))
         raise BadFileDescriptor(fd)
 
-    def sys_unlink(self, thread: "Thread", path: str) -> int:
-        self.kernel.fs.unlink(path)
-        return 0
-
     def sys_stat(self, thread: "Thread", path: str) -> Any:
         size = self.kernel.fs.size(path)
         if size is None:
@@ -427,9 +419,6 @@ class SyscallTable:
     def sys_getpid(self, thread: "Thread") -> int:
         return thread.process.pid
 
-    def sys_gettid(self, thread: "Thread") -> int:
-        return thread.tid
-
     # -- time & scheduling ----------------------------------------------------
 
     def sys_nanosleep(self, thread: "Thread", duration_ns: int) -> Any:
@@ -463,13 +452,3 @@ class SyscallTable:
             return False, None
 
         return Blocked(ready, "barrier", channels=(barrier,))
-
-    # -- memory ------------------------------------------------------------------
-
-    def sys_mmap(self, thread: "Thread", size: int, address: Optional[int] = None, fixed: bool = False, name: str = "anon") -> int:
-        mapping = thread.process.space.map(size, address=address, name=name, fixed=fixed)
-        return mapping.base
-
-    def sys_munmap(self, thread: "Thread", address: int) -> int:
-        thread.process.space.unmap(address)
-        return 0

@@ -15,8 +15,9 @@ The three pillars, each a subpackage/module:
 restart → remap, with atomic rollback), and ``ctl`` is the ``mcr-ctl``
 front end users signal updates with.
 
-Heavy submodules are imported lazily to keep the package cycle-free
-(``runtime.libmcr`` needs ``mcr.config`` at import time).
+The package itself imports only the light modules, to keep it
+cycle-free (``runtime.libmcr`` needs ``mcr.config`` at import time);
+import ``repro.mcr.controller`` / ``repro.mcr.ctl`` for the rest.
 """
 
 from repro.mcr.annotations import Annotations
@@ -26,19 +27,4 @@ __all__ = [
     "Annotations",
     "MCRConfig",
     "TransferCostModel",
-    "LiveUpdateController",
-    "UpdateResult",
-    "McrCtl",
 ]
-
-
-def __getattr__(name):
-    if name in ("LiveUpdateController", "UpdateResult"):
-        from repro.mcr import controller
-
-        return getattr(controller, name)
-    if name == "McrCtl":
-        from repro.mcr.ctl import McrCtl
-
-        return McrCtl
-    raise AttributeError(f"module 'repro.mcr' has no attribute {name!r}")

@@ -21,7 +21,7 @@ Handlers receive a context object owned by the calling subsystem (a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 
 class ObjHandler:
@@ -54,9 +54,7 @@ class Annotations:
     def __init__(self) -> None:
         self.obj_handlers: Dict[str, ObjHandler] = {}
         self.reinit_handlers: List[ReinitHandler] = []
-        self.precise_overrides: set = set()   # names forced precise
         self.opaque_overrides: set = set()    # names forced opaque
-        self.region_allocators: set = set()   # custom allocators declared
         # name -> tag-bit mask for pointers stored with metadata in their
         # low bits (the nginx idiom: 22 LOC in the paper's evaluation).
         self.encoded_pointers: Dict[str, int] = {}
@@ -70,14 +68,8 @@ class Annotations:
     def MCR_ADD_REINIT_HANDLER(self, handler: Callable, stage: str = "conflict", loc: int = 4) -> None:
         self.reinit_handlers.append(ReinitHandler(handler, stage, loc))
 
-    def MCR_FORCE_PRECISE(self, name: str) -> None:
-        self.precise_overrides.add(name)
-
     def MCR_FORCE_OPAQUE(self, name: str) -> None:
         self.opaque_overrides.add(name)
-
-    def MCR_DECLARE_REGION_ALLOCATOR(self, name: str) -> None:
-        self.region_allocators.add(name)
 
     def MCR_ANNOTATE_ENCODED_POINTER(self, name: str, tag_bits: int = 0x3, loc: int = 2) -> None:
         """Declare that global ``name`` stores a pointer with metadata in
@@ -107,6 +99,5 @@ class Annotations:
         total = self.extra_loc
         total += sum(h.loc for h in self.obj_handlers.values())
         total += sum(h.loc for h in self.reinit_handlers)
-        total += len(self.precise_overrides) + len(self.opaque_overrides)
-        total += 2 * len(self.region_allocators)
+        total += len(self.opaque_overrides)
         return total

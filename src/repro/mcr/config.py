@@ -1,7 +1,9 @@
 """MCR tunables and the state-transfer cost model.
 
-Quiescence/unblockification knobs control the detection protocol of §4;
-the transfer cost constants convert mutable-tracing work items into
+``MCRConfig`` holds the policy a caller chooses per update (tracing
+policy, fault plan, update mode, SLO budget, checkpoint cadence); the
+quiescence protocol's timings are constants beside their readers.  The
+transfer cost constants convert mutable-tracing work items into
 virtual milliseconds for the update-time evaluation (Figure 3).  The
 constants are calibrated so an idle single-process server lands in the
 paper's 28–187 ms baseline band; only the *shape* across servers and
@@ -16,34 +18,16 @@ class MCRConfig:
 
     def __init__(
         self,
-        unblockify_slice_ns: int = 20_000_000,   # 20 ms timeout slices
-        unblockify_poll_cost_ns: int = 1_200,    # cost of each re-arm
-        unblockify_entry_cost_ns: int = 260,     # wrapper entry per call
-        quiescence_deadline_ns: int = 1_000_000_000,  # 1 s barrier deadline
-        quiescence_max_retries: int = 2,         # extra wait attempts on timeout
-        quiescence_backoff_ns: int = 25_000_000, # first retry backoff (doubles)
         scan_opaque_int64: bool = True,          # pointer-sized ints are opaque
         transfer_shared_libs: bool = False,      # paper default: don't
         interior_only_nonupdatable: bool = False,
         faults=None,                             # FaultPlan (None = nothing armed)
-        verify_rollback: bool = True,            # fingerprint-check rolled-back trees
         downtime_budget_ns: int = 1_000_000_000, # client-perceived SLO budget (1 s)
         blackbox_path=None,                      # where to dump blackbox.json
         update_mode: str = "whole-tree",         # "whole-tree" | "rolling"
         rolling_batch: int = 1,                  # workers quiesced/transferred per batch
-        checkpoint_path=None,                    # durable image file (None = in-memory only)
         checkpoint_interval_ns: int = 100_000_000,  # incremental-checkpoint cadence (100 ms)
     ) -> None:
-        self.unblockify_slice_ns = unblockify_slice_ns
-        self.unblockify_poll_cost_ns = unblockify_poll_cost_ns
-        self.unblockify_entry_cost_ns = unblockify_entry_cost_ns
-        self.quiescence_deadline_ns = quiescence_deadline_ns
-        # On QuiescenceTimeout the controller retries the barrier wait up
-        # to ``quiescence_max_retries`` times, advancing the virtual clock
-        # by an exponentially growing backoff before each attempt, before
-        # declaring the update failed.
-        self.quiescence_max_retries = quiescence_max_retries
-        self.quiescence_backoff_ns = quiescence_backoff_ns
         self.scan_opaque_int64 = scan_opaque_int64
         self.transfer_shared_libs = transfer_shared_libs
         # Paper §6: "we could restrict [nonupdatability] to only interior
@@ -56,11 +40,6 @@ class MCRConfig:
         # named pipeline sites, or None.  With None every injection point
         # is a single attribute read, so the production path is untouched.
         self.faults = faults
-        # After every rolled-back update, compare a host-side fingerprint
-        # of the old tree (memory CRCs, fd tables, allocator state,
-        # listeners) against the checkpoint-time capture and record the
-        # verdict in ``UpdateResult.rollback_verified``.
-        self.verify_rollback = verify_rollback
         # Client-perceived SLO: an update "meets SLO" when the measured
         # blackout interval (longest gap in completed responses) stays
         # within this budget.  The paper's headline claim is that the
@@ -85,13 +64,9 @@ class MCRConfig:
             )
         self.update_mode = update_mode
         self.rolling_batch = max(1, int(rolling_batch))
-        # Durable checkpointing (``repro.checkpoint``).  ``checkpoint_path``
-        # is where full images are written (atomically: tmp + rename, so a
-        # torn write never replaces the last good image); None keeps
-        # images in memory only.  ``checkpoint_interval_ns`` is the
-        # cadence at which incremental deltas are cut and streamed to a
-        # warm standby — the knob the failover bench sweeps against RTO.
-        self.checkpoint_path = checkpoint_path
+        # Incremental checkpointing (``repro.checkpoint``): the cadence at
+        # which deltas are cut and streamed to a warm standby — the knob
+        # the failover bench sweeps against RTO.
         self.checkpoint_interval_ns = int(checkpoint_interval_ns)
 
 

@@ -34,11 +34,10 @@ from repro.obs.spans import STATUS_ERROR, STATUS_OK
 from repro.errors import ConflictError, MCRError, QuiescenceTimeout, SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.namespaces import PidNamespace
-from repro.kernel.process import Process, sim_function
-from repro.kernel.syscalls import SyscallRequest
+from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig, TransferCostModel
 from repro.mcr.faults import TreeFingerprint, fire
-from repro.mcr.quiescence.detection import tree_live_threads
+from repro.mcr.quiescence.detection import QUIESCENCE_DEADLINE_NS, tree_live_threads
 from repro.mcr.reinit.immutable import FdStash, ImmutableInventory
 from repro.mcr.reinit.realloc import GlobalRealloc
 from repro.mcr.reinit.replay import ReplayEngine
@@ -54,6 +53,11 @@ from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession, PHASE_NORMAL
 from repro.runtime.program import Program, load_program
 
+
+# On QuiescenceTimeout the barrier wait is retried up to this many times,
+# the virtual clock advanced by a backoff that doubles before each retry.
+QUIESCENCE_MAX_RETRIES = 2
+QUIESCENCE_BACKOFF_NS = 25_000_000
 
 # One rollback-verification baseline: (scope or None for the whole tree,
 # its fingerprint at the quiesce point, refcounts included?).
@@ -310,7 +314,7 @@ class LiveUpdateController:
         run under *some* collector; obs never advances the virtual clock,
         so every measured phase timing is identical either way.  Only the
         black box and the span tree of a private collector are ever read,
-        so it is a ``Collector.black_box``: counters, metrics and event
+        so it is a ``Collector.private``: counters, metrics and event
         ring are not kept.
         """
         collector = self.collector
@@ -318,7 +322,7 @@ class LiveUpdateController:
             active = obs.ACTIVE
             if active is not None and active.clock is clock:
                 return nullcontext(active)
-            collector = obs.Collector.black_box(clock)
+            collector = obs.Collector.private(clock)
         elif obs.ACTIVE is collector:
             return nullcontext(collector)
         return obs.scoped(collector)
@@ -332,10 +336,9 @@ class LiveUpdateController:
         # before the barrier converges — usable only if no old thread ran
         # in between, hence the steps_executed stamp.  The checkpoint
         # captures, taken once a scope is quiesced, are authoritative.
-        verify = bool(self.config.verify_rollback)
         entry_fp: Optional[TreeFingerprint] = None
         entry_steps = self.kernel.steps_executed
-        if verify and self.config.faults is not None:
+        if self.config.faults is not None:
             # Only an injected fault can fail before any old thread runs;
             # a real pre-quiescence failure executes kernel steps and
             # invalidates this baseline anyway, so skip the capture when
@@ -435,8 +438,7 @@ class LiveUpdateController:
                     self._record_blackbox(result, recorder, "rolled_back")
                 result.rolled_back = True
                 result.rollback_failed = bool(self._rollback_failures)
-                if verify:
-                    self._verify_rollback(result, entry_fp, entry_steps)
+                self._verify_rollback(result, entry_fp, entry_steps)
                 recorder.end(root, status="rolled_back")
         finally:
             # Never leave the shared recorder with a dangling open root —
@@ -463,8 +465,6 @@ class LiveUpdateController:
         tree holds inherited references (released again on rollback), so
         their refcount component is excluded.
         """
-        if not self.config.verify_rollback:
-            return
         subset = None if scope is None else list(scope)
         fingerprint = TreeFingerprint.capture(
             self.kernel,
@@ -607,14 +607,13 @@ class LiveUpdateController:
 
     def _quiesce_with_retry(self, result: UpdateResult) -> None:
         """Wait for the barrier; on timeout, back off and retry (bounded)."""
-        max_retries = self.config.quiescence_max_retries
-        backoff_ns = self.config.quiescence_backoff_ns
+        backoff_ns = QUIESCENCE_BACKOFF_NS
         while True:
             try:
                 self.old_session.quiescence.wait(self.old_root, config=self.config)
                 return
             except QuiescenceTimeout:
-                if result.retries >= max_retries:
+                if result.retries >= QUIESCENCE_MAX_RETRIES:
                     raise
                 result.retries += 1
                 obs.emit(
@@ -624,9 +623,8 @@ class LiveUpdateController:
                     backoff_ns=backoff_ns,
                 )
                 # Give in-flight work time to drain before the next wait.
-                if backoff_ns:
-                    self.kernel.clock.advance(backoff_ns)
-                    backoff_ns *= 2
+                self.kernel.clock.advance(backoff_ns)
+                backoff_ns *= 2
 
     def _derive_failure_site(self, root: "obs.Span") -> Optional[str]:
         """Deepest errored span of the update trace = the failing phase."""
@@ -844,7 +842,7 @@ class LiveUpdateController:
         quiescence = self.new_session.quiescence
         self.kernel.run(
             until=lambda: quiescence.is_quiescent(new_root),
-            max_ns=self.config.quiescence_deadline_ns,
+            max_ns=QUIESCENCE_DEADLINE_NS,
         )
         return quiescence.is_quiescent(new_root)
 

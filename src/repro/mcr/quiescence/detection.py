@@ -20,10 +20,14 @@ from typing import Iterable, List, Optional, Set, TYPE_CHECKING
 from repro.errors import QuiescenceTimeout
 from repro.kernel.kernel import Barrier, Kernel
 from repro.mcr.faults import fire
-from repro.kernel.process import BLOCKED, Process, Thread
+from repro.kernel.process import Process, Thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.libmcr import MCRSession
+
+# How long ``wait`` (and the controller's drive of a new tree to its
+# barrier) runs the world before declaring QuiescenceTimeout: 1 s.
+QUIESCENCE_DEADLINE_NS = 1_000_000_000
 
 
 def tree_live_threads(root: Process) -> List[Thread]:
@@ -134,15 +138,15 @@ class QuiescenceProtocol:
         """Run the world until quiescent; returns quiescence time (ns).
 
         ``config`` is the *controller's* MCRConfig when an update drives
-        this wait — its fault plan and deadline can differ from the
-        session's; direct callers fall back to the session config.
+        this wait — its fault plan can differ from the session's; direct
+        callers fall back to the session config.
         """
         kernel: Kernel = self.session.kernel
         if config is None:
             config = self.session.config
         fire(config, "quiescence.wait")
         if deadline_ns is None:
-            deadline_ns = config.quiescence_deadline_ns
+            deadline_ns = QUIESCENCE_DEADLINE_NS
         start_ns = kernel.clock.now_ns
         kernel.run(
             until=lambda: self.is_quiescent(root),

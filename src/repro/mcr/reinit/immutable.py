@@ -66,15 +66,6 @@ class ImmutableInventory:
                 )
         return inventory
 
-    def lookup(self, src_pid: int, src_fd: int) -> Optional[FdEntry]:
-        for entry in self.fd_entries:
-            if entry.src_pid == src_pid and entry.src_fd == src_fd:
-                return entry
-        return None
-
-    def __len__(self) -> int:
-        return len(self.fd_entries)
-
 
 class FdStash:
     """The new version's view of inherited descriptors.
@@ -101,17 +92,6 @@ class FdStash:
 
     def is_claimed(self, src_pid: int, src_fd: int) -> bool:
         return (src_pid, src_fd) in self._claimed
-
-    def unclaimed(self) -> List[Tuple[Tuple[int, int], int]]:
-        """Remaining ((src_pid, src_fd), stash_fd) pairs to garbage-collect."""
-        return [
-            (key, stash_fd)
-            for key, stash_fd in self._slots.items()
-            if key not in self._claimed
-        ]
-
-    def all_stash_fds(self) -> List[int]:
-        return sorted(self._slots.values())
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -19,9 +19,8 @@ the paper — that is why the build step for a new version takes a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.kernel.process import Process
 from repro.mem.ptmalloc import PtMallocHeap
 
 
@@ -86,27 +85,6 @@ class GlobalRealloc:
     def pin_library(self, name: str, base: int) -> None:
         self.lib_bases[name] = base
 
-    @classmethod
-    def from_old_process(
-        cls,
-        old_root: Process,
-        immutable_static: Optional[List[str]] = None,
-        heap_spans_by_pid: Optional[Dict[int, List[Tuple[int, int]]]] = None,
-    ) -> "GlobalRealloc":
-        """Build a plan from the old version (the offline relink step)."""
-        plan = cls()
-        symbols = getattr(old_root, "symbols", None)
-        if symbols is not None:
-            for name in immutable_static or []:
-                symbol = symbols.get(name)
-                if symbol is not None:
-                    plan.pin_symbol(name, symbol.address)
-        for lib_name, lib in getattr(old_root, "libs", {}).items():
-            plan.pin_library(lib_name, lib.base)
-        for pid, spans in (heap_spans_by_pid or {}).items():
-            plan.add_heap_spans(pid, spans)
-        return plan
-
     # -- application in the new version ------------------------------------------------
 
     def union_superobjects(self) -> List[Superobject]:
@@ -123,14 +101,6 @@ class GlobalRealloc:
         ]
         return coalesce(spans)
 
-    def apply_to_heap(self, pid: int, heap: PtMallocHeap) -> List[Superobject]:
-        """Reserve this pid's superobjects in a fresh heap."""
-        reserved: List[Superobject] = []
-        for superobject in self.heap_superobjects.get(pid, []):
-            heap.reserve_range(superobject.base, superobject.size)
-            reserved.append(superobject)
-        return reserved
-
     def apply_union_to_heap(self, heap: PtMallocHeap) -> List[Superobject]:
         """Reserve the cross-process union in one (root) heap."""
         reserved: List[Superobject] = []
@@ -138,13 +108,3 @@ class GlobalRealloc:
             heap.reserve_range(superobject.base, superobject.size)
             reserved.append(superobject)
         return reserved
-
-    def release_from_heap(self, pid: int, heap: PtMallocHeap) -> None:
-        """Deallocate superobjects "later when no longer in use" — called
-        once state transfer has copied their contents and the update
-        committed (contents stay resident; the *reservation* converts to
-        plain occupancy only conceptually — we keep the range reserved so
-        the allocator never hands it out while the objects live)."""
-        # Intentionally a no-op beyond documentation: immutable objects
-        # remain pinned for the lifetime of the new version.
-        return None

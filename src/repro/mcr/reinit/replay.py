@@ -74,11 +74,6 @@ class ReplayContext:
         self.resolved = True
         self.override_result = result
 
-    def resolve_execute_live(self) -> None:
-        """Consume the record but run the operation live anyway."""
-        self.resolved = True
-        self.execute_live = True
-
 
 class ReplayEngine:
     """Cross-version replay state for one live update attempt."""

@@ -72,11 +72,6 @@ class SyscallRecord:
     def creates_immutable(self) -> bool:
         return bool(self.created_fds) or self.created_pid is not None
 
-    def touches_fd(self) -> Optional[int]:
-        """The fd this operation *operates on* (not creates), if any."""
-        fd = self.args.get("fd")
-        return fd if isinstance(fd, int) else None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Record #{self.seq} pid={self.pid} {self.name} "

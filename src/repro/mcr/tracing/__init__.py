@@ -11,7 +11,6 @@ memory, followed by state transfer into the new version:
   process walked once per update — siblings that answer every read of a
   walk alike share it — each distinct window classified once);
 * ``invariants``   — immutability / nonupdatability assignment;
-* ``dirty``        — soft-dirty-based dirty-object filtering;
 * ``transform``    — cross-version type transformations;
 * ``handlers``     — user traversal handlers (``MCR_ADD_OBJ_HANDLER``);
 * ``transfer``     — the state-transfer engine (pairing, relocation,
@@ -19,7 +18,6 @@ memory, followed by state transfer into the new version:
 """
 
 from repro.mcr.tracing.graph import GraphBuilder, ObjectRecord, PointerSlot, TraceResult
-from repro.mcr.tracing.dirty import DirtyFilter
 from repro.mcr.tracing.invariants import apply_invariants
 from repro.mcr.tracing.transfer import StateTransfer, TransferReport
 
@@ -28,7 +26,6 @@ __all__ = [
     "ObjectRecord",
     "PointerSlot",
     "TraceResult",
-    "DirtyFilter",
     "apply_invariants",
     "StateTransfer",
     "TransferReport",

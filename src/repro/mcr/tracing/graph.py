@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig
@@ -41,6 +41,18 @@ _KIND_TO_REGION = {
 ASKED_WORD = "word"
 ASKED_RANGE = "range"
 ASKED_WORDS = "words"
+
+
+def stack_roots(process: Process) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Per live thread with a stack area: its tid and the addresses of its
+    overlay's stack variables — the roots a walk takes from stacks."""
+    crt = getattr(process, "crt", None)
+    stacks = crt._stacks if crt is not None else {}
+    return tuple(
+        (thread.tid, tuple(address for _name, address, _type in area.overlay))
+        for thread in process.live_threads()
+        if (area := stacks.get(thread.tid)) is not None
+    )
 
 
 class ObjectRecord:
@@ -304,9 +316,6 @@ class TraceResult:
         # derives it again.
         self.shape = object()
 
-    def record_for(self, base: int) -> Optional[ObjectRecord]:
-        return self.objects.get(base)
-
     def rebound(self, process: Process) -> "TraceResult":
         """This trace as ``process``'s own: a fresh record per object,
         ``tag`` and ``type`` from its own tag store, the (read-only)
@@ -375,11 +384,6 @@ class TraceResult:
 
     def immutable_objects(self) -> List[ObjectRecord]:
         return [o for o in self.objects.values() if o.immutable]
-
-    def immutable_fraction(self) -> float:
-        if not self.objects:
-            return 0.0
-        return len(self.immutable_objects()) / len(self.objects)
 
 
 class GraphBuilder:
@@ -451,14 +455,8 @@ class GraphBuilder:
                 record.name = record.name or symbol.name
 
     def _add_stack_roots(self) -> None:
-        crt = getattr(self.process, "crt", None)
-        if crt is None:
-            return
-        for thread in self.process.live_threads():
-            area = crt._stacks.get(thread.tid)
-            if area is None:
-                continue
-            for _name, address, _type in area.overlay:
+        for _tid, addresses in stack_roots(self.process):
+            for address in addresses:
                 record = self._intern(address)
                 if record is not None:
                     record.is_root = True

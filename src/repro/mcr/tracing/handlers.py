@@ -15,7 +15,7 @@ editing it in place) or replaces it wholesale.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.mcr.tracing.graph import ObjectRecord
 
@@ -45,19 +45,6 @@ class TraversalContext:
         self.new_proc = None
 
     # -- helpers for common encodings --------------------------------------------
-
-    def translate_tagged_pointer(self, word: int, tag_bits: int = 0x3) -> int:
-        """Translate a pointer that hides metadata in its low bits.
-
-        This is exactly the nginx case from the paper's evaluation: "22 LOC
-        to annotate a number of global pointers using special data
-        encoding — storing metadata in the 2 least significant bits".
-        """
-        tags = word & tag_bits
-        address = word & ~tag_bits
-        if address == 0:
-            return word
-        return self.translate_pointer(address) | tags
 
     def replace(self, value: Any) -> None:
         self.transformed = value

@@ -109,7 +109,13 @@ from repro.errors import MemoryFault
 from repro.mcr.config import MCRConfig
 from repro.mcr.tracing import conservative
 from repro.mcr.tracing.conservative import LikelyPointer
-from repro.mcr.tracing.graph import ASKED_RANGE, ASKED_WORD, GraphBuilder, TraceResult
+from repro.mcr.tracing.graph import (
+    ASKED_RANGE,
+    ASKED_WORD,
+    GraphBuilder,
+    TraceResult,
+    stack_roots,
+)
 from repro.mem.scan_backend import PreparedScanIndex
 
 
@@ -139,17 +145,6 @@ def resolution_fingerprint(process) -> Tuple:
     )
 
 
-def _stack_roots(process) -> Tuple:
-    """Live threads with a stack area, and their overlay addresses."""
-    crt = getattr(process, "crt", None)
-    stacks = crt._stacks if crt is not None else {}
-    return tuple(
-        (thread.tid, tuple(address for _name, address, _type in area.overlay))
-        for thread in process.live_threads()
-        if (area := stacks.get(thread.tid)) is not None
-    )
-
-
 def _policy(config: MCRConfig, annotations) -> Tuple:
     """The config fields and annotation tables the walk reads, by value."""
     return (
@@ -173,7 +168,7 @@ def trace_stamp(process, config: MCRConfig, annotations) -> Tuple:
             (m.base, m.size, m.tracker, m.tracker.write_seq, m.tracker.graft_epoch)
             for m in process.space.mappings()
         ),
-        _stack_roots(process),
+        stack_roots(process),
         _policy(config, annotations),
     )
 
@@ -195,7 +190,7 @@ def sibling_key(process, config: MCRConfig, annotations) -> Tuple:
         # Forked siblings share the loader's table; a table is only added to.
         (symbols, len(symbols) if symbols is not None else 0),
         tuple((m.base, m.size, m.kind) for m in process.space.mappings()),
-        tuple(addresses for _tid, addresses in _stack_roots(process)),
+        tuple(addresses for _tid, addresses in stack_roots(process)),
         _policy(config, annotations),
     )
 

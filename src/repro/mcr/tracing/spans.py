@@ -48,11 +48,6 @@ class SpanWriter:
 
     # -- MemoryView protocol ------------------------------------------------------
 
-    def read_bytes(self, address: int, size: int) -> bytes:
-        # Reads bypass coalescing; the codec's write path never reads back
-        # what it wrote, so no flush is needed for consistency here.
-        return self._space.read_bytes(address, size)
-
     def write_bytes(self, address: int, data: bytes) -> None:
         self.writes_absorbed += 1
         buf = self._buf

@@ -19,8 +19,8 @@ counterpart by creation-time call-stack ID:
 
 What forked siblings have in common is computed once: the pairing (step
 3) reads no dirty bit and no memory answer, so it is one ``_PairingPlan``
-per distinct (trace shape, stack roots, new-version layout), held on the
-update's ``TraceMemo``; only the selection (step 2) is per process, and it
+per distinct (trace shape, new-version layout), held on the update's
+``TraceMemo``; only the selection (step 2) is per process, and it
 starts from the trackers' dirty pages rather than asking every object.  A
 typed object whose type did not change moves by its type's span program
 (``spans.move_unchanged``), not through the codec.
@@ -34,10 +34,9 @@ per-process work (state transfer parallelizes across the hierarchy).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.clock import ns_to_ms
 from repro.errors import ConflictError, MemoryFault, StateTransferError
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig, TransferCostModel
@@ -96,9 +95,6 @@ class TransferReport:
         self.trace_results: Dict[int, TraceResult] = {}
         self.total_ns = 0
         self.conflicts: List[str] = []
-
-    def total_ms(self) -> float:
-        return ns_to_ms(self.total_ns)
 
     # Publishes through ``obs`` under "transfer.<field>".
     _PUBLISHED_FIELDS = (
@@ -159,11 +155,6 @@ class TransferReport:
                     out[kind][key] += row[kind][key]
         return out
 
-    def mean_reduction(self) -> float:
-        if not self.per_process:
-            return 0.0
-        return sum(s.reduction for s in self.per_process) / len(self.per_process)
-
     def aggregate_reduction(self) -> float:
         """Fraction of traced *bytes* skipped as clean, across the tree
         (the paper's 68-86% figure is state-weighted, not per-process)."""
@@ -193,17 +184,6 @@ class _AddressIndex:
         return None
 
 
-def _stack_overlays(process: Process) -> Tuple:
-    """Per live thread with a stack area: its creation-stack class and its
-    overlay as ``(name, address)``s — all that pairing reads of a stack."""
-    crt = getattr(process, "crt", None)
-    return tuple(
-        (thread.creation_stack_id, tuple((name, address) for name, address, _type in area.overlay))
-        for thread in (process.live_threads() if crt is not None else ())
-        if (area := crt._stacks.get(thread.tid)) is not None
-    )
-
-
 class _PairingPlan:
     """One pairing, for every process pair that shares it: where each
     traced object lives in the new version, and which objects a dirty page
@@ -224,9 +204,6 @@ class _PairingPlan:
         # default, so they weigh nothing in the dirty/clean split.
         self.nonlib_sizes: List[int] = []
         self._on_pages: Dict[int, Dict[int, List[int]]] = {}  # mapping base -> page -> positions
-        old_overlays, new_overlays = key[0], key[1]
-        # New-version stack variables keyed by (thread class, var name).
-        stack_pool = {(cls, name): at for cls, overlay in new_overlays for name, at in overlay}
         for position, record in enumerate(trace.objects.values()):
             base, size = record.base, max(record.size, 1)
             mapping = old_proc.space.mapping_at(base)
@@ -245,19 +222,15 @@ class _PairingPlan:
                 self.always.add(position)
                 continue
             counterpart = None
-            if record.region == REGION_STATIC and record.name:
-                # Deleted globals stay unmapped; a pointer reaching one
-                # later raises a conflict (the update dropped live state).
-                symbol = new_symbols.get(record.name) if new_symbols is not None else None
-                counterpart = symbol.address if symbol is not None else None
-            elif record.region == REGION_STATIC:
-                # Stack variable (tracked via overlay metadata).
-                if record.tag is not None and record.tag.name:
-                    counterpart = next(
-                        (stack_pool.get((cls, name)) for cls, overlay in old_overlays
-                         for name, at in overlay if at == base),
-                        None,
-                    )
+            if record.region == REGION_STATIC:
+                # Globals pair by name.  Deleted globals stay unmapped; a
+                # pointer reaching one later raises a conflict (the update
+                # dropped live state).  So do stack variables: they root
+                # the trace, but the new version's threads rebuilt their
+                # own frames on the way to the barrier.
+                if record.name and mapping.kind != "stack" and new_symbols is not None:
+                    symbol = new_symbols.get(record.name)
+                    counterpart = symbol.address if symbol is not None else None
             else:
                 if record.region == REGION_DYNAMIC and record.startup:
                     site = record.tag.site if record.tag is not None else record.site
@@ -431,15 +404,12 @@ class StateTransfer:
         """The pairing of ``trace`` with ``new_proc``: a sibling's when there is one.
 
         The key is the trace's shape plus, by value, everything else
-        pairing reads — both sides' stack overlays, and of the new process
-        its tags and chunks (what the startup pool is made from) and its
-        symbol table.  No dirty bit and no byte of memory is in it, because
-        pairing reads neither.
+        pairing reads — of the new process its tags and chunks (what the
+        startup pool is made from) and its symbol table.  No dirty bit and
+        no byte of memory is in it, because pairing reads neither.
         """
         new_symbols = getattr(new_proc, "symbols", None)
         key = (
-            _stack_overlays(old_proc),
-            _stack_overlays(new_proc),
             new_proc.tags.table(),
             new_proc.heap.chunk_table(),
             # Forked siblings share the loader's table; a table is only added to.

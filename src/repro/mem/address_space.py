@@ -32,7 +32,7 @@ import mmap as _mmap
 import struct as _struct
 import zlib as _zlib
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 from repro.mem.pages import PAGE_SIZE, PageTracker
@@ -104,9 +104,6 @@ class Mapping:
             -1, self.size, flags=_mmap.MAP_PRIVATE | _mmap.MAP_ANONYMOUS
         )
         self.tracker = PageTracker(base, self.size)
-
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
 
     def clone(self) -> "Mapping":
         """fork(): a fresh store holding copies of the resident pages only."""
@@ -372,9 +369,6 @@ class AddressSpace:
 
     def dirty_page_count(self) -> int:
         return sum(m.tracker.dirty_page_count() for m in self._mappings)
-
-    def total_pages(self) -> int:
-        return sum(m.tracker.num_pages for m in self._mappings)
 
     # -- footprint / fork -------------------------------------------------
 

@@ -22,14 +22,6 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 PAGE_SIZE = 4096
 
 
-def page_index(address: int) -> int:
-    return address // PAGE_SIZE
-
-
-def page_base(address: int) -> int:
-    return (address // PAGE_SIZE) * PAGE_SIZE
-
-
 class PageTracker:
     """Soft-dirty bookkeeping for one contiguous mapping."""
 

@@ -58,9 +58,6 @@ class Region:
     def end(self) -> int:
         return self.base + self.size
 
-    def remaining(self) -> int:
-        return self.end - self.cursor
-
     def bump(self, size: int) -> Optional[int]:
         aligned = _align_up(self.cursor)
         if aligned + size > self.end:
@@ -190,9 +187,6 @@ class SlabAllocator:
         self._free_slots[cls].append(address)
         self.free_count += 1
         obs.incr("alloc.slab.frees")
-
-    def slab_count(self) -> int:
-        return sum(len(slabs) for slabs in self._slabs.values())
 
 
 class NestedPool:

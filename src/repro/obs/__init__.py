@@ -28,9 +28,10 @@ started".
 
 A live update always activates a collector — its black box and timing
 breakdown are recorded through one: the caller's, an ambient one on the
-same clock, else a private ``Collector.black_box``.  Nothing can read a
-private collector after the update, so it keeps only what the update
-reads (spans, flight recorder); explicit and ambient ones keep all.
+same clock, else one of its own from ``Collector.private``.  Nothing
+can read a private collector after the update, so it keeps only what
+the update reads (spans, flight recorder); explicit and ambient ones
+keep all.
 
 Usage::
 
@@ -91,7 +92,7 @@ class Collector:
         self.recorder = self.events.recorder = FlightRecorder(clock)
 
     @classmethod
-    def black_box(cls, clock: VirtualClock) -> "Collector":
+    def private(cls, clock: VirtualClock) -> "Collector":
         """Spans and flight recorder as a full collector's; counters,
         metrics and event log that keep nothing.  For a collector whose
         only readers are its ``blackbox`` dump and span tree."""
@@ -101,11 +102,6 @@ class Collector:
         collector.events = BlackBoxLog(clock)
         collector.events.recorder = collector.recorder
         return collector
-
-    def to_dict(self):
-        from repro.obs.export import collector_to_dict
-
-        return collector_to_dict(self)
 
     def blackbox(
         self, reason: str, path: Optional[str] = None, **fields: Any

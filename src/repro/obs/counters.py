@@ -65,14 +65,8 @@ class CounterSet:
         out.merge(other)
         return out
 
-    def clear(self) -> None:
-        self._values.clear()
-
     def __len__(self) -> int:
         return len(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CounterSet {len(self._values)} series>"

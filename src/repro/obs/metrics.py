@@ -108,9 +108,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def bucket_index(self, value: Number) -> int:
-        return bisect_left(self.boundaries, value)
-
     def percentile(self, q: float) -> Number:
         """The q-th percentile (0..100), resolved to a bucket upper bound.
 
@@ -178,13 +175,6 @@ class Histogram:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
 
-    def merged(self, other: "Histogram") -> "Histogram":
-        """A new histogram folding both in (sources untouched)."""
-        out = Histogram(self.name, boundaries=self.boundaries, unit=self.unit)
-        out.merge(self)
-        out.merge(other)
-        return out
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "unit": self.unit,
@@ -243,13 +233,6 @@ class MetricsRegistry:
                 mine = Histogram(name, boundaries=theirs.boundaries, unit=theirs.unit)
                 self._histograms[name] = mine
             mine.merge(theirs)
-
-    def merged(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """A new registry folding both in (sources untouched)."""
-        out = MetricsRegistry()
-        out.merge(self)
-        out.merge(other)
-        return out
 
     def __len__(self) -> int:
         return len(self._histograms)

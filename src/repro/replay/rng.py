@@ -51,9 +51,6 @@ class RngStream:
     def random(self) -> float:
         return self._note(self._rng.random())
 
-    def uniform(self, low: float, high: float) -> float:
-        return self._note(self._rng.uniform(low, high))
-
     def randint(self, low: int, high: int) -> int:
         return self._note(self._rng.randint(low, high))
 
@@ -113,9 +110,6 @@ class RngRegistry:
         )
         self._streams[name] = created
         return created
-
-    def names(self) -> Sequence[str]:
-        return sorted(self._streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self.seed} streams={len(self._streams)}>"

@@ -180,18 +180,6 @@ class CRuntime:
         self.process.tags.unregister(address)
         self.process.heap.free(address)
 
-    def realloc_typed(self, thread: Thread, address: int, new_type: TypeDesc) -> int:
-        self._charge(ALLOC_BASE_COST_NS)
-        new_address = self.process.heap.realloc(address, new_type.size, site_id=self._site_id(thread))
-        build = self._build
-        self.process.tags.unregister(address)
-        if build is not None and build.static_instr:
-            self._charge(ALLOC_TAG_COST_NS)
-            self.process.tags.register(
-                new_address, new_type, ORIGIN_HEAP, site=self._site_name(thread)
-            )
-        return new_address
-
     # -- custom allocators ---------------------------------------------------------
 
     def region_create(self, block_size: int = 16 * 1024) -> RegionAllocator:
@@ -256,18 +244,6 @@ class CRuntime:
 
     def field_addr(self, address: int, type_: StructType, field: str) -> int:
         return address + type_.field(field).offset
-
-    def read(self, address: int, type_: TypeDesc) -> Any:
-        return codec.read_value(self.process.space, address, type_)
-
-    def write(self, address: int, type_: TypeDesc, value: Any) -> None:
-        codec.write_value(self.process.space, address, type_, value)
-
-    def read_ptr(self, address: int) -> int:
-        return self.process.space.read_word(address)
-
-    def write_ptr(self, address: int, value: int) -> None:
-        self.process.space.write_word(address, value)
 
     # -- globals ------------------------------------------------------------------------
 

@@ -45,6 +45,13 @@ PHASE_RECORD = "record"    # old version, during startup
 PHASE_NORMAL = "normal"    # steady state
 PHASE_RESTART = "restart"  # new version, controlled startup (replay)
 
+# Unblockification (§4): a quiescent-point call is issued in timeout
+# slices of ``UNBLOCKIFY_SLICE_NS``; each wrapped call pays the entry
+# cost, and each slice that expires pays the re-arm.
+UNBLOCKIFY_SLICE_NS = 20_000_000
+UNBLOCKIFY_ENTRY_COST_NS = 260
+UNBLOCKIFY_POLL_COST_NS = 1_200
+
 # fd-creating syscalls subject to startup-time reserved-range allocation.
 _SEPARABLE_FD_CREATORS = {
     "socket",
@@ -94,11 +101,6 @@ class MCRSession:
         # Timing (update-time evaluation).
         self.startup_started_ns: Optional[int] = None
         self.startup_completed_ns: Optional[int] = None
-
-    @property
-    def faults(self):
-        """The session's armed ``FaultPlan`` (None = nothing armed)."""
-        return self.config.faults
 
     # -- process attachment ------------------------------------------------------
 
@@ -266,13 +268,12 @@ class MCRRuntime:
 
         Exposes the original call semantics to the program (including a
         caller-supplied timeout) while guaranteeing the thread re-enters
-        user space every ``unblockify_slice_ns`` to check for a pending
+        user space every ``UNBLOCKIFY_SLICE_NS`` to check for a pending
         quiescence request.
         """
         thread: Thread = sys_api.thread
         session = self.session
-        config = session.config
-        session.kernel.clock.advance(config.unblockify_entry_cost_ns)
+        session.kernel.clock.advance(UNBLOCKIFY_ENTRY_COST_NS)
         if not thread.reached_qp:
             session.note_qp_reached(thread)
         waited_ns = 0
@@ -287,7 +288,7 @@ class MCRRuntime:
                 )
                 # Barrier released: re-check (rollback resumes us here).
                 continue
-            slice_ns = config.unblockify_slice_ns
+            slice_ns = UNBLOCKIFY_SLICE_NS
             if caller_timeout_ns is not None:
                 slice_ns = min(slice_ns, caller_timeout_ns - waited_ns)
                 if slice_ns <= 0:
@@ -297,7 +298,7 @@ class MCRRuntime:
                 return result
             waited_ns += slice_ns
             # The re-arm is the run-time cost of unblockification.
-            session.kernel.clock.advance(config.unblockify_poll_cost_ns)
+            session.kernel.clock.advance(UNBLOCKIFY_POLL_COST_NS)
             collector = obs.ACTIVE
             if collector is not None:
                 collector.counters.incr("mcr.unblockify_rearms")

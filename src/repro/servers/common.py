@@ -42,12 +42,6 @@ def connect_with_retry(sys, port: int, attempts: int = 50, backoff_ns: int = 1_0
 
 
 @sim_function
-def send_line(sys, fd: int, text: str):
-    yield from sys.send(fd, text.encode() + b"\n")
-    return None
-
-
-@sim_function
 def recv_line(sys, fd: int, timeout_ns: Optional[int] = None):
     """Receive until a newline (requests are tiny; one recv usually does)."""
     buffered = bytearray()

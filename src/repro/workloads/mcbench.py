@@ -47,10 +47,6 @@ class McBench:
         self.errors = 0
         self.latency = ClientLatencyLog()
 
-    @property
-    def latencies_ns(self) -> List[int]:
-        return self.latency.latencies_ns()
-
     def _script(self, client: int, per_client: int) -> List[tuple]:
         """(request line, expected reply prefix) per operation.
 

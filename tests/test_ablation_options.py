@@ -133,9 +133,32 @@ def test_every_config_option_is_read_by_something():
         if path != src / "mcr" / "config.py"
     )
     options = [p for p in inspect.signature(MCRConfig.__init__).parameters if p != "self"]
-    assert len(options) == 17
+    assert len(options) == 9
     unread = [
         name for name in options
         if not re.search(rf"\.{name}\b(?!\s*=[^=])", text)
     ]
     assert not unread, f"MCRConfig options nothing reads: {unread}"
+
+
+# Set to nothing but their defaults anywhere; each is now a constant
+# beside its one reader (``runtime/libmcr.py``, ``quiescence/detection.py``,
+# ``controller.py``), rollback verification always runs, and a failover
+# drill's durable image path is its own ``checkpoint_path`` argument.
+REMOVED_OPTIONS = (
+    "unblockify_slice_ns",
+    "unblockify_poll_cost_ns",
+    "unblockify_entry_cost_ns",
+    "quiescence_deadline_ns",
+    "quiescence_max_retries",
+    "quiescence_backoff_ns",
+    "verify_rollback",
+    "checkpoint_path",
+)
+
+
+@pytest.mark.parametrize("option", REMOVED_OPTIONS)
+def test_one_value_options_are_gone(option):
+    with pytest.raises(TypeError):
+        MCRConfig(**{option: None})
+    assert not hasattr(MCRConfig(), option)

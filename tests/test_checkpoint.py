@@ -36,6 +36,7 @@ from repro.checkpoint import (
     write_image,
 )
 from repro.checkpoint.image import _process_record
+from repro.cli import main
 from repro.errors import ImageError, PromotionError
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
@@ -266,6 +267,14 @@ def _records_for(pid_text):
     return lambda meta: {**meta, "records": {**meta["records"], pid_text: {}}}
 
 
+def _unpid_fingerprint(fingerprint):
+    """``fingerprint`` with each process keyed by name alone, no pid."""
+    processes = {
+        key.partition("|")[2]: entry for key, entry in fingerprint["processes"].items()
+    }
+    return {**fingerprint, "processes": processes}
+
+
 def _relative_to_last_page(field, of, plus):
     """``field`` of a doctored last record set to ``of`` of the good one ``+ plus``."""
     return lambda meta: _last_page(**{field: meta["pages"][-1][of] + plus})(meta)
@@ -288,6 +297,9 @@ MISSES_THE_TREE = {
     "page-not-an-object": ("pages[0]", lambda meta: {**meta, "pages": [7] + meta["pages"]}),
     "record-for-unknown-pid": ("'records'", _records_for("4242")),
     "record-for-non-pid": ("'records'", _records_for("init")),
+    "fingerprint-empty": ("'processes'", lambda meta: {**meta, "fingerprint": {}}),
+    "fingerprint-key-not-a-pid": (
+        "'pid|name'", lambda meta: {**meta, "fingerprint": _unpid_fingerprint(meta["fingerprint"])}),
 }
 
 
@@ -338,6 +350,85 @@ def test_well_formed_delta_that_misses_the_tree_is_rejected_before_any_write(cas
 def test_delta_record_an_image_restore_would_refuse_is_rejected_before_any_write(case):
     blamed, doctor = BAD_RECORD_CONTENTS[case]
     _assert_refused_before_any_write(blamed, doctor)
+
+
+def _in_root(key, value):
+    """The first process record's ``key`` set to ``value``."""
+    return lambda meta: meta["processes"][0].__setitem__(key, value)
+
+
+def _in_root_heap(key, value):
+    return lambda meta: meta["processes"][0]["heap"].__setitem__(key, value)
+
+
+def _short_first_fd(meta):
+    fds = meta["processes"][0]["fds"]
+    fds[0] = fds[0][:3]
+
+
+def _short_first_allocator(meta):
+    first = next(iter(meta["fingerprint"]["processes"].values()))
+    first["allocator"] = first["allocator"][:1]
+
+
+# An image whose CRCs are right and whose meta a restore cannot graft: it
+# used to raise ValueError / KeyError half-way, or restore the garbage and
+# call the fingerprint verified.  The same check refuses a delta's records.
+BAD_IMAGE_META = {
+    "free-not-a-list": ("'free'", _in_root_heap("free", "x")),
+    "short-fd-entry": ("'fds'", _short_first_fd),
+    "no-fd-alloc": ("'fd_alloc'", lambda meta: meta["processes"][0].pop("fd_alloc")),
+    "no-net": ("'net'", lambda meta: meta.pop("net")),
+    "deferred-a-string": ("'deferred'", _in_root_heap("deferred", "ab")),
+    "malloc-count-a-string": ("'malloc_count'", _in_root_heap("malloc_count", "7")),
+    "no-program-version": ("'program_version'", lambda meta: meta.pop("program_version")),
+    "parent-pid-a-string": ("'parent_pid'", _in_root("parent_pid", "0")),
+    "no-parent-pid": ("'parent_pid'", lambda meta: meta["processes"][0].pop("parent_pid")),
+    "fingerprint-empty": ("'processes'", lambda meta: meta.__setitem__("fingerprint", {})),
+    "fingerprint-allocator-short": ("'allocator'", _short_first_allocator),
+    "fingerprint-key-not-a-pid": (
+        "'pid|name'",
+        lambda meta: meta.__setitem__("fingerprint", _unpid_fingerprint(meta["fingerprint"]))),
+    "listener-closed-not-a-bool": (
+        "'listeners'", lambda meta: meta["listeners"][0].__setitem__(2, 0)),
+}
+
+
+@pytest.fixture(scope="module")
+def simple_image():
+    return _encoded_simple_image()
+
+
+@pytest.mark.parametrize("case", BAD_IMAGE_META)
+def test_image_meta_a_restore_cannot_graft_is_refused_before_any_write(
+    case, simple_image, tmp_path, capsys, monkeypatch
+):
+    blamed, doctor = BAD_IMAGE_META[case]
+    _image, blob = simple_image
+    meta, _body = _layout(blob)
+    doctor(meta)
+    doctored = _with_meta(blob, json.dumps(meta, sort_keys=True).encode())
+    image = CheckpointImage.decode(doctored)  # every CRC and section is fine
+    booted = []
+    real_boot = Node.boot
+
+    def spied_boot(*args, **kwargs):
+        booted.append(real_boot(*args, **kwargs))
+        return booted[-1]
+
+    monkeypatch.setattr(Node, "boot", spied_boot)
+    try:
+        with pytest.raises(ImageError) as excinfo:
+            restore_image(image, node_id=1)
+    finally:
+        _teardown(*booted)
+    assert excinfo.value.section == "meta" and blamed in str(excinfo.value)
+    assert booted == []  # refused before a tree existed to be written to
+    # The CLI reports it as a refused image, not a traceback.
+    path = tmp_path / "doctored.img"
+    path.write_bytes(doctored)
+    assert main(["restore", str(path)]) == 2
+    assert f"cannot restore {path}" in capsys.readouterr().err
 
 
 def _assert_refused_before_any_write(blamed, doctor):

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.kernel import Kernel, sim_function
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import QUIESCENCE_MAX_RETRIES
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import (
     DEFAULT_ERRORS,
@@ -154,7 +155,7 @@ class TestTransactionalUpdate:
         _serve_one(kernel, "push 4", "ok 1")
         plan = FaultPlan()
         if site == "quiescence.wait":
-            plan.at(site, times=MCRConfig().quiescence_max_retries + 1)
+            plan.at(site, times=QUIESCENCE_MAX_RETRIES + 1)
         elif site == "rollback":
             plan.at("transfer.memory").at(site)
         else:
@@ -177,7 +178,7 @@ class TestTransactionalUpdate:
         _program, session, _root = _boot(kernel)
         plan = FaultPlan()
         if site == "quiescence.wait":
-            plan.at(site, times=MCRConfig().quiescence_max_retries + 1)
+            plan.at(site, times=QUIESCENCE_MAX_RETRIES + 1)
         else:
             plan.at(site)
         result = _update(kernel, session, plan)
@@ -196,7 +197,7 @@ class TestTransactionalUpdate:
 
     def test_quiescence_retries_exhausted_rolls_back(self, kernel):
         _program, session, _root = _boot(kernel)
-        retries = MCRConfig().quiescence_max_retries
+        retries = QUIESCENCE_MAX_RETRIES
         plan = FaultPlan().at("quiescence.wait", times=retries + 1)
         result = _update(kernel, session, plan)
         assert result.rolled_back

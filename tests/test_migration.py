@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
 from repro.bench.migrate import COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head
-from repro.fleet.migration import MigrationDrill, run_migration_drill
+from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import DEFAULT_ERRORS, MIGRATION_SITES, SITES, FaultPlan
 
@@ -114,20 +114,20 @@ def test_zero_threshold_never_converges_but_still_cuts():
     # convergence_bytes=0 can never be satisfied (every delta ships at
     # least the fingerprint round-trip's dirty pages), so the policy
     # falls back to the max-round / forced-cut path.
-    result = run_migration_drill(
+    result = MigrationDrill(
         "simple", convergence_bytes=0, precopy_interval_ns=20_000_000
-    )
+    ).run()
     assert result.migrated
     assert not result.converged_precopy
     assert result.requests_lost == 0
 
 
 def test_huge_threshold_converges_on_the_first_round():
-    result = run_migration_drill(
+    result = MigrationDrill(
         "simple",
         convergence_bytes=1 << 30,
         precopy_interval_ns=20_000_000,
-    )
+    ).run()
     assert result.migrated
     assert result.converged_precopy
     assert result.precopy_rounds == 1
@@ -143,4 +143,3 @@ def test_migration_exports_reachable_from_fleet_package():
 
     assert fleet.MigrationDrill is MigrationDrill
     assert "MigrationResult" in fleet.__all__
-    assert "run_migration_drill" in fleet.__all__

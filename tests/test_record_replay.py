@@ -233,6 +233,33 @@ def test_tampered_final_clock_is_reported_as_divergence():
                for d in replay.divergences)
 
 
+def test_scheduler_checkpoints_fire_and_catch_a_flipped_crc(tmp_path):
+    """No recorded scenario reaches ``DEFAULT_CHECKPOINT_INTERVAL`` picks,
+    so the scheduler checkpoints are exercised on a short interval: they
+    replay equal, and one flipped CRC bit is exactly one divergence, at
+    that checkpoint, in the exported report too."""
+    spec = default_spec("simple")
+    recorded = TraceLog(spec, checkpoint_interval=16)
+    run_scenario(spec, trace=recorded)
+    assert len(recorded.checkpoints) == 5  # 81 picks
+    replay = TraceLog.replay_of(recorded)
+    run_scenario(spec, trace=replay)
+    assert replay.equivalent, [str(d) for d in replay.divergences]
+    assert replay.checkpoints == recorded.checkpoints
+
+    honest = list(recorded.checkpoints[1])
+    recorded.checkpoints[1][3] ^= 1
+    recorded.save(str(tmp_path / "flipped.trace.json"))
+    report = replay_path(recorded.path, export=str(tmp_path / "replayed"))
+    expected = [
+        {"kind": "sched", "where": "checkpoint[1]",
+         "expected": recorded.checkpoints[1], "actual": honest},
+    ]
+    assert not report.equivalent and report.divergences == expected
+    exported = json.loads((tmp_path / "replayed.report.json").read_text())
+    assert exported["divergences"] == expected
+
+
 def test_divergences_never_raise_out_of_the_update():
     """Replay mismatches are collected, not raised: the safety property
     under test (live_update never throws) must hold during replay too."""

@@ -159,6 +159,18 @@ class TestStartupLog:
         assert log.memory_bytes > before
 
 
+def unclaimed(stash: FdStash):
+    """The ((src_pid, src_fd), stash_fd) pairs no process has claimed."""
+    return [(key, fd) for key, fd in stash._slots.items() if not stash.is_claimed(*key)]
+
+
+def lookup(inventory: ImmutableInventory, src_pid: int, src_fd: int):
+    """The inventory entry for one old-version descriptor, or None."""
+    return next(
+        (e for e in inventory.fd_entries if (e.src_pid, e.src_fd) == (src_pid, src_fd)), None
+    )
+
+
 class TestFdStash:
     def test_claim_lifecycle(self):
         stash = FdStash()
@@ -167,20 +179,14 @@ class TestFdStash:
         assert not stash.is_claimed(100, 3)
         stash.claim(100, 3, 3)
         assert stash.is_claimed(100, 3)
-        assert stash.unclaimed() == []
+        assert unclaimed(stash) == []
 
     def test_unclaimed_listing(self):
         stash = FdStash()
         stash.add(100, 3, 600)
         stash.add(100, 4, 601)
         stash.claim(100, 3, 3)
-        assert stash.unclaimed() == [((100, 4), 601)]
-
-    def test_all_stash_fds_sorted(self):
-        stash = FdStash()
-        stash.add(1, 9, 605)
-        stash.add(1, 2, 601)
-        assert stash.all_stash_fds() == [601, 605]
+        assert unclaimed(stash) == [((100, 4), 601)]
 
 
 class TestInventory:
@@ -212,8 +218,8 @@ class TestInventory:
         inventory = ImmutableInventory()
         obj = object()
         inventory.fd_entries.append(FdEntry(100, 3, obj, startup=True))
-        assert inventory.lookup(100, 3).obj is obj
-        assert inventory.lookup(100, 4) is None
+        assert lookup(inventory, 100, 3).obj is obj
+        assert lookup(inventory, 100, 4) is None
 
 
 class TestCoalesce:

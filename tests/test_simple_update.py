@@ -16,6 +16,7 @@ from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import simple
 from repro.servers.common import PORT_SIMPLE, connect_with_retry, recv_line
+from repro.types.descriptors import PointerType
 
 
 @sim_function
@@ -159,3 +160,43 @@ class TestLiveUpdate:
         assert status["startup_complete"] is True
         assert status["startup_log_records"] > 0
         assert status["metadata_bytes"] > 0
+
+    def test_a_stack_variable_is_a_trace_root_not_a_transfer_target(self, kernel):
+        """What state transfer does with a named stack variable of a
+        quiescent thread that points into the heap (paper §6).
+
+        MCR tracks the stack variables of the functions active at
+        quiescent points so that tracing can start from them: what such a
+        variable points to is reached, traced and transferred.  Objects
+        are paired by symbol name, allocation-site call stack or identity;
+        the new version's thread rebuilds its own frames by re-running
+        startup to the same quiescent point (control migration), so the
+        variable's slot is nobody's counterpart and is not written.
+        """
+        _program, session, root = _boot_v1(kernel)
+        kernel.run(max_steps=50_000)
+        (thread,) = root.live_threads()
+        assert thread.top_function() == "server_get_event"  # parked at its QP
+        l_t = session.program.types["l_t"]
+        crt = root.crt
+        node = crt.malloc_typed(thread, l_t)
+        crt.set(node, l_t, "value", 4242)
+        # Named like a global on purpose: a stack variable is no global.
+        slot = crt.stack_alloc(thread, "list_head", PointerType(l_t, name="l_t*"))
+        root.space.write_word(slot, node)
+
+        result = McrCtl(kernel, session).live_update(simple.make_program(2))
+        assert result.committed, result.error
+        trace = result.transfer_report.trace_results[root.pid]
+        assert trace.objects[slot].is_root and trace.objects[slot].name == "list_head"
+        assert node in trace.objects  # reached from the stack variable only
+        new_root = result.new_root
+        l_t2 = new_root.program.types["l_t"]
+        copies = [
+            tag.address for tag in new_root.tags.tags()
+            if tag.type.name == "l_t" and new_root.crt.get(tag.address, l_t2, "value") == 4242
+        ]
+        assert len(copies) == 1  # the target moved, transformed to v2's l_t
+        assert new_root.crt.get(copies[0], l_t2, "new") == 0
+        assert not list(new_root.space.mappings(kind="stack"))  # the slot did not,
+        assert new_root.crt.gget("list_head") == 0  # nor into the global it is named like

@@ -33,7 +33,6 @@ from repro.kernel.namespaces import PidNamespace
 from repro.kernel.process import RUNNABLE, sim_function
 from repro.kernel.sysapi import Sys
 from repro.kernel.syscalls import SyscallRequest, TIMEOUT
-from repro.mcr.config import MCRConfig
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import (
@@ -41,6 +40,7 @@ from repro.runtime.libmcr import (
     PHASE_NORMAL,
     PHASE_RECORD,
     PHASE_RESTART,
+    UNBLOCKIFY_SLICE_NS as SLICE_NS,
 )
 from repro.runtime.program import Program
 from repro.workloads.ab import ApacheBench
@@ -73,7 +73,6 @@ def _parked(sys_api):
     yield from sys_api.raw("nanosleep", {"duration_ns": 1})
 
 
-SLICE_NS = MCRConfig().unblockify_slice_ns
 PHASES = [
     (PHASE_RECORD, False),
     (PHASE_RESTART, False),

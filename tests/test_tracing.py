@@ -9,7 +9,6 @@ from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.tracing.conservative import scan_range
-from repro.mcr.tracing.dirty import DirtyFilter
 from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
 from repro.mcr.tracing.invariants import (
     apply_invariants,
@@ -305,19 +304,8 @@ class TestDirtyFilter:
         thread = proc.threads[1]
         node = crt.malloc_typed(thread, NODE)
         crt.gset("head", node)
-        trace = GraphBuilder(proc).build()
-        filt = DirtyFilter(proc)
-        assert filt.is_dirty(trace.objects[node])
-
-    def test_reduction_excludes_lib(self):
-        from repro.mcr.tracing.graph import ObjectRecord, TraceResult
-
-        kernel, session, proc = _booted_world([])
-        result = TraceResult(proc)
-        rec = ObjectRecord(proc.heap.base + 32, 64, "lib")
-        result.objects[rec.base] = rec
-        stats = DirtyFilter(proc).reduction_stats(result)
-        assert stats["objects_total"] == 0
+        record = GraphBuilder(proc).build().objects[node]
+        assert proc.space.range_dirty(record.base, max(record.size, 1))
 
 
 class TestTransform:

@@ -12,7 +12,7 @@ Two pieces of bookkeeping ride on every scheduler step of an update.
   the walking bodies those two predicates had, which must answer at the
   same kernel steps.
 * **The black box.**  An update with no collector of its own runs under
-  ``obs.Collector.black_box``: the same spans and flight recorder, no
+  ``obs.Collector.private``: the same spans and flight recorder, no
   counters, metrics or event ring.  Its ``result.blackbox`` must be the
   one a full collector would have dumped, byte for byte.
 
