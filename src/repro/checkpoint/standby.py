@@ -64,6 +64,11 @@ class StandbyChannel:
         self.bytes_sent = 0
 
     def send(self, delta: DeltaCheckpoint, config: Optional[MCRConfig] = None) -> int:
+        """Queue ``delta``; returns its stream time, charged per payload byte.
+
+        A streamed byte is a page byte the delta carries, not a byte of
+        the container that frames it.
+        """
         blob = delta.encode()
         try:
             fire(config, "stream.send")
@@ -72,9 +77,9 @@ class StandbyChannel:
             raise
         self.queue.append(blob)
         self.sent += 1
-        self.bytes_sent += len(blob)
-        obs.incr("checkpoint.stream_bytes", len(blob))
-        return len(blob) * STREAM_BYTE_NS
+        self.bytes_sent += delta.total_bytes()
+        obs.incr("checkpoint.stream_bytes", delta.total_bytes())
+        return delta.total_bytes() * STREAM_BYTE_NS
 
     def drain(self) -> List[bytes]:
         blobs, self.queue = self.queue, []
