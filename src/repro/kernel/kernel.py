@@ -113,6 +113,8 @@ class Kernel:
         self._deadlines: List[Tuple[int, int, Thread, int]] = []
         self._park_counter = 0
         self._heap_counter = 0
+        # global_id -> soft-dirty faults already charged to the clock
+        # (not pid: a new version's namespace mirrors the old one's pids).
         self._fault_charged: Dict[int, int] = {}
         self.steps_executed = 0
         # Deterministic record/replay: when a ``repro.replay.TraceLog``
@@ -451,19 +453,12 @@ class Kernel:
             self._run_queue.append(thread)
             return
         # Charge the soft-dirty write-protect faults the process took.
-        # NOTE: the ledger is keyed by ``process.pid``, and a new version
-        # runs in its own PidNamespace with mirrored pids (see
-        # ``self.processes``), so after an update a new-version process
-        # inherits the old one's count and its first faults go uncharged.
-        # Known and kept bit for bit: every committed virtual number
-        # includes it (tests/test_syscall_fastpath.py holds the xfail;
-        # ROADMAP item 3 the fix).
         process = thread.process
         faults = process.space.soft_dirty_faults
-        seen = self._fault_charged.get(process.pid, 0)
+        seen = self._fault_charged.get(process.global_id, 0)
         if faults > seen:
             clock.now_ns += (faults - seen) * self.config.soft_dirty_fault_cost_ns
-            self._fault_charged[process.pid] = faults
+            self._fault_charged[process.global_id] = faults
         kind = result.__class__
         if kind is Blocked:
             collector = obs.ACTIVE

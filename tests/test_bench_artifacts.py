@@ -2,10 +2,11 @@
 
 Everything these benches report is stamped by the virtual clock, so the
 committed ``BENCH_failover.json`` / ``BENCH_migrate.json`` /
-``BENCH_faultmatrix.json`` (and the fault matrix's black boxes and
-replay trace) are an executable spec of the drills, the controller's
-transaction envelope and the black-box writer: any refactor of those
-must leave every byte where it was.  Each bench runs through the CLI
+``BENCH_updatetime.json`` / ``BENCH_faultmatrix.json`` (and the fault
+matrix's black boxes and replay trace) are an executable spec of the
+drills, the update's phases and client-perceived columns, the
+controller's transaction envelope and the black-box writer: any
+refactor of those must leave every byte where it was.  Each bench runs through the CLI
 entry point in a scratch working directory, exactly as CI runs it.
 """
 
@@ -23,6 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = {
     "failover": ("BENCH_failover.json",),
     "migrate": ("BENCH_migrate.json",),
+    "updatetime": ("BENCH_updatetime.json",),
     "faultmatrix": (
         "BENCH_faultmatrix.json",
         "BENCH_faultmatrix_blackbox.json",
@@ -73,6 +75,25 @@ def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():
     assert all(row["comparable"] for row in migrate["head_to_head"])
     assert migrate["summary"]["brownout_within_budget"]
     assert migrate["summary"]["brownout_at_most_comparable"]
+
+
+def test_committed_updatetime_artifact_carries_the_verdicts_ci_demanded():
+    """What ``ci.yml``'s update-time heredoc asserted, of the committed file."""
+    results = json.loads((REPO_ROOT / "BENCH_updatetime.json").read_text())["results"]
+    assert results
+    for server, row in results.items():
+        for key in ("client_p50_ms", "client_p95_ms", "client_p99_ms",
+                    "client_sum_ms", "blackout_ms", "slo_ok"):
+            assert key in row, f"{server}: missing {key}"
+        assert row["slo_ok"] is True, f"{server}: SLO verdict violated"
+        assert row["workload_errors"] == 0, f"{server}: client errors"
+    # The rolling hand-off strictly beats whole-tree on client-perceived
+    # blackout at equal workload, on both pools.
+    for server in ("httpd", "nginx"):
+        row = results[server]
+        assert row["rolling_blackout_ms"] < row["wt_blackout_ms"], (server, row)
+        assert row["rolling_slo_ok"] is True, f"{server}: rolling SLO"
+        assert row["rolling_batches"] >= 2, f"{server}: no batching"
 
 
 def test_committed_faultmatrix_artifacts_carry_the_verdicts_ci_demanded():

@@ -411,14 +411,6 @@ class TestSoftDirtyFaultCharging:
         cost = kernel.config.soft_dirty_fault_cost_ns
         assert _fault_charges(kernel, procs) == [5 * cost, 3 * cost, 0]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Kernel._fault_charged is keyed by process.pid, and the new "
-        "version's PidNamespace mirrors the old one's pids: a new-version "
-        "process inherits its predecessor's count and its first faults go "
-        "uncharged.  Fixing it moves UPDATE_SPEC and the BENCH_*.json "
-        "payloads (ROADMAP item 3).",
-    )
     def test_every_process_is_charged_for_its_own_faults(self, kernel):
         old = kernel.spawn_process(_touch_pages_then_yield, args=(5,))
         new = kernel.spawn_process(
