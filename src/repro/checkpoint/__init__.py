@@ -4,23 +4,25 @@ The live-update plane (``repro.mcr``) keeps a server alive across a
 *version* change; this package keeps its *state* alive across a host
 crash.  Four pieces:
 
-* ``image``   — a deterministic, versioned on-disk serialization of one
-  quiesced server tree: every mapping's resident pages (a page nobody
-  wrote is all zero and is neither stored nor read), the
-  fd/listener/socket tables, ptmalloc bookkeeping, and per-thread
-  call-stack positions,
+* ``image``   — the one checkpoint container, and the full image in it:
+  a deterministic, versioned on-disk serialization of one quiesced
+  server tree — every mapping's resident pages (a page nobody wrote is
+  all zero and is neither stored nor read), the fd/listener/socket
+  tables, ptmalloc bookkeeping, and per-thread call-stack positions,
   integrity-headed by the same ``TreeFingerprint`` the rollback
   verifier uses.  Written atomically (tmp + rename), so a torn write
-  never replaces the last good image.
+  never replaces the last good image.  ``CheckpointImage.decode`` is
+  the only decoder, for images and deltas alike.
 * ``restore`` — rehydrates an image into a fresh ``Node``
   (boot-and-graft: boot the same server version to its deterministic
   quiesced shape, validate *everything* against the image, then overlay
   the mutable state).  A bad image raises ``ImageError`` naming the
   failing section *before* any mutation — never a partial restore.
-* ``delta``   — incremental checkpoints: after a full image, only the
-  pages written since (via ``PageTracker.pages_written_since``) plus
-  any changed fd/allocator/listener records, each stamped with a
-  sequence number and the base image id.
+* ``delta``   — incremental checkpoints: after a full image, an image
+  of only the pages written since (via
+  ``PageTracker.pages_written_since``) plus any changed fd/allocator
+  records and the listener table, each stamped with a sequence number
+  and the base image id.
 * ``standby`` — a warm standby continuously applying the delta stream
   to a restored-but-still-quiesced twin, promotable in milliseconds
   when the primary dies (``repro.fleet.failover`` drives the drills).
@@ -28,7 +30,6 @@ crash.  Four pieces:
 
 from repro.checkpoint.delta import (
     DeltaBaseline,
-    DeltaCheckpoint,
     capture_delta,
     capture_delta_locked,
     hold_quiesced,
@@ -46,7 +47,6 @@ from repro.checkpoint.standby import StandbyChannel, WarmStandby
 __all__ = [
     "CheckpointImage",
     "DeltaBaseline",
-    "DeltaCheckpoint",
     "FORMAT_VERSION",
     "StandbyChannel",
     "WarmStandby",

@@ -1,6 +1,13 @@
-"""Checkpoint image format: capture, encode/decode, durable file I/O.
+"""The checkpoint container: capture, encode/decode, durable file I/O.
 
-Layout of an encoded image (all integers little-endian)::
+There is one container and two kinds of checkpoint in it: a full image
+of a quiesced tree (this module), and a delta (``delta.py``), which is
+an image of the pages written since the last checkpoint.  Both are a
+``CheckpointImage``; only their meta differs, and each consumer checks
+the meta it reads against its own shape table (``IMAGE_SHAPE`` here,
+``delta.DELTA_SHAPE``).
+
+Layout of an encoded container (all integers little-endian)::
 
     8 bytes   magic  b"MCRIMAGE"
     4 bytes   format version (u32)
@@ -9,22 +16,26 @@ Layout of an encoded image (all integers little-endian)::
     4 bytes   CRC32 of the meta JSON
     ...       binary sections, at offsets recorded in meta["sections"]
               (relative to the end of the header), one per mapping,
-              each independently CRC'd
+              each independently CRC'd, back to back to the end
 
-Images are *sparse*: a section holds only its mapping's resident pages
+A section is named for the mapping it lands in (``section_name``: pid,
+mapping name, base) and holds runs of that mapping's pages, packed back
+to back; its record in ``meta["sections"]`` carries the ascending,
+page-aligned ``[start, stop)`` run list next to ``offset`` / ``length``
+/ ``crc32``.  An image's runs are its mapping's resident pages
 (``PageTracker.resident_runs``; a page that is not resident is all
-zero), packed back to back, and its record in ``meta["sections"]``
-carries the ascending, page-aligned ``[start, stop)`` run list next to
-``offset`` / ``length`` / ``crc32``.  Capture, encode, file I/O, decode,
-validation and graft all do work in proportion to resident bytes, never
-to mapped size.  Two sizes follow, and they answer different questions:
+zero), a delta's the pages written since the baseline.  Capture,
+encode, file I/O, decode, validation and graft all do work in
+proportion to the bytes held, never to mapped size.  Two sizes of an
+image follow, and they answer different questions:
 
 * ``total_bytes()`` — the bytes the image *describes* (the sum of its
   mapping sizes).  This is what the virtual clock is charged for
   (``SERIALIZE_BYTE_NS``, the cold-restore rehydrate) and what drills
   report as ``image_kb``: the modelled system dumps a whole tree.
 * ``stored_bytes()`` — the bytes the image *holds* and ``write_image``
-  puts on disk (plus meta): what the host pays.
+  puts on disk (plus meta): what the host pays.  A delta describes no
+  mappings; its size is always this one, its payload.
 
 ``image_id`` names the captured state, not the container: it is the
 CRC of the structural meta — everything captured except ``format``,
@@ -37,10 +48,11 @@ The meta document carries everything needed to *validate* a restore
 before mutating anything: the process tree shape (pids, names, parents,
 thread call-stack positions), mapping/fd/listener/allocator records,
 world-level counters, and the full ``TreeFingerprint`` of the source
-tree at capture time.  ``decode`` verifies magic, version, every CRC
-and every section record up front and raises ``ImageError`` naming the
-failing section — truncated, bit-flipped, ill-formed or wrong-version
-images are rejected whole, and it raises nothing else.
+tree at capture time.  ``decode`` — the only checkpoint decoder —
+verifies magic, version, every CRC and every section record up front
+and raises ``ImageError`` naming the failing section: truncated,
+extended, bit-flipped, ill-formed or wrong-version containers are
+rejected whole, and it raises nothing else.
 
 Capture quiesces the tree first (same barrier protocol as a live
 update), so the image is a transactionally consistent cut; the pause is
@@ -202,6 +214,7 @@ class CheckpointImage:
             raise ImageError("meta", "meta or its section table is not an object")
         body = memoryview(data)[meta_end + 4:]
         sections: Dict[str, Section] = {}
+        stored = 0
         for name, record in records.items():
             if not isinstance(record, dict):
                 raise ImageError(name, "section record is not an object")
@@ -217,6 +230,9 @@ class CheckpointImage:
                 raise ImageError(name, "CRC mismatch (corrupt section)")
             runs = tuple((run[0], run[1]) for run in record["runs"])
             sections[name] = Section(runs, payload)
+            stored += length
+        if stored != len(body):
+            raise ImageError("meta", f"sections hold {stored} bytes, body is {len(body)}")
         return cls(meta, sections)
 
 
@@ -240,7 +256,7 @@ def _heap_record(heap: Any) -> Dict[str, Any]:
     }
 
 
-# What ``_process_record`` writes of a process's allocator and fd state,
+# What ``state_record`` writes of a process's allocator and fd state,
 # as JSON decodes it — the part of a record a delta ships, and that a
 # restore or a delta grafts: a dict names required keys (keyed by ``str``
 # alone, an object of any keys), a tuple is a list of exactly those items,
@@ -353,6 +369,21 @@ def listener_records(net: Any) -> List[List[Any]]:
     ]
 
 
+def state_record(process: Any) -> Dict[str, Any]:
+    """A process's allocator and fd state (``RECORD_SHAPE``): what a graft overlays."""
+    fdtable = process.fdtable
+    fds = [
+        [fd, getattr(obj, "kind", "?"), bool(getattr(obj, "closed", False)),
+         getattr(obj, "refcount", None)]
+        for fd, obj in fdtable.items()
+    ]
+    return {
+        "heap": _heap_record(process.heap),
+        "fds": fds,
+        "fd_alloc": fdtable.alloc_state(),
+    }
+
+
 def _process_record(process: Any) -> Dict[str, Any]:
     threads = [
         {
@@ -376,21 +407,13 @@ def _process_record(process: Any) -> Dict[str, Any]:
         }
         for m in sorted(process.space.mappings(), key=lambda m: m.base)
     ]
-    fdtable = process.fdtable
-    fds = [
-        [fd, getattr(obj, "kind", "?"), bool(getattr(obj, "closed", False)),
-         getattr(obj, "refcount", None)]
-        for fd, obj in fdtable.items()
-    ]
     return {
         "pid": process.pid,
         "name": process.name,
         "parent_pid": process.parent.pid if process.parent is not None else None,
         "threads": threads,
         "mappings": mappings,
-        "heap": _heap_record(process.heap),
-        "fds": fds,
-        "fd_alloc": fdtable.alloc_state(),
+        **state_record(process),
     }
 
 

@@ -1,16 +1,18 @@
 """Warm standby: a restored, barrier-parked twin fed by the delta stream.
 
 ``WarmStandby`` wraps a node produced by ``restore_image`` and keeps it
-continuously up to date: each ``DeltaCheckpoint`` arriving over the
-(simulated) ``StandbyChannel`` is decoded, sequence-checked, and grafted
-into the still-quiesced tree.  Failover is ``promote()``: verify the
-standby's live ``TreeFingerprint`` against the last applied checkpoint's
-expected fingerprint, release the barrier, start serving.
+continuously up to date: each delta arriving over the (simulated)
+``StandbyChannel`` is decoded by ``CheckpointImage.decode`` (a delta is
+an image of the pages written since), sequence-checked, validated
+against the still-quiesced tree in full, and only then grafted into it.
+Failover is ``promote()``: verify the standby's live ``TreeFingerprint``
+against the last applied checkpoint's expected fingerprint, release the
+barrier, start serving.
 
 Staleness semantics (CheckSync-style bounded divergence): a corrupt,
 dropped, or out-of-order delta marks the standby *stale* — it keeps its
-last consistent state and ignores further deltas until ``apply_full``
-resyncs it from the next full image.  A stale standby can still be
+last consistent state and ignores further deltas until ``resync``
+restores it from the next full image.  A stale standby can still be
 promoted (it serves the last consistent checkpoint; the failover driver
 reports how many sequences of work that loses), but a standby whose
 fingerprint does not match its expectation can never be — that is a
@@ -20,20 +22,20 @@ last-applied delta sequence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ImageError, PromotionError
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
-from repro.mcr.faults import TreeFingerprint, fire
-from repro.checkpoint.delta import DeltaCheckpoint
+from repro.mcr.faults import fire
+from repro.checkpoint.delta import DELTA_SHAPE
 from repro.checkpoint.image import (
-    LISTENERS_SHAPE,
-    RECORD_SHAPE,
     CheckpointImage,
     check_fingerprint,
+    check_runs,
     check_shape,
+    section_name,
 )
 from repro.checkpoint.restore import (
     _validate_heap,
@@ -43,7 +45,7 @@ from repro.checkpoint.restore import (
     resume_node,
 )
 
-# Virtual-time costs of the replication channel (ns).
+# Virtual-time costs of the replication channel (ns), per payload byte.
 STREAM_BYTE_NS = 2        # serialize + ship one byte primary -> standby
 APPLY_BYTE_NS = 1         # graft one received byte into the standby
 PROMOTE_BASE_NS = 3_000_000  # barrier release + VIP flip on promotion
@@ -59,27 +61,17 @@ class StandbyChannel:
 
     def __init__(self) -> None:
         self.queue: List[bytes] = []
-        self.sent = 0
-        self.dropped = 0
-        self.bytes_sent = 0
 
-    def send(self, delta: DeltaCheckpoint, config: Optional[MCRConfig] = None) -> int:
+    def send(self, delta: CheckpointImage, config: Optional[MCRConfig] = None) -> int:
         """Queue ``delta``; returns its stream time, charged per payload byte.
 
         A streamed byte is a page byte the delta carries, not a byte of
         the container that frames it.
         """
-        blob = delta.encode()
-        try:
-            fire(config, "stream.send")
-        except BaseException:
-            self.dropped += 1
-            raise
-        self.queue.append(blob)
-        self.sent += 1
-        self.bytes_sent += delta.total_bytes()
-        obs.incr("checkpoint.stream_bytes", delta.total_bytes())
-        return delta.total_bytes() * STREAM_BYTE_NS
+        fire(config, "stream.send")
+        self.queue.append(delta.encode())
+        obs.incr("checkpoint.stream_bytes", delta.stored_bytes())
+        return delta.stored_bytes() * STREAM_BYTE_NS
 
     def drain(self) -> List[bytes]:
         blobs, self.queue = self.queue, []
@@ -131,25 +123,28 @@ class WarmStandby:
             return False
         try:
             fire(self.config, "stream.apply")
-            delta = DeltaCheckpoint.decode(blob)
+            delta = CheckpointImage.decode(blob)
+            meta = delta.meta
+            check_shape("meta", "meta", meta, DELTA_SHAPE)
             in_sequence = (
-                delta.base_image_id == self.image_id and delta.seq == self.applied_seq + 1
+                meta["base_image_id"] == self.image_id
+                and meta["seq"] == self.applied_seq + 1
             )
             # A delta that is not next is a gap, whatever else is wrong with it.
-            processes = self._validated_targets(delta) if in_sequence else {}
+            targets = self._validated_targets(delta) if in_sequence else None
         except Exception as error:  # ImageError, injected faults, ...
             return self._reject(
                 "standby.delta_rejected", error=repr(error), applied_seq=self.applied_seq
             )
-        if not in_sequence:
+        if targets is None:
             return self._reject(
-                "standby.sequence_gap", got_seq=delta.seq, want_seq=self.applied_seq + 1
+                "standby.sequence_gap", got_seq=meta["seq"], want_seq=self.applied_seq + 1
             )
-        self._graft_delta(delta, processes)
-        self.applied_seq = delta.seq
+        self._graft_delta(delta, *targets)
+        self.applied_seq = meta["seq"]
         self.expected_fingerprint = delta.fingerprint
         self.deltas_applied += 1
-        self.node.kernel.clock.advance(delta.total_bytes() * APPLY_BYTE_NS)
+        self.node.kernel.clock.advance(delta.stored_bytes() * APPLY_BYTE_NS)
         obs.incr("checkpoint.deltas_applied")
         return True
 
@@ -160,66 +155,50 @@ class WarmStandby:
         obs.emit(event, severity="warn", **fields)
         return False
 
-    def _validated_targets(self, delta: DeltaCheckpoint) -> Dict[int, Any]:
-        """The live processes by pid, once every page record and every
-        ``records`` entry of a well-formed delta is known to land in one:
-        a pid of the tree, holding heap / fds / fd_alloc of the shape an
-        image's records have (``RECORD_SHAPE``), with the heap ranges an
-        image's restore would accept; and its listeners, if any, and its
-        fingerprint shaped as an image's.
+    def _validated_targets(
+        self, delta: CheckpointImage
+    ) -> Tuple[Dict[int, Any], Dict[str, Any]]:
+        """The live processes by pid and mappings by section name, once
+        every section and ``records`` entry of a delta whose meta has
+        ``DELTA_SHAPE`` is known to land in them: each section names a
+        mapping of the tree (its pid, name and base, as the image named
+        it) and its runs end inside that mapping; each record names a
+        pid of the tree, with the heap ranges an image's restore would
+        accept; and the fingerprint is shaped as an image's.
 
-        Raises ``ImageError("delta", …)`` naming the key otherwise —
-        before the first write, so a refused delta leaves the tree as the
-        last applied checkpoint left it.
+        Raises ``ImageError`` naming the section or key otherwise —
+        before the first write, so a refused delta leaves the tree as
+        the last applied checkpoint left it.
         """
         processes = {p.pid: p for p in self.node.root.tree()}
-        for at, page in enumerate(delta.meta["pages"]):
-            where = f"pages[{at}]"
-            if not isinstance(page, dict):
-                raise ImageError("delta", f"{where} is not an object")
-            for field in ("pid", "mapping_base", "address", "offset", "length"):
-                if type(page.get(field)) is not int or page[field] < 0:
-                    raise ImageError("delta", f"missing or ill-typed {field!r} in {where}")
-            process = processes.get(page["pid"])
-            mapping = process and process.space.mapping_at(page["mapping_base"])
-            if mapping is None or mapping.base != page["mapping_base"]:
-                raise ImageError(
-                    "delta",
-                    f"{where}: no 'pid' {page['pid']} with a mapping at "
-                    f"'mapping_base' {page['mapping_base']:#x}",
-                )
-            if not (
-                mapping.base <= page["address"] <= mapping.end - page["length"]
-                and page["offset"] + page["length"] <= len(delta.pages_blob)
-            ):
-                raise ImageError(
-                    "delta",
-                    f"{where}: 'address' / 'offset' + 'length' leave mapping "
-                    f"{mapping.name} or the page payload",
-                )
+        mappings = {
+            section_name(pid, mapping.name, mapping.base): mapping
+            for pid, process in processes.items()
+            for mapping in process.space.mappings()
+        }
+        for name, (runs, payload) in delta.sections.items():
+            mapping = mappings.get(name)
+            if mapping is None:
+                raise ImageError(name, "no mapping of the standby's tree at this pid and base")
+            check_runs(name, runs, len(payload), limit=mapping.size)
         for pid_text, record in delta.meta["records"].items():
             if not (pid_text.isdecimal() and int(pid_text) in processes):
-                raise ImageError("delta", f"'records' names pid {pid_text!r}, not in the tree")
-            check_shape("delta", f"records[{pid_text!r}]", record, RECORD_SHAPE)
-            _validate_heap(processes[int(pid_text)], record, "delta")
-        if delta.meta.get("listeners") is not None:
-            check_shape("delta", "listeners", delta.meta["listeners"], LISTENERS_SHAPE)
-        check_fingerprint("delta", delta.meta["fingerprint"])
-        return processes
+                raise ImageError("meta", f"'records' names pid {pid_text!r}, not in the tree")
+            _validate_heap(processes[int(pid_text)], record, "meta")
+        check_fingerprint("meta", delta.meta["fingerprint"])
+        return processes, mappings
 
-    def _graft_delta(self, delta: DeltaCheckpoint, processes: Dict[int, Any]) -> None:
-        blob = delta.pages_blob
-        for page in delta.meta["pages"]:
-            process = processes[page["pid"]]
-            mapping = process.space.mapping_at(page["mapping_base"])
-            mapping.load(
-                page["address"] - mapping.base,
-                blob[page["offset"]:page["offset"] + page["length"]],
-            )
+    def _graft_delta(
+        self, delta: CheckpointImage, processes: Dict[int, Any], mappings: Dict[str, Any]
+    ) -> None:
+        for name, (runs, payload) in delta.sections.items():
+            mapping, cursor = mappings[name], 0
+            for start, stop in runs:
+                mapping.load(start, bytes(payload[cursor:cursor + stop - start]))
+                cursor += stop - start
         for pid_text, record in delta.meta["records"].items():
             graft_record(processes[int(pid_text)], record)
-        if delta.meta.get("listeners") is not None:
-            graft_listeners(self.node.kernel.net, delta.meta["listeners"])
+        graft_listeners(self.node.kernel.net, delta.meta["listeners"])
 
     def resync(self, image: CheckpointImage, node_id: Optional[int] = None) -> None:
         """Replace the standby's tree from a fresh full image (stale exit).

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.checkpoint import (
+    CheckpointImage,
     DeltaBaseline,
-    DeltaCheckpoint,
     StandbyChannel,
     WarmStandby,
 )
@@ -143,7 +143,7 @@ class Drill:
         site = getattr(error, "fault_site", None)
         result.fired_sites.append(site or type(error).__name__)
 
-    def _ship(self, delta: DeltaCheckpoint) -> int:
+    def _ship(self, delta: CheckpointImage) -> int:
         """Stream one delta to the peer; returns the stream's virtual cost.
 
         Only the send can fail (a ``stream.send`` death drops the delta

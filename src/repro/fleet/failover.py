@@ -185,9 +185,9 @@ class FailoverDrill(Drill):
                     result.checkpoint_failures += 1
                     self._fired(result, error)
             return
-        self.source_seq = delta.seq
+        self.source_seq = delta.meta["seq"]
         result.deltas_sent += 1
-        result.delta_bytes += delta.total_bytes()
+        result.delta_bytes += delta.stored_bytes()
         try:
             self._ship(delta)
         except Exception as error:

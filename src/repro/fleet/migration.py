@@ -183,7 +183,7 @@ class MigrationDrill(Drill):
             self._seed(result)
             return
         result.precopy_rounds += 1
-        result.precopy_bytes.append(delta.total_bytes())
+        result.precopy_bytes.append(delta.stored_bytes())
         try:
             self._ship(delta)
         except Exception as error:
@@ -201,7 +201,7 @@ class MigrationDrill(Drill):
             # a planned migration has time to repair it in place.
             self._seed(result)
             return
-        if delta.total_bytes() <= self.convergence_bytes:
+        if delta.stored_bytes() <= self.convergence_bytes:
             result.converged_precopy = True
             self.ready_to_cut = True
         elif result.precopy_rounds >= self.max_precopy_rounds:
@@ -222,7 +222,7 @@ class MigrationDrill(Drill):
                 delta = capture_delta_locked(primary, self.baseline, self.config)
                 if delta is None:
                     raise MigrationAbort("structural drift at stop-and-copy")
-                result.stopcopy_bytes = delta.total_bytes()
+                result.stopcopy_bytes = delta.stored_bytes()
                 # The copy happens with the source frozen, so its stream
                 # time is part of the brownout the clients experience.
                 primary.kernel.clock.advance(self._ship(delta))

@@ -17,9 +17,18 @@ kernel default where soft-dirty bits start set for new mappings).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 PAGE_SIZE = 4096
+
+
+def page_runs(pages: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """Coalesce ascending page numbers into ``[start, stop)`` byte offsets."""
+    first = 0
+    for i in range(1, len(pages) + 1):
+        if i == len(pages) or pages[i] != pages[i - 1] + 1:
+            yield pages[first] * PAGE_SIZE, (pages[i - 1] + 1) * PAGE_SIZE
+            first = i
 
 
 class PageTracker:
@@ -76,12 +85,7 @@ class PageTracker:
 
     def resident_runs(self) -> Iterator[Tuple[int, int]]:
         """Coalesce ``ever_written`` into ascending ``[start, stop)`` byte offsets."""
-        pages = sorted(self.ever_written)
-        first = 0
-        for i in range(1, len(pages) + 1):
-            if i == len(pages) or pages[i] != pages[i - 1] + 1:
-                yield pages[first] * PAGE_SIZE, (pages[i - 1] + 1) * PAGE_SIZE
-                first = i
+        return page_runs(sorted(self.ever_written))
 
     def note_write(self, address: int, size: int) -> int:
         """Record a write of ``size`` bytes at ``address``.

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     CheckpointImage,
     DeltaBaseline,
-    DeltaCheckpoint,
     FORMAT_VERSION,
     StandbyChannel,
     WarmStandby,
@@ -35,7 +34,8 @@ from repro.checkpoint import (
     resume_node,
     write_image,
 )
-from repro.checkpoint.image import _process_record
+from repro.checkpoint.delta import DELTA_SHAPE
+from repro.checkpoint.image import Section, section_name, state_record
 from repro.cli import main
 from repro.errors import ImageError, PromotionError
 from repro.fleet.node import Node
@@ -174,97 +174,170 @@ def test_sequence_gap_marks_standby_stale():
         _teardown(primary, None if standby is None else standby.node)
 
 
-# -- delta-format fuzzing: decode raises ImageError("delta", ...), only -----------
+# -- a delta is an image: decode names the damaged section, and only that ------
 
 
-def _delta_with_meta(delta: DeltaCheckpoint, meta_blob: bytes) -> bytes:
-    """``delta``'s page payload behind a different meta document, CRC fixed up."""
-    header = struct.pack("<8sII", b"MCRDELTA", 1, len(meta_blob))
-    return header + meta_blob + struct.pack("<I", zlib.crc32(meta_blob)) + delta.pages_blob
+def _cut_delta(primary):
+    """A full image of ``primary``, a standby restored from it, and one delta."""
+    image = checkpoint_node(primary)
+    baseline = DeltaBaseline(image)
+    standby = WarmStandby.from_image(image, node_id=1)
+    primary.serve(3)
+    primary.run_for(WARMUP_NS)
+    return image, standby, capture_delta(primary, baseline)
 
 
-def _delta_error(blob) -> str:
-    """What ``decode`` says; anything but ``ImageError`` propagates."""
-    with pytest.raises(ImageError) as excinfo:
-        DeltaCheckpoint.decode(bytes(blob))
-    assert excinfo.value.section == "delta"
-    return str(excinfo.value)
+def _delta_with(delta, meta=None, sections=None) -> bytes:
+    """``delta`` re-encoded with its meta or sections replaced: every CRC is right."""
+    return CheckpointImage(
+        delta.meta if meta is None else meta,
+        delta.sections if sections is None else sections,
+    ).encode()
+
+
+def test_delta_is_an_image_of_the_pages_written_since():
+    primary = _boot_warm("simple")
+    standby = None
+    try:
+        _image, standby, delta = _cut_delta(primary)
+        blob = delta.encode()
+        assert blob[:8] == b"MCRIMAGE" and struct.unpack_from("<I", blob, 8) == (FORMAT_VERSION,)
+        decoded = CheckpointImage.decode(blob)
+        assert {k: v for k, v in decoded.meta.items() if k != "sections"} == delta.meta
+        assert {n: (s.runs, bytes(s.payload)) for n, s in decoded.sections.items()} == {
+            n: (s.runs, bytes(s.payload)) for n, s in delta.sections.items()
+        }
+        # Each section is named as the image names the mapping it lands
+        # in, and holds exactly the pages written since the image.
+        live = {
+            section_name(p.pid, m.name, m.base): m
+            for p in primary.root.tree() for m in p.space.mappings()
+        }
+        assert delta.sections and set(delta.sections) <= set(live)
+        for name, (runs, payload) in delta.sections.items():
+            assert runs and all(start < stop for start, stop in runs)
+            assert bytes(payload) == b"".join(live[name].data[a:b] for a, b in runs)
+        assert delta.stored_bytes() == sum(b - a for s in delta.sections.values() for a, b in s.runs)
+    finally:
+        _teardown(primary, None if standby is None else standby.node)
 
 
 def test_damaged_delta_raises_nothing_but_image_error():
     primary = _boot_warm("simple")
     standby = None
     try:
-        image = checkpoint_node(primary)
-        baseline = DeltaBaseline(image)
-        standby = WarmStandby.from_image(image, node_id=1)
-        primary.serve(3)
-        primary.run_for(WARMUP_NS)
-        delta = capture_delta(primary, baseline)
+        image, standby, delta = _cut_delta(primary)
         blob = delta.encode()
-        assert delta.pages_blob and DeltaCheckpoint.decode(blob).meta == delta.meta
+        meta, body = _layout(blob)
 
-        # A meta that passes its CRC but lacks or mistypes a key a consumer
-        # reads is refused naming the key (``KeyError`` / ``TypeError`` before).
-        wrong = {"pages_length": "0", "pages_crc32": None, "pages": {}, "records": [],
-                 "seq": "1", "base_image_id": 7, "fingerprint": "none"}
-        for key, retyped in wrong.items():
-            for doctored in (
-                {k: v for k, v in delta.meta.items() if k != key},
-                {**delta.meta, key: retyped},
-                {**delta.meta, key: True},  # a bool is not a count
-            ):
-                meta_blob = json.dumps(doctored, sort_keys=True).encode()
-                assert repr(key) in _delta_error(_delta_with_meta(delta, meta_blob)), key
-        for not_an_object in (b"[]", b"null", b"7", b'"meta"'):
-            assert "not an object" in _delta_error(_delta_with_meta(delta, not_an_object))
-        assert "JSON" in _delta_error(_delta_with_meta(delta, b"{\"seq\": 1"))
-        assert "JSON" in _delta_error(_delta_with_meta(delta, b"\xff\xfe"))
-
-        # One flipped byte anywhere: header, meta, meta CRC, page payload.
-        (meta_len,) = struct.unpack_from("<I", blob, 12)
-        body = 16 + meta_len + 4
+        # One flipped byte anywhere names the region it hit, as for images.
         rng = random.Random(21)
-        regions = [range(0, 8), range(8, 12), range(12, 16), range(16, body - 4),
-                   range(body - 4, body), range(body, len(blob))]
-        assert sum(len(span) for span in regions) == len(blob)
-        for span in regions:
+        regions = [
+            ("magic", range(0, 8)),
+            ("version", range(8, 12)),
+            ("meta", range(12, body)),  # meta length, meta JSON, meta CRC
+        ]
+        for name, record in meta["sections"].items():
+            start = body + record["offset"]
+            regions.append((name, range(start, start + record["length"])))
+        assert sum(len(span) for _name, span in regions) == len(blob)
+        for expected, span in regions:
             for at in rng.sample(span, min(len(span), 24)):
-                damaged = bytearray(blob)
-                damaged[at] ^= rng.randrange(1, 256)
-                _delta_error(damaged)
+                assert _decode_error(_flipped(blob, at, rng)) == expected, f"flip at {at}"
 
-        # Truncation at each boundary +- 1 (the whole delta still decodes).
-        for boundary in (0, 8, 12, 16, body - 4, body, len(blob)):
-            for cut in (boundary - 1, boundary, boundary + 1):
-                if 0 <= cut < len(blob):
-                    _delta_error(blob[:cut])
-        _delta_error(blob + b"\x00")
+        # Truncation at each boundary +- 1, and one byte too many.
+        names = set(meta["sections"])
+        boundaries = {0, 8, 12, 16, body - 4, body, len(blob)}
+        boundaries |= {body + record["offset"] for record in meta["sections"].values()}
+        for cut in sorted({b + d for b in boundaries for d in (-1, 0, 1)}):
+            if 0 <= cut < len(blob):
+                assert _decode_error(blob[:cut]) in names | {"magic", "meta"}, f"cut at {cut}"
+        assert _decode_error(blob + b"\x00") == "meta"
 
         # ``apply`` is as it was: damage marks the standby stale, no raise.
-        no_pages = {k: v for k, v in delta.meta.items() if k != "pages"}
-        assert not standby.apply(_delta_with_meta(delta, json.dumps(no_pages).encode()))
+        assert not standby.apply(_flipped(blob, len(blob) - 1, rng))
         assert standby.stale and standby.deltas_rejected == 1
     finally:
         _teardown(primary, None if standby is None else standby.node)
 
 
-def _doctored_pages(**changed):
-    """Every page record of the delta with some fields replaced."""
-    return lambda meta: {**meta, "pages": [{**page, **changed} for page in meta["pages"]]}
+# Each ``DELTA_SHAPE`` key, retyped: with it missing or a bool instead, three
+# metas that pass their CRC and that the standby must refuse naming the key.
+RETYPED_DELTA_META = {"seq": "1", "base_image_id": 7, "captured_ns": None, "records": [],
+                      "listeners": {}, "fingerprint": "none"}
 
 
-def _last_page(**changed):
-    """One more page record, a doctored copy: the ones before it are good."""
-    def doctor(meta):
-        return {**meta, "pages": meta["pages"] + [{**meta["pages"][-1], **changed}]}
+def test_every_delta_meta_key_is_checked():
+    assert set(RETYPED_DELTA_META) == set(DELTA_SHAPE)
+
+
+@pytest.mark.parametrize("key", RETYPED_DELTA_META)
+def test_delta_meta_a_standby_cannot_read_is_refused_naming_the_key(key):
+    primary = _boot_warm("simple")
+    standby = None
+    try:
+        image, standby, delta = _cut_delta(primary)
+        before = standby.node.fingerprint()
+        for doctored in (
+            {k: v for k, v in delta.meta.items() if k != key},
+            {**delta.meta, key: RETYPED_DELTA_META[key]},
+            {**delta.meta, key: True},  # a bool is not a count
+        ):
+            fresh = WarmStandby(standby.node, image)
+            with standby.node.scope():
+                assert not fresh.apply(_delta_with(delta, meta=doctored))
+            event = [e for e in standby.node.collector.events
+                     if e.name == "standby.delta_rejected"][-1]
+            assert "'meta'" in event.payload["error"] and repr(key) in event.payload["error"]
+            assert fresh.stale and fresh.applied_seq == 0
+        assert before.diff(standby.node.fingerprint()) == []
+    finally:
+        _teardown(primary, None if standby is None else standby.node)
+
+
+def _renamed_last_section(rename):
+    """The delta plus a copy of its last section, named ``rename(pid, name, base)``."""
+    def doctor(delta, _standby):
+        last = max(delta.sections)
+        pid, rest = last[len("mem/"):].split("/", 1)
+        name, base = rest.rsplit("@", 1)
+        renamed = rename(int(pid), name, int(base, 16))
+        sections = {**delta.sections, renamed: delta.sections[last]}
+        return _delta_with(delta, sections=sections), renamed
 
     return doctor
 
 
+def _last_run_ending_at(end):
+    """The last section's last run moved to end at ``end(mapping size)``."""
+    def doctor(delta, standby):
+        last = max(delta.sections)
+        (mapping,) = [
+            m for p in standby.node.root.tree() for m in p.space.mappings()
+            if section_name(p.pid, m.name, m.base) == last
+        ]
+        runs, payload = delta.sections[last]
+        start, stop = runs[-1]
+        shift = end(mapping.size) - stop
+        moved = Section((*runs[:-1], (start + shift, stop + shift)), payload)
+        return _delta_with(delta, sections={**delta.sections, last: moved}), last
+
+    return doctor
+
+
+def _in_meta(blamed, doctor):
+    """A doctor of the delta's meta alone; the sections stay as cut."""
+    return lambda delta, standby: (_delta_with(delta, meta=doctor(delta.meta, standby)), blamed)
+
+
 def _records_for(pid_text):
     """A process record for a pid the tree does not have (never opened)."""
-    return lambda meta: {**meta, "records": {**meta["records"], pid_text: {}}}
+    return _in_meta("'records'", lambda meta, standby: {
+        **meta, "records": {**meta["records"], pid_text: _root_state(standby)}})
+
+
+def _root_state(standby):
+    return state_record(standby.node.root)
 
 
 def _unpid_fingerprint(fingerprint):
@@ -275,31 +348,27 @@ def _unpid_fingerprint(fingerprint):
     return {**fingerprint, "processes": processes}
 
 
-def _relative_to_last_page(field, of, plus):
-    """``field`` of a doctored last record set to ``of`` of the good one ``+ plus``."""
-    return lambda meta: _last_page(**{field: meta["pages"][-1][of] + plus})(meta)
-
-
+# A delta whose every CRC is right that does not land in the standby's
+# tree: each doctor returns the encoded delta and what its refusal blames.
 MISSES_THE_TREE = {
-    "unknown-pid": ("'pid'", _last_page(pid=4242)),
-    "pid-as-text": ("'pid'", _last_page(pid="100")),
-    "no-mapping-there": ("'mapping_base'", _last_page(mapping_base=0x1000)),
-    "not-a-mapping-start": (
-        "'mapping_base'", _relative_to_last_page("mapping_base", "mapping_base", PAGE_SIZE)),
-    "address-elsewhere": ("'address'", _last_page(address=0x1000)),
-    "address-before-mapping": (
-        "'address'", _relative_to_last_page("address", "mapping_base", -PAGE_SIZE)),
-    "length-past-mapping": ("'length'", _last_page(length=1 << 40)),
-    "negative-length": ("'length'", _last_page(length=-PAGE_SIZE)),
-    "offset-past-payload": (
-        "'offset'", lambda meta: _last_page(offset=meta["pages_length"])(meta)),
-    "offset-missing": ("'offset'", _doctored_pages(offset=None)),
-    "page-not-an-object": ("pages[0]", lambda meta: {**meta, "pages": [7] + meta["pages"]}),
-    "record-for-unknown-pid": ("'records'", _records_for("4242")),
-    "record-for-non-pid": ("'records'", _records_for("init")),
-    "fingerprint-empty": ("'processes'", lambda meta: {**meta, "fingerprint": {}}),
-    "fingerprint-key-not-a-pid": (
-        "'pid|name'", lambda meta: {**meta, "fingerprint": _unpid_fingerprint(meta["fingerprint"])}),
+    "unknown-pid": _renamed_last_section(lambda pid, name, base: f"mem/4242/{name}@0x{base:x}"),
+    "no-mapping-there": _renamed_last_section(lambda pid, name, base: f"mem/{pid}/{name}@0x1000"),
+    "not-a-mapping-start": _renamed_last_section(
+        lambda pid, name, base: f"mem/{pid}/{name}@0x{base + PAGE_SIZE:x}"),
+    "pid-not-a-number": _renamed_last_section(lambda pid, name, base: f"mem/init/{name}@0x{base:x}"),
+    "another-mapping-name": _renamed_last_section(
+        lambda pid, name, base: f"mem/{pid}/elsewhere@0x{base:x}"),
+    "run-a-page-past-the-mapping": _last_run_ending_at(lambda size: size + PAGE_SIZE),
+    "run-far-past-the-mapping": _last_run_ending_at(lambda size: 1 << 40),
+    "listener-closed-not-a-bool": _in_meta(
+        "'listeners'",
+        lambda meta, _s: {**meta, "listeners": [[*meta["listeners"][0][:2], 0, 1]]}),
+    "record-for-unknown-pid": _records_for("4242"),
+    "record-for-non-pid": _records_for("init"),
+    "fingerprint-empty": _in_meta("'processes'", lambda meta, _s: {**meta, "fingerprint": {}}),
+    "fingerprint-key-not-a-pid": _in_meta(
+        "'pid|name'",
+        lambda meta, _s: {**meta, "fingerprint": _unpid_fingerprint(meta["fingerprint"])}),
 }
 
 
@@ -307,8 +376,7 @@ def _root_record(doctor):
     """The standby root's own heap / fds / fd_alloc, doctored, as its ``records`` entry."""
     def doctor_meta(meta, standby):
         root = standby.node.root
-        good = {k: _process_record(root)[k] for k in ("heap", "fds", "fd_alloc")}
-        return {**meta, "records": {**meta["records"], str(root.pid): doctor(good)}}
+        return {**meta, "records": {**meta["records"], str(root.pid): doctor(_root_state(standby))}}
 
     return doctor_meta
 
@@ -342,14 +410,13 @@ BAD_RECORD_CONTENTS = {
 
 @pytest.mark.parametrize("case", MISSES_THE_TREE)
 def test_well_formed_delta_that_misses_the_tree_is_rejected_before_any_write(case):
-    blamed, doctor = MISSES_THE_TREE[case]
-    _assert_refused_before_any_write(blamed, lambda meta, _standby: doctor(meta))
+    _assert_refused_before_any_write(MISSES_THE_TREE[case])
 
 
 @pytest.mark.parametrize("case", BAD_RECORD_CONTENTS)
 def test_delta_record_an_image_restore_would_refuse_is_rejected_before_any_write(case):
     blamed, doctor = BAD_RECORD_CONTENTS[case]
-    _assert_refused_before_any_write(blamed, doctor)
+    _assert_refused_before_any_write(_in_meta(blamed, doctor))
 
 
 def _in_root(key, value):
@@ -431,25 +498,20 @@ def test_image_meta_a_restore_cannot_graft_is_refused_before_any_write(
     assert f"cannot restore {path}" in capsys.readouterr().err
 
 
-def _assert_refused_before_any_write(blamed, doctor):
+def _assert_refused_before_any_write(doctor):
     primary = _boot_warm("simple")
     standby = None
     try:
-        image = checkpoint_node(primary)
-        baseline = DeltaBaseline(image)
-        standby = WarmStandby.from_image(image, node_id=1)
-        primary.serve(3)
-        primary.run_for(WARMUP_NS)
-        delta = capture_delta(primary, baseline)
-        assert delta.meta["pages"]
+        _image, standby, delta = _cut_delta(primary)
+        assert delta.sections
         before = standby.node.fingerprint()
-        meta_blob = json.dumps(doctor(delta.meta, standby), sort_keys=True).encode()
+        blob, blamed = doctor(delta, standby)
         with standby.node.scope():
             # Decodes (the CRCs are right), is the next in sequence, and
             # points outside the standby's tree or carries a record its
             # graft cannot take: refused, not raised, and
-            # not one good record before the bad one was written.
-            assert not standby.apply(_delta_with_meta(delta, meta_blob))
+            # not one good section or record before the bad one was written.
+            assert not standby.apply(blob)
         assert standby.stale and (standby.deltas_rejected, standby.deltas_applied) == (1, 0)
         assert standby.applied_seq == 0
         (event,) = [e for e in standby.node.collector.events if e.name == "standby.delta_rejected"]

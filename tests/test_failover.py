@@ -156,7 +156,7 @@ def test_dropped_delta_gap_goes_stale_then_resync_recovers():
         # Cut a delta and drop it on the floor (never streamed): the
         # baseline advances past a sequence the standby will never see.
         dropped = capture_delta(drill.primary, drill.baseline, drill.config)
-        assert dropped is not None and dropped.seq == 1
+        assert dropped is not None and dropped.meta["seq"] == 1
         drill._cadence_tick(result)  # the next delta arrives with a gap
         standby = drill.standby
         assert standby.stale
