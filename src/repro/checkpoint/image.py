@@ -459,9 +459,10 @@ def capture_quiesced(node: Any, config: Optional[MCRConfig] = None) -> Checkpoin
         digest = stores[name].crc32(digest)
     meta["image_id"] = f"img-{digest:08x}"
     meta["format"] = FORMAT_VERSION
-    image = CheckpointImage(
-        meta, {name: Section(*mapping.packed()) for name, mapping in stores.items()}
-    )
+    image = CheckpointImage(meta, {
+        name: Section(*mapping.packed(tuple(mapping.tracker.resident_runs())))
+        for name, mapping in stores.items()
+    })
     pause_ns = image.total_bytes() * SERIALIZE_BYTE_NS
     kernel.clock.advance(pause_ns)
     obs.incr("checkpoint.images")

@@ -126,13 +126,8 @@ class Mapping:
                 cursor = stop
         return _crc32_zeros(crc, self.size - cursor)
 
-    def packed(self, runs: Optional[Runs] = None) -> Tuple[Runs, bytes]:
-        """``runs`` and their bytes, back to back (checkpoint capture).
-
-        By default the resident runs: a full image's section.
-        """
-        if runs is None:
-            runs = tuple(self.tracker.resident_runs())
+    def packed(self, runs: Runs) -> Tuple[Runs, bytes]:
+        """``runs`` and their bytes, back to back (checkpoint capture)."""
         data = self.data
         return runs, b"".join([data[start:stop] for start, stop in runs])
 

@@ -733,6 +733,11 @@ def test_doctored_section_record_names_its_section(mutate, httpd_image):
     "meta_blob,blamed",
     [
         (b"[]", "meta"),
+        (b"null", "meta"),
+        (b"7", "meta"),
+        (b'"meta"', "meta"),
+        (b'{"seq": 1', "meta"),  # not JSON
+        (b"\xff\xfe", "meta"),  # not text
         (b'{"sections": []}', "meta"),
         (b'{"sections": {"mem/1/x@0x0": 7}}', "mem/1/x@0x0"),
     ],

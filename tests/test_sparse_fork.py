@@ -134,9 +134,10 @@ def assert_image_graft_matches_dense(model: DenseModel) -> None:
     source never touched holds stale data (which the graft must zero).
     """
     space = model.space
-    captured = CheckpointImage(
-        {}, {f"{m.base:x}": Section(*m.packed()) for m in space.mappings()}
-    )
+    captured = CheckpointImage({}, {
+        f"{m.base:x}": Section(*m.packed(tuple(m.tracker.resident_runs())))
+        for m in space.mappings()
+    })
     image = CheckpointImage.decode(captured.encode())
     for stale in (False, True):
         target = AddressSpace()
