@@ -7,7 +7,8 @@ from repro.bench.ablations import (
     ablate_int64_policy,
     ablate_interior_only,
     ablate_parallel_transfer,
-    render_all,
+    render,
+    run_all,
 )
 
 
@@ -15,7 +16,7 @@ from repro.bench.ablations import (
 class TestAblations:
     def test_print_all(self):
         print()
-        print(render_all())
+        print(render(run_all()))
 
     def test_dirty_tracking_reduces_work(self):
         result = ablate_dirty_tracking("vsftpd", connections=6)

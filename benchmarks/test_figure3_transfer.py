@@ -4,12 +4,10 @@ import pytest
 
 from repro.bench.figure3 import measure_point, render, run_figure3
 
-COUNTS = (0, 5, 10, 20)
-
 
 @pytest.fixture(scope="module")
 def figure3():
-    return run_figure3(connection_counts=COUNTS)
+    return run_figure3(smoke=True)
 
 
 @pytest.mark.paper
@@ -21,11 +19,13 @@ class TestFigure3Shape:
     def test_all_points_committed(self, figure3):
         for server, points in figure3.items():
             for point in points:
-                assert point.committed, f"{server} N={point.connections}: {point.error}"
+                assert point["committed"], (
+                    f"{server} N={point['connections']}: {point['error']}"
+                )
 
     def test_transfer_time_grows_with_connections(self, figure3):
         for server, points in figure3.items():
-            times = [p.transfer_ms for p in points]
+            times = [p["transfer_ms"] for p in points]
             assert times[-1] > times[0], f"{server}: {times}"
             # Monotonic non-decreasing within measurement granularity.
             for earlier, later in zip(times, times[1:]):
@@ -35,8 +35,8 @@ class TestFigure3Shape:
         """Paper: vsftpd/OpenSSH steepest — each connection is a process."""
 
         def slope(points):
-            return (points[-1].transfer_ms - points[0].transfer_ms) / (
-                points[-1].connections - points[0].connections
+            return (points[-1]["transfer_ms"] - points[0]["transfer_ms"]) / (
+                points[-1]["connections"] - points[0]["connections"]
             )
 
         for forked in ("vsftpd", "opensshd"):
@@ -46,20 +46,20 @@ class TestFigure3Shape:
     def test_baselines_in_tens_of_ms(self, figure3):
         """Paper: 28-187 ms with no connections (we assert the decade)."""
         for server, points in figure3.items():
-            baseline = points[0].transfer_ms
+            baseline = points[0]["transfer_ms"]
             assert 5.0 < baseline < 200.0, f"{server}: {baseline}"
 
     def test_dirty_tracking_reduces_transferred_state(self, figure3):
         """Paper: 68-86% of state skipped at 100 connections."""
         for server, points in figure3.items():
-            assert points[-1].dirty_reduction > 0.40, (
-                f"{server}: {points[-1].dirty_reduction:.0%}"
+            assert points[-1]["dirty_reduction"] > 0.40, (
+                f"{server}: {points[-1]['dirty_reduction']:.0%}"
             )
 
     def test_update_stays_subsecond(self, figure3):
         for server, points in figure3.items():
             for point in points:
-                assert point.total_update_ms < 1000.0
+                assert point["total_update_ms"] < 1000.0
 
 
 def test_benchmark_transfer_with_connections(benchmark):
@@ -67,4 +67,4 @@ def test_benchmark_transfer_with_connections(benchmark):
     point = benchmark.pedantic(
         measure_point, args=("vsftpd", 10), rounds=1, iterations=1
     )
-    assert point.committed
+    assert point["committed"]

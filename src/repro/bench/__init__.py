@@ -13,9 +13,17 @@
 * ``updatetime``— update-time components: quiescence, record/replay
   (control migration), state transfer.
 
-Every harness returns plain dict/list data plus a ``render_*`` helper, so
+The repo's own experiments (``scanperf``, ``faultmatrix``, ``failover``,
+``migrate``, ``fleetroll``, ``fuzz``) sit beside them, and ``harness``
+holds what several share: the subjects, the mid-flight update recipe and
+the quiesced trace walk.
+
+Each module's run function returns plain dict/list data (choosing its own
+``smoke`` subset where it has one) and ``render(results)`` prints it, so
 the pytest benchmarks can both assert the paper's *shape* and print the
-regenerated table.
+regenerated table.  A module whose results make pass/fail claims states
+them once, in ``verdicts(results)``; ``python -m repro bench`` exits 1
+when one is false.
 """
 
 from repro.bench.harness import SERVER_BENCHES, boot_server

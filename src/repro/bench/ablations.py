@@ -18,15 +18,15 @@ what it buys:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bench.harness import boot_server
+from repro.bench.harness import boot_server, quiesced_traces
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
+from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
-from repro.mcr.tracing.graph import GraphBuilder
-from repro.mcr.tracing.invariants import apply_invariants, invariant_counts
+from repro.mcr.tracing.invariants import invariant_counts
 
 
 def _run_update(server: str, connections: int, use_dirty_filter: bool):
@@ -106,25 +106,15 @@ def ablate_int64_policy(server: str = "nginx") -> Dict[str, int]:
     for label, flag in (("on", True), ("off", False)):
         world = boot_server(server)
         world.spec.workload().run(world.kernel)
-        session = world.session
-        session.quiescence.request()
-        session.quiescence.wait(session.root_process)
-        config = MCRConfig(scan_opaque_int64=flag)
-        likely = 0
-        immutable = 0
         # Explicitly annotationless: the shipped encoded-pointer annotation
         # would otherwise decode the idiom precisely in both variants.
-        from repro.mcr.annotations import Annotations
-
-        for process in session.root_process.tree():
-            trace = apply_invariants(
-                GraphBuilder(process, config, annotations=Annotations()).build()
-            )
-            likely += len(trace.likely_pointers)
-            immutable += len(trace.immutable_objects())
-        counts[f"likely_{label}"] = likely
-        counts[f"immutable_{label}"] = immutable
-        session.quiescence.release()
+        traces = quiesced_traces(
+            world, MCRConfig(scan_opaque_int64=flag), Annotations()
+        )
+        counts[f"likely_{label}"] = sum(len(t.likely_pointers) for t in traces)
+        counts[f"immutable_{label}"] = sum(
+            len(t.immutable_objects()) for t in traces
+        )
     return counts
 
 
@@ -134,19 +124,12 @@ def ablate_interior_only(server: str = "httpd") -> Dict[str, int]:
     for label, flag in (("strict", False), ("interior_only", True)):
         world = boot_server(server)
         world.spec.workload().run(world.kernel)
-        session = world.session
-        session.quiescence.request()
-        session.quiescence.wait(session.root_process)
-        config = MCRConfig(interior_only_nonupdatable=flag)
-        nonupdatable = 0
-        for process in session.root_process.tree():
-            trace = apply_invariants(
-                GraphBuilder(process, config,
-                             annotations=world.program.annotations).build()
-            )
-            nonupdatable += invariant_counts(trace)["nonupdatable"]
-        counts[label] = nonupdatable
-        session.quiescence.release()
+        traces = quiesced_traces(
+            world,
+            MCRConfig(interior_only_nonupdatable=flag),
+            world.program.annotations,
+        )
+        counts[label] = sum(invariant_counts(t)["nonupdatable"] for t in traces)
     return counts
 
 
@@ -160,9 +143,7 @@ def run_all() -> Dict[str, Dict]:
     }
 
 
-def render_all(results: Optional[Dict[str, Dict]] = None) -> str:
-    if results is None:
-        results = run_all()
+def render(results: Dict[str, Dict]) -> str:
     dirty = results["dirty_tracking"]
     parallel = results["parallel_transfer"]
     int64 = results["int64_policy"]

@@ -18,16 +18,17 @@ Two grids:
   unhandled exception, never a lost request.
 
 Wired into the CLI as ``python -m repro bench failover [--smoke]
-[--json]``; the JSON lands in ``BENCH_failover.json`` and CI asserts
-zero lost requests on clean failover with RTO inside the budget.
+[--json]``, which exits 1 when a ``verdicts`` entry fails (zero lost
+requests, RTO inside the budget, every drill converged); the JSON lands
+in ``BENCH_failover.json``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
-from repro.bench.reporting import fmt_cell, render_table, trial_percentiles
+from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell, run_trials
+from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
 from repro.mcr.config import MCRConfig
 
@@ -41,50 +42,46 @@ SMOKE_CADENCES_MS: Tuple[int, ...] = (50,)
 TRIALS = 3
 SMOKE_TRIALS = 2
 
+BUDGET_MS = MCRConfig().downtime_budget_ns / 1e6
+
 # What a fault-drill row reports of its ``run_drill_cell`` cell.
 DRILL_ROW_KEYS: Tuple[str, ...] = (
     "server", "site", "crash", "fired", "promoted", "cold_restored",
     "primary_survived", "standby_stale", "requests_lost", "converged",
 )
 
+# The verdicts the artifact's summary also stores.
+_SUMMARY = (
+    "clean_zero_loss", "rto_all_within_budget", "all_drills_converged",
+    "drills_zero_loss",
+)
+
 
 def _sweep_row(server: str, cadence_ms: int, trials: int) -> Dict[str, Any]:
-    rto_ms: List[float] = []
-    blackout_ms: List[float] = []
-    lost = 0
-    image_kb = 0
-    delta_bytes = 0
-    deltas = 0
-    slo_ok = True
-    for trial in range(trials):
-        drill = FailoverDrill(
-            server,
-            config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
-            crash_window=3 + trial,  # vary where in the stream the crash lands
-        )
-        data = drill.run().to_dict()
-        if data["rto_ms"] is not None:
-            rto_ms.append(data["rto_ms"])
-        if data["perceived"] is not None:
-            blackout_ms.append(data["perceived"]["blackout_ms"])
-            slo_ok = slo_ok and data["perceived"]["slo_ok"]
-        lost += data["requests_lost"]
-        image_kb = max(image_kb, data["image_kb"])
-        delta_bytes += data["delta_bytes"]
-        deltas += data["deltas_sent"]
-        slo_ok = slo_ok and data["error"] is None and data["served_after"]
-    rto_p50, rto_p99 = trial_percentiles(rto_ms)
+    row, runs = run_trials(
+        (
+            FailoverDrill(
+                server,
+                config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
+                crash_window=3 + trial,  # vary where in the stream the crash lands
+            )
+            for trial in range(trials)
+        ),
+        "rto",
+    )
+    deltas = sum(run["deltas_sent"] for run in runs)
     return {
         "server": server,
         "cadence_ms": cadence_ms,
-        "trials": trials,
-        "image_kb": image_kb,
-        "delta_kb_avg": round(delta_bytes / max(deltas, 1) / 1024, 2),
-        "rto_p50_ms": rto_p50,
-        "rto_p99_ms": rto_p99,
-        "blackout_p99_ms": trial_percentiles(blackout_ms)[1],
-        "requests_lost": lost,
-        "slo_ok": slo_ok,
+        **row,
+        "delta_kb_avg": round(
+            sum(run["delta_bytes"] for run in runs) / max(deltas, 1) / 1024, 2
+        ),
+        "blackout_p99_ms": max(
+            (run["perceived"]["blackout_ms"] for run in runs
+             if run["perceived"] is not None),
+            default=None,
+        ),
     }
 
 
@@ -107,18 +104,30 @@ def run_failover(
     for site in (*grid.sites, grid.double):
         cell = run_drill_cell("failover", servers[0], site, blackbox_path)
         drills.append({key: cell.get(key) for key in DRILL_ROW_KEYS})
-    budget_ms = MCRConfig().downtime_budget_ns / 1e6
-    summary = {
-        "downtime_budget_ms": budget_ms,
+    results: Dict[str, Any] = {"sweep": sweep, "drills": drills}
+    checks = verdicts(results)
+    results["summary"] = {
+        "downtime_budget_ms": BUDGET_MS,
+        **{key: checks[key] for key in _SUMMARY},
+    }
+    return results
+
+
+def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
+    """Every sweep row lost nothing, recovered inside the downtime budget and
+    kept the client SLO; every fault drill fired, converged and lost nothing."""
+    sweep, drills = results["sweep"], results["drills"]
+    return {
         "clean_zero_loss": all(row["requests_lost"] == 0 for row in sweep),
         "rto_all_within_budget": all(
-            row["rto_p99_ms"] is not None and row["rto_p99_ms"] <= budget_ms
+            row["rto_p99_ms"] is not None and row["rto_p99_ms"] <= BUDGET_MS
             for row in sweep
         ),
+        "sweep_slo_ok": all(row["slo_ok"] for row in sweep),
+        "all_drills_fired": all(row["fired"] for row in drills),
         "all_drills_converged": all(row["converged"] for row in drills),
         "drills_zero_loss": all(row["requests_lost"] == 0 for row in drills),
     }
-    return {"sweep": sweep, "drills": drills, "summary": summary}
 
 
 def render(results: Dict[str, Any]) -> str:

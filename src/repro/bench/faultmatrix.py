@@ -36,7 +36,7 @@ cell's ``survived`` and ``old_version_intact`` booleans of that copy.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
@@ -76,11 +76,6 @@ def arm(site: Optional[str]) -> FaultPlan:
     return plan
 
 
-def cell_spec(server: str, site: str, mode: str = "whole-tree") -> Dict[str, object]:
-    """The re-executable scenario spec of one matrix cell."""
-    return default_spec(server, mode=mode, faults=arm(site).to_spec())
-
-
 def run_cell(
     server: str,
     site: str,
@@ -88,7 +83,7 @@ def run_cell(
     mode: str = "whole-tree",
     trace_path: Optional[str] = None,
 ) -> Dict[str, object]:
-    spec = cell_spec(server, site, mode)
+    spec = default_spec(server, mode=mode, faults=arm(site).to_spec())
     trace = TraceLog.record(spec) if trace_path else None
     outcome = run_scenario(
         spec,
@@ -171,21 +166,19 @@ def run_cell(
     return cell
 
 
-# Checkpoint-plane sites that leave the primary serving when they fire;
-# the rest degrade the standby and are drilled with a crash.
-_PRIMARY_CONTINUE_SITES = (
-    "checkpoint.capture",
-    "checkpoint.write",
-    "checkpoint.delta",
-)
-
 class DrillGrid(NamedTuple):
-    """One drill kind's fault grid and what its cells report."""
+    """One drill kind's fault grid, how its cells run, and what they report."""
 
     clean_label: str            # the unarmed cell's "site"
     sites: Tuple[str, ...]      # one single-fault cell each
     double: str                 # the double-fault cell
     fields: Tuple[str, ...]     # result fields a cell reports verbatim
+    drill: Callable[..., Any]   # the drill class a cell runs
+    settings: Dict[str, int]    # MCRConfig fields every cell sets
+    # Sites that leave the primary serving when they fire: a cell armed
+    # with these alone runs without a crash (None: the drill never crashes).
+    continue_sites: Optional[Tuple[str, ...]]
+    derived: Tuple[Tuple[str, Callable[[Any], object]], ...]  # cell keys read off the result
 
 
 DRILL_GRIDS = {
@@ -194,6 +187,13 @@ DRILL_GRIDS = {
         tuple(CHECKPOINT_SITES),
         "checkpoint.write+standby.promote",
         ("promoted", "cold_restored", "standby_stale", "stale_lag", "rto_ms"),
+        FailoverDrill,
+        {"checkpoint_interval_ns": 25_000_000},
+        ("checkpoint.capture", "checkpoint.write", "checkpoint.delta"),
+        (
+            ("recovered_on_standby", lambda result: result.recovered),
+            ("blackbox", lambda result: result.blackbox is not None),
+        ),
     ),
     "migration": DrillGrid(
         "clean-migrate",
@@ -201,6 +201,12 @@ DRILL_GRIDS = {
         "migrate.precopy+migrate.cutover",
         ("migrated", "aborted", "precopy_rounds", "precopy_failures",
          "reseeds", "brownout_ms"),
+        MigrationDrill,
+        {},
+        None,
+        # An aborted cutover stamps the flight recorder with the site that
+        # killed it — the post-mortem the cell must match.
+        (("blackbox_site", lambda result: (result.blackbox or {}).get("failure_site")),),
     ),
 }
 _SHARED_CELL_FIELDS = (
@@ -232,39 +238,58 @@ def run_drill_cell(
         "armed": armed,
         "raised": False,
     }
-    if kind == "failover":
-        crash = cell["crash"] = not armed or any(
-            s not in _PRIMARY_CONTINUE_SITES for s in armed
+    options = {}
+    if grid.continue_sites is not None:
+        options["crash"] = cell["crash"] = not armed or any(
+            s not in grid.continue_sites for s in armed
         )
-        config = MCRConfig(
-            faults=plan,
-            checkpoint_interval_ns=25_000_000,
-            blackbox_path=blackbox_path,
-        )
-        drill = FailoverDrill(server, config=config, crash=crash)
-    else:
-        config = MCRConfig(faults=plan, blackbox_path=blackbox_path)
-        drill = MigrationDrill(server, config=config)
+    config = MCRConfig(faults=plan, blackbox_path=blackbox_path, **grid.settings)
     try:
-        result = drill.run()
+        result = grid.drill(server, config=config, **options).run()
     except BaseException as error:  # the drill's contract says never
         cell.update(raised=True, error=repr(error), converged=False)
         return cell
     data = result.to_dict()
     cell.update({key: data[key] for key in _SHARED_CELL_FIELDS + grid.fields})
     cell.update(fired=bool(plan.injected), converged=result.converged)
-    if kind == "failover":
-        cell["recovered_on_standby"] = result.recovered
-        cell["blackbox"] = result.blackbox is not None
-    else:
-        # An aborted cutover stamps the flight recorder with the site
-        # that killed it — the post-mortem the cell must match.
-        cell["blackbox_site"] = (result.blackbox or {}).get("failure_site")
+    cell.update({key: derive(result) for key, derive in grid.derived})
     return cell
 
 
+def run_trials(
+    drills: Iterable[Any], headline: str
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Run each drill once: what every sweep row reports, and each trial's result.
+
+    ``headline`` names the drills' headline number (``rto`` /
+    ``brownout``), reported as the upper median and the worst of the
+    trials that produced one — with the two or three trials a sweep cell
+    runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when every
+    trial ended serving, without a drill error, inside its client SLO.
+    """
+    trials = [drill.run().to_dict() for drill in drills]
+    samples = sorted(
+        trial[f"{headline}_ms"] for trial in trials
+        if trial[f"{headline}_ms"] is not None
+    )
+    row = {
+        "trials": len(trials),
+        "image_kb": max(trial["image_kb"] for trial in trials),
+        f"{headline}_p50_ms": samples[len(samples) // 2] if samples else None,
+        f"{headline}_p99_ms": samples[-1] if samples else None,
+        "requests_lost": sum(trial["requests_lost"] for trial in trials),
+        "slo_ok": all(
+            trial["error"] is None
+            and trial["served_after"]
+            and (trial["perceived"] is None or trial["perceived"]["slo_ok"])
+            for trial in trials
+        ),
+    }
+    return row, trials
+
+
 def run_drill_cells(
-    kind: str, server: str, blackbox_path: Optional[str] = None
+    kind: str, server: str, blackbox_path: Optional[str]
 ) -> List[Dict[str, object]]:
     """One drill grid: the clean run + every plane site + the double fault."""
     grid = DRILL_GRIDS[kind]
@@ -275,74 +300,38 @@ def run_drill_cells(
 
 
 def run_faultmatrix(
-    servers: Optional[Sequence[str]] = None,
-    smoke: bool = False,
-    blackbox_path: Optional[str] = None,
+    smoke: bool = False, blackbox_path: Optional[str] = None
 ) -> Dict[str, object]:
-    names = tuple(servers) if servers else (SMOKE_SERVERS if smoke else FULL_SERVERS)
-    cells: List[Dict[str, object]] = []
-    # Every cell records a trace alongside its black box: the pair that
-    # survives the run (both only written on a failed update) is what
-    # ``python -m repro replay <blackbox> --to-failure`` re-executes.
-    trace_path = (
-        blackbox_path.replace(".json", ".trace.json") if blackbox_path else None
-    )
-    # The update grid covers the live-update pipeline sites only; the
-    # checkpoint/standby sites never fire during an update (they belong
-    # to the failover drills below).
-    for server in names:
-        for site in UPDATE_SITES:
-            cells.append(
-                run_cell(
-                    server, site, blackbox_path=blackbox_path, trace_path=trace_path
-                )
-            )
-    # The rolling rows: the same safety property must hold when the update
-    # hands workers off one batch at a time — each fault still ends in
-    # exactly one of {committed, rolled back}, with the rollback verified
-    # batch-by-batch against the scoped fingerprints.
+    names = SMOKE_SERVERS if smoke else FULL_SERVERS
     rolling_names = ROLLING_SMOKE_SERVERS if smoke else ROLLING_FULL_SERVERS
-    for server in rolling_names:
-        for site in UPDATE_SITES:
-            cells.append(
-                run_cell(
-                    server,
-                    site,
-                    blackbox_path=blackbox_path,
-                    mode="rolling",
-                    trace_path=trace_path,
-                )
-            )
-    # The failover grid: one crash drill per checkpoint-plane site (plus
-    # the clean-crash and torn-image double-fault rows), each required to
-    # converge on exactly one of {standby recovered, primary continued}.
-    # Failed restores/promotions dump their own post-mortem file so the
-    # update grid's blackbox.json (asserted by CI to name the last
-    # update-cell fault) is never clobbered.
-    failover_blackbox = (
-        blackbox_path.replace(".json", "_failover.json")
-        if blackbox_path
-        else None
-    )
-    failover_cells = run_drill_cells(
-        "failover", names[0], blackbox_path=failover_blackbox
-    )
-    # The migration grid: a planned-migration drill per migration-plane
-    # site (clean + each site + the double fault), each required to end
-    # migrated XOR primary-kept-serving, never both dead.
-    migration_blackbox = (
-        blackbox_path.replace(".json", "_migration.json")
-        if blackbox_path
-        else None
-    )
-    migration_cells = run_drill_cells(
-        "migration", names[0], blackbox_path=migration_blackbox
-    )
-    # Every rolled-back cell must have produced a black box whose last
-    # injected fault matches the site the cell armed and fired.
-    rolled_back = [c for c in cells if c["rolled_back"]]
-    rolling_cells = [c for c in cells if c["mode"] == "rolling"]
-    return {
+
+    def beside(suffix: str) -> Optional[str]:
+        return blackbox_path.replace(".json", suffix) if blackbox_path else None
+
+    # The update grid covers the live-update pipeline sites only (the
+    # checkpoint/standby sites belong to the failover drills below).  Its
+    # rolling rows hold the same safety property when the update hands
+    # workers off one batch at a time: each fault still ends in exactly one
+    # of {committed, rolled back}, the rollback verified batch by batch
+    # against the scoped fingerprints.  Every cell records a trace beside
+    # its black box: the pair that survives the run (both only written on
+    # a failed update) is what ``python -m repro replay <blackbox>
+    # --to-failure`` re-executes.
+    cells = [
+        run_cell(server, site, blackbox_path=blackbox_path, mode=mode,
+                 trace_path=beside(".trace.json"))
+        for mode, servers in (("whole-tree", names), ("rolling", rolling_names))
+        for server in servers
+        for site in UPDATE_SITES
+    ]
+    # The drill grids (clean run + each plane site + the double fault) must
+    # each converge: standby recovered XOR primary continued; migrated XOR
+    # primary kept serving.  Their post-mortems go to files of their own so
+    # the update grid's black box (which names the last update-cell fault)
+    # is never clobbered.
+    failover_cells = run_drill_cells("failover", names[0], beside("_failover.json"))
+    migration_cells = run_drill_cells("migration", names[0], beside("_migration.json"))
+    results = {
         "servers": list(names),
         "rolling_servers": list(rolling_names),
         "sites": list(UPDATE_SITES),
@@ -351,21 +340,45 @@ def run_faultmatrix(
         "smoke": smoke,
         "cells": cells,
         "failover_cells": failover_cells,
-        "failover_all_converged": all(c["converged"] for c in failover_cells),
         "failover_any_raised": any(c["raised"] for c in failover_cells),
         "migration_cells": migration_cells,
-        "migration_all_converged": all(c["converged"] for c in migration_cells),
         "migration_any_raised": any(c["raised"] for c in migration_cells),
         "cells_total": len(cells),
         "cells_fired": sum(1 for c in cells if c["fired"]),
-        "rolling_cells": len(rolling_cells),
-        "rolling_all_survived": all(c["survived"] for c in rolling_cells),
+        "rolling_cells": sum(1 for c in cells if c["mode"] == "rolling"),
+        "any_raised": any(c["raised"] for c in cells),
+    }
+    checks = verdicts(results)
+    results.update({key: checks[key] for key in _STORED_VERDICTS})
+    return results
+
+
+# The verdicts the artifact also stores, under the same names.
+_STORED_VERDICTS = (
+    "all_survived", "all_old_version_intact", "rolling_all_survived",
+    "all_blackbox_match", "failover_all_converged", "migration_all_converged",
+)
+
+
+def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
+    """Every update cell survived with the old version intact (rolling rows
+    included) and left a black box naming its site when it rolled back;
+    every drill converged; nothing raised."""
+    cells = results["cells"]
+    drills = results["failover_cells"] + results["migration_cells"]
+    rolling = [c for c in cells if c["mode"] == "rolling"]
+    return {
         "all_survived": all(c["survived"] for c in cells),
         "all_old_version_intact": all(c["old_version_intact"] for c in cells),
-        "any_raised": any(c["raised"] for c in cells),
+        "rolling_all_survived": bool(rolling) and all(c["survived"] for c in rolling),
+        # Every rolled-back cell must have produced a black box whose last
+        # injected fault matches the site the cell armed and fired.
         "all_blackbox_match": all(
-            c["blackbox_matches_site"] is True for c in rolled_back
+            c["blackbox_matches_site"] is True for c in cells if c["rolled_back"]
         ),
+        "failover_all_converged": all(c["converged"] for c in results["failover_cells"]),
+        "migration_all_converged": all(c["converged"] for c in results["migration_cells"]),
+        "none_raised": not any(c["raised"] for c in cells + drills),
     }
 
 
@@ -393,13 +406,13 @@ def render(results: Dict[str, object]) -> str:
     summary = (
         f"{results['cells_total']} cells "
         f"({len(results['servers'])} servers x {len(results['sites'])} sites, "
-        f"+{results.get('rolling_cells', 0)} rolling), "
+        f"+{results['rolling_cells']} rolling), "
         f"{results['cells_fired']} faults fired, "
         f"all_survived={results['all_survived']}, "
-        f"rolling_all_survived={results.get('rolling_all_survived')}, "
+        f"rolling_all_survived={results['rolling_all_survived']}, "
         f"all_old_version_intact={results['all_old_version_intact']}, "
         f"any_raised={results['any_raised']}, "
-        f"all_blackbox_match={results.get('all_blackbox_match')}"
+        f"all_blackbox_match={results['all_blackbox_match']}"
     )
     failover_rows = [
         [

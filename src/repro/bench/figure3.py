@@ -13,48 +13,30 @@ tracking keeps the transferred fraction of traced bytes low.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.bench.harness import boot_server
+from repro.bench.harness import PRIMARY_SERVERS, boot_server
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
 from repro.mcr.ctl import McrCtl
 
-# The paper's x-axis is 0..100; the simulator's default is scaled down
-# (per-connection-process servers fork one process per held connection).
-DEFAULT_CONNECTIONS = (0, 5, 10, 20, 40)
-
-PAPER_NOTES = {
-    "baseline_ms": (28, 187),       # transfer time range with 0 connections
-    "avg_increase_ms_at_100": 371,  # average growth at 100 connections
-    "dirty_reduction": (0.68, 0.86),
-}
+# The paper's x-axis is 0..100; the simulator's is scaled down (each held
+# FTP/SSH connection forks a simulated process).  The full run is the
+# table EXPERIMENTS.md documents; --smoke and benchmarks/ stop at 20.
+CONNECTIONS = (0, 5, 10, 20, 40)
+SMOKE_CONNECTIONS = (0, 5, 10, 20)
 
 
-class Figure3Point:
-    def __init__(self, server: str, connections: int) -> None:
-        self.server = server
-        self.connections = connections
-        self.transfer_ms = 0.0
-        self.total_update_ms = 0.0
-        self.dirty_reduction = 0.0
-        self.committed = False
-        self.error: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "server": self.server,
-            "connections": self.connections,
-            "transfer_ms": self.transfer_ms,
-            "total_update_ms": self.total_update_ms,
-            "dirty_reduction": self.dirty_reduction,
-            "committed": self.committed,
-            "error": self.error,
-        }
-
-
-def measure_point(server: str, connections: int, to_version: int = 2) -> Figure3Point:
-    point = Figure3Point(server, connections)
+def measure_point(server: str, connections: int) -> Dict[str, object]:
+    point: Dict[str, object] = {
+        "server": server,
+        "connections": connections,
+        "transfer_ms": 0.0,
+        "total_update_ms": 0.0,
+        "dirty_reduction": 0.0,
+        "committed": False,
+        "error": None,
+    }
     world = boot_server(server)
     # Populate some post-startup state first (the paper measures "after
     # completing the execution of our benchmarks").
@@ -64,42 +46,40 @@ def measure_point(server: str, connections: int, to_version: int = 2) -> Figure3
         holder = world.hold(connections)
         holder.establish(world.kernel, max_steps=20_000_000)
         if holder.errors:
-            point.error = f"{holder.errors} connections failed to establish"
+            point["error"] = f"{holder.errors} connections failed to establish"
             return point
     ctl = McrCtl(world.kernel, world.session)
-    result = ctl.live_update(world.make_program(to_version))
-    point.committed = result.committed
+    result = ctl.live_update(world.make_program(2))
+    point["committed"] = result.committed
     if not result.committed:
-        point.error = str(result.error)
+        point["error"] = str(result.error)
         return point
-    point.transfer_ms = ns_to_ms(result.transfer_ns)
-    point.total_update_ms = result.total_ms()
+    point["transfer_ms"] = ns_to_ms(result.transfer_ns)
+    point["total_update_ms"] = result.total_ms()
     if result.transfer_report is not None:
-        point.dirty_reduction = result.transfer_report.aggregate_reduction()
+        point["dirty_reduction"] = result.transfer_report.aggregate_reduction()
     if holder is not None:
         holder.finish(world.kernel)
     return point
 
 
-def run_figure3(
-    servers: Sequence[str] = ("httpd", "nginx", "vsftpd", "opensshd"),
-    connection_counts: Sequence[int] = DEFAULT_CONNECTIONS,
-) -> Dict[str, List[Figure3Point]]:
+def run_figure3(smoke: bool = False) -> Dict[str, List[Dict[str, object]]]:
+    counts = SMOKE_CONNECTIONS if smoke else CONNECTIONS
     return {
-        server: [measure_point(server, n) for n in connection_counts]
-        for server in servers
+        server: [measure_point(server, n) for n in counts]
+        for server in PRIMARY_SERVERS
     }
 
 
-def render(results: Dict[str, List[Figure3Point]]) -> str:
-    counts = [p.connections for p in next(iter(results.values()))]
+def render(results: Dict[str, List[Dict[str, object]]]) -> str:
+    counts = [p["connections"] for p in next(iter(results.values()))]
     headers = ["server"] + [f"N={n}" for n in counts] + ["reduction@max"]
     rows = []
     for server, points in results.items():
         row = [server]
         for point in points:
-            row.append(f"{point.transfer_ms:.1f}ms" if point.committed else "FAIL")
-        row.append(f"{points[-1].dirty_reduction:.0%}")
+            row.append(f"{point['transfer_ms']:.1f}ms" if point["committed"] else "FAIL")
+        row.append(f"{points[-1]['dirty_reduction']:.0%}")
         rows.append(row)
     return render_table(
         "Figure 3: state transfer time vs open connections",

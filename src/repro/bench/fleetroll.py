@@ -22,9 +22,9 @@ collector) and drives SLO-gated canary → wave rollouts across it:
   ``TreeFingerprint`` stayed byte-identical.
 
 Wired into the CLI as ``python -m repro bench fleetroll [--smoke]
-[--json]``; the JSON lands in ``BENCH_fleetroll.json`` and CI asserts
-the clean rollout rows lost zero requests and every fault row ended
-uniform.
+[--json]``, which exits 1 when a ``verdicts`` entry fails (a clean
+rollout lost a request, a fault row did not fire or end uniform in the
+outcome its policy promises); the JSON lands in ``BENCH_fleetroll.json``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ FAULT_SITES = [
     "commit.prepare",
 ]
 SMOKE_FAULT_SITES = ["transfer.memory"]
-POLICIES = ("revert", "converge")
+# Fleet policy -> the rollout outcome a mid-wave fault must end in.
+POLICY_OUTCOMES = {"revert": "reverted", "converge": "updated"}
 
 
 def _clean_rollout_row(
@@ -193,23 +194,47 @@ def run_fleetroll(smoke: bool = False) -> Dict[str, object]:
     faults = [
         _fault_row(site, policy, fault_nodes, fault_nodes)
         for site in sites
-        for policy in POLICIES
+        for policy in POLICY_OUTCOMES
     ]
-    isolation = _isolation_row()
-    budget_ms = ns_to_ms(MCRConfig().downtime_budget_ns)
-    return {
+    results: Dict[str, object] = {
         "fleet_size": nodes,
-        "downtime_budget_ms": budget_ms,
+        "downtime_budget_ms": ns_to_ms(MCRConfig().downtime_budget_ns),
         "waves": waves,
         "faults": faults,
-        "isolation": isolation,
-        # Headline invariants, asserted by CI off the JSON artifact.
+        "isolation": _isolation_row(),
+    }
+    checks = verdicts(results)
+    results.update({key: checks[key] for key in _STORED_VERDICTS})
+    return results
+
+
+# The verdicts the artifact also stores, under the same names.
+_STORED_VERDICTS = (
+    "clean_zero_loss", "clean_slo_ok", "all_clean_uniform",
+    "all_fault_uniform", "isolation_ok",
+)
+
+
+def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
+    """Clean rollouts lose nothing, end uniform and keep every node's blackout
+    p99 inside the budget; every fault row fires and ends uniform, in the
+    outcome its policy promises, on probed servers; bystanders stay
+    byte-identical."""
+    waves, faults = results["waves"], results["faults"]
+    isolation = results["isolation"]
+    return {
         "clean_zero_loss": all(row["requests_lost"] == 0 for row in waves),
         "clean_slo_ok": all(
-            row["node_blackout_p99_ms"] <= budget_ms for row in waves
+            row["node_blackout_p99_ms"] <= results["downtime_budget_ms"]
+            for row in waves
         ),
         "all_clean_uniform": all(row["uniform"] for row in waves),
         "all_fault_uniform": all(row["uniform"] for row in faults),
+        "faults_fired": all(row["fired"] for row in faults),
+        "faults_end_as_policy": all(
+            row["outcome"] == POLICY_OUTCOMES[row["policy"]] for row in faults
+        ),
+        "faults_served_uniform": all(row["served_uniform"] for row in faults),
         "isolation_ok": isolation["bystanders_identical"]
         and isolation["updated_changed"],
     }

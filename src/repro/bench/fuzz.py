@@ -24,7 +24,8 @@ trace so ``python -m repro replay`` reproduces it from the artifact
 alone.
 
 Wired into the CLI as ``python -m repro bench fuzz [--smoke] [--seed N]
-[--json]``; CI runs the smoke soak and uploads any minimized failure.
+[--json]``, which exits 1 when a ``verdicts`` entry fails; CI runs the
+smoke soak and uploads any minimized failure.
 """
 
 from __future__ import annotations
@@ -345,13 +346,23 @@ def run_fuzz(
                 "trace": f"{artifact_prefix}_minimal_{index}.trace.json",
             }
         )
-    return {
+    results = {
         "smoke": smoke,
         "seed": seed,
         "iterations": count,
         "runs": runs,
         "failures": failures,
-        "all_ok": not failures,
+    }
+    results["all_ok"] = verdicts(results)["all_ok"]
+    return results
+
+
+def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
+    """The soak ran, and every scenario held every invariant and replayed
+    bit-identically."""
+    return {
+        "ran": bool(results["runs"]),
+        "all_ok": all(row["ok"] for row in results["runs"]),
     }
 
 

@@ -20,16 +20,18 @@ Three grids:
   Every cell converges: migrated XOR primary-kept-serving.
 
 Wired into the CLI as ``python -m repro bench migrate [--smoke]
-[--json]``; the JSON lands in ``BENCH_migrate.json`` and CI asserts zero
-lost requests with the brownout inside the downtime budget.
+[--json]``, which exits 1 when a ``verdicts`` entry fails (zero lost
+requests, the brownout inside the downtime budget and comparable to the
+crash RTO, every drill converged); the JSON lands in
+``BENCH_migrate.json``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.bench.faultmatrix import run_drill_cell
-from repro.bench.reporting import fmt_cell, render_table, trial_percentiles
+from repro.bench.faultmatrix import run_drill_cell, run_trials
+from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
@@ -48,6 +50,8 @@ SMOKE_THRESHOLD_BYTES: Tuple[int, ...] = (4096,)
 TRIALS = 2
 SMOKE_TRIALS = 1
 
+BUDGET_MS = MCRConfig().downtime_budget_ns / 1e6
+
 # "At most comparable": the planned brownout may not exceed this many
 # multiples of the measured crash RTO.  The two decompose differently:
 # brownout = quiescence wait (bounded by the longest thread sleep
@@ -58,73 +62,63 @@ SMOKE_TRIALS = 1
 # whole-tree live-update blackout ``bench updatetime`` measures.
 COMPARABLE_FACTOR = 3.0
 
+# The verdicts the artifact's summary also stores.
+_SUMMARY = (
+    "clean_zero_loss", "all_migrated", "brownout_within_budget",
+    "brownout_at_most_comparable", "all_drills_converged", "drills_zero_loss",
+)
+
 
 def _sweep_row(
     server: str, cadence_ms: int, threshold: int, trials: int
 ) -> Dict[str, Any]:
-    brownout_ms: List[float] = []
-    lost = 0
-    rounds = 0
-    reseeds = 0
-    precopy_kb = 0
-    stopcopy_bytes = 0
-    image_kb = 0
-    migrated = True
-    converged = True
-    slo_ok = True
-    for _trial in range(trials):
-        drill = MigrationDrill(
-            server,
-            precopy_interval_ns=cadence_ms * 1_000_000,
-            convergence_bytes=threshold,
-        )
-        data = drill.run().to_dict()
-        migrated = migrated and data["migrated"] and data["error"] is None
-        converged = converged and (
-            data["converged_precopy"] or threshold == 0
-        )
-        if data["brownout_ms"] is not None:
-            brownout_ms.append(data["brownout_ms"])
-        if data["perceived"] is not None:
-            slo_ok = slo_ok and data["perceived"]["slo_ok"]
-        lost += data["requests_lost"]
-        rounds += data["precopy_rounds"]
-        reseeds += data["reseeds"]
-        precopy_kb += data["precopy_kb_total"]
-        stopcopy_bytes = max(stopcopy_bytes, data["stopcopy_bytes"] or 0)
-        image_kb = max(image_kb, data["image_kb"])
-    brownout_p50, brownout_p99 = trial_percentiles(brownout_ms)
+    row, runs = run_trials(
+        (
+            MigrationDrill(
+                server,
+                precopy_interval_ns=cadence_ms * 1_000_000,
+                convergence_bytes=threshold,
+            )
+            for _trial in range(trials)
+        ),
+        "brownout",
+    )
     return {
         "server": server,
         "cadence_ms": cadence_ms,
         "threshold_bytes": threshold,
-        "trials": trials,
-        "migrated": migrated,
-        "converged_precopy": converged,
-        "rounds_avg": round(rounds / trials, 1),
-        "reseeds": reseeds,
-        "image_kb": image_kb,
-        "precopy_kb_avg": round(precopy_kb / trials, 1),
-        "stopcopy_kb": round(stopcopy_bytes / 1024, 2),
-        "brownout_p50_ms": brownout_p50,
-        "brownout_p99_ms": brownout_p99,
-        "requests_lost": lost,
-        "slo_ok": slo_ok,
+        **row,
+        "migrated": all(run["migrated"] and run["error"] is None for run in runs),
+        "converged_precopy": threshold == 0
+        or all(run["converged_precopy"] for run in runs),
+        "rounds_avg": round(sum(run["precopy_rounds"] for run in runs) / trials, 1),
+        "reseeds": sum(run["reseeds"] for run in runs),
+        "precopy_kb_avg": round(
+            sum(run["precopy_kb_total"] for run in runs) / trials, 1
+        ),
+        "stopcopy_kb": round(
+            max(run["stopcopy_bytes"] or 0 for run in runs) / 1024, 2
+        ),
     }
 
 
 def _head_to_head(server: str, cadence_ms: int) -> Dict[str, Any]:
     """Planned brownout vs crash RTO under the same cadence and stream."""
-    migrate = MigrationDrill(
-        server,
-        precopy_interval_ns=cadence_ms * 1_000_000,
-    ).run().to_dict()
-    failover = FailoverDrill(
-        server,
-        config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
-    ).run().to_dict()
-    brownout = migrate["brownout_ms"]
-    rto = failover["rto_ms"]
+    migrate, _runs = run_trials(
+        [MigrationDrill(server, precopy_interval_ns=cadence_ms * 1_000_000)],
+        "brownout",
+    )
+    failover, _runs = run_trials(
+        [
+            FailoverDrill(
+                server,
+                config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
+            )
+        ],
+        "rto",
+    )
+    brownout = migrate["brownout_p50_ms"]
+    rto = failover["rto_p50_ms"]
     return {
         "server": server,
         "cadence_ms": cadence_ms,
@@ -161,27 +155,38 @@ def run_migrate(
         run_drill_cell("migration", servers[0], site, blackbox_path)
         for site in MIGRATION_SITES
     ]
-    budget_ms = MCRConfig().downtime_budget_ns / 1e6
-    summary = {
-        "downtime_budget_ms": budget_ms,
+    results: Dict[str, Any] = {
+        "sweep": sweep,
+        "head_to_head": head_to_head,
+        "drills": drills,
+    }
+    checks = verdicts(results)
+    results["summary"] = {
+        "downtime_budget_ms": BUDGET_MS,
+        **{key: checks[key] for key in _SUMMARY},
+    }
+    return results
+
+
+def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
+    """Every sweep row migrated, lost nothing and kept its brownout inside the
+    budget and the client SLO; each brownout is at most comparable to the
+    crash RTO; every fault drill fired, converged and lost nothing."""
+    sweep, drills = results["sweep"], results["drills"]
+    return {
         "clean_zero_loss": all(row["requests_lost"] == 0 for row in sweep),
         "all_migrated": all(row["migrated"] for row in sweep),
         "brownout_within_budget": all(
             row["brownout_p99_ms"] is not None
-            and row["brownout_p99_ms"] <= budget_ms
+            and row["brownout_p99_ms"] <= BUDGET_MS
             for row in sweep
         ),
-        "brownout_at_most_comparable": all(
-            row["comparable"] for row in head_to_head
-        ),
+        "sweep_slo_ok": all(row["slo_ok"] for row in sweep),
+        "brownout_at_most_comparable": bool(results["head_to_head"])
+        and all(row["comparable"] for row in results["head_to_head"]),
+        "all_drills_fired": all(row["fired"] for row in drills),
         "all_drills_converged": all(row["converged"] for row in drills),
         "drills_zero_loss": all(row["requests_lost"] == 0 for row in drills),
-    }
-    return {
-        "sweep": sweep,
-        "head_to_head": head_to_head,
-        "drills": drills,
-        "summary": summary,
     }
 
 

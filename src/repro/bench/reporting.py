@@ -9,7 +9,7 @@ per benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.clock import fmt_value as _fmt
 from repro.obs.metrics import Histogram
@@ -64,26 +64,6 @@ def render_table(
         lines.append("")
         lines.append(note)
     return "\n".join(lines)
-
-
-def paper_vs_measured(paper: Dict[str, Any], measured: Dict[str, Any]) -> List[List[Any]]:
-    """Side-by-side rows for EXPERIMENTS.md-style comparisons."""
-    keys = sorted(set(paper) | set(measured))
-    return [[k, paper.get(k, "-"), measured.get(k, "-")] for k in keys]
-
-
-def trial_percentiles(
-    samples_ms: Sequence[float],
-) -> Tuple[Optional[float], Optional[float]]:
-    """``(p50, p99)`` of a handful of drill trials: upper median and worst.
-
-    With the two or three trials a sweep cell runs, nearest-rank p99 *is*
-    the maximum; ``(None, None)`` when no trial produced the number.
-    """
-    ordered = sorted(samples_ms)
-    if not ordered:
-        return None, None
-    return ordered[len(ordered) // 2], ordered[-1]
 
 
 def latency_summary_ms(

@@ -15,14 +15,17 @@ Three views of the one scan engine:
   likely pointers), which are checked against ``UPDATE_SPEC`` — how fast
   the host sweeps memory may change, what the simulation measures may
   not.
-* **Scaling curve** — worker count vs sweep throughput, rolling
-  ``run_update`` wall time and memory (simulated mapped/resident bytes,
-  host ``ru_maxrss``) on scaled-up httpd prefork trees (8 .. 1000
-  server processes).
+* **Scaling curve** — worker count vs sweep throughput, mid-flight
+  rolling ``run_update`` wall time, the clients' blackout and SLO
+  verdict, and memory (simulated mapped/resident bytes, host
+  ``ru_maxrss``) on scaled-up httpd prefork trees (8 .. 1000 server
+  processes; ``--smoke`` stops at 64).  It is the one owner of the
+  prefork-at-scale numbers.
 
-Wired into the CLI as ``python -m repro bench scanperf [--json]``; the
-JSON lands in ``BENCH_scanperf.json`` and is uploaded as a CI artifact so
-the perf trajectory is tracked PR over PR.
+Wired into the CLI as ``python -m repro bench scanperf [--smoke]
+[--json]``, which exits 1 when a ``verdicts`` entry fails; the JSON lands
+in ``BENCH_scanperf.json`` and is uploaded as a CI artifact so the perf
+trajectory is tracked PR over PR.
 """
 
 from __future__ import annotations
@@ -32,19 +35,23 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
-from repro.bench.harness import boot_server
+from repro.bench.harness import boot_server, update_midflight
 from repro.bench.reporting import fmt_cell, render_table
+from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.tracing import conservative
 from repro.mcr.tracing.graph import AddressResolver, snapshot_index
 from repro.replay.rng import RngStream
 from repro.types.descriptors import WORD_SIZE
+from repro.workloads.ab import ApacheBench
 
 # Prefork pool sizes swept by the scaling curve; --smoke trims the sweep
 # so CI stays fast while the committed artifact covers the full range.
 SCALING_WORKER_COUNTS = (8, 64, 256, 1000)
 SMOKE_WORKER_COUNTS = (8, 64)
+# Responses completed before each point's update fires.
+WARM_RESPONSES = 8
 
 # The simulated results of one whole-tree update per server:
 # (virtual_total_ms, words_scanned, likely_pointers).
@@ -181,29 +188,25 @@ def _measure_update(name: str) -> Dict[str, object]:
         ),
         "traces_reused": collector.counters.snapshot().get("trace.memo_hits", 0),
     }
-    if name in UPDATE_SPEC:
-        row["matches_spec"] = UPDATE_SPEC[name] == (
-            row["virtual_total_ms"], row["words_scanned"], row["likely_pointers"]
-        )
+    row["matches_spec"] = UPDATE_SPEC[name] == (
+        row["virtual_total_ms"], row["words_scanned"], row["likely_pointers"]
+    )
     return row
 
 
-def run_scaling_curve(
-    worker_counts: Sequence[int] = SCALING_WORKER_COUNTS,
-    warm_responses: int = 8,
-) -> List[Dict[str, object]]:
+def run_scaling_curve(worker_counts: Sequence[int]) -> List[Dict[str, object]]:
     """Sweep throughput and rolling-update wall time vs prefork pool size.
 
-    Boots httpd with ``server_processes`` overridden per point, serves a
-    few keep-alive requests, then rolls the whole pool through one
-    rolling ``run_update`` (batch = a quarter of the pool).  The client
-    reconnect stall is 100 ms: at 1000 workers a connection event wakes
-    the whole epoll herd and each woken quiescent-point entry advances
-    the global virtual clock, so per-request latency genuinely grows
-    with the pool — an aggressive few-ms stall would starve itself.
+    Boots httpd with ``server_processes`` overridden per point, then
+    updates the whole pool mid-flight through one rolling ``run_update``
+    (batch = a quarter of the pool) under a keep-alive AB workload, and
+    drains it.  The client reconnect stall is 100 ms: at 1000 workers a
+    connection event wakes the whole epoll herd and each woken
+    quiescent-point entry advances the global virtual clock, so
+    per-request latency genuinely grows with the pool — an aggressive
+    few-ms stall would starve itself.
     """
     from repro.servers import httpd
-    from repro.workloads.ab import ApacheBench
 
     rows: List[Dict[str, object]] = []
     for workers in worker_counts:
@@ -213,7 +216,7 @@ def run_scaling_curve(
         start = time.perf_counter()
         world = boot_server("httpd", make_program=factory)
         boot_s = time.perf_counter() - start
-        kernel, process = world.kernel, world.root
+        process = world.root
         processes = len(process.tree())
         _seed_pointer_field(process)
         targets = _scan_targets(process)
@@ -230,24 +233,18 @@ def run_scaling_curve(
 
         words = sweep()
         sweep_s = min(_timed(sweep) for _ in range(2))
-        workload = ApacheBench(
-            world.port, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
-        )
-        workload(kernel)
-        kernel.run(
-            until=lambda: workload.latency.count >= warm_responses,
-            max_steps=4_000_000,
-        )
-        ctl = McrCtl(kernel, world.session)
-        config = MCRConfig(
-            update_mode="rolling", rolling_batch=max(1, workers // 4)
-        )
         spaces = [p.space for p in process.tree()]
         mapped = sum(space.mapped_bytes() for space in spaces)
         resident = sum(space.resident_bytes() for space in spaces)
-        start = time.perf_counter()
-        result = ctl.live_update(world.make_program(2), config=config)
-        update_s = time.perf_counter() - start
+        workload = ApacheBench(
+            world.port, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
+        )
+        config = MCRConfig(
+            update_mode="rolling", rolling_batch=max(1, workers // 4)
+        )
+        result, perceived, update_s = update_midflight(
+            world, workload, config, WARM_RESPONSES
+        )
         if not result.committed:
             raise RuntimeError(
                 f"scaling curve @{workers} workers: update failed: {result.error}"
@@ -262,8 +259,10 @@ def run_scaling_curve(
                 "update_wall_ms": update_s * 1000.0,
                 "virtual_total_ms": result.total_ms(),
                 "rolling_batches": result.rolling_batches,
-                "warm_responses": workload.latency.count,
                 "committed": result.committed,
+                "blackout_ms": ns_to_ms(perceived.blackout_ns),
+                "slo_ok": perceived.slo_ok,
+                "workload_errors": workload.errors,
                 "mapped_mb": mapped / 1e6,
                 "resident_mb": resident / 1e6,
                 # Process high-water mark: monotonic across points.
@@ -273,16 +272,30 @@ def run_scaling_curve(
     return rows
 
 
-def run_scanperf(
-    servers: Sequence[str] = ("httpd", "vsftpd"),
-    micro_server: str = "httpd",
-    repeats: int = 3,
-    worker_counts: Sequence[int] = SCALING_WORKER_COUNTS,
-) -> Dict[str, object]:
-    results: Dict[str, object] = {"microbench": run_scan_micro(micro_server, repeats)}
-    results["servers"] = {name: _measure_update(name) for name in servers}
-    results["scaling_curve"] = run_scaling_curve(worker_counts)
-    return results
+def run_scanperf(smoke: bool = False) -> Dict[str, object]:
+    return {
+        "microbench": run_scan_micro(),
+        "servers": {name: _measure_update(name) for name in UPDATE_SPEC},
+        "scaling_curve": run_scaling_curve(
+            SMOKE_WORKER_COUNTS if smoke else SCALING_WORKER_COUNTS
+        ),
+    }
+
+
+def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
+    """The scanner agrees with its reference, the simulated update results
+    equal ``UPDATE_SPEC``, and every curve point committed within its SLO
+    with no client error."""
+    curve = results["scaling_curve"]
+    return {
+        "scan_identical": results["microbench"]["identical"] is True,
+        "matches_spec": all(
+            row["matches_spec"] is True for row in results["servers"].values()
+        ),
+        "curve_committed": bool(curve) and all(p["committed"] for p in curve),
+        "curve_slo_ok": all(p["slo_ok"] is True for p in curve),
+        "curve_no_client_errors": all(p["workload_errors"] == 0 for p in curve),
+    }
 
 
 def render(results: Dict[str, object]) -> str:
@@ -307,7 +320,7 @@ def render(results: Dict[str, object]) -> str:
             fmt_cell(row["words_scanned"]),
             fmt_cell(row["likely_pointers"]),
             fmt_cell(row["traces_reused"]),
-            fmt_cell(row.get("matches_spec")),
+            fmt_cell(row["matches_spec"]),
         ]
         for name, row in results["servers"].items()
     ]
@@ -333,6 +346,8 @@ def render(results: Dict[str, object]) -> str:
                 f"{point['update_wall_ms']:.0f}",
                 f"{point['virtual_total_ms']:.1f}",
                 str(point["rolling_batches"]),
+                fmt_cell(point["blackout_ms"]),
+                fmt_cell(point["slo_ok"]),
                 f"{point['mapped_mb']:.0f}",
                 f"{point['resident_mb']:.1f}",
                 f"{point['maxrss_mb']:.0f}",
@@ -352,6 +367,8 @@ def render(results: Dict[str, object]) -> str:
                     "update_wall_ms",
                     "virt_ms",
                     "batches",
+                    "blackout_ms",
+                    "slo_ok",
                     "mapped_MB",
                     "resident_MB",
                     "maxrss_MiB",
@@ -361,9 +378,10 @@ def render(results: Dict[str, object]) -> str:
                 note=(
                     "workers = server_processes override; update = one rolling "
                     "run_update with batch = workers/4 under a keep-alive "
-                    "AB workload (100 ms reconnect stall); mapped/resident = "
-                    "old tree at update time; maxrss = host process high-water "
-                    "after the point (monotonic)"
+                    "AB workload (100 ms reconnect stall), drained; blackout = "
+                    "longest gap in completed responses; mapped/resident = "
+                    "old tree before the clients start; maxrss = host process "
+                    "high-water after the point (monotonic)"
                 ),
             )
         )

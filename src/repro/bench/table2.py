@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.bench.harness import boot_server
+from repro.bench.harness import boot_server, quiesced_traces
 from repro.bench.reporting import render_table
-from repro.mcr.tracing.graph import GraphBuilder
-from repro.mcr.tracing.invariants import apply_invariants
 
 PAPER_TABLE2 = {
     "httpd": {"precise_ptr": 2_373, "likely_ptr": 16_252, "likely_targ_static": 2_050,
@@ -42,35 +40,26 @@ def trace_statistics(server: str, held_connections: int = 4) -> Dict[str, Dict[s
     world.spec.workload().run(world.kernel)
     holder = world.hold(held_connections)
     holder.establish(world.kernel)
-    session = world.session
-    session.quiescence.request()
-    session.quiescence.wait(session.root_process)
     keys = (
         "ptr", "src_static", "src_dynamic", "src_lib",
         "targ_static", "targ_dynamic", "targ_lib",
     )
     totals = {"precise": {k: 0 for k in keys}, "likely": {k: 0 for k in keys}}
-    for process in session.root_process.tree():
-        trace = apply_invariants(
-            GraphBuilder(process, session.config,
-                         annotations=world.program.annotations).build()
-        )
+    for trace in quiesced_traces(
+        world, world.session.config, world.program.annotations
+    ):
         row = trace.table2_row()
         for kind in ("precise", "likely"):
             for key in keys:
                 totals[kind][key] += row[kind][key]
-    session.quiescence.release()
     holder.finish(world.kernel)
     return totals
 
 
 def run_table2(
     servers: Sequence[str] = ("httpd", "nginx", "nginx_reg", "vsftpd", "opensshd"),
-    held_connections: int = 4,
 ) -> Dict[str, Dict[str, Dict[str, int]]]:
-    return {
-        server: trace_statistics(server, held_connections) for server in servers
-    }
+    return {server: trace_statistics(server) for server in servers}
 
 
 def render(results: Dict[str, Dict[str, Dict[str, int]]]) -> str:

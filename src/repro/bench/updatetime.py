@@ -1,6 +1,6 @@
 """Update-time components (paper §8, "Update time").
 
-Three measurements per server:
+Four measurements per server:
 
 * **quiescence time** — run the update-time barrier protocol while the
   benchmark workload is in flight; the paper reports convergence in
@@ -17,20 +17,27 @@ Three measurements per server:
   responses), and the SLO verdict against ``MCRConfig``'s downtime
   budget.  This is the paper's headline claim ("total update < 1 s")
   measured from the outside.
+
+``python -m repro bench updatetime [--smoke]`` exits 1 when a
+``verdicts`` entry fails.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from repro.bench.harness import boot_server
+from repro.bench.harness import boot_server, update_midflight
 from repro.bench.reporting import fmt_cell, latency_summary_ms, render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.servers import nginx
-from repro.servers.common import ClientPerceived
 from repro.workloads.ab import ApacheBench
+
+SERVERS = ("httpd", "nginx", "vsftpd", "opensshd", "memcache")
+# The smoke subset keeps both rolling pools: the verdicts compare rolling
+# with whole-tree blackout on each.
+SMOKE_SERVERS = ("httpd", "nginx", "memcache")
 
 # Servers with a stable worker pool, where per-worker rolling update is
 # meaningful.  The comparison boots nginx with a real multi-worker pool,
@@ -41,9 +48,8 @@ _ROLLING_POOLS = {
     "nginx": lambda version: nginx.make_program(version, worker_processes=2),
 }
 
-# Pool size for the scaled-up rolling row (non-smoke runs only): the v2
-# scheduler's headline configuration, a 1000-process httpd prefork tree.
-SCALE_WORKERS = 1000
+# Responses completed before a mid-flight update fires.
+WARM_REQUESTS = 8
 
 
 def measure_quiescence_under_load(name: str) -> Dict[str, float]:
@@ -65,12 +71,12 @@ def measure_quiescence_under_load(name: str) -> Dict[str, float]:
     return {"idle_ms": ns_to_ms(idle_ns), "loaded_ms": ns_to_ms(loaded_ns)}
 
 
-def measure_update_components(name: str, to_version: int = 2) -> Dict[str, float]:
+def measure_update_components(name: str) -> Dict[str, float]:
     world = boot_server(name)
     world.spec.workload().run(world.kernel)
     startup_ns = world.session.startup_duration_ns() or 1
     ctl = McrCtl(world.kernel, world.session)
-    result = ctl.live_update(world.make_program(to_version))
+    result = ctl.live_update(world.make_program(2))
     if not result.committed:
         raise RuntimeError(f"{name}: update failed: {result.error}")
     replay_startup_ns = result.new_session.startup_duration_ns() or 0
@@ -86,52 +92,31 @@ def measure_update_components(name: str, to_version: int = 2) -> Dict[str, float
     }
 
 
-def measure_client_perceived(
-    name: str,
-    to_version: int = 2,
-    budget_ns: Optional[int] = None,
-    warm_requests: int = 8,
-) -> Dict[str, object]:
+def measure_client_perceived(name: str) -> Dict[str, object]:
     """Live-update ``name`` mid-flight and report what the clients saw.
 
     A fresh world runs the server's benchmark workload; once
-    ``warm_requests`` responses have completed the update fires, then the
+    ``WARM_REQUESTS`` responses have completed the update fires, then the
     workload drains to completion.  Every request carries virtual-clock
     send/receive stamps, so the blackout interval — the longest gap in
     completed responses — directly measures client-perceived downtime.
     """
     world = boot_server(name)
-    kernel = world.kernel
     workload = world.spec.workload()
-    clients = workload(kernel)
-    kernel.run(
-        until=lambda: workload.latency.count >= warm_requests,
-        max_steps=2_000_000,
-    )
-    ctl = McrCtl(kernel, world.session)
-    result = ctl.live_update(world.make_program(to_version))
+    result, perceived, _wall_s = update_midflight(world, workload, None, WARM_REQUESTS)
     if not result.committed:
         raise RuntimeError(f"{name}: mid-flight update failed: {result.error}")
-    kernel.run(until=lambda: all(c.exited for c in clients), max_steps=5_000_000)
-    if budget_ns is None:
-        budget_ns = world.session.config.downtime_budget_ns
-    perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
-    result.client = perceived
     row: Dict[str, object] = dict(
         latency_summary_ms(workload.latency.latencies_ns(), prefix="client")
     )
     row["blackout_ms"] = ns_to_ms(perceived.blackout_ns)
-    row["downtime_budget_ms"] = ns_to_ms(budget_ns)
+    row["downtime_budget_ms"] = ns_to_ms(perceived.budget_ns)
     row["slo_ok"] = perceived.slo_ok
     row["workload_errors"] = workload.errors
     return row
 
 
-def measure_rolling_comparison(
-    name: str,
-    to_version: int = 2,
-    warm_requests: int = 8,
-) -> Dict[str, object]:
+def measure_rolling_comparison(name: str) -> Dict[str, object]:
     """Whole-tree vs rolling blackout at equal workload.
 
     Boots two identical fresh worlds from the same program factory, runs
@@ -143,7 +128,6 @@ def measure_rolling_comparison(
     row: Dict[str, object] = {}
     for mode, prefix in (("whole-tree", "wt"), ("rolling", "rolling")):
         world = boot_server(name, make_program=_ROLLING_POOLS.get(name))
-        kernel = world.kernel
         # Same workload in both modes, with the timeout/retry posture of
         # real AB: a stalled keep-alive connection is abandoned and the
         # request retried over a fresh connect, which a live worker
@@ -156,22 +140,13 @@ def measure_rolling_comparison(
             concurrency=4,
             reconnect_stall_ns=5_000_000,
         )
-        clients = workload(kernel)
-        kernel.run(
-            until=lambda: workload.latency.count >= warm_requests,
-            max_steps=2_000_000,
-        )
-        ctl = McrCtl(kernel, world.session)
-        result = ctl.live_update(
-            world.make_program(to_version), config=MCRConfig(update_mode=mode)
+        result, perceived, _wall_s = update_midflight(
+            world, workload, MCRConfig(update_mode=mode), WARM_REQUESTS
         )
         if not result.committed:
             raise RuntimeError(
                 f"{name}: {mode} comparison update failed: {result.error}"
             )
-        kernel.run(until=lambda: all(c.exited for c in clients), max_steps=5_000_000)
-        budget_ns = world.session.config.downtime_budget_ns
-        perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
         row[f"{prefix}_blackout_ms"] = ns_to_ms(perceived.blackout_ns)
         row[f"{prefix}_total_ms"] = result.total_ms()
         if mode == "rolling":
@@ -180,85 +155,33 @@ def measure_rolling_comparison(
     return row
 
 
-def measure_rolling_at_scale(
-    name: str = "httpd",
-    workers: int = SCALE_WORKERS,
-    to_version: int = 2,
-    warm_requests: int = 8,
-) -> Dict[str, object]:
-    """One rolling update over a scaled-up prefork pool, clients riding.
-
-    Boots httpd with ``server_processes`` overridden, warms a keep-alive
-    AB workload, then rolls the pool in quarter-sized batches.  The
-    client reconnect stall is 100 ms (not the comparison's 5 ms): at
-    this scale each connection event wakes the whole epoll herd and
-    every woken quiescent-point entry advances the global virtual clock,
-    so per-request latency genuinely grows with the pool and an
-    aggressive stall would starve itself reconnecting.
-    """
-    import time as _time
-
-    from repro.servers import httpd as _httpd
-
-    def factory(version):
-        return _httpd.make_program(version, server_processes=workers)
-
-    world = boot_server(name, make_program=factory)
-    kernel = world.kernel
-    workload = ApacheBench(
-        world.port, requests=24, concurrency=4, reconnect_stall_ns=100_000_000
-    )
-    clients = workload(kernel)
-    kernel.run(
-        until=lambda: workload.latency.count >= warm_requests,
-        max_steps=4_000_000,
-    )
-    ctl = McrCtl(kernel, world.session)
-    start = _time.perf_counter()
-    result = ctl.live_update(
-        world.make_program(to_version),
-        config=MCRConfig(
-            update_mode="rolling", rolling_batch=max(1, workers // 4)
-        ),
-    )
-    wall_s = _time.perf_counter() - start
-    if not result.committed:
-        raise RuntimeError(
-            f"{name}@{workers}: scaled rolling update failed: {result.error}"
-        )
-    kernel.run(until=lambda: all(c.exited for c in clients), max_steps=6_000_000)
-    budget_ns = world.session.config.downtime_budget_ns
-    perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
-    return {
-        "workers": workers,
-        "rolling_batches": result.rolling_batches,
-        "virtual_total_ms": result.total_ms(),
-        "update_wall_ms": wall_s * 1000.0,
-        "blackout_ms": ns_to_ms(perceived.blackout_ns),
-        "slo_ok": perceived.slo_ok,
-        "requests": workload.latency.count,
-        "workload_errors": workload.errors,
-        "committed": result.committed,
-    }
-
-
-def run_updatetime(
-    servers: Sequence[str] = ("httpd", "nginx", "vsftpd", "opensshd", "memcache"),
-    scale_workers: Optional[int] = SCALE_WORKERS,
-) -> Dict[str, Dict[str, float]]:
+def run_updatetime(smoke: bool = False) -> Dict[str, Dict[str, float]]:
     results: Dict[str, Dict[str, float]] = {}
-    for name in servers:
+    for name in SMOKE_SERVERS if smoke else SERVERS:
         row = measure_quiescence_under_load(name)
         row.update(measure_update_components(name))
         row.update(measure_client_perceived(name))
         if name in ROLLING_SERVERS:
             row.update(measure_rolling_comparison(name))
         results[name] = row
-    if scale_workers and "httpd" in results:
-        results["httpd"]["scale_rolling"] = measure_rolling_at_scale(
-            workers=scale_workers
-        )
     return results
+
+
+def verdicts(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
+    """Every server inside its SLO with no client error; on both pools the
+    rolling hand-off beats whole-tree on blackout, in batches, inside its SLO."""
+    rolling = [results[name] for name in ROLLING_SERVERS]
+    return {
+        "slo_ok": all(row["slo_ok"] is True for row in results.values()),
+        "no_client_errors": all(
+            row["workload_errors"] == 0 for row in results.values()
+        ),
+        "rolling_beats_whole_tree": all(
+            row["rolling_blackout_ms"] < row["wt_blackout_ms"] for row in rolling
+        ),
+        "rolling_slo_ok": all(row["rolling_slo_ok"] is True for row in rolling),
+        "rolling_batched": all(row["rolling_batches"] >= 2 for row in rolling),
+    }
 
 
 def render(results: Dict[str, Dict[str, float]]) -> str:
@@ -288,39 +211,16 @@ def render(results: Dict[str, Dict[str, float]]) -> str:
         "rolling_slo_ok", "wt_total_ms", "rolling_total_ms",
     ]
     rolling_rows = [
-        [name] + [fmt_cell(row[k]) for k in rolling_keys]
-        for name, row in results.items()
-        if "rolling_blackout_ms" in row
+        [name] + [fmt_cell(results[name][k]) for k in rolling_keys]
+        for name in ROLLING_SERVERS
     ]
-    if rolling_rows:
-        table += "\n\n" + render_table(
-            "Rolling vs whole-tree blackout (equal workload)",
-            ["server"] + rolling_keys,
-            rolling_rows,
-            note=(
-                "rolling: per-worker-batch quiesce/trace/transfer while the "
-                "rest of the pool keeps serving; total update time may grow "
-                "while client-perceived blackout shrinks"
-            ),
-        )
-    scale_keys = [
-        "workers", "rolling_batches", "virtual_total_ms", "update_wall_ms",
-        "blackout_ms", "slo_ok", "workload_errors",
-    ]
-    scale_rows = [
-        [name] + [fmt_cell(row["scale_rolling"][k]) for k in scale_keys]
-        for name, row in results.items()
-        if "scale_rolling" in row
-    ]
-    if scale_rows:
-        table += "\n\n" + render_table(
-            "Rolling update at scale (v2 scheduler fast path)",
-            ["server"] + scale_keys,
-            scale_rows,
-            note=(
-                "one rolling run_update over a 1000-process prefork tree "
-                "with clients mid-flight; feasible only with the "
-                "runnable-only scheduler fast path"
-            ),
-        )
-    return table
+    return table + "\n\n" + render_table(
+        "Rolling vs whole-tree blackout (equal workload)",
+        ["server"] + rolling_keys,
+        rolling_rows,
+        note=(
+            "rolling: per-worker-batch quiesce/trace/transfer while the "
+            "rest of the pool keeps serving; total update time may grow "
+            "while client-perceived blackout shrinks"
+        ),
+    )

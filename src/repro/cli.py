@@ -8,10 +8,11 @@ Commands:
   per-thread report (default: all four evaluation servers).
 * ``bench <experiment>``     — regenerate one paper table/figure (any
   key of ``BENCH_EXPERIMENTS`` below — ``bench --help`` lists them — or
-  ``all``); ``--json`` also writes ``BENCH_<experiment>.json``
-  through ``repro.obs.export``; ``--smoke`` shrinks faultmatrix,
-  updatetime, fleetroll, scanperf, failover, migrate, and fuzz to
-  their CI subsets; ``--seed N`` reseeds the fuzzer's scenario draws.
+  ``all``) and exit 1 when one of its ``verdicts`` fails; ``--json``
+  also writes ``BENCH_<experiment>.json`` through ``repro.obs.export``;
+  ``--smoke`` runs the reduced subset the bench module defines (figure3,
+  faultmatrix, updatetime, fleetroll, scanperf, failover, migrate, fuzz);
+  ``--seed N`` reseeds the fuzzer's scenario draws.
 * ``replay <path>``          — re-execute a recorded trace (or the trace
   referenced by a ``blackbox.json``) and assert bit-identical
   equivalence; ``--to-failure`` stops at the failing fault site and
@@ -77,146 +78,53 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _plain_bench(module: str, run: str):
-    """A bench with no reduced subset and no seed: run, then render."""
-
-    def bench(smoke: bool = False, seed: int = 0):
-        bench_module = importlib.import_module(f"repro.bench.{module}")
-        results = getattr(bench_module, run)()
-        return results, bench_module.render(results)
-
-    return bench
-
-
-def _bench_figure3(smoke: bool = False, seed: int = 0):
-    from repro.bench.figure3 import render, run_figure3
-
-    results = run_figure3(connection_counts=(0, 5, 10, 20))
-    payload = {s: [p.to_dict() for p in points] for s, points in results.items()}
-    return payload, render(results)
-
-
-def _bench_updatetime(smoke: bool = False, seed: int = 0):
-    from repro.bench.updatetime import SCALE_WORKERS, render, run_updatetime
-
-    # The smoke subset must include nginx: CI asserts the rolling-vs-
-    # whole-tree blackout comparison for both httpd and nginx.  The
-    # 1000-worker scaled rolling row only runs in the full bench.
-    results = run_updatetime(
-        servers=("httpd", "nginx", "memcache") if smoke
-        else ("httpd", "nginx", "vsftpd", "opensshd", "memcache"),
-        scale_workers=None if smoke else SCALE_WORKERS,
-    )
-    return results, render(results)
-
-
-def _bench_ablations(smoke: bool = False, seed: int = 0):
-    from repro.bench.ablations import render_all, run_all
-
-    results = run_all()
-    return results, render_all(results)
-
-
-def _bench_scanperf(smoke: bool = False, seed: int = 0):
-    from repro.bench.scanperf import (
-        SCALING_WORKER_COUNTS,
-        SMOKE_WORKER_COUNTS,
-        render,
-        run_scanperf,
-    )
-
-    # Smoke trims the scaling curve to its small worker counts; the
-    # committed artifact (non-smoke) sweeps the full range up to 1000.
-    results = run_scanperf(
-        worker_counts=SMOKE_WORKER_COUNTS if smoke else SCALING_WORKER_COUNTS
-    )
-    return results, render(results)
-
-
-def _bench_fleetroll(smoke: bool = False, seed: int = 0):
-    from repro.bench.fleetroll import render, run_fleetroll
-
-    results = run_fleetroll(smoke=smoke)
-    return results, render(results)
-
-
-def _bench_failover(smoke: bool = False, seed: int = 0):
-    from repro.bench.failover import render, run_failover
-
-    # Fault-drill post-mortems derive from the bench's own artifact
-    # naming (BENCH_failover.json), never a hard-coded repo-root
-    # blackbox path a run would dirty the checkout with.
-    results = run_failover(
-        smoke=smoke, blackbox_path="BENCH_failover_blackbox.json"
-    )
-    return results, render(results)
-
-
-def _bench_migrate(smoke: bool = False, seed: int = 0):
-    from repro.bench.migrate import render, run_migrate
-
-    results = run_migrate(
-        smoke=smoke, blackbox_path="BENCH_migrate_blackbox.json"
-    )
-    return results, render(results)
-
-
-def _bench_fuzz(smoke: bool = False, seed: int = 0):
-    from repro.bench.fuzz import render, run_fuzz
-
-    results = run_fuzz(smoke=smoke, seed=seed)
-    return results, render(results)
-
-
-def _bench_faultmatrix(smoke: bool = False, seed: int = 0):
-    from repro.bench.faultmatrix import render, run_faultmatrix
-
-    # Each failed cell overwrites the blackbox (and its paired replay
-    # trace), so the artifact that survives the run is the post-mortem of
-    # the *last* injected fault — CI uploads it and checks it names the
-    # site that fired.  The path derives from the bench's own artifact
-    # naming (BENCH_faultmatrix.json) so concurrent bench runs in one
-    # directory don't stomp a shared hard-coded blackbox.json.
-    results = run_faultmatrix(
-        smoke=smoke, blackbox_path="BENCH_faultmatrix_blackbox.json"
-    )
-    return results, render(results)
-
-
-# Experiment name -> callable(smoke, seed) returning (json-serializable
-# results, text).  Every experiment takes both; those without a reduced
-# subset or randomized draws ignore them.
+# Experiment name -> (module under ``repro.bench``, its run function, the
+# ``bench`` options that function takes).  Every module renders its results
+# with ``render``; one that has ``verdicts`` fails the command when any of
+# them is false.
 BENCH_EXPERIMENTS = {
-    "table1": _plain_bench("table1", "run_table1"),
-    "table2": _plain_bench("table2", "run_table2"),
-    "table3": _plain_bench("table3", "run_table3"),
-    "figure3": _bench_figure3,
-    "spec": _plain_bench("spec2006", "run_spec"),
-    "memusage": _plain_bench("memusage", "run_memusage"),
-    "updatetime": _bench_updatetime,
-    "ablations": _bench_ablations,
-    "scanperf": _bench_scanperf,
-    "faultmatrix": _bench_faultmatrix,
-    "fleetroll": _bench_fleetroll,
-    "failover": _bench_failover,
-    "migrate": _bench_migrate,
-    "fuzz": _bench_fuzz,
+    "table1": ("table1", "run_table1", ()),
+    "table2": ("table2", "run_table2", ()),
+    "table3": ("table3", "run_table3", ()),
+    "figure3": ("figure3", "run_figure3", ("smoke",)),
+    "spec": ("spec2006", "run_spec", ()),
+    "memusage": ("memusage", "run_memusage", ()),
+    "updatetime": ("updatetime", "run_updatetime", ("smoke",)),
+    "ablations": ("ablations", "run_all", ()),
+    "scanperf": ("scanperf", "run_scanperf", ("smoke",)),
+    "faultmatrix": ("faultmatrix", "run_faultmatrix", ("smoke", "blackbox_path")),
+    "fleetroll": ("fleetroll", "run_fleetroll", ("smoke",)),
+    "failover": ("failover", "run_failover", ("smoke", "blackbox_path")),
+    "migrate": ("migrate", "run_migrate", ("smoke", "blackbox_path")),
+    "fuzz": ("fuzz", "run_fuzz", ("smoke", "seed")),
 }
 
 
 def cmd_bench(args) -> int:
+    from repro.bench.reporting import write_bench_json
+
     names = list(BENCH_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     exit_code = 0
     for name in names:
-        results, text = BENCH_EXPERIMENTS[name](smoke=args.smoke, seed=args.seed)
-        if name == "fuzz" and not results["all_ok"]:
-            exit_code = 1
-        print(text, end="\n\n")
+        module_name, run, takes = BENCH_EXPERIMENTS[name]
+        module = importlib.import_module(f"repro.bench.{module_name}")
+        options = {
+            "smoke": args.smoke,
+            "seed": args.seed,
+            # Post-mortems are named after the bench's own artifact, never a
+            # shared blackbox.json that concurrent benches in one directory
+            # would stomp or that a run would dirty the checkout with.
+            "blackbox_path": f"BENCH_{name}_blackbox.json",
+        }
+        results = getattr(module, run)(**{key: options[key] for key in takes})
+        print(module.render(results), end="\n\n")
         if args.json:
-            from repro.bench.reporting import write_bench_json
-
-            path = write_bench_json(name, results)
-            print(f"wrote {path}")
+            print(f"wrote {write_bench_json(name, results)}")
+        verdicts = getattr(module, "verdicts", None)
+        failed = [key for key, ok in verdicts(results).items() if not ok] if verdicts else []
+        if failed:
+            print(f"bench {name}: failed verdicts: {', '.join(failed)}", file=_host_sys.stderr)
+            exit_code = 1
     return exit_code
 
 
@@ -267,27 +175,17 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     """Mid-flight live update under the small workload; report the client view."""
     from repro import obs
+    from repro.bench.harness import update_midflight
     from repro.obs.export import write_json
     from repro.obs.metrics import prometheus_text
-    from repro.servers.common import ClientPerceived
 
     name = args.server
     world = repro.boot(name)
-    kernel = world.kernel
     workload = world.spec.small_workload({})
-    with obs.collecting(kernel.clock) as collector:
-        clients = workload(kernel)
-        kernel.run(
-            until=lambda: workload.latency.count >= WARM_REPLIES,
-            max_steps=2_000_000,
+    with obs.collecting(world.kernel.clock) as collector:
+        result, perceived, _wall_s = update_midflight(
+            world, workload, None, WARM_REPLIES
         )
-        result = repro.live_update(world, version=2)
-        kernel.run(
-            until=lambda: all(c.exited for c in clients), max_steps=5_000_000
-        )
-    budget_ns = world.session.config.downtime_budget_ns
-    perceived = ClientPerceived.measure(workload.latency, budget_ns=budget_ns)
-    result.client = perceived
     summary = perceived.to_dict()
     status = "committed" if result.committed else "ROLLED BACK"
     print(f"{name}: update {status} in {result.total_ms():.2f} ms")
@@ -436,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke",
         action="store_true",
-        help="faultmatrix/updatetime/fleetroll/scanperf/failover/migrate/"
-             "fuzz: run the reduced CI subset",
+        help="figure3/faultmatrix/updatetime/fleetroll/scanperf/failover/"
+             "migrate/fuzz: run the reduced subset",
     )
     bench.add_argument(
         "--seed",

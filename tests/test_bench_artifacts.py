@@ -8,6 +8,10 @@ drills, the update's phases and client-perceived columns, the
 controller's transaction envelope and the black-box writer: any
 refactor of those must leave every byte where it was.  Each bench runs through the CLI
 entry point in a scratch working directory, exactly as CI runs it.
+
+Every bench with verdicts judges its own results: ``python -m repro bench
+X`` exits 1 when one of ``X.verdicts`` fails, and the committed artifacts
+pass them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import failover, faultmatrix, fleetroll, fuzz, migrate, scanperf, updatetime
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,64 +53,74 @@ def test_smoke_bench_reproduces_committed_artifacts(
         assert produced == committed, f"{name} drifted from the committed artifact"
 
 
-def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():
-    """What ``ci.yml``'s failover / migrate heredocs asserted, of the committed files.
+def _committed(bench):
+    return json.loads((REPO_ROOT / f"BENCH_{bench}.json").read_text())["results"]
 
-    The smoke benches reproduce these files byte for byte (above), so
-    holding the committed copies to the verdicts holds every run to them.
-    """
-    failover = json.loads((REPO_ROOT / "BENCH_failover.json").read_text())["results"]
-    migrate = json.loads((REPO_ROOT / "BENCH_migrate.json").read_text())["results"]
-    for results in (failover, migrate):
+
+def _fuzz_soak():
+    """``bench fuzz`` has no committed artifact: a one-scenario soak stands in."""
+    return fuzz.run_fuzz(smoke=True, iterations=1)
+
+
+# Bench -> (its module, its run function, good results, a damage that fails
+# one verdict).  A damage edits a row, never a stored summary flag: the
+# verdicts are computed from the rows.
+VERDICT_BENCHES = {
+    "failover": (failover, "run_failover", lambda: _committed("failover"),
+                 lambda r: r["sweep"][0].update(requests_lost=1)),
+    "migrate": (migrate, "run_migrate", lambda: _committed("migrate"),
+                lambda r: r["head_to_head"][0].update(comparable=False)),
+    "updatetime": (updatetime, "run_updatetime", lambda: _committed("updatetime"),
+                   lambda r: r["nginx"].update(rolling_blackout_ms=1e9)),
+    "faultmatrix": (faultmatrix, "run_faultmatrix", lambda: _committed("faultmatrix"),
+                    lambda r: r["migration_cells"][0].update(converged=False)),
+    "fleetroll": (fleetroll, "run_fleetroll", lambda: _committed("fleetroll"),
+                  lambda r: r["faults"][0].update(outcome="updated")),
+    "scanperf": (scanperf, "run_scanperf", lambda: _committed("scanperf"),
+                 lambda r: r["scaling_curve"][-1].update(slo_ok=False)),
+    "fuzz": (fuzz, "run_fuzz", _fuzz_soak,
+             lambda r: r["runs"][0].update(ok=False)),
+}
+
+
+@pytest.mark.parametrize("bench", sorted(VERDICT_BENCHES))
+def test_bench_exits_0_on_good_results_and_1_when_a_verdict_fails(
+    bench, tmp_path, monkeypatch, capsys
+):
+    """The committed artifact passes the bench's own verdicts; one damaged row fails it."""
+    module, run, good, damage = VERDICT_BENCHES[bench]
+    results = good()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, run, lambda **options: results)
+    assert main(["bench", bench, "--smoke"]) == 0
+    assert capsys.readouterr().err == ""
+    damage(results)
+    assert main(["bench", bench, "--smoke"]) == 1
+    assert f"bench {bench}: failed verdicts: " in capsys.readouterr().err
+
+
+def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():
+    """The smoke benches reproduce these files byte for byte (above), so
+    holding the committed copies to the verdicts holds every run to them."""
+    for module, bench in ((failover, "failover"), (migrate, "migrate")):
+        results = _committed(bench)
         assert results["sweep"] and results["drills"]
-        for row in results["sweep"]:
-            assert row["requests_lost"] == 0 and row["slo_ok"], row
-        for cell in results["drills"]:
-            assert cell["fired"] and cell["converged"], cell
-            assert cell["requests_lost"] == 0, cell
-        assert results["summary"]["clean_zero_loss"]
-        assert results["summary"]["all_drills_converged"]
-    budget_ms = failover["summary"]["downtime_budget_ms"]
-    assert all(row["rto_p99_ms"] < budget_ms for row in failover["sweep"])
-    assert failover["summary"]["rto_all_within_budget"]
-    budget_ms = migrate["summary"]["downtime_budget_ms"]
-    for row in migrate["sweep"]:
-        assert row["migrated"] and row["brownout_p99_ms"] < budget_ms, row
-    assert migrate["head_to_head"]
-    assert all(row["comparable"] for row in migrate["head_to_head"])
-    assert migrate["summary"]["brownout_within_budget"]
-    assert migrate["summary"]["brownout_at_most_comparable"]
+        assert all(module.verdicts(results).values()), bench
 
 
 def test_committed_updatetime_artifact_carries_the_verdicts_ci_demanded():
-    """What ``ci.yml``'s update-time heredoc asserted, of the committed file."""
-    results = json.loads((REPO_ROOT / "BENCH_updatetime.json").read_text())["results"]
+    results = _committed("updatetime")
     assert results
     for server, row in results.items():
         for key in ("client_p50_ms", "client_p95_ms", "client_p99_ms",
                     "client_sum_ms", "blackout_ms", "slo_ok"):
             assert key in row, f"{server}: missing {key}"
-        assert row["slo_ok"] is True, f"{server}: SLO verdict violated"
-        assert row["workload_errors"] == 0, f"{server}: client errors"
-    # The rolling hand-off strictly beats whole-tree on client-perceived
-    # blackout at equal workload, on both pools.
-    for server in ("httpd", "nginx"):
-        row = results[server]
-        assert row["rolling_blackout_ms"] < row["wt_blackout_ms"], (server, row)
-        assert row["rolling_slo_ok"] is True, f"{server}: rolling SLO"
-        assert row["rolling_batches"] >= 2, f"{server}: no batching"
+    assert all(updatetime.verdicts(results).values())
 
 
 def test_committed_faultmatrix_artifacts_carry_the_verdicts_ci_demanded():
-    """What ``ci.yml``'s fault-matrix heredoc asserted, of the committed files."""
-    results = json.loads((REPO_ROOT / "BENCH_faultmatrix.json").read_text())["results"]
-    assert not results["any_raised"], "a fault escaped run_update"
-    assert results["rolling_cells"] > 0 and results["rolling_all_survived"]
-    for cell in results["cells"]:
-        assert cell["survived"] and cell["old_version_intact"], cell
-        if cell["rolled_back"]:
-            assert cell["blackbox_matches_site"], cell
-    assert results["all_blackbox_match"]
+    results = _committed("faultmatrix")
+    assert all(faultmatrix.verdicts(results).values())
     # The black box left behind is the post-mortem of the last injected
     # fault: it names that fault's site and references its replay trace.
     blackbox = json.loads((REPO_ROOT / "BENCH_faultmatrix_blackbox.json").read_text())

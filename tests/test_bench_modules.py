@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
     PRIMARY_SERVERS,
     SERVER_BENCHES,
     boot_server,
     build_ladder,
+    update_midflight,
 )
-from repro.bench.reporting import paper_vs_measured, render_table
+from repro.bench.reporting import render_table
 from repro.bench.table3 import PAPER_TABLE3
 from repro.bench.table2 import PAPER_TABLE2
 from repro.runtime.instrument import BuildConfig
@@ -25,10 +27,6 @@ class TestReporting:
     def test_render_table_note(self):
         text = render_table("T", ["a"], [[1]], note="compare shapes")
         assert text.endswith("compare shapes")
-
-    def test_paper_vs_measured_rows(self):
-        rows = paper_vs_measured({"x": 1, "y": 2}, {"y": 3, "z": 4})
-        assert rows == [["x", 1, "-"], ["y", 2, 3], ["z", "-", 4]]
 
 
 class TestHarness:
@@ -79,3 +77,27 @@ class TestHarness:
         workload.run(world.kernel)
         assert workload.errors == 0
         assert workload.completed > 0
+
+
+class TestMidflightUpdate:
+    def test_reports_the_update_and_what_the_clients_saw(self):
+        world = boot_server("simple")
+        workload = world.spec.small_workload({})
+        result, perceived, wall_s = update_midflight(world, workload, None, 2)
+        assert result.committed
+        # Drained: every reply, not just the two warm-up ones, is measured.
+        assert perceived.histogram.count == workload.latency.count > 2
+        assert perceived.slo_ok and wall_s > 0
+
+    @pytest.mark.parametrize(
+        "phase, budget", [("warm-up", "WARM_STEPS"), ("drain", "DRAIN_STEPS")]
+    )
+    def test_a_phase_that_runs_out_of_steps_raises_naming_it(
+        self, phase, budget, monkeypatch
+    ):
+        # httpd's benchmark sends far more than the eight warm-up requests,
+        # so both phases have work left when a one-step budget runs out.
+        monkeypatch.setattr(harness, budget, 1)
+        world = boot_server("httpd")
+        with pytest.raises(RuntimeError, match=f"{phase} stopped on its 1-step budget"):
+            update_midflight(world, world.spec.workload(), None, 8)

@@ -704,8 +704,12 @@ class TestClientPerceivedMeasurement:
             payload = json.load(handle)
         assert payload["committed"] is True
         assert payload["slo_verdict"] == "met"
-        assert payload["client"]["requests"] > 0
-        assert payload["client"]["slo_ok"] is True
+        client = payload["client"]
+        for key in ("requests", "p50_ms", "p95_ms", "p99_ms",
+                    "blackout_ms", "downtime_budget_ms", "slo_ok"):
+            assert key in client, f"client summary missing {key}"
+        assert client["requests"] > 0
+        assert client["slo_ok"] is True
         assert "client.latency_ns" in payload["metrics"]
 
 

@@ -47,10 +47,6 @@ ENV_LINES = "COVERAGE_AUDIT_LINES"
 # Never executed by the default suite, and kept on purpose.  Keyed by
 # ``<path under src/repro>:<qualified name>``.
 KEPT: Dict[str, str] = {
-    "cli.py:_plain_bench.bench": "bench table1|table2|table3|spec|memusage, which CI does not run",
-    "cli.py:_bench_figure3": "bench figure3, which CI does not run",
-    "cli.py:_bench_ablations": "bench ablations, which CI does not run",
-    "bench/figure3.py:Figure3Point.to_dict": "bench figure3's JSON row",
     "kernel/syscalls.py:_Timeout.__bool__": "TIMEOUT is falsy by contract, whoever tests it next",
     "mem/scan_backend.py:PreparedScanIndex.classify": "the abstract method both backends implement",
     "types/descriptors.py:TypeDesc._build_signature": "the abstract hook every descriptor overrides",
