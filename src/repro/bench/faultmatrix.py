@@ -9,24 +9,21 @@ and trigger a live update.  Every cell runs through
 record/replay and fuzzing planes use — so with a trace path configured
 each failed cell leaves a ``blackbox.json``/trace pair that
 ``python -m repro replay`` re-executes bit-identically to the failure.
-Each cell then asserts the paper's safety property (§3, §6.3) end to
-end:
-
-* ``run_update`` returned — the fault never escaped as an exception;
-* the surviving version is actually *serving* (a probe workload runs
-  against the port with zero errors);
-* after a rollback, the old tree is byte-identical to its checkpoint
-  (``UpdateResult.rollback_verified`` from the fingerprint comparison).
-
-Two cells deviate from plain arm-one-site:
+A cell survives when ``ScenarioOutcome.violations`` — the one judge of
+the paper's safety property (§3, §6.3) the fuzzer also asks — finds
+nothing: the update returned, ended committed XOR rolled back, a rollback
+was fingerprint-verified and left a black box, and the surviving version
+answers a probe with zero errors.  The grid adds two expectations of its
+own, after ``arm`` (``repro.replay.scenario``) has built the cell's plan:
 
 * ``commit.critical`` fires *after* the point of no return, so the
   expected outcome is a committed update with the fault contained
-  (roll-forward), the new version serving;
+  (roll-forward), the new version serving; any other fired fault must
+  roll back;
 * ``rollback`` alone would never fire (no rollback happens without a
-  primary fault), so that cell arms ``transfer.memory`` + ``rollback`` —
-  the double fault — and additionally requires ``rollback_failed`` to be
-  flagged while the old version still serves.
+  primary fault), so ``arm`` pairs it with ``transfer.memory`` — the
+  double fault — and the cell additionally requires ``rollback_failed``
+  to be flagged while the old version still serves.
 
 Wired into the CLI as ``python -m repro bench faultmatrix [--smoke]
 [--json]``; the JSON lands in ``BENCH_faultmatrix.json``, CI fails on any
@@ -42,14 +39,8 @@ from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
-from repro.mcr.controller import QUIESCENCE_MAX_RETRIES
-from repro.mcr.faults import (
-    CHECKPOINT_SITES,
-    FaultPlan,
-    MIGRATION_SITES,
-    UPDATE_SITES,
-)
-from repro.replay.scenario import default_spec, run_scenario
+from repro.mcr.faults import CHECKPOINT_SITES, MIGRATION_SITES, UPDATE_SITES
+from repro.replay.scenario import arm, default_spec, run_scenario
 from repro.replay.trace import TraceLog
 from repro.servers.catalog import CATALOG
 
@@ -59,21 +50,6 @@ SMOKE_SERVERS = ("simple", "vsftpd", "memcache")
 # multi-worker pools where per-batch hand-off is meaningful).
 ROLLING_FULL_SERVERS = ("httpd", "nginx")
 ROLLING_SMOKE_SERVERS = ("httpd",)
-
-def arm(site: Optional[str]) -> FaultPlan:
-    """The plan a cell label arms: ``"a+b"`` is a double fault, None is clean."""
-    plan = FaultPlan()
-    for name in site.split("+") if site else ():
-        if name == "quiescence.wait":
-            # Outlast the controller's bounded retries or the cell commits.
-            plan.at(name, times=QUIESCENCE_MAX_RETRIES + 1)
-        elif name == "rollback":
-            # The double fault: a transfer fault forces the rollback, which
-            # then faults itself.
-            plan.at("transfer.memory").at(name)
-        else:
-            plan.at(name)
-    return plan
 
 
 def run_cell(
@@ -96,9 +72,8 @@ def run_cell(
     )
     plan = outcome.plan
     result = outcome.result
-    raised = outcome.raised
+    update = outcome.update
     fired = [s for s, _hit in plan.injected]
-    expect_commit = site == "commit.critical" or not fired
     cell: Dict[str, object] = {
         "server": server,
         "site": site,
@@ -106,13 +81,8 @@ def run_cell(
         "armed": plan.armed_sites(),
         "fired": bool(fired),
         "fired_sites": fired,
-        "raised": raised,
-        "committed": bool(result.committed) if result else False,
-        "rolled_back": bool(result.rolled_back) if result else False,
-        "failure_site": result.failure_site if result else None,
-        "retries": result.retries if result else 0,
-        "rollback_verified": result.rollback_verified if result else None,
-        "rollback_failed": bool(result.rollback_failed) if result else False,
+        "raised": outcome.raised,
+        **update._asdict(),
         "error": type(result.error).__name__ if result and result.error else None,
     }
     # Black-box post-mortem: every failed cell must have dumped one whose
@@ -137,32 +107,27 @@ def run_cell(
             cell["trace_path"] = trace.path
     else:
         cell["blackbox_matches_site"] = None
-    # Survival: whichever version should now be serving answers traffic.
-    probe_ok = (
-        outcome.probe_error is None
-        and outcome.probe_errors == 0
-        and outcome.probe_completed > 0
-    )
     if outcome.probe_error is not None:
         cell["probe_error"] = outcome.probe_error
     cell["probe_completed"] = outcome.probe_completed
     cell["probe_errors"] = outcome.probe_errors
-    survived = raised is None and outcome.listener_present and probe_ok
-    if result is not None:
-        survived = survived and (result.committed != result.rolled_back)
-        survived = survived and (result.committed == expect_commit)
-        if site == "rollback" and result.rolled_back:
-            # The double-fault cell must flag the degradation loudly.
-            survived = survived and result.rollback_failed
+    # Survival: the update contract held, and the grid's two expectations
+    # with it — a fired fault rolls back unless it fired past the point of
+    # no return (``commit.critical`` rolls forward), and the double-fault
+    # cell flags its failed rollback loudly.
+    survived = not outcome.violations() and update.committed == (
+        site == "commit.critical" or not fired
+    )
+    if site == "rollback" and update.rolled_back:
+        survived = survived and update.rollback_failed
     cell["survived"] = survived
     # Old-version-intact: after a rollback, the fingerprint must match the
     # checkpoint.  Committed cells (fault never fired, or contained past
     # the point of no return) vacuously keep the property if they serve.
-    if result is not None and result.rolled_back:
-        intact = result.rollback_verified is True
+    if update.rolled_back:
+        cell["old_version_intact"] = update.rollback_verified is True
     else:
-        intact = survived
-    cell["old_version_intact"] = intact
+        cell["old_version_intact"] = survived
     return cell
 
 

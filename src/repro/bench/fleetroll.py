@@ -35,7 +35,7 @@ from repro.bench.reporting import fmt_cell, render_table
 from repro.clock import ns_to_ms
 from repro.fleet import Fleet, Orchestrator, wave_plan
 from repro.mcr.config import MCRConfig
-from repro.mcr.faults import FaultPlan
+from repro.replay.scenario import UpdateOutcome, arm
 
 FLEET_SIZE = 16
 
@@ -124,10 +124,10 @@ def _fault_row(
         # the failure lands mid-rollout with commits already banked.
         faulted_id = fleet.nodes[1].node_id
         report = orchestrator.rollout(
-            to_version=2, fault_plans={faulted_id: FaultPlan().at(site)}
+            to_version=2, fault_plans={faulted_id: arm(site)}
         )
-        faulted = [o for o in report.outcomes if o.node_id == faulted_id]
-        fault_outcome = faulted[0] if faulted else None
+        faulted = [o.result for o in report.outcomes if o.node_id == faulted_id]
+        update = UpdateOutcome.of(faulted[0] if faulted else None)
         expected_end = (
             report.to_version if report.outcome == "updated"
             else report.from_version
@@ -136,15 +136,12 @@ def _fault_row(
         return {
             "site": site,
             "policy": policy,
-            "fired": fault_outcome is not None
-            and fault_outcome.failure_site == site,
+            "fired": update.failure_site == site,
             "outcome": report.outcome,
             "uniform": report.uniform,
             "end_version": expected_end if end_versions == {expected_end} else None,
             "served_uniform": _served_uniform(fleet, expected_end),
-            "rollback_verified": (
-                fault_outcome.rollback_verified if fault_outcome else None
-            ),
+            "rollback_verified": update.rollback_verified,
             "reverted_nodes": len(report.reverted_nodes),
             "converge_retries": report.converge_retries,
             "requests_lost": fleet.requests_lost,

@@ -5,8 +5,9 @@ plan × workload shape (request counts, concurrency, client think-time
 jitter, held connections) — from a seeded master stream, **records** the
 run, and checks it two ways:
 
-* **invariants** — the paper's safety property, cell-shaped: the update
-  never raises, ends in exactly one of {committed, rolled back}, a
+* **invariants** — the paper's safety property as
+  ``ScenarioOutcome.violations`` judges it for the fault matrix too: the
+  update never raises, ends in exactly one of {committed, rolled back}, a
   rollback is fingerprint-verified and leaves a black box, and the
   surviving version answers a probe with zero errors;
 * **replay equivalence** — the recorded trace re-executes bit-
@@ -34,10 +35,9 @@ import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.reporting import fmt_cell, render_table
-from repro.mcr.controller import QUIESCENCE_MAX_RETRIES
-from repro.mcr.faults import UPDATE_SITES
+from repro.mcr.faults import UPDATE_SITES, FaultPlan
 from repro.replay.rng import RngStream, derive_seed
-from repro.replay.scenario import default_spec, run_scenario
+from repro.replay.scenario import arm, default_spec, run_scenario
 from repro.replay.trace import TraceLog
 from repro.servers.catalog import CATALOG
 
@@ -45,8 +45,7 @@ FULL_ITERATIONS = 24
 SMOKE_ITERATIONS = 6
 
 # Update-pipeline sites the fuzzer arms (the checkpoint plane has its
-# own failover drills).  ``rollback`` needs a primary fault to reach the
-# rollback path at all, so it is always armed as the double fault.
+# own failover drills), each armed through ``arm``.
 _FUZZ_SITES = tuple(UPDATE_SITES)
 
 # An explicit tuple, not ``tuple(CATALOG)``: ``master.choice`` indexes it,
@@ -63,32 +62,23 @@ def draw_spec(master: RngStream) -> Dict[str, Any]:
     mode = "whole-tree"
     if server in _ROLLING_SERVERS and master.random() < 0.5:
         mode = "rolling"
-    # Fault plan: 1/4 clean update, else one site, deterministic or
-    # probabilistic trigger.
+    # Fault plan: 1/4 clean update, else one site as ``arm`` plans it.
     faults: List[Dict[str, Any]] = []
     if master.random() < 0.75:
         site = master.choice(_FUZZ_SITES)
-        if site == "rollback":
-            faults.append({"site": "transfer.memory", "nth": 1, "times": 1})
-            faults.append({"site": "rollback", "nth": 1, "times": 1})
-        elif site == "quiescence.wait":
-            faults.append(
-                {
-                    "site": site,
-                    "nth": 1,
-                    "times": QUIESCENCE_MAX_RETRIES + 1,
-                }
-            )
-        elif master.random() < 0.3:
-            faults.append(
-                {
-                    "site": site,
-                    "probability": round(0.3 + 0.6 * master.random(), 3),
-                    "seed": master.randint(0, 2**16),
-                }
-            )
-        else:
-            faults.append({"site": site, "nth": master.randint(1, 2), "times": 1})
+        faults = arm(site).to_spec()
+        if faults == FaultPlan().at(site).to_spec():
+            # Armed plainly: draw its trigger, deterministic or probabilistic.
+            if master.random() < 0.3:
+                faults = [
+                    {
+                        "site": site,
+                        "probability": round(0.3 + 0.6 * master.random(), 3),
+                        "seed": master.randint(0, 2**16),
+                    }
+                ]
+            else:
+                faults = [{"site": site, "nth": master.randint(1, 2), "times": 1}]
     workload: Dict[str, Any] = {}
     if server in ("httpd", "nginx"):
         workload["requests"] = master.randint(8, 40)
@@ -137,37 +127,8 @@ def check_spec(
     except BaseException as error:
         problems.append(f"run_scenario raised {error!r}")
         return verdict
-    result = outcome.result
-    if outcome.raised is not None:
-        problems.append(f"live_update raised {outcome.raised}")
-    if result is None:
-        if outcome.raised is None:
-            problems.append("no UpdateResult and no exception")
-    else:
-        if result.committed == result.rolled_back:
-            problems.append(
-                f"outcome not exclusive: committed={result.committed} "
-                f"rolled_back={result.rolled_back}"
-            )
-        if result.rolled_back:
-            if result.rollback_verified is not True and not result.rollback_failed:
-                problems.append(
-                    f"rollback not fingerprint-verified: "
-                    f"{result.rollback_verified}"
-                )
-            if result.blackbox is None:
-                problems.append("rolled back without dumping a black box")
-    if not outcome.listener_present:
-        problems.append("no listener on the server port after the update")
-    if outcome.probe_error is not None:
-        problems.append(f"probe raised {outcome.probe_error}")
-    elif outcome.probe_errors or not outcome.probe_completed:
-        problems.append(
-            f"probe failed: {outcome.probe_completed} completed, "
-            f"{outcome.probe_errors} errors"
-        )
-    verdict["committed"] = bool(result.committed) if result else False
-    verdict["failure_site"] = result.failure_site if result else None
+    problems.extend(outcome.violations())
+    verdict.update(outcome.update._asdict())
     verdict["fired"] = [s for s, _hit in outcome.plan.injected]
     verdict["clock_ns"] = recorded.final.get("clock_ns")
     verdict["draws"] = len(recorded.draws)

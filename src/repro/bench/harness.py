@@ -86,13 +86,10 @@ def update_midflight(
 def quiesced_traces(world, config: MCRConfig, annotations) -> List:
     """Quiesce ``world``'s tree, trace every process under ``config``, release."""
     session = world.session
-    session.quiescence.request()
-    session.quiescence.wait(session.root_process)
-    traces = [
-        apply_invariants(
-            GraphBuilder(process, config, annotations=annotations).build()
-        )
-        for process in session.root_process.tree()
-    ]
-    session.quiescence.release()
-    return traces
+    with session.quiescence.held(session.root_process):
+        return [
+            apply_invariants(
+                GraphBuilder(process, config, annotations=annotations).build()
+            )
+            for process in session.root_process.tree()
+        ]

@@ -76,7 +76,7 @@ def _sweep_row(
         (
             MigrationDrill(
                 server,
-                precopy_interval_ns=cadence_ms * 1_000_000,
+                config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
                 convergence_bytes=threshold,
             )
             for _trial in range(trials)
@@ -104,19 +104,9 @@ def _sweep_row(
 
 def _head_to_head(server: str, cadence_ms: int) -> Dict[str, Any]:
     """Planned brownout vs crash RTO under the same cadence and stream."""
-    migrate, _runs = run_trials(
-        [MigrationDrill(server, precopy_interval_ns=cadence_ms * 1_000_000)],
-        "brownout",
-    )
-    failover, _runs = run_trials(
-        [
-            FailoverDrill(
-                server,
-                config=MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000),
-            )
-        ],
-        "rto",
-    )
+    cadence = MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000)
+    migrate, _runs = run_trials([MigrationDrill(server, config=cadence)], "brownout")
+    failover, _runs = run_trials([FailoverDrill(server, config=cadence)], "rto")
     brownout = migrate["brownout_p50_ms"]
     rto = failover["rto_p50_ms"]
     return {

@@ -57,16 +57,14 @@ def measure_quiescence_under_load(name: str) -> Dict[str, float]:
     # Idle quiescence.
     world = boot_server(name)
     session = world.session
-    session.quiescence.request()
-    idle_ns = session.quiescence.wait(session.root_process)
-    session.quiescence.release()
+    with session.quiescence.held(session.root_process) as idle_ns:
+        pass
     world.kernel.run(max_steps=50_000)
     # Under load: launch the workload, then immediately quiesce.
     clients = world.spec.workload()(world.kernel)
     world.kernel.run(max_steps=5_000)  # let requests get in flight
-    session.quiescence.request()
-    loaded_ns = session.quiescence.wait(session.root_process)
-    session.quiescence.release()
+    with session.quiescence.held(session.root_process) as loaded_ns:
+        pass
     world.kernel.run(until=lambda: all(c.exited for c in clients), max_steps=5_000_000)
     return {"idle_ms": ns_to_ms(idle_ns), "loaded_ms": ns_to_ms(loaded_ns)}
 

@@ -95,14 +95,8 @@ def hold_quiesced(node: Any, config: Optional[MCRConfig] = None) -> Iterator[Non
     stopped (a failed migration never takes the primary down).
     """
     config = config or node.session.config
-    with node.scope():
-        protocol = node.session.quiescence
-        protocol.request()
-        try:
-            protocol.wait(node.root, config=config)
-            yield
-        finally:
-            protocol.release()
+    with node.scope(), node.session.quiescence.held(node.root, config):
+        yield
 
 
 def capture_delta(

@@ -488,13 +488,8 @@ def checkpoint_node(node: Any, config: Optional[MCRConfig] = None) -> Checkpoint
     config = config or node.session.config
     with node.scope():
         with obs.span("checkpoint", server=node.server):
-            protocol = node.session.quiescence
-            protocol.request()
-            try:
-                protocol.wait(node.root, config=config)
+            with node.session.quiescence.held(node.root, config):
                 return capture_quiesced(node, config)
-            finally:
-                protocol.release()
 
 
 # -- durable file I/O ----------------------------------------------------------

@@ -115,20 +115,12 @@ class Drill:
         windows: int,
         window_ns: int,
         requests_per_window: int,
-        interval_ns: Optional[int] = None,
     ) -> None:
         self.server = server
         self.config = config or MCRConfig()
         self.windows = windows
         self.window_ns = window_ns
         self.requests_per_window = requests_per_window
-        # Serving time between delta rounds: the checkpoint cadence knob
-        # unless the drill was given its own.
-        self.interval_ns = (
-            interval_ns
-            if interval_ns is not None
-            else self.config.checkpoint_interval_ns
-        )
         # Drill state.
         self.primary: Optional[Node] = None
         self.peer: Optional[WarmStandby] = None
@@ -157,8 +149,8 @@ class Drill:
         return cost_ns
 
     def _round_due(self, deadline: int) -> bool:
-        """True once per ``interval_ns`` of serving: cut the next delta."""
-        if deadline - self._last_round_ns < self.interval_ns:
+        """True once per ``checkpoint_interval_ns`` of serving: cut the next delta."""
+        if deadline - self._last_round_ns < self.config.checkpoint_interval_ns:
             return False
         self._last_round_ns = deadline
         return True
@@ -205,10 +197,7 @@ class Drill:
         result.requests_sent = sum(n.requests_sent for n in nodes) - result.reissued
         result.requests_completed = sum(n.completed for n in nodes)
         result.requests_lost = sum(n.lost for n in nodes)
-        merged = ClientLatencyLog()
-        for node in nodes:
-            merged.samples.extend(node.latency.samples)
-        merged.samples.sort()
+        merged = ClientLatencyLog.merged(node.latency for node in nodes)
         result.perceived = ClientPerceived.measure(
             merged,
             self.config.downtime_budget_ns,

@@ -18,6 +18,7 @@ from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint
 from repro.runtime.instrument import BuildConfig
+from repro.servers.common import ClientLatencyLog
 
 
 class Fleet:
@@ -123,17 +124,8 @@ class Fleet:
         shifting streams around per-node blackouts this stays near the
         inter-window idle gap even while individual nodes are dark.
         """
-        completions = sorted(
-            stamp
-            for node in self.nodes
-            for stamp in node.latency.completions_ns()
-        )
-        if window is not None:
-            lo, hi = window
-            completions = [lo] + [min(max(c, lo), hi) for c in completions] + [hi]
-        if len(completions) < 2:
-            return 0
-        return max(b - a for a, b in zip(completions, completions[1:]))
+        merged = ClientLatencyLog.merged(node.latency for node in self.nodes)
+        return merged.blackout_ns(window)
 
     def teardown(self) -> None:
         for node in self.nodes:

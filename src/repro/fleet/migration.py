@@ -121,14 +121,10 @@ class MigrationDrill(Drill):
         windows: int = 12,
         window_ns: int = 20_000_000,
         requests_per_window: int = 6,
-        precopy_interval_ns: Optional[int] = None,
         convergence_bytes: int = DEFAULT_CONVERGENCE_BYTES,
         max_precopy_rounds: int = DEFAULT_MAX_PRECOPY_ROUNDS,
     ) -> None:
-        super().__init__(
-            server, config, windows, window_ns, requests_per_window,
-            interval_ns=precopy_interval_ns,
-        )
+        super().__init__(server, config, windows, window_ns, requests_per_window)
         self.convergence_bytes = convergence_bytes
         self.max_precopy_rounds = max(1, max_precopy_rounds)
         self.ready_to_cut = False
@@ -297,7 +293,7 @@ class MigrationDrill(Drill):
         # Anything left queued on the retired primary is gone.
         result.requests_lost += self.primary.pending()
         cut = result.cutover_started_ns
-        completions = sorted(recv for _send, recv in merged.samples)
+        completions = merged.completions_ns()
         before = [r for r in completions if r <= cut]
         after = [r for r in completions if r > cut]
         if before and after:

@@ -36,8 +36,10 @@ from repro.clock import ns_to_ms
 from repro.fleet.fleet import Fleet
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import UpdateResult
 from repro.mcr.faults import FaultPlan
 from repro.obs.metrics import Histogram
+from repro.replay.scenario import UpdateOutcome
 from repro.servers.common import ClientPerceived
 
 
@@ -55,50 +57,35 @@ def wave_plan(total: int, canary: int = 1, growth: int = 4) -> List[int]:
 
 
 class NodeOutcome:
-    """One node's judged update attempt within a rollout."""
+    """One node's judged update attempt within a rollout: its
+    ``UpdateResult``, with what its clients saw attached as ``.client``."""
 
     def __init__(
-        self,
-        node: Node,
-        wave: int,
-        committed: bool,
-        rolled_back: bool,
-        blackout_ns: int,
-        slo_ok: bool,
-        duration_ns: int,
-        rollback_verified: Optional[bool],
-        failure_site: Optional[str],
-        error: Optional[str],
-        retried: bool = False,
+        self, node_id: int, wave: int, result: UpdateResult, retried: bool = False
     ) -> None:
-        self.node_id = node.node_id
+        self.node_id = node_id
         self.wave = wave
-        self.committed = committed
-        self.rolled_back = rolled_back
-        self.blackout_ns = blackout_ns
-        self.slo_ok = slo_ok
-        self.duration_ns = duration_ns
-        self.rollback_verified = rollback_verified
-        self.failure_site = failure_site
-        self.error = error
+        self.result = result
         self.retried = retried
 
     @property
     def ok(self) -> bool:
-        return self.committed and self.slo_ok
+        return self.result.committed and self.result.client.slo_ok
 
     def to_dict(self) -> Dict[str, object]:
+        result = self.result
+        update = UpdateOutcome.of(result)
         return {
             "node": self.node_id,
             "wave": self.wave,
-            "committed": self.committed,
-            "rolled_back": self.rolled_back,
-            "blackout_ms": ns_to_ms(self.blackout_ns),
-            "slo_ok": self.slo_ok,
-            "duration_ms": ns_to_ms(self.duration_ns),
-            "rollback_verified": self.rollback_verified,
-            "failure_site": self.failure_site,
-            "error": self.error,
+            "committed": update.committed,
+            "rolled_back": update.rolled_back,
+            "blackout_ms": ns_to_ms(result.client.blackout_ns),
+            "slo_ok": result.client.slo_ok,
+            "duration_ms": ns_to_ms(result.total_ns),
+            "rollback_verified": update.rollback_verified,
+            "failure_site": update.failure_site,
+            "error": type(result.error).__name__ if result.error else None,
             "retried": self.retried,
         }
 
@@ -125,7 +112,9 @@ class RolloutReport:
     # -- aggregates ----------------------------------------------------------
 
     def updated_blackouts_ns(self) -> List[int]:
-        return [o.blackout_ns for o in self.outcomes if o.committed]
+        return [
+            o.result.client.blackout_ns for o in self.outcomes if o.result.committed
+        ]
 
     def blackout_summary_ms(self) -> Dict[str, object]:
         return Histogram.from_values(
@@ -157,7 +146,7 @@ class RolloutReport:
             "outcome": self.outcome,
             "uniform": self.uniform,
             "waves": self.waves_run,
-            "updated_nodes": sum(1 for o in self.outcomes if o.committed),
+            "updated_nodes": sum(1 for o in self.outcomes if o.result.committed),
             "gate_failures": list(self.gate_failures),
             "reverted_nodes": list(self.reverted_nodes),
             "converge_retries": self.converge_retries,
@@ -290,22 +279,10 @@ class Orchestrator:
         # completion stamps bound the measured blackout.
         node.drain()
         t1 = node.now_ns
-        perceived = ClientPerceived.measure(
+        result.client = ClientPerceived.measure(
             node.latency, budget_ns=self.budget_ns, window=(t0, t1)
         )
-        result.client = perceived
-        return NodeOutcome(
-            node,
-            wave_index,
-            committed=result.committed,
-            rolled_back=result.rolled_back,
-            blackout_ns=perceived.blackout_ns,
-            slo_ok=perceived.slo_ok,
-            duration_ns=result.total_ns,
-            rollback_verified=result.rollback_verified,
-            failure_site=result.failure_site,
-            error=type(result.error).__name__ if result.error else None,
-        )
+        return NodeOutcome(node.node_id, wave_index, result)
 
     def _revert(self, report: RolloutReport) -> None:
         """Walk every committed node back to the old version (fleet rollback)."""

@@ -15,7 +15,8 @@ workload-independent).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, TYPE_CHECKING
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Optional, Set, TYPE_CHECKING
 
 from repro.errors import QuiescenceTimeout
 from repro.kernel.kernel import Barrier, Kernel
@@ -172,6 +173,19 @@ class QuiescenceProtocol:
         if self.barrier is not None:
             self.barrier.release()
             self.barrier = None
+
+    @contextmanager
+    def held(self, root: Process, config=None) -> Iterator[int]:
+        """Park ``root``'s whole tree for the block; yields ``wait``'s time.
+
+        The barrier is released on exit, whether the block (or the wait
+        itself) finished or raised.
+        """
+        self.request()
+        try:
+            yield self.wait(root, config=config)
+        finally:
+            self.release()
 
     # -- program side (called from unblockified wrappers via libmcr) ---------------
 

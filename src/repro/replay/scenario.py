@@ -22,6 +22,11 @@ kernel is cooperative and the clock virtual, the *only* nondeterminism
 is the seeded RNG draws, so a spec re-executes bit-identically: same
 virtual timestamps, same span tree, same fingerprints, same outcome.
 
+The cell's rules live here once: ``arm`` turns a cell label into its
+fault plan, ``UpdateOutcome`` is how the update ended, and
+``ScenarioOutcome.violations`` judges the update contract — the fault
+matrix and the fuzzer both ask it.
+
 Pass a ``TraceLog`` to record the run (or to verify it, in replay mode);
 the trace is bound to the kernel before boot, so even startup scheduling
 is covered.  ``until_failure=True`` stops right after the update attempt
@@ -32,11 +37,12 @@ the failure left behind; the replayer uses this for ``--to-failure``.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro import obs
 from repro.kernel.kernel import Kernel
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import QUIESCENCE_MAX_RETRIES, UpdateResult
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan, TreeFingerprint
 from repro.obs.export import to_json
@@ -67,6 +73,53 @@ def default_spec(
         "workload": dict(workload or {}),
         "holders": default_held if holders is None else holders,
     }
+
+
+def arm(label: Optional[str]) -> FaultPlan:
+    """The plan a cell label arms: ``"a+b"`` is a double fault, None is clean.
+
+    ``quiescence.wait`` outlasts the controller's bounded retries, or the
+    update would simply commit on a later attempt; ``rollback`` is armed
+    behind ``transfer.memory``, because no rollback runs without a primary
+    fault to force it.
+    """
+    plan = FaultPlan()
+    for name in label.split("+") if label else ():
+        if name == "quiescence.wait":
+            plan.at(name, times=QUIESCENCE_MAX_RETRIES + 1)
+        elif name == "rollback":
+            plan.at("transfer.memory").at(name)
+        else:
+            plan.at(name)
+    return plan
+
+
+class UpdateOutcome(NamedTuple):
+    """How one update ended, read off its ``UpdateResult`` in one place.
+
+    Cells, the trace's final digest and rollout rows report these fields
+    under these names; the defaults are an update that returned nothing.
+    """
+
+    committed: bool = False
+    rolled_back: bool = False
+    failure_site: Optional[str] = None
+    retries: int = 0
+    rollback_verified: Optional[bool] = None
+    rollback_failed: bool = False
+
+    @classmethod
+    def of(cls, result: Optional[UpdateResult]) -> "UpdateOutcome":
+        if result is None:
+            return cls()
+        return cls(
+            bool(result.committed),
+            bool(result.rolled_back),
+            result.failure_site,
+            result.retries,
+            result.rollback_verified,
+            bool(result.rollback_failed),
+        )
 
 
 class ScenarioOutcome:
@@ -101,6 +154,46 @@ class ScenarioOutcome:
         self.probe_error: Optional[str] = None
         self.trace: Optional[TraceLog] = None
 
+    @property
+    def update(self) -> UpdateOutcome:
+        return UpdateOutcome.of(self.result)
+
+    def violations(self) -> List[str]:
+        """The update contract (§3, §6.3), judged once: every way this run
+        broke it, empty when it held.
+
+        The update returns instead of raising and ends exactly one of
+        committed and rolled back; a rollback is fingerprint-verified (or
+        loudly flagged as a failed rollback) and leaves a black box; and
+        the surviving version owns its port and answers a probe cleanly.
+        """
+        problems: List[str] = []
+        update = self.update
+        if self.raised is not None:
+            problems.append(f"live_update raised {self.raised}")
+        elif update.committed == update.rolled_back:
+            problems.append(
+                f"outcome not exclusive: committed={update.committed} "
+                f"rolled_back={update.rolled_back}"
+            )
+        if update.rolled_back:
+            if update.rollback_verified is not True and not update.rollback_failed:
+                problems.append(
+                    f"rollback not fingerprint-verified: {update.rollback_verified}"
+                )
+            if self.result.blackbox is None:
+                problems.append("rolled back without dumping a black box")
+        if not self.listener_present:
+            problems.append("no listener on the server port after the update")
+        if self.probe_error is not None:
+            problems.append(f"probe raised {self.probe_error}")
+        elif self.probe_errors or not self.probe_completed:
+            problems.append(
+                f"probe failed: {self.probe_completed} completed, "
+                f"{self.probe_errors} errors"
+            )
+        return problems
+
 
 def _final_observables(
     outcome: ScenarioOutcome, until_failure: bool
@@ -118,12 +211,7 @@ def _final_observables(
         "clock_ns": kernel.clock.now_ns,
         "steps": kernel.steps_executed,
         "raised": outcome.raised,
-        "committed": bool(result.committed) if result else False,
-        "rolled_back": bool(result.rolled_back) if result else False,
-        "failure_site": result.failure_site if result else None,
-        "retries": result.retries if result else 0,
-        "rollback_verified": result.rollback_verified if result else None,
-        "rollback_failed": bool(result.rollback_failed) if result else False,
+        **outcome.update._asdict(),
         "span_crc": zlib.crc32(
             to_json(
                 [root.to_dict() for root in outcome.collector.spans.roots]

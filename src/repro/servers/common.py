@@ -11,7 +11,7 @@ responses) judged against a downtime budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.clock import ns_to_ms
@@ -77,6 +77,14 @@ class ClientLatencyLog:
     def __init__(self, metric: str = "client.latency_ns") -> None:
         self.metric = metric
         self.samples: List[Tuple[int, int]] = []
+
+    @classmethod
+    def merged(cls, logs: Iterable["ClientLatencyLog"]) -> "ClientLatencyLog":
+        """One log holding every sample of ``logs``, sorted: what the
+        clients of several nodes saw together."""
+        log = cls()
+        log.samples = sorted(sample for each in logs for sample in each.samples)
+        return log
 
     def record(self, send_ns: int, recv_ns: int) -> None:
         self.samples.append((send_ns, recv_ns))

@@ -1,13 +1,15 @@
-"""Golden artifacts: the smoke benches reproduce the committed files byte for byte.
+"""Golden artifacts: the benches reproduce the committed files byte for byte.
 
 Everything these benches report is stamped by the virtual clock, so the
 committed ``BENCH_failover.json`` / ``BENCH_migrate.json`` /
 ``BENCH_updatetime.json`` / ``BENCH_faultmatrix.json`` (and the fault
-matrix's black boxes and replay trace) are an executable spec of the
-drills, the update's phases and client-perceived columns, the
-controller's transaction envelope and the black-box writer: any
-refactor of those must leave every byte where it was.  Each bench runs through the CLI
-entry point in a scratch working directory, exactly as CI runs it.
+matrix's black boxes and replay trace) / ``BENCH_fleetroll.json`` are an
+executable spec of the drills, the update's phases and client-perceived
+columns, the controller's transaction envelope, the black-box writer and
+the rollout orchestrator: any refactor of those must leave every byte
+where it was.  Each bench runs through the CLI entry point in a scratch
+working directory, exactly as CI runs it: the smoke run, except
+fleetroll, whose committed file is the full run (about 2 s).
 
 Every bench with verdicts judges its own results: ``python -m repro bench
 X`` exits 1 when one of ``X.verdicts`` fails, and the committed artifacts
@@ -26,6 +28,7 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# Bench -> the files it writes.
 ARTIFACTS = {
     "failover": ("BENCH_failover.json",),
     "migrate": ("BENCH_migrate.json",),
@@ -37,7 +40,10 @@ ARTIFACTS = {
         "BENCH_faultmatrix_blackbox_failover.json",
         "BENCH_faultmatrix_blackbox_migration.json",
     ),
+    "fleetroll": ("BENCH_fleetroll.json",),
 }
+# The benches whose committed artifact is the full run.
+FULL_SIZE = ("fleetroll",)
 
 
 @pytest.mark.parametrize("experiment", sorted(ARTIFACTS))
@@ -45,7 +51,8 @@ def test_smoke_bench_reproduces_committed_artifacts(
     experiment, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    assert main(["bench", experiment, "--smoke", "--json"]) == 0
+    size = [] if experiment in FULL_SIZE else ["--smoke"]
+    assert main(["bench", experiment, *size, "--json"]) == 0
     capsys.readouterr()  # the rendered tables are not under test here
     for name in ARTIFACTS[experiment]:
         produced = (tmp_path / name).read_bytes()

@@ -150,7 +150,7 @@ class TestOrchestrator:
             assert fleet.versions() == [2, 2, 2, 2]
             assert fleet.served_versions() == [2, 2, 2, 2]
             assert fleet.requests_lost == 0
-            assert all(o.slo_ok for o in report.outcomes)
+            assert all(o.result.client.slo_ok for o in report.outcomes)
         finally:
             fleet.teardown()
 
@@ -165,7 +165,7 @@ class TestOrchestrator:
             assert report.outcome == "reverted"
             assert report.waves_run == 1  # aborted at the canary gate
             assert set(fleet.versions()) == {1}
-            canary = report.outcomes[0]
+            canary = report.outcomes[0].result
             assert canary.rolled_back and canary.rollback_verified
         finally:
             fleet.teardown()

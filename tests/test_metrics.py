@@ -541,6 +541,21 @@ class TestClientLatency:
         assert log.blackout_ns() == 0
         assert log.blackout_ns(window=(0, 777)) == 777
 
+    def test_merged_logs_see_what_their_clients_saw_together(self):
+        first, second, empty = ClientLatencyLog(), ClientLatencyLog(), ClientLatencyLog()
+        for recv in (100, 1_200):
+            first.record(recv - 10, recv)
+        second.record(590, 600)
+        merged = ClientLatencyLog.merged([first, second, empty])
+        assert merged.samples == sorted(first.samples + second.samples)
+        assert merged.completions_ns() == [100, 600, 1_200]
+        # Each node alone was dark for 1 100 ns; together the gap is 600.
+        assert first.blackout_ns() == 1_100
+        assert merged.blackout_ns() == 600
+        assert merged.blackout_ns(window=(0, 2_000)) == 800
+        assert ClientLatencyLog.merged([]).blackout_ns(window=(0, 9)) == 9
+        assert first.samples == [(90, 100), (1_190, 1_200)]  # inputs untouched
+
     def test_perceived_verdict(self):
         log = ClientLatencyLog()
         for recv in (1_000, 2_000, 50_000_000):

@@ -115,7 +115,9 @@ def test_zero_threshold_never_converges_but_still_cuts():
     # least the fingerprint round-trip's dirty pages), so the policy
     # falls back to the max-round / forced-cut path.
     result = MigrationDrill(
-        "simple", convergence_bytes=0, precopy_interval_ns=20_000_000
+        "simple",
+        config=MCRConfig(checkpoint_interval_ns=20_000_000),
+        convergence_bytes=0,
     ).run()
     assert result.migrated
     assert not result.converged_precopy
@@ -125,8 +127,8 @@ def test_zero_threshold_never_converges_but_still_cuts():
 def test_huge_threshold_converges_on_the_first_round():
     result = MigrationDrill(
         "simple",
+        config=MCRConfig(checkpoint_interval_ns=20_000_000),
         convergence_bytes=1 << 30,
-        precopy_interval_ns=20_000_000,
     ).run()
     assert result.migrated
     assert result.converged_precopy

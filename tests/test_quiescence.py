@@ -32,6 +32,20 @@ class TestBarrierProtocol:
         kernel.run(max_steps=10_000)
         assert not any(t.at_barrier for t in root.live_threads())
 
+    def test_held_yields_the_wait_and_releases_even_on_error(self, kernel):
+        session, root = self._boot_simple(kernel)
+        protocol = session.quiescence
+        with protocol.held(root) as elapsed:
+            assert 0 <= elapsed <= 100_000_000
+            assert protocol.requested and protocol.is_quiescent(root)
+        assert not protocol.requested and protocol.barrier is None
+        with pytest.raises(RuntimeError):
+            with protocol.held(root):
+                raise RuntimeError("the block died while parked")
+        assert not protocol.requested and protocol.barrier is None
+        kernel.run(max_steps=10_000)
+        assert not any(t.at_barrier for t in root.live_threads())
+
     def test_quiescence_converges_under_load(self, kernel):
         session, root = self._boot_simple(kernel)
         replies = []
