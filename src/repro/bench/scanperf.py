@@ -5,8 +5,8 @@ Three views of the one scan engine:
 * **Microbenchmark** — conservative-scan throughput (words/sec) over a
   booted server's data + heap mappings: the per-word reference scanner
   over the cascade resolver against the scanner tracing runs
-  (``conservative.scan_range`` through the scan index — numpy when
-  importable, stdlib otherwise).  Asserts both produce *identical*
+  (``conservative.scan_range`` through the standard-library scan index,
+  ``repro.mem.scan_backend``).  Asserts both produce *identical*
   likely-pointer lists and ``words_scanned`` counts, and reports the
   resolve traffic of each.
 * **Per-server update** — one full ``run_update`` per server: host wall

@@ -1,4 +1,4 @@
-"""The likely-pointer scan index: one classifier, two array backends.
+"""The likely-pointer scan index: one classifier, standard library only.
 
 A :class:`PreparedScanIndex` is a snapshot of a process's resolvable
 address ranges as sorted, disjoint segments, each carrying its resolution
@@ -8,24 +8,15 @@ the two questions tracing asks:
 * ``lookup(address)`` — the payload of the segment containing one
   address (a single ``bisect``), for the precise walk;
 * ``classify(window)`` — every aligned 64-bit word of a memory window
-  that is a likely pointer, for the conservative scanner.  The whole
-  window is processed at once and Python only touches the survivors.
+  that is a likely pointer, for the conservative scanner.  The window is
+  read as ``memoryview.cast('Q')``, zero words are dropped in C by
+  ``itertools.compress``, and Python runs one ``bisect`` per in-bounds
+  word that is left.
 
-``classify`` has two implementations of the same predicate, chosen once
-at import from what the interpreter can import and nothing else:
-
-* :class:`NumpyScanIndex` — ``frombuffer`` the window as little-endian
-  ``uint64``, reject out-of-bounds words with one mask, bucket the rest
-  against the segments with ``searchsorted``, and apply containment and
-  tag-alignment rejection as array operations;
-* :class:`StdlibScanIndex` — ``memoryview.cast('Q')`` plus a tight
-  ``bisect`` loop, for installs without numpy (the optional ``fast``
-  extra, see ``pyproject.toml``).
-
-Both are equivalence-tested against the per-word reference scanner
-(``repro.mcr.tracing.conservative.scan_range_ref``) — identical likely
-pointers, identical ``words_scanned`` — and against each other, down to
-the candidate count.
+``classify`` is equivalence-tested against the per-word reference scanner
+(``repro.mcr.tracing.conservative.scan_range_ref``) and a plain per-word
+bisect reference — identical likely pointers, identical ``words_scanned``,
+identical candidate count.
 """
 
 from __future__ import annotations
@@ -35,14 +26,10 @@ import struct as _struct
 import sys as _sys
 from array import array as _array
 from hashlib import blake2b as _blake2b
+from itertools import compress as _compress
 from typing import List, Optional, Sequence, Tuple
 
 _NATIVE_LITTLE_ENDIAN = _sys.byteorder == "little"
-
-try:  # numpy is optional (the ``fast`` extra); the stdlib path is complete.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    _np = None
 
 
 class PreparedScanIndex:
@@ -55,6 +42,7 @@ class PreparedScanIndex:
     """
 
     __slots__ = ("starts", "ends", "payloads", "lo", "hi", "bases", "aligns", "_digest")
+    name = "stdlib"
 
     def __init__(
         self, starts: Sequence[int], ends: Sequence[int], payloads: Sequence[Tuple]
@@ -74,8 +62,8 @@ class PreparedScanIndex:
 
         ``starts`` / ``ends`` / ``bases`` / ``aligns`` (``lo`` and ``hi``
         are their first and last entries): two indexes with equal digests
-        classify any window identically, whichever backend built them.
-        Computed on first use — once per trace that memoizes its scans.
+        classify any window identically.  Computed on first use — once
+        per trace that memoizes its scans.
         """
         digest = self._digest
         if digest is None:
@@ -101,16 +89,6 @@ class PreparedScanIndex:
         base) and ``candidates`` counts the words inside ``[lo, hi)`` —
         what feeds ``scan.resolve_calls``.
         """
-        raise NotImplementedError
-
-
-class StdlibScanIndex(PreparedScanIndex):
-    """Pure-stdlib classification: one bisect per in-bounds candidate."""
-
-    __slots__ = ()
-    name = "stdlib"
-
-    def classify(self, window: memoryview):
         if _NATIVE_LITTLE_ENDIAN:
             words = window.cast("Q")
         else:  # pragma: no cover - big-endian hosts
@@ -123,7 +101,8 @@ class StdlibScanIndex(PreparedScanIndex):
         values: List[int] = []
         targets: List[int] = []
         candidates = 0
-        for position, value in enumerate(words):
+        # A zero word is never a candidate (``lo > 0``): skip them in C.
+        for position, value in _compress(enumerate(words), words):
             if value < lo or value >= hi:
                 continue
             candidates += 1
@@ -139,46 +118,5 @@ class StdlibScanIndex(PreparedScanIndex):
         return positions, values, targets, candidates
 
 
-class NumpyScanIndex(PreparedScanIndex):
-    """numpy classification: the whole window as one array pipeline."""
-
-    __slots__ = ("_starts", "_ends", "_bases", "_aligns")
-    name = "numpy"
-
-    def __init__(self, starts, ends, payloads) -> None:
-        super().__init__(starts, ends, payloads)
-        self._starts = _np.asarray(self.starts, dtype=_np.uint64)
-        self._ends = _np.asarray(self.ends, dtype=_np.uint64)
-        self._bases = _np.asarray(self.bases, dtype=_np.uint64)
-        self._aligns = _np.asarray(self.aligns, dtype=_np.uint64)
-
-    def classify(self, window: memoryview):
-        words = _np.frombuffer(window, dtype="<u8")
-        in_bounds = (words >= self.lo) & (words < self.hi)
-        candidates = int(_np.count_nonzero(in_bounds))
-        if not candidates:
-            return [], [], [], 0
-        positions = _np.nonzero(in_bounds)[0]
-        values = words[positions]
-        # Predecessor-by-start segment lookup, vectorized: identical to
-        # ``bisect_right(starts, v) - 1`` plus the containment check.
-        segment = _np.searchsorted(self._starts, values, side="right") - 1
-        contained = values < self._ends[segment]
-        positions = positions[contained]
-        if not positions.size:
-            return [], [], [], candidates
-        values = values[contained]
-        segment = segment[contained]
-        bases = self._bases[segment]
-        # Tag-assisted rejection: align of 1 (untagged) accepts everything.
-        aligned = (values - bases) % self._aligns[segment] == 0
-        return (
-            positions[aligned].tolist(),
-            values[aligned].tolist(),
-            bases[aligned].tolist(),
-            candidates,
-        )
-
-
-# The index class tracing builds: numpy when importable, stdlib otherwise.
-ACTIVE = NumpyScanIndex if _np is not None else StdlibScanIndex
+# The index class tracing builds.
+ACTIVE = PreparedScanIndex

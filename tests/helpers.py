@@ -6,7 +6,7 @@ from typing import Dict, List, Optional
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import sim_function
-from repro.mem import scan_backend
+from repro.mem.scan_backend import PreparedScanIndex
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
@@ -55,17 +55,10 @@ def boot_test_program(
     return kernel, session, process
 
 
-# Every scan index class this interpreter can run: the equivalence suites
-# address both by class, whichever one ``scan_backend.ACTIVE`` is.
-INDEX_CLASSES = [scan_backend.StdlibScanIndex]
-if scan_backend.ACTIVE is scan_backend.NumpyScanIndex:
-    INDEX_CLASSES.append(scan_backend.NumpyScanIndex)
-
-
-def scan_index_of(objects, cls=None):
+def scan_index_of(objects):
     """A scan index over synthetic ``(base, size, align-or-None)`` objects
     (sorted, disjoint)."""
-    return (cls or scan_backend.ACTIVE)(
+    return PreparedScanIndex(
         [base for base, _, _ in objects],
         [base + size for base, size, _ in objects],
         objects,

@@ -425,7 +425,7 @@ def test_lint_scan_engine_has_no_selectors():
         if knob in text
     ]
     assert not offenders, f"scan-path selectors are back: {offenders}"
-    # The classifier is chosen by what imports, never by the environment.
+    # There is one classifier; nothing in the environment reaches it.
     backend = SRC_ROOT / "repro" / "mem" / "scan_backend.py"
     tree = ast.parse(backend.read_text(), filename=str(backend))
     names = {
@@ -434,6 +434,32 @@ def test_lint_scan_engine_has_no_selectors():
         if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert not list(_imports_of(tree, "os")) and not names & {"environ", "getenv"}
+
+
+_IMPORT_EVERYTHING = """
+import importlib, pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith("__main__"):
+        importlib.import_module(info.name)
+importlib.import_module("repro.cli")
+from repro.mem import scan_backend
+print("numpy" in sys.modules, scan_backend.ACTIVE.name)
+"""
+
+
+def test_no_module_loads_numpy():
+    # Every process pays for what any repro module imports; the scan
+    # classifier is the standard library's whether or not numpy is installed.
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERYTHING],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "stdlib"]
 
 
 def test_divergence_renders_its_context():

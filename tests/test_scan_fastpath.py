@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MemoryFault
 from repro.mcr.config import MCRConfig
-from repro.mcr.tracing import conservative, graph
+from repro.mcr.tracing import conservative
 from repro.mcr.tracing.conservative import (
     scan_range,
     scan_range_ref,
@@ -24,13 +24,11 @@ from repro.mcr.tracing.conservative import (
 )
 from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
 from repro.mcr.tracing.incremental import TraceMemo, resolution_fingerprint
-from repro.mem import scan_backend
 from repro.mem.address_space import AddressSpace
 from repro.runtime.program import GlobalVar
 from repro.types.descriptors import INT32, INT64, PointerType, StructType
 
 from tests.helpers import (
-    INDEX_CLASSES,
     CallCounter,
     boot_test_program,
     make_test_program,
@@ -63,8 +61,8 @@ _OBJECTS = [
     (TARGETS + 0x300, 128, 16),
 ]
 
-# The same objects as a scan index, one per classifier class.
-_INDEXES = [scan_index_of(_OBJECTS, cls) for cls in INDEX_CLASSES]
+# The same objects as a scan index.
+_INDEX = scan_index_of(_OBJECTS)
 
 
 def _resolve(value):
@@ -99,9 +97,8 @@ class TestBulkEquivalence:
         start = REGION + start_offset  # may be word-unaligned
         size = len(words) * 8 - start_offset + tail
         ref = scan_range_ref(space, start, size, _resolve)
-        for index in _INDEXES:
-            got = scan_range(space, start, size, index)
-            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
+        got = scan_range(space, start, size, _INDEX)
+        assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
 
     @given(
         words=st.lists(_WORD, min_size=1, max_size=64),
@@ -114,9 +111,8 @@ class TestBulkEquivalence:
         for index, word in enumerate(words):
             space.write_word(REGION + index * 8, word)
         ref = scan_words_ref(space, offsets, REGION, _resolve)
-        for index in _INDEXES:
-            got = scan_words(space, offsets, REGION, index)
-            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
+        got = scan_words(space, offsets, REGION, _INDEX)
+        assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
 
     def test_cross_mapping_scan_falls_back(self):
         # Two adjacent mappings: no single view covers the range, so the
@@ -128,10 +124,9 @@ class TestBulkEquivalence:
         space.write_word(REGION + 4096 - 8, TARGETS + 8)
         space.write_word(REGION + 4096, TARGETS + 0x108)
         ref = scan_range_ref(space, REGION + 4064, 64, _resolve)
-        for index in _INDEXES:
-            got = scan_range(space, REGION + 4064, 64, index)
-            assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
-            assert len(got[0]) == 2
+        got = scan_range(space, REGION + 4064, 64, _INDEX)
+        assert _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
+        assert len(got[0]) == 2
 
     def test_unmapped_tail_faults_like_reference(self):
         # A range running off the end of mapped memory: both scanners
@@ -140,10 +135,9 @@ class TestBulkEquivalence:
         space.map(4096, address=REGION)
         with pytest.raises(MemoryFault) as ref_fault:
             scan_range_ref(space, REGION + 4064, 64, _resolve)
-        for index in _INDEXES:
-            with pytest.raises(MemoryFault) as fault:
-                scan_range(space, REGION + 4064, 64, index)
-            assert fault.value.address == ref_fault.value.address
+        with pytest.raises(MemoryFault) as fault:
+            scan_range(space, REGION + 4064, 64, _INDEX)
+        assert fault.value.address == ref_fault.value.address
 
 
 # -- index lookup vs resolution cascade ---------------------------------------
@@ -300,13 +294,12 @@ class TestScanMemo:
             assert cost == 1 and _key(got[0]) == _key(ref[0]) and got[1] == ref[1]
         assert memo.scan_hits == 0
 
-    def test_layout_digest_is_backend_independent(self):
+    def test_layout_digest_follows_the_layout(self):
         proc, raw = self._scanned_world()
-        segments = graph.live_segments(proc)
-        digests = {cls(*segments).layout_digest() for cls in INDEX_CLASSES}
-        assert len(digests) == 1
+        digest = snapshot_index(proc).layout_digest()
+        assert snapshot_index(proc).layout_digest() == digest
         proc.crt.malloc(32)
-        assert scan_backend.ACTIVE(*graph.live_segments(proc)).layout_digest() not in digests
+        assert snapshot_index(proc).layout_digest() != digest
 
     def test_fingerprint_tracks_tags_and_mappings(self):
         proc, raw = self._scanned_world()
@@ -386,7 +379,7 @@ def test_scanperf_micro_engine_matches_reference():
 
     micro = run_scan_micro("httpd", repeats=1)
     assert micro["identical"] is True
-    assert micro["backend"] == scan_backend.ACTIVE.name
+    assert micro["backend"] == "stdlib"
     assert micro["words"] > 0 and micro["likely_pointers"] > 0
     # The index bounds reject words the reference still has to resolve.
     assert micro["likely_pointers"] <= micro["resolve_calls"] <= micro["resolve_calls_ref"]

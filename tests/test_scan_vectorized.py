@@ -2,11 +2,10 @@
 
 Two equivalences are load-bearing:
 
-* every **scan index class** (numpy when installed, stdlib always) must
-  classify windows identically to the reference per-word scanner — same
-  likely pointers, same ``words_scanned``, and the same in-bounds
-  candidate count, so ``scan.resolve_calls`` accounting is byte-for-byte
-  unchanged; and
+* the **scan index** must classify windows identically to the reference
+  per-word scanner — same likely pointers, same ``words_scanned``, and
+  the same in-bounds candidate count, so ``scan.resolve_calls``
+  accounting is byte-for-byte unchanged; and
 * the **span-coalescing transfer writer** must leave destination memory
   byte-for-byte identical to the per-word write path, with identical
   dirty-page accounting.
@@ -16,23 +15,20 @@ the resolver quirks the index snapshot must reproduce (guard gaps between
 mappings, nested tag regions).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mcr.tracing.conservative import scan_range, scan_range_ref
 from repro.mcr.tracing.graph import AddressResolver, live_segments
 from repro.mcr.tracing.spans import SpanWriter
-from repro.mem import scan_backend
 from repro.mem.address_space import AddressSpace
+from repro.mem.scan_backend import PreparedScanIndex
 from repro.types.descriptors import INT32, INT64, StructType
 
-from tests.helpers import INDEX_CLASSES, boot_test_program, make_test_program
+from tests.helpers import boot_test_program, make_test_program
 
 REGION = 0x40000   # scanned area
 TARGETS = 0x80000  # synthetic object segments
-
-HAS_NUMPY = scan_backend.ACTIVE is scan_backend.NumpyScanIndex
 
 
 def _key(pointers):
@@ -83,60 +79,45 @@ def _classify_ref(words, starts, ends, payloads, lo, hi):
     return positions, values, targets, candidates
 
 
-_SEG_WORD = st.one_of(
-    st.just(0),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=TARGETS - 64, max_value=TARGETS + 2048),
+# A window as runs of one repeated word: long zero runs (which
+# ``classify`` drops before its loop), runs of one value outside every
+# segment, and single words in and around the segments between them.
+_WINDOW_RUN = st.one_of(
+    st.tuples(st.just(0), st.integers(min_value=1, max_value=64)),
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=1, max_value=TARGETS - 1),
+            st.integers(min_value=TARGETS + 2**20, max_value=2**64 - 1),
+        ),
+        st.integers(min_value=1, max_value=16),
+    ),
+    st.tuples(
+        st.integers(min_value=TARGETS - 64, max_value=TARGETS + 4096), st.just(1)
+    ),
 )
 
 
 class TestBackendEquivalence:
     @given(
         specs=st.lists(_SEGMENT, min_size=1, max_size=12),
-        words=st.lists(_SEG_WORD, min_size=1, max_size=128),
+        runs=st.lists(_WINDOW_RUN, min_size=1, max_size=24),
     )
     @settings(max_examples=80, deadline=None)
-    def test_backends_match_reference(self, specs, words):
+    def test_backends_match_reference(self, specs, runs):
         starts, ends, payloads = _build_segments(specs)
+        words = [value for value, length in runs for _ in range(length)]
         window = memoryview(
             b"".join(value.to_bytes(8, "little") for value in words)
         )
         lo, hi = starts[0], ends[-1]
         expected = _classify_ref(words, starts, ends, payloads, lo, hi)
-        for cls in INDEX_CLASSES:
-            assert cls(starts, ends, payloads).classify(window) == expected, cls.name
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    @given(
-        specs=st.lists(_SEGMENT, min_size=1, max_size=8),
-        words=st.lists(_SEG_WORD, min_size=1, max_size=96),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_and_stdlib_agree(self, specs, words):
-        starts, ends, payloads = _build_segments(specs)
-        window = memoryview(
-            b"".join(value.to_bytes(8, "little") for value in words)
-        )
-        a = scan_backend.StdlibScanIndex(starts, ends, payloads)
-        b = scan_backend.NumpyScanIndex(starts, ends, payloads)
-        assert a.classify(window) == b.classify(window)
+        assert PreparedScanIndex(starts, ends, payloads).classify(window) == expected
 
     def test_empty_index_classifies_nothing(self):
         window = memoryview((TARGETS).to_bytes(8, "little") * 4)
-        for cls in INDEX_CLASSES:
-            empty = cls([], [], [])
-            assert empty.classify(window) == ([], [], [], 0)
-            assert empty.lookup(TARGETS) is None
-
-    def test_backend_selection(self):
-        # Chosen from what the interpreter can import, nothing else.
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            assert scan_backend.ACTIVE is scan_backend.StdlibScanIndex
-        else:
-            assert scan_backend.ACTIVE is scan_backend.NumpyScanIndex
-        assert scan_backend.ACTIVE.name in ("numpy", "stdlib")
+        empty = PreparedScanIndex([], [], [])
+        assert empty.classify(window) == ([], [], [], 0)
+        assert empty.lookup(TARGETS) is None
 
 
 # -- indexed scan_range vs reference on a real resolver ------------------------
@@ -148,7 +129,7 @@ _WORD = st.one_of(
 
 
 class TestIndexedScanEquivalence:
-    """``scan_range`` through each index class against the per-word
+    """``scan_range`` through the scan index against the per-word
     reference over the cascade resolver of a booted world — including
     nested tag regions (the index must reproduce the cascade's gap quirk,
     not "fix" it) and the guard gap past each mapping's end."""
@@ -178,11 +159,9 @@ class TestIndexedScanEquivalence:
         ref = scan_range_ref(
             space, REGION, len(words) * 8, AddressResolver(proc).resolve
         )
-        segments = live_segments(proc)
-        for cls in INDEX_CLASSES:
-            got = scan_range(space, REGION, len(words) * 8, cls(*segments))
-            assert _key(got[0]) == _key(ref[0])
-            assert got[1] == ref[1]
+        got = scan_range(space, REGION, len(words) * 8, PreparedScanIndex(*live_segments(proc)))
+        assert _key(got[0]) == _key(ref[0])
+        assert got[1] == ref[1]
 
 
 # -- span-coalesced transfer writes vs per-word writes -------------------------

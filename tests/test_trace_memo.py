@@ -46,7 +46,6 @@ from repro.mcr.tracing.incremental import (
     trace_stamp,
 )
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.mem import scan_backend
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.program import GlobalVar
 from repro.servers import httpd
@@ -56,7 +55,6 @@ from repro.workloads.ab import ApacheBench
 from repro.workloads.holders import ConnectionHolder
 
 from tests.helpers import (
-    INDEX_CLASSES,
     CallCounter,
     boot_test_program,
     idle_main,
@@ -111,17 +109,10 @@ def assert_own(trace: TraceResult, process) -> None:
             assert record.type is record.tag.type
 
 
-@pytest.fixture(params=INDEX_CLASSES, ids=lambda cls: cls.name)
-def scan_index_class(request, monkeypatch):
-    """Run the test once per scan backend this interpreter has."""
-    monkeypatch.setattr(scan_backend, "ACTIVE", request.param)
-    return request.param
-
-
 # -- bugfix: the scan key must hold the layout, not a count of it ------------------
 
 
-def test_forked_workers_with_equal_counts_do_not_swap_scans(scan_index_class):
+def test_forked_workers_with_equal_counts_do_not_swap_scans():
     # Two workers forked from one parent each malloc once at the same
     # address — 64 bytes in one, 128 in the other — so their malloc/free/
     # tag counts (the old shared key's "layout") are equal while a word
@@ -547,7 +538,7 @@ def test_a_walk_over_a_range_no_single_mapping_backs_is_not_shared():
     ],
     ids=["junk", "null", "base", "interior", "known-target"],
 )
-def test_siblings_share_on_equal_answers_not_equal_bytes(offset, word, shares, scan_index_class):
+def test_siblings_share_on_equal_answers_not_equal_bytes(offset, word, shares):
     # Sharing both ways: what differs between the siblings is one word of
     # a conservatively scanned buffer.  If the scanner classifies it as a
     # non-pointer both walks are the same walk; if it resolves they are not.
@@ -767,7 +758,7 @@ VSFTPD40_SCAN_CEILING = 600
     "name,most_builds,most_visits", [("vsftpd", 3, 800), ("opensshd", 4, 1_200)]
 )
 def test_whole_tree_update_walks_each_distinct_process_once(
-    name, most_builds, most_visits, scan_index_class, monkeypatch
+    name, most_builds, most_visits, monkeypatch
 ):
     kernel, session, root = _boot_served(name, sessions=40)
     processes = len(root.tree())

@@ -48,7 +48,6 @@ ENV_LINES = "COVERAGE_AUDIT_LINES"
 # ``<path under src/repro>:<qualified name>``.
 KEPT: Dict[str, str] = {
     "kernel/syscalls.py:_Timeout.__bool__": "TIMEOUT is falsy by contract, whoever tests it next",
-    "mem/scan_backend.py:PreparedScanIndex.classify": "the abstract method both backends implement",
     "types/descriptors.py:TypeDesc._build_signature": "the abstract hook every descriptor overrides",
     "types/codec.py:MemoryView.read_bytes": "a typing.Protocol stub",
     "types/codec.py:MemoryView.write_bytes": "a typing.Protocol stub",
