@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig
 from repro.mcr.tracing import conservative, precise
-from repro.mem import scan_backend
+from repro.mem.scan_backend import PreparedScanIndex
 from repro.mem.tags import DataTag
 from repro.types.descriptors import WORD_SIZE, TypeDesc
 
@@ -251,13 +251,13 @@ def live_segments(process: Process) -> Tuple[List[int], List[int], List[Tuple]]:
     return _merge(levels)
 
 
-def snapshot_index(process: Process) -> scan_backend.PreparedScanIndex:
+def snapshot_index(process: Process) -> PreparedScanIndex:
     """The scan index of a quiesced process.
 
     Valid only while tags/heap/symbols/mappings do not change —
     ``GraphBuilder`` builds one per ``build()``.
     """
-    return scan_backend.ACTIVE(*live_segments(process))
+    return PreparedScanIndex(*live_segments(process))
 
 
 class AddressResolver:
@@ -403,7 +403,7 @@ class GraphBuilder:
         )
         self.result = TraceResult(process)
         self._worklist: deque = deque()
-        self.index: Optional[scan_backend.PreparedScanIndex] = None  # set by build()
+        self.index: Optional[PreparedScanIndex] = None  # set by build()
         # The update's ``TraceMemo`` when a controller drives this trace:
         # byte-identical windows under identical layouts (forked siblings'
         # startup pages) are classified once per update, not once each.

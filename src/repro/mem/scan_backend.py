@@ -118,5 +118,6 @@ class PreparedScanIndex:
         return positions, values, targets, candidates
 
 
-# The index class tracing builds.
+# The classifier, under the name perfbench reads ``ACTIVE.name`` from to
+# stamp its results.
 ACTIVE = PreparedScanIndex

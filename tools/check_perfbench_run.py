@@ -10,9 +10,10 @@ and exits 1 unless the run was ``correct``, ``failed == 0`` and its
 
 The bound is the 256-worker prefork roll's: its footprint is pages, three
 38 MB copies of what the 257 processes touch (old tree, new tree,
-transferred state) plus the interpreter, about 174 MiB.  It read 208
-while every new-version fd table carried its own copy of the inheritance
-stash; 200 fails there and leaves about 15 % headroom.
+transferred state) plus the interpreter, about 161 MiB (median of ten
+runs on a 2-core x86-64 VM, CPython 3.11).  It read 208 while every
+new-version fd table carried its own copy of the inheritance stash; 200
+fails there and leaves about 24 % headroom.
 """
 
 from __future__ import annotations
