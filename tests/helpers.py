@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import struct
 from typing import Dict, List, Optional
 
 from repro.kernel.kernel import Kernel
@@ -53,6 +55,39 @@ def boot_test_program(
     else:
         kernel.run(max_steps=1_000)
     return kernel, session, process
+
+
+class ReferenceScanIndex(PreparedScanIndex):
+    """The scan index with the per-word reference classifier: one bisect
+    per in-bounds word, no word skipped before the bounds test, the
+    alignment read straight from the payloads."""
+
+    __slots__ = ()
+    name = "reference"
+
+    def classify(self, window):
+        words = [w for (w,) in struct.iter_unpack("<Q", window)]
+        positions, values, targets, candidates = [], [], [], 0
+        for position, value in enumerate(words):
+            if value < self.lo or value >= self.hi:
+                continue
+            candidates += 1
+            i = bisect.bisect_right(self.starts, value) - 1
+            if i < 0 or value >= self.ends[i]:
+                continue
+            base, _size, align = self.payloads[i][:3]
+            if (value - base) % (align or 1):
+                continue
+            positions.append(position)
+            values.append(value)
+            targets.append(base)
+        return positions, values, targets, candidates
+
+
+# The scan index and its reference: tests that trace through
+# ``snapshot_index`` run under both, so what they assert about the memo
+# holds for any classifier that gives the reference's answers.
+INDEX_CLASSES = [PreparedScanIndex, ReferenceScanIndex]
 
 
 def scan_index_of(objects):

@@ -25,7 +25,7 @@ from repro.mem.address_space import AddressSpace
 from repro.mem.scan_backend import PreparedScanIndex
 from repro.types.descriptors import INT32, INT64, StructType
 
-from tests.helpers import boot_test_program, make_test_program
+from tests.helpers import ReferenceScanIndex, boot_test_program, make_test_program
 
 REGION = 0x40000   # scanned area
 TARGETS = 0x80000  # synthetic object segments
@@ -58,26 +58,26 @@ def _build_segments(specs):
     return starts, ends, payloads
 
 
-def _classify_ref(words, starts, ends, payloads, lo, hi):
-    """The reference classification: one predecessor lookup per word."""
-    import bisect
+def _window(words):
+    return memoryview(b"".join(value.to_bytes(8, "little") for value in words))
 
-    positions, values, targets, candidates = [], [], [], 0
-    for position, value in enumerate(words):
-        if value < lo or value >= hi:
-            continue
-        candidates += 1
-        i = bisect.bisect_right(starts, value) - 1
-        if i < 0 or value >= ends[i]:
-            continue
-        base, _size, align = payloads[i]
-        if (value - base) % (align or 1):
-            continue
-        positions.append(position)
-        values.append(value)
-        targets.append(base)
-    return positions, values, targets, candidates
 
+def _classify_both(specs, words):
+    """``classify`` and the per-word reference over one window."""
+    starts, ends, payloads = _build_segments(specs)
+    window = _window(words)
+    return (
+        PreparedScanIndex(starts, ends, payloads).classify(window),
+        ReferenceScanIndex(starts, ends, payloads).classify(window),
+    )
+
+
+# Any word: zero, anything at all, or in and around the segments.
+_SEG_WORD = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=TARGETS - 64, max_value=TARGETS + 2048),
+)
 
 # A window as runs of one repeated word: long zero runs (which
 # ``classify`` drops before its loop), runs of one value outside every
@@ -104,14 +104,28 @@ class TestBackendEquivalence:
     )
     @settings(max_examples=80, deadline=None)
     def test_backends_match_reference(self, specs, runs):
-        starts, ends, payloads = _build_segments(specs)
         words = [value for value, length in runs for _ in range(length)]
-        window = memoryview(
-            b"".join(value.to_bytes(8, "little") for value in words)
-        )
-        lo, hi = starts[0], ends[-1]
-        expected = _classify_ref(words, starts, ends, payloads, lo, hi)
-        assert PreparedScanIndex(starts, ends, payloads).classify(window) == expected
+        got, expected = _classify_both(specs, words)
+        assert got == expected
+
+    @given(
+        specs=st.lists(_SEGMENT, min_size=1, max_size=12),
+        words=st.lists(_SEG_WORD, min_size=1, max_size=128),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_free_words_match_reference(self, specs, words):
+        got, expected = _classify_both(specs, words)
+        assert got == expected
+
+    def test_skipped_zeros_keep_their_positions(self):
+        # Pointers after zero runs sit at their index in the whole
+        # window, and a window of zeros has no candidates at all.
+        specs = [(8, 64, 8)]
+        base = TARGETS + 8
+        words = [0] * 5 + [base] + [0] * 9 + [base + 16, 0, 7]
+        got, expected = _classify_both(specs, words)
+        assert got == expected == ([5, 15], [base, base + 16], [base, base], 2)
+        assert _classify_both(specs, [0] * 32)[0] == ([], [], [], 0)
 
     def test_empty_index_classifies_nothing(self):
         window = memoryview((TARGETS).to_bytes(8, "little") * 4)

@@ -55,6 +55,7 @@ from repro.workloads.ab import ApacheBench
 from repro.workloads.holders import ConnectionHolder
 
 from tests.helpers import (
+    INDEX_CLASSES,
     CallCounter,
     boot_test_program,
     idle_main,
@@ -109,10 +110,17 @@ def assert_own(trace: TraceResult, process) -> None:
             assert record.type is record.tag.type
 
 
+@pytest.fixture(params=INDEX_CLASSES, ids=lambda cls: cls.name)
+def scan_index_class(request, monkeypatch):
+    """Run the test once with the scan index, once with its reference."""
+    monkeypatch.setattr(graph, "PreparedScanIndex", request.param)
+    return request.param
+
+
 # -- bugfix: the scan key must hold the layout, not a count of it ------------------
 
 
-def test_forked_workers_with_equal_counts_do_not_swap_scans():
+def test_forked_workers_with_equal_counts_do_not_swap_scans(scan_index_class):
     # Two workers forked from one parent each malloc once at the same
     # address — 64 bytes in one, 128 in the other — so their malloc/free/
     # tag counts (the old shared key's "layout") are equal while a word
@@ -538,7 +546,7 @@ def test_a_walk_over_a_range_no_single_mapping_backs_is_not_shared():
     ],
     ids=["junk", "null", "base", "interior", "known-target"],
 )
-def test_siblings_share_on_equal_answers_not_equal_bytes(offset, word, shares):
+def test_siblings_share_on_equal_answers_not_equal_bytes(offset, word, shares, scan_index_class):
     # Sharing both ways: what differs between the siblings is one word of
     # a conservatively scanned buffer.  If the scanner classifies it as a
     # non-pointer both walks are the same walk; if it resolves they are not.
@@ -758,7 +766,7 @@ VSFTPD40_SCAN_CEILING = 600
     "name,most_builds,most_visits", [("vsftpd", 3, 800), ("opensshd", 4, 1_200)]
 )
 def test_whole_tree_update_walks_each_distinct_process_once(
-    name, most_builds, most_visits, monkeypatch
+    name, most_builds, most_visits, scan_index_class, monkeypatch
 ):
     kernel, session, root = _boot_served(name, sessions=40)
     processes = len(root.tree())
