@@ -213,6 +213,7 @@ class Kernel:
         for thread in list(process.threads.values()):
             if thread is not caller and thread.state != EXITED:
                 self._retire_thread(thread)
+        self._release_image(process)
         process.name = image_name
         process.space = AddressSpace()
         process.heap = PtMallocHeap(process.space)
@@ -252,10 +253,7 @@ class Kernel:
             self._retire_thread(thread)
         for obj in process.fdtable.close_all():
             self.drop_reference(obj)
-        process.exited = True
-        process.exit_status = status
-        namespace = getattr(process, "namespace", None) or self.pidns
-        namespace.release(process.pid)
+        self._release(process, status)
         # A parent blocked in wait_child can now reap this process.
         parent = process.parent
         if parent is not None and not parent.exited:
@@ -298,10 +296,31 @@ class Kernel:
                 continue
             for thread in list(victim.threads.values()):
                 self._retire_thread(thread)
-            victim.exited = True
-            victim.exit_status = status
-            namespace = getattr(victim, "namespace", None) or self.pidns
-            namespace.release(victim.pid)
+            self._release(victim, status)
+
+    def _release(self, process: Process, status: int) -> None:
+        """The one death of a process, orderly or not: mark it exited,
+        free its pid and its fault ledger entry, and give back its image.
+
+        It stays in ``processes`` — its exit status and name are still
+        asked for — but ``tree()``, ``descendants()`` and
+        ``live_processes()`` skip it, so nothing that walks a live tree
+        can reach the image this drops.
+        """
+        process.exited = True
+        process.exit_status = status
+        (process.namespace or self.pidns).release(process.pid)
+        self._fault_charged.pop(process.global_id, None)
+        self._release_image(process)
+
+    @staticmethod
+    def _release_image(process: Process) -> None:
+        """Give back the host memory of ``process``'s image: its stores,
+        its heap's tables and its tag table (exit, crash, or the image
+        ``exec`` replaces).  A late read faults as unmapped."""
+        process.space.release()
+        process.heap.release()
+        process.tags.release()
 
     def _retire_thread(self, thread: Thread) -> None:
         if thread.state == EXITED:

@@ -23,6 +23,10 @@ reads only those, as do the checkpoint image's ``Mapping.packed`` and
 ``ever_written`` is all zero**.  The only writers of a store are therefore
 ``write_bytes``/``write_word`` (tracked) and ``Mapping.load`` /
 ``Mapping.replace`` (checkpoint grafts); ``view()`` windows are read-only.
+A store is made only by ``Mapping.__init__`` and destroyed only by
+``AddressSpace.release`` (exit, crash, or the image ``exec`` replaces),
+which closes every store and leaves the space empty: a dead image holds
+no pages, and a late read faults as unmapped memory.
 """
 
 from __future__ import annotations
@@ -92,7 +96,14 @@ def _crc32_zeros(crc: int, n: int) -> int:
 class Mapping:
     """One contiguous region of simulated memory."""
 
-    def __init__(self, base: int, size: int, name: str, kind: str) -> None:
+    def __init__(
+        self,
+        base: int,
+        size: int,
+        name: str,
+        kind: str,
+        tracker: Optional[PageTracker] = None,
+    ) -> None:
         self.base = base
         self.size = _round_up_pages(size)
         self.end = base + self.size  # stored: a mapping never moves or grows
@@ -103,12 +114,11 @@ class Mapping:
         self.data = _mmap.mmap(
             -1, self.size, flags=_mmap.MAP_PRIVATE | _mmap.MAP_ANONYMOUS
         )
-        self.tracker = PageTracker(base, self.size)
+        self.tracker = tracker if tracker is not None else PageTracker(base, self.size)
 
     def clone(self) -> "Mapping":
         """fork(): a fresh store holding copies of the resident pages only."""
-        twin = Mapping(self.base, self.size, self.name, self.kind)
-        twin.tracker = self.tracker.clone()
+        twin = Mapping(self.base, self.size, self.name, self.kind, self.tracker.clone())
         with memoryview(self.data) as source:
             for start, stop in self.tracker.resident_runs():
                 twin.data[start:stop] = source[start:stop]
@@ -227,6 +237,19 @@ class AddressSpace:
         index = _bisect.bisect_left(self._bases, base)
         del self._mappings[index]
         del self._bases[index]
+        self._hit = None
+
+    def release(self) -> None:
+        """exit(): destroy every store and forget every mapping.
+
+        The one place a store is closed, as ``Mapping.__init__`` is the
+        one place one is made.  The space is left empty, so a late reader
+        gets the ``MemoryFault`` of unmapped memory, never a dead image.
+        """
+        for mapping in self._mappings:
+            mapping.data.close()
+        self._mappings = []
+        self._bases = []
         self._hit = None
 
     def _insert(self, mapping: Mapping) -> None:

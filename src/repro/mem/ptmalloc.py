@@ -363,6 +363,17 @@ class PtMallocHeap:
         """Mirror the TagStore tag id into in-band metadata."""
         self._space.write_bytes(chunk.base + 24, tag_id.to_bytes(8, "little"))
 
+    def release(self) -> None:
+        """exit(): drop this heap's own tables.  The chunks in them may be
+        a forked sibling's too, so the tables are replaced, the chunks
+        left alone."""
+        self._free = _FreeList()
+        self._chunks = {}
+        self._sorted_user_bases = []
+        self._reserved = {}
+        self._deferred_frees = []
+        self._deferred = set()
+
     def clone_into(self, space: AddressSpace) -> "PtMallocHeap":
         """Rebind this heap's bookkeeping onto a forked address space.
 

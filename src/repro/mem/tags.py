@@ -147,6 +147,12 @@ class TagStore:
         """Logical metadata footprint (memory-usage benchmark input)."""
         return len(self._by_address) * TAG_OVERHEAD_BYTES
 
+    def release(self) -> None:
+        """exit(): drop this store's own table; the tags in it may be a
+        forked sibling's too, so they are left alone."""
+        self._by_address = {}
+        self._sorted_addresses = []
+
     def clone(self) -> "TagStore":
         """fork(): the table follows the address space; the (write-once)
         tags in it are shared, not copied."""

@@ -137,6 +137,9 @@ class FlightRecorder:
         processes = kernel.live_processes()
         self.samples_taken += 1
         cache = self._gauge_cache
+        # Only the processes sampled now are kept: a dead one never comes
+        # back, so the cache stays as large as the live world.
+        self._gauge_cache = kept = {}
         fds = live_bytes = live_chunks = free_bytes = dirty_faults = 0
         for process in processes:
             stamp = process.gauge_stamp
@@ -150,7 +153,7 @@ class FlightRecorder:
                     process.heap._free.total_free(),
                     process.space.soft_dirty_faults,
                 )
-                cache[process.global_id] = entry
+            kept[process.global_id] = entry
             fds += entry[1]
             live_bytes += entry[2]
             live_chunks += entry[3]
