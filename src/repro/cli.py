@@ -256,7 +256,7 @@ def cmd_checkpoint(args) -> int:
     from repro.fleet.node import Node
 
     node = Node.boot(args.server)
-    if args.serve and node.world.spec.request is not None:
+    if args.serve:
         node.serve(args.serve)
         node.drain()
         node.settle(SETTLE_NS)  # workers release served-connection fds

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro import obs
-from repro.errors import SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, sim_function
 from repro.mcr.config import MCRConfig
@@ -31,7 +30,7 @@ from repro.mcr.faults import TreeFingerprint
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.program import Program
 from repro.servers.catalog import World, boot
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.scripted import Script, ScriptedClients, Step
 
 # A client whose response stalls longer than this abandons the
 # connection and retries over a fresh connect (real load balancers and
@@ -63,12 +62,15 @@ class Node:
         self.stall_ns = stall_ns
         self.ctl = McrCtl(self.kernel, self.session)
         self.version = int(self.program.version)
+        # The request stream: one connection per request, timed from its
+        # connect, retried over a fresh one past ``stall_ns``.
+        self.requests = ScriptedClients(
+            self.port, world.spec.request, frame="_oneshot_request",
+            name=lambda index: f"fleet-client-{node_id}-{index + 1}",
+            stall_ns=stall_ns, timed_from_connect=True,
+        )
         # Client-perceived bookkeeping, fleet-visible.
-        self.latency = ClientLatencyLog()
-        self.requests_sent = 0
-        self.completed = 0
-        self.lost = 0
-        self.reconnects = 0
+        self.latency = self.requests.latency
         self._clients: List[Process] = []
         self.updates: List[UpdateResult] = []
         self.torn_down = False
@@ -144,6 +146,20 @@ class Node:
 
     # -- the request stream ---------------------------------------------------
 
+    @property
+    def requests_sent(self) -> int:
+        return self.requests.sent
+
+    @property
+    def completed(self) -> int:
+        return self.requests.completed
+
+    @property
+    def lost(self) -> int:
+        """Requests whose retry budget ran out: ``completed + lost ==
+        requests_sent`` once every issued request has finished."""
+        return self.requests.errors
+
     def serve(self, requests: int) -> None:
         """Queue ``requests`` one-shot clients into this node's kernel.
 
@@ -151,23 +167,9 @@ class Node:
         virtual-time latency into ``self.latency`` on completion.  A
         request is *lost* only when its retry budget is exhausted — a
         stall during a live update reconnects and retries instead, so a
-        healthy update loses nothing.  A catalog row without a request
-        script is refused: any other line would count the banner as served.
+        healthy update loses nothing.
         """
-        if self.world.spec.request is None:
-            raise ValueError(
-                f"{self.server} has no one-shot request script in the catalog"
-            )
-        line, expect = self.world.spec.request
-        for _ in range(requests):
-            self.requests_sent += 1
-            self._clients.append(
-                self.kernel.spawn_process(
-                    _oneshot_request,
-                    args=(self, line, expect),
-                    name=f"fleet-client-{self.node_id}-{self.requests_sent}",
-                )
-            )
+        self._clients.extend(self.requests.spawn(self.kernel, requests))
 
     def pending(self) -> int:
         """Queued/in-flight requests not yet completed or lost."""
@@ -228,32 +230,21 @@ class Node:
         fleet end-state checks are grounded in observed behaviour, not
         orchestrator bookkeeping.
         """
-        script = self.world.spec.version_probe
-        if script is None:
+        if self.world.spec.version_probe is None:
             return None
-        line, marker = script
-        seen: List[int] = []
-
-        @sim_function
-        def version_client(sys):
-            try:
-                fd = yield from connect_with_retry(sys, self.port)
-            except SimError:
-                return
-            yield from sys.send(fd, (line + "\n").encode())
-            reply = yield from sys.recv(fd)
-            if isinstance(reply, (bytes, bytearray)) and reply:
-                text = reply.decode(errors="replace").strip()
-                if marker in text:
-                    tail = text.rsplit(marker, 1)[1].split()[0]
-                    if tail.isdecimal():
-                        seen.append(int(tail))
-            yield from sys.close(fd)
-
+        line, marker = self.world.spec.version_probe
+        probe = ScriptedClients(
+            self.port, Script([Step(line)]), frame="version_client",
+            name="version-probe".format, stamped=False,
+        )
         with self.scope():
-            process = self.kernel.spawn_process(version_client, name="version-probe")
-            self.kernel.run(until=lambda: process.exited, max_steps=max_steps)
-        return seen[0] if seen else None
+            probe.run(self.kernel, max_steps=max_steps)
+        text = (probe.last_reply or b"").decode(errors="replace").strip()
+        if marker in text:
+            tail = text.rsplit(marker, 1)[1].split()[0]
+            if tail.isdecimal():
+                return int(tail)
+        return None
 
     def teardown(self) -> None:
         """Kill the tree and release every port — node-local only."""
@@ -269,46 +260,3 @@ class Node:
 def _settle_sleeper(sys, duration_ns: int):
     yield from sys.nanosleep(duration_ns)
 
-
-@sim_function
-def _oneshot_request(sys, node: Node, line: str, expect: str):
-    """One fleet request: connect, send one line, await one reply.
-
-    Retry posture mirrors real client libraries: a response stalled
-    longer than ``node.stall_ns`` abandons the connection and retries
-    over a fresh connect, which lands on whichever worker is live.
-    """
-    clock = sys.kernel.clock
-    start = clock.now_ns
-    try:
-        fd = yield from connect_with_retry(sys, node.port)
-    except SimError:
-        node.lost += 1
-        return
-    attempts = 0
-    while True:
-        try:
-            yield from sys.send(fd, (line + "\n").encode())
-            reply = yield from sys.recv(fd, timeout_ns=node.stall_ns)
-        except SimError:
-            reply = None
-        if (
-            isinstance(reply, (bytes, bytearray))
-            and reply
-            and reply.decode(errors="replace").startswith(expect)
-        ):
-            node.completed += 1
-            node.latency.record(start, clock.now_ns)
-            break
-        attempts += 1
-        if attempts > 100:
-            node.lost += 1
-            break
-        node.reconnects += 1
-        yield from sys.close(fd)
-        try:
-            fd = yield from connect_with_retry(sys, node.port)
-        except SimError:
-            node.lost += 1
-            return
-    yield from sys.close(fd)

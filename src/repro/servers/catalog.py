@@ -45,6 +45,7 @@ from repro.workloads.ftpbench import FtpBench
 from repro.workloads.holders import ConnectionHolder
 from repro.workloads.linebench import LineBench
 from repro.workloads.mcbench import McBench
+from repro.workloads.scripted import Script, Step
 from repro.workloads.sshsuite import SshSuite
 
 
@@ -63,10 +64,10 @@ class ServerSpec(NamedTuple):
     small_workload: Callable[[Dict[str, Any]], Any]
     probe: Callable[[], Any]
     profile: Callable  # the §8 quiescence-profiling script
+    # The one-shot request ``Node.serve`` sends per connection: its reply
+    # prefix is what counts as served, and can never be a banner.
+    request: Script
     holder_kind: Optional[str] = None  # ConnectionHolder protocol; None: cannot park
-    # One-shot request line + the reply prefix that counts as served.
-    # None: no script yet (a banner must never count as a reply).
-    request: Optional[Tuple[str, str]] = None
     # (line, marker): the token after ``marker`` in the reply is the
     # version the serving tree itself reports.  None: no such command.
     version_probe: Optional[Tuple[str, str]] = None
@@ -126,7 +127,11 @@ def _lines(port: int, script, probe_script, clients: int, bench=None):
     )
 
 
-_FILE_REQUEST = ("GET /file1k.bin", "")
+def _request(line: str, expect: str = "", banner: bool = False) -> Script:
+    return Script([Step(line, expect=expect)], banner=banner)
+
+
+_FILE_REQUEST = _request("GET /file1k.bin")
 
 CATALOG: Dict[str, ServerSpec] = {
     spec.name: spec
@@ -142,7 +147,7 @@ CATALOG: Dict[str, ServerSpec] = {
                 clients=2,
             ),
             profile=profiles.web_profile(PORT_SIMPLE, big_path="/index.html"),
-            request=("sum", "sum"),
+            request=_request("sum", "sum"),
             version_probe=("version", "version "),
         ),
         ServerSpec(
@@ -163,10 +168,12 @@ CATALOG: Dict[str, ServerSpec] = {
         ServerSpec(
             "vsftpd", vsftpd, PORT_VSFTPD, *_ftp(PORT_VSFTPD),
             profile=profiles.ftp_profile(PORT_VSFTPD), holder_kind="ftp",
+            request=_request("STAT", "211", banner=True),  # the banner is 220
         ),
         ServerSpec(
             "opensshd", opensshd, PORT_SSHD, *_ssh(PORT_SSHD),
             profile=profiles.ssh_profile(PORT_SSHD), holder_kind="ssh",
+            request=_request("STAT", "stat", banner=True),  # the banner is SSH-2.0
         ),
         ServerSpec(
             "memcache", memcache, PORT_MEMCACHE,
@@ -178,7 +185,7 @@ CATALOG: Dict[str, ServerSpec] = {
                 bench=lambda: McBench(PORT_MEMCACHE, operations=120, concurrency=4),
             ),
             profile=profiles.web_profile(PORT_MEMCACHE, big_path="bigkey"),
-            request=("NSTATS", "STATS"),
+            request=_request("NSTATS", "STATS"),
             version_probe=("NSTATS", " v"),
         ),
     )

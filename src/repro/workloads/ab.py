@@ -3,23 +3,19 @@
 The paper configures AB to issue 100,000 keep-alive requests for a 1 KB
 file; we run the same shape scaled down (the virtual clock makes ratios
 size-independent).  Each concurrent client issues ``requests //
-concurrency`` GETs over one keep-alive connection and records per-request
-virtual latencies.
+concurrency`` GETs over one keep-alive connection; any reply counts.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.errors import SimError
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, sim_function
-from repro.replay import rng as replay_rng
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.scripted import Script, ScriptedClients, Step
 
 
-class ApacheBench:
-    """HTTP GET benchmark driver."""
+class ApacheBench(ScriptedClients):
+    """HTTP GET benchmark driver.  ``jitter_ns`` is think time per request
+    (replay stream ``workload.ab.jitter``); with ``reconnect_stall_ns``
+    set a stalled client retries over a fresh connect, real AB's
+    timeout/retry posture, where None blocks forever."""
 
     def __init__(
         self,
@@ -30,88 +26,12 @@ class ApacheBench:
         reconnect_stall_ns: int = None,
         jitter_ns: int = 0,
     ) -> None:
-        self.port = port
         self.requests = requests
         self.concurrency = concurrency
         self.path = path
-        # Client think time: with ``jitter_ns`` set, each request is
-        # preceded by a uniform 0..jitter_ns virtual-time sleep drawn
-        # from the named ``workload.ab.jitter`` replay stream, so runs
-        # with jitter stay deterministic (and recordable) per seed.
-        # The default of 0 takes zero draws — byte-identical to before.
-        self.jitter_ns = jitter_ns
-        # With ``reconnect_stall_ns`` set, a client whose response stalls
-        # longer than that abandons its keep-alive connection and retries
-        # the request over a fresh one — real AB's timeout/retry posture.
-        # A fresh connect lands on whichever worker is live, which is what
-        # lets clients ride out a rolling per-worker update.  None keeps
-        # the original block-forever behaviour.
         self.reconnect_stall_ns = reconnect_stall_ns
-        self.reconnects = 0
-        self.completed = 0
-        self.errors = 0
-        self.latency = ClientLatencyLog()
-
-    @property
-    def latencies_ns(self) -> List[int]:
-        return self.latency.latencies_ns()
-
-    def __call__(self, kernel: Kernel) -> List[Process]:
-        per_client = max(1, self.requests // self.concurrency)
-        bench = self
-        jitter = (
-            replay_rng.stream("workload.ab.jitter") if self.jitter_ns else None
+        super().__init__(
+            port, Script([Step(f"GET {path}")] * max(1, requests // concurrency)),
+            concurrency, frame="ab_client", name="ab-{}".format,
+            stall_ns=reconnect_stall_ns, jitter="workload.ab.jitter", jitter_ns=jitter_ns,
         )
-
-        @sim_function
-        def ab_client(sys):
-            clock = sys.kernel.clock
-            try:
-                fd = yield from connect_with_retry(sys, bench.port)
-            except SimError:
-                bench.errors += per_client
-                return
-            for _ in range(per_client):
-                if jitter is not None:
-                    yield from sys.nanosleep(jitter.randint(0, bench.jitter_ns))
-                start = clock.now_ns
-                attempts = 0
-                while True:
-                    try:
-                        yield from sys.send(fd, f"GET {bench.path}\n".encode())
-                        reply = yield from sys.recv(
-                            fd, timeout_ns=bench.reconnect_stall_ns
-                        )
-                    except SimError:
-                        reply = None
-                    if isinstance(reply, (bytes, bytearray)) and reply:
-                        bench.completed += 1
-                        bench.latency.record(start, clock.now_ns)
-                        break
-                    if bench.reconnect_stall_ns is None or attempts >= 100:
-                        bench.errors += 1
-                        yield from sys.close(fd)
-                        return
-                    # Stalled (or dropped) mid-update: reconnect and retry
-                    # this request; a live worker picks up the new socket.
-                    attempts += 1
-                    bench.reconnects += 1
-                    yield from sys.close(fd)
-                    try:
-                        fd = yield from connect_with_retry(sys, bench.port)
-                    except SimError:
-                        bench.errors += 1
-                        return
-            yield from sys.close(fd)
-
-        return [
-            kernel.spawn_process(ab_client, name=f"ab-{index}")
-            for index in range(self.concurrency)
-        ]
-
-    def run(self, kernel: Kernel, max_steps: int = 5_000_000) -> int:
-        """Drive to completion; returns elapsed virtual ns."""
-        start_ns = kernel.clock.now_ns
-        clients = self(kernel)
-        kernel.run(until=lambda: all(c.exited for c in clients), max_steps=max_steps)
-        return kernel.clock.now_ns - start_ns

@@ -1,87 +1,32 @@
 """The pyftpdlib FTP benchmark analogue.
 
 The paper allows 100 users retrieving a 1 MB file; we run the same shape
-scaled down.  Each user logs in (USER/PASS), retrieves the file, checks
-STAT, and quits — which, against our vsftpd, exercises the fork-per-
-connection path on every user.
+scaled down.  Each user logs in (USER/PASS), retrieves the file, and
+quits — against our vsftpd, the fork-per-connection path on every user.
+The retrievals are the operations; login and logout are only stamped.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.errors import SimError
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, sim_function
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.scripted import Script, ScriptedClients, Step
 
 
-class FtpBench:
+class FtpBench(ScriptedClients):
     """FTP login + retrieve benchmark driver."""
 
     def __init__(
-        self,
-        port: int = 21,
-        users: int = 10,
-        retrievals: int = 2,
+        self, port: int = 21, users: int = 10, retrievals: int = 2,
         path: str = "/pub/file1m.bin",
     ) -> None:
-        self.port = port
         self.users = users
         self.retrievals = retrievals
         self.path = path
-        self.completed = 0
-        self.errors = 0
-        self.latency = ClientLatencyLog()
-
-    def __call__(self, kernel: Kernel) -> List[Process]:
-        bench = self
-
-        @sim_function
-        def ftp_user(sys, user_index):
-            clock = sys.kernel.clock
-            try:
-                fd = yield from connect_with_retry(sys, bench.port)
-            except SimError:
-                bench.errors += 1
-                return
-            yield from sys.recv(fd)  # banner
-            start = clock.now_ns
-            yield from sys.send(fd, f"USER user{user_index}\n".encode())
-            yield from sys.recv(fd)
-            yield from sys.send(fd, b"PASS secret\n")
-            reply = yield from sys.recv(fd)
-            if not reply.startswith(b"230"):
-                bench.errors += 1
-                yield from sys.close(fd)
-                return
-            bench.latency.record(start, clock.now_ns)  # login exchange
-            for _ in range(bench.retrievals):
-                start = clock.now_ns
-                yield from sys.send(fd, f"RETR {bench.path}\n".encode())
-                data = yield from sys.recv(fd)
-                while data and b"226" not in data:
-                    data = yield from sys.recv(fd)
-                if data:
-                    bench.completed += 1
-                    bench.latency.record(start, clock.now_ns)
-                else:
-                    bench.errors += 1
-                    break
-            start = clock.now_ns
-            yield from sys.send(fd, b"QUIT\n")
-            reply = yield from sys.recv(fd)
-            if reply:
-                bench.latency.record(start, clock.now_ns)
-            yield from sys.close(fd)
-
-        return [
-            kernel.spawn_process(ftp_user, args=(index,), name=f"ftp-user-{index}")
-            for index in range(self.users)
-        ]
-
-    def run(self, kernel: Kernel, max_steps: int = 5_000_000) -> int:
-        start_ns = kernel.clock.now_ns
-        clients = self(kernel)
-        kernel.run(until=lambda: all(c.exited for c in clients), max_steps=max_steps)
-        return kernel.clock.now_ns - start_ns
+        tail = [Step(f"RETR {path}", until="226")] * retrievals + [Step("QUIT", counted=False)]
+        super().__init__(
+            port,
+            lambda index: Script(
+                [Step(f"USER user{index}", "PASS secret", expect="230", counted=False)] + tail,
+                banner=True,
+            ),
+            users, frame="ftp_user", name="ftp-user-{}".format,
+        )

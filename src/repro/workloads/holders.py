@@ -2,98 +2,47 @@
 
 Figure 3 measures state-transfer time as a function of the number of open
 connections at live-update time.  A ``ConnectionHolder`` connects N
-clients, performs each protocol's minimal setup (FTP/SSH login so the
-server forks a session process per connection), then parks the clients
-until released — the paper's "allowed a number of users to connect to our
-test programs after completing the execution of our benchmarks".
+clients, performs each protocol's minimal setup, then parks them until
+released — the paper's "allowed a number of users to connect to our test
+programs after completing the execution of our benchmarks".
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.errors import SimError
 from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, sim_function
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.scripted import Script, ScriptedClients, Step
+
+SETUP = {
+    # One request: the connection is accepted and registered server-side.
+    "http": lambda index: Script([Step("GET /index.html")], park=True),
+    # A login forks the session process; one retrieval leaves transfer
+    # state (and its type-unsafe cached pointers) in it.
+    "ftp": lambda index: Script(
+        [Step(f"USER hold{index}", "PASS secret"), Step("RETR /pub/readme.txt", until="226")],
+        banner=True, park=True,
+    ),
+    "ssh": lambda index: Script([Step(f"AUTH hold{index} pw")], banner=True, park=True),
+}
 
 
-class ConnectionHolder:
+class ConnectionHolder(ScriptedClients):
     """Opens and parks ``count`` connections of the given protocol kind."""
 
     def __init__(self, port: int, count: int, kind: str = "http") -> None:
-        if kind not in ("http", "ftp", "ssh"):
+        if kind not in SETUP:
             raise ValueError(f"unknown connection kind: {kind}")
-        self.port = port
-        self.count = count
         self.kind = kind
-        self.ready = 0
-        self.errors = 0
-        self._release = False
-        self.clients: List[Process] = []
-        self.latency = ClientLatencyLog()
-
-    def release(self) -> None:
-        self._release = True
+        self.clients = []
+        super().__init__(
+            port, SETUP[kind], count, frame="holder_client", name="hold-{}".format,
+            connect_attempts=200,
+        )
 
     def establish(self, kernel: Kernel, max_steps: int = 8_000_000) -> None:
-        """Spawn the clients and run until all connections are set up."""
-        holder = self
-
-        @sim_function
-        def holder_client(sys, index):
-            clock = sys.kernel.clock
-            try:
-                fd = yield from connect_with_retry(sys, holder.port, attempts=200)
-            except SimError:
-                holder.errors += 1
-                return
-            if holder.kind == "ftp":
-                yield from sys.recv(fd)  # banner
-                start = clock.now_ns
-                yield from sys.send(fd, f"USER hold{index}\n".encode())
-                yield from sys.recv(fd)
-                yield from sys.send(fd, b"PASS secret\n")
-                yield from sys.recv(fd)
-                holder.latency.record(start, clock.now_ns)  # login exchange
-                # One retrieval, so the held session carries transfer
-                # state (and its type-unsafe cached pointers).
-                start = clock.now_ns
-                yield from sys.send(fd, b"RETR /pub/readme.txt\n")
-                data = yield from sys.recv(fd)
-                while data and b"226" not in data:
-                    data = yield from sys.recv(fd)
-                holder.latency.record(start, clock.now_ns)
-            elif holder.kind == "ssh":
-                yield from sys.recv(fd)  # banner
-                start = clock.now_ns
-                yield from sys.send(fd, f"AUTH hold{index} pw\n".encode())
-                yield from sys.recv(fd)
-                holder.latency.record(start, clock.now_ns)
-            else:
-                # HTTP: issue one request so the connection is fully
-                # established server-side (accepted + registered).
-                start = clock.now_ns
-                yield from sys.send(fd, b"GET /index.html\n")
-                yield from sys.recv(fd)
-                holder.latency.record(start, clock.now_ns)
-            holder.ready += 1
-            while not holder._release:
-                yield from sys.nanosleep(20_000_000)
-            yield from sys.close(fd)
-
-        self.clients = [
-            kernel.spawn_process(holder_client, args=(index,), name=f"hold-{index}")
-            for index in range(self.count)
-        ]
-        kernel.run(
-            until=lambda: self.ready + self.errors >= self.count,
-            max_steps=max_steps,
-        )
+        """Spawn the clients and run until every one is parked or gone."""
+        self.clients = self(kernel)
+        kernel.run(until=lambda: self.ready + self.stopped >= self.count, max_steps=max_steps)
 
     def finish(self, kernel: Kernel, max_steps: int = 2_000_000) -> None:
         self.release()
-        kernel.run(
-            until=lambda: all(c.exited for c in self.clients),
-            max_steps=max_steps,
-        )
+        kernel.run(until=lambda: all(c.exited for c in self.clients), max_steps=max_steps)

@@ -19,106 +19,56 @@ from __future__ import annotations
 from typing import Callable, List
 
 from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, sim_function
-from repro.servers.common import connect_with_retry
+from repro.kernel.process import Process
+from repro.workloads.scripted import Script, ScriptedClients, Step
 
 # How long idle connections stall the server before the script lets go:
 # long enough to dominate every thread's blocking-time profile.
 IDLE_HOLD_NS = 400_000_000
 
+Workload = Callable[[Kernel], List[Process]]
+
 
 def _parallel_profile(
-    kernel: Kernel,
-    port: int,
-    idle_setup: Callable,
-    active_setup: Callable,
-    idle_count: int = 3,
-) -> List[Process]:
-    @sim_function
-    def idle_client(sys, index):
-        fd = yield from connect_with_retry(sys, port, attempts=200)
-        yield from idle_setup(sys, fd, index)
-        yield from sys.nanosleep(IDLE_HOLD_NS)
-        yield from sys.close(fd)
+    port: int, idle: Callable[[int], Script], active: Script, idle_count: int = 3
+) -> Workload:
+    """``idle_count`` clients set up by ``idle`` and linger; one more runs
+    ``active`` (the large transfer) and stays connected half as long."""
 
-    @sim_function
-    def active_client(sys):
-        fd = yield from connect_with_retry(sys, port, attempts=200)
-        yield from active_setup(sys, fd)
-        # Stay connected a while after the big transfer too.
-        yield from sys.nanosleep(IDLE_HOLD_NS // 2)
-        yield from sys.close(fd)
-
-    clients = [
-        kernel.spawn_process(idle_client, args=(index,), name=f"profile-idle-{index}")
-        for index in range(idle_count)
-    ]
-    clients.append(kernel.spawn_process(active_client, name="profile-active"))
-    return clients
-
-
-def web_profile(port: int, big_path: str = "/big.bin") -> Callable[[Kernel], List[Process]]:
     def workload(kernel: Kernel) -> List[Process]:
-        @sim_function
-        def idle_setup(sys, fd, index):
-            yield from sys.send(fd, b"GET /index.html\n")
-            yield from sys.recv(fd)
-
-        @sim_function
-        def active_setup(sys, fd):
-            yield from sys.send(fd, f"GET {big_path}\n".encode())
-            yield from sys.recv(fd)
-
-        return _parallel_profile(kernel, port, idle_setup, active_setup)
+        clients = dict(connect_attempts=200, stamped=False)
+        return ScriptedClients(
+            port, lambda index: idle(index)._replace(linger_ns=IDLE_HOLD_NS), idle_count,
+            frame="idle_client", name="profile-idle-{}".format, **clients,
+        )(kernel) + ScriptedClients(
+            port, active._replace(linger_ns=IDLE_HOLD_NS // 2),
+            frame="active_client", name="profile-active".format, **clients,
+        )(kernel)
 
     return workload
 
 
-def ftp_profile(port: int = 21, big_path: str = "/pub/file1m.bin") -> Callable[[Kernel], List[Process]]:
-    def workload(kernel: Kernel) -> List[Process]:
-        @sim_function
-        def idle_setup(sys, fd, index):
-            yield from sys.recv(fd)  # banner
-            yield from sys.send(fd, f"USER prof{index}\n".encode())
-            yield from sys.recv(fd)
-            yield from sys.send(fd, b"PASS secret\n")
-            yield from sys.recv(fd)
-
-        @sim_function
-        def active_setup(sys, fd):
-            yield from sys.recv(fd)  # banner
-            yield from sys.send(fd, b"USER active\n")
-            yield from sys.recv(fd)
-            yield from sys.send(fd, b"PASS secret\n")
-            yield from sys.recv(fd)
-            yield from sys.send(fd, f"RETR {big_path}\n".encode())
-            data = yield from sys.recv(fd)
-            while data and b"226" not in data:
-                data = yield from sys.recv(fd)
-
-        return _parallel_profile(kernel, port, idle_setup, active_setup)
-
-    return workload
+def web_profile(port: int, big_path: str = "/big.bin") -> Workload:
+    return _parallel_profile(
+        port, lambda index: Script([Step("GET /index.html")]), Script([Step(f"GET {big_path}")])
+    )
 
 
-def ssh_profile(port: int = 22) -> Callable[[Kernel], List[Process]]:
-    def workload(kernel: Kernel) -> List[Process]:
-        @sim_function
-        def idle_setup(sys, fd, index):
-            yield from sys.recv(fd)  # banner
-            if index % 2 == 0:
-                # Post-authentication state for half the connections.
-                yield from sys.send(fd, f"AUTH prof{index} pw\n".encode())
-                yield from sys.recv(fd)
+def ftp_profile(port: int = 21, big_path: str = "/pub/file1m.bin") -> Workload:
+    def login(user: str) -> Step:
+        return Step(f"USER {user}", "PASS secret")
 
-        @sim_function
-        def active_setup(sys, fd):
-            yield from sys.recv(fd)
-            yield from sys.send(fd, b"AUTH active pw\n")
-            yield from sys.recv(fd)
-            yield from sys.send(fd, b"EXEC big-task\n")
-            yield from sys.recv(fd)
+    return _parallel_profile(
+        port,
+        lambda index: Script([login(f"prof{index}")], banner=True),
+        Script([login("active"), Step(f"RETR {big_path}", until="226")], banner=True),
+    )
 
-        return _parallel_profile(kernel, port, idle_setup, active_setup)
 
-    return workload
+def ssh_profile(port: int = 22) -> Workload:
+    # Post-authentication state for half the idle connections.
+    return _parallel_profile(
+        port,
+        lambda index: Script([Step(f"AUTH prof{index} pw")] if index % 2 == 0 else [], banner=True),
+        Script([Step("AUTH active pw"), Step("EXEC big-task")], banner=True),
+    )

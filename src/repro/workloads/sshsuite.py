@@ -1,74 +1,29 @@
 """The OpenSSH built-in test-suite analogue.
 
 Each test session authenticates, runs a handful of remote commands (each
-of which makes the server fork+exec a helper), checks session statistics,
-and disconnects.
+of which makes the server fork+exec a helper), and disconnects.  The
+commands are the operations; auth and logout are only stamped.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.errors import SimError
-from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, sim_function
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.scripted import Script, ScriptedClients, Step
 
 
-class SshSuite:
+class SshSuite(ScriptedClients):
     """SSH auth + exec test-suite driver."""
 
     def __init__(self, port: int = 22, sessions: int = 6, commands: int = 3) -> None:
-        self.port = port
         self.sessions = sessions
         self.commands = commands
-        self.completed = 0
-        self.errors = 0
-        self.latency = ClientLatencyLog()
-
-    def __call__(self, kernel: Kernel) -> List[Process]:
-        suite = self
-
-        @sim_function
-        def ssh_session(sys, index):
-            clock = sys.kernel.clock
-            try:
-                fd = yield from connect_with_retry(sys, suite.port)
-            except SimError:
-                suite.errors += 1
-                return
-            yield from sys.recv(fd)  # version banner
-            start = clock.now_ns
-            yield from sys.send(fd, f"AUTH tester{index} hunter2\n".encode())
-            reply = yield from sys.recv(fd)
-            if not reply.startswith(b"auth-ok"):
-                suite.errors += 1
-                yield from sys.close(fd)
-                return
-            suite.latency.record(start, clock.now_ns)  # auth exchange
-            for step in range(suite.commands):
-                start = clock.now_ns
-                yield from sys.send(fd, f"EXEC test-step-{step}\n".encode())
-                reply = yield from sys.recv(fd)
-                if reply.startswith(b"helper-output"):
-                    suite.completed += 1
-                    suite.latency.record(start, clock.now_ns)
-                else:
-                    suite.errors += 1
-            start = clock.now_ns
-            yield from sys.send(fd, b"QUIT\n")
-            reply = yield from sys.recv(fd)
-            if reply:
-                suite.latency.record(start, clock.now_ns)
-            yield from sys.close(fd)
-
-        return [
-            kernel.spawn_process(ssh_session, args=(index,), name=f"ssh-test-{index}")
-            for index in range(self.sessions)
-        ]
-
-    def run(self, kernel: Kernel, max_steps: int = 5_000_000) -> int:
-        start_ns = kernel.clock.now_ns
-        clients = self(kernel)
-        kernel.run(until=lambda: all(c.exited for c in clients), max_steps=max_steps)
-        return kernel.clock.now_ns - start_ns
+        tail = [
+            Step(f"EXEC test-step-{step}", expect="helper-output") for step in range(commands)
+        ] + [Step("QUIT", counted=False)]
+        super().__init__(
+            port,
+            lambda index: Script(
+                [Step(f"AUTH tester{index} hunter2", expect="auth-ok", counted=False)] + tail,
+                banner=True,
+            ),
+            sessions, frame="ssh_session", name="ssh-test-{}".format,
+        )

@@ -67,13 +67,6 @@ class TestHarness:
         world = boot_server(name)
         assert world.session.startup_complete
         workload = SERVER_BENCHES[name]["workload"]()
-        # Tiny run: shrink the workload where supported.
-        if hasattr(workload, "requests"):
-            workload.requests = 8
-        if hasattr(workload, "users"):
-            workload.users = 2
-        if hasattr(workload, "sessions"):
-            workload.sessions = 2
         workload.run(world.kernel)
         assert workload.errors == 0
         assert workload.completed > 0

@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.fleet import Fleet, LoadBalancer, Node, Orchestrator, wave_plan
 from repro.mcr.faults import FaultPlan
+from repro.servers.catalog import CATALOG
 
 
 class TestWavePlan:
@@ -237,14 +238,15 @@ class TestNodeFactory:
         finally:
             node.teardown()
 
-    @pytest.mark.parametrize("server", ["vsftpd", "opensshd"])
-    def test_serve_refuses_a_server_without_a_request_script(self, server):
-        """``GET /`` drew the protocol banner, which counted as served."""
+    @pytest.mark.parametrize("server", sorted(CATALOG))
+    def test_every_catalog_row_serves_requests(self, server):
+        """vsftpd and opensshd greet first: their request reads the banner,
+        and a banner can never pass for the reply."""
         node = Node.boot(server)
         try:
-            with pytest.raises(ValueError, match="no one-shot request script"):
-                node.serve(3)
-            assert node.requests_sent == 0 and node.pending() == 0
-            assert node.served_version() is None  # no version command either
+            node.serve(4)
+            node.drain()
+            assert (node.requests_sent, node.completed, node.lost) == (4, 4, 0)
+            assert node.pending() == 0 and node.latency.count == 4
         finally:
             node.teardown()

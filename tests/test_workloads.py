@@ -1,6 +1,11 @@
 """Tests for the workload drivers (AB, FTP bench, SSH suite, holders)."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.bench.harness import boot_server
 from repro.servers.catalog import boot
@@ -120,3 +125,35 @@ class TestConnectionHolder:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ConnectionHolder(80, 1, "gopher")
+
+
+# -- the one-loop lint ------------------------------------------------------------
+
+SRC = Path(repro.__file__).resolve().parent
+# Client code that may open a connection: the one driver and
+# ``connect_with_retry`` itself.
+_CONNECTING = {"workloads/scripted.py", "servers/common.py"}
+
+
+def _connect_calls(tree):
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "connect_with_retry":
+            yield call.lineno
+        elif (
+            isinstance(func, ast.Attribute) and func.attr == "connect"
+            and isinstance(func.value, ast.Name) and func.value.id == "sys"
+        ):
+            yield call.lineno
+
+
+def test_lint_only_the_driver_runs_a_client_loop():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module, text = path.relative_to(SRC).as_posix(), path.read_text()
+        if module not in _CONNECTING and "connect" in text:
+            tree = ast.parse(text, filename=module)
+            offenders += [f"{module}:{line}" for line in _connect_calls(tree)]
+    assert not offenders, f"a client loop outside workloads/scripted.py: {offenders}"

@@ -47,7 +47,6 @@ ENV_LINES = "COVERAGE_AUDIT_LINES"
 # Never executed by the default suite, and kept on purpose.  Keyed by
 # ``<path under src/repro>:<qualified name>``.
 KEPT: Dict[str, str] = {
-    "kernel/syscalls.py:_Timeout.__bool__": "TIMEOUT is falsy by contract, whoever tests it next",
     "types/descriptors.py:TypeDesc._build_signature": "the abstract hook every descriptor overrides",
     "types/codec.py:MemoryView.read_bytes": "a typing.Protocol stub",
     "types/codec.py:MemoryView.write_bytes": "a typing.Protocol stub",
