@@ -63,7 +63,6 @@ class TestTable2Shape:
 def test_benchmark_trace(benchmark):
     """pytest-benchmark target: quiesce + full hybrid trace of vsftpd."""
     totals = benchmark.pedantic(
-        trace_statistics, args=("vsftpd",), kwargs={"held_connections": 2},
-        rounds=1, iterations=1,
+        trace_statistics, args=("vsftpd",), rounds=1, iterations=1,
     )
     assert totals["precise"]["ptr"] > 0

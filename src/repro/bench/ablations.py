@@ -54,18 +54,15 @@ def ablate_dirty_tracking(server: str = "vsftpd", connections: int = 8) -> Dict[
     actually does) are reported too — that is where the 68-86% byte
     reduction shows up as time.
     """
-    from repro.mcr.config import TransferCostModel
-
-    cost = TransferCostModel()
     with_filter = _run_update(server, connections, use_dirty_filter=True)
     without_filter = _run_update(server, connections, use_dirty_filter=False)
-    serial_with = with_filter.transfer_report.serial_total_ns(cost)
-    serial_without = without_filter.transfer_report.serial_total_ns(cost)
+    serial_with = with_filter.transfer_report.serial_total_ns()
+    serial_without = without_filter.transfer_report.serial_total_ns()
     work_with = sum(
-        s.work_ns(cost) for s in with_filter.transfer_report.per_process
+        s.work_ns() for s in with_filter.transfer_report.per_process
     )
     work_without = sum(
-        s.work_ns(cost) for s in without_filter.transfer_report.per_process
+        s.work_ns() for s in without_filter.transfer_report.per_process
     )
     return {
         "work_speedup": work_without / max(work_with, 1),
@@ -88,10 +85,7 @@ def ablate_parallel_transfer(server: str = "vsftpd", connections: int = 8) -> Di
     """Parallel (per-process max) vs serial (sum) transfer accounting."""
     result = _run_update(server, connections, use_dirty_filter=True)
     report = result.transfer_report
-    from repro.mcr.config import TransferCostModel
-
-    cost = TransferCostModel()
-    serial_ns = report.serial_total_ns(cost)
+    serial_ns = report.serial_total_ns()
     return {
         "parallel_ms": ns_to_ms(report.total_ns),
         "serial_ms": ns_to_ms(serial_ns),

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell, run_trials
 from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 
 SERVERS: Tuple[str, ...] = ("simple", "memcache", "httpd")
 SMOKE_SERVERS: Tuple[str, ...] = ("simple", "memcache")
@@ -42,7 +42,7 @@ SMOKE_CADENCES_MS: Tuple[int, ...] = (50,)
 TRIALS = 3
 SMOKE_TRIALS = 2
 
-BUDGET_MS = MCRConfig().downtime_budget_ns / 1e6
+BUDGET_MS = DOWNTIME_BUDGET_NS / 1e6
 
 # What a fault-drill row reports of its ``run_drill_cell`` cell.
 DRILL_ROW_KEYS: Tuple[str, ...] = (

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.reporting import fmt_cell, render_table
 from repro.clock import ns_to_ms
 from repro.fleet import Fleet, Orchestrator, wave_plan
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS
 from repro.replay.scenario import UpdateOutcome, arm
 
 FLEET_SIZE = 16
@@ -65,6 +65,8 @@ FAULT_SITES = [
 SMOKE_FAULT_SITES = ["transfer.memory"]
 # Fleet policy -> the rollout outcome a mid-wave fault must end in.
 POLICY_OUTCOMES = {"revert": "reverted", "converge": "updated"}
+# Nodes in the isolation row: one updated, the rest bystanders.
+ISOLATION_NODES = 4
 
 
 def _clean_rollout_row(
@@ -150,8 +152,14 @@ def _fault_row(
         fleet.teardown()
 
 
-def _isolation_row(nodes: int = 4) -> Dict[str, object]:
-    """Quiet-stream cross-node isolation, asserted byte-for-byte."""
+def _isolation_row() -> Dict[str, object]:
+    """Quiet-stream cross-node isolation, asserted byte-for-byte.
+
+    The bystanders' fingerprints must not move; the updated node must
+    serve the new version (asked over its protocol, not read off its
+    fingerprint, which keys on process names).
+    """
+    nodes = ISOLATION_NODES
     fleet = Fleet.boot(nodes, server="simple")
     try:
         before = fleet.fingerprints()
@@ -165,7 +173,7 @@ def _isolation_row(nodes: int = 4) -> Dict[str, object]:
             "bystanders_identical": all(
                 before[nid].matches(after[nid]) for nid in bystanders
             ),
-            "updated_changed": not before[0].matches(after[0]),
+            "updated_changed": fleet.nodes[0].served_version() == 2,
         }
     finally:
         fleet.teardown()
@@ -195,7 +203,7 @@ def run_fleetroll(smoke: bool = False) -> Dict[str, object]:
     ]
     results: Dict[str, object] = {
         "fleet_size": nodes,
-        "downtime_budget_ms": ns_to_ms(MCRConfig().downtime_budget_ns),
+        "downtime_budget_ms": ns_to_ms(DOWNTIME_BUDGET_NS),
         "waves": waves,
         "faults": faults,
         "isolation": _isolation_row(),

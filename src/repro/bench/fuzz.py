@@ -225,11 +225,11 @@ SHRINK_LADDER = (
     ("deterministic-fault", _deterministic_fault),
     ("no-fault", _no_fault),
 )
+# Record+replay checks one shrink may spend before it stops.
+SHRINK_MAX_CHECKS = 16
 
 
-def shrink_spec(
-    spec: Dict[str, Any], max_checks: int = 16
-) -> Tuple[Dict[str, Any], List[str], int]:
+def shrink_spec(spec: Dict[str, Any]) -> Tuple[Dict[str, Any], List[str], int]:
     """Greedily minimize a failing spec; the failure must keep reproducing.
 
     Returns ``(minimal_spec, applied_step_names, checks_spent)``.  Each
@@ -240,10 +240,10 @@ def shrink_spec(
     applied: List[str] = []
     checks = 0
     progress = True
-    while progress and checks < max_checks:
+    while progress and checks < SHRINK_MAX_CHECKS:
         progress = False
         for name, step in SHRINK_LADDER:
-            if checks >= max_checks:
+            if checks >= SHRINK_MAX_CHECKS:
                 break
             candidate = step(current)
             if candidate is None:

@@ -64,7 +64,7 @@ def update_midflight(
     Starts the clients, runs until ``warm`` responses are in, fires the
     update under ``config`` (``None``: the session's own), then drains the
     clients.  Returns the ``UpdateResult``, what the clients saw against
-    the session's downtime budget, and the host seconds the update took.
+    the downtime budget, and the host seconds the update took.
     Raises ``RuntimeError`` naming the phase when the warm-up or the drain
     stops on its step budget.
     """
@@ -77,9 +77,7 @@ def update_midflight(
     )
     wall_s = time.perf_counter() - start
     _run_phase(kernel, "drain", lambda: all(c.exited for c in clients), DRAIN_STEPS)
-    perceived = ClientPerceived.measure(
-        workload.latency, budget_ns=world.session.config.downtime_budget_ns
-    )
+    perceived = ClientPerceived.measure(workload.latency)
     return result, perceived, wall_s
 
 

@@ -17,7 +17,7 @@ We account the same inventory:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.bench.harness import boot_server
 from repro.bench.reporting import render_table
@@ -77,8 +77,8 @@ def measure_server(name: str) -> Dict[str, float]:
     }
 
 
-def run_memusage(servers: Sequence[str] = ("httpd", "nginx", "vsftpd", "opensshd")) -> Dict[str, Dict[str, float]]:
-    return {name: measure_server(name) for name in servers}
+def run_memusage() -> Dict[str, Dict[str, float]]:
+    return {name: measure_server(name) for name in BASE_BINARY_BYTES}
 
 
 def average_rss_overhead(results: Dict[str, Dict[str, float]]) -> float:

@@ -34,7 +34,7 @@ from repro.bench.faultmatrix import run_drill_cell, run_trials
 from repro.bench.reporting import fmt_cell, render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import MIGRATION_SITES
 
 SERVERS: Tuple[str, ...] = ("simple", "memcache", "httpd")
@@ -50,7 +50,7 @@ SMOKE_THRESHOLD_BYTES: Tuple[int, ...] = (4096,)
 TRIALS = 2
 SMOKE_TRIALS = 1
 
-BUDGET_MS = MCRConfig().downtime_budget_ns / 1e6
+BUDGET_MS = DOWNTIME_BUDGET_NS / 1e6
 
 # "At most comparable": the planned brownout may not exceed this many
 # multiples of the measured crash RTO.  The two decompose differently:

@@ -61,6 +61,10 @@ UPDATE_SPEC = {
 }
 
 
+# The pointer-rich scratch mapping seeded into each scanned process.
+SEED_FIELD_BYTES = 256 * 1024
+
+
 def _scan_targets(process) -> List[Tuple[int, int]]:
     """The opaque areas the microbenchmark sweeps: data + heap mappings."""
     return [
@@ -74,7 +78,7 @@ def _pointers_key(found) -> List[Tuple[int, int, int, bool]]:
     return [(p.slot_address, p.value, p.target_base, p.interior) for p in found]
 
 
-def _seed_pointer_field(process, size: int = 256 * 1024) -> None:
+def _seed_pointer_field(process) -> None:
     """Fill a scratch data mapping with a pointer-rich word mix.
 
     A freshly booted server's data mappings are mostly zero, which makes
@@ -90,7 +94,9 @@ def _seed_pointer_field(process, size: int = 256 * 1024) -> None:
     chunks = [
         process.heap.malloc(rng.choice((24, 48, 96, 160))) for _ in range(192)
     ]
-    scratch = process.space.map(size, name="scanperf_scratch", kind="data")
+    scratch = process.space.map(
+        SEED_FIELD_BYTES, name="scanperf_scratch", kind="data"
+    )
     write_word = process.space.write_word
     for slot in range(scratch.base, scratch.end, WORD_SIZE):
         roll = rng.random()

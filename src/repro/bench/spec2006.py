@@ -10,7 +10,7 @@ amount of work split between pure compute and malloc/free traffic; the
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.bench.reporting import render_table
 from repro.kernel.kernel import Kernel
@@ -79,10 +79,10 @@ def measure_spec(name: str, instrumented: bool) -> int:
     return kernel.clock.now_ns - start_ns
 
 
-def run_spec(benchmarks: Sequence[str] = tuple(WORKLOAD_MIXES)) -> Dict[str, float]:
+def run_spec() -> Dict[str, float]:
     """Instrumented/baseline run-time ratio per benchmark."""
     results: Dict[str, float] = {}
-    for name in benchmarks:
+    for name in WORKLOAD_MIXES:
         base_ns = measure_spec(name, instrumented=False)
         instr_ns = measure_spec(name, instrumented=True)
         results[name] = instr_ns / base_ns

@@ -19,7 +19,7 @@ be regenerated from a simulation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.bench.reporting import render_table
 from repro.runtime.build import profile_program
@@ -54,9 +54,9 @@ def effort_row(name: str) -> Dict[str, int]:
     }
 
 
-def run_table1(servers: Sequence[str] = ("httpd", "nginx", "vsftpd", "opensshd")) -> Dict[str, Dict[str, int]]:
+def run_table1() -> Dict[str, Dict[str, int]]:
     results: Dict[str, Dict[str, int]] = {}
-    for name in servers:
+    for name in PAPER_PROFILING:
         row: Dict[str, int] = {}
         row.update(profile_server(name))
         row.update(effort_row(name))

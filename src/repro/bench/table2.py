@@ -15,7 +15,7 @@ shows program pointers into shared-library state.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.bench.harness import boot_server, quiesced_traces
 from repro.bench.reporting import render_table
@@ -33,12 +33,16 @@ PAPER_TABLE2 = {
                  "likely_targ_dynamic": 32, "likely_targ_lib": 8},
 }
 
+# Connections left open across the trace, so each server's tree holds
+# live per-connection state.
+HELD_CONNECTIONS = 4
 
-def trace_statistics(server: str, held_connections: int = 4) -> Dict[str, Dict[str, int]]:
+
+def trace_statistics(server: str) -> Dict[str, Dict[str, int]]:
     """Run the §8 benchmark, quiesce, trace, aggregate Table-2 counts."""
     world = boot_server(server)
     world.spec.workload().run(world.kernel)
-    holder = world.hold(held_connections)
+    holder = world.hold(HELD_CONNECTIONS)
     holder.establish(world.kernel)
     keys = (
         "ptr", "src_static", "src_dynamic", "src_lib",
@@ -56,10 +60,8 @@ def trace_statistics(server: str, held_connections: int = 4) -> Dict[str, Dict[s
     return totals
 
 
-def run_table2(
-    servers: Sequence[str] = ("httpd", "nginx", "nginx_reg", "vsftpd", "opensshd"),
-) -> Dict[str, Dict[str, Dict[str, int]]]:
-    return {server: trace_statistics(server) for server in servers}
+def run_table2() -> Dict[str, Dict[str, Dict[str, int]]]:
+    return {server: trace_statistics(server) for server in PAPER_TABLE2}
 
 
 def render(results: Dict[str, Dict[str, Dict[str, int]]]) -> str:

@@ -13,7 +13,7 @@ outlier (≈ 1.19).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.bench.harness import SERVER_BENCHES, boot_server, build_ladder
 from repro.bench.reporting import render_table
@@ -27,7 +27,11 @@ PAPER_TABLE3 = {
 }
 
 
-def measure_runtime_ns(server: str, config_name: str, warmup: bool = True) -> int:
+# The cumulative configurations, each normalized against "baseline".
+CONFIGS = ("Unblock", "+SInstr", "+DInstr", "+QDet")
+
+
+def measure_runtime_ns(server: str, config_name: str) -> int:
     """Run one server under one configuration; return workload duration.
 
     A warmup pass runs first: the paper measures 100k-request runs, where
@@ -37,21 +41,17 @@ def measure_runtime_ns(server: str, config_name: str, warmup: bool = True) -> in
     """
     ladder = build_ladder(SERVER_BENCHES[server].instrument_regions)
     world = boot_server(server, build=ladder[config_name]())
-    if warmup:
-        world.spec.workload().run(world.kernel)
+    world.spec.workload().run(world.kernel)
     return world.spec.workload().run(world.kernel)
 
 
-def run_table3(
-    servers: Sequence[str] = ("httpd", "nginx", "nginx_reg", "vsftpd", "opensshd"),
-    configs: Sequence[str] = ("Unblock", "+SInstr", "+DInstr", "+QDet"),
-) -> Dict[str, Dict[str, float]]:
+def run_table3() -> Dict[str, Dict[str, float]]:
     """Normalized run times, keyed by server then configuration."""
     results: Dict[str, Dict[str, float]] = {}
-    for server in servers:
+    for server in PAPER_TABLE3:
         base_ns = measure_runtime_ns(server, "baseline")
         row: Dict[str, float] = {}
-        for config in configs:
+        for config in CONFIGS:
             row[config] = measure_runtime_ns(server, config) / base_ns
         results[server] = row
     return results

@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.errors import ImageError
-from repro.fleet.node import DEFAULT_STALL_NS, Node
+from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mem.ptmalloc import Chunk, _FreeList
 from repro.checkpoint.image import (
@@ -269,7 +269,6 @@ def restore_image(
     image: CheckpointImage,
     node_id: int = 0,
     config: Optional[MCRConfig] = None,
-    stall_ns: int = DEFAULT_STALL_NS,
 ) -> Node:
     """Rehydrate ``image`` into a fresh, fully validated, *quiesced* node.
 
@@ -287,7 +286,6 @@ def restore_image(
         node_id=node_id,
         version=image.meta["program_version"],
         config=config,
-        stall_ns=stall_ns,
     )
     with node.scope():
         with obs.span("restore", image_id=image.image_id):

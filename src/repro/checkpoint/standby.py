@@ -200,16 +200,17 @@ class WarmStandby:
             graft_record(processes[int(pid_text)], record)
         graft_listeners(self.node.kernel.net, delta.meta["listeners"])
 
-    def resync(self, image: CheckpointImage, node_id: Optional[int] = None) -> None:
+    def resync(self, image: CheckpointImage) -> None:
         """Replace the standby's tree from a fresh full image (stale exit).
 
         The new tree is restored before the old one is let go: a failed
         restore raises with the previous tree intact and the standby
         stale, still promotable at its last consistent checkpoint.
         """
-        node_id = self.node.node_id if node_id is None else node_id
         try:
-            node = restore_image(image, node_id=node_id, config=self.config)
+            node = restore_image(
+                image, node_id=self.node.node_id, config=self.config
+            )
         except BaseException:
             self.stale = True
             raise

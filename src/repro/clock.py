@@ -24,9 +24,9 @@ def ns_to_ms(ns: int) -> float:
     return ns / NS_PER_MS
 
 
-def fmt_ms(ns: int, digits: int = 2) -> str:
+def fmt_ms(ns: int) -> str:
     """Render a nanosecond duration as ``'12.34 ms'``."""
-    return f"{ns / NS_PER_MS:.{digits}f} ms"
+    return f"{ns / NS_PER_MS:.2f} ms"
 
 
 def fmt_value(value) -> str:
@@ -39,12 +39,13 @@ def fmt_value(value) -> str:
 class VirtualClock:
     """Monotonic, manually-advanced nanosecond clock."""
 
-    def __init__(self, start_ns: int = 0) -> None:
+    def __init__(self) -> None:
         # A plain attribute: it is read several times per kernel step.
         # ``advance`` is the checked writer; the only code that adds to it
-        # directly is ``Kernel._step``, with costs validated non-negative
-        # when the kernel was built.
-        self.now_ns = start_ns
+        # directly is ``Kernel._step``, whose costs are non-negative
+        # constants (the syscall table's are validated when a kernel is
+        # built).
+        self.now_ns = 0
 
     @property
     def now_ms(self) -> float:

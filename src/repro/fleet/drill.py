@@ -99,7 +99,8 @@ class DrillResult:
 class Drill:
     """One primary and one warm peer driven through traffic windows.
 
-    A drill supplies ``RESULT`` (its result type), ``_seed_peer(result)``,
+    A drill supplies ``RESULT`` (its result type), ``WINDOWS`` (how many
+    traffic windows it serves), ``_seed_peer(result)``,
     ``_window(result, window, deadline)`` (what happens once a window's
     requests are issued; it hands over by re-pointing ``self.serving``)
     and ``_headline(result, merged)`` (requests the hand-over stranded
@@ -107,20 +108,14 @@ class Drill:
     """
 
     RESULT = DrillResult
+    # Every window is 20 ms of virtual time with 6 requests issued at its
+    # start; warm-up serves one window's requests too.
+    WINDOW_NS = 20_000_000
+    REQUESTS_PER_WINDOW = 6
 
-    def __init__(
-        self,
-        server: str,
-        config: Optional[MCRConfig],
-        windows: int,
-        window_ns: int,
-        requests_per_window: int,
-    ) -> None:
+    def __init__(self, server: str, config: Optional[MCRConfig]) -> None:
         self.server = server
         self.config = config or MCRConfig()
-        self.windows = windows
-        self.window_ns = window_ns
-        self.requests_per_window = requests_per_window
         # Drill state.
         self.primary: Optional[Node] = None
         self.peer: Optional[WarmStandby] = None
@@ -172,14 +167,14 @@ class Drill:
         self.primary = self.serving = Node.boot(
             self.server, node_id=PRIMARY_ID, config=self.config
         )
-        self.primary.serve(self.requests_per_window)
+        self.primary.serve(self.REQUESTS_PER_WINDOW)
         self.primary.drain()
         self.primary.settle(SETTLE_NS)
         self._seed_peer(result)
         start_ns = self._last_round_ns = self.primary.now_ns
-        for window in range(self.windows):
-            self.serving.serve(self.requests_per_window)
-            self._window(result, window, start_ns + (window + 1) * self.window_ns)
+        for window in range(self.WINDOWS):
+            self.serving.serve(self.REQUESTS_PER_WINDOW)
+            self._window(result, window, start_ns + (window + 1) * self.WINDOW_NS)
             if self.serving is None:
                 return  # nothing left to serve from: no recovery story
         serving = self.serving
@@ -199,9 +194,7 @@ class Drill:
         result.requests_lost = sum(n.lost for n in nodes)
         merged = ClientLatencyLog.merged(node.latency for node in nodes)
         result.perceived = ClientPerceived.measure(
-            merged,
-            self.config.downtime_budget_ns,
-            window=(start_ns, serving.now_ns),
+            merged, window=(start_ns, serving.now_ns)
         ).to_dict()
         self._headline(result, merged)
 

@@ -89,25 +89,19 @@ class FailoverDrill(Drill):
     """One primary/standby pair driven through windows, cadence, and a crash."""
 
     RESULT = FailoverResult
+    WINDOWS = 10
 
     def __init__(
         self,
         server: str = "simple",
         config: Optional[MCRConfig] = None,
-        windows: int = 10,
-        window_ns: int = 20_000_000,
-        requests_per_window: int = 6,
         crash: bool = True,
-        crash_window: Optional[int] = None,
-        detect_ns: int = DETECT_NS,
+        crash_window: int = WINDOWS // 2,
         checkpoint_path: Optional[str] = None,
     ) -> None:
-        super().__init__(server, config, windows, window_ns, requests_per_window)
+        super().__init__(server, config)
         self.crash = crash
-        self.crash_window = (
-            crash_window if crash_window is not None else max(1, windows // 2)
-        )
-        self.detect_ns = detect_ns
+        self.crash_window = crash_window
         self.checkpoint_path = checkpoint_path
         self.last_image = None
         self.durable_ok = False
@@ -206,7 +200,7 @@ class FailoverDrill(Drill):
         obs.emit("failover.crash", severity="warn", at_ns=self.crash_ns)
         self.serving = None
         if self.peer is not None:
-            sync_clock(self.peer.node, self.crash_ns + self.detect_ns)
+            sync_clock(self.peer.node, self.crash_ns + DETECT_NS)
             result.standby_stale = self.peer.stale
             result.stale_lag = self.source_seq - self.peer.applied_seq
             try:
@@ -242,7 +236,7 @@ class FailoverDrill(Drill):
             return
         self.serving = node
         # Cold restore pays the full image read + graft, not a warm promote.
-        sync_clock(node, self.crash_ns + self.detect_ns)
+        sync_clock(node, self.crash_ns + DETECT_NS)
         node.kernel.clock.advance(image.total_bytes())  # ~1 ns/byte rehydrate
         resume_node(node)
         result.cold_restored = True
@@ -260,7 +254,7 @@ class FailoverDrill(Drill):
 
     def _window(self, result: FailoverResult, window: int, deadline: int) -> None:
         if self.crash and window == self.crash_window and not result.crashed:
-            self.serving.advance_to(deadline - self.window_ns // 2)
+            self.serving.advance_to(deadline - self.WINDOW_NS // 2)
             self._failover(result)
             if self.serving is None:
                 return

@@ -15,9 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.lb import LoadBalancer
 from repro.fleet.node import Node
-from repro.mcr.config import MCRConfig
 from repro.mcr.faults import TreeFingerprint
-from repro.runtime.instrument import BuildConfig
 from repro.servers.common import ClientLatencyLog
 
 
@@ -31,22 +29,9 @@ class Fleet:
         self.requests_shed = 0  # windows routed while every node was out
 
     @classmethod
-    def boot(
-        cls,
-        size: int,
-        server: str = "simple",
-        version: int = 1,
-        build: Optional[BuildConfig] = None,
-        config: Optional[MCRConfig] = None,
-    ) -> "Fleet":
+    def boot(cls, size: int, server: str = "simple") -> "Fleet":
         """Stamp out ``size`` nodes of ``server`` (cheap: ~2 ms per node)."""
-        return cls(
-            [
-                Node.boot(server, node_id=index, version=version,
-                          build=build, config=config)
-                for index in range(size)
-            ]
-        )
+        return cls([Node.boot(server, node_id=index) for index in range(size)])
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -12,7 +12,7 @@ pre-copy over the same image/delta format):
    ``capture_delta`` rounds and stream them over the ``StandbyChannel``;
    the convergence policy stops when a round ships fewer than
    ``convergence_bytes`` bytes (the dirty rate has converged) or after
-   ``max_precopy_rounds``;
+   ``MAX_PRECOPY_ROUNDS``;
 3. **stop-and-copy** — drain in-flight requests, park the primary under
    real quiescence (``hold_quiesced``), cut the final delta with the
    tree frozen, stream + apply it, and fingerprint-verify the target by
@@ -54,10 +54,10 @@ from repro.mcr.config import MCRConfig
 from repro.mcr.faults import fire
 from repro.servers.common import ClientLatencyLog
 
-# Default convergence policy: stop pre-copying once a round ships less
-# than one page of dirty state, or after this many rounds regardless.
+# Convergence policy: stop pre-copying once a round ships less than one
+# page of dirty state (the default), or after this many rounds regardless.
 DEFAULT_CONVERGENCE_BYTES = 4096
-DEFAULT_MAX_PRECOPY_ROUNDS = 6
+MAX_PRECOPY_ROUNDS = 6
 
 # Requests bracketing the cutover instant on each side, so the measured
 # brownout is the client-visible cost of the cutover itself rather than
@@ -113,20 +113,16 @@ class MigrationDrill(Drill):
     """One primary migrated to a fresh target while it keeps serving."""
 
     RESULT = MigrationResult
+    WINDOWS = 12
 
     def __init__(
         self,
         server: str = "simple",
         config: Optional[MCRConfig] = None,
-        windows: int = 12,
-        window_ns: int = 20_000_000,
-        requests_per_window: int = 6,
         convergence_bytes: int = DEFAULT_CONVERGENCE_BYTES,
-        max_precopy_rounds: int = DEFAULT_MAX_PRECOPY_ROUNDS,
     ) -> None:
-        super().__init__(server, config, windows, window_ns, requests_per_window)
+        super().__init__(server, config)
         self.convergence_bytes = convergence_bytes
-        self.max_precopy_rounds = max(1, max_precopy_rounds)
         self.ready_to_cut = False
         self.done = False  # cut over, aborted, or never seeded
 
@@ -200,7 +196,7 @@ class MigrationDrill(Drill):
         if delta.stored_bytes() <= self.convergence_bytes:
             result.converged_precopy = True
             self.ready_to_cut = True
-        elif result.precopy_rounds >= self.max_precopy_rounds:
+        elif result.precopy_rounds >= MAX_PRECOPY_ROUNDS:
             self.ready_to_cut = True
 
     # -- stop-and-copy + cutover -----------------------------------------------
@@ -277,7 +273,7 @@ class MigrationDrill(Drill):
         sync_clock(self.peer.node, deadline)
         # Force the cutover while windows remain, so the migrated
         # tree still has traffic to prove itself against.
-        if window >= self.windows - 3:
+        if window >= self.WINDOWS - 3:
             self.ready_to_cut = True
         if not self.ready_to_cut and self._round_due(deadline):
             self._precopy_round(result)

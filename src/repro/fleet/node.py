@@ -27,7 +27,6 @@ from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.controller import UpdateResult
 from repro.mcr.faults import TreeFingerprint
-from repro.runtime.instrument import BuildConfig
 from repro.runtime.program import Program
 from repro.servers.catalog import World, boot
 from repro.workloads.scripted import Script, ScriptedClients, Step
@@ -83,9 +82,7 @@ class Node:
         server: str,
         node_id: int = 0,
         version: int = 1,
-        build: Optional[BuildConfig] = None,
         config: Optional[MCRConfig] = None,
-        stall_ns: int = DEFAULT_STALL_NS,
         max_steps: int = 400_000,
     ) -> "Node":
         """Stamp out one node running ``server`` at ``version``.
@@ -98,10 +95,10 @@ class Node:
         collector = obs.Collector(kernel.clock)
         with obs.scoped(collector):
             world = boot(
-                server, version, build=build, kernel=kernel, config=config,
+                server, version, kernel=kernel, config=config,
                 max_steps=max_steps,
             )
-        return cls(node_id, world, collector, stall_ns)
+        return cls(node_id, world, collector)
 
     # -- scheduling -----------------------------------------------------------
 

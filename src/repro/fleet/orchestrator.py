@@ -5,7 +5,7 @@ checkpoint/commit/rollback discipline):
 
 1. **Canary** — update exactly one node mid-traffic, judge it by what
    its *clients* saw: the update must commit AND the node's measured
-   blackout must fit ``downtime_budget_ns`` (``ClientPerceived``, the
+   blackout must fit ``DOWNTIME_BUDGET_NS`` (``ClientPerceived``, the
    CheckSync criterion).  A failed canary verdict aborts the rollout and
    auto-rolls-back the fleet — with only the canary possibly updated,
    that means the fleet ends exactly where it started.
@@ -29,13 +29,12 @@ a real fleet rolls back a bad release.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional
 
 from repro.clock import ns_to_ms
 from repro.fleet.fleet import Fleet
 from repro.fleet.node import Node
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.controller import UpdateResult
 from repro.mcr.faults import FaultPlan
 from repro.obs.metrics import Histogram
@@ -60,13 +59,11 @@ class NodeOutcome:
     """One node's judged update attempt within a rollout: its
     ``UpdateResult``, with what its clients saw attached as ``.client``."""
 
-    def __init__(
-        self, node_id: int, wave: int, result: UpdateResult, retried: bool = False
-    ) -> None:
+    def __init__(self, node_id: int, wave: int, result: UpdateResult) -> None:
         self.node_id = node_id
         self.wave = wave
         self.result = result
-        self.retried = retried
+        self.retried = False  # set on a converge-policy re-run
 
     @property
     def ok(self) -> bool:
@@ -93,12 +90,10 @@ class NodeOutcome:
 class RolloutReport:
     """Everything one rollout did, judged and aggregated."""
 
-    def __init__(self, fleet: Fleet, from_version: int, to_version: int,
-                 budget_ns: int) -> None:
+    def __init__(self, fleet: Fleet, from_version: int, to_version: int) -> None:
         self.fleet = fleet
         self.from_version = from_version
         self.to_version = to_version
-        self.budget_ns = budget_ns
         self.outcomes: List[NodeOutcome] = []
         self.waves_run = 0
         self.outcome = "updated"          # "updated" | "reverted"
@@ -160,7 +155,7 @@ class RolloutReport:
             "fleet_blackout_ms": ns_to_ms(
                 fleet.fleet_blackout_ns((self.start_ns, self.end_ns))
             ),
-            "downtime_budget_ms": ns_to_ms(self.budget_ns),
+            "downtime_budget_ms": ns_to_ms(DOWNTIME_BUDGET_NS),
             "rollout_ms": ns_to_ms(self.end_ns - self.start_ns),
             "node_outcomes": [o.to_dict() for o in self.outcomes],
         }
@@ -169,39 +164,32 @@ class RolloutReport:
 class Orchestrator:
     """Drives SLO-gated canary → wave rollouts over one fleet."""
 
+    # A traffic window is 2 ms of virtual time; two of them separate
+    # consecutive waves.
+    WINDOW_NS = 2_000_000
+    WINDOWS_BETWEEN_WAVES = 2
+
     def __init__(
         self,
         fleet: Fleet,
-        budget_ns: Optional[int] = None,
         canary: int = 1,
         wave_growth: int = 4,
         on_fault: str = "revert",
-        window_ns: int = 2_000_000,
         requests_per_window: Optional[int] = None,
-        windows_between_waves: int = 2,
-        update_config: Optional[MCRConfig] = None,
     ) -> None:
         if on_fault not in ("revert", "converge"):
             raise ValueError(f"on_fault must be 'revert' or 'converge', got {on_fault!r}")
         self.fleet = fleet
-        self.budget_ns = (
-            budget_ns
-            if budget_ns is not None
-            else (update_config or MCRConfig()).downtime_budget_ns
-        )
         self.canary = canary
         self.wave_growth = wave_growth
         self.on_fault = on_fault
-        self.window_ns = window_ns
         self.requests_per_window = requests_per_window or max(4, len(fleet))
-        self.windows_between_waves = windows_between_waves
-        self.update_config = update_config
 
     # -- traffic -------------------------------------------------------------
 
     def serve_windows(self, count: int) -> None:
         for _ in range(count):
-            self.fleet.serve_window(self.requests_per_window, self.window_ns)
+            self.fleet.serve_window(self.requests_per_window, self.WINDOW_NS)
 
     # -- the rollout ---------------------------------------------------------
 
@@ -219,7 +207,7 @@ class Orchestrator:
         fleet = self.fleet
         from_version = fleet.nodes[0].version
         target = to_version if to_version is not None else from_version + 1
-        report = RolloutReport(fleet, from_version, target, self.budget_ns)
+        report = RolloutReport(fleet, from_version, target)
         fault_plans = fault_plans or {}
         order = list(fleet.nodes)
         waves: List[List[Node]] = []
@@ -258,7 +246,7 @@ class Orchestrator:
                     aborted = True
                     break
                 self._converge(report, failed, target)
-            self.serve_windows(self.windows_between_waves)
+            self.serve_windows(self.WINDOWS_BETWEEN_WAVES)
         if not aborted:
             report.outcome = "updated"
         fleet.drain()
@@ -269,19 +257,14 @@ class Orchestrator:
         self, node: Node, wave_index: int, target: int,
         faults: Optional[FaultPlan],
     ) -> NodeOutcome:
-        config = self.update_config
-        if faults is not None:
-            config = copy.copy(config) if config is not None else MCRConfig()
-            config.faults = faults
+        config = MCRConfig(faults=faults) if faults is not None else None
         t0 = node.now_ns
         result = node.update(to_version=target, config=config)
         # In-flight requests held through the update complete here; their
         # completion stamps bound the measured blackout.
         node.drain()
         t1 = node.now_ns
-        result.client = ClientPerceived.measure(
-            node.latency, budget_ns=self.budget_ns, window=(t0, t1)
-        )
+        result.client = ClientPerceived.measure(node.latency, window=(t0, t1))
         return NodeOutcome(node.node_id, wave_index, result)
 
     def _revert(self, report: RolloutReport) -> None:

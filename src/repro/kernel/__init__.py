@@ -14,14 +14,13 @@ One deliberate deviation from POSIX, documented in DESIGN.md: ``fork`` and
 mechanical.
 """
 
-from repro.kernel.kernel import Kernel, KernelConfig
+from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, Thread, sim_function
 from repro.kernel.syscalls import TIMEOUT, SyscallRequest
 from repro.kernel.sysapi import Sys
 
 __all__ = [
     "Kernel",
-    "KernelConfig",
     "Process",
     "Thread",
     "sim_function",

@@ -47,33 +47,18 @@ from repro.kernel.syscalls import (
 )
 
 
-class KernelConfig:
-    """Tunables for the world (cost model knobs)."""
-
-    def __init__(
-        self,
-        step_cost_ns: int = 150,
-        soft_dirty_fault_cost_ns: int = 2_500,
-        max_steps_default: int = 5_000_000,
-    ) -> None:
-        # ``_step`` adds these to the clock directly, so the sign check
-        # ``clock.advance`` would make per call is made once, here.
-        if step_cost_ns < 0:
-            raise ValueError(f"step_cost_ns cannot be negative: {step_cost_ns}")
-        if soft_dirty_fault_cost_ns < 0:
-            raise ValueError(
-                f"soft_dirty_fault_cost_ns cannot be negative: {soft_dirty_fault_cost_ns}"
-            )
-        self.step_cost_ns = step_cost_ns
-        self.soft_dirty_fault_cost_ns = soft_dirty_fault_cost_ns
-        self.max_steps_default = max_steps_default
+# The world's cost model beside ``syscalls.BASE_COSTS``: virtual time each
+# scheduler step costs, what one soft-dirty write-protect fault costs, and
+# the step budget of a ``run`` that names none.
+STEP_COST_NS = 150
+SOFT_DIRTY_FAULT_COST_NS = 2_500
+MAX_STEPS_DEFAULT = 5_000_000
 
 
 class Barrier:
     """Quiescence-protocol rendezvous: threads park until released."""
 
-    def __init__(self, expected: int = 0) -> None:
-        self.expected = expected
+    def __init__(self) -> None:
         self.arrived = 0
         self.released = False
         self.waitq = WaitQueue()
@@ -86,8 +71,7 @@ class Barrier:
 class Kernel:
     """World state: processes, network, filesystem, namespace, clock."""
 
-    def __init__(self, config: Optional[KernelConfig] = None, clock: Optional[VirtualClock] = None) -> None:
-        self.config = config or KernelConfig()
+    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock or VirtualClock()
         self.net = NetworkStack()
         self.fs = SimFileSystem()
@@ -347,7 +331,7 @@ class Kernel:
         * ``"idle"``      — no thread runnable, none can ever become ready
         * ``"max_steps"`` / ``"max_ns"`` — budget exhausted
         """
-        budget = max_steps if max_steps is not None else self.config.max_steps_default
+        budget = max_steps if max_steps is not None else MAX_STEPS_DEFAULT
         clock = self.clock
         deadline_ns = None if max_ns is None else clock.now_ns + max_ns
         run_queue = self._run_queue
@@ -420,7 +404,7 @@ class Kernel:
     def _step(self, thread: Thread) -> None:
         self.steps_executed += 1
         clock = self.clock
-        clock.now_ns += self.config.step_cost_ns
+        clock.now_ns += STEP_COST_NS
         if self.trace is not None:
             self.trace.on_pick(thread)
         collector = obs.ACTIVE
@@ -476,7 +460,7 @@ class Kernel:
         faults = process.space.soft_dirty_faults
         seen = self._fault_charged.get(process.global_id, 0)
         if faults > seen:
-            clock.now_ns += (faults - seen) * self.config.soft_dirty_fault_cost_ns
+            clock.now_ns += (faults - seen) * SOFT_DIRTY_FAULT_COST_NS
             self._fault_charged[process.global_id] = faults
         kind = result.__class__
         if kind is Blocked:

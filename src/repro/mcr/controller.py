@@ -49,7 +49,6 @@ from repro.mcr.tracing.invariants import (
 )
 from repro.mcr.tracing.transfer import StateTransfer, TransferReport
 from repro.replay import trace as replay_trace
-from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession, PHASE_NORMAL
 from repro.runtime.program import Program, load_program
 
@@ -235,9 +234,7 @@ class LiveUpdateController:
         kernel: Kernel,
         old_session: MCRSession,
         new_program: Program,
-        build: Optional[BuildConfig] = None,
         config: Optional[MCRConfig] = None,
-        cost: Optional[TransferCostModel] = None,
         use_dirty_filter: bool = True,
         match_strategy: str = "callstack",
         collector: Optional["obs.Collector"] = None,
@@ -246,12 +243,12 @@ class LiveUpdateController:
         self.old_session = old_session
         self.old_root: Process = old_session.root_process
         self.new_program = new_program
-        # Default: the running session's build.  A region-instrumented
-        # server (nginx_reg) restarted under plain ``full()`` loses its
-        # region tags and serves empty replies after the commit.
-        self.build = build or old_session.build
+        # The new version inherits the running session's build: a
+        # region-instrumented server (nginx_reg) restarted under plain
+        # ``full()`` loses its region tags and serves empty replies after
+        # the commit.
+        self.build = old_session.build
         self.config = config or old_session.config
-        self.cost = cost or TransferCostModel()
         self.use_dirty_filter = use_dirty_filter  # ablation knob
         self.match_strategy = match_strategy      # "callstack" | "sequential"
         # The collector this update records into.  None = ambient: use the
@@ -481,7 +478,6 @@ class LiveUpdateController:
             new_root,
             self.new_program,
             self.config,
-            self.cost,
             use_dirty_filter=self.use_dirty_filter,
             memo=self._memo,
             **scope,
@@ -898,7 +894,7 @@ class LiveUpdateController:
                 if obj.kind == "listener":
                     self.kernel.net.adopt_listener(obj)
                 restored += 1
-        self.kernel.clock.advance(restored * self.cost.per_fd_restore_ns)
+        self.kernel.clock.advance(restored * TransferCostModel.PER_FD_RESTORE_NS)
 
     def _commit_prepare(self, new_root: Process) -> None:
         """Everything commit needs that can still fail safely.

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.kernel.kernel import Kernel
-from repro.mcr.config import MCRConfig, TransferCostModel
+from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController, UpdateResult
-from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import Program
 
@@ -86,9 +85,7 @@ class McrCtl:
     def live_update(
         self,
         new_program: Program,
-        build: Optional[BuildConfig] = None,
         config: Optional[MCRConfig] = None,
-        cost: Optional[TransferCostModel] = None,
         collector=None,
     ) -> UpdateResult:
         """Signal a live update; returns when committed or rolled back.
@@ -99,8 +96,8 @@ class McrCtl:
         collector (a fleet node's own) instead of whatever is ambient.
         """
         controller = LiveUpdateController(
-            self.kernel, self.session, new_program, build=build, config=config,
-            cost=cost, collector=collector,
+            self.kernel, self.session, new_program, config=config,
+            collector=collector,
         )
         result = controller.run_update()
         self.history.append(result)

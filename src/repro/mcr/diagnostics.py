@@ -26,7 +26,11 @@ from repro.mcr.tracing.invariants import apply_invariants, invariant_counts
 from repro.obs.spans import render_tree
 
 
-def describe_trace(trace: TraceResult, top: int = 5) -> str:
+# The largest conservatively traversed containers a trace summary lists.
+TOP_CONSERVATIVE = 5
+
+
+def describe_trace(trace: TraceResult) -> str:
     """Summarize one process's traced object graph."""
     records = list(trace.objects.values())
     by_region = {}
@@ -50,7 +54,7 @@ def describe_trace(trace: TraceResult, top: int = 5) -> str:
         (r for r in records if r.conservatively_traversed),
         key=lambda r: r.size,
         reverse=True,
-    )[:top]
+    )[:TOP_CONSERVATIVE]
     if conservative:
         lines.append("  largest conservative containers:")
         for record in conservative:

@@ -26,6 +26,10 @@ from repro.mcr.quiescence.report import QuiescenceReport, ThreadClass
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.program import Program, load_program
 
+# Virtual time the test workload is observed for before the profiler
+# accepts a stall as the end of the run.
+OBSERVE_WINDOW_NS = 150_000_000
+
 
 def _all_tree_processes(root: Process) -> List[Process]:
     """The whole process tree, including exited members (daemonize etc.)."""
@@ -59,7 +63,6 @@ class QuiescenceProfiler:
         workload: Callable[[Kernel], List[Process]],
         settle_steps: int = 200_000,
         workload_steps: int = 2_000_000,
-        observe_window_ns: int = 150_000_000,
     ) -> QuiescenceReport:
         """Run ``program`` under ``workload`` and classify its threads."""
         kernel = self.kernel
@@ -82,7 +85,7 @@ class QuiescenceProfiler:
         t0_ns = kernel.clock.now_ns
 
         def observed() -> bool:
-            if kernel.clock.now_ns - t0_ns < observe_window_ns:
+            if kernel.clock.now_ns - t0_ns < OBSERVE_WINDOW_NS:
                 return False
             clients_stalled = all(
                 c.exited or all(t.state == "blocked" for t in c.live_threads())

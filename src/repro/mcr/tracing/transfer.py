@@ -76,14 +76,15 @@ class ProcessTransferStats:
         self.bytes_traced_total = 0
         self.bytes_clean = 0
 
-    def work_ns(self, cost: TransferCostModel) -> int:
+    def work_ns(self) -> int:
+        cost = TransferCostModel
         return (
-            self.objects_traced * cost.per_object_visit_ns
-            + self.bytes_copied * cost.per_byte_copy_ns
-            + self.pointers_fixed * cost.per_pointer_fixup_ns
-            + self.transforms * cost.per_transform_ns
-            + self.words_scanned * cost.per_likely_scan_word_ns
-            + self.pages_scanned * cost.per_page_scan_ns
+            self.objects_traced * cost.PER_OBJECT_VISIT_NS
+            + self.bytes_copied * cost.PER_BYTE_COPY_NS
+            + self.pointers_fixed * cost.PER_POINTER_FIXUP_NS
+            + self.transforms * cost.PER_TRANSFORM_NS
+            + self.words_scanned * cost.PER_LIKELY_SCAN_WORD_NS
+            + self.pages_scanned * cost.PER_PAGE_SCAN_NS
         )
 
 
@@ -121,12 +122,13 @@ class TransferReport:
         collector.counters.incr("transfer.processes", len(self.per_process))
         collector.counters.incr("transfer.conflicts", len(self.conflicts))
 
-    def serial_total_ns(self, cost) -> int:
+    def serial_total_ns(self) -> int:
         """What the transfer would cost WITHOUT cross-process parallelism
         (ablation of the paper's "parallel state transfer strategy")."""
-        base = cost.base_coordination_ns
-        base += len(self.per_process) * cost.process_channel_setup_ns
-        return base + sum(s.work_ns(cost) for s in self.per_process)
+        cost = TransferCostModel
+        base = cost.BASE_COORDINATION_NS
+        base += len(self.per_process) * cost.PROCESS_CHANNEL_SETUP_NS
+        return base + sum(s.work_ns() for s in self.per_process)
 
     def aggregate_table2(self) -> Dict[str, Dict[str, int]]:
         keys = (
@@ -269,7 +271,6 @@ class StateTransfer:
         new_root: Process,
         new_program,
         config: Optional[MCRConfig] = None,
-        cost: Optional[TransferCostModel] = None,
         use_dirty_filter: bool = True,
         only_processes: Optional[List[Process]] = None,
         memo: Optional[TraceMemo] = None,
@@ -279,7 +280,6 @@ class StateTransfer:
         self.new_root = new_root
         self.new_program = new_program
         self.config = config or MCRConfig()
-        self.cost = cost or TransferCostModel()
         # Ablation switch: with dirty filtering off, every paired mutable
         # object is transferred (what a non-incremental MCR would do).
         self.use_dirty_filter = use_dirty_filter
@@ -301,9 +301,10 @@ class StateTransfer:
         for old_proc, new_proc in pairs:
             stats = self._transfer_process(old_proc, new_proc)
             self.report.per_process.append(stats)
-            process_work_ns.append(stats.work_ns(self.cost))
-        total = self.cost.base_coordination_ns if self.include_base_cost else 0
-        total += len(pairs) * self.cost.process_channel_setup_ns
+            process_work_ns.append(stats.work_ns())
+        cost = TransferCostModel
+        total = cost.BASE_COORDINATION_NS if self.include_base_cost else 0
+        total += len(pairs) * cost.PROCESS_CHANNEL_SETUP_NS
         total += max(process_work_ns) if process_work_ns else 0
         self.report.total_ns = total
         self.report.publish()

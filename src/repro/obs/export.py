@@ -50,7 +50,7 @@ def collector_to_dict(collector) -> Dict[str, Any]:
     return payload
 
 
-def spans_to_trace_events(roots: Iterable[Span], pid: int = 1, tid: int = 1) -> List[Dict[str, Any]]:
+def spans_to_trace_events(roots: Iterable[Span]) -> List[Dict[str, Any]]:
     """Flatten span trees into Chrome 'X' (complete) events."""
     events: List[Dict[str, Any]] = []
     for root in roots:
@@ -62,8 +62,8 @@ def spans_to_trace_events(roots: Iterable[Span], pid: int = 1, tid: int = 1) -> 
                     "ph": "X",
                     "ts": span.start_ns / _NS_PER_US,
                     "dur": span.duration_ns / _NS_PER_US,
-                    "pid": pid,
-                    "tid": tid,
+                    "pid": 1,
+                    "tid": 1,
                     "args": dict(span.attrs, status=span.status),
                 }
             )

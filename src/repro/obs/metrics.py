@@ -81,10 +81,8 @@ class Histogram:
         self.max: Optional[Number] = None
 
     @classmethod
-    def log_buckets(
-        cls, name: str, lo: Number, hi: Number, factor: float = 2.0, unit: str = "ns"
-    ) -> "Histogram":
-        return cls(name, boundaries=log_boundaries(lo, hi, factor), unit=unit)
+    def log_buckets(cls, name: str, lo: Number, hi: Number) -> "Histogram":
+        return cls(name, boundaries=log_boundaries(lo, hi))
 
     @classmethod
     def from_values(
@@ -92,9 +90,8 @@ class Histogram:
         name: str,
         values: Iterable[Number],
         boundaries: Optional[Sequence[Number]] = None,
-        unit: str = "ns",
     ) -> "Histogram":
-        histogram = cls(name, boundaries=boundaries, unit=unit)
+        histogram = cls(name, boundaries=boundaries)
         for value in values:
             histogram.observe(value)
         return histogram
@@ -197,12 +194,11 @@ class MetricsRegistry:
         self,
         name: str,
         boundaries: Optional[Sequence[Number]] = None,
-        unit: str = "ns",
     ) -> Histogram:
         """Get-or-create; an existing histogram keeps its boundaries."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = Histogram(name, boundaries=boundaries, unit=unit)
+            histogram = Histogram(name, boundaries=boundaries)
             self._histograms[name] = histogram
         return histogram
 

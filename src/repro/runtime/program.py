@@ -58,8 +58,6 @@ class Program:
         libs: Optional[List[Tuple[str, int]]] = None,
         annotations: Optional[Any] = None,
         quiescent_points: Optional[set] = None,
-        pinned_symbols: Optional[Dict[str, int]] = None,
-        lib_bases: Optional[Dict[str, int]] = None,
         metadata: Optional[Dict[str, Any]] = None,
         functions: Optional[List[str]] = None,
     ) -> None:
@@ -82,8 +80,10 @@ class Program:
         self.annotations = annotations
         # (function_name, syscall_name) pairs, produced by the profiler.
         self.quiescent_points = set(quiescent_points or ())
-        self.pinned_symbols = dict(pinned_symbols or {})
-        self.lib_bases = dict(lib_bases or {})
+        # Filled by the relink step of an update (``GlobalRealloc``'s plan)
+        # before this version is loaded.
+        self.pinned_symbols: Dict[str, int] = {}
+        self.lib_bases: Dict[str, int] = {}
         self.metadata = dict(metadata or {})
 
     def type_changes(self, older: "Program") -> Dict[str, List[str]]:

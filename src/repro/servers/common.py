@@ -11,12 +11,13 @@ responses) judged against a downtime budget.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.clock import ns_to_ms
 from repro.errors import SimError
 from repro.kernel.process import sim_function
+from repro.mcr.config import DOWNTIME_BUDGET_NS
 from repro.obs.metrics import Histogram
 
 # Ports, one per server, stable across versions.
@@ -26,9 +27,15 @@ PORT_NGINX = 8081
 PORT_VSFTPD = 21
 PORT_SSHD = 22
 
+# A client connect refused while the server is still binding waits this
+# long before the next attempt.
+CONNECT_BACKOFF_NS = 1_000_000
+# The metric every client latency sample is observed under.
+LATENCY_METRIC = "client.latency_ns"
+
 
 @sim_function
-def connect_with_retry(sys, port: int, attempts: int = 50, backoff_ns: int = 1_000_000):
+def connect_with_retry(sys, port: int, attempts: int = 50):
     """Client-side connect that retries while the server is still binding."""
     last_error: Optional[SimError] = None
     for _ in range(attempts):
@@ -37,7 +44,7 @@ def connect_with_retry(sys, port: int, attempts: int = 50, backoff_ns: int = 1_0
             return fd
         except SimError as error:
             last_error = error
-            yield from sys.nanosleep(backoff_ns)
+            yield from sys.nanosleep(CONNECT_BACKOFF_NS)
     raise last_error if last_error is not None else SimError("connect failed")
 
 
@@ -74,8 +81,7 @@ class ClientLatencyLog:
     no-op when none is installed).
     """
 
-    def __init__(self, metric: str = "client.latency_ns") -> None:
-        self.metric = metric
+    def __init__(self) -> None:
         self.samples: List[Tuple[int, int]] = []
 
     @classmethod
@@ -88,7 +94,7 @@ class ClientLatencyLog:
 
     def record(self, send_ns: int, recv_ns: int) -> None:
         self.samples.append((send_ns, recv_ns))
-        obs.observe(self.metric, recv_ns - send_ns)
+        obs.observe(LATENCY_METRIC, recv_ns - send_ns)
 
     @property
     def count(self) -> int:
@@ -100,10 +106,8 @@ class ClientLatencyLog:
     def completions_ns(self) -> List[int]:
         return sorted(recv_ns for _send_ns, recv_ns in self.samples)
 
-    def histogram(self, boundaries: Optional[Sequence[int]] = None) -> Histogram:
-        return Histogram.from_values(
-            self.metric, self.latencies_ns(), boundaries=boundaries
-        )
+    def histogram(self) -> Histogram:
+        return Histogram.from_values(LATENCY_METRIC, self.latencies_ns())
 
     def blackout_ns(self, window: Optional[Tuple[int, int]] = None) -> int:
         """The longest gap in completed responses, in virtual ns.
@@ -135,28 +139,25 @@ class ClientPerceived:
     """The workload's verdict on one live update.
 
     Bundles the latency histogram, the measured blackout interval, and
-    the SLO verdict against a configurable downtime budget
-    (``MCRConfig.downtime_budget_ns``).
+    the SLO verdict against the downtime budget
+    (``mcr.config.DOWNTIME_BUDGET_NS``).
     """
 
     def __init__(
         self,
         histogram: Histogram,
         blackout_ns: int,
-        budget_ns: int,
         window_ns: int = 0,
     ) -> None:
         self.histogram = histogram
         self.blackout_ns = blackout_ns
-        self.budget_ns = budget_ns
         self.window_ns = window_ns
-        self.slo_ok = blackout_ns <= budget_ns
+        self.slo_ok = blackout_ns <= DOWNTIME_BUDGET_NS
 
     @classmethod
     def measure(
         cls,
         log: ClientLatencyLog,
-        budget_ns: int,
         window: Optional[Tuple[int, int]] = None,
     ) -> "ClientPerceived":
         completions = log.completions_ns()
@@ -169,7 +170,6 @@ class ClientPerceived:
         return cls(
             log.histogram(),
             log.blackout_ns(window),
-            budget_ns,
             window_ns=window_ns,
         )
 
@@ -182,7 +182,7 @@ class ClientPerceived:
             "p99_ms": summary["p99_ms"],
             "max_ms": summary["max_ms"],
             "blackout_ms": ns_to_ms(self.blackout_ns),
-            "downtime_budget_ms": ns_to_ms(self.budget_ns),
+            "downtime_budget_ms": ns_to_ms(DOWNTIME_BUDGET_NS),
             "window_ms": ns_to_ms(self.window_ns),
             "slo_ok": self.slo_ok,
         }

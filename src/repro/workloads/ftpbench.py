@@ -11,17 +11,19 @@ from __future__ import annotations
 from repro.workloads.scripted import Script, ScriptedClients, Step
 
 
+# The file every user retrieves: the paper's 1 MB download.
+FILE_PATH = "/pub/file1m.bin"
+
+
 class FtpBench(ScriptedClients):
     """FTP login + retrieve benchmark driver."""
 
     def __init__(
-        self, port: int = 21, users: int = 10, retrievals: int = 2,
-        path: str = "/pub/file1m.bin",
+        self, port: int = 21, users: int = 10, retrievals: int = 2
     ) -> None:
         self.users = users
         self.retrievals = retrievals
-        self.path = path
-        tail = [Step(f"RETR {path}", until="226")] * retrievals + [Step("QUIT", counted=False)]
+        tail = [Step(f"RETR {FILE_PATH}", until="226")] * retrievals + [Step("QUIT", counted=False)]
         super().__init__(
             port,
             lambda index: Script(

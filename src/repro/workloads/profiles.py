@@ -20,25 +20,28 @@ from typing import Callable, List
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.workloads.ftpbench import FILE_PATH
 from repro.workloads.scripted import Script, ScriptedClients, Step
 
 # How long idle connections stall the server before the script lets go:
 # long enough to dominate every thread's blocking-time profile.
 IDLE_HOLD_NS = 400_000_000
+# Idle connections each profile parks beside its one active client.
+IDLE_CLIENTS = 3
 
 Workload = Callable[[Kernel], List[Process]]
 
 
 def _parallel_profile(
-    port: int, idle: Callable[[int], Script], active: Script, idle_count: int = 3
+    port: int, idle: Callable[[int], Script], active: Script
 ) -> Workload:
-    """``idle_count`` clients set up by ``idle`` and linger; one more runs
+    """``IDLE_CLIENTS`` clients set up by ``idle`` and linger; one more runs
     ``active`` (the large transfer) and stays connected half as long."""
 
     def workload(kernel: Kernel) -> List[Process]:
         clients = dict(connect_attempts=200, stamped=False)
         return ScriptedClients(
-            port, lambda index: idle(index)._replace(linger_ns=IDLE_HOLD_NS), idle_count,
+            port, lambda index: idle(index)._replace(linger_ns=IDLE_HOLD_NS), IDLE_CLIENTS,
             frame="idle_client", name="profile-idle-{}".format, **clients,
         )(kernel) + ScriptedClients(
             port, active._replace(linger_ns=IDLE_HOLD_NS // 2),
@@ -54,14 +57,14 @@ def web_profile(port: int, big_path: str = "/big.bin") -> Workload:
     )
 
 
-def ftp_profile(port: int = 21, big_path: str = "/pub/file1m.bin") -> Workload:
+def ftp_profile(port: int = 21) -> Workload:
     def login(user: str) -> Step:
         return Step(f"USER {user}", "PASS secret")
 
     return _parallel_profile(
         port,
         lambda index: Script([login(f"prof{index}")], banner=True),
-        Script([login("active"), Step(f"RETR {big_path}", until="226")], banner=True),
+        Script([login("active"), Step(f"RETR {FILE_PATH}", until="226")], banner=True),
     )
 
 

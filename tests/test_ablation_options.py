@@ -1,15 +1,37 @@
 """Tests for the optional mechanisms (paper's 'not implemented yet' items
 and run-time policies) that this reproduction implements behind config."""
 
+import inspect
+
 import pytest
 
+from repro.bench import fuzz, memusage, spec2006, table1, table2, table3
+from repro.checkpoint import WarmStandby, restore_image
+from repro.clock import VirtualClock, fmt_ms
+from repro.fleet import Fleet, Node
+from repro.fleet.failover import FailoverDrill
+from repro.fleet.migration import MigrationDrill
+from repro.fleet.orchestrator import NodeOutcome, Orchestrator, RolloutReport
+from repro.kernel.kernel import Barrier
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import LiveUpdateController
+from repro.mcr.ctl import McrCtl
+from repro.mcr.diagnostics import describe_trace
+from repro.mcr.quiescence.profiler import QuiescenceProfiler
 from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants
-from repro.mcr.tracing.transfer import StateTransfer
+from repro.mcr.tracing.transfer import (
+    ProcessTransferStats,
+    StateTransfer,
+    TransferReport,
+)
+from repro.obs.export import spans_to_trace_events
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime.cruntime import SharedLib
-from repro.runtime.program import GlobalVar
+from repro.runtime.program import GlobalVar, Program
+from repro.servers.common import ClientLatencyLog, ClientPerceived, connect_with_retry
 from repro.types.descriptors import ArrayType, CHAR, INT64, PointerType
+from repro.workloads import FtpBench, profiles
 
 from tests.helpers import boot_test_program, make_test_program
 from repro.kernel import Kernel
@@ -120,7 +142,6 @@ def test_every_config_option_is_read_by_something():
     ``MCRConfig`` unread until they were deleted.  Every ``__init__``
     parameter must be read as an attribute somewhere under ``src/repro``
     outside ``config.py`` itself (a plain assignment does not count)."""
-    import inspect
     import re
     from pathlib import Path
 
@@ -133,7 +154,7 @@ def test_every_config_option_is_read_by_something():
         if path != src / "mcr" / "config.py"
     )
     options = [p for p in inspect.signature(MCRConfig.__init__).parameters if p != "self"]
-    assert len(options) == 9
+    assert len(options) == 8
     unread = [
         name for name in options
         if not re.search(rf"\.{name}\b(?!\s*=[^=])", text)
@@ -142,23 +163,104 @@ def test_every_config_option_is_read_by_something():
 
 
 # Set to nothing but their defaults anywhere; each is now a constant
-# beside its one reader (``runtime/libmcr.py``, ``quiescence/detection.py``,
-# ``controller.py``), rollback verification always runs, and a failover
-# drill's durable image path is its own ``checkpoint_path`` argument.
-REMOVED_OPTIONS = (
-    "unblockify_slice_ns",
-    "unblockify_poll_cost_ns",
-    "unblockify_entry_cost_ns",
-    "quiescence_deadline_ns",
-    "quiescence_max_retries",
-    "quiescence_backoff_ns",
-    "verify_rollback",
-    "checkpoint_path",
+# beside its one reader: the quiescence and unblockification timings
+# (``runtime/libmcr.py``, ``quiescence/detection.py``, ``controller.py``),
+# the kernel cost model (``kernel.STEP_COST_NS`` ...), the transfer cost
+# model (``TransferCostModel``'s class constants), the SLO budget
+# (``mcr.config.DOWNTIME_BUDGET_NS``), the drill and rollout shapes
+# (class constants of the drills and the orchestrator) and the bench
+# tables' rows.  Rollback verification always runs, a failover drill's
+# durable image path is its own ``checkpoint_path`` argument, and an
+# update's new version always inherits the running session's build.
+REMOVED_OPTIONS = [
+    (MCRConfig, "unblockify_slice_ns"),
+    (MCRConfig, "unblockify_poll_cost_ns"),
+    (MCRConfig, "unblockify_entry_cost_ns"),
+    (MCRConfig, "quiescence_deadline_ns"),
+    (MCRConfig, "quiescence_max_retries"),
+    (MCRConfig, "quiescence_backoff_ns"),
+    (MCRConfig, "verify_rollback"),
+    (MCRConfig, "checkpoint_path"),
+    (MCRConfig, "downtime_budget_ns"),
+    (Kernel, "config"),
+    (LiveUpdateController, "build"),
+    (LiveUpdateController, "cost"),
+    (McrCtl.live_update, "build"),
+    (McrCtl.live_update, "cost"),
+    (StateTransfer, "cost"),
+    (ProcessTransferStats.work_ns, "cost"),
+    (TransferReport.serial_total_ns, "cost"),
+    (ClientPerceived, "budget_ns"),
+    (ClientPerceived.measure, "budget_ns"),
+    (Orchestrator, "budget_ns"),
+    (Orchestrator, "window_ns"),
+    (Orchestrator, "windows_between_waves"),
+    (Orchestrator, "update_config"),
+    (RolloutReport, "budget_ns"),
+    (FailoverDrill, "windows"),
+    (FailoverDrill, "window_ns"),
+    (FailoverDrill, "requests_per_window"),
+    (FailoverDrill, "detect_ns"),
+    (MigrationDrill, "windows"),
+    (MigrationDrill, "window_ns"),
+    (MigrationDrill, "requests_per_window"),
+    (MigrationDrill, "max_precopy_rounds"),
+    (table1.run_table1, "servers"),
+    (table2.run_table2, "servers"),
+    (table2.trace_statistics, "held_connections"),
+    (table3.run_table3, "servers"),
+    (table3.run_table3, "configs"),
+    (table3.measure_runtime_ns, "warmup"),
+    (memusage.run_memusage, "servers"),
+    (spec2006.run_spec, "benchmarks"),
+    (fuzz.shrink_spec, "max_checks"),
+    # The same audit over the rest of ``src/repro``.
+    (Fleet.boot, "version"),
+    (Fleet.boot, "build"),
+    (Fleet.boot, "config"),
+    (Node.boot, "build"),
+    (Node.boot, "stall_ns"),
+    (restore_image, "stall_ns"),
+    (WarmStandby.resync, "node_id"),
+    (NodeOutcome, "retried"),
+    (ClientLatencyLog, "metric"),
+    (ClientLatencyLog.histogram, "boundaries"),
+    (connect_with_retry, "backoff_ns"),
+    (FtpBench, "path"),
+    (profiles.ftp_profile, "big_path"),
+    (QuiescenceProfiler.profile, "observe_window_ns"),
+    (describe_trace, "top"),
+    (spans_to_trace_events, "pid"),
+    (spans_to_trace_events, "tid"),
+    (Program, "pinned_symbols"),
+    (Program, "lib_bases"),
+    (Barrier, "expected"),
+    (VirtualClock, "start_ns"),
+    (fmt_ms, "digits"),
+    (Histogram.log_buckets, "factor"),
+    (Histogram.log_buckets, "unit"),
+    (Histogram.from_values, "unit"),
+    (MetricsRegistry.histogram, "unit"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, option",
+    REMOVED_OPTIONS,
+    ids=[f"{target.__qualname__}-{option}" for target, option in REMOVED_OPTIONS],
 )
-
-
-@pytest.mark.parametrize("option", REMOVED_OPTIONS)
-def test_one_value_options_are_gone(option):
+def test_one_value_options_are_gone(target, option):
+    """Passing a removed option is a ``TypeError``, not a silent no-op."""
     with pytest.raises(TypeError):
-        MCRConfig(**{option: None})
-    assert not hasattr(MCRConfig(), option)
+        inspect.signature(target).bind_partial(**{option: None})
+    if target is MCRConfig:
+        assert not hasattr(MCRConfig(), option)
+
+
+def test_kernel_config_is_gone():
+    import repro.kernel
+    import repro.kernel.kernel
+
+    assert not hasattr(repro.kernel, "KernelConfig")
+    assert not hasattr(repro.kernel.kernel, "KernelConfig")
+    assert not hasattr(Kernel(), "config")

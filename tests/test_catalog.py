@@ -327,13 +327,13 @@ def test_one_unknown_server_error(capsys):
 # -- the build-inheritance fix ---------------------------------------------------
 
 
-def _serves_after_update(build=None):
+def _serves_after_update():
     world = boot("nginx_reg")
     load = world.spec.small_workload({})
     load.run(world.kernel)
     assert load.completed == 30 and load.errors == 0
     ctl = McrCtl(world.kernel, world.session)
-    result = ctl.live_update(world.make_program(2), build=build)
+    result = ctl.live_update(world.make_program(2))
     assert result.committed, result.error
     probe = world.spec.probe()
     probe.run(world.kernel)
@@ -347,11 +347,6 @@ def test_nginx_reg_serves_after_a_committed_update_under_prior_load():
     result, probe = _serves_after_update()
     assert result.new_session.build.instrument_regions
     assert (probe.completed, probe.errors) == (5, 0)
-
-
-def test_an_explicit_update_build_still_wins():
-    result, _probe = _serves_after_update(build=BuildConfig.full())
-    assert not result.new_session.build.instrument_regions
 
 
 # -- (d) the fence moves ---------------------------------------------------------

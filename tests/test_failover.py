@@ -17,7 +17,7 @@ from repro.checkpoint import capture_delta
 from repro.fleet.drill import SETTLE_NS
 from repro.fleet.failover import FailoverDrill, FailoverResult
 from repro.fleet.node import Node
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import CHECKPOINT_SITES, DEFAULT_ERRORS, SITES, FaultPlan
 
 # The whole failover grid: the clean crash (None), every checkpoint-plane
@@ -38,7 +38,7 @@ def test_clean_failover_loses_nothing():
     assert result.requests_lost == 0
     assert result.served_after
     assert result.rto_ns is not None
-    assert result.rto_ns < config.downtime_budget_ns
+    assert result.rto_ns < DOWNTIME_BUDGET_NS
     assert result.perceived is not None and result.perceived["slo_ok"]
 
 

@@ -125,6 +125,28 @@ class TestNodeIsolation:
             fleet.teardown()
 
 
+def test_fleetroll_isolation_reads_the_served_version_not_a_name(monkeypatch):
+    """The isolation row's ``updated_changed`` asks the updated node which
+    version it serves.  A fingerprint keys on ``(pid, name)``, so it cannot
+    tell an update that keeps the root's booted name from no update."""
+    import repro.mcr.controller as controller
+    from repro.bench import fleetroll
+
+    names = []
+    load_program = controller.load_program
+
+    def load_keeping_the_booted_name(*args, name=None, **kwargs):
+        names.append(name)
+        return load_program(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "load_program", load_keeping_the_booted_name)
+    row = fleetroll._isolation_row()
+    assert names == ["simple-v2"]  # the restart was spawned, unnamed
+    assert row["update_committed"]
+    assert row["bystanders_identical"]
+    assert row["updated_changed"]
+
+
 class TestFleetServing:
     def test_clean_windows_lose_nothing(self, pair):
         before = pair.requests_sent

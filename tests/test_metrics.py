@@ -21,7 +21,7 @@ from repro.bench.updatetime import measure_client_perceived
 from repro.cli import main
 from repro.clock import VirtualClock, ns_to_ms
 from repro.kernel import Kernel
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.obs.counters import CounterSet
@@ -557,18 +557,23 @@ class TestClientLatency:
         assert first.samples == [(90, 100), (1_190, 1_200)]  # inputs untouched
 
     def test_perceived_verdict(self):
-        log = ClientLatencyLog()
-        for recv in (1_000, 2_000, 50_000_000):
-            log.record(recv - 100, recv)
-        perceived = ClientPerceived.measure(log, budget_ns=10_000_000)
-        assert not perceived.slo_ok  # ~50 ms gap > 10 ms budget
-        assert perceived.blackout_ns == 49_998_000
-        ok = ClientPerceived.measure(log, budget_ns=100_000_000)
-        assert ok.slo_ok
+        assert DOWNTIME_BUDGET_NS == 1_000_000_000
+        over = ClientLatencyLog()
+        for recv in (1_000, 2_000, 1_500_000_000):
+            over.record(recv - 100, recv)
+        perceived = ClientPerceived.measure(over)
+        assert not perceived.slo_ok  # ~1.5 s gap > 1 s budget
+        assert perceived.blackout_ns == 1_499_998_000
+        under = ClientLatencyLog()
+        for recv in (1_000, 2_000, 900_000_000):
+            under.record(recv - 100, recv)
+        ok = ClientPerceived.measure(under)
+        assert ok.slo_ok  # ~0.9 s gap <= 1 s budget
         payload = ok.to_dict()
         assert payload["requests"] == 3
         assert payload["slo_ok"] is True
-        assert payload["blackout_ms"] == pytest.approx(ns_to_ms(49_998_000))
+        assert payload["blackout_ms"] == pytest.approx(ns_to_ms(899_998_000))
+        assert payload["downtime_budget_ms"] == ns_to_ms(DOWNTIME_BUDGET_NS)
 
     def test_latency_summary_ms_helper(self):
         row = latency_summary_ms([1_000_000, 2_000_000, 3_000_000])
@@ -699,9 +704,7 @@ class TestClientPerceivedMeasurement:
             until=lambda: all(c.exited for c in clients), max_steps=5_000_000
         )
         assert result.committed
-        result.client = ClientPerceived.measure(
-            workload.latency, budget_ns=session.config.downtime_budget_ns
-        )
+        result.client = ClientPerceived.measure(workload.latency)
         status = ctl.status()
         assert status["last_update_slo_ok"] is True
         assert status["last_update_blackout_ms"] > 0

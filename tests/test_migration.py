@@ -17,7 +17,7 @@ import pytest
 from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
 from repro.bench.migrate import COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head
 from repro.fleet.migration import MigrationDrill
-from repro.mcr.config import MCRConfig
+from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import DEFAULT_ERRORS, MIGRATION_SITES, SITES, FaultPlan
 
 # The whole migration grid: the clean migration (None), every
@@ -31,8 +31,7 @@ def run_migration_cell(server, site, blackbox_path=None):
 
 
 def test_clean_migration_loses_nothing():
-    config = MCRConfig()
-    result = MigrationDrill("simple", config=config).run()
+    result = MigrationDrill("simple", config=MCRConfig()).run()
     assert result.error is None
     assert result.migrated and not result.aborted
     assert not result.primary_survived
@@ -41,7 +40,7 @@ def test_clean_migration_loses_nothing():
     assert result.precopy_rounds >= 1
     assert result.stopcopy_bytes is not None
     assert result.brownout_ns is not None
-    assert result.brownout_ns < config.downtime_budget_ns
+    assert result.brownout_ns < DOWNTIME_BUDGET_NS
     assert result.perceived is not None and result.perceived["slo_ok"]
 
 

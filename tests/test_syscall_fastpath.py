@@ -28,7 +28,12 @@ from repro import obs
 from repro.bench.harness import SERVER_BENCHES, boot_server
 from repro.errors import SimError
 from repro.kernel import syscalls
-from repro.kernel.kernel import Kernel, KernelConfig
+from repro.kernel.kernel import (
+    MAX_STEPS_DEFAULT,
+    SOFT_DIRTY_FAULT_COST_NS,
+    STEP_COST_NS,
+    Kernel,
+)
 from repro.kernel.namespaces import PidNamespace
 from repro.kernel.process import RUNNABLE, sim_function
 from repro.kernel.sysapi import Sys
@@ -186,7 +191,7 @@ def test_serving_run_is_step_identical_under_unconditional_intercept(server, mon
 
 def reference_run(kernel, max_steps=None, until=None, max_ns=None):
     """``Kernel.run`` as it was: ``until`` before every pop, poll every round."""
-    budget = max_steps if max_steps is not None else kernel.config.max_steps_default
+    budget = max_steps if max_steps is not None else MAX_STEPS_DEFAULT
     deadline_ns = None if max_ns is None else kernel.clock.now_ns + max_ns
     while True:
         if until is not None and until():
@@ -353,10 +358,10 @@ class TestKernelEntry:
         with obs.collecting(kernel.clock) as collector:
             kernel.run(max_steps=1)
             # One step: step cost + the 1 000 ns entry; nothing delivered yet.
-            assert kernel.clock.now_ns == kernel.config.step_cost_ns + 1_000
+            assert kernel.clock.now_ns == STEP_COST_NS + 1_000
             assert seen == []
             kernel.run(max_steps=1)
-        step = kernel.config.step_cost_ns
+        step = STEP_COST_NS
         assert seen == [("unknown syscall: frobnicate", 2 * step + 1_000, 2)]
         counters = collector.counters
         assert counters.get("syscall.total") == counters.get("syscall.getpid") == 1
@@ -375,12 +380,6 @@ class TestKernelEntry:
         with pytest.raises(ValueError, match="recv"):
             Kernel()
 
-    @pytest.mark.parametrize("field", ["step_cost_ns", "soft_dirty_fault_cost_ns"])
-    def test_a_negative_config_cost_is_refused_at_construction(self, field):
-        with pytest.raises(ValueError, match=field):
-            KernelConfig(**{field: -1})
-        assert getattr(KernelConfig(**{field: 0}), field) == 0
-
 
 def _touch_pages_then_yield(sys, pages):
     space = sys.process.space
@@ -393,7 +392,7 @@ def _touch_pages_then_yield(sys, pages):
 
 def _fault_charges(kernel, processes):
     """Virtual ns charged for soft-dirty faults in each process's one step."""
-    plain_step = kernel.config.step_cost_ns + syscalls.BASE_COSTS["sched_yield"]
+    plain_step = STEP_COST_NS + syscalls.BASE_COSTS["sched_yield"]
     charges = []
     for _ in processes:
         before = kernel.clock.now_ns
@@ -408,7 +407,7 @@ class TestSoftDirtyFaultCharging:
             kernel.spawn_process(_touch_pages_then_yield, args=(pages,))
             for pages in (5, 3, 0)
         ]
-        cost = kernel.config.soft_dirty_fault_cost_ns
+        cost = SOFT_DIRTY_FAULT_COST_NS
         assert _fault_charges(kernel, procs) == [5 * cost, 3 * cost, 0]
 
     def test_every_process_is_charged_for_its_own_faults(self, kernel):
@@ -417,7 +416,7 @@ class TestSoftDirtyFaultCharging:
             _touch_pages_then_yield, args=(3,), namespace=PidNamespace()
         )
         assert old.pid == new.pid  # mirrored, as after a live update
-        cost = kernel.config.soft_dirty_fault_cost_ns
+        cost = SOFT_DIRTY_FAULT_COST_NS
         assert _fault_charges(kernel, [old, new]) == [5 * cost, 3 * cost]
 
 

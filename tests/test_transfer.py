@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConflictError
 from repro.kernel import Kernel
 from repro.mcr.annotations import Annotations
+from repro.mcr.config import TransferCostModel
 from repro.mcr.tracing.transfer import StateTransfer
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.program import GlobalVar
@@ -227,9 +228,9 @@ class TestReportAccounting:
         report = transfer.run()
         stats = report.per_process[0]
         expected = (
-            transfer.cost.base_coordination_ns
-            + transfer.cost.process_channel_setup_ns
-            + stats.work_ns(transfer.cost)
+            TransferCostModel.BASE_COORDINATION_NS
+            + TransferCostModel.PROCESS_CHANNEL_SETUP_NS
+            + stats.work_ns()
         )
         assert report.total_ns == expected
 

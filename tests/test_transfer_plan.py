@@ -447,7 +447,7 @@ class _Outcome:
 def _like(cls, transfer: StateTransfer, use_dirty_filter: bool) -> StateTransfer:
     return cls(
         transfer.old_root, transfer.new_root, transfer.new_program, transfer.config,
-        transfer.cost, use_dirty_filter=use_dirty_filter, memo=transfer.memo,
+        use_dirty_filter=use_dirty_filter, memo=transfer.memo,
         include_base_cost=transfer.include_base_cost,
     )
 
