@@ -47,40 +47,9 @@ class VirtualClock:
         # built).
         self.now_ns = 0
 
-    @property
-    def now_ms(self) -> float:
-        return ns_to_ms(self.now_ns)
-
     def advance(self, delta_ns: int) -> int:
         """Advance the clock by ``delta_ns`` and return the new time."""
         if delta_ns < 0:
             raise ValueError(f"clock cannot go backwards: {delta_ns}")
         self.now_ns += delta_ns
         return self.now_ns
-
-    def elapsed_since(self, t0_ns: int) -> int:
-        return self.now_ns - t0_ns
-
-
-class StopWatch:
-    """Measures an interval of virtual time.
-
-    Usage::
-
-        watch = StopWatch(clock)
-        ... run simulated work ...
-        duration_ns = watch.elapsed_ns()
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start_ns = clock.now_ns
-
-    def elapsed_ns(self) -> int:
-        return self._clock.elapsed_since(self._start_ns)
-
-    def elapsed_ms(self) -> float:
-        return ns_to_ms(self.elapsed_ns())
-
-    def restart(self) -> None:
-        self._start_ns = self._clock.now_ns

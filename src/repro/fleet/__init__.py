@@ -20,32 +20,8 @@ from repro.fleet.orchestrator import (
     wave_plan,
 )
 
-# The failover/migration drivers sit atop repro.checkpoint, which
-# itself boots fleet Nodes — import them lazily so ``import
-# repro.checkpoint`` does not re-enter this package mid-initialisation.
-_FAILOVER_EXPORTS = ("FailoverDrill", "FailoverResult")
-_MIGRATION_EXPORTS = ("MigrationAbort", "MigrationDrill", "MigrationResult")
-
-
-def __getattr__(name: str):
-    if name in _FAILOVER_EXPORTS:
-        from repro.fleet import failover
-
-        return getattr(failover, name)
-    if name in _MIGRATION_EXPORTS:
-        from repro.fleet import migration
-
-        return getattr(migration, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "FailoverDrill",
-    "FailoverResult",
     "Fleet",
-    "MigrationAbort",
-    "MigrationDrill",
-    "MigrationResult",
     "LoadBalancer",
     "Node",
     "NodeOutcome",

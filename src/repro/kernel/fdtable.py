@@ -167,10 +167,6 @@ class FDTable:
         self._entries = {}
         return own + self.close_stash()
 
-    def dup(self, fd: int) -> int:
-        obj = self.get(fd)
-        return self.install(obj)
-
     def block_reuse(self, fd: int) -> None:
         """Forbid this number from ever being allocated again."""
         self._blocked_numbers.add(fd)

@@ -82,12 +82,6 @@ class SimFileSystem:
             file.content = bytearray()
         return OpenFile(file, path, flags)
 
-    def read(self, path: str) -> bytes:
-        file = self._files.get(path)
-        if file is None:
-            raise SimError(f"no such file: {path}")
-        return bytes(file.content)
-
     def size(self, path: str) -> Optional[int]:
         file = self._files.get(path)
         return None if file is None else len(file.content)

@@ -11,8 +11,9 @@ so blocking costs no host time.
 
 The v2 scheduler polls a blocked thread's predicate only when (a) one of
 its wait channels was kicked, (b) its deadline or wake hint came due (a
-heap, not a scan), or (c) the wait carries no channels and no timing — an
-uninstrumented predicate like ``select``, polled every round as before.
+heap, not a scan), or (c) the wait carries no channels and no timing, so
+nothing would announce its change: such a wait degrades to being polled
+every round.
 Idle workers therefore cost nothing per round, which is what makes
 1000-worker process trees steppable.  Before declaring the world idle the
 scheduler still polls *every* blocked thread once, so a readiness change
@@ -507,8 +508,8 @@ class Kernel:
         hint = thread.wake_hint_ns
         if hint is not None and hint != deadline:
             self._push_deadline(hint, thread, seq)
-        # No channel and no timing: the predicate is uninstrumented
-        # (select) — fall back to polling it every round.
+        # No channel and no timing: nothing announces a change, so degrade
+        # to polling the predicate every round rather than miss a wake-up.
         thread.always_polled = not channels and deadline is None and hint is None
         if thread.always_polled:
             self._polled.append((thread, seq))
@@ -530,7 +531,7 @@ class Kernel:
 
         The candidate set is: threads some wait channel kicked since the
         last round, threads whose deadline/wake hint came due (popped from
-        the heap), and always-polled threads (select).  Candidates are
+        the heap), and always-polled (channel-less) threads.  Candidates are
         polled in park order — exactly the order the original
         scan-everything scheduler used — so wake order is unchanged.
         ``full=True`` polls every blocked thread (the pre-idle safety
@@ -656,10 +657,3 @@ class Kernel:
 
     def live_processes(self) -> List[Process]:
         return [p for p in self.processes.values() if not p.exited]
-
-    def process_by_pid(self, pid: int, namespace: Optional[PidNamespace] = None) -> Optional[Process]:
-        ns = namespace or self.pidns
-        for process in self.processes.values():
-            if process.pid == pid and process.namespace is ns and not process.exited:
-                return process
-        return None

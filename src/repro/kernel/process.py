@@ -156,8 +156,8 @@ class Thread:
         # v2 scheduler wait-channel bookkeeping: ``park_seq`` versions each
         # park (stale WaitQueue/deadline entries carry an older value),
         # ``poll_hot`` marks a kicked thread awaiting re-poll, and
-        # ``always_polled`` flags waits with uninstrumented predicates
-        # (select) that must be polled every round.
+        # ``always_polled`` flags channel-less waits that must be polled
+        # every round.
         self.park_seq = 0
         self.poll_hot = False
         self.always_polled = False

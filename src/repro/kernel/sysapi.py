@@ -82,9 +82,6 @@ class Sys:
     def recv(self, fd: int, size: int = 65536, timeout_ns: Optional[int] = None):
         return self._invoke("recv", {"fd": fd, "size": size}, timeout_ns)
 
-    def select(self, fds: List[int], timeout_ns: Optional[int] = None):
-        return self._invoke("select", {"fds": list(fds)}, timeout_ns)
-
     def epoll_create(self):
         return self._invoke("epoll_create", {})
 

@@ -65,8 +65,8 @@ class Blocked:
     ``process.WaitQueue``) whose state changes can make ``ready`` flip
     true; the scheduler parks the thread on them and re-polls only when
     one is kicked.  An empty tuple with no timeout and no ``wake_ns``
-    means the predicate is uninstrumented (select): the scheduler then
-    polls it every round, preserving the original semantics.
+    means no channel announces the predicate's change: the scheduler then
+    polls it every round rather than risk a missed wake-up.
     """
 
     __slots__ = ("ready", "reason", "wake_ns", "channels")
@@ -110,7 +110,6 @@ BASE_COSTS: Dict[str, int] = {
     "send": 2_000,
     "recv": 2_000,
     "close": 1_000,
-    "select": 1_500,
     "epoll_create": 2_000,
     "epoll_ctl": 1_200,
     "epoll_wait": 1_500,
@@ -241,30 +240,6 @@ class SyscallTable:
         if is_ready:
             return value
         return Blocked(ready, f"recv:{endpoint.conn_id}", channels=(endpoint,))
-
-    def sys_select(self, thread: "Thread", fds: List[int]) -> Any:
-        table = thread.process.fdtable
-
-        def ready():
-            ready_fds = []
-            for fd in fds:
-                obj = table.try_get(fd)
-                if obj is None:
-                    continue
-                if obj.kind == "listener" and obj.can_accept():
-                    ready_fds.append(fd)
-                elif obj.kind == "stream" and obj.readable():
-                    ready_fds.append(fd)
-                elif obj.kind == "unix" and obj.readable():
-                    ready_fds.append(fd)
-            if ready_fds:
-                return True, ready_fds
-            return False, None
-
-        is_ready, value = ready()
-        if is_ready:
-            return value
-        return Blocked(ready, "select")
 
     def sys_epoll_create(self, thread: "Thread", reserved: bool = False) -> int:
         epoll = self.kernel.net.new_epoll()

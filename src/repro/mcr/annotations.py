@@ -10,8 +10,8 @@ paper counts annotation LOC:
 * ``MCR_ADD_REINIT_HANDLER`` — a mutable-reinitialization hook: resolves
   replay conflicts, replays semantically-changed operations, or recreates
   volatile quiescent states (servers that spawn workers on demand).
-* ``opaque policy overrides`` — mark a type/region precisely traceable or
-  force it opaque.
+* ``opaque_overrides`` — global names whose objects tracing treats as
+  opaque (scanned conservatively) whatever their declared type.
 * ``allocator annotations``  — declare a custom allocator region-based so
   the allocation-type analysis can instrument it.
 
@@ -67,9 +67,6 @@ class Annotations:
 
     def MCR_ADD_REINIT_HANDLER(self, handler: Callable, stage: str = "conflict", loc: int = 4) -> None:
         self.reinit_handlers.append(ReinitHandler(handler, stage, loc))
-
-    def MCR_FORCE_OPAQUE(self, name: str) -> None:
-        self.opaque_overrides.add(name)
 
     def MCR_ANNOTATE_ENCODED_POINTER(self, name: str, tag_bits: int = 0x3, loc: int = 2) -> None:
         """Declare that global ``name`` stores a pointer with metadata in

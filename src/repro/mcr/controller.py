@@ -236,7 +236,6 @@ class LiveUpdateController:
         new_program: Program,
         config: Optional[MCRConfig] = None,
         use_dirty_filter: bool = True,
-        match_strategy: str = "callstack",
         collector: Optional["obs.Collector"] = None,
     ) -> None:
         self.kernel = kernel
@@ -250,7 +249,6 @@ class LiveUpdateController:
         self.build = old_session.build
         self.config = config or old_session.config
         self.use_dirty_filter = use_dirty_filter  # ablation knob
-        self.match_strategy = match_strategy      # "callstack" | "sequential"
         # The collector this update records into.  None = ambient: use the
         # active collector when it is bound to this kernel's clock, else a
         # private one.  A fleet Node passes its own collector here so
@@ -785,7 +783,6 @@ class LiveUpdateController:
             self.old_session.startup_log,
             inventory,
             stash,
-            match_strategy=self.match_strategy,
         )
         self._inventory = inventory
         # Pre-request quiescence so no thread consumes a fresh event.

@@ -56,32 +56,6 @@ class McrCtl:
                 status["last_update_blackbox"] = last.blackbox_path
         return status
 
-    def stat(self) -> Dict[str, object]:
-        """What ``mcr-ctl stat`` would print: per-update detail.
-
-        ``status`` is the one-line health view; ``stat`` returns the full
-        update history with the client-perceived verdict per attempt.
-        """
-        updates = []
-        for result in self.history:
-            entry: Dict[str, object] = {
-                "committed": result.committed,
-                "rolled_back": result.rolled_back,
-                "failure_site": result.failure_site,
-                "retries": result.retries,
-                "total_ms": result.total_ms(),
-            }
-            if result.client is not None:
-                entry["client"] = result.client.to_dict()
-            if result.blackbox_path is not None:
-                entry["blackbox"] = result.blackbox_path
-            updates.append(entry)
-        return {
-            "program": self.session.program.name,
-            "version": self.session.program.version,
-            "updates": updates,
-        }
-
     def live_update(
         self,
         new_program: Program,

@@ -5,8 +5,6 @@ annotations was also greatly simplified by the conflicts flagged by
 mutable reinitialization and mutable tracing").  This module renders what
 an operator needs when that happens:
 
-* ``describe_trace``   — per-process object-graph summary (counts by
-  region, invariants, top conservative containers);
 * ``describe_update``  — the full story of one update attempt: timings,
   per-process transfer statistics, and — on rollback — a diagnosis of the
   conflict with the paper's suggested remediation;
@@ -16,62 +14,9 @@ an operator needs when that happens:
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.clock import ns_to_ms
 from repro.errors import ConflictError, QuiescenceTimeout
-from repro.kernel.process import Process
-from repro.mcr.tracing.graph import GraphBuilder, TraceResult
-from repro.mcr.tracing.invariants import apply_invariants, invariant_counts
 from repro.obs.spans import render_tree
-
-
-# The largest conservatively traversed containers a trace summary lists.
-TOP_CONSERVATIVE = 5
-
-
-def describe_trace(trace: TraceResult) -> str:
-    """Summarize one process's traced object graph."""
-    records = list(trace.objects.values())
-    by_region = {}
-    for record in records:
-        by_region[record.region] = by_region.get(record.region, 0) + 1
-    counts = invariant_counts(trace)
-    lines = [
-        f"process {trace.process.name} (pid {trace.process.pid}):",
-        f"  objects: {counts['objects']} "
-        f"(static {by_region.get('static', 0)}, "
-        f"dynamic {by_region.get('dynamic', 0)}, "
-        f"lib {by_region.get('lib', 0)})",
-        f"  pointers: {len(trace.precise_pointers)} precise, "
-        f"{len(trace.likely_pointers)} likely "
-        f"({trace.dangling_precise} dangling)",
-        f"  invariants: {counts['immutable']} immutable, "
-        f"{counts['nonupdatable']} nonupdatable, "
-        f"{counts['conservative']} conservatively traversed",
-    ]
-    conservative = sorted(
-        (r for r in records if r.conservatively_traversed),
-        key=lambda r: r.size,
-        reverse=True,
-    )[:TOP_CONSERVATIVE]
-    if conservative:
-        lines.append("  largest conservative containers:")
-        for record in conservative:
-            label = record.name or record.site or "(anonymous)"
-            lines.append(
-                f"    0x{record.base:x} +{record.size:<7} {label}"
-            )
-    return "\n".join(lines)
-
-
-def describe_process_tree(root: Process) -> str:
-    """Trace and summarize every process in a (quiesced) tree."""
-    sections = []
-    for process in root.tree():
-        trace = apply_invariants(GraphBuilder(process).build())
-        sections.append(describe_trace(trace))
-    return "\n\n".join(sections)
 
 
 def explain_conflict(error: BaseException) -> str:
@@ -100,12 +45,6 @@ def explain_conflict(error: BaseException) -> str:
                     "socket). Either the omission is a bug in the update, or "
                     "an MCR_ADD_REINIT_HANDLER must release/recreate the "
                     "object explicitly (paper §5, conservative matching)."
-                )
-            if "sequential mismatch" in (error.detail or ""):
-                return (
-                    "The sequential matching ablation flagged a reordering "
-                    "that the default call-stack-ID strategy tolerates; use "
-                    "match_strategy='callstack' (paper §5)."
                 )
             return (
                 "Mutable reinitialization could not complete control "

@@ -209,14 +209,6 @@ class FaultArm:
             return error
         return error()
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.fired = 0
-        if self.probability is not None:
-            # Probabilistic arms keep their stream position: reset only
-            # restarts hit counting (a fresh stream needs a fresh arm).
-            pass
-
     def to_spec(self) -> Dict[str, Any]:
         """JSON-serializable trigger description (defaults-only errors).
 
@@ -311,20 +303,6 @@ class FaultPlan:
 
     def armed_sites(self) -> List[str]:
         return sorted(self._arms)
-
-    def hit_counts(self) -> Dict[str, int]:
-        return {
-            site: sum(arm.hits for arm in arms)
-            for site, arms in self._arms.items()
-        }
-
-    def reset(self) -> None:
-        """Restart hit counting (reuse one plan across update attempts)."""
-        self.injected.clear()
-        self.last_fired = None
-        for arms in self._arms.values():
-            for arm in arms:
-                arm.reset()
 
     # -- spec round-trip (record/replay + fuzzing) -----------------------------
 

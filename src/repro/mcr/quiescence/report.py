@@ -67,16 +67,6 @@ class QuiescenceReport:
             if c.quiescent_point is not None
         }
 
-    def persistent_points(self) -> Set[Tuple[str, str]]:
-        return {
-            c.quiescent_point
-            for c in self.long_lived()
-            if c.persistent and c.quiescent_point is not None
-        }
-
-    def volatile_points(self) -> Set[Tuple[str, str]]:
-        return self.quiescent_points() - self.persistent_points()
-
     def summary(self) -> Dict[str, int]:
         """The 'Quiescence profiling' column group of Table 1."""
         qps = [c for c in self.long_lived() if c.quiescent_point is not None]

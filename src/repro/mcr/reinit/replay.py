@@ -48,7 +48,12 @@ REPLAY_MATCH_COST_NS = 3_000
 
 
 class ReplayContext:
-    """What a reinit conflict handler gets to look at (and resolve with)."""
+    """What a reinit conflict handler gets to look at (and resolve with).
+
+    A handler resolves the conflict by setting ``resolved``; it also sets
+    ``override_result`` to hand that value to the program instead of the
+    recorded result, or ``execute_live`` to run the call live.
+    """
 
     def __init__(
         self,
@@ -69,11 +74,6 @@ class ReplayContext:
         self.override_result: Any = None
         self.execute_live = False
 
-    def resolve_with_result(self, result: Any) -> None:
-        """Consume the record and return ``result`` to the program."""
-        self.resolved = True
-        self.override_result = result
-
 
 class ReplayEngine:
     """Cross-version replay state for one live update attempt."""
@@ -84,20 +84,11 @@ class ReplayEngine:
         old_log: StartupLog,
         inventory: ImmutableInventory,
         stash: FdStash,
-        match_strategy: str = "callstack",
     ) -> None:
         self.session = session
         self.old_log = old_log
         self.inventory = inventory
         self.stash = stash
-        # "callstack" (the paper's choice) matches by version-agnostic
-        # call-stack ID and tolerates reordering/addition/deletion;
-        # "sequential" (the alternative the paper argues against, §5:
-        # "global or partial orderings of operations") consumes records
-        # strictly in recorded order and is provided for comparison.
-        if match_strategy not in ("callstack", "sequential"):
-            raise ValueError(f"unknown match strategy: {match_strategy}")
-        self.match_strategy = match_strategy
         # pid -> {old_fd: new_fd} for transient (live-created) descriptors.
         self.fd_translation: Dict[int, Dict[int, int]] = {}
         self.conflicts: List[ConflictError] = []
@@ -116,26 +107,7 @@ class ReplayEngine:
         fire(self.session.config, "reinit.replay")
         process.kernel.clock.advance(REPLAY_MATCH_COST_NS)
         translation = self.fd_translation.setdefault(pid, {})
-        if self.match_strategy == "sequential":
-            record = self.old_log.next_unconsumed(pid)
-            if record is not None and (
-                record.name != name or record.stack_id != thread.stack_id()
-            ):
-                # Strict ordering: any insertion/deletion/reordering in
-                # the new startup derails the whole match.
-                context = ReplayContext(self, process, thread, record, name, args)
-                self._raise_or_resolve(
-                    context,
-                    ConflictError(
-                        "reinit",
-                        f"{name}@{'/'.join(thread.call_stack)}",
-                        f"sequential mismatch: expected {record.name} "
-                        f"@{'/'.join(record.stack_names)}",
-                    ),
-                )
-                record = None if context.execute_live else record
-        else:
-            record = self.old_log.find_match(pid, thread.stack_id(), name)
+        record = self._match(process, thread, name, args)
         if record is None:
             # New operation introduced by the update: run it live.
             self.live_count += 1
@@ -289,6 +261,17 @@ class ReplayEngine:
         if obj.kind == "listener":
             process.kernel.net.adopt_listener(obj)
         self.stash.claim(src_pid, src_fd, src_fd)
+
+    def _match(
+        self, process: Process, thread: Thread, name: str, args: Dict[str, Any]
+    ) -> Optional[SyscallRecord]:
+        """The old startup's record this call replays, or ``None`` (run it
+        live).  Matched by version-agnostic call-stack ID, which tolerates
+        reordered, added and deleted operations — the paper's choice over
+        "global or partial orderings of operations" (§5).  ``args`` is
+        for a matcher that flags a mismatch: its ``ReplayContext`` needs
+        them."""
+        return self.old_log.find_match(process.pid, thread.stack_id(), name)
 
     def _raise_or_resolve(self, context: ReplayContext, conflict: ConflictError) -> None:
         annotations = getattr(self.session.program, "annotations", None)

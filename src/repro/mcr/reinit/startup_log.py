@@ -119,13 +119,6 @@ class StartupLog:
                 return rec
         return None
 
-    def next_unconsumed(self, pid: int) -> Optional[SyscallRecord]:
-        """Strict-order cursor (the sequential matching alternative)."""
-        for rec in self._by_pid.get(pid, []):
-            if not rec.consumed:
-                return rec
-        return None
-
     def unconsumed_immutable(self, pid: Optional[int] = None) -> List[SyscallRecord]:
         """Immutable-creating records replay never matched (omissions)."""
         return [

@@ -17,12 +17,12 @@ heap chunks, region blocks, statics, and library areas.
 
 ``scan_range`` and ``scan_words`` are the scanners tracing runs: each
 hands its words to ``index.classify`` as one window.  ``scan_range_ref``
-and ``scan_words_ref`` read and resolve one word at a time through a
-``resolve`` callable.  ``scan_range_ref`` serves the one input the window
-scanner cannot — a range not backed by a single mapping, where the words
-before the fault must still be scanned — and both are the oracles the
-equivalence tests and ``bench scanperf`` compare against: identical
-``LikelyPointer`` lists and ``words_scanned`` counts.
+reads and resolves one word at a time through a ``resolve`` callable.  It
+serves the one input the window scanner cannot — a range not backed by a
+single mapping, where the words before the fault must still be scanned —
+and it is the oracle the equivalence tests and ``bench scanperf`` compare
+against: identical ``LikelyPointer`` lists and ``words_scanned`` counts.
+The tests keep ``scan_words``' per-word reference (``tests/scan_oracles.py``).
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def scan_words(
     """Scan specific word offsets (the pointer-sized-integer policy).
 
     The slots are read one by one (they need not be contiguous, and a
-    bad one faults exactly as in ``scan_words_ref``), then classified
-    together as one packed window.
+    bad one faults as a word read does), then classified together as one
+    packed window.
     """
     slots = [base + offset for offset in offsets]
     read_word = space.read_word
@@ -164,31 +164,3 @@ def scan_words(
     ]
     _publish(len(slots), calls, from_ref=False)
     return found, len(slots)
-
-
-def scan_words_ref(
-    space: AddressSpace,
-    offsets: Iterable[int],
-    base: int,
-    resolve: ResolveFn,
-) -> Tuple[List[LikelyPointer], int]:
-    """Reference per-word offset scanner."""
-    found: List[LikelyPointer] = []
-    words_scanned = 0
-    calls = 0
-    for offset in offsets:
-        slot = base + offset
-        value = space.read_word(slot)
-        words_scanned += 1
-        if value == 0:
-            continue
-        calls += 1
-        resolved = resolve(value)
-        if resolved is None:
-            continue
-        target_base, target_align = resolved[0], resolved[2]
-        if target_align is not None and (value - target_base) % target_align != 0:
-            continue
-        found.append(LikelyPointer(slot, value, target_base, value != target_base))
-    _publish(words_scanned, calls, from_ref=True)
-    return found, words_scanned

@@ -10,7 +10,8 @@ hatch for everything mutable tracing cannot infer (paper §3/§6):
 
 The handler receives a ``TraversalContext`` and either leaves
 ``ctx.transformed`` as produced by the default transformer (possibly
-editing it in place) or replaces it wholesale.
+editing it in place), assigns it wholesale, or sets ``ctx.skip`` to
+leave the object's new-version bytes alone.
 """
 
 from __future__ import annotations
@@ -44,10 +45,3 @@ class TraversalContext:
         self.old_proc = None
         self.new_proc = None
 
-    # -- helpers for common encodings --------------------------------------------
-
-    def replace(self, value: Any) -> None:
-        self.transformed = value
-
-    def suppress(self) -> None:
-        self.skip = True

@@ -135,12 +135,3 @@ def _transform_array(
     ]
     out.extend(default_value(new_type.element) for _ in range(new_type.count - count))
     return out
-
-
-def types_compatible(old_type: TypeDesc, new_type: TypeDesc) -> bool:
-    """Can ``transform_value`` map between these without a conflict?"""
-    try:
-        transform_value(old_type, new_type, default_value(old_type), lambda p: p)
-        return True
-    except ConflictError:
-        return False

@@ -9,7 +9,7 @@ This package stands in for the process-memory machinery MCR uses on Linux:
   from CRIU for dirty-object detection).
 * ``ptmalloc`` — a glibc-style heap allocator with in-band chunk metadata,
   startup-time chunk flagging, deferred frees (global separability), and
-  ``malloc_at`` (global reallocation of immutable heap objects).
+  ``reserve_range`` (global reallocation of immutable heap objects).
 * ``regions`` — the custom allocation schemes of the evaluated servers:
   nginx-style regions and slabs, Apache-style nested pools.
 * ``tags`` — the relocation / data-type tag store maintained by MCR's

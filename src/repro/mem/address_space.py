@@ -230,15 +230,6 @@ class AddressSpace:
         self._insert(mapping)
         return mapping
 
-    def unmap(self, base: int) -> None:
-        mapping = self.mapping_at(base)
-        if mapping is None or mapping.base != base:
-            raise MemoryFault(base, "munmap of unmapped base")
-        index = _bisect.bisect_left(self._bases, base)
-        del self._mappings[index]
-        del self._bases[index]
-        self._hit = None
-
     def release(self) -> None:
         """exit(): destroy every store and forget every mapping.
 
@@ -280,9 +271,6 @@ class AddressSpace:
         for m in self._mappings:
             if kind is None or m.kind == kind:
                 yield m
-
-    def is_mapped(self, address: int) -> bool:
-        return self.mapping_at(address) is not None
 
     # -- byte access (the MemoryView protocol) --------------------------
 
@@ -381,13 +369,6 @@ class AddressSpace:
         """Mark every page in every mapping soft-clean."""
         for m in self._mappings:
             m.tracker.clear()
-
-    def range_dirty(self, address: int, size: int) -> bool:
-        """Does ``[address, address+size)`` overlap any soft-dirty page?"""
-        mapping = self.mapping_at(address)
-        if mapping is None:
-            raise MemoryFault(address, "dirty query on unmapped memory")
-        return mapping.tracker.range_dirty(address, size)
 
     def dirty_page_count(self) -> int:
         return sum(m.tracker.dirty_page_count() for m in self._mappings)

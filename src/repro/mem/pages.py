@@ -9,7 +9,7 @@ structures modified after startup:
   so the cost model can charge it), marks the page soft-dirty, and
   "unprotects" it — subsequent writes are free, exactly like the kernel
   mechanism.
-* ``dirty_pages()`` reports the pages written since the last ``clear()``.
+* ``soft_dirty()`` is the set of pages written since the last ``clear()``.
 
 Before the first ``clear()`` every page is considered dirty (matching the
 kernel default where soft-dirty bits start set for new mappings).
@@ -120,26 +120,6 @@ class PageTracker:
         self.fault_count += faults
         return faults
 
-    def is_dirty(self, address: int) -> bool:
-        """Is the page containing ``address`` soft-dirty?"""
-        if not self._cleared_once:
-            return True
-        return (address - self.base) // PAGE_SIZE in self._dirty
-
-    def range_dirty(self, address: int, size: int) -> bool:
-        """Is any page overlapping ``[address, address+size)`` dirty?"""
-        if not self._cleared_once:
-            return True
-        first = (address - self.base) // PAGE_SIZE
-        last = (address + max(size, 1) - 1 - self.base) // PAGE_SIZE
-        dirty = self._dirty
-        if first == last:  # the common case: a word or a small object
-            return first in dirty
-        for page in range(first, last + 1):
-            if page in dirty:
-                return True
-        return False
-
     def soft_dirty(self) -> Optional[Set[int]]:
         """The soft-dirty page indexes (read-only), or ``None`` before the
         first ``clear()``: every page is dirty then."""
@@ -155,15 +135,6 @@ class PageTracker:
         for page in sorted(self._page_seq):
             if self._page_seq[page] > seq:
                 yield self.base + page * PAGE_SIZE
-
-    def dirty_pages(self) -> Iterator[int]:
-        """Yield base addresses of dirty pages (all pages if never cleared)."""
-        if not self._cleared_once:
-            for page in range(self.num_pages):
-                yield self.base + page * PAGE_SIZE
-            return
-        for page in sorted(self._dirty):
-            yield self.base + page * PAGE_SIZE
 
     def dirty_page_count(self) -> int:
         if not self._cleared_once:

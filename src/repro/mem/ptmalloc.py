@@ -11,12 +11,13 @@ Models the pieces of the glibc allocator that MCR's design depends on:
   immutable dynamic memory objects: chunks allocated during startup are
   flagged in metadata, and frees issued during startup are deferred until
   ``end_startup()`` so no startup-time address is ever reused (paper §5).
-* **``malloc_at``** — *global reallocation*: during mutable
+* **``reserve_range``** — *global reallocation*: during mutable
   reinitialization the new version must reallocate immutable heap objects
   at exactly their old-version addresses, which requires "dedicated
   allocator support to enforce a given memory layout in a fresh heap
-  state" (paper §5).  ``malloc_at`` carves a chunk at a caller-chosen
-  address out of free space.
+  state" (paper §5).  ``reserve_range`` carves each coalesced span of
+  them (a superobject) out of free space before the new version's
+  startup allocates.
 
 Allocation policy is deterministic first-fit over a sorted free-interval
 list with coalescing on free — deliberately simpler than glibc's bins, but
@@ -189,34 +190,13 @@ class PtMallocHeap:
             )
         return self._install_chunk(base, size, total, site_id)
 
-    def malloc_at(self, user_address: int, size: int, site_id: int = 0) -> int:
-        """Allocate ``size`` bytes with the user area at ``user_address``.
-
-        Global-reallocation support: fails with ``AllocatorError`` if the
-        required span is not entirely free.
-        """
-        base = user_address - HEADER_SIZE
-        total = _align_up(HEADER_SIZE + size)
-        if base < self._mapping.base or base + total > self._mapping.end:
-            raise AllocatorError(
-                f"malloc_at target 0x{user_address:x} outside heap"
-            )
-        if not self._free.take_at(base, total):
-            raise AllocatorError(
-                f"malloc_at target 0x{user_address:x} not free"
-            )
-        collector = obs.ACTIVE
-        if collector is not None:
-            collector.counters.incr("alloc.malloc_at")
-        return self._install_chunk(base, size, total, site_id)
-
     def reserve_range(self, address: int, size: int) -> None:
         """Carve a raw address range out of free space (no chunk header).
 
         Global reallocation uses this to pre-place *superobjects*: coalesced
         spans of immutable old-version heap objects that must reappear at
-        identical addresses in the new version (paper §5).  The span is
-        excluded from normal allocation until ``release_reserved``.
+        identical addresses in the new version (paper §5).  The span stays
+        out of normal allocation for the heap's life.
         """
         if not self._free.take_at(address, size):
             raise AllocatorError(
@@ -227,13 +207,6 @@ class PtMallocHeap:
         if collector is not None:
             collector.counters.incr("alloc.reserved_spans")
             collector.counters.incr("alloc.reserved_bytes", size)
-
-    def release_reserved(self, address: int) -> None:
-        """Return a reserved superobject span to the free list."""
-        size = self._reserved.pop(address, None)
-        if size is None:
-            raise AllocatorError(f"no reserved range at 0x{address:x}")
-        self._free.add(address, address + size)
 
     def reserved_ranges(self) -> Dict[int, int]:
         return dict(self._reserved)
@@ -262,23 +235,6 @@ class PtMallocHeap:
                 collector.counters.incr("alloc.deferred_frees")
             return
         self._release(chunk)
-
-    def realloc(self, user_address: int, new_size: int, site_id: int = 0) -> int:
-        chunk = self._chunks.get(user_address)
-        if chunk is None:
-            raise AllocatorError(f"realloc of non-allocated address 0x{user_address:x}")
-        if self.startup_mode and user_address in self._deferred:
-            # The chunk is still resident (its free was deferred for
-            # separability) but logically dead: growing it would revive a
-            # freed object and corrupt the deferred-free accounting.
-            raise AllocatorError(
-                f"realloc of already-freed startup address 0x{user_address:x}"
-            )
-        new_addr = self.malloc(new_size, site_id=site_id)
-        keep = min(chunk.user_size, new_size)
-        self._space.write_bytes(new_addr, self._space.read_bytes(user_address, keep))
-        self.free(user_address)
-        return new_addr
 
     # -- startup-phase control ---------------------------------------------
 

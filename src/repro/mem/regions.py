@@ -12,7 +12,7 @@ allocation, trading allocator overhead for tracing precision.
 Three schemes, per Berger et al. "Reconsidering custom memory allocation":
 
 * ``RegionAllocator`` — bump allocation in large blocks, freed all at once.
-* ``SlabAllocator``   — size-class slabs with per-slot reuse.
+* ``SlabAllocator``   — size-class slabs.
 * ``NestedPool``      — hierarchical regions (Apache APR pools): destroying
   a pool destroys its children.
 """
@@ -143,7 +143,7 @@ class RegionAllocator:
 
 
 class SlabAllocator:
-    """nginx-style slab allocator: power-of-two size classes, slot reuse."""
+    """nginx-style slab allocator: power-of-two size classes."""
 
     SIZE_CLASSES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 
@@ -151,9 +151,7 @@ class SlabAllocator:
         self._heap = heap
         self._slab_size = slab_size
         self._slabs: Dict[int, List[Region]] = {c: [] for c in self.SIZE_CLASSES}
-        self._free_slots: Dict[int, List[int]] = {c: [] for c in self.SIZE_CLASSES}
         self.alloc_count = 0
-        self.free_count = 0
 
     def _size_class(self, size: int) -> int:
         for cls in self.SIZE_CLASSES:
@@ -164,10 +162,6 @@ class SlabAllocator:
     def alloc(self, size: int) -> int:
         cls = self._size_class(size)
         obs.incr("alloc.slab.allocs")
-        free_slots = self._free_slots[cls]
-        if free_slots:
-            self.alloc_count += 1
-            return free_slots.pop()
         for slab in self._slabs[cls]:
             address = slab.bump(cls)
             if address is not None:
@@ -181,12 +175,6 @@ class SlabAllocator:
             raise AllocatorError("fresh slab cannot satisfy request")
         self.alloc_count += 1
         return address
-
-    def free(self, address: int, size: int) -> None:
-        cls = self._size_class(size)
-        self._free_slots[cls].append(address)
-        self.free_count += 1
-        obs.incr("alloc.slab.frees")
 
 
 class NestedPool:
@@ -256,24 +244,9 @@ class NestedPool:
             if not self.parent._destroyed:
                 self.parent._rewrite_child_chain()
 
-    def clear(self) -> None:
-        """Release everything but keep the pool usable (apr_pool_clear)."""
-        for child in list(self.children):
-            child.destroy()
-        self._region.destroy()
-        self._region.ensure_block()
-        self._rewrite_child_chain()
-        if self.parent is not None and not self.parent._destroyed:
-            self.parent._rewrite_child_chain()
-
     @property
     def destroyed(self) -> bool:
         return self._destroyed
 
     def blocks(self) -> Iterator[Region]:
         return self._region.blocks()
-
-    def total_block_count(self) -> int:
-        return self._region.block_count() + sum(
-            child.total_block_count() for child in self.children
-        )

@@ -18,7 +18,7 @@ collector changes no measured ratio — observability is free in virtual
 time by construction.
 
 ``ACTIVE`` is the top of a **scope stack**, not a bare global: activating
-a collector (``scoped``/``collecting``/``install``) pushes an entry, and
+a collector (``scoped``/``collecting``) pushes an entry, and
 leaving a scope removes *that entry* wherever it sits in the stack.  That
 makes activation safe for interleaved lifetimes — a fleet harness that
 multiplexes many kernels in one process enters and exits per-node scopes
@@ -66,12 +66,10 @@ __all__ = [
     "emit",
     "gauge",
     "incr",
-    "install",
     "observe",
     "recorder_for",
     "scoped",
     "span",
-    "uninstall",
 ]
 
 
@@ -174,41 +172,8 @@ def scoped(collector: Collector) -> Iterator[Collector]:
     try:
         yield collector
     finally:
-        try:
-            _SCOPES.remove(entry)
-        except ValueError:  # a bare uninstall() cleared the stack under us
-            pass
+        _SCOPES.remove(entry)
         _sync_active()
-
-
-def install(collector: Collector) -> Optional[Collector]:
-    """Activate ``collector`` globally; returns the one it displaced.
-
-    Imperative counterpart of ``scoped`` for callers without a natural
-    ``with`` block.  Pair with ``uninstall(collector)`` to end exactly
-    this activation.
-    """
-    previous = ACTIVE
-    _SCOPES.append(_Scope(collector))
-    _sync_active()
-    return previous
-
-
-def uninstall(collector: Optional[Collector] = None) -> None:
-    """End an activation.
-
-    With a ``collector``, removes that collector's most recent activation
-    (wherever it sits in the stack).  Without one, clears the whole stack
-    — the historical "reset to no collector" behaviour.
-    """
-    if collector is None:
-        _SCOPES.clear()
-    else:
-        for index in range(len(_SCOPES) - 1, -1, -1):
-            if _SCOPES[index].collector is collector:
-                del _SCOPES[index]
-                break
-    _sync_active()
 
 
 @contextmanager

@@ -37,34 +37,6 @@ class CounterSet:
         """Name-sorted copy (the deterministic export order)."""
         return dict(sorted(self._values.items()))
 
-    def with_prefix(self, prefix: str) -> Dict[str, Number]:
-        return {
-            name: value
-            for name, value in sorted(self._values.items())
-            if name.startswith(prefix)
-        }
-
-    def merge(self, other: "CounterSet") -> None:
-        """Fold ``other``'s values into this set (sums matching names).
-
-        In-place, like ``Histogram.merge`` and ``MetricsRegistry.merge``
-        — the one merge contract across the observability spine.
-        Cross-tree accounting (old-version collector + new-version
-        collector during an update) combines through this, and the result
-        never depends on either side's dict insertion order — ``snapshot``
-        of the merge is name-sorted like any other.
-        """
-        values = self._values
-        for name, value in other._values.items():
-            values[name] = values.get(name, 0) + value
-
-    def merged(self, other: "CounterSet") -> "CounterSet":
-        """A new CounterSet with both value sets summed (sources untouched)."""
-        out = CounterSet()
-        out.merge(self)
-        out.merge(other)
-        return out
-
     def __len__(self) -> int:
         return len(self._values)
 

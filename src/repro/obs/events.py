@@ -10,7 +10,7 @@ log without bound.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, Optional
 
 from repro.clock import VirtualClock
 from repro.obs.recorder import FlightRecorder
@@ -29,14 +29,6 @@ class Event:
         self.severity = severity
         self.name = name
         self.payload = payload
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ts_ns": self.ts_ns,
-            "severity": self.severity,
-            "name": self.name,
-            "payload": dict(self.payload),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Event {self.severity} {self.name} @{self.ts_ns}>"
@@ -69,9 +61,6 @@ class EventLog:
         recorder = self.recorder
         if recorder is not None:
             recorder.record_at(now, "event", name, payload)
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        return [event.to_dict() for event in self._ring]
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._ring)

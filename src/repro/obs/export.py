@@ -1,14 +1,9 @@
 """Exports: plain JSON and Chrome ``trace_event`` format.
 
-Two serializations of one collector:
-
-* ``collector_to_dict`` — the complete model (span forest, counter
-  snapshot, event ring) as plain data, for ``BENCH_*.json`` files and
-  machine consumption.
-* ``chrome_trace`` — the span tree as Chrome ``trace_event`` *complete*
-  events plus instant events and final counter samples, so one update
-  attempt opens as a timeline in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``.
+``chrome_trace`` renders one collector's span tree as Chrome
+``trace_event`` *complete* events plus instant events and final counter
+samples, so one update attempt opens as a timeline in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``.
 
 All output is rendered with ``to_json`` (sorted keys, fixed indent), so
 deterministic inputs — and everything stamped by the virtual clock is
@@ -24,30 +19,6 @@ from repro.obs.spans import Span
 
 # trace_event timestamps are microseconds; virtual stamps are integer ns.
 _NS_PER_US = 1000.0
-
-
-def collector_to_dict(collector) -> Dict[str, Any]:
-    """The full observability model of one collector as plain data."""
-    payload = {
-        "clock_ns": collector.clock.now_ns,
-        "counters": collector.counters.snapshot(),
-        "events": collector.events.to_list(),
-        "events_dropped": collector.events.dropped,
-        "spans": [root.to_dict() for root in collector.spans.roots],
-    }
-    metrics = getattr(collector, "metrics", None)
-    if metrics is not None:
-        payload["metrics"] = metrics.snapshot()
-    recorder = getattr(collector, "recorder", None)
-    if recorder is not None:
-        payload["flight"] = {
-            "entries": recorder.to_list(),
-            "recorded": recorder.recorded,
-            "dropped": recorder.dropped,
-            "bytes_used": recorder.bytes_used,
-            "samples_taken": recorder.samples_taken,
-        }
-    return payload
 
 
 def spans_to_trace_events(roots: Iterable[Span]) -> List[Dict[str, Any]]:

@@ -6,10 +6,10 @@ latencies around a live update (the paper's headline evaluation metric).
 
 Two types:
 
-* ``Histogram`` — fixed-boundary or log-bucketed buckets with count /
-  sum / min / max and bucket-resolved percentiles.  Observation is O(log
-  buckets) (one bisect + three updates) and never touches the virtual
-  clock, so recording latencies cannot change any measured ratio.
+* ``Histogram`` — fixed-boundary buckets with count / sum / min / max
+  and bucket-resolved percentiles.  Observation is O(log buckets) (one
+  bisect + three updates) and never touches the virtual clock, so
+  recording latencies cannot change any measured ratio.
 * ``MetricsRegistry`` — a flat namespace of histograms that lives next
   to ``CounterSet`` on the ``obs.Collector``; ``observe()`` is the
   get-or-create hot path.
@@ -42,18 +42,6 @@ Number = Union[int, float]
 DEFAULT_LATENCY_BOUNDARIES_NS: List[int] = [1_000 * (1 << k) for k in range(28)]
 
 
-def log_boundaries(lo: Number, hi: Number, factor: float = 2.0) -> List[Number]:
-    """Log-spaced bucket upper bounds from ``lo`` until one covers ``hi``."""
-    if lo <= 0:
-        raise ValueError(f"log buckets need a positive start, got {lo}")
-    if factor <= 1.0:
-        raise ValueError(f"log bucket factor must exceed 1, got {factor}")
-    bounds: List[Number] = [lo]
-    while bounds[-1] < hi:
-        bounds.append(bounds[-1] * factor)
-    return bounds
-
-
 class Histogram:
     """Bucketed distribution: count, sum, min/max, bucket-resolved percentiles."""
 
@@ -79,10 +67,6 @@ class Histogram:
         self.sum: Number = 0
         self.min: Optional[Number] = None
         self.max: Optional[Number] = None
-
-    @classmethod
-    def log_buckets(cls, name: str, lo: Number, hi: Number) -> "Histogram":
-        return cls(name, boundaries=log_boundaries(lo, hi))
 
     @classmethod
     def from_values(
@@ -152,26 +136,6 @@ class Histogram:
             out[f"{key}_ms"] = ns_to_ms(native[key])
         return out
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (same boundaries required).
-
-        Used to combine per-tree collectors (old/new version) into one
-        cross-update distribution.
-        """
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histograms with different boundaries "
-                f"({self.name} vs {other.name})"
-            )
-        for index, bucket_count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "unit": self.unit,
@@ -219,16 +183,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Name-sorted plain-data copy (the deterministic export order)."""
         return {name: self._histograms[name].to_dict() for name in self.names()}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (combining old/new-tree collectors)."""
-        for name in other.names():
-            theirs = other._histograms[name]
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = Histogram(name, boundaries=theirs.boundaries, unit=theirs.unit)
-                self._histograms[name] = mine
-            mine.merge(theirs)
 
     def __len__(self) -> int:
         return len(self._histograms)

@@ -69,12 +69,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> Optional["Span"]:
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,

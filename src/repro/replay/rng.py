@@ -67,11 +67,6 @@ class RngStream:
             raise IndexError("cannot choose from an empty sequence")
         return seq[self.randrange(len(seq))]
 
-    def reset(self) -> None:
-        """Rewind to the seed (the draw index restarts too)."""
-        self._rng = random.Random(self.seed)
-        self.index = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStream {self.name!r} seed={self.seed} index={self.index}>"
 

@@ -3,11 +3,11 @@
 The paper's flow: the quiescence profiler suggests per-thread quiescent
 points; the user feeds them to the static instrumentation, which wraps the
 corresponding blocking call sites.  ``profile_program`` runs the profiler
-in a throwaway world; ``apply_profile`` installs its findings into a
-``Program`` (replacing any hand-declared quiescent points); and
-``build_from_profile`` does the whole loop — the programmatic equivalent
-of "integrating quiescence profiling as part of their regression test
-suite" (§3).
+in a throwaway world (``python -m repro profile`` prints its report); a
+``Program``'s ``quiescent_points`` are what the instrumentation wraps —
+``tests/test_build_workflow.py`` sets them from a profile alone and
+updates the result, the programmatic equivalent of "integrating
+quiescence profiling as part of their regression test suite" (§3).
 """
 
 from __future__ import annotations
@@ -29,22 +29,3 @@ def profile_program(
     kernel = Kernel()
     setup_world(kernel)
     return QuiescenceProfiler(kernel).profile(make_program(), workload)
-
-
-def apply_profile(program: Program, report: QuiescenceReport) -> Program:
-    """Install profiled quiescent points into a program (the ANNOTATE→
-    build arrow of Figure 1).  Returns the program for chaining."""
-    program.quiescent_points = set(report.quiescent_points())
-    program.metadata["quiescence_profile"] = report.summary()
-    return program
-
-
-def build_from_profile(
-    make_program: Callable[[], Program],
-    setup_world: Callable[[Kernel], None],
-    workload,
-) -> Program:
-    """Profile a program and return an instance instrumented with the
-    profiler's quiescent points instead of hand-declared ones."""
-    report = profile_program(make_program, setup_world, workload)
-    return apply_profile(make_program(), report)

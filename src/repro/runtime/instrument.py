@@ -94,19 +94,8 @@ class BuildConfig:
 
     full = qdet  # alias: the complete MCR configuration
 
-    def label(self) -> str:
-        if self.qdet:
-            return "+QDet"
-        if self.dynamic_instr:
-            return "+DInstr"
-        if self.static_instr:
-            return "+SInstr"
-        if self.unblockify:
-            return "Unblock"
-        return "baseline"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BuildConfig {self.label()}{' +regions' if self.instrument_regions else ''}>"
+        return f"<BuildConfig {vars(self)}>"
 
 
 def apply_static_instrumentation(process: "Process", program: "Program") -> None:

@@ -185,7 +185,3 @@ ALL_SERIES: Dict[str, UpdateSeries] = {
     "vsftpd": VSFTPD_SERIES,
     "opensshd": OPENSSHD_SERIES,
 }
-
-
-def series_for(name: str) -> UpdateSeries:
-    return ALL_SERIES[name]

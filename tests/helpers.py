@@ -15,6 +15,46 @@ from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import TypeDesc
 
 
+def event_dicts(log) -> List[Dict]:
+    """An event log's ring as plain data, oldest first."""
+    return [
+        {"ts_ns": e.ts_ns, "severity": e.severity, "name": e.name, "payload": dict(e.payload)}
+        for e in log
+    ]
+
+
+def collector_to_dict(collector) -> Dict:
+    """Everything one collector recorded, as plain data: what the
+    determinism tests compare run against run."""
+    recorder = collector.recorder
+    return {
+        "clock_ns": collector.clock.now_ns,
+        "counters": collector.counters.snapshot(),
+        "events": event_dicts(collector.events),
+        "events_dropped": collector.events.dropped,
+        "spans": [root.to_dict() for root in collector.spans.roots],
+        "metrics": collector.metrics.snapshot(),
+        "flight": {
+            "entries": recorder.to_list(),
+            "recorded": recorder.recorded,
+            "dropped": recorder.dropped,
+            "bytes_used": recorder.bytes_used,
+            "samples_taken": recorder.samples_taken,
+        },
+    }
+
+
+def unmap(space, base: int) -> None:
+    """Drop the mapping at ``base``, as a munmap would.  The product maps
+    and never unmaps (a dead process releases its whole space); cache
+    tests use this to put a fresh mapping where an old one was."""
+    index = bisect.bisect_left(space._bases, base)
+    assert space._bases[index] == base, f"no mapping at 0x{base:x}"
+    del space._mappings[index]
+    del space._bases[index]
+    space._hit = None
+
+
 @sim_function
 def idle_main(sys):
     """A program body that parks forever (its QP is the nanosleep)."""

@@ -16,8 +16,8 @@ from repro.kernel.kernel import Barrier
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.ctl import McrCtl
-from repro.mcr.diagnostics import describe_trace
 from repro.mcr.quiescence.profiler import QuiescenceProfiler
+from repro.mcr.reinit.replay import ReplayEngine
 from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants
 from repro.mcr.tracing.transfer import (
@@ -185,6 +185,8 @@ REMOVED_OPTIONS = [
     (Kernel, "config"),
     (LiveUpdateController, "build"),
     (LiveUpdateController, "cost"),
+    (LiveUpdateController, "match_strategy"),
+    (ReplayEngine, "match_strategy"),
     (McrCtl.live_update, "build"),
     (McrCtl.live_update, "cost"),
     (StateTransfer, "cost"),
@@ -229,7 +231,6 @@ REMOVED_OPTIONS = [
     (FtpBench, "path"),
     (profiles.ftp_profile, "big_path"),
     (QuiescenceProfiler.profile, "observe_window_ns"),
-    (describe_trace, "top"),
     (spans_to_trace_events, "pid"),
     (spans_to_trace_events, "tid"),
     (Program, "pinned_symbols"),
@@ -237,8 +238,6 @@ REMOVED_OPTIONS = [
     (Barrier, "expected"),
     (VirtualClock, "start_ns"),
     (fmt_ms, "digits"),
-    (Histogram.log_buckets, "factor"),
-    (Histogram.log_buckets, "unit"),
     (Histogram.from_values, "unit"),
     (MetricsRegistry.histogram, "unit"),
 ]

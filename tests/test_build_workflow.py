@@ -10,7 +10,7 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.mcr.ctl import McrCtl
-from repro.runtime.build import apply_profile, build_from_profile, profile_program
+from repro.runtime.build import profile_program
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
@@ -31,30 +31,21 @@ class TestProfileWorkflow:
         )
         assert report.quiescent_points() == vsftpd.make_program().quiescent_points
 
-    def test_apply_profile_overwrites_points(self):
-        report = profile_program(
-            nginx.make_program, nginx.setup_world, profiles.web_profile(8081)
-        )
-        program = nginx.make_program()
-        program.quiescent_points = {("bogus", "nothing")}
-        apply_profile(program, report)
-        assert ("bogus", "nothing") not in program.quiescent_points
-        assert program.metadata["quiescence_profile"]["LL"] == 2
-
     def test_update_with_purely_profiled_instrumentation(self):
         """Build both versions only from profiling; live-update works."""
-
-        def stripped(version):
-            program = nginx.make_program(version)
-            program.quiescent_points = set()  # forget the hand annotations
-            return program
 
         report = profile_program(
             lambda: nginx.make_program(1), nginx.setup_world,
             profiles.web_profile(8081),
         )
-        v1 = apply_profile(stripped(1), report)
-        v2 = apply_profile(stripped(2), report)
+
+        def profiled(version):
+            program = nginx.make_program(version)
+            # Forget the hand annotations: only the profile's points remain.
+            program.quiescent_points = set(report.quiescent_points())
+            return program
+
+        v1, v2 = profiled(1), profiled(2)
 
         kernel = Kernel()
         nginx.setup_world(kernel)
@@ -64,14 +55,6 @@ class TestProfileWorkflow:
         assert session.startup_complete
         result = McrCtl(kernel, session).live_update(v2)
         assert result.committed, result.error
-
-    def test_build_from_profile_one_call(self):
-        program = build_from_profile(
-            lambda: simple.make_program(1),
-            simple.setup_world,
-            profiles.web_profile(8080, big_path="/big"),
-        )
-        assert program.quiescent_points == {("server_get_event", "epoll_wait")}
 
     def test_unprofiled_program_cannot_quiesce(self):
         """Without (correct) quiescent points the update times out and

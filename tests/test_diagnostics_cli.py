@@ -6,16 +6,9 @@ from repro.errors import ConflictError, QuiescenceTimeout
 from repro.cli import build_parser, main
 from repro.kernel import Kernel
 from repro.mcr.ctl import McrCtl
-from repro.mcr.diagnostics import (
-    describe_process_tree,
-    describe_trace,
-    describe_update,
-    explain_conflict,
-)
-from repro.mcr.tracing.graph import GraphBuilder
-from repro.mcr.tracing.invariants import apply_invariants
+from repro.mcr.diagnostics import describe_update, explain_conflict
 from repro.servers import simple
-from repro.servers.catalog import boot
+from repro.servers.catalog import CATALOG, boot
 
 
 def _booted_simple(kernel):
@@ -24,18 +17,6 @@ def _booted_simple(kernel):
 
 
 class TestDiagnostics:
-    def test_describe_trace_sections(self, kernel):
-        _program, session, root = _booted_simple(kernel)
-        trace = apply_invariants(GraphBuilder(root).build())
-        text = describe_trace(trace)
-        assert "objects:" in text and "pointers:" in text and "invariants:" in text
-        assert f"pid {root.pid}" in text
-
-    def test_describe_process_tree(self, kernel):
-        _program, session, root = _booted_simple(kernel)
-        text = describe_process_tree(root)
-        assert root.name in text
-
     def test_describe_committed_update(self, kernel):
         _program, session, root = _booted_simple(kernel)
         result = McrCtl(kernel, session).live_update(simple.make_program(2))
@@ -114,3 +95,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Quiescence profile for nginx" in out
         assert "SL=1 LL=2" in out
+
+    @pytest.mark.parametrize("server", [name for name in CATALOG if name != "simple"])
+    def test_demo_commits_every_server(self, capsys, server):
+        """``demo`` drives each row's own small workload error-free, then
+        live-updates it to v2."""
+        assert main(["demo", server]) == 0
+        out = capsys.readouterr().out
+        assert f"{server} v1 running on simulated port {CATALOG[server].port}" in out
+        assert ", 0 errors" in out
+        assert "status: COMMITTED" in out
+
+    @pytest.mark.parametrize("server", [name for name in CATALOG if name != "simple"])
+    def test_status_every_server(self, capsys, server):
+        assert main(["status", server]) == 0
+        out = capsys.readouterr().out
+        assert "version: 1\nphase: normal\nstartup_complete: True" in out

@@ -95,10 +95,6 @@ class EagerFDTable:
         pop = self._entries.pop
         return [obj for obj in [pop(fd, None) for fd in fds] if obj is not None]
 
-    def dup(self, fd: int) -> int:
-        obj = self.get(fd)
-        return self.install(obj)
-
     def block_reuse(self, fd: int) -> None:
         self._blocked_numbers.add(fd)
 
@@ -286,9 +282,9 @@ class Family:
             fd = rng.choice(open_fds) if open_fds else 3
 
             def dup(table, side):
-                new_fd = table.dup(fd)
-                table.get(new_fd).acquire()
-                return new_fd
+                obj = table.get(fd)
+                obj.acquire()
+                return table.install(obj)
 
             self.both(index, dup)
         elif op == "block_reuse":

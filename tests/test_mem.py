@@ -11,18 +11,19 @@ from repro.mem.ptmalloc import HEADER_SIZE, PtMallocHeap
 from repro.mem.regions import NestedPool, RegionAllocator, SlabAllocator
 from repro.mem.tags import ORIGIN_HEAP, ORIGIN_STATIC, TagStore
 from repro.types.descriptors import INT32, StructType
+from tests.dirty_oracles import is_dirty, range_dirty, space_range_dirty
 
 
 class TestPageTracker:
     def test_everything_dirty_before_first_clear(self):
         tracker = PageTracker(0, 4 * PAGE_SIZE)
-        assert tracker.is_dirty(0)
+        assert is_dirty(tracker, 0)
         assert tracker.dirty_page_count() == 4
 
     def test_clear_then_clean(self):
         tracker = PageTracker(0, 4 * PAGE_SIZE)
         tracker.clear()
-        assert not tracker.is_dirty(0)
+        assert not is_dirty(tracker, 0)
         assert tracker.dirty_page_count() == 0
 
     def test_write_dirties_pages(self):
@@ -30,8 +31,8 @@ class TestPageTracker:
         tracker.clear()
         faults = tracker.note_write(PAGE_SIZE - 2, 4)  # straddles two pages
         assert faults == 2
-        assert tracker.is_dirty(0) and tracker.is_dirty(PAGE_SIZE)
-        assert not tracker.is_dirty(2 * PAGE_SIZE)
+        assert is_dirty(tracker, 0) and is_dirty(tracker, PAGE_SIZE)
+        assert not is_dirty(tracker, 2 * PAGE_SIZE)
 
     def test_second_write_no_fault(self):
         tracker = PageTracker(0, PAGE_SIZE)
@@ -43,16 +44,16 @@ class TestPageTracker:
         tracker = PageTracker(0, 4 * PAGE_SIZE)
         tracker.clear()
         tracker.note_write(2 * PAGE_SIZE + 100, 1)
-        assert tracker.range_dirty(2 * PAGE_SIZE, 10)
-        assert not tracker.range_dirty(0, PAGE_SIZE)
+        assert range_dirty(tracker, 2 * PAGE_SIZE, 10)
+        assert not range_dirty(tracker, 0, PAGE_SIZE)
         # Multi-page ranges: any overlapping dirty page counts, a byte
         # short of it does not, and a zero-size query asks about one page.
-        assert tracker.range_dirty(0, 2 * PAGE_SIZE + 1)
-        assert not tracker.range_dirty(0, 2 * PAGE_SIZE)
-        assert tracker.range_dirty(PAGE_SIZE + 1, 2 * PAGE_SIZE)
-        assert not tracker.range_dirty(3 * PAGE_SIZE, PAGE_SIZE)
-        assert tracker.range_dirty(2 * PAGE_SIZE, 0)
-        assert PageTracker(0, 4 * PAGE_SIZE).range_dirty(0, 1)  # never cleared
+        assert range_dirty(tracker, 0, 2 * PAGE_SIZE + 1)
+        assert not range_dirty(tracker, 0, 2 * PAGE_SIZE)
+        assert range_dirty(tracker, PAGE_SIZE + 1, 2 * PAGE_SIZE)
+        assert not range_dirty(tracker, 3 * PAGE_SIZE, PAGE_SIZE)
+        assert range_dirty(tracker, 2 * PAGE_SIZE, 0)
+        assert range_dirty(PageTracker(0, 4 * PAGE_SIZE), 0, 1)  # never cleared
 
     def test_clone_before_first_clear_stays_all_dirty(self):
         tracker = PageTracker(0, 2 * PAGE_SIZE)
@@ -60,7 +61,7 @@ class TestPageTracker:
         # Never-cleared semantics must survive fork: every page dirty.
         assert not twin._cleared_once
         assert twin.dirty_page_count() == 2
-        assert twin.is_dirty(PAGE_SIZE)
+        assert is_dirty(twin, PAGE_SIZE)
 
     def test_clone_preserves_soft_dirty_state(self):
         tracker = PageTracker(0, 4 * PAGE_SIZE)
@@ -72,17 +73,17 @@ class TestPageTracker:
         assert twin._dirty == {1}
         assert twin.ever_written == {1, 3}
         assert twin.fault_count == tracker.fault_count
-        assert twin.is_dirty(PAGE_SIZE) and not twin.is_dirty(0)
+        assert is_dirty(twin, PAGE_SIZE) and not is_dirty(twin, 0)
 
     def test_clone_is_independent(self):
         tracker = PageTracker(0, 2 * PAGE_SIZE)
         tracker.clear()
         twin = tracker.clone()
         twin.note_write(0, 8)
-        assert twin.is_dirty(0)
-        assert not tracker.is_dirty(0)
+        assert is_dirty(twin, 0)
+        assert not is_dirty(tracker, 0)
         tracker.note_write(PAGE_SIZE, 8)
-        assert not twin.is_dirty(PAGE_SIZE)
+        assert not is_dirty(twin, PAGE_SIZE)
 
     def test_pages_written_since(self):
         tracker = PageTracker(0, 4 * PAGE_SIZE)
@@ -101,7 +102,7 @@ class TestPageTracker:
         # the update-time dirty filter, the checkpoint deltas and the
         # trace memo's stamp are independent readers.
         tracker.clear()
-        assert not tracker.is_dirty(0)
+        assert not is_dirty(tracker, 0)
         assert tracker.write_seq == seq
         assert list(tracker.pages_written_since(seq)) == []
         tracker.note_write(0, 8)
@@ -137,9 +138,9 @@ class TestAddressSpace:
     def test_soft_dirty_interface(self, space):
         space.map(4096, address=0x20000)
         space.clear_soft_dirty()
-        assert not space.range_dirty(0x20000, 64)
+        assert not space_range_dirty(space, 0x20000, 64)
         space.write_bytes(0x20000, b"x")
-        assert space.range_dirty(0x20000, 64)
+        assert space_range_dirty(space, 0x20000, 64)
         assert space.soft_dirty_faults == 1
 
     def test_clone_preserves_bytes_and_tracking(self, space):
@@ -148,15 +149,10 @@ class TestAddressSpace:
         space.clear_soft_dirty()
         twin = space.clone()
         assert twin.read_bytes(0x20000, 3) == b"abc"
-        assert not twin.range_dirty(0x20000, 4)
+        assert not space_range_dirty(twin, 0x20000, 4)
         twin.write_bytes(0x20000, b"z")
-        assert twin.range_dirty(0x20000, 4)
-        assert not space.range_dirty(0x20000, 4)  # independent after clone
-
-    def test_unmap(self, space):
-        m = space.map(4096, address=0x20000)
-        space.unmap(0x20000)
-        assert not space.is_mapped(0x20000)
+        assert space_range_dirty(twin, 0x20000, 4)
+        assert not space_range_dirty(space, 0x20000, 4)  # independent after clone
 
     def test_anonymous_mmap_allocates_distinct(self, space):
         a = space.map(4096)
@@ -200,14 +196,6 @@ class TestAddressSpace:
             space.view(0x999000, 8)
         with pytest.raises(MemoryFault):
             space.view(0x20000 + 4090, 16)  # crosses mapping end
-
-    def test_mapping_at_after_unmap(self, space):
-        a = space.map(4096, address=0x20000, name="a")
-        b = space.map(4096, address=0x30000, name="b")
-        assert space.mapping_at(0x20000) is a  # prime the hit cache
-        space.unmap(0x20000)
-        assert space.mapping_at(0x20010) is None
-        assert space.mapping_at(0x30010) is b
 
     def test_mapping_at_many_mappings(self, space):
         mapped = [space.map(4096, address=0x100000 + i * 0x10000) for i in range(16)]
@@ -260,17 +248,10 @@ class TestPtMalloc:
         c = startup_heap.malloc(32)
         assert c == a
 
-    def test_malloc_at(self, heap):
-        probe = heap.malloc(64)
-        heap.free(probe)
-        target = probe  # known-free user address
-        addr = heap.malloc_at(target, 64)
-        assert addr == target
-
-    def test_malloc_at_occupied_raises(self, heap):
+    def test_reserve_range_over_a_live_chunk_raises(self, heap):
         a = heap.malloc(64)
         with pytest.raises(AllocatorError):
-            heap.malloc_at(a, 64)
+            heap.reserve_range(a, 64)
 
     def test_reserve_range_blocks_allocation(self, heap):
         base = heap.base + 1024
@@ -279,19 +260,6 @@ class TestPtMalloc:
         for addr in seen:
             chunk = heap.find_chunk(addr)
             assert chunk.base + chunk.total_size <= base or chunk.base >= base + 4096
-
-    def test_release_reserved(self, heap):
-        base = heap.base + 1024
-        heap.reserve_range(base, 4096)
-        heap.release_reserved(base)
-        with pytest.raises(AllocatorError):
-            heap.release_reserved(base)
-
-    def test_realloc_copies(self, heap, space):
-        a = heap.malloc(16)
-        space.write_bytes(a, b"0123456789abcdef")
-        b = heap.realloc(a, 64)
-        assert space.read_bytes(b, 16) == b"0123456789abcdef"
 
     def test_freed_memory_scrubbed(self, heap, space):
         a = heap.malloc(16)
@@ -350,13 +318,6 @@ class TestRegions:
         region.destroy()
         assert heap.live_chunk_count() == live
 
-    def test_slab_reuse(self, heap):
-        slab = SlabAllocator(heap)
-        a = slab.alloc(100)  # -> class 128
-        slab.free(a, 100)
-        b = slab.alloc(120)
-        assert b == a  # same size class slot reused
-
     def test_slab_too_large(self, heap):
         slab = SlabAllocator(heap)
         with pytest.raises(AllocatorError):
@@ -375,13 +336,6 @@ class TestRegions:
         pool.destroy()
         with pytest.raises(AllocatorError):
             pool.alloc(8)
-
-    def test_pool_clear_keeps_usable(self, heap):
-        pool = NestedPool(heap, block_size=256)
-        pool.alloc(64)
-        pool.clear()
-        assert not pool.destroyed
-        pool.alloc(64)
 
 
 class TestTagStore:
@@ -445,13 +399,6 @@ class TestStartupModeEdges:
         heap.free(a)  # deferred, chunk stays resident
         with pytest.raises(AllocatorError):
             heap.free(a)
-
-    def test_startup_realloc_of_freed_address_raises(self):
-        heap = self._heap()
-        a = heap.malloc(64)
-        heap.free(a)
-        with pytest.raises(AllocatorError):
-            heap.realloc(a, 128)
 
     def test_deferred_free_defers_until_end_startup(self):
         heap = self._heap()

@@ -137,10 +137,3 @@ def test_huge_threshold_converges_on_the_first_round():
 def test_migration_sites_registered_in_the_fault_plane():
     assert set(MIGRATION_SITES) <= set(SITES)
     assert set(MIGRATION_SITES) <= set(DEFAULT_ERRORS)
-
-
-def test_migration_exports_reachable_from_fleet_package():
-    import repro.fleet as fleet
-
-    assert fleet.MigrationDrill is MigrationDrill
-    assert "MigrationResult" in fleet.__all__

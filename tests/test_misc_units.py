@@ -3,7 +3,7 @@ kernel edge semantics (epoll del, recvmsg install_at, exec + fds, OOM)."""
 
 import pytest
 
-from repro.clock import NS_PER_MS, StopWatch, VirtualClock
+from repro.clock import VirtualClock
 from repro.errors import (
     AllocatorError,
     BadFileDescriptor,
@@ -26,19 +26,10 @@ class TestClock:
         clock.advance(10)
         clock.advance(5)
         assert clock.now_ns == 15
-        assert clock.now_ms == 15 / NS_PER_MS
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1)
-
-    def test_stopwatch(self):
-        clock = VirtualClock()
-        watch = StopWatch(clock)
-        clock.advance(2_000_000)
-        assert watch.elapsed_ms() == 2.0
-        watch.restart()
-        assert watch.elapsed_ns() == 0
 
 
 class TestErrors:

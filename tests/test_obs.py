@@ -17,7 +17,7 @@ from repro.kernel import Kernel
 from repro.mcr.ctl import McrCtl
 from repro.obs.counters import CounterSet
 from repro.obs.events import EventLog
-from repro.obs.export import chrome_trace, collector_to_dict, to_json
+from repro.obs.export import chrome_trace, to_json
 from repro.obs.spans import (
     STATUS_ERROR,
     STATUS_OK,
@@ -27,6 +27,12 @@ from repro.obs.spans import (
 )
 from repro.servers import simple
 from repro.servers.catalog import boot
+from tests.helpers import collector_to_dict
+
+
+def _find(root, name):
+    """The first span named ``name`` in ``root``'s tree, pre-order."""
+    return next((span for span in root.walk() if span.name == name), None)
 
 
 def _booted_simple(kernel):
@@ -175,24 +181,6 @@ class TestNoOpFastPath:
         scope_b.__exit__(None, None, None)
         assert obs.ACTIVE is None
 
-    def test_interleaved_install_uninstall(self):
-        clock = VirtualClock()
-        a, b = obs.Collector(clock), obs.Collector(clock)
-        obs.install(a)
-        obs.install(b)
-        assert obs.ACTIVE is b
-        obs.uninstall(a)  # removes a's activation, not the top
-        assert obs.ACTIVE is b
-        obs.uninstall(b)
-        assert obs.ACTIVE is None
-
-    def test_bare_uninstall_clears_all_scopes(self):
-        clock = VirtualClock()
-        obs.install(obs.Collector(clock))
-        obs.install(obs.Collector(clock))
-        obs.uninstall()
-        assert obs.ACTIVE is None
-
     def test_recorder_for_matches_clock(self):
         clock = VirtualClock()
         with obs.collecting(clock) as collector:
@@ -221,11 +209,11 @@ class TestUpdateSpans:
         ]
         assert result.total_ns == root.duration_ns
         assert result.phase_sum_ns() <= result.total_ns
-        assert result.quiescence_ns == root.find("quiescence").duration_ns
-        assert result.transfer_ns == root.find("transfer").duration_ns
+        assert result.quiescence_ns == _find(root, "quiescence").duration_ns
+        assert result.transfer_ns == _find(root, "transfer").duration_ns
         assert result.transfer_ns == result.transfer_report.total_ns
-        restart = root.find("restart").duration_ns
-        migration = root.find("control-migration").duration_ns
+        restart = _find(root, "restart").duration_ns
+        migration = _find(root, "control-migration").duration_ns
         assert result.control_migration_ns == restart + migration
 
     def test_rolled_back_update_populates_completed_phases(self, kernel):
@@ -242,10 +230,10 @@ class TestUpdateSpans:
         # later phase ever opened.
         assert "rollback" in child_names
         assert "transfer" not in child_names and "commit" not in child_names
-        failed = root.find("control-migration")
+        failed = _find(root, "control-migration")
         assert failed is not None and failed.status == STATUS_ERROR
-        assert root.find("quiescence").status == STATUS_OK
-        assert result.quiescence_ns == root.find("quiescence").duration_ns
+        assert _find(root, "quiescence").status == STATUS_OK
+        assert result.quiescence_ns == _find(root, "quiescence").duration_ns
         assert result.quiescence_ns > 0
         assert result.transfer_ns == 0
         assert result.total_ns == root.duration_ns

@@ -26,6 +26,7 @@ from repro.types.descriptors import (
     UnionType,
     WORD_SIZE,
 )
+from tests.dirty_oracles import is_dirty
 
 # -- strategy helpers ---------------------------------------------------------
 
@@ -310,7 +311,7 @@ class TestPageTrackerProperties:
             for page in range(address // PAGE_SIZE, (address + size - 1) // PAGE_SIZE + 1):
                 written_pages.add(page)
         for page in range(16):
-            assert tracker.is_dirty(page * PAGE_SIZE) == (page in written_pages)
+            assert is_dirty(tracker, page * PAGE_SIZE) == (page in written_pages)
 
 
 class TestTagStoreProperties:

@@ -202,8 +202,6 @@ class TestReport:
 
     def test_point_sets(self):
         report = self._report()
-        assert report.persistent_points() == {("loop", "accept")}
-        assert report.volatile_points() == {("wloop", "recv")}
         assert report.quiescent_points() == {("loop", "accept"), ("wloop", "recv")}
 
     def test_render_contains_classes(self):

@@ -11,7 +11,9 @@ import pytest
 
 from repro.errors import ConflictError
 from repro.kernel import Kernel, sim_function
+from repro.mcr import controller as controller_module
 from repro.mcr.controller import LiveUpdateController
+from repro.mcr.reinit.replay import ReplayContext, ReplayEngine
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
@@ -155,7 +157,8 @@ class TestCallstackMatching:
                 if context.name == "bind":
                     # User decides: keep the inherited listener, ignore
                     # the new port (returns the recorded result).
-                    context.resolve_with_result(0)
+                    context.override_result = 0
+                    context.resolved = True
 
             annotations.MCR_ADD_REINIT_HANDLER(handler, stage="conflict")
 
@@ -191,16 +194,39 @@ class TestCallstackMatching:
         assert result.rolled_back  # live bind on an in-use port
 
 
+class SequentialReplayEngine(ReplayEngine):
+    """The ordering-based matcher the paper rejects (§5): each process's
+    records are consumed strictly in recorded order, so any insertion,
+    deletion or reordering in the new startup derails the whole match."""
+
+    def _match(self, process, thread, name, args):
+        record = next((r for r in self.old_log.records(process.pid) if not r.consumed), None)
+        if record is not None and (record.name != name or record.stack_id != thread.stack_id()):
+            context = ReplayContext(self, process, thread, record, name, args)
+            self._raise_or_resolve(
+                context,
+                ConflictError(
+                    "reinit",
+                    f"{name}@{'/'.join(thread.call_stack)}",
+                    f"sequential mismatch: expected {record.name} "
+                    f"@{'/'.join(record.stack_names)}",
+                ),
+            )
+            record = None if context.execute_live else record
+        return record
+
+
 class TestSequentialMatchingAblation:
     """The ordering-based alternative the paper rejects."""
+
+    @pytest.fixture(autouse=True)
+    def sequential(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "ReplayEngine", SequentialReplayEngine)
 
     def test_identical_startup_still_works(self, kernel):
         kernel.fs.create("/etc/scripted.conf", b"x")
         session, _ = _boot(kernel, _make_program(V1_STEPS))
-        result = _update(
-            kernel, session, _make_program(V1_STEPS, "2"),
-            match_strategy="sequential",
-        )
+        result = _update(kernel, session, _make_program(V1_STEPS, "2"))
         assert result.committed, result.error
 
     def test_reordering_breaks_sequential_matching(self, kernel):
@@ -209,14 +235,6 @@ class TestSequentialMatchingAblation:
         kernel.fs.create("/etc/scripted.conf", b"x")
         session, _ = _boot(kernel, _make_program(V1_STEPS))
         v2_steps = [bind_port(), open_config(), make_epoll()]
-        result = _update(
-            kernel, session, _make_program(v2_steps, "2"),
-            match_strategy="sequential",
-        )
+        result = _update(kernel, session, _make_program(v2_steps, "2"))
         assert result.rolled_back
-
-    def test_unknown_strategy_rejected(self, kernel):
-        from repro.mcr.reinit.replay import ReplayEngine
-
-        with pytest.raises(ValueError):
-            ReplayEngine(None, None, None, None, match_strategy="best-fit")
+        assert "sequential mismatch" in str(result.error)

@@ -341,7 +341,6 @@ def _tracker_state(tracker: PageTracker):
         tracker.fault_count,
         tracker.write_seq,
         list(tracker._page_seq.items()),  # insertion order too
-        list(tracker.dirty_pages()),
     )
 
 
@@ -426,8 +425,13 @@ def _drive_region(seed: int, allocator_class) -> list:
     return seen
 
 
+def _total_block_count(pool: NestedPool) -> int:
+    """Blocks held by ``pool`` and its whole subtree."""
+    return sum(1 for _ in pool.blocks()) + sum(_total_block_count(c) for c in pool.children)
+
+
 def _drive_pools(seed: int) -> list:
-    """A seeded script over a pool tree: alloc, child, destroy, clear."""
+    """A seeded script over a pool tree: alloc, child, destroy."""
     rng = random.Random(seed)
     root = NestedPool(_fresh_heap(), block_size=rng.choice((256, 1024)), name="root")
     pools = [root]
@@ -442,14 +446,11 @@ def _drive_pools(seed: int) -> list:
         elif roll < 0.11 and pool is not root:
             pool.destroy()
             seen.append("destroy")
-        elif roll < 0.14:
-            pool.clear()
-            seen.append(("clear", pool.first_block_base))
         elif roll < 0.18:
             seen.append(pool.alloc(rng.randrange(2000, 3000)))  # "large"
         else:
             seen.append(pool.alloc(rng.choice((8, 32, 48, 64, 100, 200))))
-        seen.append(root.total_block_count())
+        seen.append(_total_block_count(root))
     seen.append(
         [(block.base, block.cursor) for pool in pools if not pool.destroyed for block in pool.blocks()]
     )
@@ -501,7 +502,7 @@ def _probes_for_256_allocs(monkeypatch, make_pool) -> tuple:
     pool = make_pool()
     for _ in range(256):
         pool.alloc(512)
-    return _CountingRegion.probes, pool.total_block_count()
+    return _CountingRegion.probes, _total_block_count(pool)
 
 
 def test_pool_allocs_probe_open_blocks_not_every_block(monkeypatch):

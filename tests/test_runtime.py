@@ -42,11 +42,6 @@ class TestBuildConfig:
     def test_baseline_is_not_mcr(self):
         assert not BuildConfig.baseline().mcr_enabled
 
-    def test_labels(self):
-        assert BuildConfig.baseline().label() == "baseline"
-        assert BuildConfig.unblock().label() == "Unblock"
-        assert BuildConfig.qdet().label() == "+QDet"
-
     def test_only_full_build_is_updatable(self):
         assert not BuildConfig.dinstr().updatable
         assert BuildConfig.full().updatable

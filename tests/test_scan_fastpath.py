@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import MemoryFault
 from repro.mcr.config import MCRConfig
 from repro.mcr.tracing import conservative
-from repro.mcr.tracing.conservative import (
-    scan_range,
-    scan_range_ref,
-    scan_words,
-    scan_words_ref,
-)
+from repro.mcr.tracing.conservative import scan_range, scan_range_ref, scan_words
 from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
 from repro.mcr.tracing.incremental import TraceMemo, resolution_fingerprint
 from repro.mem.address_space import AddressSpace
@@ -33,7 +28,9 @@ from tests.helpers import (
     boot_test_program,
     make_test_program,
     scan_index_of,
+    unmap,
 )
+from tests.scan_oracles import scan_words_ref
 
 NODE = StructType("node", [("value", INT32), ("next", PointerType(None, name="node*"))])
 
@@ -276,7 +273,7 @@ class TestScanMemo:
         proc.space.write_word(area.base, raw)
         first, _ = self._scan(memo, proc, area.base, 64, monkeypatch)
         assert len(first[0]) == 1
-        proc.space.unmap(area.base)
+        unmap(proc.space, area.base)
         proc.space.map(4096, address=area.base, name="scratch", kind="mmap")
         second, cost = self._scan(memo, proc, area.base, 64, monkeypatch)
         assert cost == 1 and second[0] == []  # the fresh mapping is all zero

@@ -37,6 +37,7 @@ from repro.workloads import (
     Step,
 )
 from tests import client_oracles as oracle
+from tests.helpers import event_dicts
 
 
 class _NamingKernel(Kernel):
@@ -67,7 +68,7 @@ def _observed(server, drive, seed=7):
         "clock_ns": kernel.clock.now_ns,
         "sched_crc": trace.final["sched_crc"],
         "draws": trace.draws,
-        "events": collector.events.to_list(),
+        "events": event_dicts(collector.events),
     }
 
 

@@ -124,16 +124,6 @@ class TestRegionChaining:
         assert space.read_word(head + 8) == child_b.first_block_base
         assert space.read_word(child_b.first_block_base + 16) == 0
 
-    def test_clear_keeps_chain_consistent(self):
-        space, heap = self._heap()
-        root = NestedPool(heap, block_size=256)
-        child = root.create_child("a")
-        child.alloc(64)
-        child.clear()
-        head = root.first_block_base
-        assert space.read_word(head + 8) == child.first_block_base
-        child.alloc(64)  # still usable
-
     def test_oversized_block_chained_too(self):
         space, heap = self._heap()
         region = RegionAllocator(heap, block_size=256)

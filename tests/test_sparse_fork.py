@@ -47,6 +47,7 @@ from repro.mem.address_space import AddressSpace
 from repro.mem.pages import PAGE_SIZE
 from repro.workloads.ftpbench import FtpBench
 from repro.workloads.holders import ConnectionHolder
+from tests.helpers import unmap
 
 SERVERS = ("httpd", "nginx", "vsftpd", "opensshd", "memcache")
 # The rows that had a one-shot request script before vsftpd and opensshd
@@ -217,7 +218,7 @@ def test_sparse_clone_matches_dense_oracle(ops):
         mapping = mappings[pick % len(mappings)]
         base = mapping.base
         if kind == "unmap":
-            space.unmap(base)
+            unmap(space, base)
             del model.dense[base], model.resident[base]
         elif kind == "write_word":
             offset = where % (mapping.size - 7)

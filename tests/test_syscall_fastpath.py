@@ -37,7 +37,7 @@ from repro.kernel.kernel import (
 from repro.kernel.namespaces import PidNamespace
 from repro.kernel.process import RUNNABLE, sim_function
 from repro.kernel.sysapi import Sys
-from repro.kernel.syscalls import SyscallRequest, TIMEOUT
+from repro.kernel.syscalls import Blocked, SyscallRequest, TIMEOUT
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import (
@@ -223,10 +223,21 @@ def reference_run(kernel, max_steps=None, until=None, max_ns=None):
 
 
 def _mixed_world():
-    """Echo server + two clients + a sleeper + a select() poller: busy
+    """Echo server + two clients + a sleeper + a channel-less watcher: busy
     rounds, idle rounds with clock jumps, timeouts and always-polled waits."""
     kernel = Kernel()
     echoed = []
+
+    def sys_await_echoes(thread, count):
+        # No wait channel announces ``echoed`` growing, so the scheduler
+        # falls back to polling this predicate every round.
+        def ready():
+            return (True, len(echoed)) if len(echoed) >= count else (False, None)
+
+        is_ready, value = ready()
+        return value if is_ready else Blocked(ready, "await_echoes")
+
+    kernel.syscalls.entries["await_echoes"] = (sys_await_echoes, 1_500)
 
     @sim_function
     def server(sys):
@@ -242,8 +253,7 @@ def _mixed_world():
     @sim_function
     def session(sys, conn):
         while True:
-            ready = yield from sys.select([conn])
-            data = yield from sys.recv(ready[0])
+            data = yield from sys.recv(conn)
             if not data:
                 return
             yield from sys.cpu(700)
@@ -264,10 +274,17 @@ def _mixed_world():
         for _ in range(40):
             yield from sys.nanosleep(333_333)
 
+    @sim_function
+    def watcher(sys):
+        for count in (3, 8):
+            seen = yield from sys.raw("await_echoes", {"count": count})
+            echoed.append(b"watched %d" % seen)
+
     kernel.spawn_process(server)
     kernel.spawn_process(client, args=(b"a", 150_000))
     kernel.spawn_process(client, args=(b"b", 410_000))
     kernel.spawn_process(sleeper)
+    kernel.spawn_process(watcher)
     return kernel, echoed
 
 

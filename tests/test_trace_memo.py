@@ -60,6 +60,7 @@ from tests.helpers import (
     boot_test_program,
     idle_main,
     make_test_program,
+    unmap,
 )
 
 NODE = StructType("node", [("value", INT32), ("next", PointerType(None, name="node*"))])
@@ -367,7 +368,7 @@ class _MutableWorld:
             else:
                 proc.tags.unregister(self.raw)
         elif op == 5:  # munmap + mmap at the same address: fresh, zero bytes
-            proc.space.unmap(MMAP_AT)
+            unmap(proc.space, MMAP_AT)
             proc.space.map(PAGE_SIZE, address=MMAP_AT, name="arena", kind="mmap")
             if a % 2:  # same number of writes as the mapping it replaced
                 proc.space.write_word(MMAP_AT + NEXT, words[b % len(words)])
@@ -384,7 +385,7 @@ class _MutableWorld:
         elif op == 10:  # annotations: force-opaque, encoded pointer
             name = ("head", "blob", "count")[b % 3]
             if a % 2:
-                self.annotations.MCR_FORCE_OPAQUE(name)
+                self.annotations.opaque_overrides.add(name)
             else:
                 self.annotations.MCR_ANNOTATE_ENCODED_POINTER(name, tag_bits=0x3)
         elif op == 11:  # a checkpoint graft over a pointer slot
@@ -434,7 +435,7 @@ def test_unchanged_process_is_a_hit_and_other_annotations_are_not():
     # Analysis traces under v1's annotations, transfer under v2's: equal
     # tables share the trace, different tables do not.
     same, other = Annotations(), Annotations()
-    other.MCR_FORCE_OPAQUE("head")
+    other.opaque_overrides.add("head")
     assert memo.trace(world.proc, world.config, same) is first
     assert memo.trace(world.proc, world.config, other) is not first
     assert (memo.traces_built, memo.traces_reused) == (2, 2)
@@ -679,7 +680,7 @@ def _encoded_count(first, second):
 
 
 def _opaque_head(first, second):
-    second.annotations.MCR_FORCE_OPAQUE("head")
+    second.annotations.opaque_overrides.add("head")
 
 
 def _other_next(first, second):

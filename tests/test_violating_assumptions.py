@@ -137,7 +137,7 @@ class TestPointerOnDisk:
         kernel.run(max_ns=50_000_000, max_steps=50_000)  # let it persist
         old_node = root.crt.gget("g")
         assert old_node != 0
-        disk_value = struct.unpack("<Q", kernel.fs.read("/var/cache/ptr"))[0]
+        disk_value = struct.unpack("<Q", kernel.fs.open("/var/cache/ptr").read(8))[0]
         assert disk_value == old_node
         result = LiveUpdateController(kernel, session, self._make("2")).run_update()
         assert result.committed, result.error
@@ -148,7 +148,7 @@ class TestPointerOnDisk:
         # immutable -> same address. The DISK copy, though, is outside
         # MCR's reach by definition: assert it was not rewritten by MCR
         # (it is only still correct because the target was pinned).
-        disk_after = struct.unpack("<Q", kernel.fs.read("/var/cache/ptr"))[0]
+        disk_after = struct.unpack("<Q", kernel.fs.open("/var/cache/ptr").read(8))[0]
         assert disk_after == disk_value
         # Document the hazard: if the object HAD been relocated (e.g. a
         # typed object under precise tracing), the disk copy would dangle.
