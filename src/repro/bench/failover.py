@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell, run_trials
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.faultmatrix import (
+    DRILL_GRIDS, FAILOVER_CELL_COLUMNS, run_drill_cell, run_trials,
+)
+from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 
@@ -131,53 +133,14 @@ def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
 
 
 def render(results: Dict[str, Any]) -> str:
-    sweep_rows = [
-        [
-            row["server"],
-            row["cadence_ms"],
-            row["image_kb"],
-            row["delta_kb_avg"],
-            fmt_cell(row["rto_p50_ms"]),
-            fmt_cell(row["rto_p99_ms"]),
-            fmt_cell(row["blackout_p99_ms"]),
-            row["requests_lost"],
-            fmt_cell(row["slo_ok"]),
-        ]
-        for row in results["sweep"]
-    ]
-    drill_rows = [
-        [
-            row["server"],
-            row["site"],
-            fmt_cell(row["crash"]),
-            fmt_cell(row["fired"]),
-            fmt_cell(row["promoted"]),
-            fmt_cell(row["cold_restored"]),
-            fmt_cell(row["primary_survived"]),
-            row["requests_lost"],
-            fmt_cell(row["converged"]),
-        ]
-        for row in results["drills"]
-    ]
-    summary = results["summary"]
-    parts = [
+    return "\n".join([
         render_table(
             "Failover: checkpoint cadence vs RTO",
-            ["server", "cadence_ms", "image_kb", "delta_kb", "rto_p50_ms",
-             "rto_p99_ms", "blackout_p99_ms", "lost", "slo_ok"],
-            sweep_rows,
+            ["server", "cadence_ms", "image_kb", ("delta_kb", "delta_kb_avg"),
+             "rto_p50_ms", "rto_p99_ms", "blackout_p99_ms",
+             ("lost", "requests_lost"), "slo_ok"],
+            results["sweep"],
         ),
         "",
-        render_table(
-            "Failover fault drills",
-            ["server", "site", "crash", "fired", "promoted", "cold",
-             "primary", "lost", "converged"],
-            drill_rows,
-            note=(
-                f"clean_zero_loss={fmt_cell(summary['clean_zero_loss'])}  "
-                f"rto_within_budget={fmt_cell(summary['rto_all_within_budget'])}  "
-                f"drills_converged={fmt_cell(summary['all_drills_converged'])}"
-            ),
-        ),
-    ]
-    return "\n".join(parts)
+        render_table("Failover fault drills", FAILOVER_CELL_COLUMNS, results["drills"]),
+    ])

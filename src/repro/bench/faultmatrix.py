@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import MCRConfig
@@ -179,6 +179,33 @@ _SHARED_CELL_FIELDS = (
 )
 
 
+def _failover_end_state(cell) -> str:
+    if cell["cold_restored"]:
+        return "cold-restore"
+    if cell["promoted"]:
+        return "standby"
+    return "primary" if cell["primary_survived"] else "RAISED"
+
+
+def _migration_end_state(cell) -> str:
+    if cell["migrated"]:
+        return "migrated"
+    return "primary" if cell["primary_survived"] else "RAISED"
+
+
+# How a drill cell renders, wherever a bench tabulates one.  Every key read
+# here is one ``bench failover`` keeps of its cells (``DRILL_ROW_KEYS``).
+FAILOVER_CELL_COLUMNS = (
+    "server", "site", "crash", "fired", ("recovery", _failover_end_state),
+    ("stale", "standby_stale"), ("lost", "requests_lost"), "converged",
+)
+MIGRATION_CELL_COLUMNS = (
+    "server", "site", "fired", ("end state", _migration_end_state),
+    ("rounds", "precopy_rounds"), ("round_fails", "precopy_failures"),
+    ("lost", "requests_lost"), "converged",
+)
+
+
 def run_drill_cell(
     kind: str,
     server: str,
@@ -212,6 +239,10 @@ def run_drill_cell(
     try:
         result = grid.drill(server, config=config, **options).run()
     except BaseException as error:  # the drill's contract says never
+        # Report every key a finished cell does, so tables show RAISED.
+        cell.update(dict.fromkeys(
+            ("fired", *_SHARED_CELL_FIELDS, *grid.fields, *dict(grid.derived))
+        ))
         cell.update(raised=True, error=repr(error), converged=False)
         return cell
     data = result.to_dict()
@@ -347,111 +378,43 @@ def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
     }
 
 
+def _update_outcome(cell) -> str:
+    if cell["committed"]:
+        return "commit!" if cell["fired"] else "commit"
+    return "rollback" if cell["rolled_back"] else "RAISED"
+
+
 def render(results: Dict[str, object]) -> str:
-    rows = []
-    for cell in results["cells"]:
-        if cell["committed"]:
-            outcome = "commit!" if cell["fired"] else "commit"
-        elif cell["rolled_back"]:
-            outcome = "rollback"
-        else:
-            outcome = "RAISED"
-        rows.append(
-            [
-                cell["server"],
-                cell.get("mode", "whole-tree"),
-                cell["site"],
-                "yes" if cell["fired"] else "-",
-                outcome,
-                fmt_cell(cell["rollback_verified"]),
-                fmt_cell(cell["survived"]),
-                fmt_cell(cell["old_version_intact"]),
-            ]
-        )
-    summary = (
-        f"{results['cells_total']} cells "
-        f"({len(results['servers'])} servers x {len(results['sites'])} sites, "
-        f"+{results['rolling_cells']} rolling), "
-        f"{results['cells_fired']} faults fired, "
-        f"all_survived={results['all_survived']}, "
-        f"rolling_all_survived={results['rolling_all_survived']}, "
-        f"all_old_version_intact={results['all_old_version_intact']}, "
-        f"any_raised={results['any_raised']}, "
-        f"all_blackbox_match={results['all_blackbox_match']}"
-    )
-    failover_rows = [
-        [
-            cell["server"],
-            cell["site"],
-            fmt_cell(cell["crash"]),
-            fmt_cell(cell.get("fired")),
-            (
-                "cold-restore"
-                if cell.get("cold_restored")
-                else "standby"
-                if cell.get("promoted")
-                else "primary"
-                if cell.get("primary_survived")
-                else "RAISED"
-            ),
-            fmt_cell(cell.get("standby_stale")),
-            cell.get("requests_lost"),
-            fmt_cell(cell.get("converged")),
-        ]
-        for cell in results["failover_cells"]
-    ]
-    migration_rows = [
-        [
-            cell["server"],
-            cell["site"],
-            fmt_cell(cell.get("fired")),
-            (
-                "migrated"
-                if cell.get("migrated")
-                else "primary"
-                if cell.get("primary_survived")
-                else "RAISED"
-            ),
-            cell.get("precopy_rounds"),
-            cell.get("precopy_failures"),
-            cell.get("requests_lost"),
-            fmt_cell(cell.get("converged")),
-        ]
-        for cell in results["migration_cells"]
-    ]
-    parts = [
+    return "\n".join([
         render_table(
             "Fault matrix: injected failure sites x servers",
-            ["server", "mode", "site", "fired", "outcome", "verified", "survived", "intact"],
-            rows,
+            [
+                "server", "mode", "site",
+                ("fired", lambda cell: "yes" if cell["fired"] else None),
+                ("outcome", _update_outcome), ("verified", "rollback_verified"),
+                "survived", ("intact", "old_version_intact"),
+            ],
+            results["cells"],
             note=(
                 "outcome commit! = fault fired past the point of no return and "
                 "was contained (roll-forward); verified = old-tree fingerprint "
                 "matched its checkpoint after rollback"
             ),
         ),
-        summary,
+        f"{results['cells_total']} cells "
+        f"({len(results['servers'])} servers x {len(results['sites'])} sites, "
+        f"+{results['rolling_cells']} rolling), "
+        f"{results['cells_fired']} faults fired",
         "",
         render_table(
             "Failover drills: checkpoint-plane sites x crash recovery",
-            ["server", "site", "crash", "fired", "recovery", "stale", "lost",
-             "converged"],
-            failover_rows,
-            note=(
-                "failover_all_converged="
-                f"{fmt_cell(results['failover_all_converged'])}"
-            ),
+            FAILOVER_CELL_COLUMNS,
+            results["failover_cells"],
         ),
         "",
         render_table(
             "Migration drills: planned-migration sites x cutover",
-            ["server", "site", "fired", "end state", "rounds", "round_fails",
-             "lost", "converged"],
-            migration_rows,
-            note=(
-                "migration_all_converged="
-                f"{fmt_cell(results['migration_all_converged'])}"
-            ),
+            MIGRATION_CELL_COLUMNS,
+            results["migration_cells"],
         ),
-    ]
-    return "\n".join(parts)
+    ])

@@ -73,17 +73,22 @@ def run_figure3(smoke: bool = False) -> Dict[str, List[Dict[str, object]]]:
 
 def render(results: Dict[str, List[Dict[str, object]]]) -> str:
     counts = [p["connections"] for p in next(iter(results.values()))]
-    headers = ["server"] + [f"N={n}" for n in counts] + ["reduction@max"]
-    rows = []
-    for server, points in results.items():
-        row = [server]
-        for point in points:
-            row.append(f"{point['transfer_ms']:.1f}ms" if point["committed"] else "FAIL")
-        row.append(f"{points[-1]['dirty_reduction']:.0%}")
-        rows.append(row)
+    rows = [
+        {
+            "server": server,
+            **{
+                f"N={point['connections']}": (
+                    f"{point['transfer_ms']:.1f}ms" if point["committed"] else "FAIL"
+                )
+                for point in points
+            },
+            "reduction@max": f"{points[-1]['dirty_reduction']:.0%}",
+        }
+        for server, points in results.items()
+    ]
     return render_table(
         "Figure 3: state transfer time vs open connections",
-        headers,
+        ["server", *(f"N={n}" for n in counts), "reduction@max"],
         rows,
         note=(
             "Paper: 28-187 ms baselines, +371 ms average at 100 connections, "

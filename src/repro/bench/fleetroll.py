@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
 from repro.fleet import Fleet, Orchestrator, wave_plan
 from repro.mcr.config import DOWNTIME_BUDGET_NS
@@ -246,56 +246,20 @@ def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
 
 
 def render(results: Dict[str, object]) -> str:
-    wave_rows = [
-        [
-            row["label"],
-            row["server"],
-            "/".join(str(s) for s in row["wave_plan"]),
-            row["waves"],
-            fmt_cell(row["uniform"]),
-            row["requests_sent"],
-            row["requests_lost"],
-            row["requests_shifted"],
-            fmt_cell(row["node_blackout_p99_ms"]),
-            fmt_cell(row["fleet_blackout_ms"]),
-            fmt_cell(row["rollout_ms"]),
-        ]
-        for row in results["waves"]
-    ]
-    fault_rows = [
-        [
-            row["site"],
-            row["policy"],
-            fmt_cell(row["fired"]),
-            row["outcome"],
-            fmt_cell(row["uniform"]),
-            fmt_cell(row["served_uniform"]),
-            fmt_cell(row["rollback_verified"]),
-            row["reverted_nodes"],
-            row["converge_retries"],
-            row["requests_lost"],
-        ]
-        for row in results["faults"]
-    ]
     isolation = results["isolation"]
-    summary = (
-        f"fleet={results['fleet_size']} nodes, "
-        f"budget={results['downtime_budget_ms']:.0f} ms, "
-        f"clean_zero_loss={results['clean_zero_loss']}, "
-        f"clean_slo_ok={results['clean_slo_ok']}, "
-        f"all_fault_uniform={results['all_fault_uniform']}, "
-        f"isolation_ok={results['isolation_ok']}"
-    )
     return "\n".join(
         [
             render_table(
                 "Fleet rollout: wave size sweep (clean v1 -> v2)",
                 [
-                    "label", "server", "plan", "waves", "uniform", "sent",
-                    "lost", "shifted", "node_p99_ms", "fleet_blk_ms",
-                    "rollout_ms",
+                    "label", "server",
+                    ("plan", lambda row: "/".join(str(s) for s in row["wave_plan"])),
+                    "waves", "uniform", ("sent", "requests_sent"),
+                    ("lost", "requests_lost"), ("shifted", "requests_shifted"),
+                    ("node_p99_ms", "node_blackout_p99_ms"),
+                    ("fleet_blk_ms", "fleet_blackout_ms"), "rollout_ms",
                 ],
-                wave_rows,
+                results["waves"],
                 note=(
                     "lost=0: the balancer shifts each node's stream around "
                     "its blackout; in-flight requests ride through the "
@@ -307,10 +271,12 @@ def render(results: Dict[str, object]) -> str:
                 "Fleet rollout: mid-wave fault x policy",
                 [
                     "site", "policy", "fired", "outcome", "uniform",
-                    "served_uni", "rb_verified", "reverted", "retries",
-                    "lost",
+                    ("served_uni", "served_uniform"),
+                    ("rb_verified", "rollback_verified"),
+                    ("reverted", "reverted_nodes"), ("retries", "converge_retries"),
+                    ("lost", "requests_lost"),
                 ],
-                fault_rows,
+                results["faults"],
                 note=(
                     "uniform: the fleet ends all-old (revert) or all-new "
                     "(converge), never mixed; served_uni probes the live "
@@ -323,6 +289,7 @@ def render(results: Dict[str, object]) -> str:
             f"{isolation['bystanders_identical']} "
             f"(updated node changed={isolation['updated_changed']})",
             "",
-            summary,
+            f"fleet={results['fleet_size']} nodes, "
+            f"budget={results['downtime_budget_ms']:.0f} ms",
         ]
     )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.reporting import render_table
 from repro.mcr.faults import UPDATE_SITES, FaultPlan
 from repro.replay.rng import RngStream, derive_seed
 from repro.replay.scenario import arm, default_spec, run_scenario
@@ -328,27 +328,19 @@ def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
 
 
 def render(results: Dict[str, Any]) -> str:
-    rows = [
-        [
-            row["iteration"],
-            row["server"],
-            row["mode"],
-            "+".join(row["sites"]) or "-",
-            row["seed"],
-            row["draws"],
-            row["failure_site"] or "-",
-            fmt_cell(row["ok"]),
-        ]
-        for row in results["runs"]
-    ]
     parts = [
         render_table(
             "Update fuzzing: random server x mode x fault x workload, "
             "replay-verified",
-            ["iter", "server", "mode", "sites", "seed", "draws", "failure", "ok"],
-            rows,
+            [
+                ("iter", "iteration"), "server", "mode",
+                ("sites", lambda row: "+".join(row["sites"]) or None),
+                "seed", "draws", ("failure", "failure_site"),
+                "ok",
+            ],
+            results["runs"],
             note=(
-                f"seed={results['seed']}, all_ok={fmt_cell(results['all_ok'])}; "
+                f"seed={results['seed']}; "
                 "ok = every invariant held AND the recorded trace replayed "
                 "bit-identically"
             ),

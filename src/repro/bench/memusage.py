@@ -86,24 +86,27 @@ def average_rss_overhead(results: Dict[str, Dict[str, float]]) -> float:
 
 
 def render(results: Dict[str, Dict[str, float]]) -> str:
-    rows = []
-    for name, r in results.items():
-        rows.append([
-            name,
-            f"{r['base_binary'] // 1024}K",
-            f"{r['mcr_binary'] / 1024:.0f}K",
-            f"+{r['binary_overhead'] * 100:.1f}%",
-            f"{r['base_rss'] // 1024}K",
-            f"{r['mcr_rss'] // 1024}K",
-            f"+{r['rss_overhead'] * 100:.1f}%",
-        ])
-    rows.append([
-        "average", "", "", "", "", "",
-        f"+{average_rss_overhead(results) * 100:.1f}%",
-    ])
+    rows = [
+        {
+            "server": name,
+            "bin(base)": f"{r['base_binary'] // 1024}K",
+            "bin(MCR)": f"{r['mcr_binary'] / 1024:.0f}K",
+            "bin ovh": f"+{r['binary_overhead'] * 100:.1f}%",
+            "RSS(base)": f"{r['base_rss'] // 1024}K",
+            "RSS(MCR)": f"{r['mcr_rss'] // 1024}K",
+            "RSS ovh": f"+{r['rss_overhead'] * 100:.1f}%",
+        }
+        for name, r in results.items()
+    ]
+    columns = list(rows[0])
+    rows.append({
+        **dict.fromkeys(columns, ""),
+        "server": "average",
+        "RSS ovh": f"+{average_rss_overhead(results) * 100:.1f}%",
+    })
     return render_table(
         "Memory usage: MCR metadata overhead",
-        ["server", "bin(base)", "bin(MCR)", "bin ovh", "RSS(base)", "RSS(MCR)", "RSS ovh"],
+        columns,
         rows,
         note=PAPER_NOTE,
     )

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.bench.faultmatrix import run_drill_cell, run_trials
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.faultmatrix import MIGRATION_CELL_COLUMNS, run_drill_cell, run_trials
+from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
@@ -181,82 +181,28 @@ def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
 
 
 def render(results: Dict[str, Any]) -> str:
-    sweep_rows = [
-        [
-            row["server"],
-            row["cadence_ms"],
-            row["threshold_bytes"],
-            row["rounds_avg"],
-            row["precopy_kb_avg"],
-            row["stopcopy_kb"],
-            fmt_cell(row["converged_precopy"]),
-            fmt_cell(row["brownout_p50_ms"]),
-            fmt_cell(row["brownout_p99_ms"]),
-            row["requests_lost"],
-            fmt_cell(row["migrated"]),
-        ]
-        for row in results["sweep"]
-    ]
-    h2h_rows = [
-        [
-            row["server"],
-            row["cadence_ms"],
-            fmt_cell(row["migrate_brownout_ms"]),
-            fmt_cell(row["failover_rto_ms"]),
-            fmt_cell(row["brownout_over_rto"]),
-            row["migrate_lost"],
-            row["failover_lost"],
-            fmt_cell(row["comparable"]),
-        ]
-        for row in results["head_to_head"]
-    ]
-    drill_rows = [
-        [
-            row["server"],
-            row["site"],
-            fmt_cell(row.get("fired")),
-            fmt_cell(row.get("migrated")),
-            fmt_cell(row.get("primary_survived")),
-            row.get("precopy_failures"),
-            row.get("requests_lost"),
-            fmt_cell(row.get("converged")),
-        ]
-        for row in results["drills"]
-    ]
-    summary = results["summary"]
-    parts = [
+    return "\n".join([
         render_table(
             "Planned migration: pre-copy cadence x convergence threshold",
-            ["server", "cadence_ms", "thresh_b", "rounds", "precopy_kb",
-             "stopcopy_kb", "converged", "brownout_p50_ms", "brownout_p99_ms",
-             "lost", "migrated"],
-            sweep_rows,
+            ["server", "cadence_ms", ("thresh_b", "threshold_bytes"),
+             ("rounds", "rounds_avg"), ("precopy_kb", "precopy_kb_avg"),
+             "stopcopy_kb", ("converged", "converged_precopy"),
+             "brownout_p50_ms", "brownout_p99_ms", ("lost", "requests_lost"),
+             "migrated"],
+            results["sweep"],
         ),
         "",
         render_table(
             "Head to head: planned brownout vs crash RTO",
-            ["server", "cadence_ms", "brownout_ms", "crash_rto_ms",
-             "brownout/rto", "mig_lost", "fo_lost", "comparable"],
-            h2h_rows,
+            ["server", "cadence_ms", ("brownout_ms", "migrate_brownout_ms"),
+             ("crash_rto_ms", "failover_rto_ms"), ("brownout/rto", "brownout_over_rto"),
+             ("mig_lost", "migrate_lost"), ("fo_lost", "failover_lost"), "comparable"],
+            results["head_to_head"],
             note=(
                 "brownout = longest completed-response gap spanning the "
                 "cutover; RTO = crash to first standby-served completion"
             ),
         ),
         "",
-        render_table(
-            "Migration fault drills",
-            ["server", "site", "fired", "migrated", "primary", "round_fails",
-             "lost", "converged"],
-            drill_rows,
-            note=(
-                f"clean_zero_loss={fmt_cell(summary['clean_zero_loss'])}  "
-                f"brownout_within_budget="
-                f"{fmt_cell(summary['brownout_within_budget'])}  "
-                f"comparable_to_rto="
-                f"{fmt_cell(summary['brownout_at_most_comparable'])}  "
-                f"drills_converged={fmt_cell(summary['all_drills_converged'])}"
-            ),
-        ),
-    ]
-    return "\n".join(parts)
+        render_table("Migration fault drills", MIGRATION_CELL_COLUMNS, results["drills"]),
+    ])

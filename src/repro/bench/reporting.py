@@ -1,4 +1,9 @@
-"""Plain-text table rendering and latency summarization for benchmarks.
+"""Plain-text tables, verdict lines and latency summaries for benchmarks.
+
+Every bench table is declared once: a title, a column list and rows that
+are mappings, rendered by ``render_table``.  A column is a row key (the
+header is the key itself) or a ``(header, key)`` pair whose key may be a
+function of the row; every cell then goes through ``fmt_cell``.
 
 Every benchmark that reports a latency distribution goes through
 ``latency_summary_ms`` — one shared path onto ``repro.obs.metrics``'s
@@ -9,27 +14,37 @@ per benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.clock import fmt_value as _fmt
 from repro.obs.metrics import Histogram
+
+Row = Mapping[str, Any]
+# A row key, or (header, row key or function of the row).
+Column = Union[str, Tuple[str, Union[str, Callable[[Row], Any]]]]
 
 
 def fmt_cell(value: Any) -> str:
-    """The one shared table-cell formatter for benchmark rows.
+    """The one table-cell formatter: every cell of every bench table.
 
     Booleans render as the eye-catching ``yes``/``NO`` pair (failures
-    should jump out of a table), ``None`` as ``-``, floats at two
-    decimals.  Every bench's render() goes through this instead of a
-    private local ``fmt`` so cells read identically across reports.
+    should jump out of a table), ``None`` as ``-``, floats at three
+    decimals, anything else as ``str``.  A cell that wants another shape
+    (``"4/2/0"``, ``"+12.3%"``) is a string its column builds.
     """
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "NO"
     if isinstance(value, float):
-        return f"{value:.2f}"
+        return f"{value:.3f}"
     return str(value)
+
+
+def verdict_line(verdicts: Mapping[str, bool]) -> str:
+    """``verdicts: k=yes k2=NO ...``: every verdict of a bench, in order."""
+    return "verdicts: " + " ".join(
+        f"{key}={fmt_cell(ok)}" for key, ok in verdicts.items()
+    )
 
 
 def write_bench_json(name: str, results: Any, path: Optional[str] = None) -> str:
@@ -48,13 +63,21 @@ def write_bench_json(name: str, results: Any, path: Optional[str] = None) -> str
 
 def render_table(
     title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
+    columns: Sequence[Column],
+    rows: Sequence[Row],
     note: str = "",
 ) -> str:
-    """Render an aligned plain-text table."""
-    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    """Render mapping rows as an aligned plain-text table.
+
+    A column naming a key its row lacks raises ``KeyError`` rather than
+    printing ``-``: a missing value is an explicit ``None`` in the row.
+    """
+    pairs = [(c, c) if isinstance(c, str) else c for c in columns]
+    cells = [[header for header, _key in pairs]] + [
+        [fmt_cell(key(row) if callable(key) else row[key]) for _header, key in pairs]
+        for row in rows
+    ]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(pairs))]
     lines = [title, "=" * len(title)]
     lines.append("  ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
     lines.append("  ".join("-" * w for w in widths))

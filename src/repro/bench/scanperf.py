@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.bench.harness import boot_server, update_midflight
-from repro.bench.reporting import fmt_cell, render_table
+from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -317,70 +317,46 @@ def render(results: Dict[str, object]) -> str:
         f"({micro['resolve_calls']} resolve calls)",
         f"  speedup   : {micro['speedup']:.1f}x",
         "",
-    ]
-    rows = [
-        [
-            name,
-            f"{row['wall_ms']:.1f}",
-            f"{row['virtual_total_ms']:.6f}",
-            fmt_cell(row["words_scanned"]),
-            fmt_cell(row["likely_pointers"]),
-            fmt_cell(row["traces_reused"]),
-            fmt_cell(row["matches_spec"]),
-        ]
-        for name, row in results["servers"].items()
-    ]
-    lines.append(
         render_table(
             "run_update per server",
-            ["server", "wall_ms", "virt_ms", "words", "likely", "traces_reused", "spec"],
-            rows,
+            [
+                "server",
+                ("wall_ms", lambda row: f"{row['wall_ms']:.1f}"),
+                ("virt_ms", lambda row: f"{row['virtual_total_ms']:.6f}"),
+                ("words", "words_scanned"),
+                ("likely", "likely_pointers"),
+                "traces_reused",
+                ("spec", "matches_spec"),
+            ],
+            [{"server": name, **row} for name, row in results["servers"].items()],
             note=(
                 "wall = host time of ctl.live_update; spec = virt_ms/words/likely "
                 "equal UPDATE_SPEC (the simulated results never move)"
             ),
-        )
-    )
+        ),
+    ]
     curve = results.get("scaling_curve")
     if curve:
-        curve_rows = [
-            [
-                str(point["workers"]),
-                str(point["processes"]),
-                f"{point['boot_wall_ms']:.0f}",
-                f"{point['sweep_words_per_sec']:,.0f}",
-                f"{point['update_wall_ms']:.0f}",
-                f"{point['virtual_total_ms']:.1f}",
-                str(point["rolling_batches"]),
-                fmt_cell(point["blackout_ms"]),
-                fmt_cell(point["slo_ok"]),
-                f"{point['mapped_mb']:.0f}",
-                f"{point['resident_mb']:.1f}",
-                f"{point['maxrss_mb']:.0f}",
-                fmt_cell(point["committed"]),
-            ]
-            for point in curve
-        ]
-        lines.append("")
-        lines.append(
+        lines += [
+            "",
             render_table(
                 "httpd prefork scaling curve (rolling run_update)",
                 [
                     "workers",
-                    "procs",
-                    "boot_ms",
-                    "sweep_words/s",
-                    "update_wall_ms",
-                    "virt_ms",
-                    "batches",
+                    ("procs", "processes"),
+                    ("boot_ms", lambda p: f"{p['boot_wall_ms']:.0f}"),
+                    ("sweep_words/s", lambda p: f"{p['sweep_words_per_sec']:,.0f}"),
+                    ("update_wall_ms", lambda p: f"{p['update_wall_ms']:.0f}"),
+                    ("virt_ms", lambda p: f"{p['virtual_total_ms']:.1f}"),
+                    ("batches", "rolling_batches"),
                     "blackout_ms",
                     "slo_ok",
-                    "mapped_MB",
-                    "resident_MB",
-                    "maxrss_MiB",
-                    "ok",
+                    ("mapped_MB", lambda p: f"{p['mapped_mb']:.0f}"),
+                    ("resident_MB", lambda p: f"{p['resident_mb']:.1f}"),
+                    ("maxrss_MiB", lambda p: f"{p['maxrss_mb']:.0f}"),
+                    ("ok", "committed"),
                 ],
-                curve_rows,
+                curve,
                 note=(
                     "workers = server_processes override; update = one rolling "
                     "run_update with batch = workers/4 under a keep-alive "
@@ -389,6 +365,6 @@ def render(results: Dict[str, object]) -> str:
                     "old tree before the clients start; maxrss = host process "
                     "high-water after the point (monotonic)"
                 ),
-            )
-        )
+            ),
+        ]
     return "\n".join(lines)

@@ -90,7 +90,10 @@ def run_spec() -> Dict[str, float]:
 
 
 def render(results: Dict[str, float]) -> str:
-    rows = [[name, ratio, f"{(ratio - 1) * 100:.1f}%"] for name, ratio in results.items()]
+    rows = [
+        {"benchmark": name, "normalized": ratio, "overhead": f"{(ratio - 1) * 100:.1f}%"}
+        for name, ratio in results.items()
+    ]
     return render_table(
         "SPEC CPU2006 analogue: allocator instrumentation overhead",
         ["benchmark", "normalized", "overhead"],

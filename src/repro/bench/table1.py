@@ -19,7 +19,7 @@ be regenerated from a simulation).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.reporting import render_table
 from repro.runtime.build import profile_program
@@ -66,16 +66,14 @@ def run_table1() -> Dict[str, Dict[str, int]]:
 
 def render(results: Dict[str, Dict[str, int]]) -> str:
     keys = ["SL", "LL", "QP", "Per", "Vol", "Num", "LOC", "Fun", "Var", "Type", "Ann", "ST"]
-    headers = ["server"] + keys
-    rows: List[List] = []
+    rows = []
     for name, row in results.items():
-        rows.append([name] + [row.get(k, "-") for k in keys])
-        paper = dict(PAPER_PROFILING.get(name, {}))
-        paper.update(ALL_SERIES[name].paper_row)
-        rows.append([f"  (paper)"] + [paper.get(k, "-") for k in keys])
+        paper = {**PAPER_PROFILING.get(name, {}), **ALL_SERIES[name].paper_row}
+        rows.append({"server": name, **{k: row.get(k) for k in keys}})
+        rows.append({"server": "  (paper)", **{k: paper.get(k) for k in keys}})
     return render_table(
         "Table 1: programs, updates, and engineering effort",
-        headers,
+        ["server", *keys],
         rows,
         note=(
             "Profiling columns measured by the quiescence profiler on the "

@@ -65,30 +65,28 @@ def run_table2() -> Dict[str, Dict[str, Dict[str, int]]]:
 
 
 def render(results: Dict[str, Dict[str, Dict[str, int]]]) -> str:
-    headers = [
-        "server",
-        "P:ptr", "P:src(S/D/L)", "P:targ(S/D/L)",
-        "L:ptr", "L:src(S/D/L)", "L:targ(S/D/L)",
-        "paper P:ptr", "paper L:ptr",
+    def regions(kind: str, end: str):
+        return lambda row: "/".join(
+            str(row[kind][f"{end}_{region}"]) for region in ("static", "dynamic", "lib")
+        )
+
+    rows = [
+        {"server": server, **totals, "paper": PAPER_TABLE2.get(server, {})}
+        for server, totals in results.items()
     ]
-    rows = []
-    for server, totals in results.items():
-        precise, likely = totals["precise"], totals["likely"]
-        paper = PAPER_TABLE2.get(server, {})
-        rows.append([
-            server,
-            precise["ptr"],
-            f"{precise['src_static']}/{precise['src_dynamic']}/{precise['src_lib']}",
-            f"{precise['targ_static']}/{precise['targ_dynamic']}/{precise['targ_lib']}",
-            likely["ptr"],
-            f"{likely['src_static']}/{likely['src_dynamic']}/{likely['src_lib']}",
-            f"{likely['targ_static']}/{likely['targ_dynamic']}/{likely['targ_lib']}",
-            paper.get("precise_ptr", "-"),
-            paper.get("likely_ptr", "-"),
-        ])
     return render_table(
         "Table 2: mutable tracing statistics (aggregated after benchmarks)",
-        headers,
+        [
+            "server",
+            ("P:ptr", lambda row: row["precise"]["ptr"]),
+            ("P:src(S/D/L)", regions("precise", "src")),
+            ("P:targ(S/D/L)", regions("precise", "targ")),
+            ("L:ptr", lambda row: row["likely"]["ptr"]),
+            ("L:src(S/D/L)", regions("likely", "src")),
+            ("L:targ(S/D/L)", regions("likely", "targ")),
+            ("paper P:ptr", lambda row: row["paper"].get("precise_ptr")),
+            ("paper L:ptr", lambda row: row["paper"].get("likely_ptr")),
+        ],
         rows,
         note="P=precise, L=likely; regions S=static D=dynamic L=lib. Scaled workloads: compare orderings, not magnitudes.",
     )

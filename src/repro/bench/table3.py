@@ -13,7 +13,7 @@ outlier (≈ 1.19).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.harness import SERVER_BENCHES, boot_server, build_ladder
 from repro.bench.reporting import render_table
@@ -59,18 +59,17 @@ def run_table3() -> Dict[str, Dict[str, float]]:
 
 def render(results: Dict[str, Dict[str, float]]) -> str:
     configs = list(next(iter(results.values())).keys())
-    headers = ["server"] + configs + [f"paper:{c}" for c in configs]
-    rows: List[List] = []
-    for server, row in results.items():
-        paper = PAPER_TABLE3.get(server, {})
-        rows.append(
-            [server]
-            + [row[c] for c in configs]
-            + [paper.get(c, "-") for c in configs]
-        )
+    rows = [
+        {
+            "server": server,
+            **row,
+            **{f"paper:{c}": PAPER_TABLE3.get(server, {}).get(c) for c in configs},
+        }
+        for server, row in results.items()
+    ]
     return render_table(
         "Table 3: run time normalized against the baseline",
-        headers,
+        ["server", *configs, *(f"paper:{c}" for c in configs)],
         rows,
         note="Measured in deterministic virtual time; compare shapes, not digits.",
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.harness import boot_server, update_midflight
-from repro.bench.reporting import fmt_cell, latency_summary_ms, render_table
+from repro.bench.reporting import latency_summary_ms, render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -183,20 +183,16 @@ def verdicts(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
 
 
 def render(results: Dict[str, Dict[str, float]]) -> str:
-    keys = [
-        "idle_ms", "loaded_ms", "quiescence_ms", "control_migration_ms",
-        "restore_ms", "transfer_ms", "total_ms", "replay_overhead",
-        "client_p50_ms", "client_p99_ms", "blackout_ms", "slo_ok",
-    ]
-
-    rows = [
-        [name] + [fmt_cell(row[k]) for k in keys]
-        for name, row in results.items()
-    ]
+    rows = {name: {"server": name, **row} for name, row in results.items()}
     table = render_table(
         "Update time components",
-        ["server"] + keys,
-        rows,
+        [
+            "server", "idle_ms", "loaded_ms", "quiescence_ms",
+            "control_migration_ms", "restore_ms", "transfer_ms", "total_ms",
+            "replay_overhead", "client_p50_ms", "client_p99_ms", "blackout_ms",
+            "slo_ok",
+        ],
+        list(rows.values()),
         note=(
             "paper: quiescence < 100 ms (workload-independent); "
             "record/replay < 50 ms, 1-45% over original startup; "
@@ -204,18 +200,13 @@ def render(results: Dict[str, Dict[str, float]]) -> str:
             "downtime budget"
         ),
     )
-    rolling_keys = [
-        "wt_blackout_ms", "rolling_blackout_ms", "rolling_batches",
-        "rolling_slo_ok", "wt_total_ms", "rolling_total_ms",
-    ]
-    rolling_rows = [
-        [name] + [fmt_cell(results[name][k]) for k in rolling_keys]
-        for name in ROLLING_SERVERS
-    ]
     return table + "\n\n" + render_table(
         "Rolling vs whole-tree blackout (equal workload)",
-        ["server"] + rolling_keys,
-        rolling_rows,
+        [
+            "server", "wt_blackout_ms", "rolling_blackout_ms", "rolling_batches",
+            "rolling_slo_ok", "wt_total_ms", "rolling_total_ms",
+        ],
+        [rows[name] for name in ROLLING_SERVERS],
         note=(
             "rolling: per-worker-batch quiesce/trace/transfer while the "
             "rest of the pool keeps serving; total update time may grow "

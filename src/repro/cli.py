@@ -80,7 +80,8 @@ def cmd_profile(args) -> int:
 
 # Experiment name -> (module under ``repro.bench``, its run function, the
 # ``bench`` options that function takes).  Every module renders its results
-# with ``render``; one that has ``verdicts`` fails the command when any of
+# with ``render``; one that has ``verdicts`` prints all of them on one
+# ``verdicts:`` line under its tables and fails the command when any of
 # them is false.
 BENCH_EXPERIMENTS = {
     "table1": ("table1", "run_table1", ()),
@@ -101,7 +102,7 @@ BENCH_EXPERIMENTS = {
 
 
 def cmd_bench(args) -> int:
-    from repro.bench.reporting import write_bench_json
+    from repro.bench.reporting import verdict_line, write_bench_json
 
     names = list(BENCH_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     exit_code = 0
@@ -117,11 +118,14 @@ def cmd_bench(args) -> int:
             "blackbox_path": f"BENCH_{name}_blackbox.json",
         }
         results = getattr(module, run)(**{key: options[key] for key in takes})
+        verdicts = getattr(module, "verdicts", None)
+        checks = verdicts(results) if verdicts else {}
         print(module.render(results), end="\n\n")
+        if checks:
+            print(verdict_line(checks), end="\n\n")
         if args.json:
             print(f"wrote {write_bench_json(name, results)}")
-        verdicts = getattr(module, "verdicts", None)
-        failed = [key for key, ok in verdicts(results).items() if not ok] if verdicts else []
+        failed = [key for key, ok in checks.items() if not ok]
         if failed:
             print(f"bench {name}: failed verdicts: {', '.join(failed)}", file=_host_sys.stderr)
             exit_code = 1

@@ -29,13 +29,6 @@ def fmt_ms(ns: int) -> str:
     return f"{ns / NS_PER_MS:.2f} ms"
 
 
-def fmt_value(value) -> str:
-    """Format one table/report cell: floats to 3 decimals, rest verbatim."""
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
 class VirtualClock:
     """Monotonic, manually-advanced nanosecond clock."""
 

@@ -12,8 +12,8 @@ working directory, exactly as CI runs it: the smoke run, except
 fleetroll, whose committed file is the full run (about 2 s).
 
 Every bench with verdicts judges its own results: ``python -m repro bench
-X`` exits 1 when one of ``X.verdicts`` fails, and the committed artifacts
-pass them.
+X`` prints them on one ``verdicts:`` line and exits 1 when one fails, and
+the committed artifacts pass them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import failover, faultmatrix, fleetroll, fuzz, migrate, scanperf, updatetime
+from repro.bench.reporting import verdict_line
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,11 +54,17 @@ def test_smoke_bench_reproduces_committed_artifacts(
     monkeypatch.chdir(tmp_path)
     size = [] if experiment in FULL_SIZE else ["--smoke"]
     assert main(["bench", experiment, *size, "--json"]) == 0
-    capsys.readouterr()  # the rendered tables are not under test here
     for name in ARTIFACTS[experiment]:
         produced = (tmp_path / name).read_bytes()
         committed = (REPO_ROOT / name).read_bytes()
         assert produced == committed, f"{name} drifted from the committed artifact"
+    # Under the tables, one line names every verdict, each one passed.
+    module = VERDICT_BENCHES[experiment][0]
+    keys = module.verdicts(_committed(experiment))
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line for line in stdout if line.startswith("verdicts:")] == [
+        verdict_line(dict.fromkeys(keys, True))
+    ]
 
 
 def _committed(bench):
@@ -104,6 +111,45 @@ def test_bench_exits_0_on_good_results_and_1_when_a_verdict_fails(
     damage(results)
     assert main(["bench", bench, "--smoke"]) == 1
     assert f"bench {bench}: failed verdicts: " in capsys.readouterr().err
+
+
+# Bench -> the title of every table its render prints.
+TABLE_TITLES = {
+    "failover": ("Failover: checkpoint cadence vs RTO", "Failover fault drills"),
+    "migrate": (
+        "Planned migration: pre-copy cadence x convergence threshold",
+        "Head to head: planned brownout vs crash RTO",
+        "Migration fault drills",
+    ),
+    "faultmatrix": (
+        "Fault matrix: injected failure sites x servers",
+        "Failover drills: checkpoint-plane sites x crash recovery",
+        "Migration drills: planned-migration sites x cutover",
+    ),
+    "fleetroll": (
+        "Fleet rollout: wave size sweep (clean v1 -> v2)",
+        "Fleet rollout: mid-wave fault x policy",
+    ),
+    "updatetime": (
+        "Update time components",
+        "Rolling vs whole-tree blackout (equal workload)",
+    ),
+    "scanperf": (
+        "run_update per server",
+        "httpd prefork scaling curve (rolling run_update)",
+    ),
+}
+
+
+@pytest.mark.parametrize("bench", sorted(TABLE_TITLES))
+def test_committed_artifact_renders_every_table(bench):
+    """Each committed artifact renders: a column naming a key its rows lack
+    raises, so this catches a mistyped key even in tables only a full run
+    fills (``BENCH_scanperf.json``'s 1000-worker curve point)."""
+    module = VERDICT_BENCHES[bench][0]
+    text = module.render(_committed(bench))
+    for title in TABLE_TITLES[bench]:
+        assert f"{title}\n{'=' * len(title)}\n" in text, title
 
 
 def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():

@@ -16,17 +16,29 @@ from repro.bench.table2 import PAPER_TABLE2
 from repro.runtime.instrument import BuildConfig
 
 
-class TestReporting:
-    def test_render_table_alignment(self):
-        text = render_table("T", ["a", "bb"], [[1, 2.5], ["xx", "y"]])
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "2.500" in text  # floats formatted
-        assert "xx" in text
-
-    def test_render_table_note(self):
-        text = render_table("T", ["a"], [[1]], note="compare shapes")
-        assert text.endswith("compare shapes")
+@pytest.mark.parametrize(
+    "columns, row, note, expected",
+    [
+        (["a"], {"a": 7}, "", ["a", "-", "7"]),
+        (["a"], {"a": 2.5}, "", ["a    ", "-----", "2.500"]),
+        (["ok", "bad"], {"ok": True, "bad": False}, "", ["ok   bad", "---  ---", "yes  NO "]),
+        (["a"], {"a": None}, "", ["a", "-", "-"]),
+        ([("sum", lambda row: row["x"] + row["y"])], {"x": 1, "y": 2}, "",
+         ["sum", "---", "3  "]),
+        # A missing value is an explicit None; a missing key is a typo.
+        (["a", "typo"], {"a": 1}, "", KeyError),
+        (["a"], {"a": 1}, "compare shapes", ["a", "-", "1", "", "compare shapes"]),
+    ],
+    ids=["int", "float", "bool", "none", "function-column", "missing-key", "note"],
+)
+def test_render_table(columns, row, note, expected):
+    if expected is KeyError:
+        with pytest.raises(KeyError):
+            render_table("T", columns, [row], note=note)
+    else:
+        assert render_table("T", columns, [row], note=note).splitlines() == [
+            "T", "=", *expected
+        ]
 
 
 class TestHarness:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 
 from repro.bench import fuzz
+from repro.bench.reporting import verdict_line
 from repro.replay.rng import RngStream, derive_seed
 from repro.replay.scenario import default_spec
 from repro.servers.catalog import CATALOG
@@ -151,8 +152,7 @@ def test_run_fuzz_smoke_is_all_ok():
     assert len(results["runs"]) == 3
     for row in results["runs"]:
         assert row["ok"], row["problems"]
-    text = fuzz.render(results)
-    assert "all_ok=yes" in text
+    assert "all_ok=yes" in verdict_line(fuzz.verdicts(results))
 
 
 def test_run_fuzz_shrinks_and_reports_a_failure(monkeypatch, tmp_path):
