@@ -14,9 +14,10 @@
   (control migration), state transfer.
 
 The repo's own experiments (``scanperf``, ``faultmatrix``, ``failover``,
-``migrate``, ``fleetroll``, ``fuzz``) sit beside them, and ``harness``
-holds what several share: the subjects, the mid-flight update recipe and
-the quiesced trace walk.
+``migrate``, ``fleetroll``, ``fuzz``) sit beside them; ``faultmatrix``
+is the one that runs the failover and migration fault drills.
+``harness`` holds what several share: the subjects, the mid-flight
+update recipe, the quiesced trace walk and the drill sweeps' trial loop.
 
 Each module's run function returns plain dict/list data (choosing its own
 ``smoke`` subset where it has one), and ``render(results)`` declares each

@@ -25,6 +25,11 @@ own, after ``arm`` (``repro.replay.scenario``) has built the cell's plan:
   double fault — and the cell additionally requires ``rollback_failed``
   to be flagged while the old version still serves.
 
+The two drill grids (``DRILL_GRIDS``) run here and in no other bench,
+on the first server: the clean drill, each plane site and a double
+fault.  A drill cell must converge (the peer took over XOR the primary
+kept serving), fire exactly when armed, and lose no request.
+
 Wired into the CLI as ``python -m repro bench faultmatrix [--smoke]
 [--json]``; the JSON lands in ``BENCH_faultmatrix.json``, CI fails on any
 drift of the smoke run from the committed copy, and tier-1 asserts every
@@ -33,7 +38,7 @@ cell's ``survived`` and ``old_version_intact`` booleans of that copy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
@@ -179,33 +184,6 @@ _SHARED_CELL_FIELDS = (
 )
 
 
-def _failover_end_state(cell) -> str:
-    if cell["cold_restored"]:
-        return "cold-restore"
-    if cell["promoted"]:
-        return "standby"
-    return "primary" if cell["primary_survived"] else "RAISED"
-
-
-def _migration_end_state(cell) -> str:
-    if cell["migrated"]:
-        return "migrated"
-    return "primary" if cell["primary_survived"] else "RAISED"
-
-
-# How a drill cell renders, wherever a bench tabulates one.  Every key read
-# here is one ``bench failover`` keeps of its cells (``DRILL_ROW_KEYS``).
-FAILOVER_CELL_COLUMNS = (
-    "server", "site", "crash", "fired", ("recovery", _failover_end_state),
-    ("stale", "standby_stale"), ("lost", "requests_lost"), "converged",
-)
-MIGRATION_CELL_COLUMNS = (
-    "server", "site", "fired", ("end state", _migration_end_state),
-    ("rounds", "precopy_rounds"), ("round_fails", "precopy_failures"),
-    ("lost", "requests_lost"), "converged",
-)
-
-
 def run_drill_cell(
     kind: str,
     server: str,
@@ -252,38 +230,6 @@ def run_drill_cell(
     return cell
 
 
-def run_trials(
-    drills: Iterable[Any], headline: str
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Run each drill once: what every sweep row reports, and each trial's result.
-
-    ``headline`` names the drills' headline number (``rto`` /
-    ``brownout``), reported as the upper median and the worst of the
-    trials that produced one — with the two or three trials a sweep cell
-    runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when every
-    trial ended serving, without a drill error, inside its client SLO.
-    """
-    trials = [drill.run().to_dict() for drill in drills]
-    samples = sorted(
-        trial[f"{headline}_ms"] for trial in trials
-        if trial[f"{headline}_ms"] is not None
-    )
-    row = {
-        "trials": len(trials),
-        "image_kb": max(trial["image_kb"] for trial in trials),
-        f"{headline}_p50_ms": samples[len(samples) // 2] if samples else None,
-        f"{headline}_p99_ms": samples[-1] if samples else None,
-        "requests_lost": sum(trial["requests_lost"] for trial in trials),
-        "slo_ok": all(
-            trial["error"] is None
-            and trial["served_after"]
-            and (trial["perceived"] is None or trial["perceived"]["slo_ok"])
-            for trial in trials
-        ),
-    }
-    return row, trials
-
-
 def run_drill_cells(
     kind: str, server: str, blackbox_path: Optional[str]
 ) -> List[Dict[str, object]]:
@@ -320,11 +266,9 @@ def run_faultmatrix(
         for server in servers
         for site in UPDATE_SITES
     ]
-    # The drill grids (clean run + each plane site + the double fault) must
-    # each converge: standby recovered XOR primary continued; migrated XOR
-    # primary kept serving.  Their post-mortems go to files of their own so
-    # the update grid's black box (which names the last update-cell fault)
-    # is never clobbered.
+    # The drill grids' post-mortems go to files of their own so the update
+    # grid's black box (which names the last update-cell fault) is never
+    # clobbered.
     failover_cells = run_drill_cells("failover", names[0], beside("_failover.json"))
     migration_cells = run_drill_cells("migration", names[0], beside("_migration.json"))
     results = {
@@ -359,7 +303,8 @@ _STORED_VERDICTS = (
 def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
     """Every update cell survived with the old version intact (rolling rows
     included) and left a black box naming its site when it rolled back;
-    every drill converged; nothing raised."""
+    every drill converged, fired exactly when armed and lost nothing;
+    nothing raised."""
     cells = results["cells"]
     drills = results["failover_cells"] + results["migration_cells"]
     rolling = [c for c in cells if c["mode"] == "rolling"]
@@ -374,8 +319,24 @@ def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
         ),
         "failover_all_converged": all(c["converged"] for c in results["failover_cells"]),
         "migration_all_converged": all(c["converged"] for c in results["migration_cells"]),
+        "drills_fired_as_armed": all(c["fired"] == bool(c["armed"]) for c in drills),
+        "drills_zero_loss": all(c["requests_lost"] == 0 for c in drills),
         "none_raised": not any(c["raised"] for c in cells + drills),
     }
+
+
+def _failover_end_state(cell) -> str:
+    if cell["cold_restored"]:
+        return "cold-restore"
+    if cell["promoted"]:
+        return "standby"
+    return "primary" if cell["primary_survived"] else "RAISED"
+
+
+def _migration_end_state(cell) -> str:
+    if cell["migrated"]:
+        return "migrated"
+    return "primary" if cell["primary_survived"] else "RAISED"
 
 
 def _update_outcome(cell) -> str:
@@ -408,13 +369,20 @@ def render(results: Dict[str, object]) -> str:
         "",
         render_table(
             "Failover drills: checkpoint-plane sites x crash recovery",
-            FAILOVER_CELL_COLUMNS,
+            [
+                "server", "site", "crash", "fired", ("recovery", _failover_end_state),
+                ("stale", "standby_stale"), ("lost", "requests_lost"), "converged",
+            ],
             results["failover_cells"],
         ),
         "",
         render_table(
             "Migration drills: planned-migration sites x cutover",
-            MIGRATION_CELL_COLUMNS,
+            [
+                "server", "site", "fired", ("end state", _migration_end_state),
+                ("rounds", "precopy_rounds"), ("round_fails", "precopy_failures"),
+                ("lost", "requests_lost"), "converged",
+            ],
             results["migration_cells"],
         ),
     ])

@@ -1,18 +1,19 @@
 """Shared benchmark scaffolding: the §8 subjects, the Table-3 ladder, and
-the two recipes more than one bench runs.
+the recipes more than one bench runs.
 
 What a server is and how it is started live in ``repro.servers.catalog``:
 ``boot_server`` is its ``boot`` and ``SERVER_BENCHES`` its rows with a §8
 benchmark (AB for the web servers and the ``nginx_reg`` configuration, the
 FTP benchmark for vsftpd, the test suite for sshd, mc-bench for memcache).
-``update_midflight`` is the §8 mid-flight update and ``quiesced_traces``
-the Table-2 trace walk.
+``update_midflight`` is the §8 mid-flight update, ``quiesced_traces``
+the Table-2 trace walk, and ``run_trials`` the trial loop of the
+failover and migrate sweeps.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -91,3 +92,35 @@ def quiesced_traces(world, config: MCRConfig, annotations) -> List:
             )
             for process in session.root_process.tree()
         ]
+
+
+def run_trials(
+    drills: Iterable[Any], headline: str
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Run each drill once: what every sweep row reports, and each trial's result.
+
+    ``headline`` names the drills' headline number (``rto`` /
+    ``brownout``), reported as the upper median and the worst of the
+    trials that produced one — with the two or three trials a sweep cell
+    runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when every
+    trial ended serving, without a drill error, inside its client SLO.
+    """
+    trials = [drill.run().to_dict() for drill in drills]
+    samples = sorted(
+        trial[f"{headline}_ms"] for trial in trials
+        if trial[f"{headline}_ms"] is not None
+    )
+    row = {
+        "trials": len(trials),
+        "image_kb": max(trial["image_kb"] for trial in trials),
+        f"{headline}_p50_ms": samples[len(samples) // 2] if samples else None,
+        f"{headline}_p99_ms": samples[-1] if samples else None,
+        "requests_lost": sum(trial["requests_lost"] for trial in trials),
+        "slo_ok": all(
+            trial["error"] is None
+            and trial["served_after"]
+            and (trial["perceived"] is None or trial["perceived"]["slo_ok"])
+            for trial in trials
+        ),
+    }
+    return row, trials

@@ -1,6 +1,6 @@
 """Planned-migration benchmark (``bench migrate``): brownout vs crash RTO.
 
-Three grids:
+Two grids (the migration-plane fault drills run in ``bench faultmatrix``):
 
 * **sweep** — pre-copy cadence × convergence threshold × server: each
   cell migrates a serving primary to a fresh target and reports the
@@ -14,31 +14,24 @@ Three grids:
 * **head-to-head** — per server, the migration brownout next to the
   ``bench failover`` crash RTO measured under the same cadence, same
   windows, same request stream.
-* **fault drills** — one row per migration-plane fault site: pre-copy
-  faults must cost a round (the migration still completes); stop-and-copy
-  and cutover faults must abort cleanly with the primary still serving.
-  Every cell converges: migrated XOR primary-kept-serving.
 
 Wired into the CLI as ``python -m repro bench migrate [--smoke]
 [--json]``, which exits 1 when a ``verdicts`` entry fails (zero lost
-requests, the brownout inside the downtime budget and comparable to the
-crash RTO, every drill converged); the JSON lands in
+requests, every cell migrated inside its client SLO, the brownout inside
+the downtime budget and comparable to the crash RTO); the JSON lands in
 ``BENCH_migrate.json``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.bench.faultmatrix import MIGRATION_CELL_COLUMNS, run_drill_cell, run_trials
+from repro.bench.failover import BUDGET_MS, SERVERS, SMOKE_SERVERS
+from repro.bench.harness import run_trials
 from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
-from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
-from repro.mcr.faults import MIGRATION_SITES
-
-SERVERS: Tuple[str, ...] = ("simple", "memcache", "httpd")
-SMOKE_SERVERS: Tuple[str, ...] = ("simple", "memcache")
+from repro.mcr.config import MCRConfig
 
 # Pre-copy cadences (ms of serving between delta rounds) × convergence
 # thresholds (stop pre-copying once a round ships fewer bytes).
@@ -49,8 +42,6 @@ SMOKE_THRESHOLD_BYTES: Tuple[int, ...] = (4096,)
 
 TRIALS = 2
 SMOKE_TRIALS = 1
-
-BUDGET_MS = DOWNTIME_BUDGET_NS / 1e6
 
 # "At most comparable": the planned brownout may not exceed this many
 # multiples of the measured crash RTO.  The two decompose differently:
@@ -65,7 +56,7 @@ COMPARABLE_FACTOR = 3.0
 # The verdicts the artifact's summary also stores.
 _SUMMARY = (
     "clean_zero_loss", "all_migrated", "brownout_within_budget",
-    "brownout_at_most_comparable", "all_drills_converged", "drills_zero_loss",
+    "brownout_at_most_comparable",
 )
 
 
@@ -89,8 +80,7 @@ def _sweep_row(
         "threshold_bytes": threshold,
         **row,
         "migrated": all(run["migrated"] and run["error"] is None for run in runs),
-        "converged_precopy": threshold == 0
-        or all(run["converged_precopy"] for run in runs),
+        "converged_precopy": all(run["converged_precopy"] for run in runs),
         "rounds_avg": round(sum(run["precopy_rounds"] for run in runs) / trials, 1),
         "reseeds": sum(run["reseeds"] for run in runs),
         "precopy_kb_avg": round(
@@ -127,9 +117,7 @@ def _head_to_head(server: str, cadence_ms: int) -> Dict[str, Any]:
     }
 
 
-def run_migrate(
-    smoke: bool = False, blackbox_path: Optional[str] = None
-) -> Dict[str, Any]:
+def run_migrate(smoke: bool = False) -> Dict[str, Any]:
     servers = SMOKE_SERVERS if smoke else SERVERS
     cadences = SMOKE_CADENCES_MS if smoke else CADENCES_MS
     thresholds = SMOKE_THRESHOLD_BYTES if smoke else THRESHOLD_BYTES
@@ -140,15 +128,9 @@ def run_migrate(
         for cadence_ms in cadences
         for threshold in thresholds
     ]
-    head_to_head = [_head_to_head(server, cadences[0]) for server in servers]
-    drills = [
-        run_drill_cell("migration", servers[0], site, blackbox_path)
-        for site in MIGRATION_SITES
-    ]
     results: Dict[str, Any] = {
         "sweep": sweep,
-        "head_to_head": head_to_head,
-        "drills": drills,
+        "head_to_head": [_head_to_head(server, cadences[0]) for server in servers],
     }
     checks = verdicts(results)
     results["summary"] = {
@@ -161,8 +143,8 @@ def run_migrate(
 def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
     """Every sweep row migrated, lost nothing and kept its brownout inside the
     budget and the client SLO; each brownout is at most comparable to the
-    crash RTO; every fault drill fired, converged and lost nothing."""
-    sweep, drills = results["sweep"], results["drills"]
+    crash RTO."""
+    sweep = results["sweep"]
     return {
         "clean_zero_loss": all(row["requests_lost"] == 0 for row in sweep),
         "all_migrated": all(row["migrated"] for row in sweep),
@@ -174,9 +156,6 @@ def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
         "sweep_slo_ok": all(row["slo_ok"] for row in sweep),
         "brownout_at_most_comparable": bool(results["head_to_head"])
         and all(row["comparable"] for row in results["head_to_head"]),
-        "all_drills_fired": all(row["fired"] for row in drills),
-        "all_drills_converged": all(row["converged"] for row in drills),
-        "drills_zero_loss": all(row["requests_lost"] == 0 for row in drills),
     }
 
 
@@ -203,6 +182,4 @@ def render(results: Dict[str, Any]) -> str:
                 "cutover; RTO = crash to first standby-served completion"
             ),
         ),
-        "",
-        render_table("Migration fault drills", MIGRATION_CELL_COLUMNS, results["drills"]),
     ])

@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.bench.harness import boot_server, update_midflight
-from repro.bench.reporting import render_table
+from repro.bench.reporting import fmt_cell, render_table
 from repro.clock import ns_to_ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -310,7 +310,7 @@ def render(results: Dict[str, object]) -> str:
         "Scan microbenchmark "
         f"({micro['server']}: {micro['words']} words, "
         f"{micro['likely_pointers']} likely pointers, "
-        f"identical={micro['identical']}, backend={micro['backend']})",
+        f"identical={fmt_cell(micro['identical'])}, backend={micro['backend']})",
         f"  reference : {micro['ref_words_per_sec']:,.0f} words/sec "
         f"({micro['resolve_calls_ref']} resolve calls)",
         f"  current   : {micro['words_per_sec']:,.0f} words/sec "

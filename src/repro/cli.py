@@ -10,9 +10,9 @@ Commands:
   key of ``BENCH_EXPERIMENTS`` below — ``bench --help`` lists them — or
   ``all``) and exit 1 when one of its ``verdicts`` fails; ``--json``
   also writes ``BENCH_<experiment>.json`` through ``repro.obs.export``;
-  ``--smoke`` runs the reduced subset the bench module defines (figure3,
-  faultmatrix, updatetime, fleetroll, scanperf, failover, migrate, fuzz);
-  ``--seed N`` reseeds the fuzzer's scenario draws.
+  ``--smoke`` runs a bench's reduced subset where it defines one;
+  ``--seed N`` reseeds the fuzzer's scenario draws.  The failover and
+  migration fault drills run in ``bench faultmatrix`` only.
 * ``replay <path>``          — re-execute a recorded trace (or the trace
   referenced by a ``blackbox.json``) and assert bit-identical
   equivalence; ``--to-failure`` stops at the failing fault site and
@@ -95,8 +95,8 @@ BENCH_EXPERIMENTS = {
     "scanperf": ("scanperf", "run_scanperf", ("smoke",)),
     "faultmatrix": ("faultmatrix", "run_faultmatrix", ("smoke", "blackbox_path")),
     "fleetroll": ("fleetroll", "run_fleetroll", ("smoke",)),
-    "failover": ("failover", "run_failover", ("smoke", "blackbox_path")),
-    "migrate": ("migrate", "run_migrate", ("smoke", "blackbox_path")),
+    "failover": ("failover", "run_failover", ("smoke",)),
+    "migrate": ("migrate", "run_migrate", ("smoke",)),
     "fuzz": ("fuzz", "run_fuzz", ("smoke", "seed")),
 }
 
@@ -338,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke",
         action="store_true",
-        help="figure3/faultmatrix/updatetime/fleetroll/scanperf/failover/"
-             "migrate/fuzz: run the reduced subset",
+        help=", ".join(
+            name for name, (_module, _run, takes) in BENCH_EXPERIMENTS.items()
+            if "smoke" in takes
+        ) + ": run the reduced subset",
     )
     bench.add_argument(
         "--seed",

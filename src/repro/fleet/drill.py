@@ -19,7 +19,9 @@ exactly one of {the peer took over, the primary kept serving}.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from copy import copy
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import (
     CheckpointImage,
@@ -27,6 +29,7 @@ from repro.checkpoint import (
     StandbyChannel,
     WarmStandby,
 )
+from repro.clock import ns_to_ms
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.servers.common import ClientLatencyLog, ClientPerceived
@@ -50,22 +53,35 @@ def sync_clock(node: Node, to_ns: int) -> None:
         node.kernel.clock.advance(delta)
 
 
+def reported(*keys: Tuple[str, Callable[[Any], Any]], **field_args) -> Any:
+    """A result field ``to_dict`` reports as ``(key, convert)`` pairs, not as itself."""
+    return field(metadata={"reported": keys}, **field_args)
+
+
+def kb(nbytes: int) -> int:
+    return nbytes // 1024
+
+
+def ms(ns: Optional[int]) -> Optional[float]:
+    return None if ns is None else ns_to_ms(ns)
+
+
+@dataclass
 class DrillResult:
     """What every drill measures, JSON-ready via ``to_dict``."""
 
-    def __init__(self, server: str) -> None:
-        self.server = server
-        self.primary_survived = False
-        self.served_after = False
-        self.requests_sent = 0
-        self.requests_completed = 0
-        self.requests_lost = 0
-        self.reissued = 0
-        self.image_bytes = 0
-        self.fired_sites: List[str] = []
-        self.perceived: Optional[Dict[str, Any]] = None
-        self.blackbox: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+    server: str
+    primary_survived: bool = False
+    served_after: bool = False
+    requests_sent: int = 0
+    requests_completed: int = 0
+    requests_lost: int = 0
+    reissued: int = 0
+    image_bytes: int = reported(("image_kb", kb), default=0)
+    fired_sites: List[str] = field(default_factory=list)
+    perceived: Optional[Dict[str, Any]] = None
+    blackbox: Optional[Dict[str, Any]] = None
+    error: Optional[str] = None
 
     @property
     def converged(self) -> bool:
@@ -80,19 +96,12 @@ class DrillResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
+        """Each field under its own name (lists and dicts copied), or under
+        the keys it is ``reported`` as."""
         return {
-            "server": self.server,
-            "primary_survived": self.primary_survived,
-            "served_after": self.served_after,
-            "requests_sent": self.requests_sent,
-            "requests_completed": self.requests_completed,
-            "requests_lost": self.requests_lost,
-            "reissued": self.reissued,
-            "image_kb": self.image_bytes // 1024,
-            "fired_sites": list(self.fired_sites),
-            "perceived": self.perceived,
-            "blackbox": self.blackbox,
-            "error": self.error,
+            key: convert(getattr(self, item.name))
+            for item in fields(self)
+            for key, convert in item.metadata.get("reported", ((item.name, copy),))
         }
 
 

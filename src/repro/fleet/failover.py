@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.checkpoint import (
@@ -40,7 +41,7 @@ from repro.checkpoint import (
     resume_node,
     write_image,
 )
-from repro.fleet.drill import PEER_ID, Drill, DrillResult, sync_clock
+from repro.fleet.drill import PEER_ID, Drill, DrillResult, ms, reported, sync_clock
 from repro.mcr.config import MCRConfig
 from repro.servers.common import ClientLatencyLog
 
@@ -51,38 +52,23 @@ DETECT_NS = 5_000_000
 COLD_ID = 2
 
 
+@dataclass
 class FailoverResult(DrillResult):
     """Everything one crash drill measured, JSON-ready via ``to_dict``."""
 
-    def __init__(self, server: str) -> None:
-        super().__init__(server)
-        self.crashed = False
-        self.promoted = False
-        self.cold_restored = False
-        self.rto_ns: Optional[int] = None
-        self.delta_bytes = 0
-        self.deltas_sent = 0
-        self.checkpoint_failures = 0
-        self.standby_stale = False
-        self.stale_lag = 0          # source seq - applied seq at promotion
+    crashed: bool = False
+    promoted: bool = False
+    cold_restored: bool = False
+    rto_ns: Optional[int] = reported(("rto_ms", ms), default=None)
+    delta_bytes: int = 0
+    deltas_sent: int = 0
+    checkpoint_failures: int = 0
+    standby_stale: bool = False
+    stale_lag: int = 0          # source seq - applied seq at promotion
 
     @property
     def recovered(self) -> bool:
         return self.promoted or self.cold_restored
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **super().to_dict(),
-            "crashed": self.crashed,
-            "promoted": self.promoted,
-            "cold_restored": self.cold_restored,
-            "rto_ms": None if self.rto_ns is None else self.rto_ns / 1e6,
-            "delta_bytes": self.delta_bytes,
-            "deltas_sent": self.deltas_sent,
-            "checkpoint_failures": self.checkpoint_failures,
-            "standby_stale": self.standby_stale,
-            "stale_lag": self.stale_lag,
-        }
 
 
 class FailoverDrill(Drill):
@@ -130,8 +116,6 @@ class FailoverDrill(Drill):
         return True
 
     def _write_durable(self, result: FailoverResult) -> None:
-        if not self.checkpoint_path or self.last_image is None:
-            return
         try:
             write_image(self.last_image, self.checkpoint_path, self.config)
             self.durable_ok = True
@@ -140,8 +124,6 @@ class FailoverDrill(Drill):
             self._fired(result, error)
 
     def _boot_standby(self, result: FailoverResult) -> None:
-        if self.last_image is None:
-            return
         for _attempt in (1, 2):  # a failed restore is retried once
             try:
                 self.peer = WarmStandby.from_image(
@@ -152,15 +134,14 @@ class FailoverDrill(Drill):
                 self._fired(result, error)
 
     def _seed_peer(self, result: FailoverResult) -> None:
-        self._cut_full(result)
-        self._boot_standby(result)
+        self._cut_full(result) and self._boot_standby(result)
 
     def _cadence_tick(self, result: FailoverResult) -> None:
         """Cut the next delta and stream it (or repair whatever failed)."""
         if self.last_image is None:
-            self._cut_full(result) and self._boot_standby(result)
+            self._seed_peer(result)
             return
-        if not self.durable_ok and self.checkpoint_path:
+        if not self.durable_ok:
             self._write_durable(result)  # retry a torn image write
         if self.peer is None:
             self._boot_standby(result)
@@ -218,7 +199,7 @@ class FailoverDrill(Drill):
     def _cold_restore(self, result: FailoverResult) -> None:
         """Last resort: restore from the last good durable (or in-memory) image."""
         image = None
-        if self.durable_ok and self.checkpoint_path:
+        if self.durable_ok:
             try:
                 image = read_image(self.checkpoint_path)
             except Exception as error:

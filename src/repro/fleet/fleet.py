@@ -26,7 +26,7 @@ class Fleet:
         self.nodes: List[Node] = list(nodes)
         self.by_id: Dict[int, Node] = {node.node_id: node for node in self.nodes}
         self.lb = LoadBalancer([node.node_id for node in self.nodes])
-        self.requests_shed = 0  # windows routed while every node was out
+        self.requests_shed = 0  # requests routed while every node was out
 
     @classmethod
     def boot(cls, size: int, server: str = "simple") -> "Fleet":
@@ -54,18 +54,19 @@ class Fleet:
         for node in self.nodes:
             node.advance_to(deadline)
 
-    def serve_window(self, requests: int, window_ns: int) -> Dict[int, int]:
-        """Route one traffic window and advance the whole fleet through it.
-
-        Requests split across in-rotation nodes; every node (in rotation
-        or not) then runs the same virtual interval.  An empty routing
-        map (full-fleet blackout) sheds the window's requests.
-        """
+    def route(self, requests: int) -> Dict[int, int]:
+        """Issue ``requests`` to in-rotation nodes; with none, shed them."""
         counts = self.lb.route(requests)
         if requests > 0 and not counts:
             self.requests_shed += requests
         for node_id, count in counts.items():
             self.by_id[node_id].serve(count)
+        return counts
+
+    def serve_window(self, requests: int, window_ns: int) -> Dict[int, int]:
+        """Route one traffic window; every node, in rotation or not, runs
+        through it."""
+        counts = self.route(requests)
         deadline = self.now_ns + window_ns
         for node in self.nodes:
             node.advance_to(deadline)

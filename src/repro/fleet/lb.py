@@ -27,8 +27,6 @@ class LoadBalancer:
         # Rotating offset so remainder requests spread across nodes over
         # successive windows instead of always landing on the lowest id.
         self._offset = 0
-        self.windows_routed = 0
-        self.requests_routed = 0
         self.requests_shifted = 0  # routed while >=1 node was out
 
     # -- rotation control ----------------------------------------------------
@@ -57,7 +55,6 @@ class LoadBalancer:
         orchestrator counts as lost.
         """
         live = self.in_rotation()
-        self.windows_routed += 1
         if not live or requests <= 0:
             return {}
         base, remainder = divmod(requests, len(live))
@@ -65,7 +62,6 @@ class LoadBalancer:
         for index in range(remainder):
             counts[live[(self._offset + index) % len(live)]] += 1
         self._offset = (self._offset + remainder) % max(1, len(live))
-        self.requests_routed += requests
         if self._out:
             self.requests_shifted += requests
         return {node_id: count for node_id, count in counts.items() if count}

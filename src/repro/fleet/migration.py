@@ -37,7 +37,8 @@ exactly where it stopped.  ``run`` never raises; every drill ends with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro import obs
 from repro.checkpoint import (
@@ -49,7 +50,9 @@ from repro.checkpoint import (
     hold_quiesced,
 )
 from repro.errors import SimError
-from repro.fleet.drill import PEER_ID, SETTLE_NS, Drill, DrillResult, sync_clock
+from repro.fleet.drill import (
+    PEER_ID, SETTLE_NS, Drill, DrillResult, kb, ms, reported, sync_clock,
+)
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import fire
 from repro.servers.common import ClientLatencyLog
@@ -69,44 +72,28 @@ class MigrationAbort(SimError):
     """Internal control flow: abandon the cutover, keep the primary."""
 
 
+@dataclass
 class MigrationResult(DrillResult):
     """Everything one migration drill measured, JSON-ready via ``to_dict``."""
 
-    def __init__(self, server: str) -> None:
-        super().__init__(server)
-        self.migrated = False
-        self.aborted = False
-        self.abort_reason: Optional[str] = None
-        self.reseeds = 0            # full-image resyncs after drift/staleness
-        self.precopy_rounds = 0
-        self.precopy_failures = 0
-        self.precopy_bytes: List[int] = []
-        self.converged_precopy = False
-        self.stopcopy_bytes: Optional[int] = None
-        self.cutover_started_ns: Optional[int] = None
-        self.brownout_ns: Optional[int] = None
+    migrated: bool = False
+    aborted: bool = False
+    abort_reason: Optional[str] = None
+    reseeds: int = 0            # full-image resyncs after drift/staleness
+    precopy_rounds: int = 0
+    precopy_failures: int = 0
+    precopy_bytes: List[int] = reported(
+        ("precopy_bytes", list),
+        ("precopy_kb_total", lambda rounds: kb(sum(rounds))),
+        default_factory=list,
+    )
+    converged_precopy: bool = False
+    stopcopy_bytes: Optional[int] = None
+    brownout_ns: Optional[int] = reported(("brownout_ms", ms), default=None)
 
     @property
     def recovered(self) -> bool:
         return self.migrated
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **super().to_dict(),
-            "migrated": self.migrated,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-            "reseeds": self.reseeds,
-            "precopy_rounds": self.precopy_rounds,
-            "precopy_failures": self.precopy_failures,
-            "precopy_bytes": list(self.precopy_bytes),
-            "precopy_kb_total": sum(self.precopy_bytes) // 1024,
-            "converged_precopy": self.converged_precopy,
-            "stopcopy_bytes": self.stopcopy_bytes,
-            "brownout_ms": (
-                None if self.brownout_ns is None else self.brownout_ns / 1e6
-            ),
-        }
 
 
 class MigrationDrill(Drill):
@@ -125,6 +112,7 @@ class MigrationDrill(Drill):
         self.convergence_bytes = convergence_bytes
         self.ready_to_cut = False
         self.done = False  # cut over, aborted, or never seeded
+        self.cutover_started_ns: Optional[int] = None
 
     @property
     def target(self) -> Optional[WarmStandby]:
@@ -207,7 +195,7 @@ class MigrationDrill(Drill):
         primary.serve(CUTOVER_PROBES)
         primary.drain()  # finish in-flight + probe work before the barrier
         primary.settle(SETTLE_NS)  # workers release served-connection fds
-        result.cutover_started_ns = primary.now_ns
+        self.cutover_started_ns = primary.now_ns
         try:
             with hold_quiesced(primary, self.config):
                 fire(self.config, "migrate.stopcopy")
@@ -288,7 +276,7 @@ class MigrationDrill(Drill):
             return
         # Anything left queued on the retired primary is gone.
         result.requests_lost += self.primary.pending()
-        cut = result.cutover_started_ns
+        cut = self.cutover_started_ns
         completions = merged.completions_ns()
         before = [r for r in completions if r <= cut]
         after = [r for r in completions if r > cut]

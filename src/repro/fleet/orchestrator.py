@@ -223,8 +223,7 @@ class Orchestrator:
             # coming blackout interval.
             for node in wave_nodes:
                 fleet.lb.mark_updating(node.node_id)
-            for node_id, count in fleet.lb.route(self.requests_per_window).items():
-                fleet.by_id[node_id].serve(count)
+            fleet.route(self.requests_per_window)
             wave_outcomes = [
                 self._update_and_judge(
                     node, wave_index, target, fault_plans.get(node.node_id)

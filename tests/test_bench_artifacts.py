@@ -97,6 +97,39 @@ VERDICT_BENCHES = {
 }
 
 
+def _clean_cell(results, kind):
+    return next(c for c in results[f"{kind}_cells"] if not c["armed"])
+
+
+# Damage -> (the one fault matrix drill verdict it fails, the damage): a
+# drill cell that lost a request, a clean (unarmed) one that fired.
+DRILL_DAMAGES = {
+    "failover-lost": ("drills_zero_loss",
+                      lambda r: r["failover_cells"][1].update(requests_lost=1)),
+    "migration-lost": ("drills_zero_loss",
+                       lambda r: r["migration_cells"][2].update(requests_lost=1)),
+    "failover-clean-fired": ("drills_fired_as_armed",
+                             lambda r: _clean_cell(r, "failover").update(fired=True)),
+    "migration-clean-fired": ("drills_fired_as_armed",
+                              lambda r: _clean_cell(r, "migration").update(fired=True)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DRILL_DAMAGES))
+def test_faultmatrix_exits_1_on_a_drill_that_lost_or_fired_unarmed(
+    damage, tmp_path, monkeypatch, capsys
+):
+    results = _committed("faultmatrix")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(faultmatrix, "run_faultmatrix", lambda **options: results)
+    assert main(["bench", "faultmatrix", "--smoke"]) == 0
+    capsys.readouterr()
+    verdict, damaged = DRILL_DAMAGES[damage]
+    damaged(results)
+    assert main(["bench", "faultmatrix", "--smoke"]) == 1
+    assert capsys.readouterr().err == f"bench faultmatrix: failed verdicts: {verdict}\n"
+
+
 @pytest.mark.parametrize("bench", sorted(VERDICT_BENCHES))
 def test_bench_exits_0_on_good_results_and_1_when_a_verdict_fails(
     bench, tmp_path, monkeypatch, capsys
@@ -115,11 +148,10 @@ def test_bench_exits_0_on_good_results_and_1_when_a_verdict_fails(
 
 # Bench -> the title of every table its render prints.
 TABLE_TITLES = {
-    "failover": ("Failover: checkpoint cadence vs RTO", "Failover fault drills"),
+    "failover": ("Failover: checkpoint cadence vs RTO",),
     "migrate": (
         "Planned migration: pre-copy cadence x convergence threshold",
         "Head to head: planned brownout vs crash RTO",
-        "Migration fault drills",
     ),
     "faultmatrix": (
         "Fault matrix: injected failure sites x servers",
@@ -150,15 +182,21 @@ def test_committed_artifact_renders_every_table(bench):
     text = module.render(_committed(bench))
     for title in TABLE_TITLES[bench]:
         assert f"{title}\n{'=' * len(title)}\n" in text, title
+    if bench == "scanperf":  # the one line outside a table: a bool reads yes/NO
+        assert "identical=yes," in text
 
 
 def test_committed_drill_artifacts_carry_the_verdicts_ci_demanded():
     """The smoke benches reproduce these files byte for byte (above), so
-    holding the committed copies to the verdicts holds every run to them."""
+    holding the committed copies to the verdicts holds every run to them.
+    Their drill fault cells live in the fault matrix's artifact."""
     for module, bench in ((failover, "failover"), (migrate, "migrate")):
         results = _committed(bench)
-        assert results["sweep"] and results["drills"]
+        assert results["sweep"] and "drills" not in results
         assert all(module.verdicts(results).values()), bench
+    results = _committed("faultmatrix")
+    assert results["failover_cells"] and results["migration_cells"]
+    assert all(faultmatrix.verdicts(results).values())
 
 
 def test_committed_updatetime_artifact_carries_the_verdicts_ci_demanded():

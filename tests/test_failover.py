@@ -14,8 +14,9 @@ import pytest
 
 from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
 from repro.checkpoint import capture_delta
-from repro.fleet.drill import SETTLE_NS
+from repro.fleet.drill import SETTLE_NS, DrillResult
 from repro.fleet.failover import FailoverDrill, FailoverResult
+from repro.fleet.migration import MigrationResult
 from repro.fleet.node import Node
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import CHECKPOINT_SITES, DEFAULT_ERRORS, SITES, FaultPlan
@@ -28,6 +29,29 @@ FAULT_CELLS = (None, *_GRID.sites, _GRID.double)
 
 def run_failover_cell(server, site, blackbox_path=None):
     return run_drill_cell("failover", server, site, blackbox_path=blackbox_path)
+
+
+_SHARED_KEYS = [
+    "server", "primary_survived", "served_after", "requests_sent",
+    "requests_completed", "requests_lost", "reissued", "image_kb",
+    "fired_sites", "perceived", "blackbox", "error",
+]
+
+
+@pytest.mark.parametrize("result, keys", [
+    (DrillResult("simple"), _SHARED_KEYS),
+    (FailoverResult("simple"), _SHARED_KEYS + [
+        "crashed", "promoted", "cold_restored", "rto_ms", "delta_bytes",
+        "deltas_sent", "checkpoint_failures", "standby_stale", "stale_lag",
+    ]),
+    (MigrationResult("simple"), _SHARED_KEYS + [
+        "migrated", "aborted", "abort_reason", "reseeds", "precopy_rounds",
+        "precopy_failures", "precopy_bytes", "precopy_kb_total",
+        "converged_precopy", "stopcopy_bytes", "brownout_ms",
+    ]),
+], ids=["drill", "failover", "migration"])
+def test_result_reports_exactly_its_keys(result, keys):
+    assert list(result.to_dict()) == keys
 
 
 def test_clean_failover_loses_nothing():
@@ -109,10 +133,16 @@ def test_drill_never_raises_even_with_all_sites_armed(tmp_path):
 # -- the cadence tick's structural-drift repair path ---------------------------
 
 
-def _booted_drill():
-    """A drill warmed up by hand to where the cadence ticks happen."""
+def _booted_drill(tmp_path):
+    """A drill warmed up by hand to where the cadence ticks happen.
+
+    Built without ``run()``, so it is given the durable image path that
+    ``run()`` would otherwise supply.
+    """
     config = MCRConfig(checkpoint_interval_ns=25_000_000)
-    drill = FailoverDrill("simple", config=config)
+    drill = FailoverDrill(
+        "simple", config=config, checkpoint_path=str(tmp_path / "primary.img")
+    )
     result = FailoverResult("simple")
     drill.primary = Node.boot("simple", node_id=0, config=config)
     drill.primary.serve(4)
@@ -124,8 +154,8 @@ def _booted_drill():
     return drill, result
 
 
-def test_cadence_tick_structural_drift_resyncs_the_standby():
-    drill, result = _booted_drill()
+def test_cadence_tick_structural_drift_resyncs_the_standby(tmp_path):
+    drill, result = _booted_drill(tmp_path)
     try:
         old_image_id = drill.last_image.image_id
         # A phantom baseline entry makes the live mapping set differ
@@ -150,8 +180,8 @@ def test_cadence_tick_structural_drift_resyncs_the_standby():
         drill._teardown()
 
 
-def test_dropped_delta_gap_goes_stale_then_resync_recovers():
-    drill, result = _booted_drill()
+def test_dropped_delta_gap_goes_stale_then_resync_recovers(tmp_path):
+    drill, result = _booted_drill(tmp_path)
     try:
         # Cut a delta and drop it on the floor (never streamed): the
         # baseline advances past a sequence the standby will never see.
@@ -173,9 +203,9 @@ def test_dropped_delta_gap_goes_stale_then_resync_recovers():
 # -- a resync whose restore fails --------------------------------------------
 
 
-def _booted_drill_with_restore_fault():
+def _booted_drill_with_restore_fault(tmp_path):
     """``_booted_drill``, with the next ``restore.image`` armed to fail."""
-    drill, result = _booted_drill()
+    drill, result = _booted_drill(tmp_path)
     config = MCRConfig(
         checkpoint_interval_ns=25_000_000,
         faults=FaultPlan().at("restore.image"),
@@ -184,8 +214,8 @@ def _booted_drill_with_restore_fault():
     return drill, result
 
 
-def test_failed_resync_keeps_the_previous_tree_and_goes_stale():
-    drill, result = _booted_drill_with_restore_fault()
+def test_failed_resync_keeps_the_previous_tree_and_goes_stale(tmp_path):
+    drill, result = _booted_drill_with_restore_fault(tmp_path)
     try:
         standby = drill.standby
         node, image_id = standby.node, standby.image_id
@@ -209,8 +239,8 @@ def test_failed_resync_keeps_the_previous_tree_and_goes_stale():
         drill._teardown()
 
 
-def test_cadence_tick_survives_a_failed_resync():
-    drill, result = _booted_drill_with_restore_fault()
+def test_cadence_tick_survives_a_failed_resync(tmp_path):
+    drill, result = _booted_drill_with_restore_fault(tmp_path)
     try:
         standby = drill.standby
         drill.baseline.mapping_seqs[(9999, 0x7F000000)] = 0  # structural drift

@@ -230,6 +230,22 @@ class TestOrchestrator:
         finally:
             fleet.teardown()
 
+    def test_a_wave_that_takes_every_node_out_sheds_its_window(self):
+        # On a 1-node fleet the canary wave leaves no node in rotation, so
+        # that wave's window is shed: counted as lost, never dropped silently.
+        fleet = Fleet.boot(1, server="simple")
+        try:
+            orch = Orchestrator(fleet, canary=1, requests_per_window=4)
+            orch.serve_windows(1)
+            report = orch.rollout(2).to_dict()
+            assert report["outcome"] == "updated"
+            assert fleet.requests_shed == 4
+            assert report["requests_lost"] == 4
+            # Four windows of four were offered; each one is sent or shed.
+            assert report["requests_sent"] + fleet.requests_shed == 16
+        finally:
+            fleet.teardown()
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             Orchestrator(Fleet([]), on_fault="shrug")

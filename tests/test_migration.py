@@ -15,7 +15,9 @@ import json
 import pytest
 
 from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
-from repro.bench.migrate import COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head
+from repro.bench.migrate import (
+    COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head, _sweep_row,
+)
 from repro.fleet.migration import MigrationDrill
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import DEFAULT_ERRORS, MIGRATION_SITES, SITES, FaultPlan
@@ -121,6 +123,14 @@ def test_zero_threshold_never_converges_but_still_cuts():
     assert result.migrated
     assert not result.converged_precopy
     assert result.requests_lost == 0
+
+
+def test_sweep_row_reports_a_zero_threshold_row_as_not_converged():
+    # The drill above, as one ``bench migrate`` sweep row: the row says
+    # what its drills did, not what the threshold implies.
+    row = _sweep_row("simple", 20, 0, 1)
+    assert row["converged_precopy"] is False
+    assert row["migrated"]
 
 
 def test_huge_threshold_converges_on_the_first_round():
