@@ -3,21 +3,20 @@
 Scheduling model: a round-robin run queue of threads.  Each step resumes a
 thread's generator with the result of its previous syscall; the generator
 yields its next ``SyscallRequest``; the syscall table executes it.  Blocking
-syscalls park the thread with a readiness predicate plus the *wait
-channels* (kernel objects) whose state changes can satisfy it; timed calls
-carry a virtual-time deadline (this is what MCR's unblockification builds
-on).  When nothing is runnable the clock jumps to the earliest deadline,
-so blocking costs no host time.
+syscalls park the thread with a readiness predicate and name what can make
+it true: the *wait channels* (kernel objects) whose state changes can
+satisfy it, or the virtual time at which it comes true (``nanosleep``).
+Timed calls add the caller's deadline (this is what MCR's unblockification
+builds on).
 
-The v2 scheduler polls a blocked thread's predicate only when (a) one of
-its wait channels was kicked, (b) its deadline or wake hint came due (a
-heap, not a scan), or (c) the wait carries no channels and no timing, so
-nothing would announce its change: such a wait degrades to being polled
-every round.
+One wait model: a parked thread's predicate is polled only when one of its
+wait channels was kicked, or when its one deadline-heap entry -- the
+earlier of its wake time and its caller's deadline -- came due.  A park
+that names neither a channel nor a wake time is a kernel bug and raises.
 Idle workers therefore cost nothing per round, which is what makes
-1000-worker process trees steppable.  Before declaring the world idle the
-scheduler still polls *every* blocked thread once, so a readiness change
-no channel announced degrades to the old behavior instead of hanging.
+1000-worker process trees steppable.  When nothing is runnable the clock
+jumps to the earliest heap entry, so blocking costs no host time; when the
+heap holds none, the world is idle.
 
 Virtual time advances by a per-step cost plus the dispatched syscall's cost
 (see ``syscalls.BASE_COSTS``); soft-dirty write-protect faults taken by the
@@ -88,13 +87,11 @@ class Kernel:
         # ordered, O(1) add/remove) rather than a list: at 1000-worker
         # scale the old list's O(n) remove-on-wake dominated.
         self._blocked: Dict[Thread, None] = {}
-        # v2 scheduler poll sets: threads whose wait channel was kicked,
-        # threads with uninstrumented predicates (polled every round), and
-        # a heap of (when_ns, entry_seq, thread, park_seq) deadlines/wake
-        # hints.  Heap and _polled entries are validated lazily against
-        # the thread's park_seq.
+        # What can wake a parked thread: the threads whose wait channel was
+        # kicked, and a heap of (when_ns, entry_seq, thread, park_seq)
+        # entries, one per timed park.  Heap entries are validated lazily
+        # against the thread's park_seq.
         self._hot: List[Thread] = []
-        self._polled: List[Tuple[Thread, int]] = []
         self._deadlines: List[Tuple[int, int, Thread, int]] = []
         self._park_counter = 0
         self._heap_counter = 0
@@ -365,22 +362,14 @@ class Kernel:
                 self._step(thread)
                 budget -= 1
                 made_progress = True
-            # Poll kicked / deadline-due / always-polled blocked threads —
-            # when there is one: most rounds of a busy server have none.
+            # Poll kicked / deadline-due blocked threads — when there is
+            # one: most rounds of a busy server have none.
             if (
-                self._hot
-                or self._polled
-                or (deadlines and deadlines[0][0] <= clock.now_ns)
+                self._hot or (deadlines and deadlines[0][0] <= clock.now_ns)
             ) and self._poll_blocked():
                 made_progress = True
             if not made_progress and not run_queue:
                 if self._advance_to_next_deadline():
-                    continue
-                # No deadline left to jump to.  Before declaring the world
-                # dead, poll every blocked thread once: a readiness change
-                # no wait channel announced must still wake its waiter
-                # (this is the fast path's safety net, not its hot path).
-                if self._poll_blocked(full=True):
                     continue
                 return "idle"
 
@@ -474,16 +463,10 @@ class Kernel:
                     thread=f"{thread.process.name}:{thread.name}",
                     reason=result.reason,
                 )
-            thread.state = BLOCKED
-            thread.wait_ready = result.ready
-            thread.blocked_on = result.reason
-            if request.timeout_ns is not None:
-                thread.wait_deadline_ns = clock.now_ns + request.timeout_ns
-            else:
-                thread.wait_deadline_ns = None
-            thread.wake_hint_ns = result.wake_ns
-            thread.block_started_ns = clock.now_ns
-            self._park(thread, result.channels)
+            timeout_ns = request.timeout_ns
+            self._park(
+                thread, result, None if timeout_ns is None else clock.now_ns + timeout_ns
+            )
             return
         if kind is ExitProcess:
             self.terminate_process(process, result.status)
@@ -494,31 +477,36 @@ class Kernel:
         thread.pending_value = result
         self._run_queue.append(thread)
 
-    def _park(self, thread: Thread, channels: Tuple) -> None:
-        """Register a freshly-blocked thread with the poll machinery."""
+    def _park(self, thread: Thread, blocked: Blocked, deadline_ns: Optional[int]) -> None:
+        """Park a thread on what ``blocked`` names: its wait channels, and
+        one heap entry at the earlier of its wake time and the caller's
+        deadline ``deadline_ns``."""
+        channels = blocked.channels
+        wake_ns = blocked.wake_ns
+        if not channels and wake_ns is None:
+            # Nothing would ever announce this predicate's change.  Not a
+            # SimError: the fault is the kernel's, not the program's.
+            raise RuntimeError(
+                f"{thread.process.name}:{thread.name} parked on {blocked.reason!r} "
+                "with no wait channel and no wake time"
+            )
         self._park_counter += 1
         thread.park_seq = seq = self._park_counter
+        thread.state = BLOCKED
+        thread.wait_ready = blocked.ready
+        thread.blocked_on = blocked.reason
+        thread.wait_deadline_ns = deadline_ns
+        thread.block_started_ns = self.clock.now_ns
         thread.poll_hot = False
-        thread.wait_channels = channels
         for channel in channels:
             channel.waitq.park(thread)
-        deadline = thread.wait_deadline_ns
-        if deadline is not None:
-            self._push_deadline(deadline, thread, seq)
-        hint = thread.wake_hint_ns
-        if hint is not None and hint != deadline:
-            self._push_deadline(hint, thread, seq)
-        # No channel and no timing: nothing announces a change, so degrade
-        # to polling the predicate every round rather than miss a wake-up.
-        thread.always_polled = not channels and deadline is None and hint is None
-        if thread.always_polled:
-            self._polled.append((thread, seq))
+        if wake_ns is None or (deadline_ns is not None and deadline_ns < wake_ns):
+            wake_ns = deadline_ns
+        if wake_ns is not None:
+            # The entry counter breaks timestamp ties (threads don't compare).
+            self._heap_counter += 1
+            heapq.heappush(self._deadlines, (wake_ns, self._heap_counter, thread, seq))
         self._blocked[thread] = None
-
-    def _push_deadline(self, when_ns: int, thread: Thread, park_seq: int) -> None:
-        # The entry counter breaks timestamp ties (threads don't compare).
-        self._heap_counter += 1
-        heapq.heappush(self._deadlines, (when_ns, self._heap_counter, thread, park_seq))
 
     def mark_poll_hot(self, thread: Thread) -> None:
         """A wait channel was kicked: re-poll this thread next round."""
@@ -526,48 +514,33 @@ class Kernel:
             thread.poll_hot = True
             self._hot.append(thread)
 
-    def _poll_blocked(self, full: bool = False) -> bool:
-        """Poll blocked threads whose readiness could have changed.
+    def _poll_blocked(self) -> bool:
+        """Poll the blocked threads whose readiness could have changed.
 
-        The candidate set is: threads some wait channel kicked since the
-        last round, threads whose deadline/wake hint came due (popped from
-        the heap), and always-polled (channel-less) threads.  Candidates are
-        polled in park order — exactly the order the original
-        scan-everything scheduler used — so wake order is unchanged.
-        ``full=True`` polls every blocked thread (the pre-idle safety
-        net).
+        The candidates are the threads some wait channel kicked since the
+        last round and those whose heap entry came due.  A due thread
+        always wakes: it is ready at its wake time, or it times out at its
+        deadline.  Candidates are polled in park order — exactly the order
+        a scan of every blocked thread uses — so wake order does not
+        depend on which path named them.
         """
         now = self.clock.now_ns
-        if full:
-            for thread in self._hot:
+        candidates = []
+        heap = self._deadlines
+        while heap and heap[0][0] <= now:
+            _when, _entry, thread, seq = heapq.heappop(heap)
+            if thread.state == BLOCKED and thread.park_seq == seq:
+                candidates.append(thread)
+        if self._hot:
+            hot, self._hot = self._hot, []
+            for thread in hot:
                 thread.poll_hot = False
-            self._hot = []
-            candidates = list(self._blocked)
-        else:
-            candidates = []
-            heap = self._deadlines
-            while heap and heap[0][0] <= now:
-                _when, _entry, thread, seq = heapq.heappop(heap)
-                if thread.state == BLOCKED and thread.park_seq == seq:
+                if thread.state == BLOCKED:
                     candidates.append(thread)
-            if self._hot:
-                hot, self._hot = self._hot, []
-                for thread in hot:
-                    thread.poll_hot = False
-                    if thread.state == BLOCKED:
-                        candidates.append(thread)
-            if self._polled:
-                keep = []
-                for entry in self._polled:
-                    thread, seq = entry
-                    if thread.state == BLOCKED and thread.park_seq == seq:
-                        candidates.append(thread)
-                        keep.append(entry)
-                self._polled = keep
-            if not candidates:
-                return False
-            if len(candidates) > 1:
-                candidates.sort(key=lambda t: t.park_seq)
+        if not candidates:
+            return False
+        if len(candidates) > 1:
+            candidates.sort(key=lambda t: t.park_seq)
         woken = False
         last: Optional[Thread] = None
         for thread in candidates:
@@ -583,17 +556,6 @@ class Kernel:
             if deadline is not None and now >= deadline:
                 self._wake(thread, TIMEOUT)
                 woken = True
-                continue
-            if (
-                not thread.always_polled
-                and not thread.wait_channels
-                and (deadline is None or deadline <= now)
-            ):
-                # A wake hint that did not pan out and nothing else left
-                # to re-arm this thread: degrade it to always-polled
-                # rather than let it sleep forever.
-                thread.always_polled = True
-                self._polled.append((thread, thread.park_seq))
         return woken
 
     def _wake(self, thread: Thread, value: Any) -> None:
@@ -617,9 +579,6 @@ class Kernel:
         thread.state = RUNNABLE
         thread.wait_ready = None
         thread.wait_deadline_ns = None
-        thread.wake_hint_ns = None
-        thread.wait_channels = ()
-        thread.always_polled = False
         thread.blocked_on = ""
         thread.pending_value = value
         self._run_queue.append(thread)

@@ -35,12 +35,14 @@ EXITED = "exited"
 class WaitQueue:
     """Threads parked on one kernel object (a scheduler wait channel).
 
-    The v2 scheduler polls a blocked thread's readiness predicate only
-    when something could have changed it.  Every kernel object a thread
-    can wait on (sockets, barriers, processes for ``wait_child``) owns a
-    ``WaitQueue``; blocking registers the thread here and the object calls
-    :meth:`kick` at each state change that could satisfy a waiter, which
-    marks the registered threads *poll-hot* on their kernel.
+    The scheduler polls a blocked thread's readiness predicate only when
+    one of its channels is kicked or its time comes; nothing else wakes
+    it.  Every kernel object a thread can wait on (sockets, barriers,
+    processes for ``wait_child``) owns a ``WaitQueue``; blocking registers
+    the thread here and the object must call :meth:`kick` at each state
+    change that could satisfy a waiter, which marks the registered
+    threads *poll-hot* on their kernel.  A change made without a kick is
+    never seen.
 
     Entries are ``(thread, park_seq)`` pairs validated lazily: a woken or
     re-parked thread carries a newer ``park_seq``, so stale entries are
@@ -149,19 +151,14 @@ class Thread:
         self.pending_exception: Optional[BaseException] = None
         # Blocking bookkeeping (set by the kernel).
         self.wait_ready: Optional[Callable[[], Any]] = None
-        self.wait_deadline_ns: Optional[int] = None
-        self.wake_hint_ns: Optional[int] = None
+        self.wait_deadline_ns: Optional[int] = None  # the caller's timeout
         self.block_started_ns: int = 0
         self.blocked_on: str = ""
-        # v2 scheduler wait-channel bookkeeping: ``park_seq`` versions each
-        # park (stale WaitQueue/deadline entries carry an older value),
-        # ``poll_hot`` marks a kicked thread awaiting re-poll, and
-        # ``always_polled`` flags channel-less waits that must be polled
-        # every round.
+        # ``park_seq`` versions each park (stale WaitQueue and deadline-heap
+        # entries carry an older value); ``poll_hot`` marks a kicked thread
+        # awaiting its re-poll.
         self.park_seq = 0
         self.poll_hot = False
-        self.always_polled = False
-        self.wait_channels: tuple = ()
         # Quiescence/profiling bookkeeping.
         self.reached_qp = False  # arrived at its quiescent point at least once
         self.loop_stack: List[str] = []

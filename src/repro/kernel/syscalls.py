@@ -3,8 +3,9 @@
 A simulated thread performs a syscall by yielding a ``SyscallRequest``; the
 kernel looks its handler and cost up in ``SyscallTable.entries``.  A handler
 returns either an immediate result or a ``Blocked`` marker carrying a
-readiness predicate — the scheduler parks the thread and polls the
-predicate (with an optional timeout deadline).
+readiness predicate and what can make it true — the scheduler parks the
+thread and polls the predicate when one of those changes (or the caller's
+timeout runs out).
 
 This module is *the* interception boundary of the reproduction: MCR's
 dynamic instrumentation wraps requests before they reach the kernel
@@ -57,16 +58,17 @@ class SyscallRequest:
 class Blocked:
     """Handler result: park the thread until ``ready`` returns (True, v).
 
-    ``wake_ns`` is an absolute virtual-time hint: the predicate can only
-    become true at/after that time (nanosleep), so the scheduler may jump
-    the clock there when nothing else is runnable.
-
     ``channels`` names the kernel objects (each owning a
     ``process.WaitQueue``) whose state changes can make ``ready`` flip
     true; the scheduler parks the thread on them and re-polls only when
-    one is kicked.  An empty tuple with no timeout and no ``wake_ns``
-    means no channel announces the predicate's change: the scheduler then
-    polls it every round rather than risk a missed wake-up.
+    one is kicked.
+
+    ``wake_ns`` is an absolute virtual time at which ``ready`` is true
+    (nanosleep): the scheduler polls the thread then, jumping the clock
+    there when nothing else is runnable.
+
+    A ``Blocked`` names at least one channel or a ``wake_ns``; the kernel
+    refuses a park that names neither, since nothing would wake it.
     """
 
     __slots__ = ("ready", "reason", "wake_ns", "channels")

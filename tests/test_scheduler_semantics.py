@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimError
 from repro.kernel import Kernel, sim_function
 from repro.kernel.kernel import Barrier
-from repro.kernel.syscalls import TIMEOUT
+from repro.kernel.syscalls import TIMEOUT, Blocked
 
 
 class TestFairness:
@@ -104,6 +105,47 @@ class TestBlockingAndTimers:
         barrier.release()
         kernel.run(max_steps=100)
         assert sorted(resumed) == ["x", "y", "z"]
+
+
+class TestOneWaitModel:
+    """A parked thread wakes only by a kicked channel or its heap entry."""
+
+    def test_a_park_naming_no_channel_and_no_wake_time_is_refused(self, kernel):
+        kernel.syscalls.entries["stuck"] = (
+            lambda thread: Blocked(lambda: (False, None), "x"),
+            1_000,
+        )
+        delivered = []
+
+        @sim_function
+        def prog(sys):
+            try:
+                yield from sys.raw("stuck", {})
+            except SimError as error:  # a kernel bug is no errno
+                delivered.append(error)
+
+        kernel.spawn_process(prog)
+        with pytest.raises(RuntimeError, match="no wait channel and no wake time"):
+            kernel.run(max_steps=10)
+        assert delivered == []
+
+    @pytest.mark.parametrize(
+        "timeout_ns,due_ns,result",
+        [(9_000, 5_000, None), (3_000, 3_000, TIMEOUT), (5_000, 5_000, None)],
+    )
+    def test_a_timed_nanosleep_leaves_one_heap_entry(self, kernel, timeout_ns, due_ns, result):
+        results = []
+
+        @sim_function
+        def prog(sys):
+            results.append((yield from sys.raw("nanosleep", {"duration_ns": 5_000}, timeout_ns)))
+
+        kernel.spawn_process(prog)
+        kernel.run(max_steps=1)
+        parked_at = kernel.clock.now_ns
+        assert [entry[0] - parked_at for entry in kernel._deadlines] == [due_ns]
+        assert kernel.run() == "idle"
+        assert results == [result]
 
 
 class TestForkIsolation:

@@ -7,7 +7,9 @@ each is pinned against its old body, kept here as the oracle:
   anything to do — against the old ``_invoke``, which sent every call of an
   MCR process through it, cell by cell and on a whole serving run;
 * ``Kernel.run`` evaluates ``until`` once per step and polls blocked
-  threads only when one can wake — against the old loop;
+  threads only when one can wake — against the old loop, which polled
+  every round and polled every blocked thread before going idle, so a
+  missing wait-channel kick shows as a difference;
 * ``Kernel._step`` enters the kernel through one ``(handler, cost)`` lookup
   and adds costs to the clock itself — so the unknown-syscall route and the
   sign checks ``clock.advance`` made per call are pinned here.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 import sys as host_sys
+import types
 
 import pytest
 
@@ -35,7 +38,7 @@ from repro.kernel.kernel import (
     Kernel,
 )
 from repro.kernel.namespaces import PidNamespace
-from repro.kernel.process import RUNNABLE, sim_function
+from repro.kernel.process import BLOCKED, RUNNABLE, WaitQueue, sim_function
 from repro.kernel.sysapi import Sys
 from repro.kernel.syscalls import Blocked, SyscallRequest, TIMEOUT
 from repro.mem.pages import PAGE_SIZE
@@ -189,8 +192,30 @@ def test_serving_run_is_step_identical_under_unconditional_intercept(server, mon
 # -- (b) the scheduler loop --------------------------------------------------------
 
 
+def _poll_every_blocked(kernel):
+    """Poll every blocked thread once, in park order; True if one woke."""
+    for thread in kernel._hot:
+        thread.poll_hot = False
+    kernel._hot = []
+    now = kernel.clock.now_ns
+    woken = False
+    for thread in list(kernel._blocked):
+        if thread.state != BLOCKED:
+            continue
+        is_ready, value = thread.wait_ready()
+        if is_ready:
+            kernel._wake(thread, value)
+        elif thread.wait_deadline_ns is not None and now >= thread.wait_deadline_ns:
+            kernel._wake(thread, TIMEOUT)
+        else:
+            continue
+        woken = True
+    return woken
+
+
 def reference_run(kernel, max_steps=None, until=None, max_ns=None):
-    """``Kernel.run`` as it was: ``until`` before every pop, poll every round."""
+    """``Kernel.run`` as it was: ``until`` before every pop, poll every
+    round, and poll every blocked thread before declaring the world idle."""
     budget = max_steps if max_steps is not None else MAX_STEPS_DEFAULT
     deadline_ns = None if max_ns is None else kernel.clock.now_ns + max_ns
     while True:
@@ -217,25 +242,25 @@ def reference_run(kernel, max_steps=None, until=None, max_ns=None):
         if not made_progress and not kernel._run_queue:
             if kernel._advance_to_next_deadline():
                 continue
-            if kernel._poll_blocked(full=True):
+            if _poll_every_blocked(kernel):
                 continue
             return "idle"
 
 
 def _mixed_world():
-    """Echo server + two clients + a sleeper + a channel-less watcher: busy
-    rounds, idle rounds with clock jumps, timeouts and always-polled waits."""
+    """Echo server + two clients + a sleeper + a watcher: busy rounds, idle
+    rounds with clock jumps, timeouts and a test-only wait channel."""
     kernel = Kernel()
     echoed = []
+    # The watcher's wait channel: each client kicks it after an echo.
+    echoes = types.SimpleNamespace(waitq=WaitQueue())
 
     def sys_await_echoes(thread, count):
-        # No wait channel announces ``echoed`` growing, so the scheduler
-        # falls back to polling this predicate every round.
         def ready():
             return (True, len(echoed)) if len(echoed) >= count else (False, None)
 
         is_ready, value = ready()
-        return value if is_ready else Blocked(ready, "await_echoes")
+        return value if is_ready else Blocked(ready, "await_echoes", channels=(echoes,))
 
     kernel.syscalls.entries["await_echoes"] = (sys_await_echoes, 1_500)
 
@@ -266,6 +291,7 @@ def _mixed_world():
         for index in range(6):
             yield from sys.send(fd, b"%s%d" % (tag, index))
             echoed.append((yield from sys.recv(fd)))
+            echoes.waitq.kick()
             yield from sys.nanosleep(pause_ns)
         yield from sys.close(fd)
 
@@ -349,12 +375,12 @@ class TestRunLoop:
         assert len(kernel._blocked) == 1
         entered = []
         poll = kernel._poll_blocked
-        kernel._poll_blocked = lambda full=False: entered.append(full) or poll(full)
+        kernel._poll_blocked = lambda: entered.append(True) or poll()
         kernel.run(max_steps=200)
-        assert entered == []  # 200 rounds, nothing hot, polled or due
+        assert entered == []  # 200 rounds, nothing hot or due
         kernel.spawn_process(napper)
         kernel.run(max_steps=20)
-        assert entered == [False]  # the nap's deadline came due exactly once
+        assert entered == [True]  # the nap's deadline came due exactly once
 
 
 # -- (c), (d) the kernel entry -----------------------------------------------------
