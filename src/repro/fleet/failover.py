@@ -48,6 +48,8 @@ from repro.servers.common import ClientLatencyLog
 # Failure-detection delay: the lease/heartbeat timeout before the fleet
 # declares the primary dead and starts promotion (virtual ns).
 DETECT_NS = 5_000_000
+# Cold restore: rehydrating the tree from its image, per described byte.
+REHYDRATE_BYTE_NS = 1
 
 COLD_ID = 2
 
@@ -218,7 +220,7 @@ class FailoverDrill(Drill):
         self.serving = node
         # Cold restore pays the full image read + graft, not a warm promote.
         sync_clock(node, self.crash_ns + DETECT_NS)
-        node.kernel.clock.advance(image.total_bytes())  # ~1 ns/byte rehydrate
+        node.kernel.clock.advance(image.total_bytes() * REHYDRATE_BYTE_NS)
         resume_node(node)
         result.cold_restored = True
         obs.emit("failover.cold_restore", image_id=image.image_id)

@@ -97,8 +97,8 @@ class Sys:
     def sendmsg(self, fd: int, data: bytes, pass_fds: Optional[List[int]] = None):
         return self._invoke("sendmsg", {"fd": fd, "data": data, "pass_fds": pass_fds})
 
-    def recvmsg(self, fd: int, install_at: Optional[List[int]] = None, timeout_ns: Optional[int] = None):
-        return self._invoke("recvmsg", {"fd": fd, "install_at": install_at}, timeout_ns)
+    def recvmsg(self, fd: int, timeout_ns: Optional[int] = None):
+        return self._invoke("recvmsg", {"fd": fd}, timeout_ns)
 
     def close(self, fd: int):
         return self._invoke("close", {"fd": fd})

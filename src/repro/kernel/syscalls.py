@@ -289,19 +289,12 @@ class SyscallTable:
         endpoint.sendmsg(bytes(data), objects)
         return len(data)
 
-    def sys_recvmsg(
-        self,
-        thread: "Thread",
-        fd: int,
-        install_at: Optional[List[int]] = None,
-        install_reserved: bool = False,
-    ) -> Any:
+    def sys_recvmsg(self, thread: "Thread", fd: int, install_reserved: bool = False) -> Any:
         """Receive (data, passed objects); install objects as fds.
 
-        ``install_at`` optionally pins the received objects to specific fd
-        numbers; ``install_reserved`` installs them in the reserved
-        (non-reusable) range instead — the MCR global-inheritance path
-        stashes inherited descriptors there until replay claims them.
+        ``install_reserved`` installs them in the reserved (non-reusable)
+        range instead — the MCR global-inheritance path stashes inherited
+        descriptors there until replay claims them.
         """
         endpoint = thread.process.fdtable.get(fd)
         if endpoint.kind != "unix":
@@ -312,7 +305,7 @@ class SyscallTable:
                 return False, None
             data, objects = endpoint.recvmsg()
             new_fds = []
-            for index, obj in enumerate(objects):
+            for obj in objects:
                 acquire = getattr(obj, "acquire", None)
                 if acquire is not None:
                     acquire()
@@ -322,10 +315,7 @@ class SyscallTable:
                     # collide with recorded startup fd numbers.
                     new_fds.append(thread.process.fdtable.install_stash(obj))
                     continue
-                target = None
-                if install_at is not None and index < len(install_at):
-                    target = install_at[index]
-                new_fds.append(thread.process.fdtable.install(obj, fd=target))
+                new_fds.append(thread.process.fdtable.install(obj))
             return True, (data, new_fds)
 
         is_ready, value = ready()

@@ -1,5 +1,5 @@
 """Assorted unit coverage: clock, errors, sysapi helpers, ctl handle,
-kernel edge semantics (epoll del, recvmsg install_at, exec + fds, OOM)."""
+kernel edge semantics (epoll del, exec + fds, OOM)."""
 
 import pytest
 
@@ -85,23 +85,6 @@ class TestKernelEdges:
         from repro.kernel.syscalls import TIMEOUT
 
         assert seen[0] and seen[1] is TIMEOUT
-
-    def test_recvmsg_install_at_pins_numbers(self, kernel):
-        placed = []
-
-        @sim_function
-        def prog(sys):
-            a, b = yield from sys.socketpair()
-            listen = yield from sys.socket()
-            yield from sys.bind(listen, 6543)
-            yield from sys.listen(listen)
-            yield from sys.sendmsg(a, b"fd", pass_fds=[listen])
-            _data, fds = yield from sys.recvmsg(b, install_at=[77])
-            placed.extend(fds)
-
-        kernel.spawn_process(prog)
-        kernel.run(max_steps=1_000)
-        assert placed == [77]
 
     def test_exec_keeps_fd_table(self, kernel):
         observed = []
