@@ -823,7 +823,6 @@ class LiveUpdateController:
             session=session,
             namespace=namespace,
             main_override=mcr_bootstrap,
-            name=f"{self.new_program.name}-v{self.new_program.version}",
         )
         # Global reallocation: reserve the union of all superobjects in the
         # root heap; fork propagates the reservations tree-wide.

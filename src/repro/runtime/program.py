@@ -174,7 +174,6 @@ def load_program(
     build: Optional[BuildConfig] = None,
     session: Optional[Any] = None,
     main_args: Tuple = (),
-    name: Optional[str] = None,
     namespace: Optional[Any] = None,
     main_override: Optional[Callable] = None,
 ) -> Process:
@@ -189,7 +188,7 @@ def load_program(
     process = kernel.spawn_process(
         main_override or program.main,
         args=main_args,
-        name=name or program.name,
+        name=program.name,
         namespace=namespace,
     )
     process.program = program

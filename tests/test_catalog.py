@@ -11,7 +11,8 @@ Five parts, none of which reads a host clock:
     import what, where port numbers may be written; one of each.
 (d) *The fence moves* — ``opensshd`` and ``nginx_reg`` are under
     record/replay and the update fault matrix by having a row.
-(e) *A pinned hole* — restore of a live-updated node (ROADMAP item 1).
+(e) *Restore after an update* — an updated tree keeps its program's name,
+    so the image of a live-updated node restores like a fresh boot's.
 """
 
 from __future__ import annotations
@@ -376,29 +377,14 @@ def test_every_update_site_cell_survives(server):
         assert cell["survived"] and cell["old_version_intact"], cell
 
 
-# -- (e) ROADMAP item 1's hole, pinned -------------------------------------------
+# -- (e) an updated tree keeps its program's name, so its image restores ---------
 
 # The rows that had a one-shot request script before vsftpd and opensshd
 # got theirs: the traffic this test has always sent, kept as it was.
 SERVED_BEFORE_REQUEST_SCRIPTS = ("simple", "httpd", "nginx", "nginx_reg", "memcache")
 
-_RESTORE_REFUSED = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: ImageError in section 'process-tree' — "
-    "controller._restart names the new root 'name-vN', a fresh boot 'name'",
-)
 
-
-@pytest.mark.parametrize(
-    "server",
-    [
-        pytest.param("simple", marks=_RESTORE_REFUSED),
-        pytest.param("memcache", marks=_RESTORE_REFUSED),
-        pytest.param("httpd", marks=_RESTORE_REFUSED),
-        pytest.param("vsftpd", marks=_RESTORE_REFUSED),
-        "nginx",
-    ],
-)
+@pytest.mark.parametrize("server", ["simple", "memcache", "httpd", "vsftpd", "nginx"])
 def test_a_live_updated_node_can_be_checkpointed_and_restored(server):
     node, restored = Node.boot(server), None
     try:
