@@ -15,14 +15,10 @@ from repro.errors import SimError
 
 
 class SimFile:
-    """An inode: content plus an identity."""
-
-    _next_inode = 1
+    """An inode: its content (the object is its identity)."""
 
     def __init__(self, content: bytes = b"") -> None:
         self.content = bytearray(content)
-        self.inode = SimFile._next_inode
-        SimFile._next_inode += 1
 
 
 class OpenFile:

@@ -71,8 +71,8 @@ class Barrier:
 class Kernel:
     """World state: processes, network, filesystem, namespace, clock."""
 
-    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
-        self.clock = clock or VirtualClock()
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
         self.net = NetworkStack()
         self.fs = SimFileSystem()
         self.pidns = PidNamespace()  # the root (default) namespace
@@ -103,6 +103,9 @@ class Kernel:
         # is bound here (``trace.bind_kernel(kernel)``), every scheduler
         # pick folds into its rolling pick-order CRC.
         self.trace = None
+        # The ``QuiescenceProfiler`` that owns this kernel, if one does:
+        # only then do wakes and loop iterations feed profiling input.
+        self.profiler = None
 
     # -- process/thread lifecycle ---------------------------------------------
 
@@ -223,7 +226,6 @@ class Kernel:
         thread = process.add_thread(None, name, creation_stack)
         sys_api = Sys(thread)
         thread.body = main(sys_api, *args)
-        thread.started_ns = self.clock.now_ns
         self._run_queue.append(thread)
         return thread
 
@@ -559,10 +561,8 @@ class Kernel:
         return woken
 
     def _wake(self, thread: Thread, value: Any) -> None:
-        # Account blocking time against the call site (profiler input).
-        site = f"{thread.top_function()}:{thread.blocked_on.split(':')[0]}"
-        elapsed = self.clock.now_ns - thread.block_started_ns
-        thread.blocking_time_ns[site] = thread.blocking_time_ns.get(site, 0) + elapsed
+        if self.profiler is not None:
+            self.profiler.on_wake(thread)
         collector = obs.ACTIVE
         if collector is not None:
             collector.counters.incr("sched.wakes")
@@ -572,8 +572,8 @@ class Kernel:
                 "sched.wake",
                 severity="debug",
                 thread=f"{thread.process.name}:{thread.name}",
-                site=site,
-                blocked_ns=elapsed,
+                site=thread.wait_site(),
+                blocked_ns=self.clock.now_ns - thread.block_started_ns,
             )
         self._blocked.pop(thread, None)
         thread.state = RUNNABLE

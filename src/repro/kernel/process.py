@@ -123,7 +123,6 @@ def sim_function(fn: Callable[..., Generator]) -> Callable[..., Generator]:
             thread.call_stack.pop()
         return result
 
-    wrapper.__sim_function__ = True
     return wrapper
 
 
@@ -159,21 +158,22 @@ class Thread:
         # awaiting its re-poll.
         self.park_seq = 0
         self.poll_hot = False
-        # Quiescence/profiling bookkeeping.
+        # Quiescence bookkeeping.  The profiler's per-site stalled time and
+        # loop lists are not here: a ``QuiescenceProfiler`` keeps them for
+        # the kernel it profiles, and no other run pays for them.
         self.reached_qp = False  # arrived at its quiescent point at least once
-        self.loop_stack: List[str] = []
-        self.loop_counts: Dict[str, int] = {}
-        self.blocking_time_ns: Dict[str, int] = {}
         self.at_barrier = False
         self.exit_value: Any = None
-        # Wall of separation for MCR: which version/world this thread is in.
-        self.started_ns = 0
 
     def stack_id(self) -> int:
         return call_stack_id(self.call_stack)
 
     def top_function(self) -> str:
         return self.call_stack[-1] if self.call_stack else "<entry>"
+
+    def wait_site(self) -> str:
+        """``function:syscall`` of the call this thread is parked in."""
+        return f"{self.top_function()}:{self.blocked_on.split(':')[0]}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

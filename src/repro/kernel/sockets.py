@@ -135,10 +135,8 @@ class UnixEndpoint(_Waitable):
 
     kind = "unix"
 
-    def __init__(self, pair_id: int, side: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.pair_id = pair_id
-        self.side = side
         self.inbox: List[Tuple[bytes, List[Any]]] = []
         self.peer: Optional["UnixEndpoint"] = None
         self.closed = False
@@ -179,9 +177,8 @@ class EpollObject(_Waitable):
 
     kind = "epoll"
 
-    def __init__(self, epoll_id: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.epoll_id = epoll_id
         self.watched: Dict[int, Any] = {}
 
     def add(self, fd: int, obj: Any) -> None:
@@ -221,14 +218,15 @@ class NetworkStack:
         self._listeners: Dict[int, ListeningSocket] = {}
         self._next_sock_id = 1
         self._next_conn_id = 1
+        # Socketpairs and epoll instances carry no id; these two counters
+        # only keep the count a checkpoint image records.
         self._next_pair_id = 1
         self._next_epoll_id = 1
         self.total_connections = 0
 
     def new_epoll(self) -> EpollObject:
-        epoll = EpollObject(self._next_epoll_id)
         self._next_epoll_id += 1
-        return epoll
+        return EpollObject()
 
     def new_socket(self) -> UnboundSocket:
         sock = UnboundSocket(self._next_sock_id)
@@ -282,10 +280,8 @@ class NetworkStack:
         return client_end
 
     def socketpair(self) -> Tuple[UnixEndpoint, UnixEndpoint]:
-        pair_id = self._next_pair_id
         self._next_pair_id += 1
-        a = UnixEndpoint(pair_id, 0)
-        b = UnixEndpoint(pair_id, 1)
+        a, b = UnixEndpoint(), UnixEndpoint()
         a.peer = b
         b.peer = a
         return a, b

@@ -9,8 +9,10 @@ runtime has something to do for this call — startup recording, replay,
 unblockification — the request is routed through it first; in steady
 state, away from quiescent points, it goes straight to the kernel.
 
-Non-yielding helpers (``loop_iter`` etc.) maintain the loop bookkeeping the
-quiescence profiler consumes.
+The non-yielding ``loop_iter`` marks a loop iteration for the quiescence
+profiler.  The bookkeeping exists only in a profiling run: the profiler
+keeps it for the kernel it profiles, and everywhere else an iteration
+costs one attribute test.
 """
 
 from __future__ import annotations
@@ -156,9 +158,11 @@ class Sys:
     # -- loop bookkeeping (profiler input; no kernel involvement) ------------------
 
     def loop_iter(self, loop_name: str) -> None:
-        """Mark one iteration of a named loop in the current function."""
-        thread = self.thread
-        key = f"{thread.top_function()}:{loop_name}"
-        thread.loop_counts[key] = thread.loop_counts.get(key, 0) + 1
-        if key not in thread.loop_stack:
-            thread.loop_stack.append(key)
+        """Mark one iteration of a named loop in the current function.
+
+        Recorded only when a ``QuiescenceProfiler`` owns the kernel; a
+        no-op otherwise.
+        """
+        profiler = self.process.kernel.profiler
+        if profiler is not None:
+            profiler.on_loop_iter(self.thread, loop_name)

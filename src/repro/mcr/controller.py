@@ -67,7 +67,6 @@ class RestoreContext:
     """Handed to ``post_startup`` reinit handlers (volatile-state rebuild)."""
 
     def __init__(self, controller: "LiveUpdateController", new_root: Process) -> None:
-        self.controller = controller
         self.kernel = controller.kernel
         self.old_root = controller.old_root
         self.new_root = new_root
@@ -778,13 +777,7 @@ class LiveUpdateController:
         stash = FdStash()
         session.stash = stash
         self.old_session.startup_log.reset_consumption()
-        session.replay_engine = ReplayEngine(
-            session,
-            self.old_session.startup_log,
-            inventory,
-            stash,
-        )
-        self._inventory = inventory
+        session.replay_engine = ReplayEngine(session, self.old_session.startup_log, stash)
         # Pre-request quiescence so no thread consumes a fresh event.
         session.quiescence.request()
         # Global inheritance: ship every old descriptor over a Unix socket.

@@ -193,7 +193,6 @@ class FaultArm:
         else:
             self._rng = None
         self.hits = 0
-        self.fired = 0
 
     def should_fire(self) -> bool:
         self.hits += 1
@@ -279,7 +278,6 @@ class FaultPlan:
             return
         for arm in arms:
             if arm.should_fire():
-                arm.fired += 1
                 self.injected.append((site, arm.hits))
                 self.last_fired = site
                 error = arm.make_error()

@@ -47,7 +47,6 @@ class QuiescenceProtocol:
         self.session = session
         self.barrier: Optional[Barrier] = None
         self.requested = False
-        self.requested_at_ns = 0
         self.converged_at_ns: Optional[int] = None
         # Rolling-update scoping: when set, only these processes divert to
         # the barrier at their quiescent points — the rest of the tree
@@ -75,7 +74,6 @@ class QuiescenceProtocol:
         """
         self.barrier = Barrier()
         self.requested = True
-        self.requested_at_ns = self.session.kernel.clock.now_ns
         self.converged_at_ns = None
         self.scope = set(scope) if scope is not None else None
         self._arrivals_floor = 0

@@ -12,6 +12,11 @@ The workload must drive the program into every state that should be a
 legal quiescent state at update time (e.g. idle connections).  Workloads
 are callables ``(kernel) -> list[Process]`` that spawn simulated client
 processes; profiling ends when every client exits.
+
+The profiler attaches itself to the kernel it profiles and keeps both
+inputs per thread: the kernel reports each wake (``on_wake``) and each
+marked loop iteration (``Sys.loop_iter``) to it.  A kernel with no
+profiler attached keeps neither, so only a profiling run pays for them.
 """
 
 from __future__ import annotations
@@ -56,6 +61,23 @@ class QuiescenceProfiler:
 
     def __init__(self, kernel: Optional[Kernel] = None) -> None:
         self.kernel = kernel or Kernel()
+        self.kernel.profiler = self
+        # Per thread: stalled time by wait site, and the marked loops in
+        # first-iteration order (a loop is never left in the model, so
+        # every loop entered is still on the stack).
+        self.stalls: Dict[Thread, Dict[str, int]] = {}
+        self.loops: Dict[Thread, Dict[str, None]] = {}
+
+    # -- kernel feed ------------------------------------------------------------
+
+    def on_wake(self, thread: Thread) -> None:
+        """``thread`` is leaving its park: charge the stall to its site."""
+        site = thread.wait_site()
+        sites = self.stalls.setdefault(thread, {})
+        sites[site] = sites.get(site, 0) + self.kernel.clock.now_ns - thread.block_started_ns
+
+    def on_loop_iter(self, thread: Thread, loop_name: str) -> None:
+        self.loops.setdefault(thread, {})[f"{thread.top_function()}:{loop_name}"] = None
 
     def profile(
         self,
@@ -117,6 +139,8 @@ class QuiescenceProfiler:
     ) -> QuiescenceReport:
         report = QuiescenceReport(program.name)
         classes: Dict[int, ThreadClass] = {}
+        # creation stack id -> stalled time at the class's quiescent point.
+        qp_ns: Dict[int, int] = {}
         for process in _all_tree_processes(root):
             for thread in process.threads.values():
                 cls = classes.get(thread.creation_stack_id)
@@ -126,7 +150,7 @@ class QuiescenceProfiler:
                 cls.count += 1
                 if thread.state == EXITED or process.exited:
                     cls.exited_count += 1
-                self._merge_thread_stats(cls, thread)
+                self._merge_thread_stats(cls, thread, qp_ns)
         for cls in classes.values():
             # A class is long-lived when at least one member survived the
             # whole profiling run.
@@ -149,29 +173,26 @@ class QuiescenceProfiler:
         )
         return report
 
-    def _merge_thread_stats(self, cls: ThreadClass, thread: Thread) -> None:
+    def _merge_thread_stats(
+        self, cls: ThreadClass, thread: Thread, qp_ns: Dict[int, int]
+    ) -> None:
         # Statistical profiling: pick the site with the most stalled time.
         best_site: Optional[str] = None
         best_ns = -1
-        for site, stalled_ns in thread.blocking_time_ns.items():
-            cls.total_blocking_ns += stalled_ns
+        for site, stalled_ns in self.stalls.get(thread, {}).items():
             if stalled_ns > best_ns:
                 best_site, best_ns = site, stalled_ns
         # Include the site the thread is currently parked at (it may have
         # been stalled there since before any wake, with no accounting yet).
         if thread.state == "blocked" and thread.blocked_on:
-            current = f"{thread.top_function()}:{thread.blocked_on.split(':')[0]}"
-            kernel = thread.process.kernel
-            stalled_ns = kernel.clock.now_ns - thread.block_started_ns
+            stalled_ns = self.kernel.clock.now_ns - thread.block_started_ns
             if stalled_ns > best_ns:
-                best_site, best_ns = current, stalled_ns
-        if best_site is not None and best_ns >= 0:
+                best_site, best_ns = thread.wait_site(), stalled_ns
+        if best_site is not None and best_ns > qp_ns.get(cls.creation_stack_id, -1):
             function, syscall = best_site.rsplit(":", 1)
-            candidate = (function, syscall)
-            if cls.quiescent_point is None or best_ns > getattr(cls, "_qp_ns", -1):
-                cls.quiescent_point = candidate
-                cls._qp_ns = best_ns
+            cls.quiescent_point = (function, syscall)
+            qp_ns[cls.creation_stack_id] = best_ns
         # Loop profiling: loops still on the stack never terminated.
-        for loop_key in thread.loop_stack:
+        for loop_key in self.loops.get(thread, ()):
             if loop_key not in cls.long_lived_loops:
                 cls.long_lived_loops.append(loop_key)

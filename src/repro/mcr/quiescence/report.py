@@ -30,7 +30,6 @@ class ThreadClass:
         # (function_name, syscall_name) with the largest stalled time.
         self.quiescent_point: Optional[Tuple[str, str]] = None
         self.long_lived_loops: List[str] = []
-        self.total_blocking_ns = 0
 
     @property
     def name(self) -> str:

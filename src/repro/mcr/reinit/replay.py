@@ -26,7 +26,7 @@ from repro.kernel.process import Process, Thread
 from repro.mcr.faults import fire
 from repro.kernel.syscalls import SyscallRequest
 from repro.mcr.reinit.callstack import deep_match, sanitize_args
-from repro.mcr.reinit.immutable import FdStash, ImmutableInventory
+from repro.mcr.reinit.immutable import FdStash
 from repro.mcr.reinit.startup_log import (
     FD_CREATING,
     FD_PAIR_CREATING,
@@ -82,18 +82,15 @@ class ReplayEngine:
         self,
         session: "MCRSession",
         old_log: StartupLog,
-        inventory: ImmutableInventory,
         stash: FdStash,
     ) -> None:
         self.session = session
         self.old_log = old_log
-        self.inventory = inventory
         self.stash = stash
         # pid -> {old_fd: new_fd} for transient (live-created) descriptors.
         self.fd_translation: Dict[int, Dict[int, int]] = {}
         self.conflicts: List[ConflictError] = []
         self.replayed_count = 0
-        self.live_count = 0
 
     # -- the interception entry point (a generator: drive with yield from) ------
 
@@ -110,7 +107,6 @@ class ReplayEngine:
         record = self._match(process, thread, name, args)
         if record is None:
             # New operation introduced by the update: run it live.
-            self.live_count += 1
             result = yield SyscallRequest(name, args, timeout_ns)
             return result
         if not deep_match(record.args, sanitize_args(args), translation):
@@ -146,7 +142,6 @@ class ReplayEngine:
             # Created during old startup but closed before the update: not
             # inherited, hence not immutable — run live and learn the
             # translation for later argument matching.
-            self.live_count += 1
             result = yield SyscallRequest(name, args, timeout_ns)
             if name in FD_CREATING and isinstance(result, int) and created:
                 translation[created[0]] = result
@@ -169,11 +164,9 @@ class ReplayEngine:
                 # Touches inherited in-kernel state: pure replay.
                 self.replayed_count += 1
                 return record.result
-            self.live_count += 1
             result = yield SyscallRequest(name, args, timeout_ns)
             return result
         # -- everything else (sleep, compute, mmap, thread_create, ...) ---------
-        self.live_count += 1
         result = yield SyscallRequest(name, args, timeout_ns)
         return result
 

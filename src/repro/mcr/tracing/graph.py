@@ -123,19 +123,17 @@ class ObjectRecord:
 class PointerSlot:
     """One traced pointer: where it sits and what it targets."""
 
-    __slots__ = ("slot_address", "container_base", "value", "target_base", "kind", "interior")
+    __slots__ = ("slot_address", "value", "target_base", "kind", "interior")
 
     def __init__(
         self,
         slot_address: int,
-        container_base: int,
         value: int,
         target_base: int,
         kind: str,  # "precise" | "likely"
         interior: bool,
     ) -> None:
         self.slot_address = slot_address
-        self.container_base = container_base
         self.value = value
         self.target_base = target_base
         self.kind = kind
@@ -525,7 +523,6 @@ class GraphBuilder:
                     self.result.precise_pointers.append(
                         PointerSlot(
                             record.base,
-                            record.base,
                             value,
                             target_base,
                             "precise",
@@ -551,7 +548,7 @@ class GraphBuilder:
             if target is None:
                 continue
             self.result.precise_pointers.append(
-                PointerSlot(slot, record.base, value, target_base, "precise", value != target_base)
+                PointerSlot(slot, value, target_base, "precise", value != target_base)
             )
         for offset, size in precise.opaque_ranges(record.type):
             self._visit_conservative(record, offset, size)
@@ -619,7 +616,6 @@ class GraphBuilder:
             self.result.likely_pointers.append(
                 PointerSlot(
                     likely.slot_address,
-                    container.base,
                     likely.value,
                     likely.target_base,
                     "likely",

@@ -72,7 +72,6 @@ class ProcessTransferStats:
         self.transforms = 0
         self.words_scanned = 0
         self.pages_scanned = 0
-        self.reduction = 0.0
         self.bytes_traced_total = 0
         self.bytes_clean = 0
 
@@ -358,7 +357,6 @@ class StateTransfer:
         stats.pages_scanned = plan.pages_scanned
         stats.bytes_traced_total = plan.bytes_nonlib or 1
         stats.bytes_clean = plan.bytes_nonlib - sum(plan.nonlib_sizes[i] for i in dirty)
-        stats.reduction = stats.bytes_clean / stats.bytes_traced_total
         kept = plan.skippable
         if self.use_dirty_filter:
             kept = kept & dirty

@@ -102,7 +102,6 @@ class TraceLog:
         self.draws: List[List[Any]] = []       # [stream, stream_index, value]
         self.checkpoints: List[List[int]] = []  # [picks, steps, clock_ns, crc]
         self.final: Dict[str, Any] = {}
-        self.partial = False                    # replay stopped at failure
         # Rolling scheduler state.
         self._crc = 0
         self._picks = 0
@@ -189,7 +188,6 @@ class TraceLog:
         only the outcome identity — ``failure_site`` — is verified on
         top of the draws/checkpoints already compared along the way.
         """
-        self.partial = partial
         final = dict(final)
         final["picks"] = self._picks
         final["sched_crc"] = self._crc

@@ -212,5 +212,4 @@ def load_program(
 
             session = MCRSession(kernel, program, build)
         process.runtime = session.attach_process(process)
-        process.mcr_session = session
     return process

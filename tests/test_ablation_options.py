@@ -183,6 +183,7 @@ REMOVED_OPTIONS = [
     (MCRConfig, "checkpoint_path"),
     (MCRConfig, "downtime_budget_ns"),
     (Kernel, "config"),
+    (Kernel, "clock"),
     (LiveUpdateController, "build"),
     (LiveUpdateController, "cost"),
     (LiveUpdateController, "match_strategy"),

@@ -484,7 +484,7 @@ def test_evicting_the_last_reference_to_a_listener_frees_its_port(kernel):
     # A foreign descriptor landed on the recorded number first, and this
     # table holds the only reference to it.
     process.fdtable.install(squatter, fd=3)
-    engine = ReplayEngine(None, StartupLog(), None, stash)
+    engine = ReplayEngine(None, StartupLog(), stash)
     engine._claim_inherited(process, 1, 3)
     assert process.fdtable.get(3) is inherited
     assert squatter.refcount == 0 and squatter.closed
@@ -503,7 +503,7 @@ def test_the_stash_gc_closes_what_only_the_stash_held(kernel):
     stash = FdStash()
     stash.add(1, 5, root.fdtable.install_stash(orphan))
     worker = kernel.do_fork(next(iter(root.threads.values())), _idle, (), "worker")
-    engine = ReplayEngine(None, StartupLog(), None, stash)
+    engine = ReplayEngine(None, StartupLog(), stash)
     engine.finish(root)
     assert root.fdtable._stash is None and worker.fdtable._stash is None
     assert orphan.refcount == 0 and orphan.closed

@@ -371,8 +371,8 @@ def test_recorder_keeps_what_the_class_entries_kept(stream, max_entries, max_byt
     """Tuple entries and the direct event call against the parent bodies."""
     from repro.obs.events import BlackBoxLog, Event, EventLog
 
-    clock = VirtualClock()
-    kernel = Kernel(clock=clock)
+    kernel = Kernel()
+    clock = kernel.clock
     _booted_simple(kernel)
     new = FlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)
     old = _SlottedFlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)

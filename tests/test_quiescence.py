@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ProfilerError, QuiescenceTimeout
 from repro.kernel import Kernel, sim_function
+from repro.kernel.process import Thread
 from repro.mcr.quiescence.profiler import QuiescenceProfiler
 from repro.mcr.quiescence.report import QuiescenceReport, ThreadClass
 from repro.runtime.instrument import BuildConfig
@@ -173,6 +174,46 @@ class TestProfilerErrors:
 
         with pytest.raises(ProfilerError):
             profiler.profile(simple.make_program(1), workload, workload_steps=20_000)
+
+
+@sim_function
+def _sleepy_loop(sys):
+    for _ in range(3):
+        sys.loop_iter("main")
+        yield from sys.nanosleep(1_000)
+
+
+class TestProfilerBookkeeping:
+    """Only the kernel a ``QuiescenceProfiler`` owns keeps profiling input."""
+
+    def _count_calls(self, monkeypatch):
+        """Threads asked for their function, whether for a wait site or a
+        loop key (an uninstrumented program asks for nothing else)."""
+        asked = []
+        top_function = Thread.top_function
+        monkeypatch.setattr(
+            Thread, "top_function", lambda thread: asked.append(thread) or top_function(thread)
+        )
+        return asked
+
+    def test_a_plain_kernel_builds_no_wait_site_and_no_loop_key(self, kernel, monkeypatch):
+        asked = self._count_calls(monkeypatch)
+        process = kernel.spawn_process(_sleepy_loop)
+        assert kernel.run() == "idle" and process.exited
+        assert kernel.profiler is None and asked == []
+        (thread,) = process.threads.values()
+        for field in ("loop_counts", "loop_stack", "blocking_time_ns", "started_ns"):
+            assert not hasattr(thread, field)
+
+    def test_the_profiled_kernel_keeps_stalls_and_loops_per_thread(self, kernel, monkeypatch):
+        asked = self._count_calls(monkeypatch)
+        profiler = QuiescenceProfiler(kernel)
+        process = kernel.spawn_process(_sleepy_loop)
+        assert kernel.run() == "idle"
+        (thread,) = process.threads.values()
+        assert kernel.profiler is profiler and asked == [thread] * 6
+        assert profiler.stalls == {thread: {"_sleepy_loop:nanosleep": 3_000}}
+        assert list(profiler.loops[thread]) == ["_sleepy_loop:main"]
 
 
 class TestReport:

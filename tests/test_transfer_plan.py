@@ -128,7 +128,6 @@ class EagerDirtyFilter:
             "objects_clean": len(clean),
             "bytes_total": total_bytes,
             "bytes_clean": clean_bytes,
-            "reduction": clean_bytes / total_bytes,
         }
 
 
@@ -145,7 +144,6 @@ class EagerStateTransfer(StateTransfer):
         dirty_filter = EagerDirtyFilter(old_proc)
         reduction = dirty_filter.reduction_stats(trace)
         stats.pages_scanned = dirty_filter.pages_scanned
-        stats.reduction = reduction["reduction"]
         stats.bytes_traced_total = reduction["bytes_total"]
         stats.bytes_clean = reduction["bytes_clean"]
         index = _AddressIndex(sorted(trace.objects), trace.objects)
