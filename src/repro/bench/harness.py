@@ -101,7 +101,7 @@ def run_trials(
 
     ``headline`` names the drills' headline number (``rto`` /
     ``brownout``), reported as the upper median and the worst of the
-    trials that produced one — with the two or three trials a sweep cell
+    trials that produced one — with the one to three trials a sweep row
     runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when every
     trial ended serving, without a drill error, inside its client SLO.
     """

@@ -12,16 +12,16 @@ every request end to end and judge what clients perceived.
 channel / baseline state, boot and warm-up, the window loop and its
 delta cadence, shipping a delta to the peer, fault bookkeeping, request
 accounting with the merged client latency log, best-effort teardown of
-every node it booted, and the never-raise ``run``.  ``DrillResult``
-owns the fields both outcomes share and the convergence contract:
-exactly one of {the peer took over, the primary kept serving}.
+every node it booted, the never-raise ``run``, and ``cell``, the one
+fault-matrix cell runner.  ``DrillResult`` owns the shared fields, a
+cell's row, and ``violations()``, the one statement of the contract.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.checkpoint import (
     CheckpointImage,
@@ -32,6 +32,8 @@ from repro.checkpoint import (
 from repro.clock import ns_to_ms
 from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
+from repro.mcr.faults import FaultPlan
+from repro.replay.scenario import arm
 from repro.servers.common import ClientLatencyLog, ClientPerceived
 
 PRIMARY_ID = 0
@@ -82,18 +84,34 @@ class DrillResult:
     perceived: Optional[Dict[str, Any]] = None
     blackbox: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
+    faults: Optional[FaultPlan] = reported(default=None)  # what the drill armed
+
+    # The fields a fault-matrix cell reports (``row`` adds derived keys).
+    ROW: ClassVar[Tuple[str, ...]] = (
+        "fired_sites", "primary_survived", "requests_lost", "served_after", "error")
 
     @property
-    def converged(self) -> bool:
-        """The XOR contract: exactly one end state, and it served afterwards.
+    def fired(self) -> bool:
+        return bool(self.fired_sites or (self.faults and self.faults.injected))
 
-        ``recovered`` (the peer ended up serving) is named by each drill.
-        """
-        return (
-            self.error is None
-            and self.served_after
-            and self.recovered != self.primary_survived
-        )
+    def violations(self) -> List[str]:
+        """Every way the drill broke its contract (``recovered``, the peer
+        ended up serving, is each drill's); empty when it held."""
+        return [broken for broken in (
+            self.error,
+            not self.served_after and "not serving afterwards",
+            self.recovered == self.primary_survived
+            and ("two end states" if self.recovered else "no end state"),
+            self.fired and not self.faults and "fired without being armed",
+            self.faults and not self.fired and "armed and never fired",
+            self.requests_lost and f"requests lost: {self.requests_lost}",
+        ) if broken]
+
+    def row(self) -> Dict[str, Any]:
+        """A fault-matrix cell's report: the ``ROW`` fields and the verdict."""
+        data = self.to_dict()
+        return dict({key: data[key] for key in self.ROW},
+                    fired=self.fired, converged=not self.violations())
 
     def to_dict(self) -> Dict[str, Any]:
         """Each field under its own name (lists and dicts copied), or under
@@ -161,9 +179,31 @@ class Drill:
 
     # -- the drill -------------------------------------------------------------
 
+    @classmethod
+    def cell(cls, server: str, site: Optional[str],
+             blackbox_path: Optional[str] = None, **settings: int) -> Dict[str, Any]:
+        """One fault-matrix cell's row: arm ``site`` ("a+b" a double fault, None
+        clean) on a config that also sets the ``MCRConfig`` fields ``settings``,
+        and run the drill.  An error never escapes: it is the cell's RAISED row."""
+        armed = site.split("+") if site else []
+        options = cls._cell_options(armed)
+        row = {"server": server, "armed": armed, "raised": False, **options}
+        config = MCRConfig(faults=arm(site), blackbox_path=blackbox_path, **settings)
+        try:
+            row.update(cls(server, config=config, **options).run().row())
+        except Exception as error:  # the drill's contract says never
+            # Report every key a finished cell does, so tables show RAISED.
+            row.update(dict.fromkeys(cls.RESULT(server).row()),
+                       raised=True, error=repr(error), converged=False)
+        return row
+
+    @classmethod
+    def _cell_options(cls, armed: List[str]) -> Dict[str, Any]:
+        return {}  # constructor options a cell armed with ``armed`` runs with
+
     def run(self) -> DrillResult:
         """Never raises; every node the drill booted is torn down."""
-        result = self.RESULT(self.server)
+        result = self.RESULT(self.server, faults=self.config.faults)
         try:
             self._run(result)
         except Exception as error:  # the never-raise backstop

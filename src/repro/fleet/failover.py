@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.checkpoint import (
@@ -68,9 +68,16 @@ class FailoverResult(DrillResult):
     standby_stale: bool = False
     stale_lag: int = 0          # source seq - applied seq at promotion
 
+    ROW = DrillResult.ROW + (
+        "promoted", "cold_restored", "standby_stale", "stale_lag", "rto_ms")
+
     @property
     def recovered(self) -> bool:
         return self.promoted or self.cold_restored
+
+    def row(self) -> Dict[str, Any]:
+        return dict(super().row(), recovered_on_standby=self.recovered,
+                    blackbox=self.blackbox is not None)
 
 
 class FailoverDrill(Drill):
@@ -78,6 +85,9 @@ class FailoverDrill(Drill):
 
     RESULT = FailoverResult
     WINDOWS = 10
+    # Sites that leave the primary serving when they fire: a cell armed
+    # with these alone runs without a crash.
+    CONTINUE_SITES = ("checkpoint.capture", "checkpoint.write", "checkpoint.delta")
 
     def __init__(
         self,
@@ -99,6 +109,10 @@ class FailoverDrill(Drill):
     @property
     def standby(self) -> Optional[WarmStandby]:
         return self.peer
+
+    @classmethod
+    def _cell_options(cls, armed: List[str]) -> Dict[str, Any]:
+        return {"crash": not armed or any(s not in cls.CONTINUE_SITES for s in armed)}
 
     # -- checkpoint plumbing (fault-tolerant: failures never stop serving) -----
 

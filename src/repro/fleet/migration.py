@@ -38,7 +38,7 @@ exactly where it stopped.  ``run`` never raises; every drill ends with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.checkpoint import (
@@ -91,9 +91,18 @@ class MigrationResult(DrillResult):
     stopcopy_bytes: Optional[int] = None
     brownout_ns: Optional[int] = reported(("brownout_ms", ms), default=None)
 
+    ROW = DrillResult.ROW + (
+        "migrated", "aborted", "precopy_rounds", "precopy_failures", "reseeds",
+        "brownout_ms")
+
     @property
     def recovered(self) -> bool:
         return self.migrated
+
+    def row(self) -> Dict[str, Any]:
+        # An aborted cutover's black box names the site that killed it.
+        return dict(super().row(),
+                    blackbox_site=(self.blackbox or {}).get("failure_site"))
 
 
 class MigrationDrill(Drill):

@@ -26,6 +26,7 @@ import pytest
 from repro.bench import failover, faultmatrix, fleetroll, fuzz, migrate, scanperf, updatetime
 from repro.bench.reporting import verdict_line
 from repro.cli import main
+from repro.fleet.drill import Drill
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,21 +98,23 @@ VERDICT_BENCHES = {
 }
 
 
-def _clean_cell(results, kind):
-    return next(c for c in results[f"{kind}_cells"] if not c["armed"])
+def _lose_one(result):
+    result.requests_lost += 1
 
 
-# Damage -> (the one fault matrix drill verdict it fails, the damage): a
-# drill cell that lost a request, a clean (unarmed) one that fired.
+def _fire_unarmed(result):
+    result.fired_sites.append("checkpoint.capture")
+
+
+# Damage -> (the drill kind, the grid cell it damages, what it does to the
+# drill's result): a drill cell that lost a request, a clean (unarmed)
+# one that fired.  The damaged cell is rebuilt by ``Drill.cell``, so its
+# ``converged`` is the one judge's, ``DrillResult.violations``.
 DRILL_DAMAGES = {
-    "failover-lost": ("drills_zero_loss",
-                      lambda r: r["failover_cells"][1].update(requests_lost=1)),
-    "migration-lost": ("drills_zero_loss",
-                       lambda r: r["migration_cells"][2].update(requests_lost=1)),
-    "failover-clean-fired": ("drills_fired_as_armed",
-                             lambda r: _clean_cell(r, "failover").update(fired=True)),
-    "migration-clean-fired": ("drills_fired_as_armed",
-                              lambda r: _clean_cell(r, "migration").update(fired=True)),
+    "failover-lost": ("failover", 1, _lose_one),
+    "migration-lost": ("migration", 2, _lose_one),
+    "failover-clean-fired": ("failover", 0, _fire_unarmed),
+    "migration-clean-fired": ("migration", 0, _fire_unarmed),
 }
 
 
@@ -124,10 +127,24 @@ def test_faultmatrix_exits_1_on_a_drill_that_lost_or_fired_unarmed(
     monkeypatch.setattr(faultmatrix, "run_faultmatrix", lambda **options: results)
     assert main(["bench", "faultmatrix", "--smoke"]) == 0
     capsys.readouterr()
-    verdict, damaged = DRILL_DAMAGES[damage]
-    damaged(results)
+    kind, index, damaged = DRILL_DAMAGES[damage]
+    drill, clean, sites, double, settings = faultmatrix.DRILL_GRIDS[kind]
+    site = (None, *sites, double)[index]
+    run = Drill.run
+
+    def damaged_run(self):
+        result = run(self)
+        damaged(result)
+        return result
+
+    monkeypatch.setattr(Drill, "run", damaged_run)
+    cell = drill.cell(results["servers"][0], site, **settings)
+    assert cell["converged"] is False and cell["raised"] is False
+    results[f"{kind}_cells"][index] = dict(cell, site=site or clean)
     assert main(["bench", "faultmatrix", "--smoke"]) == 1
-    assert capsys.readouterr().err == f"bench faultmatrix: failed verdicts: {verdict}\n"
+    assert capsys.readouterr().err == (
+        f"bench faultmatrix: failed verdicts: {kind}_all_converged\n"
+    )
 
 
 @pytest.mark.parametrize("bench", sorted(VERDICT_BENCHES))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
+from repro.bench.faultmatrix import DRILL_GRIDS
 from repro.checkpoint import capture_delta
 from repro.fleet.drill import SETTLE_NS, DrillResult
 from repro.fleet.failover import FailoverDrill, FailoverResult
@@ -23,12 +23,12 @@ from repro.mcr.faults import CHECKPOINT_SITES, DEFAULT_ERRORS, SITES, FaultPlan
 
 # The whole failover grid: the clean crash (None), every checkpoint-plane
 # site, and the torn-image + failed-promotion double fault.
-_GRID = DRILL_GRIDS["failover"]
-FAULT_CELLS = (None, *_GRID.sites, _GRID.double)
+_, _, _SITES, _DOUBLE, _SETTINGS = DRILL_GRIDS["failover"]
+FAULT_CELLS = (None, *_SITES, _DOUBLE)
 
 
 def run_failover_cell(server, site, blackbox_path=None):
-    return run_drill_cell("failover", server, site, blackbox_path=blackbox_path)
+    return FailoverDrill.cell(server, site, blackbox_path, **_SETTINGS)
 
 
 _SHARED_KEYS = [

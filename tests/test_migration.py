@@ -14,22 +14,22 @@ import json
 
 import pytest
 
-from repro.bench.faultmatrix import DRILL_GRIDS, run_drill_cell
+from repro.bench.faultmatrix import DRILL_GRIDS
 from repro.bench.migrate import (
     COMPARABLE_FACTOR, SMOKE_CADENCES_MS, _head_to_head, _sweep_row,
 )
-from repro.fleet.migration import MigrationDrill
+from repro.fleet.migration import DEFAULT_CONVERGENCE_BYTES, MigrationDrill
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import DEFAULT_ERRORS, MIGRATION_SITES, SITES, FaultPlan
 
 # The whole migration grid: the clean migration (None), every
 # migration-plane site, and the pre-copy + cutover double fault.
-_GRID = DRILL_GRIDS["migration"]
-FAULT_CELLS = (None, *_GRID.sites, _GRID.double)
+_, _, _SITES, _DOUBLE, _SETTINGS = DRILL_GRIDS["migration"]
+FAULT_CELLS = (None, *_SITES, _DOUBLE)
 
 
 def run_migration_cell(server, site, blackbox_path=None):
-    return run_drill_cell("migration", server, site, blackbox_path=blackbox_path)
+    return MigrationDrill.cell(server, site, blackbox_path, **_SETTINGS)
 
 
 def test_clean_migration_loses_nothing():
@@ -64,7 +64,9 @@ def test_fault_cells_converge_without_raising(site, tmp_path):
 def test_planned_brownout_is_at_most_comparable_to_the_crash_rto():
     # Same cadence, same windows, same request stream: the planned
     # brownout may not exceed COMPARABLE_FACTOR multiples of the crash RTO.
-    row = _head_to_head("simple", SMOKE_CADENCES_MS[0])
+    row = _head_to_head(
+        _sweep_row("simple", SMOKE_CADENCES_MS[0], DEFAULT_CONVERGENCE_BYTES)
+    )
     assert row["migrate_lost"] == 0 and row["failover_lost"] == 0
     assert row["migrate_brownout_ms"] is not None
     assert row["failover_rto_ms"] is not None
@@ -128,7 +130,7 @@ def test_zero_threshold_never_converges_but_still_cuts():
 def test_sweep_row_reports_a_zero_threshold_row_as_not_converged():
     # The drill above, as one ``bench migrate`` sweep row: the row says
     # what its drills did, not what the threshold implies.
-    row = _sweep_row("simple", 20, 0, 1)
+    row = _sweep_row("simple", 20, 0)
     assert row["converged_precopy"] is False
     assert row["migrated"]
 
