@@ -197,16 +197,7 @@ def run_faultmatrix(
         ]
         results.update({f"{kind}_sites": list(sites), f"{kind}_cells": rows,
                         f"{kind}_any_raised": any(row["raised"] for row in rows)})
-    checks = verdicts(results)
-    results.update({key: checks[key] for key in _STORED_VERDICTS})
     return results
-
-
-# The verdicts the artifact also stores, under the same names.
-_STORED_VERDICTS = (
-    "all_survived", "all_old_version_intact", "rolling_all_survived",
-    "all_blackbox_match", "failover_all_converged", "migration_all_converged",
-)
 
 
 def verdicts(results: Dict[str, object]) -> Dict[str, bool]:

@@ -4,6 +4,11 @@ Boots a 16-node fleet of MCR-enabled servers inside one Python process
 (each node = its own kernel, virtual clock, server tree, and obs
 collector) and drives SLO-gated canary → wave rollouts across it:
 
+Every rollout is one cell of ``rollout_cell``, the one runner, and each
+row carries ``converged``: ``RolloutReport.violations()``, the one
+statement of the rollout contract, found nothing.  Two grids of cells
+(data, like faultmatrix's ``DRILL_GRIDS``) and one extra row:
+
 * **wave sweep** — the same clean v1 → v2 rollout at several wave
   growth factors (serial one-at-a-time, geometric, and big-bang), and
   for the memcache fleet in full mode.  Per row: fleet-wide requests
@@ -11,46 +16,47 @@ collector) and drives SLO-gated canary → wave rollouts across it:
   duration.  The headline claim: with the load balancer shifting the
   request stream around each node's blackout, a clean rollout loses
   **zero** requests and every node's blackout fits the downtime budget.
-* **fault matrix** — faultmatrix-style rows injecting one mid-wave
+* **fault matrix** — faultmatrix-style cells injecting one mid-wave
   fault per rollout, crossed with the two fleet policies.  ``revert``
   must end the fleet fully old-version; ``converge`` fully new-version
-  — either way the end state is uniform, never mixed, which each row
-  asserts via per-node versions, protocol-level version probes, and the
-  faulted node's fingerprint-verified rollback.
+  — either way the end state is uniform, never mixed, judged on
+  per-node versions, protocol-level version probes, and the faulted
+  node's fingerprint-verified rollback.
 * **isolation row** — the quiet-stream regression at bench level:
   update one node of an idle fleet and assert every bystander's
   ``TreeFingerprint`` stayed byte-identical.
 
 Wired into the CLI as ``python -m repro bench fleetroll [--smoke]
-[--json]``, which exits 1 when a ``verdicts`` entry fails (a clean
-rollout lost a request, a fault row did not fire or end uniform in the
-outcome its policy promises); the JSON lands in ``BENCH_fleetroll.json``.
+[--json]``, which exits 1 when a ``verdicts`` entry fails (a clean or a
+faulted rollout did not converge, or a bystander changed); the JSON
+lands in ``BENCH_fleetroll.json``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
-from repro.fleet import Fleet, Orchestrator, wave_plan
+from repro.fleet import Fleet, Orchestrator
+from repro.fleet.orchestrator import POLICY_OUTCOMES
 from repro.mcr.config import DOWNTIME_BUDGET_NS
-from repro.replay.scenario import UpdateOutcome, arm
+from repro.replay.scenario import arm
 
 FLEET_SIZE = 16
 
-# (label, canary, growth): serial one-node-at-a-time, geometric canary
-# widening, and near-big-bang (canary then everything).
-WAVE_SWEEP: List[Tuple[str, int, int]] = [
-    ("serial", 1, 1),
-    ("canary-x2", 1, 2),
-    ("canary-x4", 1, 4),
-    ("big-bang", 1, FLEET_SIZE),
+# The wave sweep's cells: the same clean v1 -> v2 rollout one node at a
+# time, with geometric canary widening, and near-big-bang (canary then
+# everything); in full runs, canary-x4 on a memcache fleet too.
+SWEEP = dict(nodes=FLEET_SIZE, requests_per_window=2 * FLEET_SIZE, warm_windows=2)
+WAVE_SWEEP: List[Dict[str, Any]] = [
+    dict(SWEEP, label="serial", growth=1),
+    dict(SWEEP, label="canary-x2", growth=2),
+    dict(SWEEP, label="canary-x4", growth=4),
+    dict(SWEEP, label="big-bang", growth=FLEET_SIZE),
+    dict(SWEEP, label="canary-x4", growth=4, server="memcache"),
 ]
-SMOKE_WAVE_SWEEP: List[Tuple[str, int, int]] = [
-    ("serial", 1, 1),
-    ("canary-x4", 1, 4),
-]
+SMOKE_WAVE_SWEEP = [WAVE_SWEEP[0], WAVE_SWEEP[2]]
 
 # Mid-wave fault sites: each makes one second-wave node's update fail in
 # a distinct pipeline phase (memory fault mid-transfer, descriptor
@@ -62,92 +68,46 @@ FAULT_SITES = [
     "reinit.replay",
     "commit.prepare",
 ]
-SMOKE_FAULT_SITES = ["transfer.memory"]
-# Fleet policy -> the rollout outcome a mid-wave fault must end in.
-POLICY_OUTCOMES = {"revert": "reverted", "converge": "updated"}
+# The node a fault cell arms: the canary goes clean, so the failure lands
+# mid-rollout with commits already banked.
+FAULTED_NODE = 1
+# The fault grid's cells: every site under both policies.  Fault
+# rollouts need waves, not scale.
+FAULT_GRID: List[Dict[str, Any]] = [
+    dict(nodes=8, requests_per_window=8, warm_windows=1, site=site, policy=policy)
+    for site in FAULT_SITES
+    for policy in POLICY_OUTCOMES
+]
+SMOKE_FAULT_GRID = FAULT_GRID[:2]  # the first site under both policies
 # Nodes in the isolation row: one updated, the rest bystanders.
 ISOLATION_NODES = 4
 
 
-def _clean_rollout_row(
-    label: str,
-    canary: int,
-    growth: int,
-    server: str,
-    nodes: int,
-    requests_per_window: int,
-) -> Dict[str, object]:
+def rollout_cell(
+    nodes: int, requests_per_window: int, warm_windows: int,
+    server: str = "simple", growth: int = 4, **cell: str,
+) -> Dict[str, Any]:
+    """One rollout's row, named by ``cell``: a sweep cell's ``label``, or a
+    fault cell's ``site`` (armed on ``FAULTED_NODE``) and ``policy``.  Boot
+    ``nodes``, serve the warm windows, roll out to v2, then probe once;
+    ``converged`` is ``RolloutReport.violations()``'s."""
     fleet = Fleet.boot(nodes, server=server)
     try:
         orchestrator = Orchestrator(
-            fleet,
-            canary=canary,
-            wave_growth=growth,
+            fleet, wave_growth=growth, on_fault=cell.get("policy", "revert"),
             requests_per_window=requests_per_window,
         )
         # Steady-state traffic before the rollout so the blackout window
         # has live streams on both sides.
-        orchestrator.serve_windows(2)
-        report = orchestrator.rollout(to_version=2)
-        row = report.to_dict()
-        row["label"] = label
-        row["server"] = server
-        row["wave_plan"] = wave_plan(nodes, canary=canary, growth=growth)
-        row["served_uniform"] = _served_uniform(fleet, report.to_version)
+        orchestrator.serve_windows(warm_windows)
+        site = cell.get("site")
+        faults = {FAULTED_NODE: arm(site)} if site else {}
+        report = orchestrator.rollout(to_version=2, fault_plans=faults)
+        row = dict(cell, server=server, **report.to_dict())
+        # The probe is traffic, so it runs after the row's numbers are read.
+        row["served_uniform"] = report.probe()
+        row["converged"] = not report.violations()
         return row
-    finally:
-        fleet.teardown()
-
-
-def _served_uniform(fleet: Fleet, expected: int) -> Optional[bool]:
-    """Protocol-probed: does every node *serve* the expected version?"""
-    served = fleet.served_versions()
-    if any(version is None for version in served):
-        return None
-    return set(served) == {expected}
-
-
-def _fault_row(
-    site: str,
-    policy: str,
-    nodes: int,
-    requests_per_window: int,
-) -> Dict[str, object]:
-    fleet = Fleet.boot(nodes, server="simple")
-    try:
-        orchestrator = Orchestrator(
-            fleet,
-            on_fault=policy,
-            wave_growth=4,
-            requests_per_window=requests_per_window,
-        )
-        orchestrator.serve_windows(1)
-        # Arm the fault on a second-wave node: the canary goes clean, so
-        # the failure lands mid-rollout with commits already banked.
-        faulted_id = fleet.nodes[1].node_id
-        report = orchestrator.rollout(
-            to_version=2, fault_plans={faulted_id: arm(site)}
-        )
-        faulted = [o.result for o in report.outcomes if o.node_id == faulted_id]
-        update = UpdateOutcome.of(faulted[0] if faulted else None)
-        expected_end = (
-            report.to_version if report.outcome == "updated"
-            else report.from_version
-        )
-        end_versions = set(fleet.versions())
-        return {
-            "site": site,
-            "policy": policy,
-            "fired": update.failure_site == site,
-            "outcome": report.outcome,
-            "uniform": report.uniform,
-            "end_version": expected_end if end_versions == {expected_end} else None,
-            "served_uniform": _served_uniform(fleet, expected_end),
-            "rollback_verified": update.rollback_verified,
-            "reverted_nodes": len(report.reverted_nodes),
-            "converge_retries": report.converge_retries,
-            "requests_lost": fleet.requests_lost,
-        }
     finally:
         fleet.teardown()
 
@@ -180,69 +140,33 @@ def _isolation_row() -> Dict[str, object]:
 
 
 def run_fleetroll(smoke: bool = False) -> Dict[str, object]:
-    nodes = FLEET_SIZE
-    requests_per_window = 2 * nodes
     sweep = SMOKE_WAVE_SWEEP if smoke else WAVE_SWEEP
-    sites = SMOKE_FAULT_SITES if smoke else FAULT_SITES
-    fault_nodes = 8  # fault rollouts need waves, not scale
-
-    waves = [
-        _clean_rollout_row(label, canary, growth, "simple", nodes,
-                           requests_per_window)
-        for label, canary, growth in sweep
-    ]
-    if not smoke:
-        waves.append(
-            _clean_rollout_row("canary-x4", 1, 4, "memcache", nodes,
-                               requests_per_window)
-        )
-    faults = [
-        _fault_row(site, policy, fault_nodes, fault_nodes)
-        for site in sites
-        for policy in POLICY_OUTCOMES
-    ]
-    results: Dict[str, object] = {
-        "fleet_size": nodes,
+    faults = SMOKE_FAULT_GRID if smoke else FAULT_GRID
+    return {
+        "fleet_size": FLEET_SIZE,
         "downtime_budget_ms": ns_to_ms(DOWNTIME_BUDGET_NS),
-        "waves": waves,
-        "faults": faults,
+        "waves": [rollout_cell(**cell) for cell in sweep],
+        "faults": [rollout_cell(**cell) for cell in faults],
         "isolation": _isolation_row(),
     }
-    checks = verdicts(results)
-    results.update({key: checks[key] for key in _STORED_VERDICTS})
-    return results
-
-
-# The verdicts the artifact also stores, under the same names.
-_STORED_VERDICTS = (
-    "clean_zero_loss", "clean_slo_ok", "all_clean_uniform",
-    "all_fault_uniform", "isolation_ok",
-)
 
 
 def verdicts(results: Dict[str, object]) -> Dict[str, bool]:
-    """Clean rollouts lose nothing, end uniform and keep every node's blackout
-    p99 inside the budget; every fault row fires and ends uniform, in the
-    outcome its policy promises, on probed servers; bystanders stay
+    """Every clean and every faulted rollout converged
+    (``RolloutReport.violations`` found nothing); bystanders stay
     byte-identical."""
-    waves, faults = results["waves"], results["faults"]
     isolation = results["isolation"]
     return {
-        "clean_zero_loss": all(row["requests_lost"] == 0 for row in waves),
-        "clean_slo_ok": all(
-            row["node_blackout_p99_ms"] <= results["downtime_budget_ms"]
-            for row in waves
-        ),
-        "all_clean_uniform": all(row["uniform"] for row in waves),
-        "all_fault_uniform": all(row["uniform"] for row in faults),
-        "faults_fired": all(row["fired"] for row in faults),
-        "faults_end_as_policy": all(
-            row["outcome"] == POLICY_OUTCOMES[row["policy"]] for row in faults
-        ),
-        "faults_served_uniform": all(row["served_uniform"] for row in faults),
+        "clean_all_converged": all(row["converged"] for row in results["waves"]),
+        "faults_all_converged": all(row["converged"] for row in results["faults"]),
         "isolation_ok": isolation["bystanders_identical"]
         and isolation["updated_changed"],
     }
+
+
+def _faulted(row: Dict[str, Any]) -> Dict[str, Any]:
+    """The armed node's first attempt in a fault row."""
+    return next(o for o in row["node_outcomes"] if o["node"] == FAULTED_NODE)
 
 
 def render(results: Dict[str, object]) -> str:
@@ -258,6 +182,7 @@ def render(results: Dict[str, object]) -> str:
                     ("lost", "requests_lost"), ("shifted", "requests_shifted"),
                     ("node_p99_ms", "node_blackout_p99_ms"),
                     ("fleet_blk_ms", "fleet_blackout_ms"), "rollout_ms",
+                    "converged",
                 ],
                 results["waves"],
                 note=(
@@ -270,11 +195,13 @@ def render(results: Dict[str, object]) -> str:
             render_table(
                 "Fleet rollout: mid-wave fault x policy",
                 [
-                    "site", "policy", "fired", "outcome", "uniform",
-                    ("served_uni", "served_uniform"),
-                    ("rb_verified", "rollback_verified"),
-                    ("reverted", "reverted_nodes"), ("retries", "converge_retries"),
-                    ("lost", "requests_lost"),
+                    "site", "policy",
+                    ("fired", lambda row: _faulted(row)["failure_site"] == row["site"]),
+                    "outcome", "uniform", ("served_uni", "served_uniform"),
+                    ("rb_verified", lambda row: _faulted(row)["rollback_verified"]),
+                    ("reverted", lambda row: len(row["reverted_nodes"])),
+                    ("retries", "converge_retries"), ("lost", "requests_lost"),
+                    "converged",
                 ],
                 results["faults"],
                 note=(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.fleet.drill import Drill, DrillResult, kb, ms
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.tracing.graph import GraphBuilder
@@ -95,31 +96,28 @@ def quiesced_traces(world, config: MCRConfig, annotations) -> List:
 
 
 def run_trials(
-    drills: Iterable[Any], headline: str
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    drills: Iterable[Drill], headline: str
+) -> Tuple[Dict[str, Any], List[DrillResult]]:
     """Run each drill once: what every sweep row reports, and each trial's result.
 
     ``headline`` names the drills' headline number (``rto`` /
     ``brownout``), reported as the upper median and the worst of the
     trials that produced one — with the one to three trials a sweep row
-    runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when every
-    trial ended serving, without a drill error, inside its client SLO.
+    runs, nearest-rank p99 *is* the maximum.  ``slo_ok`` holds when
+    ``DrillResult.violations`` found nothing in any trial and every trial
+    stayed inside its client SLO.
     """
-    trials = [drill.run().to_dict() for drill in drills]
-    samples = sorted(
-        trial[f"{headline}_ms"] for trial in trials
-        if trial[f"{headline}_ms"] is not None
-    )
+    trials = [drill.run() for drill in drills]
+    headlines = (getattr(trial, f"{headline}_ns") for trial in trials)
+    samples = sorted(ms(ns) for ns in headlines if ns is not None)
     row = {
-        "trials": len(trials),
-        "image_kb": max(trial["image_kb"] for trial in trials),
+        "image_kb": kb(max(trial.image_bytes for trial in trials)),
         f"{headline}_p50_ms": samples[len(samples) // 2] if samples else None,
         f"{headline}_p99_ms": samples[-1] if samples else None,
-        "requests_lost": sum(trial["requests_lost"] for trial in trials),
+        "requests_lost": sum(trial.requests_lost for trial in trials),
         "slo_ok": all(
-            trial["error"] is None
-            and trial["served_after"]
-            and (trial["perceived"] is None or trial["perceived"]["slo_ok"])
+            not trial.violations()
+            and (trial.perceived is None or trial.perceived["slo_ok"])
             for trial in trials
         ),
     }

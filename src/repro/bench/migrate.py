@@ -30,6 +30,7 @@ from typing import Any, Dict, Tuple
 from repro.bench.failover import BUDGET_MS, SERVERS, SMOKE_SERVERS
 from repro.bench.harness import run_trials
 from repro.bench.reporting import render_table
+from repro.fleet.drill import kb
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import DEFAULT_CONVERGENCE_BYTES, MigrationDrill
 from repro.mcr.config import MCRConfig
@@ -51,12 +52,6 @@ SMOKE_THRESHOLD_BYTES: Tuple[int, ...] = (4096,)
 # whole-tree live-update blackout ``bench updatetime`` measures.
 COMPARABLE_FACTOR = 3.0
 
-# The verdicts the artifact's summary also stores.
-_SUMMARY = (
-    "clean_zero_loss", "all_migrated", "brownout_within_budget",
-    "brownout_at_most_comparable",
-)
-
 
 def _sweep_row(server: str, cadence_ms: int, threshold: int) -> Dict[str, Any]:
     config = MCRConfig(checkpoint_interval_ns=cadence_ms * 1_000_000)
@@ -67,13 +62,12 @@ def _sweep_row(server: str, cadence_ms: int, threshold: int) -> Dict[str, Any]:
         "cadence_ms": cadence_ms,
         "threshold_bytes": threshold,
         **row,
-        "migrated": run["migrated"] and run["error"] is None,
-        "converged_precopy": run["converged_precopy"],
-        # The ``_avg`` columns keep the float form they had over trials.
-        "rounds_avg": float(run["precopy_rounds"]),
-        "reseeds": run["reseeds"],
-        "precopy_kb_avg": float(run["precopy_kb_total"]),
-        "stopcopy_kb": round((run["stopcopy_bytes"] or 0) / 1024, 2),
+        "migrated": run.migrated and run.error is None,
+        "converged_precopy": run.converged_precopy,
+        "precopy_rounds": run.precopy_rounds,
+        "reseeds": run.reseeds,
+        "precopy_kb": kb(sum(run.precopy_bytes)),
+        "stopcopy_kb": round((run.stopcopy_bytes or 0) / 1024, 2),
     }
 
 
@@ -113,20 +107,15 @@ def run_migrate(smoke: bool = False) -> Dict[str, Any]:
         for cadence_ms in cadences
         for threshold in thresholds
     }
-    results: Dict[str, Any] = {
+    return {
         "sweep": list(sweep.values()),
         # The migration half is the sweep's drill at the default threshold.
         "head_to_head": [
             _head_to_head(sweep[server, cadences[0], DEFAULT_CONVERGENCE_BYTES])
             for server in servers
         ],
+        "summary": {"downtime_budget_ms": BUDGET_MS},
     }
-    checks = verdicts(results)
-    results["summary"] = {
-        "downtime_budget_ms": BUDGET_MS,
-        **{key: checks[key] for key in _SUMMARY},
-    }
-    return results
 
 
 def verdicts(results: Dict[str, Any]) -> Dict[str, bool]:
@@ -153,7 +142,7 @@ def render(results: Dict[str, Any]) -> str:
         render_table(
             "Planned migration: pre-copy cadence x convergence threshold",
             ["server", "cadence_ms", ("thresh_b", "threshold_bytes"),
-             ("rounds", "rounds_avg"), ("precopy_kb", "precopy_kb_avg"),
+             ("rounds", "precopy_rounds"), "precopy_kb",
              "stopcopy_kb", ("converged", "converged_precopy"),
              "brownout_p50_ms", "brownout_p99_ms", ("lost", "requests_lost"),
              "migrated"],

@@ -17,9 +17,13 @@ checkpoint/commit/rollback discipline):
    commits outside the SLO) resolves by policy: ``revert`` walks every
    already-committed node back to the old version, ``converge`` retries
    the failed node until the fleet is fully updated.  Either way the end
-   state is uniform — all-old or all-new, never mixed — which the bench
-   asserts per node via ``TreeFingerprint`` and protocol-level version
-   probes.
+   state is uniform — all-old or all-new, never mixed.
+
+``RolloutReport.violations()`` is the one statement of that contract: a
+uniform end in the outcome the policy promises, every protocol-probed
+node serving the expected version, every armed fault fired, every
+rollback fingerprint-verified, no request lost, and every committed
+node's client blackout inside the budget.
 
 In-update rollbacks restore the node byte-identically (MCR's fingerprint
 verification); reverting an already-*committed* node is a fresh live
@@ -29,6 +33,7 @@ a real fleet rolls back a bad release.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.clock import ns_to_ms
@@ -87,22 +92,33 @@ class NodeOutcome:
         }
 
 
-class RolloutReport:
-    """Everything one rollout did, judged and aggregated."""
+# Fleet policy -> the outcome a rollout with an armed fault must end in.
+POLICY_OUTCOMES = {"revert": "reverted", "converge": "updated"}
 
-    def __init__(self, fleet: Fleet, from_version: int, to_version: int) -> None:
-        self.fleet = fleet
-        self.from_version = from_version
-        self.to_version = to_version
-        self.outcomes: List[NodeOutcome] = []
-        self.waves_run = 0
-        self.outcome = "updated"          # "updated" | "reverted"
-        self.gate_failures: List[int] = []  # node ids that failed their gate
-        self.reverted_nodes: List[int] = []
-        self.revert_failures: List[int] = []
-        self.converge_retries = 0
-        self.start_ns = fleet.now_ns
-        self.end_ns = fleet.now_ns
+
+@dataclass(eq=False)
+class RolloutReport:
+    """Everything one rollout did, aggregated, and ``violations()``, the one
+    statement of the rollout contract."""
+
+    fleet: Fleet
+    from_version: int
+    to_version: int
+    on_fault: str = "revert"
+    faults: Dict[int, FaultPlan] = field(default_factory=dict)  # armed, by node id
+    wave_sizes: List[int] = field(default_factory=list)  # the waves it ran
+    outcomes: List[NodeOutcome] = field(default_factory=list)
+    outcome: str = "updated"          # "updated" | "reverted"
+    gate_failures: List[int] = field(default_factory=list)  # node ids that failed their gate
+    reverted_nodes: List[int] = field(default_factory=list)
+    revert_failures: List[int] = field(default_factory=list)
+    converge_retries: int = 0
+    served: Optional[List[Optional[int]]] = None  # per node, once ``probe()`` asked
+    start_ns: int = field(init=False)
+    end_ns: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.start_ns = self.end_ns = self.fleet.now_ns
 
     # -- aggregates ----------------------------------------------------------
 
@@ -121,15 +137,49 @@ class RolloutReport:
         return self.fleet.versions()
 
     @property
+    def expected_version(self) -> int:
+        """The version every node must end on: the target, unless reverted."""
+        return self.to_version if self.outcome == "updated" else self.from_version
+
+    @property
     def uniform(self) -> bool:
         """All-old or all-new, never mixed — the fleet-level invariant."""
-        versions = set(self.end_versions)
-        if len(versions) != 1:
-            return False
-        expected = (
-            self.to_version if self.outcome == "updated" else self.from_version
-        )
-        return versions == {expected} and not self.revert_failures
+        return set(self.end_versions) == {self.expected_version} and not self.revert_failures
+
+    @property
+    def promised_outcome(self) -> str:
+        """``updated`` with nothing armed, else what the policy promises; a
+        failed canary reverts under either policy."""
+        if not self.faults:
+            return "updated"
+        canary = {node.node_id for node in self.fleet.nodes[: self.wave_sizes[0]]}
+        return POLICY_OUTCOMES["revert" if canary & set(self.faults) else self.on_fault]
+
+    def probe(self) -> Optional[bool]:
+        """Ask every node's server which version it serves; ``violations()``
+        judges the answers.  True when all serve the expected version, None
+        when one cannot say.  The probe is traffic: read the numbers first."""
+        self.served = self.fleet.served_versions()
+        return None if None in self.served else set(self.served) == {self.expected_version}
+
+    def violations(self) -> List[str]:
+        """Every way the rollout broke its contract; empty when it held."""
+        expected, promised = self.expected_version, self.promised_outcome
+        return [broken for broken in (
+            set(self.end_versions) != {expected}
+            and f"end versions {self.end_versions}, expected {expected}",
+            self.revert_failures and f"revert failed on nodes {self.revert_failures}",
+            self.served and set(self.served) != {expected}
+            and f"served versions {self.served}, expected {expected}",
+            self.outcome != promised and f"outcome {self.outcome}, promised {promised}",
+            *(f"node {node_id}: armed and never fired"
+              for node_id, plan in self.faults.items() if not plan.injected),
+            *(f"node {o.node_id}: rollback not verified" for o in self.outcomes
+              if o.result.rolled_back and not o.result.rollback_verified),
+            self.fleet.requests_lost and f"requests lost: {self.fleet.requests_lost}",
+            *(f"node {o.node_id}: blackout over budget" for o in self.outcomes
+              if o.result.committed and not o.result.client.slo_ok),
+        ) if broken]
 
     def to_dict(self) -> Dict[str, object]:
         fleet = self.fleet
@@ -140,7 +190,8 @@ class RolloutReport:
             "to_version": self.to_version,
             "outcome": self.outcome,
             "uniform": self.uniform,
-            "waves": self.waves_run,
+            "waves": len(self.wave_sizes),
+            "wave_plan": list(self.wave_sizes),
             "updated_nodes": sum(1 for o in self.outcomes if o.result.committed),
             "gate_failures": list(self.gate_failures),
             "reverted_nodes": list(self.reverted_nodes),
@@ -202,22 +253,20 @@ class Orchestrator:
 
         ``fault_plans`` arms a per-node ``FaultPlan`` (fault-matrix style)
         for that node's update attempt — the mid-wave-fault experiments
-        inject through here.
+        inject through here.  The report is neither probed nor judged here:
+        that is ``probe()`` and ``violations()``, for whoever needs them.
         """
         fleet = self.fleet
         from_version = fleet.nodes[0].version
         target = to_version if to_version is not None else from_version + 1
-        report = RolloutReport(fleet, from_version, target)
-        fault_plans = fault_plans or {}
+        report = RolloutReport(
+            fleet, from_version, target, self.on_fault, fault_plans or {}
+        )
         order = list(fleet.nodes)
-        waves: List[List[Node]] = []
-        for size in wave_plan(len(order), canary=self.canary, growth=self.wave_growth):
-            waves.append(order[:size])
-            order = order[size:]
-        aborted = False
-        for wave_index, wave_nodes in enumerate(waves):
-            report.waves_run += 1
-            is_canary_wave = wave_index == 0
+        plan = wave_plan(len(order), canary=self.canary, growth=self.wave_growth)
+        for wave_index, size in enumerate(plan):
+            wave_nodes, order = order[:size], order[size:]
+            report.wave_sizes.append(size)
             # The wave leaves rotation: its stream shifts to the healthy
             # remainder, which gets one window queued to serve across the
             # coming blackout interval.
@@ -226,7 +275,7 @@ class Orchestrator:
             fleet.route(self.requests_per_window)
             wave_outcomes = [
                 self._update_and_judge(
-                    node, wave_index, target, fault_plans.get(node.node_id)
+                    node, wave_index, target, report.faults.get(node.node_id)
                 )
                 for node in wave_nodes
             ]
@@ -239,15 +288,12 @@ class Orchestrator:
             failed = [o for o in wave_outcomes if not o.ok]
             if failed:
                 report.gate_failures.extend(o.node_id for o in failed)
-                if is_canary_wave or self.on_fault == "revert":
+                if wave_index == 0 or self.on_fault == "revert":
                     # A failed canary verdict always reverts the fleet.
                     self._revert(report)
-                    aborted = True
                     break
                 self._converge(report, failed, target)
             self.serve_windows(self.WINDOWS_BETWEEN_WAVES)
-        if not aborted:
-            report.outcome = "updated"
         fleet.drain()
         report.end_ns = fleet.now_ns
         return report

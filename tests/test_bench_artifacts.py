@@ -26,6 +26,7 @@ import pytest
 from repro.bench import failover, faultmatrix, fleetroll, fuzz, migrate, scanperf, updatetime
 from repro.bench.reporting import verdict_line
 from repro.cli import main
+from repro.fleet import Orchestrator
 from repro.fleet.drill import Drill
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -90,7 +91,7 @@ VERDICT_BENCHES = {
     "faultmatrix": (faultmatrix, "run_faultmatrix", lambda: _committed("faultmatrix"),
                     lambda r: r["migration_cells"][0].update(converged=False)),
     "fleetroll": (fleetroll, "run_fleetroll", lambda: _committed("fleetroll"),
-                  lambda r: r["faults"][0].update(outcome="updated")),
+                  lambda r: r["faults"][0].update(converged=False)),
     "scanperf": (scanperf, "run_scanperf", lambda: _committed("scanperf"),
                  lambda r: r["scaling_curve"][-1].update(slo_ok=False)),
     "fuzz": (fuzz, "run_fuzz", _fuzz_soak,
@@ -145,6 +146,108 @@ def test_faultmatrix_exits_1_on_a_drill_that_lost_or_fired_unarmed(
     assert capsys.readouterr().err == (
         f"bench faultmatrix: failed verdicts: {kind}_all_converged\n"
     )
+
+
+def _probe_answers(first):
+    """Node 0's protocol probe answers ``first`` instead of what it serves."""
+    def damage(report):
+        probe = report.fleet.served_versions
+        report.fleet.served_versions = lambda: [first, *probe()[1:]]
+    return damage
+
+
+def _unverify(report):
+    faulted = [o for o in report.outcomes if o.node_id == fleetroll.FAULTED_NODE]
+    faulted[0].result.rollback_verified = False
+
+
+def _lose_three(report):
+    report.fleet.requests_shed += 3
+
+
+# Damage -> (the grid, the cell it rebuilds, what it does to the report
+# ``Orchestrator.rollout`` returns, what the rebuilt row then reads): a
+# clean rollout that reverted or whose probe disagreed, a faulted one whose
+# rollback went unverified or that lost requests.  Only ``converged``, the
+# judge's column, fails each one.
+ROLLOUT_DAMAGES = {
+    "clean-reverted": (
+        "waves", 3, lambda report: setattr(report, "outcome", "reverted"),
+        lambda row: row["outcome"] == "reverted"),
+    "clean-served-mixed": (
+        "waves", 3, _probe_answers(1), lambda row: row["served_uniform"] is False),
+    "clean-served-unknown": (
+        "waves", 3, _probe_answers(None), lambda row: row["served_uniform"] is None),
+    "fault-unverified-rollback": (
+        "faults", 0, _unverify,
+        lambda row: fleetroll._faulted(row)["rollback_verified"] is False),
+    "fault-lost-requests": (
+        "faults", 0, _lose_three, lambda row: row["requests_lost"] == 3),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ROLLOUT_DAMAGES))
+def test_fleetroll_exits_1_on_a_rollout_that_broke_its_contract(
+    damage, tmp_path, monkeypatch, capsys
+):
+    results = _committed("fleetroll")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fleetroll, "run_fleetroll", lambda **options: results)
+    assert main(["bench", "fleetroll"]) == 0
+    capsys.readouterr()
+    grid, index, damaged, reads = ROLLOUT_DAMAGES[damage]
+    cell = (fleetroll.WAVE_SWEEP if grid == "waves" else fleetroll.FAULT_GRID)[index]
+    rollout = Orchestrator.rollout
+
+    def damaged_rollout(self, *args, **kwargs):
+        report = rollout(self, *args, **kwargs)
+        damaged(report)
+        return report
+
+    monkeypatch.setattr(Orchestrator, "rollout", damaged_rollout)
+    row = fleetroll.rollout_cell(**cell)
+    assert reads(row) and row["converged"] is False
+    results[grid][index] = row
+    assert main(["bench", "fleetroll"]) == 1
+    verdict = "clean_all_converged" if grid == "waves" else "faults_all_converged"
+    assert capsys.readouterr().err == f"bench fleetroll: failed verdicts: {verdict}\n"
+
+
+def test_failover_exits_1_on_a_sweep_trial_with_two_end_states(
+    tmp_path, monkeypatch, capsys
+):
+    """A clean sweep's trials are judged by ``DrillResult.violations``."""
+    results = _committed("failover")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(failover, "run_failover", lambda **options: results)
+    assert main(["bench", "failover", "--smoke"]) == 0
+    capsys.readouterr()
+    run = Drill.run
+
+    def two_end_states(self):
+        result = run(self)
+        result.primary_survived = True  # beside the promoted standby
+        return result
+
+    monkeypatch.setattr(Drill, "run", two_end_states)
+    row = results["sweep"][0]
+    rebuilt = failover._sweep_row(row["server"], row["cadence_ms"], row["trials"])
+    assert rebuilt["slo_ok"] is False and rebuilt["requests_lost"] == 0
+    results["sweep"][0] = rebuilt
+    assert main(["bench", "failover", "--smoke"]) == 1
+    assert capsys.readouterr().err == "bench failover: failed verdicts: sweep_slo_ok\n"
+
+
+@pytest.mark.parametrize("bench", sorted(
+    bench for bench in VERDICT_BENCHES if (REPO_ROOT / f"BENCH_{bench}.json").exists()
+))
+def test_no_committed_artifact_stores_a_copy_of_its_verdicts(bench):
+    """A bench's verdicts are computed from its rows, never read back: no
+    committed results (or their ``summary``) hold a key ``verdicts`` returns."""
+    module = VERDICT_BENCHES[bench][0]
+    results = _committed(bench)
+    stored = set(results) | set(results.get("summary", {}))
+    assert not stored & set(module.verdicts(results))
 
 
 @pytest.mark.parametrize("bench", sorted(VERDICT_BENCHES))

@@ -9,10 +9,14 @@ byte-identical), a clean fleet rollout loses zero requests, and a
 faulted rollout ends uniform — all-old or all-new, never mixed.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import obs
-from repro.fleet import Fleet, LoadBalancer, Node, Orchestrator, wave_plan
+from repro.fleet import (
+    Fleet, LoadBalancer, Node, NodeOutcome, Orchestrator, RolloutReport, wave_plan,
+)
 from repro.mcr.faults import FaultPlan
 from repro.servers.catalog import CATALOG
 
@@ -177,7 +181,7 @@ class TestOrchestrator:
                 fault_plans={0: FaultPlan().at("transfer.memory")},
             )
             assert report.outcome == "reverted"
-            assert report.waves_run == 1  # aborted at the canary gate
+            assert report.wave_sizes == [1]  # aborted at the canary gate
             assert set(fleet.versions()) == {1}
             canary = report.outcomes[0].result
             assert canary.rolled_back and canary.rollback_verified
@@ -240,6 +244,120 @@ class TestOrchestrator:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             Orchestrator(Fleet([]), on_fault="shrug")
+
+    def test_rollout_neither_probes_nor_judges(self, monkeypatch):
+        # perfbench times ``rollout()`` itself: the probe and the judge run
+        # only where a caller asks for them.
+        def refuse(*_args):
+            raise AssertionError("rollout() probed or judged")
+
+        monkeypatch.setattr(Fleet, "served_versions", refuse)
+        monkeypatch.setattr(RolloutReport, "violations", refuse)
+        fleet = Fleet.boot(2, server="simple")
+        try:
+            report = Orchestrator(fleet, requests_per_window=4).rollout(2)
+            assert report.served is None and report.uniform
+        finally:
+            fleet.teardown()
+
+
+class _Fleet:
+    """What ``RolloutReport`` reads of a fleet, with no kernels behind it."""
+
+    now_ns = 0
+
+    def __init__(self, versions, lost):
+        self.nodes = [SimpleNamespace(node_id=i) for i in range(len(versions))]
+        self._versions = versions
+        self.requests_lost = lost
+
+    def versions(self):
+        return list(self._versions)
+
+
+def _attempt(node_id, committed=True, verified=None, slo_ok=True):
+    return NodeOutcome(node_id, 0, SimpleNamespace(
+        committed=committed, rolled_back=not committed,
+        rollback_verified=verified, client=SimpleNamespace(slo_ok=slo_ok),
+    ))
+
+
+def _rolled_back(node_id, verified=True):
+    return _attempt(node_id, committed=False, verified=verified)
+
+
+def _armed(fired=True):
+    plan = FaultPlan().at("transfer.memory")
+    if fired:
+        plan.injected.append(("transfer.memory", 1))
+    return plan
+
+
+# Rollout kind -> the report fields of a rollout that kept its contract, on
+# four nodes in waves of 1 and 3, probed.  The fault is armed on node 1, or
+# on the canary (node 0), whose failure reverts under either policy.
+ROLLOUTS = {
+    "clean": lambda: dict(
+        versions=[2] * 4, outcome="updated", served=[2] * 4,
+        outcomes=[_attempt(n) for n in range(4)]),
+    "revert": lambda: dict(
+        versions=[1] * 4, outcome="reverted", served=[1] * 4, faults={1: _armed()},
+        outcomes=[_attempt(0), _rolled_back(1)], reverted_nodes=[0]),
+    "converge": lambda: dict(
+        versions=[2] * 4, outcome="updated", served=[2] * 4, on_fault="converge",
+        faults={1: _armed()}, converge_retries=1,
+        outcomes=[_attempt(0), _rolled_back(1), _attempt(2), _attempt(3), _attempt(1)]),
+    "canary-converge": lambda: dict(
+        versions=[1] * 4, outcome="reverted", served=[1] * 4, on_fault="converge",
+        faults={0: _armed()}, outcomes=[_rolled_back(0)]),
+}
+
+# Case -> (rollout kind, what breaks, the violations reported).
+VIOLATIONS = {
+    "clean": ("clean", {}, []),
+    "revert-policy": ("revert", {}, []),
+    "converge-policy": ("converge", {}, []),
+    "canary-fault-reverts-under-converge": ("canary-converge", {}, []),
+    "mixed-end-versions": (
+        "clean", dict(versions=[2, 1, 2, 2], served=None),
+        ["end versions [2, 1, 2, 2], expected 2"]),
+    "failed-revert": (
+        "revert", dict(revert_failures=[0]), ["revert failed on nodes [0]"]),
+    "served-another-version": (
+        "clean", dict(served=[2, 1, 2, 2]),
+        ["served versions [2, 1, 2, 2], expected 2"]),
+    "served-no-version": (
+        "clean", dict(served=[2, None, 2, 2]),
+        ["served versions [2, None, 2, 2], expected 2"]),
+    "clean-outcome-reverted": (
+        "clean", dict(outcome="reverted", versions=[1] * 4, served=[1] * 4),
+        ["outcome reverted, promised updated"]),
+    "revert-policy-updated": (
+        "revert", dict(outcome="updated", versions=[2] * 4, served=[2] * 4),
+        ["outcome updated, promised reverted"]),
+    "armed-never-fired": (
+        "converge", dict(faults={1: _armed(fired=False)}),
+        ["node 1: armed and never fired"]),
+    "rollback-not-verified": (
+        "revert", dict(outcomes=[_attempt(0), _rolled_back(1, verified=False)]),
+        ["node 1: rollback not verified"]),
+    "request-lost": ("clean", dict(lost=3), ["requests lost: 3"]),
+    "blackout-over-budget": (
+        "clean", dict(outcomes=[_attempt(0), _attempt(1), _attempt(2, slo_ok=False),
+                                _attempt(3)]),
+        ["node 2: blackout over budget"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
+def test_violations_is_the_rollout_contract(case):
+    kind, broken, expected = VIOLATIONS[case]
+    fields = dict(ROLLOUTS[kind](), **broken)
+    fleet = _Fleet(fields.pop("versions"), fields.pop("lost", 0))
+    report = RolloutReport(fleet, 1, 2, wave_sizes=[1, 3], **fields)
+    assert report.violations() == expected
+    assert report.uniform == (not any("end versions" in v or "revert failed" in v
+                                      for v in expected))
 
 
 class TestNodeFactory:
