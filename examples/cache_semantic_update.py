@@ -17,7 +17,7 @@ Run:  python examples/cache_semantic_update.py
 import repro
 from repro.kernel import sim_function
 from repro.servers import memcache
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 @sim_function

@@ -14,7 +14,8 @@ Run:  python examples/ftp_sessions_survive.py
 import repro
 from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
-from repro.servers.common import PORT_VSFTPD, connect_with_retry, recv_line
+from repro.servers.common import PORT_VSFTPD
+from repro.workloads.client import connect_with_retry, recv_line
 
 USERS = ("alice", "bob", "carol")
 gate = {"go": False}

@@ -9,7 +9,7 @@ each program ships with.
 Run:  python examples/profile_and_prepare.py
 """
 
-from repro.runtime.build import profile_program
+from repro.mcr.quiescence.profiler import profile_program
 from repro.servers.catalog import CATALOG
 
 SUBJECTS = ("httpd", "nginx", "vsftpd", "opensshd")

@@ -14,11 +14,12 @@ Run:  python examples/quickstart.py
 
 from repro.kernel import Kernel, sim_function
 from repro.mcr.ctl import McrCtl
+from repro.mcr.libmcr import MCRSession
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import simple
-from repro.servers.common import PORT_SIMPLE, connect_with_retry, recv_line
+from repro.servers.common import PORT_SIMPLE
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 @sim_function

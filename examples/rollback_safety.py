@@ -20,7 +20,7 @@ import repro
 from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
 from repro.servers import httpd
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 @sim_function

@@ -12,7 +12,8 @@ Run:  python examples/rolling_nginx_releases.py
 import repro
 from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
-from repro.servers.common import PORT_NGINX, connect_with_retry, recv_line
+from repro.servers.common import PORT_NGINX
+from repro.workloads.client import connect_with_retry, recv_line
 
 RELEASES = (2, 3, 4, 7, 8, 12, 13)  # 3, 7, 12 change structure layouts
 

@@ -23,10 +23,10 @@ from typing import Dict
 from repro.bench.harness import boot_server, quiesced_traces
 from repro.bench.reporting import render_table
 from repro.clock import ns_to_ms
-from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.tracing.invariants import invariant_counts
+from repro.runtime.annotations import Annotations
 
 
 def _run_update(server: str, connections: int, use_dirty_filter: bool):

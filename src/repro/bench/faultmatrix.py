@@ -5,7 +5,7 @@ For each evaluation server and each fault site in
 where the protocol supports it, park a couple of held connections so the
 restore-phase sites have work to fail), arm a ``FaultPlan`` for the site,
 and trigger a live update.  Every cell runs through
-``repro.replay.run_scenario`` — the same re-executable unit the
+``repro.scenario.run_scenario`` — the same re-executable unit the
 record/replay and fuzzing planes use — so with a trace path configured
 each failed cell leaves a ``blackbox.json``/trace pair that
 ``python -m repro replay`` re-executes bit-identically to the failure.
@@ -14,7 +14,7 @@ the paper's safety property (§3, §6.3) the fuzzer also asks — finds
 nothing: the update returned, ended committed XOR rolled back, a rollback
 was fingerprint-verified and left a black box, and the surviving version
 answers a probe with zero errors.  The grid adds two expectations of its
-own, after ``arm`` (``repro.replay.scenario``) has built the cell's plan:
+own, after ``arm`` (``repro.mcr.controller``) has built the cell's plan:
 
 * ``commit.critical`` fires *after* the point of no return, so the
   expected outcome is a committed update with the fault contained
@@ -43,9 +43,10 @@ from typing import Dict, Optional
 from repro.bench.reporting import render_table
 from repro.fleet.failover import FailoverDrill
 from repro.fleet.migration import MigrationDrill
+from repro.mcr.controller import arm
 from repro.mcr.faults import CHECKPOINT_SITES, MIGRATION_SITES, UPDATE_SITES
-from repro.replay.scenario import arm, default_spec, run_scenario
 from repro.replay.trace import TraceLog
+from repro.scenario import default_spec, run_scenario
 from repro.servers.catalog import CATALOG
 
 FULL_SERVERS = tuple(CATALOG)  # a server joins the full grid by having a row

@@ -41,7 +41,7 @@ from repro.clock import ns_to_ms
 from repro.fleet import Fleet, Orchestrator
 from repro.fleet.orchestrator import POLICY_OUTCOMES
 from repro.mcr.config import DOWNTIME_BUDGET_NS
-from repro.replay.scenario import arm
+from repro.mcr.controller import arm
 
 FLEET_SIZE = 16
 

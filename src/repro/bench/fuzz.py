@@ -35,10 +35,11 @@ import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.reporting import render_table
+from repro.mcr.controller import arm
 from repro.mcr.faults import UPDATE_SITES, FaultPlan
 from repro.replay.rng import RngStream, derive_seed
-from repro.replay.scenario import arm, default_spec, run_scenario
 from repro.replay.trace import TraceLog
+from repro.scenario import default_spec, run_scenario
 from repro.servers.catalog import CATALOG
 
 FULL_ITERATIONS = 24
@@ -124,7 +125,7 @@ def check_spec(
             trace_path=trace_path,
             blackbox_path=blackbox_path,
         )
-    except BaseException as error:
+    except Exception as error:
         problems.append(f"run_scenario raised {error!r}")
         return verdict
     problems.extend(outcome.violations())
@@ -136,7 +137,7 @@ def check_spec(
     replay = TraceLog.replay_of(recorded)
     try:
         run_scenario(spec, trace=replay)
-    except BaseException as error:
+    except Exception as error:
         problems.append(f"replay raised {error!r}")
     else:
         if not replay.equivalent:

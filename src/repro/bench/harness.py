@@ -22,7 +22,7 @@ from repro.mcr.tracing.graph import GraphBuilder
 from repro.mcr.tracing.invariants import apply_invariants
 from repro.runtime.instrument import BuildConfig
 from repro.servers.catalog import CATALOG, ServerSpec, boot
-from repro.servers.common import ClientPerceived
+from repro.workloads.client import ClientPerceived
 
 # The names the frozen perfbench (and most tests) import: views, not copies.
 boot_server = boot

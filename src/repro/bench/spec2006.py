@@ -15,9 +15,9 @@ from typing import Dict, List
 from repro.bench.reporting import render_table
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import sim_function
-from repro.mcr.annotations import Annotations
+from repro.mcr.libmcr import MCRSession
+from repro.runtime.annotations import Annotations
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import INT64, PointerType, StructType
 

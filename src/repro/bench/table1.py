@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.reporting import render_table
-from repro.runtime.build import profile_program
+from repro.mcr.quiescence.profiler import profile_program
 from repro.servers.catalog import lookup
 from repro.servers.updates import ALL_SERIES, UpdateSeries
 

@@ -34,9 +34,9 @@ from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.errors import ImageError
-from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mem.ptmalloc import Chunk, _FreeList
+from repro.servers.node import Node
 from repro.checkpoint.image import (
     IMAGE_SHAPE,
     CheckpointImage,

@@ -26,9 +26,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ImageError, PromotionError
-from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import fire
+from repro.servers.node import Node
 from repro.checkpoint.delta import DELTA_SHAPE
 from repro.checkpoint.image import (
     CheckpointImage,

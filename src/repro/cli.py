@@ -64,7 +64,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.runtime.build import profile_program
+    from repro.mcr.quiescence.profiler import profile_program
     from repro.servers.catalog import lookup
 
     targets = [args.server] if args.server else ["httpd", "nginx", "vsftpd", "opensshd"]
@@ -231,7 +231,7 @@ def cmd_replay(args) -> int:
     prints the open span stack there; ``--export`` additionally writes a
     Chrome trace of the replayed update plus a JSON report.
     """
-    from repro.replay import replay_path
+    from repro.replayer import replay_path
 
     try:
         report = replay_path(
@@ -257,7 +257,7 @@ def cmd_checkpoint(args) -> int:
     """Boot a server, mutate it with traffic, write a durable image."""
     from repro.checkpoint import checkpoint_node, write_image
     from repro.fleet.drill import SETTLE_NS
-    from repro.fleet.node import Node
+    from repro.servers.node import Node
 
     node = Node.boot(args.server)
     if args.serve:

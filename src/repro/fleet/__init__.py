@@ -12,13 +12,16 @@ mid-wave faults so the fleet never ends mixed-version.
 
 from repro.fleet.fleet import Fleet
 from repro.fleet.lb import LoadBalancer
-from repro.fleet.node import Node
 from repro.fleet.orchestrator import (
     NodeOutcome,
     Orchestrator,
     RolloutReport,
     wave_plan,
 )
+# ``Node`` lives with the boot recipe it wraps (``repro.servers.node``), so
+# the checkpoint plane below this package can restore one; perfbench
+# imports it from here.
+from repro.servers.node import Node
 
 __all__ = [
     "Fleet",

@@ -30,11 +30,11 @@ from repro.checkpoint import (
     WarmStandby,
 )
 from repro.clock import ns_to_ms
-from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
+from repro.mcr.controller import arm
 from repro.mcr.faults import FaultPlan
-from repro.replay.scenario import arm
-from repro.servers.common import ClientLatencyLog, ClientPerceived
+from repro.servers.node import Node
+from repro.workloads.client import ClientLatencyLog, ClientPerceived
 
 PRIMARY_ID = 0
 PEER_ID = 1

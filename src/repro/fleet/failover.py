@@ -43,7 +43,7 @@ from repro.checkpoint import (
 )
 from repro.fleet.drill import PEER_ID, Drill, DrillResult, ms, reported, sync_clock
 from repro.mcr.config import MCRConfig
-from repro.servers.common import ClientLatencyLog
+from repro.workloads.client import ClientLatencyLog
 
 # Failure-detection delay: the lease/heartbeat timeout before the fleet
 # declares the primary dead and starts promotion (virtual ns).

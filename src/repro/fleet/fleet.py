@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.lb import LoadBalancer
-from repro.fleet.node import Node
 from repro.mcr.faults import TreeFingerprint
-from repro.servers.common import ClientLatencyLog
+from repro.servers.node import Node
+from repro.workloads.client import ClientLatencyLog
 
 
 class Fleet:

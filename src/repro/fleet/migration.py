@@ -55,7 +55,7 @@ from repro.fleet.drill import (
 )
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import fire
-from repro.servers.common import ClientLatencyLog
+from repro.workloads.client import ClientLatencyLog
 
 # Convergence policy: stop pre-copying once a round ships less than one
 # page of dirty state (the default), or after this many rounds regardless.

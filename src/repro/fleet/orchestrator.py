@@ -38,13 +38,12 @@ from typing import Dict, List, Optional
 
 from repro.clock import ns_to_ms
 from repro.fleet.fleet import Fleet
-from repro.fleet.node import Node
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
-from repro.mcr.controller import UpdateResult
+from repro.mcr.controller import UpdateOutcome, UpdateResult
 from repro.mcr.faults import FaultPlan
 from repro.obs.metrics import Histogram
-from repro.replay.scenario import UpdateOutcome
-from repro.servers.common import ClientPerceived
+from repro.servers.node import Node
+from repro.workloads.client import ClientPerceived
 
 
 def wave_plan(total: int, canary: int = 1, growth: int = 4) -> List[int]:

@@ -179,9 +179,7 @@ class Kernel:
             if hasattr(parent, attr):
                 setattr(child, attr, getattr(parent, attr))
         if hasattr(parent, "crt"):
-            from repro.runtime.cruntime import CRuntime
-
-            child.crt = CRuntime(child)
+            child.crt = parent.crt.on_fork(child)
         self._register(child)
         if parent.runtime is not None:
             child.runtime = parent.runtime.on_fork(child)

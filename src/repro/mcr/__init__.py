@@ -11,20 +11,20 @@ The three pillars, each a subpackage/module:
   precise/conservative GC-style traversal, invariants, type
   transformation, and the state-transfer engine — paper §6.
 
-``controller`` orchestrates a live update end to end (checkpoint →
-restart → remap, with atomic rollback), and ``ctl`` is the ``mcr-ctl``
-front end users signal updates with.
+``libmcr`` is the in-process half linked into every instrumented program
+(unblockification, startup recording, replay routing); ``controller``
+orchestrates a live update end to end (checkpoint → restart → remap,
+with atomic rollback), and ``ctl`` is the ``mcr-ctl`` front end users
+signal updates with.
 
-The package itself imports only the light modules, to keep it
-cycle-free (``runtime.libmcr`` needs ``mcr.config`` at import time);
-import ``repro.mcr.controller`` / ``repro.mcr.ctl`` for the rest.
+The package itself imports only ``config``, so ``import repro.mcr``
+stays light; import ``repro.mcr.controller`` / ``repro.mcr.ctl`` for the
+rest.
 """
 
-from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig, TransferCostModel
 
 __all__ = [
-    "Annotations",
     "MCRConfig",
     "TransferCostModel",
 ]

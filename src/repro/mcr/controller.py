@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys as _host_sys
 from contextlib import nullcontext
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.clock import ns_to_ms
@@ -36,7 +36,8 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.namespaces import PidNamespace
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig, TransferCostModel
-from repro.mcr.faults import TreeFingerprint, fire
+from repro.mcr.faults import FaultPlan, TreeFingerprint, fire
+from repro.mcr.libmcr import MCRSession, PHASE_NORMAL
 from repro.mcr.quiescence.detection import QUIESCENCE_DEADLINE_NS, tree_live_threads
 from repro.mcr.reinit.immutable import FdStash, ImmutableInventory
 from repro.mcr.reinit.realloc import GlobalRealloc
@@ -49,7 +50,6 @@ from repro.mcr.tracing.invariants import (
 )
 from repro.mcr.tracing.transfer import StateTransfer, TransferReport
 from repro.replay import trace as replay_trace
-from repro.runtime.libmcr import MCRSession, PHASE_NORMAL
 from repro.runtime.program import Program, load_program
 
 
@@ -178,7 +178,7 @@ class UpdateResult:
         self.transfer_report: Optional[TransferReport] = None
         self.new_root: Optional[Process] = None
         self.new_session: Optional[MCRSession] = None
-        # Client-perceived verdict (``servers.common.ClientPerceived``) —
+        # Client-perceived verdict (``workloads.client.ClientPerceived``) —
         # attached by the measurement harness after its workload drains,
         # since client latencies only complete once the update returns.
         self.client = None
@@ -223,6 +223,53 @@ class UpdateResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "committed" if self.committed else f"rolled back ({self.error})"
         return f"<UpdateResult {status} total={self.total_ms():.1f}ms>"
+
+
+class UpdateOutcome(NamedTuple):
+    """How one update ended, read off its ``UpdateResult`` in one place.
+
+    Cells, the trace's final digest and rollout rows report these fields
+    under these names; the defaults are an update that returned nothing.
+    """
+
+    committed: bool = False
+    rolled_back: bool = False
+    failure_site: Optional[str] = None
+    retries: int = 0
+    rollback_verified: Optional[bool] = None
+    rollback_failed: bool = False
+
+    @classmethod
+    def of(cls, result: Optional[UpdateResult]) -> "UpdateOutcome":
+        if result is None:
+            return cls()
+        return cls(
+            bool(result.committed),
+            bool(result.rolled_back),
+            result.failure_site,
+            result.retries,
+            result.rollback_verified,
+            bool(result.rollback_failed),
+        )
+
+
+def arm(label: Optional[str]) -> FaultPlan:
+    """The plan a cell label arms: ``"a+b"`` is a double fault, None is clean.
+
+    ``quiescence.wait`` outlasts the controller's bounded retries, or the
+    update would simply commit on a later attempt; ``rollback`` is armed
+    behind ``transfer.memory``, because no rollback runs without a primary
+    fault to force it.
+    """
+    plan = FaultPlan()
+    for name in label.split("+") if label else ():
+        if name == "quiescence.wait":
+            plan.at(name, times=QUIESCENCE_MAX_RETRIES + 1)
+        elif name == "rollback":
+            plan.at("transfer.memory").at(name)
+        else:
+            plan.at(name)
+    return plan
 
 
 class LiveUpdateController:
@@ -429,10 +476,11 @@ class LiveUpdateController:
             else:
                 with recorder.span("rollback", reason=str(error)):
                     self._rollback(new_root)
+                    # Verified before the dump, so a divergence is in it.
+                    self._verify_rollback(result, entry_fp, entry_steps)
                     self._record_blackbox(result, recorder, "rolled_back")
                 result.rolled_back = True
                 result.rollback_failed = bool(self._rollback_failures)
-                self._verify_rollback(result, entry_fp, entry_steps)
                 recorder.end(root, status="rolled_back")
         finally:
             # Never leave the shared recorder with a dangling open root —

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from repro.kernel.kernel import Kernel
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController, UpdateResult
-from repro.runtime.libmcr import MCRSession
+from repro.mcr.libmcr import MCRSession
 from repro.runtime.program import Program
 
 

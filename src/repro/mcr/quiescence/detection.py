@@ -24,7 +24,7 @@ from repro.mcr.faults import fire
 from repro.kernel.process import Process, Thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.libmcr import MCRSession
+    from repro.mcr.libmcr import MCRSession
 
 # How long ``wait`` (and the controller's drive of a new tree to its
 # barrier) runs the world before declaring QuiescenceTimeout: 1 s.

@@ -196,3 +196,20 @@ class QuiescenceProfiler:
         for loop_key in self.loops.get(thread, ()):
             if loop_key not in cls.long_lived_loops:
                 cls.long_lived_loops.append(loop_key)
+
+
+def profile_program(
+    make_program: Callable[[], Program],
+    setup_world: Callable[[Kernel], None],
+    workload,
+) -> QuiescenceReport:
+    """Run the quiescence profiler on a fresh instance of the program.
+
+    The first step of Figure 1's profile → instrument → run workflow
+    (``python -m repro profile`` prints its report): a ``Program``'s
+    ``quiescent_points`` are what the instrumentation then wraps, and
+    ``tests/test_build_workflow.py`` sets them from a profile alone.
+    """
+    kernel = Kernel()
+    setup_world(kernel)
+    return QuiescenceProfiler(kernel).profile(make_program(), workload)

@@ -36,7 +36,7 @@ from repro.mcr.reinit.startup_log import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.libmcr import MCRSession
+    from repro.mcr.libmcr import MCRSession
 
 # Operations that only *use* an fd; replayed iff the fd is inherited.
 FD_USING = {"bind", "listen", "read", "write", "send", "recv", "close", "sendmsg", "recvmsg", "epoll_ctl"}

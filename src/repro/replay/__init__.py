@@ -15,19 +15,11 @@ Replay For Deployability", "Lightweight User-Space Record And Replay"):
   scheduler pick-order checkpoints (steps, virtual clock, CRC), and the
   final observables (virtual clock, span-tree digest, tree fingerprint
   digest, update outcome).
-* ``scenario`` — the re-executable unit: a JSON-serializable spec
-  (server x update mode x fault plan x workload) plus ``run_scenario``,
-  which boots the world, drives the workload, runs the live update and
-  the probe, and stamps the trace.  ``bench faultmatrix`` cells and the
-  ``bench fuzz`` harness both run through it.
-* ``replayer`` — re-executes a recorded run (from a trace file or from
-  the reference embedded in a ``blackbox.json``) and asserts bit-identical
-  equivalence: every draw, every scheduler checkpoint, the final virtual
-  clock, the span tree, and the tree fingerprint.
 
-``scenario`` and ``replayer`` import servers/workloads/MCR and are loaded
-lazily; ``trace`` and ``rng`` are dependency-free leaves so that
-``repro.mcr.faults`` can import this package without a cycle.
+Both are leaves below ``repro.mcr``.  The re-executable unit that uses
+them, ``repro.scenario`` (spec → ``run_scenario``), and the re-executor,
+``repro.replayer``, boot servers and drive MCR, so they sit above every
+plane.
 """
 
 from __future__ import annotations
@@ -37,27 +29,8 @@ from repro.replay.trace import Divergence, TraceLog, tracing
 
 __all__ = [
     "Divergence",
-    "ReplayReport",
-    "Replayer",
     "RngRegistry",
     "RngStream",
     "TraceLog",
-    "default_spec",
-    "replay_path",
-    "run_scenario",
     "tracing",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: these modules import bench/servers/mcr machinery, which would
-    # cycle if pulled in while ``repro.mcr.faults`` is still importing us.
-    if name in ("Replayer", "ReplayReport", "replay_path"):
-        from repro.replay import replayer
-
-        return getattr(replayer, name)
-    if name in ("run_scenario", "default_spec"):
-        from repro.replay import scenario
-
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

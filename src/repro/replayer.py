@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.export import chrome_trace, write_json
 from repro.replay.trace import TraceLog
+from repro.scenario import run_scenario
 
 
 class ReplayReport:
@@ -142,8 +143,6 @@ class Replayer:
         to_failure: bool = False,
         export: Optional[str] = None,
     ) -> ReplayReport:
-        from repro.replay.scenario import run_scenario
-
         mode = "trace" if self.recorded is not None else "scenario"
         report = ReplayReport(self.source_path, mode, self.scenario)
         report.to_failure = to_failure

@@ -8,8 +8,12 @@
 * ``instrument`` — the static instrumentation pass (mcr.llvm + libmcr.a
   analogue): build configurations, static tags, allocator wrappers,
   unblockification of profiled quiescent points.
-* ``libmcr``     — the per-process dynamic runtime (libmcr.so analogue):
-  syscall interception, startup recording/replay hooks, dirty tracking.
+* ``annotations`` — the program's MCR annotations (Listing 1, §8), program
+  metadata like its types and functions.
+
+The per-process dynamic runtime (libmcr.so analogue) is ``repro.mcr.libmcr``:
+it reads the MCR session's knobs and quiescence protocol, so it sits with
+them above this package.
 """
 
 from repro.runtime.cruntime import CRuntime, SharedLib

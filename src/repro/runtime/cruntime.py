@@ -132,6 +132,9 @@ class CRuntime:
             if candidate > self._next_stack_base:
                 self._next_stack_base = candidate
 
+    def on_fork(self, child: Process) -> "CRuntime":
+        return CRuntime(child)
+
     # -- configuration shortcuts ------------------------------------------------
 
     @property

@@ -23,6 +23,7 @@ from repro.errors import SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.mem.address_space import DATA_BASE
+from repro.runtime.annotations import Annotations
 from repro.runtime.cruntime import CRuntime, SharedLib
 from repro.runtime.instrument import BuildConfig, apply_static_instrumentation
 from repro.types import codec
@@ -56,7 +57,7 @@ class Program:
         main: Callable,
         types: Optional[Dict[str, TypeDesc]] = None,
         libs: Optional[List[Tuple[str, int]]] = None,
-        annotations: Optional[Any] = None,
+        annotations: Optional[Annotations] = None,
         quiescent_points: Optional[set] = None,
         metadata: Optional[Dict[str, Any]] = None,
         functions: Optional[List[str]] = None,
@@ -71,13 +72,7 @@ class Program:
         # their addresses; code pointers are remapped *by symbol name*
         # across versions (paper §6: relocation tags for functions too).
         self.functions = list(functions or [])
-        # Annotations default to an empty set; imported lazily to avoid a
-        # package cycle (mcr depends on runtime).
-        if annotations is None:
-            from repro.mcr.annotations import Annotations
-
-            annotations = Annotations()
-        self.annotations = annotations
+        self.annotations = annotations if annotations is not None else Annotations()
         # (function_name, syscall_name) pairs, produced by the profiler.
         self.quiescent_points = set(quiescent_points or ())
         # Filled by the relink step of an update (``GlobalRealloc``'s plan)
@@ -179,8 +174,9 @@ def load_program(
 ) -> Process:
     """Load and start ``program`` in a fresh process.
 
-    ``session`` is an ``MCRSession`` (attached when the build enables any
-    MCR layer); the process does not run until ``kernel.run`` is called.
+    ``session`` is the ``MCRSession`` to attach (callers pass one when the
+    build enables any MCR layer); the process does not run until
+    ``kernel.run`` is called.
     ``namespace``/``main_override`` support MCR restart: the new version
     runs in its own PID namespace behind an inheritance bootstrap.
     """
@@ -206,10 +202,6 @@ def load_program(
         # dynamic-instrumentation behaviour; other builds run the heap in
         # normal mode from the start.
         process.heap.end_startup()
-    if build.mcr_enabled:
-        if session is None:
-            from repro.runtime.libmcr import MCRSession
-
-            session = MCRSession(kernel, program, build)
+    if session is not None:
         process.runtime = session.attach_process(process)
     return process

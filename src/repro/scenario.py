@@ -22,10 +22,10 @@ kernel is cooperative and the clock virtual, the *only* nondeterminism
 is the seeded RNG draws, so a spec re-executes bit-identically: same
 virtual timestamps, same span tree, same fingerprints, same outcome.
 
-The cell's rules live here once: ``arm`` turns a cell label into its
-fault plan, ``UpdateOutcome`` is how the update ended, and
-``ScenarioOutcome.violations`` judges the update contract — the fault
-matrix and the fuzzer both ask it.
+The cell's rules live in one place each: ``mcr.controller.arm`` turns a
+cell label into its fault plan, ``mcr.controller.UpdateOutcome`` is how
+the update ended, and ``ScenarioOutcome.violations`` here judges the
+update contract — the fault matrix and the fuzzer both ask it.
 
 Pass a ``TraceLog`` to record the run (or to verify it, in replay mode);
 the trace is bound to the kernel before boot, so even startup scheduling
@@ -37,12 +37,12 @@ the failure left behind; the replayer uses this for ``--to-failure``.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.kernel.kernel import Kernel
 from repro.mcr.config import MCRConfig
-from repro.mcr.controller import QUIESCENCE_MAX_RETRIES, UpdateResult
+from repro.mcr.controller import UpdateOutcome
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan, TreeFingerprint
 from repro.obs.export import to_json
@@ -73,53 +73,6 @@ def default_spec(
         "workload": dict(workload or {}),
         "holders": default_held if holders is None else holders,
     }
-
-
-def arm(label: Optional[str]) -> FaultPlan:
-    """The plan a cell label arms: ``"a+b"`` is a double fault, None is clean.
-
-    ``quiescence.wait`` outlasts the controller's bounded retries, or the
-    update would simply commit on a later attempt; ``rollback`` is armed
-    behind ``transfer.memory``, because no rollback runs without a primary
-    fault to force it.
-    """
-    plan = FaultPlan()
-    for name in label.split("+") if label else ():
-        if name == "quiescence.wait":
-            plan.at(name, times=QUIESCENCE_MAX_RETRIES + 1)
-        elif name == "rollback":
-            plan.at("transfer.memory").at(name)
-        else:
-            plan.at(name)
-    return plan
-
-
-class UpdateOutcome(NamedTuple):
-    """How one update ended, read off its ``UpdateResult`` in one place.
-
-    Cells, the trace's final digest and rollout rows report these fields
-    under these names; the defaults are an update that returned nothing.
-    """
-
-    committed: bool = False
-    rolled_back: bool = False
-    failure_site: Optional[str] = None
-    retries: int = 0
-    rollback_verified: Optional[bool] = None
-    rollback_failed: bool = False
-
-    @classmethod
-    def of(cls, result: Optional[UpdateResult]) -> "UpdateOutcome":
-        if result is None:
-            return cls()
-        return cls(
-            bool(result.committed),
-            bool(result.rolled_back),
-            result.failure_site,
-            result.retries,
-            result.rollback_verified,
-            bool(result.rollback_failed),
-        )
 
 
 class ScenarioOutcome:
@@ -234,7 +187,7 @@ def _final_observables(
                         TreeFingerprint.capture(kernel, survivor).to_dict()
                     ).encode()
                 )
-            except BaseException:  # a crashed tree has no fingerprint
+            except Exception:  # a crashed tree has no fingerprint
                 fingerprint_crc = -1
         final["fingerprint_crc"] = fingerprint_crc
     return final
@@ -290,14 +243,14 @@ def run_scenario(
             outcome.result = ctl.live_update(
                 world.make_program(2), config=config, collector=collector
             )
-        except BaseException as error:  # the property under test: never
+        except Exception as error:  # the property under test: never
             outcome.raised = repr(error)
         outcome.listener_present = kernel.net.listener_for(world.port) is not None
         if not until_failure:
             probe = server.probe()
             try:
                 probe.run(kernel)
-            except BaseException as error:  # pragma: no cover - diagnostics
+            except Exception as error:  # pragma: no cover - diagnostics
                 outcome.probe_error = repr(error)
             outcome.probe_completed = probe.completed
             outcome.probe_errors = probe.errors

@@ -26,9 +26,9 @@ from repro.errors import SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig
+from repro.mcr.libmcr import MCRSession
 from repro.mcr.quiescence.profiler import _tree_quiet
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import Program, load_program
 from repro.servers import httpd, memcache, nginx, opensshd, simple, vsftpd
 from repro.servers.common import (

@@ -7,6 +7,8 @@ collector — is owned by the node instance.  Nothing node-scoped lives in
 module globals, so any number of nodes coexist in one Python process and
 an update on one leaves every other node's tree byte-identical (the
 ``TreeFingerprint`` regression in ``tests/test_fleet.py`` pins this).
+It sits beside the catalog's ``World`` and ``boot``, which it wraps, and
+below the checkpoint plane, which restores an image into a fresh one.
 
 Construction is cheap (~2 ms for the ``simple`` server after module
 import, well under the 50 ms budget), so a 16+-node fleet stamps out in

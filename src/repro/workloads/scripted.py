@@ -29,7 +29,7 @@ from repro.errors import SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.replay import rng as replay_rng
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.client import ClientLatencyLog, connect_with_retry
 
 MAX_RETRIES = 100
 PARK_POLL_NS = 20_000_000  # how often a parked client looks for its release

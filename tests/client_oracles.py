@@ -17,7 +17,7 @@ from repro.errors import SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, sim_function
 from repro.replay import rng as replay_rng
-from repro.servers.common import ClientLatencyLog, connect_with_retry
+from repro.workloads.client import ClientLatencyLog, connect_with_retry
 
 
 class _Driver:

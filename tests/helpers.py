@@ -8,9 +8,9 @@ from typing import Dict, List, Optional
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import sim_function
+from repro.mcr.libmcr import MCRSession
 from repro.mem.scan_backend import PreparedScanIndex
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import TypeDesc
 

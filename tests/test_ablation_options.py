@@ -29,9 +29,9 @@ from repro.obs.export import spans_to_trace_events
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime.cruntime import SharedLib
 from repro.runtime.program import GlobalVar, Program
-from repro.servers.common import ClientLatencyLog, ClientPerceived, connect_with_retry
 from repro.types.descriptors import ArrayType, CHAR, INT64, PointerType
 from repro.workloads import FtpBench, profiles
+from repro.workloads.client import ClientLatencyLog, ClientPerceived, connect_with_retry
 
 from tests.helpers import boot_test_program, make_test_program
 from repro.kernel import Kernel
@@ -164,7 +164,7 @@ def test_every_config_option_is_read_by_something():
 
 # Set to nothing but their defaults anywhere; each is now a constant
 # beside its one reader: the quiescence and unblockification timings
-# (``runtime/libmcr.py``, ``quiescence/detection.py``, ``controller.py``),
+# (``mcr/libmcr.py``, ``quiescence/detection.py``, ``controller.py``),
 # the kernel cost model (``kernel.STEP_COST_NS`` ...), the transfer cost
 # model (``TransferCostModel``'s class constants), the SLO budget
 # (``mcr.config.DOWNTIME_BUDGET_NS``), the drill and rollout shapes

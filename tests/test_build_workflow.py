@@ -10,9 +10,9 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.mcr.ctl import McrCtl
-from repro.runtime.build import profile_program
+from repro.mcr.libmcr import MCRSession
+from repro.mcr.quiescence.profiler import profile_program
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import nginx, simple, vsftpd
 from repro.workloads import profiles

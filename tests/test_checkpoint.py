@@ -38,10 +38,10 @@ from repro.checkpoint.delta import DELTA_SHAPE
 from repro.checkpoint.image import Section, section_name, state_record
 from repro.cli import main
 from repro.errors import ImageError, PromotionError
-from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import FaultPlan, TreeFingerprint
 from repro.mem.pages import PAGE_SIZE
+from repro.servers.node import Node
 
 SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
 # The rows that had a one-shot request script before vsftpd and opensshd

@@ -4,14 +4,14 @@ import pytest
 
 from repro.kernel import Kernel, sim_function
 from repro.mcr.ctl import McrCtl
+from repro.mcr.libmcr import MCRSession
 from repro.mcr.tracing.transfer import StateTransfer
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
-from repro.servers import simple
-from repro.servers.common import connect_with_retry, recv_line
 from repro.runtime.program import GlobalVar
+from repro.servers import simple
 from repro.types.descriptors import FuncType, PointerType
+from repro.workloads.client import connect_with_retry, recv_line
 
 from tests.helpers import boot_test_program, make_test_program
 

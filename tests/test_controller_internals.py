@@ -5,11 +5,11 @@ import pytest
 
 from repro.kernel import Kernel, sim_function
 from repro.mcr.controller import LiveUpdateController, RestoreContext
+from repro.mcr.libmcr import MCRSession
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import vsftpd
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 def _boot_vsftpd_with_sessions(kernel, session_count=2):

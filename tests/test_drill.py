@@ -18,8 +18,8 @@ from repro.bench.migrate import run_migrate
 from repro.fleet.drill import Drill, DrillResult
 from repro.fleet.failover import FailoverDrill, FailoverResult
 from repro.fleet.migration import MigrationDrill, MigrationResult
-from repro.fleet.node import Node
-from repro.replay.scenario import arm
+from repro.mcr.controller import arm
+from repro.servers.node import Node
 
 
 @pytest.mark.parametrize("drill_class", [FailoverDrill, MigrationDrill])

@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import MemoryFault
 from repro.fleet.failover import FailoverDrill
-from repro.fleet.node import Node
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig
@@ -23,6 +22,7 @@ from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.servers import httpd
 from repro.servers.catalog import boot
+from repro.servers.node import Node
 from repro.workloads.sshsuite import SshSuite
 
 # (process, its address space, its stores, one mapped address) as they

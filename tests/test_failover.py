@@ -17,9 +17,9 @@ from repro.checkpoint import capture_delta
 from repro.fleet.drill import SETTLE_NS, DrillResult
 from repro.fleet.failover import FailoverDrill, FailoverResult
 from repro.fleet.migration import MigrationResult
-from repro.fleet.node import Node
 from repro.mcr.config import DOWNTIME_BUDGET_NS, MCRConfig
 from repro.mcr.faults import CHECKPOINT_SITES, DEFAULT_ERRORS, SITES, FaultPlan
+from repro.servers.node import Node
 
 # The whole failover grid: the clean crash (None), every checkpoint-plane
 # site, and the torn-image + failed-promotion double fault.

@@ -13,15 +13,15 @@ import pytest
 
 from repro.errors import ConflictError, SimError, StateTransferError
 from repro.kernel import Kernel, sim_function
+from repro.mcr import controller as controller_module
 from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
-from repro.mcr import controller as controller_module
 from repro.mcr.tracing.transfer import StateTransfer
 from repro.servers import simple
 from repro.servers.catalog import boot
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 def _boot(kernel):

@@ -38,7 +38,7 @@ from repro.mcr.faults import (
 )
 from repro.servers import simple
 from repro.servers.catalog import boot
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 def _boot(kernel):

@@ -11,8 +11,8 @@ from repro.bench.harness import boot_server
 from repro.kernel import sim_function
 from repro.mcr.ctl import McrCtl
 from repro.servers import nginx
-from repro.servers.common import connect_with_retry, recv_line
 from repro.servers.updates import NGINX_SERIES
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 @sim_function

@@ -7,7 +7,7 @@ import copy
 from repro.bench import fuzz
 from repro.bench.reporting import verdict_line
 from repro.replay.rng import RngStream, derive_seed
-from repro.replay.scenario import default_spec
+from repro.scenario import default_spec
 from repro.servers.catalog import CATALOG
 
 

@@ -6,8 +6,8 @@ import repro
 from repro.kernel import Kernel, sim_function
 from repro.mcr.ctl import McrCtl
 from repro.servers import memcache
-from repro.servers.common import connect_with_retry, recv_line
 from repro.servers.memcache import PORT_MEMCACHE, entry_checksum
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 @sim_function

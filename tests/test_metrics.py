@@ -35,8 +35,8 @@ from repro.obs.metrics import (
 from repro.obs.recorder import FlightRecorder
 from repro.servers import simple
 from repro.servers.catalog import boot
-from repro.servers.common import ClientLatencyLog, ClientPerceived
 from repro.workloads.ab import ApacheBench
+from repro.workloads.client import ClientLatencyLog, ClientPerceived
 from tests.helpers import collector_to_dict
 
 

@@ -12,10 +12,10 @@ from repro.errors import (
 )
 from repro.kernel import Kernel, sim_function
 from repro.mcr.ctl import McrCtl
+from repro.mcr.libmcr import MCRSession
 from repro.mem.address_space import AddressSpace
 from repro.mem.ptmalloc import PtMallocHeap
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import simple
 

@@ -6,14 +6,14 @@ import pytest
 from repro.errors import ProfilerError, QuiescenceTimeout
 from repro.kernel import Kernel, sim_function
 from repro.kernel.process import Thread
+from repro.mcr.libmcr import MCRSession
 from repro.mcr.quiescence.profiler import QuiescenceProfiler
 from repro.mcr.quiescence.report import QuiescenceReport, ThreadClass
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, load_program
 from repro.servers import simple
 from repro.servers.catalog import boot
-from repro.servers.common import connect_with_retry
+from repro.workloads.client import connect_with_retry
 
 from tests.helpers import boot_test_program, make_test_program
 

@@ -25,18 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.replay import (
-    Divergence,
-    Replayer,
-    RngRegistry,
-    RngStream,
-    TraceLog,
-    default_spec,
-    replay_path,
-    run_scenario,
-)
+from repro.replay import Divergence, RngRegistry, RngStream, TraceLog
 from repro.replay.rng import derive_seed
 from repro.replay.trace import tracing
+from repro.replayer import Replayer, replay_path
+from repro.scenario import default_spec, run_scenario
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 

@@ -134,7 +134,7 @@ class TestSuperobjectChainingRegression:
 
     def test_three_chained_updates_with_pinned_state(self):
         world = repro.boot("simple")
-        from repro.servers.common import connect_with_retry, recv_line
+        from repro.workloads.client import connect_with_retry, recv_line
 
         replies = []
 

@@ -13,9 +13,9 @@ from repro.errors import ConflictError
 from repro.kernel import Kernel, sim_function
 from repro.mcr import controller as controller_module
 from repro.mcr.controller import LiveUpdateController
+from repro.mcr.libmcr import MCRSession
 from repro.mcr.reinit.replay import ReplayContext, ReplayEngine
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import INT64
 

@@ -37,7 +37,6 @@ from repro.checkpoint import (
     write_image,
 )
 from repro.fleet.drill import SETTLE_NS
-from repro.fleet.node import Node
 from repro.mcr.faults import TreeFingerprint
 from repro.mem import address_space, regions
 from repro.mem.address_space import AddressSpace, _crc32_zeros
@@ -45,6 +44,7 @@ from repro.mem.pages import PAGE_SIZE, PageTracker
 from repro.mem.ptmalloc import PtMallocHeap
 from repro.mem.regions import BLOCK_HEADER_SIZE, NestedPool, Region, RegionAllocator
 from repro.servers import httpd
+from repro.servers.node import Node
 
 SEEDS = (0, 1, 0xFFFFFFFF, 0xDEADBEEF, 0x80000000, 123456789)
 

@@ -9,10 +9,10 @@ from repro.errors import AllocatorError, MemoryFault, SimError
 from repro.kernel import Kernel, sim_function
 from repro.kernel.fdtable import RESERVED_BASE, STASH_BASE
 from repro.kernel.process import Process
+from repro.mcr.libmcr import MCRSession
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.cruntime import CRuntime, SharedLib
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import (
     ArrayType,
@@ -246,7 +246,7 @@ class TestLibmcrRecording:
 
     def test_post_startup_fds_are_ordinary(self, kernel):
         from repro.servers import simple
-        from repro.servers.common import connect_with_retry
+        from repro.workloads.client import connect_with_retry
 
         simple.setup_world(kernel)
         program = simple.make_program(1)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.fleet.node import Node
 from repro.kernel.kernel import Kernel
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
@@ -25,6 +24,7 @@ from repro.replay import rng as replay_rng
 from repro.replay import trace as replay_trace
 from repro.replay.trace import TraceLog
 from repro.servers.catalog import CATALOG, boot
+from repro.servers.node import Node
 from repro.workloads import (
     ApacheBench,
     ConnectionHolder,

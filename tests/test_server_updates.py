@@ -10,11 +10,11 @@ import pytest
 
 from repro.kernel import Kernel, sim_function
 from repro.mcr.ctl import McrCtl
+from repro.mcr.libmcr import MCRSession
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import load_program
 from repro.servers import httpd, nginx, opensshd, vsftpd
-from repro.servers.common import connect_with_retry, recv_line
+from repro.workloads.client import connect_with_retry, recv_line
 
 
 def _boot(kernel, module, version=1, **kwargs):

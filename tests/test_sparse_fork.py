@@ -39,12 +39,12 @@ from repro.checkpoint import (
 )
 from repro.checkpoint import restore as restore_module
 from repro.checkpoint.image import Section, capture_quiesced, section_name
-from repro.fleet.node import Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.mem.address_space import AddressSpace
 from repro.mem.pages import PAGE_SIZE
+from repro.servers.node import Node
 from repro.workloads.ftpbench import FtpBench
 from repro.workloads.holders import ConnectionHolder
 from tests.helpers import unmap

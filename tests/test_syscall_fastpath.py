@@ -43,7 +43,7 @@ from repro.kernel.sysapi import Sys
 from repro.kernel.syscalls import Blocked, SyscallRequest, TIMEOUT
 from repro.mem.pages import PAGE_SIZE
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import (
+from repro.mcr.libmcr import (
     MCRSession,
     PHASE_NORMAL,
     PHASE_RECORD,

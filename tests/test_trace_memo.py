@@ -33,12 +33,12 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.bench import faultmatrix
 from repro.bench.harness import SERVER_BENCHES, boot_server
-from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
 from repro.mcr.tracing import conservative, graph, incremental, precise
 from repro.mcr.tracing.graph import GraphBuilder, ObjectRecord, PointerSlot, TraceResult
+from repro.runtime.annotations import Annotations
 from repro.mcr.tracing.incremental import (
     TRANSCRIPTS_PER_KEY,
     TraceMemo,

@@ -5,11 +5,11 @@ import pytest
 
 from repro.bench.harness import SERVER_BENCHES, boot_server
 from repro.errors import ConflictError
-from repro.mcr.annotations import Annotations
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
 from repro.mcr.tracing.conservative import scan_range
 from repro.mcr.tracing.graph import AddressResolver, GraphBuilder, snapshot_index
+from repro.runtime.annotations import Annotations
 from repro.mcr.tracing.invariants import (
     apply_invariants,
     immutable_heap_spans,

@@ -9,9 +9,9 @@ import pytest
 
 from repro.errors import ConflictError
 from repro.kernel import Kernel
-from repro.mcr.annotations import Annotations
 from repro.mcr.config import TransferCostModel
 from repro.mcr.tracing.transfer import StateTransfer
+from repro.runtime.annotations import Annotations
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.program import GlobalVar
 from repro.types.descriptors import (

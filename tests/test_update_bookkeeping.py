@@ -36,9 +36,9 @@ from repro.mcr.config import MCRConfig
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.ctl import McrCtl
 from repro.mcr.faults import FaultPlan
+from repro.mcr.libmcr import MCRSession
 from repro.mcr.quiescence.detection import QuiescenceProtocol, tree_live_threads
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.servers import httpd
 from repro.workloads.ab import ApacheBench
 

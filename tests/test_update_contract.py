@@ -5,7 +5,9 @@ and a rollback leaves the old version verified (or loudly flagged) with a
 black box, while the surviving version keeps its port and answers a probe
 (§3, §6.3).  One test per violation on hand-built outcomes; then that the
 fault matrix and the fuzzer both ask this judge, and that ``arm`` builds
-the plans both used to build by hand.
+the plans both used to build by hand.  Then on live runs: a rolled-back
+tree damaged before the verifier compares it is caught by every judge,
+and an interrupt is never taken for an outcome.
 """
 
 from __future__ import annotations
@@ -13,14 +15,19 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import faultmatrix, fuzz
-from repro.mcr.controller import QUIESCENCE_MAX_RETRIES, UpdateResult
-from repro.mcr.faults import FaultPlan
-from repro.replay.scenario import (
-    ScenarioOutcome,
+from repro.bench.fleetroll import rollout_cell
+from repro.fleet import orchestrator as orchestrator_module
+from repro.mcr.config import MCRConfig
+from repro.mcr.controller import (
+    QUIESCENCE_MAX_RETRIES,
+    LiveUpdateController,
     UpdateOutcome,
+    UpdateResult,
     arm,
-    default_spec,
 )
+from repro.mcr.ctl import McrCtl
+from repro.mcr.faults import FaultPlan
+from repro.scenario import ScenarioOutcome, default_spec, run_scenario
 
 
 def _outcome(committed=True, rolled_back=False, **fields):
@@ -152,3 +159,58 @@ def test_arm_builds_the_plans_both_copies_built():
     )
     assert arm("transfer.memory").to_spec() == FaultPlan().at("transfer.memory").to_spec()
     assert not arm(None)
+
+
+# -- a rollback that diverges is caught ------------------------------------------
+
+
+def _damage_after_rollback(monkeypatch):
+    """Flip one byte of a quiesce-time-captured old process after the
+    rollback resumes the old tree and before the verifier compares it."""
+    rollback = LiveUpdateController._rollback
+
+    def damaged(self, new_root):
+        rollback(self, new_root)
+        subset, _fingerprint, _refcounts = self._checkpoints[0]
+        process = self.old_root if subset is None else subset[0]
+        data = next(process.space.mappings(kind="data"))
+        address = data.base + data.size - 1  # past every global: harmless
+        (byte,) = process.space.read_bytes(address, 1)
+        process.space.write_bytes(address, bytes([byte ^ 0xFF]))
+
+    monkeypatch.setattr(LiveUpdateController, "_rollback", damaged)
+
+
+@pytest.mark.parametrize("mode", ["whole-tree", "rolling"])
+def test_a_rollback_that_diverges_is_caught(mode, monkeypatch):
+    _damage_after_rollback(monkeypatch)
+    spec = default_spec("simple", mode=mode, faults=arm("transfer.memory").to_spec())
+    outcome = run_scenario(spec)
+    assert outcome.update.rolled_back
+    assert outcome.result.rollback_verified is False
+    entries = [entry["name"] for entry in outcome.result.blackbox["entries"]]
+    assert "update.rollback_divergence" in entries
+    assert any(
+        problem.startswith("rollback not fingerprint-verified")
+        for problem in outcome.violations()
+    )
+    monkeypatch.setattr(
+        orchestrator_module, "MCRConfig",
+        lambda **fields: MCRConfig(update_mode=mode, **fields),
+    )
+    row = rollout_cell(
+        2, requests_per_window=4, warm_windows=1, site="transfer.memory", policy="revert"
+    )
+    assert row["converged"] is False
+
+
+# -- one backstop: an interrupt is not an outcome ----------------------------------
+
+
+def test_an_interrupt_propagates_out_of_run_scenario(monkeypatch):
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(McrCtl, "live_update", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(default_spec("simple"))

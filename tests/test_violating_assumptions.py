@@ -14,8 +14,8 @@ from repro.errors import ConflictError
 from repro.kernel import Kernel, sim_function
 from repro.mcr.controller import LiveUpdateController
 from repro.mcr.diagnostics import explain_conflict
+from repro.mcr.libmcr import MCRSession
 from repro.runtime.instrument import BuildConfig
-from repro.runtime.libmcr import MCRSession
 from repro.runtime.program import GlobalVar, Program, load_program
 from repro.types.descriptors import INT64, PointerType
 

@@ -132,7 +132,7 @@ class TestConnectionHolder:
 SRC = Path(repro.__file__).resolve().parent
 # Client code that may open a connection: the one driver and
 # ``connect_with_retry`` itself.
-_CONNECTING = {"workloads/scripted.py", "servers/common.py"}
+_CONNECTING = {"workloads/scripted.py", "workloads/client.py"}
 
 
 def _connect_calls(tree):
