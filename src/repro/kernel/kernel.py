@@ -16,7 +16,10 @@ that names neither a channel nor a wake time is a kernel bug and raises.
 Idle workers therefore cost nothing per round, which is what makes
 1000-worker process trees steppable.  When nothing is runnable the clock
 jumps to the earliest heap entry, so blocking costs no host time; when the
-heap holds none, the world is idle.
+heap holds none, the world is idle.  A ``SlicedWait`` (MCR's unblockified
+call) is re-armed in place at each slice expiry, and a quiet world's
+expiries are taken one at a time without the round machinery
+(``_quiet_stretch``).
 
 Virtual time advances by a per-step cost plus the dispatched syscall's cost
 (see ``syscalls.BASE_COSTS``); soft-dirty write-protect faults taken by the
@@ -41,6 +44,7 @@ from repro.kernel.syscalls import (
     DEFAULT_COST_NS,
     ExitProcess,
     ReplaceImage,
+    SlicedWait,
     SyscallRequest,
     SyscallTable,
     TIMEOUT,
@@ -53,6 +57,29 @@ from repro.kernel.syscalls import (
 STEP_COST_NS = 150
 SOFT_DIRTY_FAULT_COST_NS = 2_500
 MAX_STEPS_DEFAULT = 5_000_000
+
+# What ``Kernel._quiet_stretch``'s next round does after its head.
+_POLL, _STEP, _ADVANCE = range(3)
+
+
+# Payloads of the scheduler's events, rendered only when an event log or
+# flight recorder is read: the hot path records the raw fields.
+def _block_payload(process_name: str, thread_name: str, reason: str) -> Dict[str, Any]:
+    return {"thread": f"{process_name}:{thread_name}", "reason": reason}
+
+
+def _wake_payload(
+    process_name: str, thread_name: str, function: str, blocked_on: str, blocked_ns: int
+) -> Dict[str, Any]:
+    return {
+        "thread": f"{process_name}:{thread_name}",
+        "site": f"{function}:{blocked_on.split(':')[0]}",
+        "blocked_ns": blocked_ns,
+    }
+
+
+def _jump_payload(jump_ns: int) -> Dict[str, Any]:
+    return {"jump_ns": jump_ns}
 
 
 class Barrier:
@@ -334,8 +361,11 @@ class Kernel:
         deadline_ns = None if max_ns is None else clock.now_ns + max_ns
         run_queue = self._run_queue
         deadlines = self._deadlines
+        asked = False  # ``until`` was asked at this round head already
         while True:
-            if until is not None and until():
+            if asked:
+                asked = False
+            elif until is not None and until():
                 return "until"
             if budget <= 0:
                 return "max_steps"
@@ -369,9 +399,166 @@ class Kernel:
             ) and self._poll_blocked():
                 made_progress = True
             if not made_progress and not run_queue:
-                if self._advance_to_next_deadline():
+                if not self._advance_to_next_deadline():
+                    return "idle"
+                if self.trace is None and self.profiler is None:
+                    reason, budget, asked = self._quiet_stretch(until, budget, deadline_ns)
+                    if reason is not None:
+                        return reason
+
+    def _quiet_stretch(
+        self, until: Optional[Callable[[], bool]], budget: int, deadline_ns: Optional[int]
+    ) -> Tuple[Optional[str], int, bool]:
+        """``run``'s rounds while the world is quiet, one slice expiry at a
+        time, without the round, poll and generator machinery.
+
+        Quiet: nothing runnable or kicked, and one ``SlicedWait`` slice
+        comes due alone -- an idle MCR server.  Each expiry takes ``run``'s
+        rounds (the thread times out; its step re-arms the call; the clock
+        advances), with ``until``, the budget and ``max_ns`` asked at each
+        round head, so every stop, charge, event, tick and ``park_seq`` is
+        the stepped loop's; counters are added when the stretch ends.
+        With no ``until``, nothing but re-arms runs between two expiries,
+        so a channel wait parks again on the ``Blocked`` its handler gave
+        in this stretch (a handler that parks changes nothing).
+
+        Entered right after an advance.  A round that is not quiet is
+        handed back at its head: ``(None, budget, asked)``, ``asked`` when
+        ``until`` was asked there; else ``(reason, budget, False)``.
+        """
+        clock = self.clock
+        heap = self._deadlines
+        run_queue = self._run_queue
+        entries = self.syscalls.entries
+        collector = obs.ACTIVE
+        expiries = 0  # timed-out wakes; then re-arms by counter, re-parks by call
+        rearms: Dict[str, int] = {}
+        calls: Dict[str, int] = {}
+        parked: Dict[Thread, Blocked] = {}
+        after = _POLL  # what the round after the next head does
+        try:
+            while True:
+                if until is not None and until():
+                    return "until", budget, False
+                if budget <= 0:
+                    return "max_steps", budget, False
+                if deadline_ns is not None and clock.now_ns >= deadline_ns:
+                    return "max_ns", budget, False
+                if self._hot or len(run_queue) != (after == _STEP):
+                    return None, budget, True
+                if after == _ADVANCE:
+                    if not self._advance_to_next_deadline():
+                        return "idle", budget, False
+                    after = _POLL
                     continue
-                return "idle"
+                if after == _STEP:
+                    if run_queue[0] is not thread:  # ``until`` changed the queue
+                        return None, budget, True
+                    run_queue.popleft()
+                    budget -= 1
+                    blocked = parked.get(thread)
+                    divert = wait.divert
+                    process = thread.process
+                    timeout_ns = wait.caller_timeout_ns
+                    if (
+                        blocked is None
+                        or (divert is not None and divert(process))
+                        or (
+                            timeout_ns is not None
+                            and timeout_ns - wait.waited_ns - wait.timeout_ns <= 0
+                        )
+                    ):
+                        blocked = self._step(thread)
+                        if blocked is None or thread.sliced is not wait:
+                            # The caller resumed, or its call completed.
+                            if self._hot or (heap and heap[0][0] <= clock.now_ns):
+                                self._poll_blocked()
+                            return None, budget, False
+                        if until is None and blocked.wake_ns is None:
+                            parked[thread] = blocked
+                    else:
+                        # ``_step`` re-arming the call.
+                        thread.pending_value = None
+                        self.steps_executed += 1
+                        clock.now_ns += STEP_COST_NS
+                        name = wait.name
+                        if collector is not None:
+                            process.gauge_stamp = self.steps_executed
+                            collector.recorder.tick(self)
+                            rearms[wait.rearm_counter] = rearms.get(wait.rearm_counter, 0) + 1
+                            calls[name] = calls.get(name, 0) + 1
+                        wait.waited_ns += wait.timeout_ns
+                        clock.now_ns += wait.rearm_ns + entries[name][1]
+                        wait.arm()
+                        if collector is not None:
+                            collector.events.emit_raw(
+                                "sched.block",
+                                _block_payload,
+                                (process.name, thread.name, blocked.reason),
+                            )
+                        self._park(thread, blocked, clock.now_ns + wait.timeout_ns)
+                    if self._hot:
+                        self._poll_blocked()
+                        return None, budget, False
+                    if not (heap and heap[0][0] <= clock.now_ns):
+                        after = _ADVANCE
+                        continue
+                # The round's poll, with an entry due: one slice alone?
+                now = clock.now_ns
+                when, _entry, thread, seq = heap[0]
+                wait = thread.sliced
+                if (
+                    wait is None
+                    or thread.wait_deadline_ns != when
+                    or thread.state != BLOCKED
+                    or thread.park_seq != seq
+                    or (len(heap) > 1 and heap[1][0] <= now)
+                    or (len(heap) > 2 and heap[2][0] <= now)
+                ):
+                    if self._poll_blocked() or after == _STEP:
+                        return None, budget, False
+                    if not self._advance_to_next_deadline():
+                        return "idle", budget, False
+                    continue
+                heapq.heappop(heap)
+                is_ready, value = thread.wait_ready()
+                if is_ready:
+                    self._wake(thread, value)
+                    return None, budget, False
+                # ``_wake(thread, TIMEOUT)``.
+                if collector is not None:
+                    expiries += 1
+                    stack = thread.call_stack
+                    collector.events.emit_raw(
+                        "sched.wake",
+                        _wake_payload,
+                        (
+                            thread.process.name,
+                            thread.name,
+                            stack[-1] if stack else "<entry>",
+                            thread.blocked_on,
+                            now - thread.block_started_ns,
+                        ),
+                    )
+                del self._blocked[thread]
+                thread.state = RUNNABLE
+                thread.wait_ready = thread.wait_deadline_ns = None
+                thread.blocked_on = ""
+                thread.pending_value = TIMEOUT
+                run_queue.append(thread)
+                after = _STEP
+        finally:
+            if expiries:
+                counters = collector.counters
+                counters.incr("sched.wakes", expiries)
+                counters.incr("sched.wake_timeouts", expiries)
+                for name, count in rearms.items():
+                    counters.incr("kernel.steps", count)
+                    counters.incr(name, count)
+                for name, count in calls.items():
+                    counters.incr("syscall." + name, count)
+                    counters.incr("syscall.total", count)
+                    counters.incr("sched.blocks", count)
 
     def run_for(self, duration_ns: int, max_steps: Optional[int] = None) -> str:
         """Run the world for exactly ``duration_ns`` of virtual time.
@@ -391,7 +578,8 @@ class Kernel:
             self.clock.advance(deadline_ns - self.clock.now_ns)
         return reason
 
-    def _step(self, thread: Thread) -> None:
+    def _step(self, thread: Thread) -> Optional[Blocked]:
+        """Run ``thread`` one step; returns the ``Blocked`` it parked on."""
         self.steps_executed += 1
         clock = self.clock
         clock.now_ns += STEP_COST_NS
@@ -408,25 +596,38 @@ class Kernel:
             # takes a gauge sample of the world (runnable/blocked counts,
             # allocator occupancy, fd totals, dirty faults).
             collector.recorder.tick(self)
-        try:
-            if thread.pending_exception is not None:
-                exc = thread.pending_exception
-                thread.pending_exception = None
-                request = thread.body.throw(exc)
-            else:
-                value = thread.pending_value
-                thread.pending_value = None
-                request = thread.body.send(value)
-        except StopIteration as stop:
-            thread.state = EXITED
-            thread.process.retally(-1, -thread.at_barrier, -thread.reached_qp)
-            thread.exit_value = getattr(stop, "value", None)
-            self._maybe_reap_process(thread.process)
-            return
-        if request.__class__ is not SyscallRequest:
-            raise SimError(
-                f"thread {thread} yielded {request!r}, expected a SyscallRequest"
-            )
+        request = thread.sliced
+        if (
+            request is not None
+            and thread.pending_value is TIMEOUT
+            and self._rearm(request, thread.process)
+        ):
+            # A slice expired: the call goes in again and the caller is not
+            # resumed.
+            thread.pending_value = None
+        else:
+            thread.sliced = None
+            try:
+                if thread.pending_exception is not None:
+                    exc = thread.pending_exception
+                    thread.pending_exception = None
+                    request = thread.body.throw(exc)
+                else:
+                    value = thread.pending_value
+                    thread.pending_value = None
+                    request = thread.body.send(value)
+            except StopIteration as stop:
+                thread.state = EXITED
+                thread.process.retally(-1, -thread.at_barrier, -thread.reached_qp)
+                thread.exit_value = getattr(stop, "value", None)
+                self._maybe_reap_process(thread.process)
+                return None
+            if request.__class__ is not SyscallRequest:
+                if request.__class__ is not SlicedWait:
+                    raise SimError(
+                        f"thread {thread} yielded {request!r}, expected a SyscallRequest"
+                    )
+                thread.sliced = request
         # Kernel entry: one table lookup gives the handler and its cost.
         # An unknown name still costs an entry before it fails.
         name = request.name
@@ -444,7 +645,7 @@ class Kernel:
             # Deliver the fault into the program like an errno would be.
             thread.pending_exception = error
             self._run_queue.append(thread)
-            return
+            return None
         # Charge the soft-dirty write-protect faults the process took.
         process = thread.process
         faults = process.space.soft_dirty_faults
@@ -457,25 +658,22 @@ class Kernel:
             collector = obs.ACTIVE
             if collector is not None:
                 collector.counters.incr("sched.blocks")
-                collector.events.emit(
-                    "sched.block",
-                    severity="debug",
-                    thread=f"{thread.process.name}:{thread.name}",
-                    reason=result.reason,
+                collector.events.emit_raw(
+                    "sched.block", _block_payload, (process.name, thread.name, result.reason)
                 )
             timeout_ns = request.timeout_ns
             self._park(
                 thread, result, None if timeout_ns is None else clock.now_ns + timeout_ns
             )
-            return
+            return result
         if kind is ExitProcess:
             self.terminate_process(process, result.status)
-            return
-        if kind is ReplaceImage:
+        elif kind is ReplaceImage:
             self._retire_thread(thread)
-            return
-        thread.pending_value = result
-        self._run_queue.append(thread)
+        else:
+            thread.pending_value = result
+            self._run_queue.append(thread)
+        return None
 
     def _park(self, thread: Thread, blocked: Blocked, deadline_ns: Optional[int]) -> None:
         """Park a thread on what ``blocked`` names: its wait channels, and
@@ -507,6 +705,20 @@ class Kernel:
             self._heap_counter += 1
             heapq.heappush(self._deadlines, (wake_ns, self._heap_counter, thread, seq))
         self._blocked[thread] = None
+
+    def _rearm(self, wait: SlicedWait, process: Process) -> bool:
+        """A slice of ``wait`` expired: charge the re-arm, as the caller's
+        loop did, and size the next slice.  False when the caller must be
+        resumed instead: its hook diverts it or its timeout ran out."""
+        wait.waited_ns += wait.timeout_ns
+        self.clock.now_ns += wait.rearm_ns
+        collector = obs.ACTIVE
+        if collector is not None:
+            collector.counters.incr(wait.rearm_counter)
+        divert = wait.divert
+        if divert is not None and divert(process):
+            return False
+        return wait.arm()
 
     def mark_poll_hot(self, thread: Thread) -> None:
         """A wait channel was kicked: re-poll this thread next round."""
@@ -566,12 +778,17 @@ class Kernel:
             collector.counters.incr("sched.wakes")
             if value is TIMEOUT:
                 collector.counters.incr("sched.wake_timeouts")
-            collector.events.emit(
+            stack = thread.call_stack
+            collector.events.emit_raw(
                 "sched.wake",
-                severity="debug",
-                thread=f"{thread.process.name}:{thread.name}",
-                site=thread.wait_site(),
-                blocked_ns=self.clock.now_ns - thread.block_started_ns,
+                _wake_payload,
+                (
+                    thread.process.name,
+                    thread.name,
+                    stack[-1] if stack else "<entry>",
+                    thread.blocked_on,
+                    self.clock.now_ns - thread.block_started_ns,
+                ),
             )
         self._blocked.pop(thread, None)
         thread.state = RUNNABLE
@@ -598,10 +815,8 @@ class Kernel:
             collector = obs.ACTIVE
             if collector is not None:
                 collector.counters.incr("sched.clock_jumps")
-                collector.events.emit(
-                    "sched.clock_jump",
-                    severity="debug",
-                    jump_ns=target - self.clock.now_ns,
+                collector.events.emit_raw(
+                    "sched.clock_jump", _jump_payload, (target - self.clock.now_ns,)
                 )
             self.clock.advance(target - self.clock.now_ns)
         return True

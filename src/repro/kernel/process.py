@@ -26,6 +26,7 @@ from repro.kernel.fdtable import FDTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
+    from repro.kernel.syscalls import SlicedWait
 
 RUNNABLE = "runnable"
 BLOCKED = "blocked"
@@ -158,6 +159,9 @@ class Thread:
         # awaiting its re-poll.
         self.park_seq = 0
         self.poll_hot = False
+        # The sliced wait this thread issued and has not been resumed
+        # from: the kernel re-arms it on a slice expiry.
+        self.sliced: Optional["SlicedWait"] = None
         # Quiescence bookkeeping.  The profiler's per-site stalled time and
         # loop lists are not here: a ``QuiescenceProfiler`` keeps them for
         # the kernel it profiles, and no other run pays for them.

@@ -55,6 +55,45 @@ class SyscallRequest:
         return f"<syscall {self.name}({self.args})>"
 
 
+class SlicedWait(SyscallRequest):
+    """A blocking call issued in ``slice_ns`` timeout slices (MCR's
+    unblockification): at each expiry the kernel re-arms it in place --
+    ``waited_ns`` grows by the slice, ``rearm_ns`` is charged and
+    ``rearm_counter`` counted -- and resumes the caller only with the
+    call's result, or with TIMEOUT once ``divert(process)`` holds or
+    ``caller_timeout_ns`` has run out."""
+
+    __slots__ = (
+        "slice_ns", "rearm_ns", "rearm_counter", "caller_timeout_ns", "waited_ns", "divert",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        args: Dict[str, Any],
+        slice_ns: int,
+        rearm_ns: int,
+        rearm_counter: str,
+        caller_timeout_ns: Optional[int],
+        divert: Optional[Callable[[Any], bool]],
+    ) -> None:
+        self.name = name
+        self.args = args
+        self.timeout_ns = self.slice_ns = slice_ns
+        self.rearm_ns = rearm_ns
+        self.rearm_counter = rearm_counter
+        self.caller_timeout_ns = caller_timeout_ns
+        self.waited_ns = 0
+        self.divert = divert
+
+    def arm(self) -> bool:
+        """Size the next slice; False when the caller's timeout ran out."""
+        if self.caller_timeout_ns is None:
+            return True  # every slice is ``slice_ns``
+        self.timeout_ns = min(self.slice_ns, self.caller_timeout_ns - self.waited_ns)
+        return self.timeout_ns > 0
+
+
 class Blocked:
     """Handler result: park the thread until ``ready`` returns (True, v).
 

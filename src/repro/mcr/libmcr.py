@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 from repro import obs
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, Thread
-from repro.kernel.syscalls import SyscallRequest, TIMEOUT
+from repro.kernel.syscalls import SlicedWait, SyscallRequest, TIMEOUT
 from repro.mcr.config import MCRConfig
 from repro.mcr.quiescence.detection import QuiescenceProtocol
 from repro.mcr.reinit.startup_log import StartupLog
@@ -81,6 +81,10 @@ class MCRSession:
         self.role = role  # "primary" (v1) | "restart" (v2)
         self.startup_log = StartupLog()
         self.quiescence = QuiescenceProtocol(self)
+        # The quiescence hook, as the predicate every sliced wait carries:
+        # divert a process's thread to the barrier before arming its call
+        # again, so no new event is ever consumed mid-protocol.
+        self.divert = self.quiescence.hook_should_block if build.qdet else None
         self.phase = PHASE_RESTART if role == "restart" else PHASE_RECORD
         self.startup_complete = False
         self.root_process: Optional[Process] = None
@@ -269,36 +273,32 @@ class MCRRuntime:
         Exposes the original call semantics to the program (including a
         caller-supplied timeout) while guaranteeing the thread re-enters
         user space every ``UNBLOCKIFY_SLICE_NS`` to check for a pending
-        quiescence request.
+        quiescence request.  The slices are one ``SlicedWait``: the kernel
+        re-arms it at each expiry, charging ``UNBLOCKIFY_POLL_COST_NS``
+        and running the hook, and resumes this generator only with the
+        call's result, or with TIMEOUT when the hook diverts the thread or
+        the caller's timeout has run out.
         """
         thread: Thread = sys_api.thread
         session = self.session
         session.kernel.clock.advance(UNBLOCKIFY_ENTRY_COST_NS)
         if not thread.reached_qp:
             session.note_qp_reached(thread)
-        waited_ns = 0
+        divert = session.divert
+        process = thread.process
+        wait = SlicedWait(
+            name, args, UNBLOCKIFY_SLICE_NS, UNBLOCKIFY_POLL_COST_NS,
+            "mcr.unblockify_rearms", caller_timeout_ns, divert,
+        )
         while True:
-            # The quiescence hook: divert to the barrier before arming the
-            # call again, so no new event is ever consumed mid-protocol.
-            if self.build.qdet and session.quiescence.hook_should_block(
-                thread.process
-            ):
+            if divert is not None and divert(process):
                 yield SyscallRequest(
                     "barrier_wait", {"barrier": session.quiescence.barrier}
                 )
                 # Barrier released: re-check (rollback resumes us here).
                 continue
-            slice_ns = UNBLOCKIFY_SLICE_NS
-            if caller_timeout_ns is not None:
-                slice_ns = min(slice_ns, caller_timeout_ns - waited_ns)
-                if slice_ns <= 0:
-                    return TIMEOUT
-            result = yield SyscallRequest(name, args, slice_ns)
+            if not wait.arm():
+                return TIMEOUT
+            result = yield wait
             if result is not TIMEOUT:
                 return result
-            waited_ns += slice_ns
-            # The re-arm is the run-time cost of unblockification.
-            session.kernel.clock.advance(UNBLOCKIFY_POLL_COST_NS)
-            collector = obs.ACTIVE
-            if collector is not None:
-                collector.counters.incr("mcr.unblockify_rearms")

@@ -5,12 +5,16 @@ end of startup — stamped with virtual time.  The buffer is a fixed-size
 ring: emitting beyond capacity silently evicts the oldest events and
 counts them in ``dropped``, so an always-on emitter can never grow the
 log without bound.
+
+The scheduler's per-step events come through ``emit_raw``: the ring keeps
+the strings and ints the emitter holds plus the function that renders
+them, and the payload dict is built only when the log is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, Optional, Tuple
 
 from repro.clock import VirtualClock
 from repro.obs.recorder import FlightRecorder
@@ -42,7 +46,9 @@ class EventLog:
             raise ValueError(f"event log capacity must be positive, got {capacity}")
         self.clock = clock
         self.capacity = capacity
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+        # ``Event``s, and raw ``(ts_ns, name, render, fields)`` tuples from
+        # ``emit_raw`` that iteration renders.
+        self._ring: Deque[Any] = deque(maxlen=capacity)
         # The flight recorder mirroring this log (``obs.Collector`` wires
         # its own): one direct call per event, no second event object.
         self.recorder: Optional[FlightRecorder] = None
@@ -60,10 +66,24 @@ class EventLog:
         self.emitted += 1
         recorder = self.recorder
         if recorder is not None:
-            recorder.record_at(now, "event", name, payload)
+            recorder.record("event", name, payload, now)
+
+    def emit_raw(self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple) -> None:
+        """Emit a debug event whose payload is ``render(*fields)``, built
+        only when something reads it."""
+        now = self.clock.now_ns
+        self._ring.append((now, name, render, fields))
+        self.emitted += 1
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record_raw(now, "event", name, render, fields)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._ring)
+        for item in self._ring:
+            if item.__class__ is not Event:
+                ts_ns, name, render, fields = item
+                item = Event(ts_ns, "debug", name, render(*fields))
+            yield item
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -79,4 +99,7 @@ class BlackBoxLog(EventLog):
     def emit(self, name: str, severity: str = "info", **payload: Any) -> None:
         if severity not in SEVERITIES:
             raise ValueError(f"unknown severity {severity!r}; choose from {SEVERITIES}")
-        self.recorder.record_at(self.clock.now_ns, "event", name, payload)
+        self.recorder.record("event", name, payload)
+
+    def emit_raw(self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple) -> None:
+        self.recorder.record_raw(self.clock.now_ns, "event", name, render, fields)
