@@ -23,11 +23,11 @@ Each module's run function returns plain dict/list data (choosing its own
 ``smoke`` subset where it has one), and ``render(results)`` declares each
 of its tables once — a title, a column list and mapping rows — for
 ``reporting.render_table``, whose one cell formatter every cell goes
-through.  So the pytest benchmarks can both assert the paper's *shape*
-and print the regenerated table.  A module whose results make pass/fail
-claims states them once, in ``verdicts(results)``; ``python -m repro
-bench`` prints them all on one ``verdicts:`` line under the tables and
-exits 1 when one is false.
+through.  Every module states its pass/fail claims once, in
+``verdicts(results)`` computed from its rows (for the paper benches, the
+paper's *shape*: orderings, bands, crossovers); ``python -m repro bench``
+prints them all on one ``verdicts:`` line under the tables and exits 1
+when one is false.
 """
 
 from repro.bench.harness import SERVER_BENCHES, boot_server

@@ -137,6 +137,23 @@ def run_all() -> Dict[str, Dict]:
     }
 
 
+def verdicts(results: Dict[str, Dict]) -> Dict[str, bool]:
+    """What each mechanism buys, read off ``run_all``'s rows."""
+    dirty, parallel = results["dirty_tracking"], results["parallel_transfer"]
+    int64, interior = results["int64_policy"], results["interior_only"]
+    return {
+        # Parallelism and fixed coordination costs hide much of the saving
+        # wall-clock; the pure per-object work shows it.
+        "dirty_tracking_reduces_work": dirty["objects_without"] > dirty["objects_with"] * 3
+        and dirty["work_speedup"] > 1.25
+        and dirty["serial_speedup"] > 1.05
+        and dirty["speedup"] >= 1.0,
+        "parallel_beats_serial": parallel["processes"] >= 7 and parallel["speedup"] > 1.0,
+        "int64_policy_finds_hidden_pointers": int64["likely_on"] > int64["likely_off"],
+        "interior_only_not_larger": interior["interior_only"] <= interior["strict"],
+    }
+
+
 def render(results: Dict[str, Dict]) -> str:
     dirty = results["dirty_tracking"]
     parallel = results["parallel_transfer"]

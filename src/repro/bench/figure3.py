@@ -22,7 +22,7 @@ from repro.mcr.ctl import McrCtl
 
 # The paper's x-axis is 0..100; the simulator's is scaled down (each held
 # FTP/SSH connection forks a simulated process).  The full run is the
-# table EXPERIMENTS.md documents; --smoke and benchmarks/ stop at 20.
+# table EXPERIMENTS.md quotes (BENCH_figure3.json); --smoke stops at 20.
 CONNECTIONS = (0, 5, 10, 20, 40)
 SMOKE_CONNECTIONS = (0, 5, 10, 20)
 
@@ -68,6 +68,34 @@ def run_figure3(smoke: bool = False) -> Dict[str, List[Dict[str, object]]]:
     return {
         server: [measure_point(server, n) for n in counts]
         for server in PRIMARY_SERVERS
+    }
+
+
+def verdicts(results: Dict[str, List[Dict[str, object]]]) -> Dict[str, bool]:
+    """The paper's Figure-3 shape, read off every server's points."""
+    points = [point for curve in results.values() for point in curve]
+    times = {server: [p["transfer_ms"] for p in curve] for server, curve in results.items()}
+    slope = {
+        server: (curve[-1]["transfer_ms"] - curve[0]["transfer_ms"])
+        / (curve[-1]["connections"] - curve[0]["connections"])
+        for server, curve in results.items()
+    }
+    return {
+        "all_points_committed": all(point["committed"] for point in points),
+        "transfer_grows_with_connections": all(
+            t[-1] > t[0] and all(later >= earlier - 0.2 for earlier, later in zip(t, t[1:]))
+            for t in times.values()
+        ),
+        "forked_servers_grow_fastest": all(
+            slope[forked] > slope[threaded] * 3
+            for forked in ("vsftpd", "opensshd")
+            for threaded in ("httpd", "nginx")
+        ),
+        "baselines_in_tens_of_ms": all(5.0 < t[0] < 200.0 for t in times.values()),
+        "dirty_reduction_over_40pct": all(
+            curve[-1]["dirty_reduction"] > 0.40 for curve in results.values()
+        ),
+        "updates_subsecond": all(point["total_update_ms"] < 1000.0 for point in points),
     }
 
 

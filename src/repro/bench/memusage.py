@@ -85,6 +85,17 @@ def average_rss_overhead(results: Dict[str, Dict[str, float]]) -> float:
     return sum(r["rss_overhead"] for r in results.values()) / len(results)
 
 
+def verdicts(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
+    """The paper's memory bands, read off every server's row."""
+    return {
+        "binary_overhead_in_band": all(0.9 < r["binary_overhead"] < 3.0 for r in results.values()),
+        "rss_overhead_small_multiple": all(0.8 < r["rss_overhead"] < 6.0 for r in results.values()),
+        "average_rss_in_band": 1.0 < average_rss_overhead(results) < 5.0,
+        "small_binaries_pay_more": results["vsftpd"]["binary_overhead"]
+        > results["httpd"]["binary_overhead"],
+    }
+
+
 def render(results: Dict[str, Dict[str, float]]) -> str:
     rows = [
         {

@@ -89,6 +89,19 @@ def run_spec() -> Dict[str, float]:
     return results
 
 
+def verdicts(results: Dict[str, float]) -> Dict[str, bool]:
+    """The paper's SPEC shape, read off the instrumented/baseline ratios."""
+    others = [ratio for name, ratio in results.items() if name != "perlbench"]
+    intensity = {name: mix["allocs"] / mix["compute_ns"] for name, mix in WORKLOAD_MIXES.items()}
+    ratios = [results[name] for name in sorted(intensity, key=intensity.get)]
+    return {
+        "others_within_5pct": all(ratio < 1.06 for ratio in others),
+        "perlbench_outlier": 1.20 < results["perlbench"] < 1.60
+        and results["perlbench"] == max(results.values()),
+        "overhead_tracks_alloc_intensity": ratios[-1] == max(ratios) and ratios[0] == min(ratios),
+    }
+
+
 def render(results: Dict[str, float]) -> str:
     rows = [
         {"benchmark": name, "normalized": ratio, "overhead": f"{(ratio - 1) * 100:.1f}%"}

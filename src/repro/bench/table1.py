@@ -64,6 +64,29 @@ def run_table1() -> Dict[str, Dict[str, int]]:
     return results
 
 
+def verdicts(results: Dict[str, Dict[str, int]]) -> Dict[str, bool]:
+    """The paper's Table-1 shape, read off the profiled and series rows."""
+    nginx, httpd = results["nginx"], results["httpd"]
+    others = ("httpd", "vsftpd", "opensshd")
+    per_release = {name: row["LOC"] / row["Num"] for name, row in results.items()}
+    return {
+        "nginx_purely_event_driven": nginx["Vol"] == 0 and nginx["Per"] == nginx["QP"],
+        "session_servers_one_persistent_point": all(
+            results[name]["Vol"] >= 1 and results[name]["Per"] == 1
+            for name in ("vsftpd", "opensshd")
+        ),
+        "httpd_mixes_persistent_and_volatile": httpd["Per"] >= 3 and httpd["Vol"] >= 1,
+        "opensshd_short_lived_classes": results["opensshd"]["SL"] >= 2,
+        "nginx_series_largest": nginx["Num"] == 25
+        and all(results[name]["Num"] == 5 for name in others),
+        "nginx_patches_smallest": all(per_release["nginx"] < per_release[name] for name in others),
+        "annotation_loc_as_paper": [results[name]["Ann"] for name in PAPER_PROFILING]
+        == [181, 22, 82, 49],
+        "type_changes_detected": all(row["Type"] >= 2 for row in results.values()),
+        "httpd_st_loc_accounted": httpd["ST"] > 0,
+    }
+
+
 def render(results: Dict[str, Dict[str, int]]) -> str:
     keys = ["SL", "LL", "QP", "Per", "Vol", "Num", "LOC", "Fun", "Var", "Type", "Ann", "ST"]
     rows = []

@@ -64,6 +64,26 @@ def run_table2() -> Dict[str, Dict[str, Dict[str, int]]]:
     return {server: trace_statistics(server) for server in PAPER_TABLE2}
 
 
+def verdicts(results: Dict[str, Dict[str, Dict[str, int]]]) -> Dict[str, bool]:
+    """The paper's Table-2 conclusions, read off the traced totals."""
+    likely = {server: totals["likely"]["ptr"] for server, totals in results.items()}
+    precise = {server: totals["precise"]["ptr"] for server, totals in results.items()}
+    sshd, httpd = results["opensshd"], results["httpd"]["likely"]
+    return {
+        "likely_pointers_present": sum(likely.values()) > 0,
+        "uninstrumented_allocators_dominate": likely["httpd"] > likely["nginx"]
+        > max(likely["vsftpd"], likely["opensshd"]),
+        "regions_mitigate_not_eliminate": precise["nginx_reg"] > precise["nginx"]
+        and likely["nginx"] > likely["nginx_reg"] > 0,
+        "instrumented_keep_residual_likely": likely["vsftpd"] >= 1
+        and precise["opensshd"] > likely["opensshd"] >= 1,
+        "opensshd_points_into_libraries": sshd["precise"]["targ_lib"]
+        + sshd["likely"]["targ_lib"] >= 1,
+        "likely_targets_static_and_dynamic": httpd["targ_static"] > 0
+        and httpd["targ_dynamic"] > 0,
+    }
+
+
 def render(results: Dict[str, Dict[str, Dict[str, int]]]) -> str:
     def regions(kind: str, end: str):
         return lambda row: "/".join(

@@ -57,19 +57,37 @@ def run_table3() -> Dict[str, Dict[str, float]]:
     return results
 
 
+def verdicts(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
+    """The paper's Table-3 shape, read off the normalized ladder rows."""
+    httpd, reg = results["httpd"], results["nginx_reg"]["+QDet"]
+    paper_servers = ("httpd", "nginx", "vsftpd", "opensshd")
+    return {
+        "unblockification_nearly_free": all(row["Unblock"] < 1.04 for row in results.values()),
+        "allocator_instrumentation_visible": 1.02 < httpd["+SInstr"] < 1.10
+        and httpd["+SInstr"] - httpd["Unblock"] > httpd["+QDet"] - httpd["+DInstr"],
+        "nginx_flat": all(ratio < 1.03 for ratio in results["nginx"].values()),
+        "nginx_reg_outlier": 1.10 < reg < 1.35
+        and all(results[name]["+QDet"] < reg for name in paper_servers),
+        "full_mcr_under_10pct": all(results[name]["+QDet"] < 1.10 for name in paper_servers),
+        "ladder_cumulative": all(
+            row["+SInstr"] >= row["Unblock"] - 0.02 and row["+DInstr"] >= row["+SInstr"] - 0.02
+            for row in results.values()
+        ),
+    }
+
+
 def render(results: Dict[str, Dict[str, float]]) -> str:
-    configs = list(next(iter(results.values())).keys())
     rows = [
         {
             "server": server,
             **row,
-            **{f"paper:{c}": PAPER_TABLE3.get(server, {}).get(c) for c in configs},
+            **{f"paper:{c}": PAPER_TABLE3.get(server, {}).get(c) for c in CONFIGS},
         }
         for server, row in results.items()
     ]
     return render_table(
         "Table 3: run time normalized against the baseline",
-        ["server", *configs, *(f"paper:{c}" for c in configs)],
+        ["server", *CONFIGS, *(f"paper:{c}" for c in CONFIGS)],
         rows,
         note="Measured in deterministic virtual time; compare shapes, not digits.",
     )

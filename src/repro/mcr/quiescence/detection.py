@@ -16,7 +16,7 @@ workload-independent).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.errors import QuiescenceTimeout
 from repro.kernel.kernel import Barrier, Kernel
@@ -51,8 +51,9 @@ class QuiescenceProtocol:
         # Rolling-update scoping: when set, only these processes divert to
         # the barrier at their quiescent points — the rest of the tree
         # keeps serving.  None (the default, and the whole-tree mode)
-        # scopes the protocol to every process.
-        self.scope: Optional[Set[Process]] = None
+        # scopes the protocol to every process.  A dict, not a set: a
+        # ``Process`` hashes by identity, so a set's walk order varied.
+        self.scope: Optional[Dict[Process, None]] = None
         # Check-skipping floor for ``is_quiescent``: after a failed check,
         # no check can succeed until at least one more thread arrives at
         # the barrier (``Barrier.arrived`` is monotonic), so checks below
@@ -75,7 +76,7 @@ class QuiescenceProtocol:
         self.barrier = Barrier()
         self.requested = True
         self.converged_at_ns = None
-        self.scope = set(scope) if scope is not None else None
+        self.scope = dict.fromkeys(scope) if scope is not None else None
         self._arrivals_floor = 0
         self._skipped_checks = 0
 
@@ -87,7 +88,7 @@ class QuiescenceProtocol:
         protocol already covers everything and this is a no-op.
         """
         if self.scope is not None:
-            self.scope.update(processes)
+            self.scope.update(dict.fromkeys(processes))
 
     def in_scope(self, process: Process) -> bool:
         return self.scope is None or process in self.scope
@@ -114,7 +115,9 @@ class QuiescenceProtocol:
             self._arrivals_floor = 0
             return live > 0
         any_thread = False
-        for process in scope:
+        # Newest first: the batch added last is still on its way to the
+        # barrier, so the walk meets a straggler early.
+        for process in reversed(scope):
             if process.exited:
                 continue
             for thread in process.live_threads():

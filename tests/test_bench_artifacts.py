@@ -1,15 +1,16 @@
 """Golden artifacts: the benches reproduce the committed files byte for byte.
 
 Everything these benches report is stamped by the virtual clock, so the
-committed ``BENCH_failover.json`` / ``BENCH_migrate.json`` /
-``BENCH_updatetime.json`` / ``BENCH_faultmatrix.json`` (and the fault
-matrix's black boxes and replay trace) / ``BENCH_fleetroll.json`` are an
-executable spec of the drills, the update's phases and client-perceived
-columns, the controller's transaction envelope, the black-box writer and
-the rollout orchestrator: any refactor of those must leave every byte
-where it was.  Each bench runs through the CLI entry point in a scratch
-working directory, exactly as CI runs it: the smoke run, except
-fleetroll, whose committed file is the full run (about 2 s).
+committed ``BENCH_*.json`` files are an executable spec.  The paper's
+evaluation (``table1``, ``table2``, ``table3``, ``figure3``, ``spec``,
+``memusage``, ``ablations`` and ``updatetime``) pins every number of
+Tables 1-3, Figure 3 and section 8; ``failover``, ``migrate``,
+``faultmatrix`` (with its black boxes and replay trace) and ``fleetroll``
+pin the drills, the controller's transaction envelope, the black-box
+writer and the rollout orchestrator.  Any refactor of those must leave
+every byte where it was.  Each bench runs through the CLI entry point in
+a scratch working directory: the smoke run where the bench has one,
+except figure3 and fleetroll, whose committed files are the full runs.
 
 Every bench with verdicts judges its own results: ``python -m repro bench
 X`` prints them on one ``verdicts:`` line and exits 1 when one fails, and
@@ -23,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import failover, faultmatrix, fleetroll, fuzz, migrate, scanperf, updatetime
+from repro.bench import (
+    ablations, failover, faultmatrix, figure3, fleetroll, fuzz, memusage, migrate, scanperf,
+    spec2006, table1, table2, table3, updatetime,
+)
 from repro.bench.reporting import verdict_line
 from repro.cli import main
 from repro.fleet import Orchestrator
@@ -44,9 +48,14 @@ ARTIFACTS = {
         "BENCH_faultmatrix_blackbox_migration.json",
     ),
     "fleetroll": ("BENCH_fleetroll.json",),
+    **{
+        bench: (f"BENCH_{bench}.json",)
+        for bench in ("table1", "table2", "table3", "figure3", "spec", "memusage", "ablations")
+    },
 }
-# The benches whose committed artifact is the full run.
-FULL_SIZE = ("fleetroll",)
+# The benches whose committed artifact is the full run (EXPERIMENTS.md
+# quotes figure3's N = 40 column).
+FULL_SIZE = ("fleetroll", "figure3")
 
 
 @pytest.mark.parametrize("experiment", sorted(ARTIFACTS))
@@ -96,6 +105,20 @@ VERDICT_BENCHES = {
                  lambda r: r["scaling_curve"][-1].update(slo_ok=False)),
     "fuzz": (fuzz, "run_fuzz", _fuzz_soak,
              lambda r: r["runs"][0].update(ok=False)),
+    "table1": (table1, "run_table1", lambda: _committed("table1"),
+               lambda r: r["nginx"].update(Vol=1)),
+    "table2": (table2, "run_table2", lambda: _committed("table2"),
+               lambda r: r["httpd"]["likely"].update(targ_static=0)),
+    "table3": (table3, "run_table3", lambda: _committed("table3"),
+               lambda r: r["nginx_reg"].update({"+QDet": 1.5})),
+    "figure3": (figure3, "run_figure3", lambda: _committed("figure3"),
+                lambda r: r["vsftpd"][-1].update(committed=False)),
+    "spec": (spec2006, "run_spec", lambda: _committed("spec"),
+             lambda r: r.update(gcc=1.07)),
+    "memusage": (memusage, "run_memusage", lambda: _committed("memusage"),
+                 lambda r: r["httpd"].update(rss_overhead=7.0)),
+    "ablations": (ablations, "run_all", lambda: _committed("ablations"),
+                  lambda r: r["interior_only"].update(interior_only=48)),
 }
 
 

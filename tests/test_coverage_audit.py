@@ -67,9 +67,8 @@ def _repro_args(suite):
 
 class TestProductSuite:
     def test_no_tier1_entry(self, suite):
-        pytest_runs = [command for command, _ in suite if command[1:3] == ["-m", "pytest"]]
-        # Only ``benchmarks/`` runs under pytest; never ``tests/``.
-        assert [command[-1] for command in pytest_runs] == ["benchmarks"]
+        # Nothing runs under pytest: the product suite never runs ``tests/``.
+        assert not [command for command, _ in suite if "pytest" in command]
 
     def test_fuzz_runs_full_size(self, suite):
         (fuzz,) = [args for args in _repro_args(suite) if args[:2] == ["bench", "fuzz"]]

@@ -3,7 +3,7 @@
 A static AST scan.  An attribute counts as *stored* where ``src/repro``
 assigns it (``x.name = ...``, ``x.name += ...``, ``x.name: T = ...``) and
 as *read* where any module under ``src/``, ``tests/``, ``perfbench/``,
-``benchmarks/``, ``examples/`` or ``tools/`` loads it: an attribute load,
+``examples/`` or ``tools/`` loads it: an attribute load,
 or a ``getattr`` / ``hasattr`` with a constant name.  ``x.name += 1`` alone
 is a store: a counter nothing reads is write-only.  Attributes match by
 name, not by class.  Dataclass and NamedTuple fields count as read, since
@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-READERS = ("src", "tests", "perfbench", "benchmarks", "examples", "tools")
+READERS = ("src", "tests", "perfbench", "examples", "tools")
 
 # Stored under src/repro, read nowhere in the repo, and kept on purpose.
 _HANDLER_CONTEXT = (

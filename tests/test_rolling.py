@@ -7,6 +7,11 @@ over whole-tree at equal workload, fault -> verified rollback — and the
 regression guarantee that the default whole-tree path is untouched.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import boot_server
@@ -158,3 +163,42 @@ class TestRollingUpdate:
         assert result.rolling_batches == 0
         _drain(world, workload, clients)
         assert workload.errors == 0
+
+
+# An 8-worker httpd rolled two workers at a time; prints how often
+# ``Process.live_threads`` ran, which is where the scoped walk of
+# ``QuiescenceProtocol.is_quiescent`` spends its host work.
+_COUNT_LIVE_THREADS = """
+from repro.bench.harness import boot_server, update_midflight
+from repro.kernel.process import Process
+from repro.mcr.config import MCRConfig
+from repro.servers import httpd
+from repro.workloads.ab import ApacheBench
+
+calls, live_threads = [], Process.live_threads
+Process.live_threads = lambda self: calls.append(1) or live_threads(self)
+world = boot_server("httpd", make_program=lambda v: httpd.make_program(v, server_processes=8))
+workload = ApacheBench(world.port, requests=40, concurrency=4, reconnect_stall_ns=5_000_000)
+config = MCRConfig(update_mode="rolling", rolling_batch=2)
+result, _perceived, _wall = update_midflight(world, workload, config, 4)
+assert result.committed and result.rolling_batches >= 2, result.error
+print(len(calls))
+"""
+
+
+def test_scoped_walk_does_the_same_host_work_under_any_hash_seed():
+    """The scope is insertion-ordered, never ordered by object address:
+    two interpreters with different hash seeds walk it alike."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _COUNT_LIVE_THREADS],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "12345")
+    ]
+    counts = [run.communicate(timeout=120)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert counts[0] == counts[1] and int(counts[0]) > 0

@@ -11,11 +11,12 @@ perfbench children count too.  No coverage package: stdlib only.
     python tools/coverage_audit.py --lines   # statements too (about 2x slower)
 
 The product suite is what a user or CI runs, never tier-1: every
-``--smoke`` bench CI runs, the full ``bench fuzz``, each CLI verb
-(``demo``, ``profile``, ``status``, ``checkpoint`` then ``restore`` in
-a second process, ``trace``, ``metrics``, and ``replay --to-failure
---export`` of the fault matrix black box), ``benchmarks/``,
-``examples/`` and one iteration of each perfbench workload.  It runs in
+``--smoke`` bench CI runs, each paper bench as its committed artifact
+is written, the full ``bench fuzz``, each CLI verb (``demo``,
+``profile``, ``status``, ``checkpoint`` then ``restore`` in a second
+process, ``trace``, ``metrics``, and ``replay --to-failure --export`` of
+the fault matrix black box), ``examples/`` and one iteration of each
+perfbench workload.  It runs in
 about 2 minutes on 2 cores.  Benches run in a scratch directory, so the
 committed ``BENCH_*.json`` files are not rewritten.  Code only tests
 reach belongs in ``tests/``.
@@ -182,13 +183,15 @@ def start() -> None:
 
 
 def default_suite(scratch: str) -> List[Tuple[List[str], str]]:
-    """(command, cwd) pairs: what the product runs -- CI's benches, every
-    CLI verb, ``benchmarks/``, the examples and perfbench -- not tier-1."""
+    """(command, cwd) pairs: what the product runs -- CI's benches, the
+    paper benches, every CLI verb, the examples and perfbench -- not tier-1."""
     py = sys.executable
     repro = [py, "-m", "repro"]
     suite = []
     for bench in ("scanperf", "updatetime", "faultmatrix", "failover", "migrate", "fleetroll"):
         suite.append((repro + ["bench", bench, "--smoke", "--json"], scratch))
+    for bench in ("table1", "table2", "table3", "figure3", "spec", "memusage", "ablations"):
+        suite.append((repro + ["bench", bench, "--json"], scratch))
     image = os.path.join(scratch, "img")
     suite += [
         (repro + ["bench", "fuzz", "--json"], scratch),
@@ -205,7 +208,6 @@ def default_suite(scratch: str) -> List[Tuple[List[str], str]]:
             + ["--export", os.path.join(scratch, "replay")],
             scratch,
         ),
-        ([py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"], ROOT),
     ]
     examples = os.path.join(ROOT, "examples")
     for name in sorted(os.listdir(examples)):
