@@ -17,9 +17,9 @@ Idle workers therefore cost nothing per round, which is what makes
 1000-worker process trees steppable.  When nothing is runnable the clock
 jumps to the earliest heap entry, so blocking costs no host time; when the
 heap holds none, the world is idle.  A ``SlicedWait`` (MCR's unblockified
-call) is re-armed in place at each slice expiry, and a quiet world's
-expiries are taken one at a time without the round machinery
-(``_quiet_stretch``).
+call) is re-armed in place at each slice expiry, and in a run with no
+``until`` a quiet world's expiries are taken whole cycles at a time
+(``_skip_cycles``).
 
 Virtual time advances by a per-step cost plus the dispatched syscall's cost
 (see ``syscalls.BASE_COSTS``); soft-dirty write-protect faults taken by the
@@ -58,12 +58,14 @@ STEP_COST_NS = 150
 SOFT_DIRTY_FAULT_COST_NS = 2_500
 MAX_STEPS_DEFAULT = 5_000_000
 
-# What ``Kernel._quiet_stretch``'s next round does after its head.
-_POLL, _STEP, _ADVANCE = range(3)
+# The most a scheduler event or gauge sample costs in a flight recorder,
+# its names aside (``FlightRecorder._cost``; counts below 10**20).
+_RECORD_COST_MAX = 300
 
 
 # Payloads of the scheduler's events, rendered only when an event log or
-# flight recorder is read: the hot path records the raw fields.
+# flight recorder is read: the hot path records the raw fields and a bound
+# of the payload's text, its values plus 13, 22 or 7 for keys and colons.
 def _block_payload(process_name: str, thread_name: str, reason: str) -> Dict[str, Any]:
     return {"thread": f"{process_name}:{thread_name}", "reason": reason}
 
@@ -122,6 +124,9 @@ class Kernel:
         self._deadlines: List[Tuple[int, int, Thread, int]] = []
         self._park_counter = 0
         self._heap_counter = 0
+        # The step count from which ``_skip_cycles`` is next tried: one
+        # try per cycle at most.
+        self._skip_at = 0
         # global_id -> soft-dirty faults already charged to the clock
         # (not pid: a new version's namespace mirrors the old one's pids).
         self._fault_charged: Dict[int, int] = {}
@@ -361,11 +366,8 @@ class Kernel:
         deadline_ns = None if max_ns is None else clock.now_ns + max_ns
         run_queue = self._run_queue
         deadlines = self._deadlines
-        asked = False  # ``until`` was asked at this round head already
         while True:
-            if asked:
-                asked = False
-            elif until is not None and until():
+            if until is not None and until():
                 return "until"
             if budget <= 0:
                 return "max_steps"
@@ -401,164 +403,156 @@ class Kernel:
             if not made_progress and not run_queue:
                 if not self._advance_to_next_deadline():
                     return "idle"
-                if self.trace is None and self.profiler is None:
-                    reason, budget, asked = self._quiet_stretch(until, budget, deadline_ns)
-                    if reason is not None:
-                        return reason
-
-    def _quiet_stretch(
-        self, until: Optional[Callable[[], bool]], budget: int, deadline_ns: Optional[int]
-    ) -> Tuple[Optional[str], int, bool]:
-        """``run``'s rounds while the world is quiet, one slice expiry at a
-        time, without the round, poll and generator machinery.
-
-        Quiet: nothing runnable or kicked, and one ``SlicedWait`` slice
-        comes due alone -- an idle MCR server.  Each expiry takes ``run``'s
-        rounds (the thread times out; its step re-arms the call; the clock
-        advances), with ``until``, the budget and ``max_ns`` asked at each
-        round head, so every stop, charge, event, tick and ``park_seq`` is
-        the stepped loop's; counters are added when the stretch ends.
-        With no ``until``, nothing but re-arms runs between two expiries,
-        so a channel wait parks again on the ``Blocked`` its handler gave
-        in this stretch (a handler that parks changes nothing).
-
-        Entered right after an advance.  A round that is not quiet is
-        handed back at its head: ``(None, budget, asked)``, ``asked`` when
-        ``until`` was asked there; else ``(reason, budget, False)``.
-        """
-        clock = self.clock
-        heap = self._deadlines
-        run_queue = self._run_queue
-        entries = self.syscalls.entries
-        collector = obs.ACTIVE
-        expiries = 0  # timed-out wakes; then re-arms by counter, re-parks by call
-        rearms: Dict[str, int] = {}
-        calls: Dict[str, int] = {}
-        parked: Dict[Thread, Blocked] = {}
-        after = _POLL  # what the round after the next head does
-        try:
-            while True:
-                if until is not None and until():
-                    return "until", budget, False
-                if budget <= 0:
-                    return "max_steps", budget, False
-                if deadline_ns is not None and clock.now_ns >= deadline_ns:
-                    return "max_ns", budget, False
-                if self._hot or len(run_queue) != (after == _STEP):
-                    return None, budget, True
-                if after == _ADVANCE:
-                    if not self._advance_to_next_deadline():
-                        return "idle", budget, False
-                    after = _POLL
-                    continue
-                if after == _STEP:
-                    if run_queue[0] is not thread:  # ``until`` changed the queue
-                        return None, budget, True
-                    run_queue.popleft()
-                    budget -= 1
-                    blocked = parked.get(thread)
-                    divert = wait.divert
-                    process = thread.process
-                    timeout_ns = wait.caller_timeout_ns
-                    if (
-                        blocked is None
-                        or (divert is not None and divert(process))
-                        or (
-                            timeout_ns is not None
-                            and timeout_ns - wait.waited_ns - wait.timeout_ns <= 0
-                        )
-                    ):
-                        blocked = self._step(thread)
-                        if blocked is None or thread.sliced is not wait:
-                            # The caller resumed, or its call completed.
-                            if self._hot or (heap and heap[0][0] <= clock.now_ns):
-                                self._poll_blocked()
-                            return None, budget, False
-                        if until is None and blocked.wake_ns is None:
-                            parked[thread] = blocked
-                    else:
-                        # ``_step`` re-arming the call.
-                        thread.pending_value = None
-                        self.steps_executed += 1
-                        clock.now_ns += STEP_COST_NS
-                        name = wait.name
-                        if collector is not None:
-                            process.gauge_stamp = self.steps_executed
-                            collector.recorder.tick(self)
-                            rearms[wait.rearm_counter] = rearms.get(wait.rearm_counter, 0) + 1
-                            calls[name] = calls.get(name, 0) + 1
-                        wait.waited_ns += wait.timeout_ns
-                        clock.now_ns += wait.rearm_ns + entries[name][1]
-                        wait.arm()
-                        if collector is not None:
-                            collector.events.emit_raw(
-                                "sched.block",
-                                _block_payload,
-                                (process.name, thread.name, blocked.reason),
-                            )
-                        self._park(thread, blocked, clock.now_ns + wait.timeout_ns)
-                    if self._hot:
-                        self._poll_blocked()
-                        return None, budget, False
-                    if not (heap and heap[0][0] <= clock.now_ns):
-                        after = _ADVANCE
-                        continue
-                # The round's poll, with an entry due: one slice alone?
-                now = clock.now_ns
-                when, _entry, thread, seq = heap[0]
-                wait = thread.sliced
                 if (
-                    wait is None
-                    or thread.wait_deadline_ns != when
-                    or thread.state != BLOCKED
-                    or thread.park_seq != seq
-                    or (len(heap) > 1 and heap[1][0] <= now)
-                    or (len(heap) > 2 and heap[2][0] <= now)
+                    until is None and self.trace is None and self.profiler is None
+                    and self.steps_executed >= self._skip_at
                 ):
-                    if self._poll_blocked() or after == _STEP:
-                        return None, budget, False
-                    if not self._advance_to_next_deadline():
-                        return "idle", budget, False
-                    continue
-                heapq.heappop(heap)
-                is_ready, value = thread.wait_ready()
-                if is_ready:
-                    self._wake(thread, value)
-                    return None, budget, False
-                # ``_wake(thread, TIMEOUT)``.
-                if collector is not None:
-                    expiries += 1
-                    stack = thread.call_stack
-                    collector.events.emit_raw(
-                        "sched.wake",
-                        _wake_payload,
-                        (
-                            thread.process.name,
-                            thread.name,
-                            stack[-1] if stack else "<entry>",
-                            thread.blocked_on,
-                            now - thread.block_started_ns,
-                        ),
-                    )
-                del self._blocked[thread]
-                thread.state = RUNNABLE
-                thread.wait_ready = thread.wait_deadline_ns = None
-                thread.blocked_on = ""
-                thread.pending_value = TIMEOUT
-                run_queue.append(thread)
-                after = _STEP
-        finally:
-            if expiries:
-                counters = collector.counters
-                counters.incr("sched.wakes", expiries)
-                counters.incr("sched.wake_timeouts", expiries)
-                for name, count in rearms.items():
-                    counters.incr("kernel.steps", count)
-                    counters.incr(name, count)
-                for name, count in calls.items():
-                    counters.incr("syscall." + name, count)
-                    counters.incr("syscall.total", count)
-                    counters.incr("sched.blocks", count)
+                    budget -= self._skip_cycles(budget, deadline_ns, obs.ACTIVE)
+                    self._skip_at = self.steps_executed + len(deadlines)
+
+    def _skip_cycles(
+        self, budget: int, deadline_ns: Optional[int], collector: Optional[obs.Collector]
+    ) -> int:
+        """Take repeats of the quiet cycle -- each sliced wait's thread
+        expiring once, in deadline order from the heap top, which is due
+        now -- in closed form; return the steps taken (0: none provably the
+        stepped loop's).
+
+        A thread is polled when due, or, if due before, when its predecessor
+        is re-armed, a charge ``d`` after that one's poll; it is due again
+        its slice plus its own ``d`` after its poll.  While one entry alone
+        is due at each poll and no other entry, the budget or ``max_ns``
+        intervenes, a repeat is the stepped loop's: a thread parks again as
+        its handler parked it, since nothing kicked it.  Once a repeat moves
+        each thread as the last did, the gaps move linearly and the repeats
+        that keep every sign are taken at once.  A collector's rings keep
+        what later repeats record, so enough are left to be stepped.
+        """
+        heap = self._deadlines
+        entries = self.syscalls.entries
+        cycle: List[Thread] = []
+        charge, period = [], []
+        end = deadline_ns  # no repeat may reach it, nor the first other valid entry
+        for when, _entry, thread, _seq in sorted(
+            e for e in heap if e[2].state == BLOCKED and e[2].park_seq == e[3]
+        ):
+            wait = thread.sliced
+            if (
+                wait is None
+                or wait.caller_timeout_ns is not None
+                or wait.divert is not None and wait.divert(thread.process)
+                # A sliced sleep longer than its slice restarts at each re-arm.
+                or thread.blocked.wake_ns is not None
+                and not (wait.name == "nanosleep" and wait.args["duration_ns"] > wait.timeout_ns)
+            ):
+                end = when if end is None else min(end, when)
+                break
+            cycle.append(thread)
+            charge.append(STEP_COST_NS + wait.rearm_ns + entries[wait.name][1])
+            period.append(charge[-1] + wait.timeout_ns)
+        count = len(cycle)
+        if not count or cycle[0].wait_deadline_ns != self.clock.now_ns:
+            return 0
+
+        def advance(cap: int) -> Tuple[List[int], int, int]:
+            """Up to ``cap`` repeats: the due times after them, the repeats,
+            their clock jumps."""
+            due = [thread.wait_deadline_ns for thread in cycle]
+            done = jumps = 0
+            last = None
+            while done < cap:
+                polled = due[0]
+                finish = polled + charge[0]
+                after = [polled + period[0]]
+                gaps: List[Optional[int]] = []  # jumps before threads 1.. and the wrap; None: late
+                for index in range(1, count):
+                    if due[index] <= polled:
+                        return due, done, jumps
+                    late = due[index] <= finish
+                    gaps.append(None if late else due[index] - finish)
+                    polled = finish if late else due[index]
+                    finish = polled + charge[index]
+                    after.append(polled + period[index])
+                gaps.append(after[0] - finish)
+                if gaps[-1] <= 0 or min(after) <= polled or (end is not None and after[0] >= end):
+                    return due, done, jumps
+                moves = [new - old for new, old in zip(after, due)]
+                due = after
+                ahead = count - gaps.count(None)
+                done += 1
+                jumps += ahead
+                if moves == last:
+                    more = cap - done if end is None else min(cap - done, (end - 1 - due[0]) // moves[0])
+                    for index in range(count):
+                        slope = moves[index] - moves[index - 1]
+                        if gaps[index - 1] is None:  # late: with its predecessor, for good
+                            late = period[index] - moves[index]
+                            if slope or late > 0 or late + charge[index - 1] <= 0:
+                                more = 0
+                        elif slope < 0:
+                            more = min(more, (gaps[index - 1] - 1) // -slope)
+                        slope = moves[index] - moves[-1]  # due after the last poll
+                        if slope < 0:
+                            more = min(more, (due[index] - polled - 1) // -slope)
+                    if more > 0:
+                        due = [when + more * move for when, move in zip(due, moves)]
+                        done += more
+                        jumps += more * ahead
+                last = moves
+            return due, done, jumps
+
+        due, repeats, jumps = advance((budget - 1) // count)
+        if collector is not None:
+            if collector.recorder.max_bytes < _RECORD_COST_MAX + max(  # none skipped oversized
+                len(t.process.name) + len(t.name) + len(t.blocked_on)
+                + len(t.call_stack[-1] if t.call_stack else "<entry>") for t in cycle
+            ):
+                return 0
+            tail = (max(collector.events.capacity, collector.recorder.max_entries) + 1) // 2
+            due, repeats, jumps = advance(repeats + tail // -count)
+        if repeats < 1:
+            return 0
+        steps = repeats * count
+        members = set(cycle)  # their entries are replaced; stale ones due by now are popped
+        heap[:] = [
+            e for e in heap
+            if (e[2] not in members or e[2].park_seq != e[3])
+            and (e[0] > due[0] or e[2].state == BLOCKED and e[2].park_seq == e[3])
+        ]
+        for index, thread in enumerate(cycle):
+            wait = thread.sliced
+            wait.waited_ns += repeats * wait.timeout_ns
+            thread.park_seq = self._park_counter + steps - count + 1 + index
+            thread.wait_deadline_ns = due[index]
+            thread.block_started_ns = due[index] - wait.timeout_ns
+            heap.append((due[index], self._heap_counter + steps - count + 1 + index, thread,
+                         thread.park_seq))
+            for channel in thread.blocked.channels:
+                channel.waitq.park(thread)
+            if thread.blocked.wake_ns is not None:  # the sleep made at the last re-arm
+                self.clock.now_ns = thread.block_started_ns
+                thread.blocked = entries[wait.name][0](thread, **wait.args)
+                thread.wait_ready = thread.blocked.ready
+            del self._blocked[thread]  # re-parked last, in cycle order
+            self._blocked[thread] = None
+            if collector is not None:
+                collector.counters.incr(wait.rearm_counter, repeats)
+                collector.counters.incr("syscall." + wait.name, repeats)
+                thread.process.gauge_stamp = self.steps_executed + steps - count + 1 + index
+        heapq.heapify(heap)
+        self._park_counter += steps
+        self._heap_counter += steps
+        self.steps_executed += steps
+        self.clock.now_ns = due[0]
+        if collector is not None:
+            for name in ("kernel.steps", "syscall.total", "sched.blocks", "sched.wakes",
+                         "sched.wake_timeouts"):
+                collector.counters.incr(name, steps)
+            if jumps:
+                collector.counters.incr("sched.clock_jumps", jumps)
+            collector.events.skip(2 * steps + jumps)
+            collector.recorder.skip(0, steps)
+        return steps
 
     def run_for(self, duration_ns: int, max_steps: Optional[int] = None) -> str:
         """Run the world for exactly ``duration_ns`` of virtual time.
@@ -659,7 +653,8 @@ class Kernel:
             if collector is not None:
                 collector.counters.incr("sched.blocks")
                 collector.events.emit_raw(
-                    "sched.block", _block_payload, (process.name, thread.name, result.reason)
+                    "sched.block", _block_payload, (process.name, thread.name, result.reason),
+                    13 + len(process.name) + len(thread.name) + len(result.reason),
                 )
             timeout_ns = request.timeout_ns
             self._park(
@@ -692,6 +687,7 @@ class Kernel:
         thread.park_seq = seq = self._park_counter
         thread.state = BLOCKED
         thread.wait_ready = blocked.ready
+        thread.blocked = blocked
         thread.blocked_on = blocked.reason
         thread.wait_deadline_ns = deadline_ns
         thread.block_started_ns = self.clock.now_ns
@@ -779,20 +775,19 @@ class Kernel:
             if value is TIMEOUT:
                 collector.counters.incr("sched.wake_timeouts")
             stack = thread.call_stack
+            function = stack[-1] if stack else "<entry>"
+            blocked_ns = self.clock.now_ns - thread.block_started_ns
+            name = thread.process.name
             collector.events.emit_raw(
                 "sched.wake",
                 _wake_payload,
-                (
-                    thread.process.name,
-                    thread.name,
-                    stack[-1] if stack else "<entry>",
-                    thread.blocked_on,
-                    self.clock.now_ns - thread.block_started_ns,
-                ),
+                (name, thread.name, function, thread.blocked_on, blocked_ns),
+                22 + len(name) + len(thread.name) + len(function) + len(thread.blocked_on)
+                + len(str(blocked_ns)),
             )
         self._blocked.pop(thread, None)
         thread.state = RUNNABLE
-        thread.wait_ready = None
+        thread.wait_ready = thread.blocked = None
         thread.wait_deadline_ns = None
         thread.blocked_on = ""
         thread.pending_value = value
@@ -815,8 +810,9 @@ class Kernel:
             collector = obs.ACTIVE
             if collector is not None:
                 collector.counters.incr("sched.clock_jumps")
+                jump_ns = target - self.clock.now_ns
                 collector.events.emit_raw(
-                    "sched.clock_jump", _jump_payload, (target - self.clock.now_ns,)
+                    "sched.clock_jump", _jump_payload, (jump_ns,), 7 + len(str(jump_ns))
                 )
             self.clock.advance(target - self.clock.now_ns)
         return True

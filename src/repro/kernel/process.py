@@ -151,6 +151,7 @@ class Thread:
         self.pending_exception: Optional[BaseException] = None
         # Blocking bookkeeping (set by the kernel).
         self.wait_ready: Optional[Callable[[], Any]] = None
+        self.blocked: Any = None  # the ``Blocked`` it is parked on
         self.wait_deadline_ns: Optional[int] = None  # the caller's timeout
         self.block_started_ns: int = 0
         self.blocked_on: str = ""

@@ -352,6 +352,18 @@ class AddressSpace:
         mapping.data[offset : offset + size] = data
         self.soft_dirty_faults += mapping.tracker.note_write(address, size)
 
+    def write_table(self, address: int, stride: int, payloads: Sequence[bytes]) -> None:
+        """``write_bytes(address + j * stride, payloads[j])`` for each ``j``
+        in order (none overlapping), with one lookup and one tracker pass."""
+        end = address + (len(payloads) - 1) * stride + len(payloads[-1])
+        mapping = self._locate(address, end - address, "write")
+        data = mapping.data
+        offset = address - mapping.base
+        for payload in payloads:
+            data[offset : offset + len(payload)] = payload
+            offset += stride
+        self.soft_dirty_faults += mapping.tracker.note_table(address, stride, payloads)
+
     def read_word(self, address: int) -> int:
         mapping = self._locate(address, 8, "read")
         return _struct.unpack_from("<Q", mapping.data, address - mapping.base)[0]

@@ -120,6 +120,33 @@ class PageTracker:
         self.fault_count += faults
         return faults
 
+    def note_table(self, address: int, stride: int, writes: Sequence[bytes]) -> int:
+        """``note_write`` for each of ``writes`` in order, the ``j``-th at
+        ``address + j * stride`` (none overlapping), in one pass over their
+        pages: a page's sequence number is the last write's that touches
+        it.  Returns the faults taken."""
+        count = len(writes)
+        seq = self.write_seq
+        self.write_seq = seq + count
+        base = self.base
+        end = address + (count - 1) * stride + max(len(writes[-1]), 1)
+        page_seq = self._page_seq
+        dirty = self._dirty if self._cleared_once else None
+        faults = 0
+        for page in range((address - base) // PAGE_SIZE, (end - 1 - base) // PAGE_SIZE + 1):
+            start = base + page * PAGE_SIZE
+            # The last write starting before this page ends, if it reaches it.
+            last = min(count - 1, (start + PAGE_SIZE - 1 - address) // stride)
+            if address + last * stride + max(len(writes[last]), 1) <= start:
+                continue
+            self.ever_written.add(page)
+            page_seq[page] = seq + last + 1
+            if dirty is not None and page not in dirty:
+                dirty.add(page)
+                faults += 1
+        self.fault_count += faults
+        return faults
+
     def soft_dirty(self) -> Optional[Set[int]]:
         """The soft-dirty page indexes (read-only), or ``None`` before the
         first ``clear()``: every page is dirty then."""

@@ -19,7 +19,7 @@ Three schemes, per Berger et al. "Reconsidering custom memory allocation":
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import AllocatorError
@@ -128,6 +128,30 @@ class RegionAllocator:
         self.bytes_allocated += size
         return address
 
+    def alloc_table(self, size: int, payloads: Sequence[bytes]) -> List[int]:
+        """``alloc(size)`` per payload, each written at the start of its
+        entry, with one ``alloc`` and one strided write per backing block:
+        a block's entries are written before the next block is appended, so
+        its chunk header and chain word keep their place among the writes."""
+        addresses: List[int] = []
+        stride = _align_up(size)
+        allocs = 0
+        while len(addresses) < len(payloads):
+            done = len(addresses)
+            first = self.alloc(size)
+            allocs += 1
+            index = self._first_fit.get(size)  # None: a dedicated block
+            region = self._regions[-1 if index is None else index]
+            fits = min((region.base + region.size - first - size) // stride + 1, len(payloads) - done)
+            region.cursor = first + (fits - 1) * stride + size
+            self._heap.space.write_table(first, stride, payloads[done : done + fits])
+            addresses.extend(range(first, first + fits * stride, stride))
+        self.alloc_count += len(payloads) - allocs  # the entries no ``alloc`` counted
+        self.bytes_allocated += (len(payloads) - allocs) * size
+        if len(payloads) > allocs:
+            obs.incr("alloc.region.allocs", len(payloads) - allocs)
+        return addresses
+
     def destroy(self) -> None:
         """Release every backing block at once (region semantics)."""
         for region in self._regions:
@@ -230,6 +254,11 @@ class NestedPool:
         if self._destroyed:
             raise AllocatorError(f"allocation from destroyed pool {self.name}")
         return self._region.alloc(size)
+
+    def alloc_table(self, size: int, payloads: Sequence[bytes]) -> List[int]:
+        if self._destroyed:
+            raise AllocatorError(f"allocation from destroyed pool {self.name}")
+        return self._region.alloc_table(size, payloads)
 
     def destroy(self) -> None:
         """Destroy this pool and, recursively, all of its children."""

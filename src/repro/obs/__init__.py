@@ -97,7 +97,7 @@ class Collector:
         collector = cls(clock)
         collector.counters = DiscardingCounters()
         collector.metrics = DiscardingMetrics()
-        collector.events = BlackBoxLog(clock)
+        collector.events = BlackBoxLog(clock, capacity=1)  # it keeps no ring
         collector.events.recorder = collector.recorder
         return collector
 

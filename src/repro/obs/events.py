@@ -68,15 +68,25 @@ class EventLog:
         if recorder is not None:
             recorder.record("event", name, payload, now)
 
-    def emit_raw(self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple) -> None:
+    def emit_raw(
+        self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple, width: int
+    ) -> None:
         """Emit a debug event whose payload is ``render(*fields)``, built
-        only when something reads it."""
+        only when something reads it; ``width`` bounds the payload's text
+        (``FlightRecorder.record_raw``)."""
         now = self.clock.now_ns
         self._ring.append((now, name, render, fields))
         self.emitted += 1
         recorder = self.recorder
         if recorder is not None:
-            recorder.record_raw(now, "event", name, render, fields)
+            recorder.record_raw(now, "event", name, render, fields, width)
+
+    def skip(self, count: int) -> None:
+        """Count ``count`` debug events that later ones evict unread, and
+        the recorder's, without making them (``FlightRecorder.skip``)."""
+        self.emitted += count
+        if self.recorder is not None:
+            self.recorder.skip(count, 0)
 
     def __iter__(self) -> Iterator[Event]:
         for item in self._ring:
@@ -101,5 +111,10 @@ class BlackBoxLog(EventLog):
             raise ValueError(f"unknown severity {severity!r}; choose from {SEVERITIES}")
         self.recorder.record("event", name, payload)
 
-    def emit_raw(self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple) -> None:
-        self.recorder.record_raw(self.clock.now_ns, "event", name, render, fields)
+    def emit_raw(
+        self, name: str, render: Callable[..., Dict[str, Any]], fields: Tuple, width: int
+    ) -> None:
+        self.recorder.record_raw(self.clock.now_ns, "event", name, render, fields, width)
+
+    def skip(self, count: int) -> None:
+        self.recorder.skip(count, 0)

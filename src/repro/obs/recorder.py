@@ -16,7 +16,8 @@ the recorder can *never* grow past its budgets, which the property tests
 flood-check.  The ring is always the longest suffix of the stream of
 non-oversized entries within both budgets, so ``record_raw`` (scheduler
 events, gauge samples) can keep only the entry budget on append and leave
-payloads, costs and the byte budget to the next read.
+payloads, costs and the byte budget to the next read: an entry that might
+alone exceed the byte budget is costed on append, so none takes a slot.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ DEFAULT_SAMPLE_INTERVAL_STEPS = 2_048
 
 # Fixed per-entry overhead charged on top of the payload text estimate.
 _ENTRY_BASE_COST = 24
-# Below this byte budget raw entries are costed on append: a raw record
-# (process, thread, function and wait names) cannot alone exceed it, so a
-# lazily costed one never takes an entry slot it would have been denied.
-_RAW_MIN_BYTES = 4_096
 
 
 def _cost(kind: str, name: str, payload: Dict[str, Any]) -> int:
@@ -139,10 +136,13 @@ class FlightRecorder:
         name: str,
         render: Callable[..., Dict[str, Any]],
         fields: Tuple,
+        width: int,
     ) -> None:
         """Append one entry whose payload is ``render(*fields)``, costed
-        when settled: what ``EventLog.emit_raw`` calls, and each sample."""
-        if self.max_bytes < _RAW_MIN_BYTES:
+        when settled: what ``EventLog.emit_raw`` calls, and each sample.
+        ``width`` bounds the payload's text (keys and values): an entry
+        whose bound exceeds the byte budget is costed now."""
+        if _ENTRY_BASE_COST + len(kind) + len(name) + width > self.max_bytes:
             self.record(kind, name, render(*fields), ts_ns)
             return
         ring = self._ring
@@ -153,9 +153,23 @@ class FlightRecorder:
             ring.popleft()
             self.dropped += 1
 
+    def skip(self, records: int, ticks: int) -> None:
+        """Count ``records`` raw entries and ``ticks`` scheduler ticks, with
+        the samples they take, without making them: the kernel's quiet time
+        in closed form.  None of them may be oversized, and at least
+        ``max_entries`` entries must follow before the ring is read, so
+        every one would have been evicted unread."""
+        interval = self.sample_interval_steps
+        samples = (self._ticks + ticks) // interval - self._ticks // interval
+        self._ticks += ticks
+        self.samples_taken += samples
+        self.recorded += records + samples
+        self.dropped += records + samples
+
     def _settle(self) -> None:
         """Render and cost the raw entries, then keep the longest suffix
-        within the byte budget: the ring eager costing would have kept."""
+        within the byte budget: the ring eager costing would have kept, as
+        no entry in the ring is oversized."""
         if not self._raw:
             return
         kept: List[FlightEntry] = []
@@ -232,7 +246,8 @@ class FlightRecorder:
             "heap_free_bytes": free_bytes,
             "dirty_faults": dirty_faults,
         }
-        self.record_raw(self.clock.now_ns, "sample", "gauges", dict, (payload,))
+        width = sum(len(key) + len(str(value)) for key, value in payload.items())
+        self.record_raw(self.clock.now_ns, "sample", "gauges", dict, (payload,), width)
 
     # -- reading ---------------------------------------------------------------
 

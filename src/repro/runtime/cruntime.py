@@ -23,7 +23,7 @@ tracing — the conservative scanner takes over.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AllocatorError
 from repro.kernel.process import Process, Thread, call_stack_id
@@ -31,7 +31,7 @@ from repro.mem.address_space import Mapping
 from repro.mem.regions import NestedPool, RegionAllocator, SlabAllocator
 from repro.mem.tags import ORIGIN_HEAP, ORIGIN_LIB, ORIGIN_REGION, ORIGIN_STACK
 from repro.types import codec
-from repro.types.descriptors import ArrayType, CHAR, StructType, TypeDesc
+from repro.types.descriptors import ArrayType, CHAR, OpaqueType, StructType, TypeDesc
 
 STACK_BASE = 0x0000_5000_0000
 STACK_SIZE = 64 * 1024
@@ -111,8 +111,6 @@ class SharedLib:
             # +DInstr tracks library allocations (paper Table 3 note), but
             # as *untyped* objects: the library's internal layout is still
             # unknown, so the object stays conservative.
-            from repro.types.descriptors import OpaqueType
-
             self.process.tags.register(
                 aligned, OpaqueType(size), ORIGIN_LIB, site=f"lib:{self.name}"
             )
@@ -226,14 +224,30 @@ class CRuntime:
         build = self._build
         if build is not None and build.instrument_regions:
             self._charge(REGION_TAG_COST_NS)
-            from repro.types.descriptors import OpaqueType
-
             self.process.tags.register(
                 address, OpaqueType(size), ORIGIN_REGION, site="region_raw"
             )
             if build.dynamic_instr:
                 self._charge(ALLOC_DINSTR_COST_NS)
         return address
+
+    def region_alloc_table(
+        self, region: RegionAllocator, size: int, payloads: Sequence[bytes]
+    ) -> List[int]:
+        """``region_alloc_raw(region, size)`` once per payload, payload ``j``
+        written at the start of entry ``j`` (``RegionAllocator.alloc_table``);
+        the same charges and, under region instrumentation, the same tags."""
+        addresses = region.alloc_table(size, payloads)
+        cost = REGION_ALLOC_COST_NS
+        build = self._build
+        if build is not None and build.instrument_regions:
+            cost += REGION_TAG_COST_NS + (ALLOC_DINSTR_COST_NS if build.dynamic_instr else 0)
+            for address in addresses:
+                self.process.tags.register(
+                    address, OpaqueType(size), ORIGIN_REGION, site="region_raw"
+                )
+        self._charge(cost * len(addresses))
+        return addresses
 
     # -- field access ------------------------------------------------------------------
 

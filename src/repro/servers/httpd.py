@@ -45,6 +45,8 @@ SERVER_PROCESSES = 2
 WORKER_THREADS = 3
 SCOREBOARD_SLOTS = 8
 CONN_REC_SIZE = 64  # raw pool object: fd, requests, mime ptr, scratch
+# Each server process's startup directive table: 256 entries of 512 bytes.
+DIRECTIVES = tuple(f"directive-{index}".encode().ljust(64, b".") for index in range(256))
 
 
 def make_types(version: int) -> Dict[str, object]:
@@ -272,10 +274,7 @@ def _make_main(
         crt.gset("httpd_pool_root", proc_pool.first_block_base)
         # Startup configuration tables (directives, mime maps): clean at
         # update time, re-created by the new version's own startup.
-        space = sys.process.space
-        for entry_index in range(256):
-            entry = proc_pool.alloc(512)
-            space.write_bytes(entry, f"directive-{entry_index}".encode().ljust(64, b"."))
+        proc_pool.alloc_table(512, DIRECTIVES)
         job_rx, job_tx = yield from sys.socketpair()
         done_rx, done_tx = yield from sys.socketpair()
         epoll_fd = yield from sys.epoll_create()

@@ -35,7 +35,10 @@ def _check(stdout_text, tmp_path, workload="prefork256_roll"):
 
 @pytest.mark.parametrize(
     "workload, peak",
-    [("prefork256_roll", 174.2), ("sessions40_update", 51.5)],
+    [
+        ("prefork256_roll", 174.2), ("sessions40_update", 51.5),
+        ("serve_midflight", 29.3), ("fleet_failover", 33.5),
+    ],
 )
 def test_a_correct_run_under_the_bound_passes(workload, peak, tmp_path):
     # perfbench's last stdout line is the result; earlier lines are ignored.
@@ -52,6 +55,8 @@ def test_a_correct_run_under_the_bound_passes(workload, peak, tmp_path):
         ("prefork256_roll", _line(peak=208.0), "peak RSS 208 MiB, want < 200"),
         # sessions40_update before a dead process gave back its image.
         ("sessions40_update", _line(peak=60.7), "peak RSS 61 MiB, want < 56"),
+        ("serve_midflight", _line(peak=36.4), "peak RSS 36 MiB, want < 36"),
+        ("fleet_failover", _line(peak=41.0), "peak RSS 41 MiB, want < 41"),
     ],
 )
 def test_each_failing_run_fails_the_guard(workload, line, complaint, tmp_path):
@@ -61,6 +66,6 @@ def test_each_failing_run_fails_the_guard(workload, line, complaint, tmp_path):
 
 
 def test_an_unknown_workload_is_a_usage_error(tmp_path):
-    done = _check(_line() + "\n", tmp_path, "serve_midflight")
+    done = _check(_line() + "\n", tmp_path, "no_such_workload")
     assert done.returncode == 2
     assert "usage" in done.stderr

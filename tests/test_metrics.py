@@ -307,8 +307,8 @@ class _SlottedFlightEntry:
 
 
 class _SlottedFlightRecorder(FlightRecorder):
-    """``record`` building slotted entries, and the event-log subscription
-    hook ``on_event`` (the oracle)."""
+    """``record`` building slotted entries, ``record_raw`` through it, and
+    the event-log subscription hook ``on_event`` (the oracle)."""
 
     def record(self, kind, name, payload, ts_ns=None) -> None:
         entry = _SlottedFlightEntry(
@@ -326,6 +326,10 @@ class _SlottedFlightRecorder(FlightRecorder):
             evicted = self._ring.popleft()
             self._bytes -= evicted.cost
             self.dropped += 1
+
+    def record_raw(self, ts_ns, kind, name, render, fields, width) -> None:
+        """Every entry rendered and costed on append."""
+        self.record(kind, name, render(*fields), ts_ns)
 
     def on_event(self, event) -> None:
         """EventLog subscription hook: mirror every emitted event."""
@@ -400,6 +404,95 @@ def test_recorder_keeps_what_the_class_entries_kept(stream, max_entries, max_byt
     assert new.dump("why", failure_site="here", open_spans=["update"]) == old.dump(
         "why", failure_site="here", open_spans=["update"]
     )
+
+
+# -- raw entries that may alone exceed the byte budget (ROADMAP F1) ------------
+
+
+def _text(payload):
+    """What ``FlightRecorder`` costs of a payload: its keys and values."""
+    return sum(len(str(key)) + len(str(value)) for key, value in payload.items())
+
+
+def _raw_and_eager(stream, max_entries, max_bytes):
+    """One stream of scheduler records, into a recorder through
+    ``record_raw`` (each with its payload's exact width) and into another
+    rendered and costed on append."""
+    from repro.kernel.kernel import _block_payload, _jump_payload, _wake_payload
+
+    renders = {"sched.block": _block_payload, "sched.wake": _wake_payload,
+               "sched.clock_jump": _jump_payload}
+    clock = VirtualClock()
+    raw = FlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)
+    eager = FlightRecorder(clock, max_entries=max_entries, max_bytes=max_bytes)
+    for ts_ns, (name, fields) in enumerate(stream):
+        payload = renders[name](*fields)
+        raw.record_raw(ts_ns, "event", name, renders[name], fields, _text(payload))
+        eager.record("event", name, payload, ts_ns)
+    return [
+        (recorder.to_list(), recorder.recorded, recorder.dropped, recorder.bytes_used)
+        for recorder in (raw, eager)
+    ]
+
+
+def test_an_oversized_raw_entry_evicts_nothing():
+    """Five small ``sched.block`` entries, then one naming a 5 000-character
+    process, under a 4 KiB budget: the oversized one is dropped, not
+    recorded, and takes none of the five with it."""
+    stream = [("sched.block", ("httpd", f"worker-{index}", "recvmsg:fd5")) for index in range(5)]
+    stream.append(("sched.block", ("p" * 5_000, "main", "accept:fd3")))
+    raw, eager = _raw_and_eager(stream, 512, 4_096)
+    assert raw == eager
+    assert (len(raw[0]), raw[1], raw[2]) == (5, 5, 1)
+
+
+_NAME = st.one_of(st.text(max_size=12), st.builds(lambda n: "n" * n, st.integers(100, 3_000)))
+_RECORDS = st.one_of(
+    st.tuples(st.just("sched.block"), st.tuples(_NAME, _NAME, _NAME)),
+    st.tuples(st.just("sched.wake"),
+              st.tuples(_NAME, _NAME, _NAME, _NAME, st.integers(0, 10**30))),
+    st.tuples(st.just("sched.clock_jump"), st.tuples(st.integers(0, 10**30))),
+)
+
+
+@given(
+    stream=st.lists(_RECORDS, max_size=60),
+    max_entries=st.integers(1, 16),
+    max_bytes=st.integers(30, 5_000),
+)
+@settings(max_examples=150, deadline=None)
+def test_raw_entries_keep_what_eager_entries_keep(stream, max_entries, max_bytes):
+    """Streams with oversized entries: the same ring, the same counts."""
+    raw, eager = _raw_and_eager(stream, max_entries, max_bytes)
+    assert raw == eager
+
+
+def test_the_scheduler_bounds_each_raw_payload(monkeypatch):
+    """Each scheduler record's width is at least its payload's text, so
+    ``record_raw`` defers only entries that fit the byte budget: an idle
+    and a serving httpd, a rolling update, under a full collector."""
+    from repro.bench.harness import boot_server
+    from repro.mcr.config import MCRConfig
+    from repro.mcr.ctl import McrCtl
+    from repro.obs.events import EventLog
+
+    slack = {}
+    emit_raw = EventLog.emit_raw
+
+    def checking(self, name, render, fields, width):
+        slack.setdefault(name, set()).add(width - _text(render(*fields)))
+        emit_raw(self, name, render, fields, width)
+
+    monkeypatch.setattr(EventLog, "emit_raw", checking)
+    world = boot_server("httpd")
+    collector = obs.Collector(world.kernel.clock)
+    with obs.scoped(collector):
+        world.kernel.run(max_ns=100_000_000)
+        config = MCRConfig(update_mode="rolling", rolling_batch=1)
+        McrCtl(world.kernel, world.session).live_update(world.make_program(2), config=config)
+    assert set(slack) == {"sched.block", "sched.wake", "sched.clock_jump"}
+    assert slack["sched.block"] == slack["sched.clock_jump"] == {0}
+    assert min(slack["sched.wake"]) >= 0
 
 
 # -- ClientLatencyLog / ClientPerceived ---------------------------------------

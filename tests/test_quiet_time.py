@@ -2,12 +2,13 @@
 
 MCR's unblockification re-arms a quiescent-point call every
 ``UNBLOCKIFY_SLICE_NS``.  The kernel re-arms it in place (``SlicedWait``,
-``Kernel._rearm``) and takes quiet stretches one expiry at a time
-(``Kernel._quiet_stretch``); the scheduler's events are recorded raw and
-rendered when read.  The oracles: ``stepped_unblockified``, the generator
-loop that re-armed every slice itself, under either
-``test_syscall_fastpath.reference_run`` or ``Kernel.run`` with its
-stretches turned off (which asks ``until`` exactly where ``run`` does).
+``Kernel._rearm``) and, in a run with no ``until``, takes whole cycles of
+quiet expiries in closed form (``Kernel._skip_cycles``); the scheduler's
+events are recorded raw and rendered when read.  The oracles:
+``stepped_unblockified``, the generator loop that re-armed every slice
+itself, under either ``test_syscall_fastpath.reference_run`` or
+``Kernel.run`` with its cycle skips turned off (which asks ``until``
+exactly where ``run`` does).
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ class CountingBody:
 
 
 def test_an_idle_server_resumes_no_thread():
-    """An idle minute of an 8-server httpd (33 threads, each re-armed every
-    slice) under a private collector: the kernel re-arms every wait and
-    resumes no generator.  The minute stands for item 5's virtual hour,
-    which costs 60 times its wall time."""
+    """An idle virtual hour of an 8-server httpd (33 threads, each re-armed
+    every slice) under a private collector: the kernel re-arms every wait
+    and resumes no generator, and whole cycles of re-arms are taken in
+    closed form (``Kernel._skip_cycles``), so the hour costs milliseconds."""
     world = boot_server(
         "httpd", make_program=lambda version=1: httpd.make_program(version, server_processes=8)
     )
@@ -134,12 +135,12 @@ def test_an_idle_server_resumes_no_thread():
             bodies.append(thread.body)
     collector = obs.Collector.private(kernel.clock)
     steps = kernel.steps_executed
-    minute_ns = 60 * 1_000_000_000
+    hour_ns = 3600 * 1_000_000_000
     with obs.scoped(collector):
-        budget = 2 * len(bodies) * (minute_ns // UNBLOCKIFY_SLICE_NS)
-        assert kernel.run(max_ns=minute_ns, max_steps=budget) == "max_ns"
+        budget = 2 * len(bodies) * (hour_ns // UNBLOCKIFY_SLICE_NS)
+        assert kernel.run(max_ns=hour_ns, max_steps=budget) == "max_ns"
     assert [body.resumed for body in bodies] == [0] * len(bodies)
-    slices = minute_ns // UNBLOCKIFY_SLICE_NS
+    slices = hour_ns // UNBLOCKIFY_SLICE_NS
     assert kernel.steps_executed - steps >= (len(bodies) - 1) * (slices - 1)
     recorder = collector.recorder
     assert len(recorder) <= recorder.max_entries
@@ -219,7 +220,7 @@ _STOPS = st.one_of(
     st.builds(lambda t: {"max_ns": t}, st.integers(1, 300_000_000)),
     st.builds(lambda n: ("until", n), st.integers(0, 300)),
     # An ``until`` that changes the world: it starts a client when asked
-    # at step n, so a stretch must hand the round back after asking it.
+    # at step n, and the round goes on in the world it changed.
     st.builds(lambda n: ("poke", n), st.integers(0, 300)),
 )
 
@@ -240,9 +241,9 @@ def test_runs_equal_the_stepped_loop(
     servers, timeouts, clients, pause_ns, stops, request_at, collector
 ):
     """Idle, busy and mixed worlds; caller timeouts; a quiescence request
-    between runs, so it lands mid-stretch; an ``until`` that starts a
+    between runs, so it lands between two expiries; an ``until`` that starts a
     client; no, private and full collectors.  ``until`` is asked where
-    ``run`` without its stretches asks it; the reference loop asks it more
+    ``run`` without its cycle skips asks it; the reference loop asks it more
     often, so only its verdicts count there, and only for a pure ``until``."""
     world = (servers, timeouts, clients, pause_ns, stops, request_at, collector)
     computed = _outcome("computed", *world)
@@ -252,16 +253,16 @@ def test_runs_equal_the_stepped_loop(
         assert computed[:1] + computed[2:] == reference[:1] + reference[2:]
 
 
-def _no_stretch(kernel, until, budget, deadline_ns):
-    return None, budget, False
+def _no_skip(kernel, budget, deadline_ns, collector):
+    return 0
 
 
 def _outcome(loop, servers, timeouts, clients, pause_ns, stops, request_at, collector):
-    saved = (Kernel.run, Kernel._quiet_stretch, MCRRuntime._unblockified)
+    saved = (Kernel.run, Kernel._skip_cycles, MCRRuntime._unblockified)
     if loop != "computed":
         MCRRuntime._unblockified = stepped_unblockified
         if loop == "stepped":
-            Kernel._quiet_stretch = _no_stretch
+            Kernel._skip_cycles = _no_skip
         else:
             Kernel.run = reference_run
     try:
@@ -297,4 +298,70 @@ def _outcome(loop, servers, timeouts, clients, pause_ns, stops, request_at, coll
         blackbox = made.recorder.dump("why") if made is not None else None
         return reasons, asked, _state(kernel), recorded, blackbox
     finally:
-        Kernel.run, Kernel._quiet_stretch, MCRRuntime._unblockified = saved
+        Kernel.run, Kernel._skip_cycles, MCRRuntime._unblockified = saved
+
+
+# -- many cycles: the closed form -------------------------------------------------
+
+_LONG_STOPS = st.one_of(
+    st.builds(lambda n: {"max_steps": n}, st.integers(400, 4_000)),
+    st.builds(lambda t: {"max_ns": t}, st.integers(300_000_000, 8_000_000_000)),
+    st.builds(
+        lambda n, t: {"max_steps": n, "max_ns": t},
+        st.integers(400, 4_000), st.integers(300_000_000, 8_000_000_000),
+    ),
+    st.builds(lambda n: ("until", n), st.integers(0, 300)),
+)
+
+
+@given(
+    servers=st.integers(1, 4),
+    timeouts=st.lists(
+        st.one_of(st.none(), st.none(), st.integers(UNBLOCKIFY_SLICE_NS // 2, 3 * UNBLOCKIFY_SLICE_NS)),
+        min_size=1, max_size=2,
+    ),
+    clients=st.integers(0, 1),
+    pause_ns=st.integers(1_000_000, 60_000_000),
+    stops=st.lists(_LONG_STOPS, min_size=1, max_size=2),
+    request_at=st.one_of(st.none(), st.none(), st.integers(0, 2)),
+    collector=st.sampled_from(["none", "private", "full"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_long_runs_equal_the_stepped_loop(
+    servers, timeouts, clients, pause_ns, stops, request_at, collector
+):
+    """Runs of hundreds of cycles that stop mid-cycle, with and without a
+    collector: whole cycles skipped in closed form are the stepped loop's."""
+    world = (servers, timeouts, clients, pause_ns, stops, request_at, collector)
+    assert _outcome("computed", *world) == _outcome("stepped", *world)
+
+
+def test_skipped_cycles_are_the_stepped_loop(monkeypatch):
+    """Two idle servers for 20 virtual seconds, stopped mid-cycle, under no,
+    a private and a full collector: cycles are skipped, and nothing moves."""
+    skipped = []
+    skip_cycles = Kernel._skip_cycles
+
+    def counting(self, *args):
+        skipped.append(skip_cycles(self, *args))
+        return skipped[-1]
+
+    monkeypatch.setattr(Kernel, "_skip_cycles", counting)
+    for collector in ("none", "private", "full"):
+        world = (2, [None], 0, 1_000_000, [{"max_ns": 20_000_123_457}, {"max_steps": 1_001}], None, collector)
+        del skipped[:]
+        computed = _outcome("computed", *world)
+        assert sum(skipped) > 1_500
+        assert computed == _outcome("stepped", *world)
+
+
+def test_a_run_with_an_until_skips_no_cycle(monkeypatch):
+    """``until`` is asked at every round head, and may have side effects
+    (``QuiescenceProtocol.is_quiescent`` does), so a run that has one
+    steps every expiry: two idle servers for 18 cycles, asked at each step."""
+    tried = []
+    monkeypatch.setattr(Kernel, "_skip_cycles", lambda self, *args: tried.append(args) or 0)
+    world = (2, [None], 0, 1_000_000, [("until", 36)], None, "none")
+    reasons, asked, *_ = _outcome("computed", *world)
+    assert (reasons, tried) == (["until"], [])
+    assert len(asked) > 36

@@ -12,6 +12,9 @@ each is pinned against the body it replaced, kept here as the oracle:
 * ``PageTracker.note_write`` has a single-page fast path — against the
   old body, field for field.
 
+(``RegionAllocator.alloc_table``, a block at a time, is held against its
+per-entry loop in ``test_startup_tables.py``.)
+
 The count-based guards hold the costs themselves (bytes through
 ``zlib.crc32``, blocks probed, bytes a checkpoint image stores and the
 widest slice its capture and restore take of a store) without reading a
@@ -496,12 +499,15 @@ class _CountingRegion(Region):
         Region.cursor.__set__(self, value)
 
 
-def _probes_for_256_allocs(monkeypatch, make_pool) -> tuple:
+def _probes_for_256_allocs(monkeypatch, make_pool, table=False) -> tuple:
     monkeypatch.setattr(regions, "Region", _CountingRegion)
     monkeypatch.setattr(_CountingRegion, "probes", 0)
     pool = make_pool()
-    for _ in range(256):
-        pool.alloc(512)
+    if table:
+        pool.alloc_table(512, [b"directive"] * 256)
+    else:
+        for _ in range(256):
+            pool.alloc(512)
     return _CountingRegion.probes, _total_block_count(pool)
 
 
@@ -520,3 +526,14 @@ def test_pool_allocs_probe_open_blocks_not_every_block(monkeypatch):
     )
     assert linear_blocks == blocks
     assert linear_probes > 4 * probes  # what the guard is guarding against
+
+
+def test_a_table_probes_each_block_not_each_entry(monkeypatch):
+    """256 x 512-byte entries by ``alloc_table``: O(blocks) probes."""
+    probes, blocks = _probes_for_256_allocs(
+        monkeypatch, lambda: NestedPool(_fresh_heap(), block_size=8 * 1024), table=True
+    )
+    assert blocks == _probes_for_256_allocs(
+        monkeypatch, lambda: NestedPool(_fresh_heap(), block_size=8 * 1024)
+    )[1]
+    assert probes <= 3 * blocks < 256

@@ -20,6 +20,11 @@ The bounds (medians on a 2-core x86-64 VM, CPython 3.11):
   back its image (``Kernel._release``).  It read 60.7 while vsftpd's 97
   dead processes still held 7 MiB of pages and their tables at the
   opensshd update's peak; 56 fails there.
+* ``serve_midflight`` < 36: about 29.3 MiB, three small servers booted one
+  after another, each serving 4 000 requests; 36 leaves about 23 %
+  headroom.
+* ``fleet_failover`` < 41: about 33.5 MiB, image cycles, two drills and a
+  16-node memcache rollout; 41 leaves about 22 % headroom.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ import json
 import sys
 from typing import List
 
-MAX_RSS_MB = {"prefork256_roll": 200, "sessions40_update": 56}
+MAX_RSS_MB = {
+    "prefork256_roll": 200, "sessions40_update": 56, "serve_midflight": 36, "fleet_failover": 41,
+}
 
 
 def problems(workload: str, line: str) -> List[str]:

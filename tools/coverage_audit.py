@@ -15,8 +15,8 @@ The product suite is what a user or CI runs, never tier-1: every
 is written, the full ``bench fuzz``, each CLI verb (``demo``,
 ``profile``, ``status``, ``checkpoint`` then ``restore`` in a second
 process, ``trace``, ``metrics``, and ``replay --to-failure --export`` of
-the fault matrix black box), ``examples/`` and one iteration of each
-perfbench workload.  It runs in
+the fault matrix black box), ``examples/``, one iteration of each
+perfbench workload and a traced ``prefork256_roll`` pass.  It runs in
 about 2 minutes on 2 cores.  Benches run in a scratch directory, so the
 committed ``BENCH_*.json`` files are not rewritten.  Code only tests
 reach belongs in ``tests/``.
@@ -217,6 +217,12 @@ def default_suite(scratch: str) -> List[Tuple[List[str], str]]:
         suite.append(
             ([py, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload, "--iters", "1"], ROOT)
         )
+    # A traced pass too: its collector sees the rolling hand-off's quiet
+    # windows, which a plain pass leaves to the update's private one.
+    suite.append(
+        ([py, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "prefork256_roll",
+          "--iters", "1", "--trace", "1"], ROOT)
+    )
     return suite
 
 
